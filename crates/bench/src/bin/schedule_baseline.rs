@@ -33,9 +33,8 @@
 use rescomm::substrate::loopnest::examples;
 use rescomm::{build_plan_closed, map_nest, MappingOptions};
 use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
-use rescomm_bench::workload::host_threads;
-use rescomm_decompose::decompose_general;
-use rescomm_distribution::{fold_affine, Dist1D, Dist2D};
+use rescomm_bench::workload::{factor_chain_plan, host_threads};
+use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_intlin::IMat;
 use rescomm_machine::{CachedPhase, CostModel, Mesh2D, OverlapOrder, PMsg, PhaseSim, ScheduleMode};
 
@@ -67,44 +66,15 @@ fn zoo() -> Vec<(&'static str, IMat)> {
     ]
 }
 
-fn fold_factor_chain(
-    factors: &[IMat],
-    mesh: &Mesh2D,
-    dist: Dist2D,
-    side: usize,
-    bytes: u64,
-) -> Vec<Vec<PMsg>> {
-    factors
-        .iter()
-        .rev()
-        .map(|t| {
-            let folded = fold_affine(t, (0, 0), dist, (side, side), (mesh.px, mesh.py), bytes);
-            folded
-                .msgs
-                .iter()
-                .map(|m| PMsg {
-                    src: mesh.node_id(m.src.0, m.src.1),
-                    dst: mesh.node_id(m.dst.0, m.dst.1),
-                    bytes: m.bytes,
-                })
-                .collect()
-        })
-        .collect()
-}
-
 fn workloads(mesh: &Mesh2D, dist: Dist2D, side: usize, bytes: u64) -> Vec<Workload> {
     let mut out = Vec::new();
     for (name, t) in zoo() {
-        let factors: Vec<IMat> = decompose_general(&t)
-            .expect("zoo matrices are unimodular")
-            .iter()
-            .map(|f| f.to_mat(2))
-            .collect();
+        let chain = factor_chain_plan(&t);
         out.push(Workload {
             name: name.to_string(),
-            factors: factors.len(),
-            multi_factor: factors.len() >= 2,
-            phases: fold_factor_chain(&factors, mesh, dist, side, bytes),
+            factors: chain.phases.len(),
+            multi_factor: chain.phases.len() >= 2,
+            phases: chain.phases_on_mesh(mesh, dist, (side, side), bytes),
         });
     }
     // The paper plan: the motivating example in closed (affine) form.

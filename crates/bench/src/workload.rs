@@ -1,10 +1,11 @@
 //! Workload generators shared by the experiments: communication patterns
 //! on the simulated machines and cost estimation for a whole mapping.
 
-use rescomm::{CommOutcome, Mapping};
+use rescomm::{CommOutcome, CommPhase, CommPlan, Mapping, PhaseKind, PhasePattern};
+use rescomm_decompose::decompose_general;
 use rescomm_distribution::{fold_general, Dist1D, Dist2D, Msg};
 use rescomm_intlin::IMat;
-use rescomm_loopnest::{Domain, LoopNest, NestBuilder};
+use rescomm_loopnest::{AccessId, Domain, LoopNest, NestBuilder};
 use rescomm_machine::{broadcast_rows_time, shift_time, CostModel, Mesh2D, PMsg, PhaseSim};
 
 /// Flatten aggregated distribution messages onto mesh node ids.
@@ -111,6 +112,28 @@ pub fn mapping_cost_on_mesh(
         };
     }
     total
+}
+
+/// The plan of a unimodular dataflow matrix `t` decomposed into its
+/// unirow factor chain: one grid-wide affine phase per factor, applied
+/// right to left exactly as `build_plan_closed` orders a decomposition.
+/// Lower it with [`CommPlan::phases_on_mesh`].
+pub fn factor_chain_plan(t: &IMat) -> CommPlan {
+    let factors = decompose_general(t).expect("factor chains need a unimodular matrix");
+    CommPlan {
+        phases: factors
+            .iter()
+            .rev()
+            .map(|f| CommPhase {
+                access: AccessId(0),
+                kind: PhaseKind::UnirowFactor,
+                pattern: PhasePattern::Affine {
+                    t: f.to_mat(2),
+                    shift: (0, 0),
+                },
+            })
+            .collect(),
+    }
 }
 
 /// Deterministic chained-stencil nest with `n_stmts` depth-2 statements:

@@ -24,7 +24,7 @@ use rescomm_machine::{
     replication_seed, CachedPhase, CheckpointPolicy, FaultPlan, FaultReport, FaultSim, Mesh2D,
     PMsg, PhaseSim, ScheduleMode, SchedulePolicy,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// What a phase implements (for reporting; the pattern is authoritative).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +127,10 @@ pub struct CommPlan {
     pub phases: Vec<CommPhase>,
 }
 
+/// The fold memo key of an affine phase: the 2×2 linear part, row-major,
+/// and the shift.
+type AffineKey = ([i64; 4], (i64, i64));
+
 fn wrap2(p: (i64, i64), vshape: (usize, usize)) -> (i64, i64) {
     (
         p.0.rem_euclid(vshape.0 as i64),
@@ -167,6 +171,12 @@ impl CommPlan {
     /// single lowering step shared by all the mesh simulation entry
     /// points below — the phases it returns feed [`PhaseSim`] and
     /// [`FaultSim`] directly.
+    ///
+    /// Each distinct affine pattern is folded once per call: a factor
+    /// chain reuses a handful of `L(k)`/`U(k)` matrices, so a repeated
+    /// `(T, shift)` clones the phase lowered first under that key.
+    /// Explicit phases are always folded (hashing an endpoint list costs
+    /// as much as folding it).
     pub fn phases_on_mesh(
         &self,
         mesh: &Mesh2D,
@@ -174,24 +184,32 @@ impl CommPlan {
         vshape: (usize, usize),
         bytes: u64,
     ) -> Vec<Vec<PMsg>> {
-        self.phases
-            .iter()
-            .map(|phase| {
-                let folded = match &phase.pattern {
-                    PhasePattern::Explicit(pattern) => {
-                        let wrapped: Vec<((i64, i64), (i64, i64))> = pattern
-                            .iter()
-                            .map(|&(s, d)| (wrap2(s, vshape), wrap2(d, vshape)))
-                            .filter(|(s, d)| s != d)
-                            .collect();
-                        fold_pattern(&wrapped, dist, vshape, (mesh.px, mesh.py), bytes)
+        let mut first: HashMap<AffineKey, usize> = HashMap::new();
+        let mut out: Vec<Vec<PMsg>> = Vec::with_capacity(self.phases.len());
+        for phase in &self.phases {
+            let folded = match &phase.pattern {
+                PhasePattern::Explicit(pattern) => {
+                    let wrapped: Vec<((i64, i64), (i64, i64))> = pattern
+                        .iter()
+                        .map(|&(s, d)| (wrap2(s, vshape), wrap2(d, vshape)))
+                        .filter(|(s, d)| s != d)
+                        .collect();
+                    fold_pattern(&wrapped, dist, vshape, (mesh.px, mesh.py), bytes)
+                }
+                // The closed path: no virtual-grid enumeration, cost
+                // flat in the grid area.
+                PhasePattern::Affine { t, shift } => {
+                    let key = ([t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]], *shift);
+                    if let Some(&i) = first.get(&key) {
+                        let repeat = out[i].clone();
+                        out.push(repeat);
+                        continue;
                     }
-                    // The closed path: no virtual-grid enumeration, cost
-                    // flat in the grid area.
-                    PhasePattern::Affine { t, shift } => {
-                        fold_affine(t, *shift, dist, vshape, (mesh.px, mesh.py), bytes)
-                    }
-                };
+                    first.insert(key, out.len());
+                    fold_affine(t, *shift, dist, vshape, (mesh.px, mesh.py), bytes)
+                }
+            };
+            out.push(
                 folded
                     .msgs
                     .iter()
@@ -200,9 +218,10 @@ impl CommPlan {
                         dst: mesh.node_id(m.dst.0, m.dst.1),
                         bytes: m.bytes,
                     })
-                    .collect()
-            })
-            .collect()
+                    .collect(),
+            );
+        }
+        out
     }
 
     /// Fold onto a mesh with a distribution (toroidal wrap into `vshape`)
@@ -973,6 +992,159 @@ mod tests {
         // a closed (million-VP) plan never makes it slower.
         let over = plan.simulate_on_mesh(&mesh, dist, (4096, 4096), 64, ScheduleMode::overlapped());
         assert!(over <= t);
+    }
+
+    /// The unmemoized lowering: every phase folded on its own, then
+    /// flattened to node ids — what `phases_on_mesh` must reproduce.
+    fn lower_each_phase(
+        plan: &CommPlan,
+        mesh: &Mesh2D,
+        dist: Dist2D,
+        vshape: (usize, usize),
+        bytes: u64,
+    ) -> Vec<Vec<PMsg>> {
+        let pshape = (mesh.px, mesh.py);
+        plan.phases
+            .iter()
+            .map(|phase| {
+                let folded = match &phase.pattern {
+                    PhasePattern::Explicit(pattern) => {
+                        let wrapped: Vec<Endpoints> = pattern
+                            .iter()
+                            .map(|&(s, d)| (wrap2(s, vshape), wrap2(d, vshape)))
+                            .filter(|(s, d)| s != d)
+                            .collect();
+                        fold_pattern(&wrapped, dist, vshape, pshape, bytes)
+                    }
+                    PhasePattern::Affine { t, shift } => {
+                        fold_affine(t, *shift, dist, vshape, pshape, bytes)
+                    }
+                };
+                folded
+                    .msgs
+                    .iter()
+                    .map(|m| PMsg {
+                        src: mesh.node_id(m.src.0, m.src.1),
+                        dst: mesh.node_id(m.dst.0, m.dst.1),
+                        bytes: m.bytes,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A chained stencil: each statement reads the previous stage and a
+    /// shared array through signed permutations, so the closed plan is a
+    /// chain of repeated elementary factors.
+    fn chained_stencil(n_stmts: usize) -> LoopNest {
+        let fam = [
+            IMat::identity(2),
+            IMat::from_rows(&[&[0, 1], &[1, 0]]),
+            IMat::from_rows(&[&[0, -1], &[1, 0]]),
+        ];
+        let mut b = rescomm_loopnest::NestBuilder::new("chained-stencil");
+        let g = b.array("g", 2);
+        let stages: Vec<_> = (0..=n_stmts)
+            .map(|i| b.array(&format!("a{i}"), 2))
+            .collect();
+        for i in 1..=n_stmts {
+            let s = b.statement(&format!("S{i}"), 2, rescomm_loopnest::Domain::cube(2, 4));
+            b.write(s, stages[i], IMat::identity(2), &[0, 0]);
+            b.read(s, stages[i - 1], fam[i % 3].clone(), &[0, 0]);
+            b.read(s, g, fam[(i + 1) % 3].clone(), &[(i % 2) as i64, 0]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn memoized_lowering_matches_per_phase_fold() {
+        let mut nests = vec![
+            examples::motivating_example(6, 4).0,
+            examples::example2_broadcast(6),
+            examples::example3_gather(6),
+            examples::example4_reduction(6),
+            examples::matmul(6),
+            examples::gauss_elim(6),
+            examples::jacobi2d(6),
+            examples::syrk(6),
+            examples::stencil1d(6, 4),
+            examples::gauss_triangular(6),
+            examples::adi_sweep(6),
+        ];
+        nests.extend([5, 9, 16].map(chained_stencil));
+        let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+        let mut repeats = 0;
+        for nest in &nests {
+            let mapping = map_nest(nest, &MappingOptions::new(2)).unwrap();
+            let plan = build_plan_closed(nest, &mapping);
+            assert!(!plan.phases.is_empty(), "{} communicates", nest.name);
+            let mut keys = std::collections::HashSet::new();
+            for p in &plan.phases {
+                if let PhasePattern::Affine { t, shift } = &p.pattern {
+                    repeats += usize::from(!keys.insert((t.clone(), *shift)));
+                }
+            }
+            for vshape in [(4096, 4096), (1021, 67)] {
+                for d in [Dist1D::Cyclic, Dist1D::Block] {
+                    let dist = Dist2D::uniform(d);
+                    assert_eq!(
+                        plan.phases_on_mesh(&mesh, dist, vshape, 64),
+                        lower_each_phase(&plan, &mesh, dist, vshape, 64),
+                        "{} at {vshape:?} under {d:?}",
+                        nest.name
+                    );
+                }
+            }
+        }
+        assert!(repeats > 0, "the corpus must exercise the memo");
+    }
+
+    #[test]
+    fn memo_keys_on_every_entry_of_t_and_the_shift() {
+        let mesh = Mesh2D::new(4, 4, CostModel::paragon());
+        let affine = |rows: &[&[i64]], shift| CommPhase {
+            access: AccessId(0),
+            kind: PhaseKind::UnirowFactor,
+            pattern: PhasePattern::Affine {
+                t: IMat::from_rows(rows),
+                shift,
+            },
+        };
+        let explicit = |pairs: Vec<Endpoints>| CommPhase {
+            access: AccessId(0),
+            kind: PhaseKind::Translation,
+            pattern: PhasePattern::Explicit(pairs),
+        };
+        let u1: &[&[i64]] = &[&[1, 1], &[0, 1]];
+        let mut phases = vec![
+            affine(u1, (0, 0)),
+            explicit(vec![((0, 0), (5, 3)), ((1, 2), (7, 7))]),
+            affine(u1, (1, 0)),
+            affine(u1, (0, 1)),
+            explicit(vec![((3, 3), (0, 9))]),
+            affine(u1, (0, 0)),
+        ];
+        // One entry of `T` changed at a time, same shift.
+        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let mut rows = [[1i64, 1], [0, 1]];
+            rows[r][c] += 2;
+            phases.push(affine(&[&rows[0], &rows[1]], (0, 0)));
+        }
+        phases.push(affine(u1, (1, 0)));
+        let plan = CommPlan { phases };
+        for vshape in [(24, 24), (23, 17)] {
+            for d in [Dist1D::Cyclic, Dist1D::Block] {
+                let dist = Dist2D::uniform(d);
+                let memo = plan.phases_on_mesh(&mesh, dist, vshape, 8);
+                assert_eq!(memo, lower_each_phase(&plan, &mesh, dist, vshape, 8));
+                // The keys above really fold differently: a key that
+                // dropped `shift` or an entry of `T` would copy a wrong
+                // phase and break the equality.
+                let distinct: BTreeSet<&Vec<PMsg>> =
+                    [0, 2, 3, 6, 7, 8, 9].iter().map(|&i| &memo[i]).collect();
+                assert_eq!(distinct.len(), 7, "{vshape:?} under {d:?}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ fn write_nest(contents: &str) -> tempfile_path::TempPath {
 /// Minimal self-cleaning temp-file helper (no external crates).
 mod tempfile_path {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     pub struct TempPath(pub PathBuf);
 
@@ -29,12 +30,17 @@ mod tempfile_path {
         }
     }
 
+    /// Per-process file counter: tests run concurrently and many write
+    /// the same contents, so neither the pid nor the contents can tell
+    /// their files apart.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+
     pub fn write(contents: &str) -> TempPath {
         let mut p = std::env::temp_dir();
         let unique = format!(
             "rescomm-cli-test-{}-{}.nest",
             std::process::id(),
-            contents.len()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         );
         p.push(unique);
         std::fs::write(&p, contents).unwrap();
