@@ -163,7 +163,7 @@ fn classify_access(f: &IMat, m: usize) -> CachedAccess {
 /// access matrix `F` and the target dimension `m` — in particular the
 /// integer left-inverse search for narrow accesses, which dominates build
 /// time on nests with store accesses. Repeated builds (batch serving,
-/// parameter sweeps, `map_nest_with` under a warm [`AnalysisCache`])
+/// parameter sweeps, `map_nest_with` under a warm `AnalysisCache`)
 /// replay them from here via [`AccessGraph::build_weighted_cached`].
 #[derive(Debug, Default, Clone)]
 pub struct GraphBuildCache {

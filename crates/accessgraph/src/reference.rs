@@ -1,7 +1,7 @@
 //! Seed (pre-optimization) implementations of the graph passes, kept as
 //! proof-of-equivalence oracles.
 //!
-//! The optimized passes in [`crate::branching`] and [`crate::augment`]
+//! The optimized passes in [`crate::branching`] and [`crate::augment`](mod@crate::augment)
 //! replaced positional vertex scans, per-start cycle rescans, the O(E²)
 //! twin marking and the per-merge residual retains with dense indices and
 //! a union-find. These functions preserve the original algorithms verbatim

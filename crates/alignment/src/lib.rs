@@ -163,7 +163,7 @@ impl Alignment {
 /// Dense throughout: allocations and component indices live in
 /// `StmtId`/`ArrayId`-indexed tables and the offset fixpoint runs over
 /// precomputed `(x, S, M_x·c)` triples — the seed's `HashMap<Vertex, _>`
-/// bookkeeping (kept in [`reference`]) re-hashed every vertex on every
+/// bookkeeping (kept in [`reference`](mod@reference)) re-hashed every vertex on every
 /// sweep and recomputed `M_x·c` per edge *per sweep*.
 pub fn compute_alignment(
     nest: &LoopNest,

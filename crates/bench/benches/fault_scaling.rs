@@ -1,6 +1,6 @@
-//! Criterion bench for the fault/recovery simulator: per-call oracle
-//! (`simulate_phases_faulty` / `simulate_phases_recovering`, one plan
-//! scan + route walk per call) vs the compiled batch engine
+//! Criterion bench for the fault/recovery simulator: the oracle
+//! ([`rescomm_machine::reference::simulate`], linear plan scans + route
+//! walks per call) vs the compiled engine
 //! ([`FaultSim`]: plan compiled to sorted interval buckets, phases
 //! compiled once to flat route slices), across replication counts and
 //! outage-schedule densities.
@@ -13,8 +13,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rescomm_machine::{
-    replication_seed, CheckpointPolicy, CostModel, FaultPlan, FaultSim, LinkOutage, Mesh2D,
-    NodeDeath, PMsg, PhaseSim, SchedulePolicy, XorShift64,
+    reference, replication_seed, CheckpointPolicy, CostModel, FaultPlan, FaultSim, LinkOutage,
+    Mesh2D, NodeDeath, PMsg, SchedulePolicy, XorShift64,
 };
 use std::hint::black_box;
 
@@ -66,17 +66,15 @@ fn bench_replay(c: &mut Criterion) {
         let seeds: Vec<u64> = (0..n)
             .map(|r| replication_seed(plan.seed, r as u64))
             .collect();
-        let mut oracle = PhaseSim::new(mesh.clone());
         g.bench_with_input(BenchmarkId::new("oracle", n), &seeds, |b, seeds| {
             b.iter(|| {
                 for &seed in seeds {
-                    black_box(oracle.simulate_phases_faulty(
-                        &phases,
-                        &FaultPlan {
-                            seed,
-                            ..plan.clone()
-                        },
-                    ));
+                    let seeded = FaultPlan {
+                        seed,
+                        ..plan.clone()
+                    };
+                    let sched = SchedulePolicy::default();
+                    black_box(reference::simulate(&mesh, &phases, &seeded, sched, None));
                 }
             })
         });
@@ -94,9 +92,9 @@ fn bench_outage_density(c: &mut Criterion) {
     let mut g = c.benchmark_group("outage_density");
     for outages in [4usize, 16, 64] {
         let plan = dense_plan(&mesh, outages);
-        let mut oracle = PhaseSim::new(mesh.clone());
         g.bench_with_input(BenchmarkId::new("oracle", outages), &plan, |b, plan| {
-            b.iter(|| black_box(oracle.simulate_phases_faulty(&phases, plan)))
+            let sched = SchedulePolicy::default();
+            b.iter(|| black_box(reference::simulate(&mesh, &phases, plan, sched, None)))
         });
         let mut engine = FaultSim::new(&mesh, &phases, &plan);
         g.bench_with_input(BenchmarkId::new("compiled", outages), &plan, |b, plan| {
@@ -129,17 +127,20 @@ fn bench_recovering(c: &mut Criterion) {
         .map(|r| replication_seed(plan.seed, r as u64))
         .collect();
     let mut g = c.benchmark_group("recovering_replay");
-    let mut oracle = PhaseSim::new(mesh.clone());
     g.bench_with_input(BenchmarkId::new("oracle", 16), &seeds, |b, seeds| {
         b.iter(|| {
             for &seed in seeds {
-                black_box(oracle.simulate_phases_recovering(
+                let seeded = FaultPlan {
+                    seed,
+                    ..plan.clone()
+                };
+                let sched = SchedulePolicy::default();
+                black_box(reference::simulate(
+                    &mesh,
                     &phases,
-                    &FaultPlan {
-                        seed,
-                        ..plan.clone()
-                    },
-                    &policy,
+                    &seeded,
+                    sched,
+                    Some(&policy),
                 ));
             }
         })

@@ -46,13 +46,18 @@ fn bench_schedule_modes(c: &mut Criterion) {
             b.iter(|| black_box(sim.simulate_phases(p)))
         });
         g.bench_with_input(BenchmarkId::new("overlapped", n), &phases, |b, p| {
-            b.iter(|| black_box(sim.simulate_phases_overlapped(p, OverlapOrder::Sorted)))
+            b.iter(|| black_box(sim.simulate_phases_mode(p, ScheduleMode::overlapped())))
         });
         g.bench_with_input(
             BenchmarkId::new("overlapped_longest", n),
             &phases,
             |b, p| {
-                b.iter(|| black_box(sim.simulate_phases_overlapped(p, OverlapOrder::LongestFirst)))
+                b.iter(|| {
+                    black_box(sim.simulate_phases_mode(
+                        p,
+                        ScheduleMode::Overlapped(OverlapOrder::LongestFirst),
+                    ))
+                })
             },
         );
         let cached: Vec<CachedPhase> = phases.iter().map(|p| CachedPhase::new(&mesh, p)).collect();

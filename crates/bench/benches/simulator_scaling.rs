@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rescomm_distribution::{fold_general, general_pattern, physical_messages, Dist1D, Dist2D};
 use rescomm_intlin::IMat;
-use rescomm_machine::{CachedPhase, CostModel, Mesh2D, PMsg, PhaseSim};
+use rescomm_machine::{CachedPhase, CostModel, Mesh2D, PMsg, PhaseSim, ScheduleMode};
 use std::hint::black_box;
 
 fn uk() -> IMat {
@@ -88,10 +88,10 @@ fn bench_scheduling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("phasesim", n), &msgs, |b, m| {
             b.iter(|| black_box(sim.simulate_phase(m)))
         });
-        let cached = CachedPhase::new(&mesh, &msgs);
+        let cached = vec![CachedPhase::new(&mesh, &msgs)];
         let mut sim2 = PhaseSim::new(mesh.clone());
         g.bench_with_input(BenchmarkId::new("cached_replay", n), &cached, |b, ph| {
-            b.iter(|| black_box(sim2.run_cached(ph)))
+            b.iter(|| black_box(sim2.run_cached_phases(ph, ScheduleMode::Phased, 1)))
         });
     }
     g.finish();

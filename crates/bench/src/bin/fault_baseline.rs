@@ -1,4 +1,4 @@
-//! Measure the compiled fault engine against the per-call oracles and
+//! Measure the compiled fault engine against the fault oracle and
 //! write a machine-readable baseline to `BENCH_faultperf.json` so later
 //! PRs can track the perf trajectory.
 //!
@@ -10,9 +10,10 @@
 //!
 //! Three sections:
 //!
-//! * **replay** — multi-seed faulty Monte Carlo: the per-call oracle
-//!   loop (`simulate_phases_faulty` once per seed, linear outage scans,
-//!   per-call filter+sort+route walks) vs the compiled batch engine
+//! * **replay** — multi-seed faulty Monte Carlo: the oracle loop
+//!   ([`rescomm_machine::reference::simulate`] once per seed, linear
+//!   outage scans, per-call filter+sort+route walks) vs the compiled
+//!   engine
 //!   ([`FaultSim::replay_faulty`]: plan compiled to sorted interval
 //!   buckets, phases compiled once to flat route slices). Full-mode
 //!   rows at ≥64 replications assert the compiled engine is ≥5×.
@@ -47,9 +48,9 @@ use rescomm_bench::workload::host_threads;
 use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_loopnest::examples;
 use rescomm_machine::{
-    mttf_death_schedule, par_fault_sweep, par_fault_sweep_report, replication_seed,
+    mttf_death_schedule, par_fault_sweep, par_fault_sweep_report, reference, replication_seed,
     CheckpointPolicy, CostModel, FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D, NodeOutage,
-    PMsg, PhaseSim, RetryPolicy, ScheduleMode, SchedulePolicy,
+    PMsg, RetryPolicy, ScheduleMode, SchedulePolicy,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -166,18 +167,20 @@ fn main() {
         phases.len()
     );
     let mut engine = FaultSim::new(&mesh, &phases, &plan);
-    let mut oracle = PhaseSim::new(mesh.clone());
-    let oracle_run = |sim: &mut PhaseSim, seeds: &[u64]| -> Vec<FaultReport> {
+    // The oracle, one full run per seed under `sched` and `ckpt`.
+    let oracle = |plan: &FaultPlan,
+                  seeds: &[u64],
+                  sched: SchedulePolicy,
+                  ckpt: Option<&CheckpointPolicy>|
+     -> Vec<FaultReport> {
         seeds
             .iter()
             .map(|&seed| {
-                sim.simulate_phases_faulty(
-                    &phases,
-                    &FaultPlan {
-                        seed,
-                        ..plan.clone()
-                    },
-                )
+                let seeded = FaultPlan {
+                    seed,
+                    ..plan.clone()
+                };
+                reference::simulate(&mesh, &phases, &seeded, sched, ckpt)
             })
             .collect()
     };
@@ -190,10 +193,10 @@ fn main() {
         // reproduce the oracle's full report, seed for seed.
         assert_eq!(
             engine.replay_faulty(&seeds, sched),
-            oracle_run(&mut oracle, &seeds),
+            oracle(&plan, &seeds, sched, None),
             "compiled replay diverged from the oracle at {n} replications"
         );
-        let oracle_ns = median_ns(timing_reps, || oracle_run(&mut oracle, &seeds));
+        let oracle_ns = median_ns(timing_reps, || oracle(&plan, &seeds, sched, None));
         let compiled_ns = median_ns(timing_reps, || engine.replay_faulty(&seeds, sched));
         let speedup = oracle_ns as f64 / compiled_ns.max(1) as f64;
         assert!(speedup > 0.0);
@@ -218,8 +221,8 @@ fn main() {
     }
 
     // Overlapped-faulty gate (runs in smoke too): the compiled engine
-    // must reproduce the per-call policy oracle bit for bit under the
-    // overlapped and adaptive schedules as well.
+    // must reproduce the oracle bit for bit under the overlapped and
+    // adaptive schedules as well.
     let gate_seeds: Vec<u64> = (0..4).map(|r| replication_seed(plan.seed, r)).collect();
     for gate in [
         SchedulePolicy::Fixed(ScheduleMode::overlapped()),
@@ -227,19 +230,7 @@ fn main() {
             inflation_threshold: 1.5,
         },
     ] {
-        let want: Vec<FaultReport> = gate_seeds
-            .iter()
-            .map(|&seed| {
-                oracle.simulate_phases_faulty_policy(
-                    &phases,
-                    &FaultPlan {
-                        seed,
-                        ..plan.clone()
-                    },
-                    gate,
-                )
-            })
-            .collect();
+        let want = oracle(&plan, &gate_seeds, gate, None);
         assert_eq!(
             engine.replay_faulty(&gate_seeds, gate),
             want,
@@ -265,44 +256,16 @@ fn main() {
         .map(|r| replication_seed(plan.seed, r as u64))
         .collect();
     engine.set_plan(&recover_plan);
-    let oracle_recover = |sim: &mut PhaseSim, seeds: &[u64]| -> Vec<FaultReport> {
-        seeds
-            .iter()
-            .map(|&seed| {
-                sim.simulate_phases_recovering(
-                    &phases,
-                    &FaultPlan {
-                        seed,
-                        ..recover_plan.clone()
-                    },
-                    &policy,
-                )
-            })
-            .collect()
-    };
     assert_eq!(
         engine.replay_recovering(&policy, &seeds, sched),
-        oracle_recover(&mut oracle, &seeds),
+        oracle(&recover_plan, &seeds, sched, Some(&policy)),
         "compiled recovering replay diverged from the oracle"
     );
     // Overlapped-recovering gate (runs in smoke too): rollback + replay
-    // under the overlapped schedule, compiled vs per-call, exactly once.
+    // under the overlapped schedule, compiled vs oracle, exactly once.
     {
         let gate = SchedulePolicy::Fixed(ScheduleMode::overlapped());
-        let want: Vec<FaultReport> = gate_seeds
-            .iter()
-            .map(|&seed| {
-                oracle.simulate_phases_recovering_policy(
-                    &phases,
-                    &FaultPlan {
-                        seed,
-                        ..recover_plan.clone()
-                    },
-                    &policy,
-                    gate,
-                )
-            })
-            .collect();
+        let want = oracle(&recover_plan, &gate_seeds, gate, Some(&policy));
         assert_eq!(
             engine.replay_recovering(&policy, &gate_seeds, gate),
             want,
@@ -314,7 +277,9 @@ fn main() {
         }
         eprintln!("overlapped-recovering gate ({}): ok", gate.label());
     }
-    let rec_oracle_ns = median_ns(timing_reps, || oracle_recover(&mut oracle, &seeds));
+    let rec_oracle_ns = median_ns(timing_reps, || {
+        oracle(&recover_plan, &seeds, sched, Some(&policy))
+    });
     let rec_compiled_ns = median_ns(timing_reps, || {
         engine.replay_recovering(&policy, &seeds, sched)
     });

@@ -33,7 +33,8 @@
 //!   mean makespan is never worse than the worse of the two fixed
 //!   modes it arbitrates between;
 //! * (d) **oracle bit-identity** — the compiled replay reproduces the
-//!   per-call policy oracle on replication 0 under every policy;
+//!   fault oracle ([`rescomm_machine::reference::simulate`]) on
+//!   replication 0 under every policy;
 //! * (e) **delivery** — with retries enabled, every replication of
 //!   every row delivers every message.
 
@@ -44,8 +45,8 @@ use rescomm_bench::workload::{factor_chain_plan, host_threads};
 use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_intlin::IMat;
 use rescomm_machine::{
-    replication_seed, CostModel, FaultPlan, FaultReport, FaultSim, Mesh2D, OverlapOrder, PMsg,
-    PhaseSim, ScheduleMode, SchedulePolicy,
+    reference, replication_seed, CostModel, FaultPlan, FaultReport, FaultSim, Mesh2D, OverlapOrder,
+    PMsg, PhaseSim, ScheduleMode, SchedulePolicy,
 };
 
 /// A named multi-phase workload, already folded to physical messages.
@@ -177,7 +178,7 @@ fn main() {
                 seed: fault.seed,
                 ..FaultPlan::none()
             };
-            let z = sim.simulate_phases_faulty_policy(&w.phases, &zero, sched);
+            let z = FaultSim::new(&mesh, &w.phases, &zero).run_faulty(zero.seed, sched);
             assert_eq!(
                 z.makespan,
                 healthy,
@@ -188,10 +189,10 @@ fn main() {
             assert_eq!(z.downgrades, 0, "{}: zero-fault run degraded", w.name);
 
             let reports = engine.replay_faulty(&seeds, sched);
-            // Gate (d): replication 0 is the per-call policy oracle.
+            // Gate (d): replication 0 is the fault oracle's run.
             assert_eq!(
                 reports[0],
-                sim.simulate_phases_faulty_policy(&w.phases, &fault, sched),
+                reference::simulate(&mesh, &w.phases, &fault, sched, None),
                 "{}: compiled replay diverged from the oracle under {}",
                 w.name,
                 sched.label()

@@ -18,9 +18,10 @@
 //! cargo run --release -p rescomm-bench --bin faultsweep [--quick] [--out PATH]
 //! ```
 //!
-//! Every sweep point is evaluated twice — once through the per-call
-//! oracle and once through the compiled batch engine
-//! ([`rescomm_machine::FaultSim`]) — and the two must agree bit for bit,
+//! Every sweep point is evaluated twice — once through the fault oracle
+//! ([`rescomm_machine::reference::simulate`]) and once through the
+//! compiled engine ([`rescomm_machine::FaultSim`]) — and the two must
+//! agree bit for bit,
 //! so a nondeterministic fault schedule or a compiled-plan divergence
 //! fails the run instead of polluting the curves. On top of the classic
 //! single-seed columns, every sweep point carries Monte Carlo statistics
@@ -32,8 +33,8 @@
 
 use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
 use rescomm_machine::{
-    par_fault_sweep, CostModel, FatTree, FaultPlan, FaultSim, LinkOutage, Mesh2D, NodeOutage, PMsg,
-    PhaseSim, RetryPolicy, SchedulePolicy, XorShift64,
+    par_fault_sweep, reference, CostModel, FatTree, FaultPlan, FaultSim, LinkOutage, Mesh2D,
+    NodeOutage, PMsg, RetryPolicy, SchedulePolicy, XorShift64,
 };
 
 /// Deterministic synthetic phase set on `nodes` processors.
@@ -88,7 +89,6 @@ fn main() {
         .unwrap_or_else(|| "BENCH_faults.json".into());
 
     let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-    let mut sim = PhaseSim::new(mesh.clone());
     let (n_phases, per_phase) = if quick { (4, 24) } else { (8, 48) };
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0xfa17);
     let healthy = mesh.simulate_phases(&phases);
@@ -152,8 +152,8 @@ fn main() {
     let mut engine = FaultSim::new(&mesh, &phases, &plans[0]);
     let mut rows = Vec::new();
     for ((&(drop_pct, retry), plan), st) in points.iter().zip(&plans).zip(&stats) {
-        // The classic single-seed run through the per-call oracle …
-        let rep = sim.simulate_phases_faulty(&phases, plan);
+        // The classic single-seed run through the fault oracle …
+        let rep = reference::simulate(&mesh, &phases, plan, sched, None);
         // … must be reproduced bit for bit by the compiled engine
         // (replication 0's seed is the plan's own seed).
         engine.set_plan(plan);
@@ -207,7 +207,8 @@ fn main() {
     }
 
     // Zero-fault gate: no faults → bit-identical to the unfaulted engine.
-    let zero = sim.simulate_phases_faulty(&phases, &FaultPlan::none());
+    engine.set_plan(&FaultPlan::none());
+    let zero = engine.run_faulty(FaultPlan::none().seed, sched);
     assert_eq!(zero.makespan, healthy, "zero-fault plan must be identical");
     assert_eq!(zero.delivered, zero.messages);
     eprintln!("zero-fault gate: makespan {} ns == healthy", zero.makespan);

@@ -20,9 +20,9 @@
 //! cargo run --release -p rescomm-bench --bin recoverysweep [--quick] [--out PATH]
 //! ```
 //!
-//! Every MTTF point is evaluated through both the per-call oracle and
-//! the compiled batch engine ([`rescomm_machine::FaultSim`]), which must
-//! agree bit for bit, and carries Monte Carlo statistics over
+//! Every MTTF point is evaluated through both the fault oracle
+//! ([`rescomm_machine::reference::simulate`]) and the compiled engine
+//! ([`rescomm_machine::FaultSim`]), which must agree bit for bit, and carries Monte Carlo statistics over
 //! [`rescomm_machine::replication_seed`]-derived replications computed
 //! with [`rescomm_machine::par_recovery_sweep`] (replication 0 **is**
 //! the classic run; the parallel sweep is asserted bit-identical to a
@@ -33,8 +33,8 @@
 
 use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
 use rescomm_machine::{
-    mttf_death_schedule, par_recovery_sweep, CheckpointPolicy, CostModel, FaultPlan, FaultSim,
-    Mesh2D, PMsg, PhaseSim, SchedulePolicy, XorShift64,
+    mttf_death_schedule, par_recovery_sweep, reference, CheckpointPolicy, CostModel, FaultPlan,
+    FaultSim, Mesh2D, PMsg, SchedulePolicy, XorShift64,
 };
 
 /// Deterministic synthetic phase set on `nodes` processors.
@@ -90,7 +90,6 @@ fn main() {
         .unwrap_or_else(|| "BENCH_recovery.json".into());
 
     let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-    let mut sim = PhaseSim::new(mesh.clone());
     let (n_phases, per_phase) = if quick { (8, 24) } else { (24, 48) };
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0x4ec0);
     let healthy = mesh.simulate_phases(&phases);
@@ -102,7 +101,8 @@ fn main() {
 
     // Zero-death gate first: the recovering driver on a death-free plan
     // must match the unfaulted scheduler bit for bit.
-    let zero = sim.simulate_phases_recovering(&phases, &FaultPlan::none(), &policy);
+    let none = FaultPlan::none();
+    let zero = FaultSim::new(&mesh, &phases, &none).run_recovering(&policy, none.seed, sched);
     assert_eq!(zero.makespan, healthy, "zero-death run must be identical");
     assert_eq!(zero.delivered, zero.messages);
     assert_eq!(zero.recovery.rollbacks, 0);
@@ -147,8 +147,8 @@ fn main() {
     let mut engine = FaultSim::new(&mesh, &phases, &plans[0]);
     let mut mttf_rows = Vec::new();
     for ((&mttf_pct, plan), st) in points.iter().zip(&plans).zip(&stats) {
-        // The classic single-seed run through the per-call oracle …
-        let rep = sim.simulate_phases_recovering(&phases, plan, &policy);
+        // The classic single-seed run through the fault oracle …
+        let rep = reference::simulate(&mesh, &phases, plan, sched, Some(&policy));
         // … must be reproduced bit for bit by the compiled engine
         // (replication 0's seed is the plan's own seed).
         engine.set_plan(plan);
@@ -205,6 +205,7 @@ fn main() {
         detection_latency: 5_000,
         ..FaultPlan::none()
     };
+    let mut interval_engine = FaultSim::new(&mesh, &phases, &fixed_plan);
     let mut interval_rows = Vec::new();
     for interval in [1usize, 2, 4, 8, 16] {
         let p = CheckpointPolicy {
@@ -212,7 +213,7 @@ fn main() {
             ring: 32,
             ..CheckpointPolicy::default()
         };
-        let rep = sim.simulate_phases_recovering(&phases, &fixed_plan, &p);
+        let rep = interval_engine.run_recovering(&p, fixed_plan.seed, sched);
         assert!(rep.recovery.all_recovered(), "interval={interval}");
         assert_eq!(rep.delivered, rep.messages);
         eprintln!(

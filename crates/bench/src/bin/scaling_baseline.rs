@@ -7,7 +7,7 @@
 //! fans out exactly like one of them:
 //!
 //! * **fault_replay** — [`par_fault_sweep`] over a bank of fault plans
-//!   (plan×seed task sharding, per-worker [`FaultSim`] engines);
+//!   (plan×seed task sharding, per-worker [`FaultSim`](rescomm_machine::FaultSim) engines);
 //! * **analysis_batch** — [`map_nest_batch`] over a fleet of loop nests
 //!   of deliberately skewed sizes (per-worker `AnalysisCache`s; the
 //!   skew is what the steal path exists for).

@@ -35,7 +35,7 @@ use rescomm_distribution::{
     fold_affine_with, fold_pattern, general_pattern, Dist1D, Dist2D, FoldPath,
 };
 use rescomm_intlin::IMat;
-use rescomm_machine::{CachedPhase, CostModel, Mesh2D, PMsg, PhaseSim};
+use rescomm_machine::{CachedPhase, CostModel, Mesh2D, PMsg, PhaseSim, ScheduleMode};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -287,7 +287,7 @@ fn main() {
             })
             .collect();
         let mut sim = PhaseSim::new(mesh.clone());
-        let cached = CachedPhase::new(&mesh, &msgs);
+        let cached = [CachedPhase::new(&mesh, &msgs)];
         // Correctness gate before timing.
         let want = mesh.simulate_phase(&msgs);
         assert_eq!(
@@ -296,7 +296,7 @@ fn main() {
             "PhaseSim diverged at n={n}"
         );
         assert_eq!(
-            sim.run_cached(&cached),
+            sim.run_cached_phases(&cached, ScheduleMode::Phased, 1),
             want,
             "CachedPhase diverged at n={n}"
         );
@@ -304,7 +304,9 @@ fn main() {
         let reps = if n >= 100_000 { 5 } else { 9 };
         let oneshot_ns = median_ns(reps, || mesh.simulate_phase(&msgs));
         let phasesim_ns = median_ns(reps, || sim.simulate_phase(&msgs));
-        let cached_ns = median_ns(reps, || sim.run_cached(&cached));
+        let cached_ns = median_ns(reps, || {
+            sim.run_cached_phases(&cached, ScheduleMode::Phased, 1)
+        });
         eprintln!(
             "  {n:>6} msgs  oneshot {:>12} ns   phasesim {:>12} ns (×{:.1})   cached {:>12} ns (×{:.1})",
             oneshot_ns,

@@ -7,7 +7,7 @@ use rescomm_decompose::Elementary;
 use rescomm_distribution::{fold_general, Dist1D, Dist2D};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::examples;
-use rescomm_machine::{CachedPhase, CostModel, FatTree, PMsg, PhaseSim};
+use rescomm_machine::{CachedPhase, CostModel, FatTree, PMsg, PhaseSim, ScheduleMode};
 
 /// One row of Table 1: simulated CM-5 times for the four data movements,
 /// normalized to the reduction.
@@ -198,16 +198,18 @@ pub fn table2_crossover(vshape: (usize, usize), sizes: &[u64]) -> Vec<CrossoverR
         let folded = fold_general(t, dist, vshape, (mesh.px, mesh.py), 1);
         CachedPhase::new(&mesh, &msgs_to_phase(&folded.msgs, &mesh))
     };
-    let direct = compile(&IMat::from_rows(&[&[1, 3], &[2, 7]]));
-    let l = compile(&Elementary::L(2).to_mat());
-    let u = compile(&Elementary::U(3).to_mat());
+    let direct = [compile(&IMat::from_rows(&[&[1, 3], &[2, 7]]))];
+    let decomposed = [
+        compile(&Elementary::L(2).to_mat()),
+        compile(&Elementary::U(3).to_mat()),
+    ];
     let mut sim = PhaseSim::new(mesh);
     sizes
         .iter()
         .map(|&bytes| CrossoverRow {
             bytes,
-            direct: sim.run_cached_scaled(&direct, bytes),
-            decomposed: sim.run_cached_scaled(&l, bytes) + sim.run_cached_scaled(&u, bytes),
+            direct: sim.run_cached_phases(&direct, ScheduleMode::Phased, bytes),
+            decomposed: sim.run_cached_phases(&decomposed, ScheduleMode::Phased, bytes),
         })
         .collect()
 }
@@ -337,13 +339,13 @@ pub fn vectorization(n_steps: usize, bytes: u64) -> VectorizationRow {
         .collect();
     // The regrouped schedule is the same pattern with n× payloads: compile
     // the routes once, replay at both scales.
-    let cached = CachedPhase::new(&mesh, &shift);
+    let cached = [CachedPhase::new(&mesh, &shift)];
     let mut sim = PhaseSim::new(mesh);
     VectorizationRow {
         n_steps,
         bytes,
-        unvectorized: sim.run_cached(&cached) * n_steps as u64,
-        vectorized: sim.run_cached_scaled(&cached, n_steps as u64),
+        unvectorized: sim.run_cached_phases(&cached, ScheduleMode::Phased, 1) * n_steps as u64,
+        vectorized: sim.run_cached_phases(&cached, ScheduleMode::Phased, n_steps as u64),
     }
 }
 

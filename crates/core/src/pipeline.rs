@@ -152,7 +152,7 @@ type DetectKey = (IMat, IMat, IMat, IMat, AccessKind, bool);
 /// Memo for the kernel-heavy computations of the pipeline: the per-access
 /// graph-build classification ([`GraphBuildCache`] — the integer
 /// left-inverse search dominates build time on nests with store
-/// accesses), [`detect`]'s collective classification, and the
+/// accesses), [`detect`](fn@detect)'s collective classification, and the
 /// dataflow-matrix solve, keyed by the exact matrices involved. Chained
 /// stencil families repeat the same `(θ, F, M_S, M_x)` combinations
 /// across hundreds of statements, so one cache entry replaces many

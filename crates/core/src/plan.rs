@@ -269,8 +269,7 @@ impl CommPlan {
     /// Compile the plan into a reusable multi-seed fault replay engine:
     /// the folded phases and the fault plan are compiled once, then
     /// [`FaultSim::replay_faulty`] / [`FaultSim::replay_recovering`]
-    /// replay any number of seeds at cached-phase speed, bit-identical
-    /// to the per-call simulators.
+    /// replay any number of seeds at cached-phase speed.
     pub fn fault_engine(
         &self,
         mesh: &Mesh2D,
@@ -297,8 +296,8 @@ impl CommPlan {
         plan: &FaultPlan,
         sched: SchedulePolicy,
     ) -> FaultReport {
-        let phases = self.phases_on_mesh(mesh, dist, vshape, bytes);
-        PhaseSim::new(mesh.clone()).simulate_phases_faulty_policy(&phases, plan, sched)
+        self.fault_engine(mesh, dist, vshape, bytes, plan)
+            .run_faulty(plan.seed, sched)
     }
 
     /// Monte Carlo replication of the faulty simulation: run the plan
@@ -350,9 +349,8 @@ impl CommPlan {
 
     /// Fold onto a mesh like [`CommPlan::simulate_on_mesh`], but drive
     /// the phases through the checkpoint/rollback engine
-    /// ([`PhaseSim::simulate_phases_recovering`] or its overlapped
-    /// twin, per `sched`) so the plan survives the fault plan's
-    /// permanent node deaths. On a death-free plan the committed
+    /// ([`FaultSim::run_recovering`], scheduled per `sched`) so the plan
+    /// survives the fault plan's permanent node deaths. On a death-free plan the committed
     /// makespan equals the faulty run under the same policy exactly.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_on_mesh_recovering(
@@ -365,8 +363,8 @@ impl CommPlan {
         policy: &CheckpointPolicy,
         sched: SchedulePolicy,
     ) -> FaultReport {
-        let phases = self.phases_on_mesh(mesh, dist, vshape, bytes);
-        PhaseSim::new(mesh.clone()).simulate_phases_recovering_policy(&phases, plan, policy, sched)
+        self.fault_engine(mesh, dist, vshape, bytes, plan)
+            .run_recovering(policy, plan.seed, sched)
     }
 
     /// Verify the plan delivers data correctly: for every non-local access
@@ -843,9 +841,15 @@ mod tests {
         assert_eq!(reps.len(), 5);
 
         // Replication 0 is the classic single-seed run, bit-identical to
-        // the per-call oracle over the same folded phases.
+        // the fault oracle over the same folded phases.
         let phases = plan.phases_on_mesh(&mesh, dist, (24, 24), 64);
-        let oracle = PhaseSim::new(mesh.clone()).simulate_phases_faulty(&phases, &fplan);
+        let oracle = rescomm_machine::reference::simulate(
+            &mesh,
+            &phases,
+            &fplan,
+            SchedulePolicy::default(),
+            None,
+        );
         assert_eq!(reps[0], oracle);
         // Distinct seeds genuinely vary the runs.
         assert!(reps

@@ -292,7 +292,7 @@ fn preserves_locality(nest: &LoopNest, before: &Alignment, after: &Alignment) ->
 /// `grid`-shaped physical mesh.
 ///
 /// Every connected component whose placements touch a dead node is
-/// left-multiplied by the best unimodular fold from [`candidates`]
+/// left-multiplied by the best unimodular fold from `candidates`
 /// (identity when nothing better exists), residual communications are
 /// re-derived for the rotated alignment, an [`IncidentKind::NodeLoss`]
 /// incident is recorded, and the result is validated through

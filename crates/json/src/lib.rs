@@ -210,9 +210,8 @@ impl JsonDoc {
 // ---------------------------------------------------------------------------
 
 /// Parse error with a 1-based line number and column, formatted like the
-/// nest parser's [`err_at`-style errors]: `line L, col C: message`.
-///
-/// [`err_at`-style errors]: https://docs.rs/ — see `rescomm_loopnest::parser::ParseError`
+/// nest parser's errors (`rescomm_loopnest::parser::ParseError`):
+/// `line L, col C: message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Line the error was detected on (1-based).

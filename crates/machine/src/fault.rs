@@ -20,14 +20,14 @@
 //!   an absolute time; a failure detector with configurable
 //!   [`FaultPlan::detection_latency`] notices the death and triggers the
 //!   checkpoint/rollback recovery path
-//!   ([`crate::PhaseSim::simulate_phases_recovering`]);
+//!   ([`crate::FaultSim::run_recovering`]);
 //! * a **retry policy** — timeout plus exponential backoff, with a hard
 //!   attempt cap after which the transport escalates to a reliable
 //!   channel (the attempt is forced through), so delivery is guaranteed
 //!   whenever retries are enabled, whatever the drop probability.
 //!
-//! [`crate::PhaseSim::simulate_phase_faulty`] consumes the plan and
-//! returns a [`FaultReport`] with full makespan accounting, so the cost
+//! [`crate::FaultSim`] compiles the plan ([`CompiledFaultPlan`]) and
+//! returns a [`FaultReport`] per run with full makespan accounting, so the cost
 //! of degradation is measurable (see the `faultsweep` and `recoverysweep`
 //! bench bins). Recovery outcomes (rollbacks, replayed phases, lost work)
 //! land in the embedded [`RecoveryReport`].
@@ -61,8 +61,7 @@ pub struct NodeOutage {
 /// A permanent node failure: from time `t` on, the node never sends or
 /// receives again. Unlike a [`NodeOutage`] window, a death is only
 /// survivable by rolling back to a checkpoint and folding the dead
-/// node's work onto survivors
-/// ([`crate::PhaseSim::simulate_phases_recovering`]).
+/// node's work onto survivors ([`crate::FaultSim::run_recovering`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeDeath {
     /// Flattened node id.
@@ -571,7 +570,7 @@ fn fold_table(px: usize, py: usize, dead: &[usize]) -> Vec<u32> {
 }
 
 /// Accounting of the checkpoint/rollback recovery path
-/// ([`crate::PhaseSim::simulate_phases_recovering`]). Absorbed into
+/// ([`crate::FaultSim::run_recovering`]). Absorbed into
 /// [`FaultReport`] so one report covers both transport-level faults and
 /// node-loss recovery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

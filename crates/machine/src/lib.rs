@@ -17,18 +17,23 @@
 //! * [`collective`] — software collectives on the mesh (tree broadcasts
 //!   along rows/columns, shifts, reductions) used by the benchmark
 //!   harness;
-//! * [`phasesim`] — a reusable zero-allocation phase scheduler
-//!   ([`PhaseSim`]) and precompiled-route replay ([`CachedPhase`]) for
-//!   production-size sweeps, bit-identical to [`Mesh2D::simulate_phase`];
-//!   plus the compiled fault engine ([`CachedFaultPhase`], [`FaultSim`])
-//!   that replays faulty/recovering runs over many seeds at cached-phase
-//!   speed, bit-identical to the per-call oracles;
-//! * [`overlap`] — the dependency-aware overlapped scheduler
-//!   ([`ScheduleMode`]): a phase-(k+1) message releases as soon as its
-//!   source node has received all of its phase-k inflows, list-scheduled
-//!   on the same per-link timelines; the default order guarantees
-//!   makespan ≤ the phased barrier schedule, and the whole thing replays
-//!   from [`CachedPhase`] for batch sweeps ([`par_schedule_sweep`]);
+//! * [`phasesim`] — the simulation engine: one transport step and one
+//!   run driver behind every mesh schedule. [`PhaseSim`] runs healthy
+//!   phases per call or from precompiled [`CachedPhase`]s for sweeps,
+//!   bit-identical to [`Mesh2D::simulate_phase`]; [`FaultSim`] compiles
+//!   a phase set and a fault plan once and replays faulty or
+//!   checkpoint/rollback runs over many seeds;
+//! * [`overlap`] — the schedule vocabulary the driver takes
+//!   ([`ScheduleMode`], [`OverlapOrder`], [`SchedulePolicy`]): phased
+//!   barriers, or dependency-aware overlap in which a phase-(k+1)
+//!   message releases as soon as its source node has received all of
+//!   its phase-k inflows (the default order guarantees makespan ≤ the
+//!   phased barrier schedule), or adaptive degradation from overlap to
+//!   barriers; plus byte-scale sweeps over compiled plans
+//!   ([`par_schedule_sweep`]);
+//! * [`reference`](mod@reference) — the fault-semantics oracle the engine is tested
+//!   against: one plain restatement of every faulty and recovering run,
+//!   sharing no code with the engine;
 //! * [`pool`] — the shared work-stealing execution substrate: a
 //!   process-wide worker pool (injector + per-worker range deques,
 //!   steal-back-half, grain knob) every `par_*` fan-out in the workspace
@@ -46,7 +51,7 @@
 //!   probabilities, control-network outage) with a resilient transport
 //!   (retry + exponential backoff, XY→YX rerouting, software-collective
 //!   degraded mode), checkpoint/rollback recovery from permanent node
-//!   loss ([`PhaseSim::simulate_phases_recovering`]), full degradation
+//!   loss ([`FaultSim::run_recovering`]), full degradation
 //!   accounting ([`FaultReport`], [`RecoveryReport`]), and the
 //!   plan-compilation pass behind the fast paths ([`CompiledFaultPlan`]).
 //!
@@ -62,6 +67,7 @@ pub mod model;
 pub mod overlap;
 pub mod phasesim;
 pub mod pool;
+pub mod reference;
 pub mod rng;
 pub mod snapshot;
 pub mod sweep;
@@ -79,10 +85,7 @@ pub use fault::{
 pub use mesh::Mesh2D;
 pub use model::{CostModel, PMsg};
 pub use overlap::{par_schedule_sweep, OverlapEvent, OverlapOrder, ScheduleMode, SchedulePolicy};
-pub use phasesim::{
-    simulate_phases_batch, CachedFaultPhase, CachedPhase, Checkpoint, CheckpointPolicy, FaultSim,
-    PhaseSim,
-};
+pub use phasesim::{CachedPhase, CheckpointPolicy, FaultSim, PhaseSim};
 pub use pool::{auto_grain, SweepReport};
 pub use rng::XorShift64;
 pub use snapshot::SnapshotError;

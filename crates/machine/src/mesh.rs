@@ -11,6 +11,7 @@
 //! communication pattern.
 
 use crate::model::{CostModel, PMsg};
+use std::cmp::Ordering;
 
 /// A 2-D mesh of `px × py` nodes.
 ///
@@ -203,6 +204,36 @@ impl Mesh2D {
         r
     }
 
+    /// Append the link indices of the XY route (YX with `yx`) from `src`
+    /// to `dst` to `out` — the links [`Mesh2D::route_links`] yields. Each
+    /// leg of a dimension-order route is an arithmetic run of link ids
+    /// (step ±2), so it is written in bulk rather than walked hop by hop.
+    pub(crate) fn extend_route(&self, src: usize, dst: usize, yx: bool, out: &mut Vec<u32>) {
+        let (x, y) = self.coords(src);
+        let (tx, ty) = self.coords(dst);
+        let (px, py) = (self.px, self.py);
+        let run = |out: &mut Vec<u32>, first: usize, n: usize, up: bool| {
+            out.extend((0..n).map(|k| if up { first + 2 * k } else { first - 2 * k } as u32));
+        };
+        let h_leg = |out: &mut Vec<u32>, y: usize| match x.cmp(&tx) {
+            Ordering::Less => run(out, h_link_id(px, x, y, true), tx - x, true),
+            Ordering::Greater => run(out, h_link_id(px, x - 1, y, false), x - tx, false),
+            Ordering::Equal => {}
+        };
+        let v_leg = |out: &mut Vec<u32>, x: usize| match y.cmp(&ty) {
+            Ordering::Less => run(out, v_link_id(px, py, x, y, true), ty - y, true),
+            Ordering::Greater => run(out, v_link_id(px, py, x, y - 1, false), y - ty, false),
+            Ordering::Equal => {}
+        };
+        if yx {
+            v_leg(out, x);
+            h_leg(out, ty);
+        } else {
+            h_leg(out, y);
+            v_leg(out, tx);
+        }
+    }
+
     /// Hop count of the XY route.
     pub fn hops(&self, src: usize, dst: usize) -> usize {
         let (x, y) = self.coords(src);
@@ -299,6 +330,24 @@ mod tests {
             let xy: Vec<LinkId> = m.route_links(a, b).collect();
             let yx: Vec<LinkId> = m.route_links_yx(a, b).collect();
             assert_eq!(xy, yx, "single-dimension routes must coincide");
+        }
+    }
+
+    #[test]
+    fn extend_route_matches_route_links() {
+        for m in [mesh(4, 4), mesh(8, 4), mesh(1, 5), mesh(6, 1)] {
+            for (a, b) in (0..m.nodes()).flat_map(|a| (0..m.nodes()).map(move |b| (a, b))) {
+                for yx in [false, true] {
+                    let mut got = vec![7];
+                    m.extend_route(a, b, yx, &mut got);
+                    let want = match yx {
+                        false => m.route_links(a, b),
+                        true => m.route_links_yx(a, b),
+                    };
+                    let want: Vec<u32> = want.map(|l| l.index() as u32).collect();
+                    assert_eq!(got[1..], want[..], "{a}->{b} yx={yx}");
+                }
+            }
         }
     }
 

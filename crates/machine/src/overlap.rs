@@ -23,19 +23,18 @@
 //! overlapped makespan is **structurally ≤ the phased makespan** and a
 //! single-phase plan schedules bit-identically under both modes.
 //!
-//! [`OverlapOrder::LongestFirst`] is the true priority-queue order from
-//! the issue — (ready time, longest route first, [`PMsg`] order) — which
-//! can win on contended meshes but carries no ≤ guarantee; benches score
-//! it against the default rather than gating on it.
+//! [`OverlapOrder::LongestFirst`] is a true priority-queue order —
+//! (ready time, longest route first, [`PMsg`] order) — which can win on
+//! contended meshes but carries no ≤ guarantee; benches score it against
+//! the default rather than gating on it.
+//!
+//! This module defines the schedule vocabulary; the engine that runs it
+//! is [`crate::phasesim`].
 
-use crate::fault::{fold_target, FaultPlan, FaultReport};
 use crate::mesh::Mesh2D;
-use crate::phasesim::{CachedPhase, CheckpointPolicy, OverlapCheckpoint, PhaseSim};
-use crate::rng::XorShift64;
+use crate::phasesim::{CachedPhase, PhaseSim};
 use crate::sweep::par_sweep_with;
 use crate::PMsg;
-use std::cmp::Reverse;
-use std::collections::VecDeque;
 
 /// How a multi-phase plan is executed on the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -97,7 +96,7 @@ pub enum OverlapOrder {
 /// `inflation_threshold`, the engine falls back to **phased barriers
 /// for the remaining phases** — the conservative order whose
 /// phase-aligned quiescence keeps rollback and retry storms contained —
-/// and records the downgrade in [`FaultReport::downgrades`]. The
+/// and records the downgrade in [`crate::FaultReport::downgrades`]. The
 /// decision uses only committed state, so adaptive runs replay
 /// deterministically (and roll back consistently: the flag is part of
 /// every overlapped checkpoint).
@@ -173,13 +172,6 @@ impl SchedulePolicy {
     }
 }
 
-/// Has the observed committed makespan crossed the adaptive threshold
-/// over the healthy prefix makespan?
-#[inline]
-pub(crate) fn inflation_exceeded(observed: u64, healthy: u64, threshold: f64) -> bool {
-    observed as f64 > threshold * healthy as f64
-}
-
 /// One scheduled transmission, as reported by the traced overlapped run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverlapEvent {
@@ -194,644 +186,6 @@ pub struct OverlapEvent {
     pub start: u64,
     /// When the last flit arrived at `msg.dst`.
     pub end: u64,
-}
-
-impl PhaseSim {
-    /// Simulate `phases` under `mode`. [`ScheduleMode::Phased`] calls
-    /// [`PhaseSim::simulate_phases`] unchanged.
-    pub fn simulate_phases_mode(&mut self, phases: &[Vec<PMsg>], mode: ScheduleMode) -> u64 {
-        match mode {
-            ScheduleMode::Phased => self.simulate_phases(phases),
-            ScheduleMode::Overlapped(order) => self.simulate_phases_overlapped(phases, order),
-        }
-    }
-
-    /// Overlapped makespan of `phases` (see the module docs for the
-    /// readiness rule and ordering guarantees).
-    pub fn simulate_phases_overlapped(&mut self, phases: &[Vec<PMsg>], order: OverlapOrder) -> u64 {
-        self.overlapped_run(phases, order, |_| {})
-    }
-
-    /// Like [`PhaseSim::simulate_phases_overlapped`], additionally
-    /// returning every scheduled transmission in processing order.
-    pub fn simulate_phases_overlapped_traced(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        order: OverlapOrder,
-    ) -> (u64, Vec<OverlapEvent>) {
-        let mut events = Vec::new();
-        let makespan = self.overlapped_run(phases, order, |e| events.push(e));
-        (makespan, events)
-    }
-
-    fn overlapped_run(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        order: OverlapOrder,
-        mut sink: impl FnMut(OverlapEvent),
-    ) -> u64 {
-        self.node_ready.fill(0);
-        self.node_arrival.fill(0);
-        // One shared link timeline across all phases — reservations from
-        // phase k stay visible while phase k+1 schedules around them.
-        self.begin_phase();
-        let mut makespan = 0u64;
-        for (k, phase) in phases.iter().enumerate() {
-            if k > 0 {
-                // Phase boundary: a node's next sends release once all
-                // inflows of the previous phase have landed on it.
-                for n in 0..self.node_ready.len() {
-                    if self.node_arrival[n] > self.node_ready[n] {
-                        self.node_ready[n] = self.node_arrival[n];
-                    }
-                }
-            }
-            // Identical filter + sort to the phased scheduler, so
-            // `Sorted` reproduces its processing order exactly.
-            self.scratch.clear();
-            self.scratch
-                .extend(phase.iter().copied().filter(|m| m.src != m.dst));
-            self.scratch.sort_unstable();
-            self.order.clear();
-            self.order.extend(0..self.scratch.len() as u32);
-            if order == OverlapOrder::LongestFirst {
-                let mut perm = std::mem::take(&mut self.order);
-                let (scratch, ready, mesh) = (&self.scratch, &self.node_ready, &self.mesh);
-                perm.sort_by_key(|&i| {
-                    let m = scratch[i as usize];
-                    (ready[m.src], Reverse(mesh.hops(m.src, m.dst)), i)
-                });
-                self.order = perm;
-            }
-            for oi in 0..self.order.len() {
-                let m = self.scratch[self.order[oi] as usize];
-                let ready = self.node_ready[m.src];
-                let mut hops = 0usize;
-                let mut start = ready;
-                for l in self.mesh.route_links(m.src, m.dst) {
-                    hops += 1;
-                    start = start.max(self.link_free_at(l.index()));
-                }
-                let end = start + self.mesh.cost.p2p(hops, m.bytes);
-                for l in self.mesh.route_links(m.src, m.dst) {
-                    self.reserve_link(l.index(), end);
-                }
-                if end > self.node_arrival[m.dst] {
-                    self.node_arrival[m.dst] = end;
-                }
-                makespan = makespan.max(end);
-                sink(OverlapEvent {
-                    phase: k,
-                    msg: m,
-                    ready,
-                    start,
-                    end,
-                });
-            }
-        }
-        makespan
-    }
-
-    /// Replay precompiled phases under `mode` with every payload scaled
-    /// by `byte_scale` — the batch-sweep fast path. Equals
-    /// [`PhaseSim::simulate_phases_mode`] on the scaled message sets
-    /// (uniform scaling preserves both the sorted order and the
-    /// longest-first priority).
-    pub fn run_cached_phases(
-        &mut self,
-        phases: &[CachedPhase],
-        mode: ScheduleMode,
-        byte_scale: u64,
-    ) -> u64 {
-        match mode {
-            ScheduleMode::Phased => phases
-                .iter()
-                .map(|p| self.run_cached_scaled(p, byte_scale))
-                .sum(),
-            ScheduleMode::Overlapped(order) => {
-                self.run_cached_overlapped(phases, order, byte_scale)
-            }
-        }
-    }
-
-    fn run_cached_overlapped(
-        &mut self,
-        phases: &[CachedPhase],
-        order: OverlapOrder,
-        byte_scale: u64,
-    ) -> u64 {
-        self.node_ready.fill(0);
-        self.node_arrival.fill(0);
-        self.begin_phase();
-        let mut makespan = 0u64;
-        for (k, phase) in phases.iter().enumerate() {
-            if k > 0 {
-                for n in 0..self.node_ready.len() {
-                    if self.node_arrival[n] > self.node_ready[n] {
-                        self.node_ready[n] = self.node_arrival[n];
-                    }
-                }
-            }
-            self.order.clear();
-            self.order.extend(0..phase.bytes.len() as u32);
-            if order == OverlapOrder::LongestFirst {
-                let mut perm = std::mem::take(&mut self.order);
-                let ready = &self.node_ready;
-                perm.sort_by_key(|&i| {
-                    let i = i as usize;
-                    let hops = phase.offsets[i + 1] - phase.offsets[i];
-                    (ready[phase.src[i] as usize], Reverse(hops), i)
-                });
-                self.order = perm;
-            }
-            for oi in 0..self.order.len() {
-                let i = self.order[oi] as usize;
-                let (lo, hi) = (phase.offsets[i] as usize, phase.offsets[i + 1] as usize);
-                let mut start = self.node_ready[phase.src[i] as usize];
-                for j in lo..hi {
-                    start = start.max(self.link_free_at(phase.links[j] as usize));
-                }
-                let end = start + self.mesh.cost.p2p(hi - lo, phase.bytes[i] * byte_scale);
-                for j in lo..hi {
-                    self.reserve_link(phase.links[j] as usize, end);
-                }
-                let dst = phase.dst[i] as usize;
-                if end > self.node_arrival[dst] {
-                    self.node_arrival[dst] = end;
-                }
-                makespan = makespan.max(end);
-            }
-        }
-        makespan
-    }
-
-    /// Healthy (fault-free) overlapped makespan of every phase prefix:
-    /// entry `k` is the makespan after phases `0..=k` under `order` —
-    /// the baseline [`SchedulePolicy::Adaptive`] measures inflation
-    /// against. Entry `phases.len() - 1` equals
-    /// [`PhaseSim::simulate_phases_overlapped`].
-    pub fn simulate_phases_overlapped_prefix(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        order: OverlapOrder,
-    ) -> Vec<u64> {
-        let mut prefix = vec![0u64; phases.len()];
-        let mut running = 0u64;
-        self.overlapped_run(phases, order, |e| {
-            running = running.max(e.end);
-            prefix[e.phase] = running;
-        });
-        // Phases without events inherit the prefix makespan so far.
-        let mut acc = 0u64;
-        for v in prefix.iter_mut() {
-            acc = acc.max(*v);
-            *v = acc;
-        }
-        prefix
-    }
-
-    /// Simulate `phases` under `plan` with the overlapped scheduler:
-    /// the resilient transport of
-    /// [`PhaseSim::simulate_phases_faulty`] (outage deferral, XY→YX
-    /// rerouting, drop/retry/backoff with escalation, receiver-side
-    /// deduplication, black holes on permanently dead endpoints)
-    /// threaded through the per-node ready/arrival timeline:
-    ///
-    /// * the run shares **one continuous clock**: outage windows and
-    ///   death times are interpreted on absolute simulated time, not
-    ///   per-phase time as in the phased engine (which restarts the
-    ///   clock each phase);
-    /// * a message releases at its source's readiness; only the
-    ///   **delivering** transmission's arrival raises the destination's
-    ///   readiness for the next phase — lost, black-holed and duplicate
-    ///   transmissions waste bandwidth without carrying readiness;
-    /// * each phase draws from its own PRNG stream (`seed + index`, the
-    ///   same derivation as the phased engine) in processing order;
-    /// * the report's `makespan` is the final clock; per-phase deltas
-    ///   are absorbed so [`FaultReport`] semantics (wall clock,
-    ///   delivered fraction) are unchanged.
-    ///
-    /// A [`FaultPlan::is_zero_fault`] plan takes none of the fault
-    /// branches and is **bit-identical** to
-    /// [`PhaseSim::simulate_phases_overlapped`] (pinned by property
-    /// tests).
-    pub fn simulate_phases_overlapped_faulty(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-        order: OverlapOrder,
-    ) -> FaultReport {
-        self.overlapped_faulty_driver(phases, plan, plan.seed, order, None)
-    }
-
-    /// Simulate `phases` under `plan` with the schedule chosen by
-    /// `policy`: [`ScheduleMode::Phased`] dispatches to the untouched
-    /// [`PhaseSim::simulate_phases_faulty`], overlapped modes to
-    /// [`PhaseSim::simulate_phases_overlapped_faulty`], and
-    /// [`SchedulePolicy::Adaptive`] runs overlapped with mid-run
-    /// degradation to phased barriers (see [`SchedulePolicy`]).
-    pub fn simulate_phases_faulty_policy(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-        policy: SchedulePolicy,
-    ) -> FaultReport {
-        match policy {
-            SchedulePolicy::Fixed(ScheduleMode::Phased) => {
-                self.simulate_phases_faulty(phases, plan)
-            }
-            SchedulePolicy::Fixed(ScheduleMode::Overlapped(order)) => {
-                self.simulate_phases_overlapped_faulty(phases, plan, order)
-            }
-            SchedulePolicy::Adaptive {
-                inflation_threshold,
-            } => {
-                let prefix = self.simulate_phases_overlapped_prefix(phases, OverlapOrder::Sorted);
-                self.overlapped_faulty_driver(
-                    phases,
-                    plan,
-                    plan.seed,
-                    OverlapOrder::Sorted,
-                    Some((inflation_threshold, &prefix)),
-                )
-            }
-        }
-    }
-
-    /// The overlapped-faulty run: one shared link timeline and clock,
-    /// per-phase PRNG streams, optional adaptive degradation.
-    pub(crate) fn overlapped_faulty_driver(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-        seed: u64,
-        order: OverlapOrder,
-        adapt: Option<(f64, &[u64])>,
-    ) -> FaultReport {
-        self.node_ready.fill(0);
-        self.node_arrival.fill(0);
-        self.begin_phase();
-        let mut total = FaultReport::default();
-        let mut clock = 0u64;
-        let mut barrier = false;
-        for (k, phase) in phases.iter().enumerate() {
-            let mut rep = self.overlapped_faulty_step(
-                k > 0,
-                phase,
-                plan,
-                seed.wrapping_add(k as u64),
-                order,
-                barrier,
-                clock,
-            );
-            // Re-express the phase makespan as the clock advance, so
-            // absorbed reports sum to the final clock.
-            let advanced = clock.max(rep.makespan);
-            rep.makespan = advanced - clock;
-            clock = advanced;
-            total.absorb(&rep);
-            if let Some((threshold, prefix)) = adapt {
-                if !barrier && inflation_exceeded(clock, prefix[k], threshold) {
-                    barrier = true;
-                    total.downgrades += 1;
-                }
-            }
-        }
-        total
-    }
-
-    /// One phase of the overlapped-faulty run. `clock` is the committed
-    /// clock at entry; the returned report's `makespan` is the **maximum
-    /// absolute end time** inside this phase (0 when nothing was sent) —
-    /// the driver converts it to a clock delta. With `barrier` set
-    /// (adaptive degradation), the phase boundary becomes a full
-    /// barrier at `clock` instead of the per-node arrival merge.
-    #[allow(clippy::too_many_arguments)]
-    fn overlapped_faulty_step(
-        &mut self,
-        merge: bool,
-        msgs: &[PMsg],
-        plan: &FaultPlan,
-        seed: u64,
-        order: OverlapOrder,
-        barrier: bool,
-        clock: u64,
-    ) -> FaultReport {
-        if merge {
-            if barrier {
-                // Degraded mode: every node waits for the whole
-                // previous phase (clock ≥ every arrival).
-                self.node_ready.fill(clock);
-            } else {
-                for n in 0..self.node_ready.len() {
-                    if self.node_arrival[n] > self.node_ready[n] {
-                        self.node_ready[n] = self.node_arrival[n];
-                    }
-                }
-            }
-        }
-        self.scratch.clear();
-        self.scratch
-            .extend(msgs.iter().copied().filter(|m| m.src != m.dst));
-        self.scratch.sort_unstable();
-        self.order.clear();
-        self.order.extend(0..self.scratch.len() as u32);
-        if order == OverlapOrder::LongestFirst {
-            let mut perm = std::mem::take(&mut self.order);
-            let (scratch, ready, mesh) = (&self.scratch, &self.node_ready, &self.mesh);
-            perm.sort_by_key(|&i| {
-                let m = scratch[i as usize];
-                (ready[m.src], Reverse(mesh.hops(m.src, m.dst)), i)
-            });
-            self.order = perm;
-        }
-        let mut rng = XorShift64::new(seed);
-        let mut rep = FaultReport {
-            messages: self.scratch.len(),
-            ..FaultReport::default()
-        };
-        let max_attempts = if plan.retry.enabled {
-            plan.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        for oi in 0..self.order.len() {
-            let m = self.scratch[self.order[oi] as usize];
-            // Release at the source's readiness instead of 0 — the only
-            // scheduling difference from the phased transport.
-            let mut next_send = self.node_ready[m.src];
-            let mut attempt = 0u32;
-            loop {
-                let alive = plan
-                    .node_alive_after(m.src, next_send)
-                    .max(plan.node_alive_after(m.dst, next_send));
-                if alive == u64::MAX {
-                    rep.lost += 1;
-                    rep.black_holes += 1;
-                    break;
-                }
-                if alive > next_send {
-                    rep.deferrals += 1;
-                    next_send = alive;
-                    continue;
-                }
-                let (start, hops, xy_dead) =
-                    self.scan_route(self.mesh.route_links(m.src, m.dst), next_send, plan);
-                let (use_yx, start, hops) = if xy_dead.is_none() {
-                    (false, start, hops)
-                } else {
-                    let (start_yx, hops_yx, yx_dead) =
-                        self.scan_route(self.mesh.route_links_yx(m.src, m.dst), next_send, plan);
-                    if let Some(yx_until) = yx_dead {
-                        rep.deferrals += 1;
-                        next_send = xy_dead
-                            .unwrap_or(u64::MAX)
-                            .min(yx_until)
-                            .max(next_send.saturating_add(1));
-                        continue;
-                    }
-                    rep.reroutes += 1;
-                    (true, start_yx, hops_yx)
-                };
-                let route = |mesh: &Mesh2D| {
-                    if use_yx {
-                        mesh.route_links_yx(m.src, m.dst)
-                    } else {
-                        mesh.route_links(m.src, m.dst)
-                    }
-                };
-                attempt += 1;
-                rep.attempts += 1;
-                let end = self.transmit(route(&self.mesh), start, hops, m.bytes);
-                rep.makespan = rep.makespan.max(end);
-                let escalated = plan.retry.enabled && attempt >= max_attempts;
-                let unlucky = rng.chance(plan.drop_prob);
-                if unlucky && !escalated {
-                    if !plan.retry.enabled {
-                        rep.lost += 1;
-                        break;
-                    }
-                    rep.retries += 1;
-                    next_send = end.saturating_add(plan.retry.backoff_delay(attempt));
-                    continue;
-                }
-                if unlucky && escalated {
-                    rep.escalations += 1;
-                }
-                rep.delivered += 1;
-                // Only the delivering transmission carries readiness:
-                // the payload is consumed at `end`, and the duplicate
-                // below is suppressed at the receiver.
-                if end > self.node_arrival[m.dst] {
-                    self.node_arrival[m.dst] = end;
-                }
-                if rng.chance(plan.dup_prob) {
-                    rep.duplicates += 1;
-                    rep.attempts += 1;
-                    let end2 = self.transmit(route(&self.mesh), end, hops, m.bytes);
-                    rep.makespan = rep.makespan.max(end2);
-                }
-                break;
-            }
-        }
-        rep
-    }
-
-    /// [`PhaseSim::simulate_phases_recovering`] under the overlapped
-    /// scheduler: checkpoint/rollback/replay and survivor folding on the
-    /// overlapped timeline. Checkpoints additionally snapshot the
-    /// per-node ready/arrival state ([`OverlapCheckpoint`]), so a
-    /// rollback restores the exact readiness frontier the checkpointed
-    /// boundary had. Zero-death plans are bit-identical to
-    /// [`PhaseSim::simulate_phases_overlapped_faulty`].
-    pub fn simulate_phases_overlapped_recovering(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-        policy: &CheckpointPolicy,
-        order: OverlapOrder,
-    ) -> FaultReport {
-        self.overlapped_recovering_driver(phases, plan, plan.seed, policy, order, None)
-    }
-
-    /// Policy dispatch for the recovering engine, mirroring
-    /// [`PhaseSim::simulate_phases_faulty_policy`].
-    pub fn simulate_phases_recovering_policy(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-        ckpt: &CheckpointPolicy,
-        policy: SchedulePolicy,
-    ) -> FaultReport {
-        match policy {
-            SchedulePolicy::Fixed(ScheduleMode::Phased) => {
-                self.simulate_phases_recovering(phases, plan, ckpt)
-            }
-            SchedulePolicy::Fixed(ScheduleMode::Overlapped(order)) => {
-                self.simulate_phases_overlapped_recovering(phases, plan, ckpt, order)
-            }
-            SchedulePolicy::Adaptive {
-                inflation_threshold,
-            } => {
-                let prefix = self.simulate_phases_overlapped_prefix(phases, OverlapOrder::Sorted);
-                self.overlapped_recovering_driver(
-                    phases,
-                    plan,
-                    plan.seed,
-                    ckpt,
-                    OverlapOrder::Sorted,
-                    Some((inflation_threshold, &prefix)),
-                )
-            }
-        }
-    }
-
-    /// The overlapped checkpoint/rollback driver — the same structure as
-    /// the phased recovering loop, with the overlapped step, overlapped
-    /// checkpoints and (optionally) adaptive degradation.
-    pub(crate) fn overlapped_recovering_driver(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-        seed: u64,
-        policy: &CheckpointPolicy,
-        order: OverlapOrder,
-        adapt: Option<(f64, &[u64])>,
-    ) -> FaultReport {
-        let interval = policy.interval.max(1);
-        let ring_cap = policy.ring.max(1);
-        let (px, py) = (self.mesh.px, self.mesh.py);
-        // Deaths are survived by rollback, not black-holed by the
-        // transport — same split as the phased recovering driver.
-        let inner = FaultPlan {
-            node_deaths: Vec::new(),
-            ..plan.clone()
-        };
-        self.node_ready.fill(0);
-        self.node_arrival.fill(0);
-        self.begin_phase();
-        let mut total = FaultReport::default();
-        let mut handled = vec![false; plan.node_deaths.len()];
-        let mut dead: Vec<usize> = Vec::new();
-        let mut ring: VecDeque<OverlapCheckpoint> = VecDeque::new();
-        let mut now = 0u64;
-        let mut barrier = false;
-        let mut frontier = 0usize;
-        let mut i = 0usize;
-        loop {
-            let mut phase_end = now;
-            let mut phase_rep: Option<(FaultReport, usize)> = None;
-            if i < phases.len() {
-                if i % interval == 0
-                    && ring
-                        .back()
-                        .is_none_or(|c| c.base.phase != i || c.base.elapsed != now)
-                {
-                    if ring.len() == ring_cap {
-                        ring.pop_front();
-                    }
-                    ring.push_back(self.checkpoint_overlapped(i, now, total, barrier));
-                    total.recovery.checkpoints += 1;
-                    total.recovery.checkpoint_overhead_ns += policy.cost_ns;
-                }
-                let mut folded = Vec::new();
-                let mut dropped = 0usize;
-                let msgs: &[PMsg] = if dead.is_empty() {
-                    &phases[i]
-                } else {
-                    for m in &phases[i] {
-                        let src = if dead.contains(&m.src) {
-                            fold_target(px, py, m.src, &dead)
-                        } else {
-                            Some(m.src)
-                        };
-                        let dst = if dead.contains(&m.dst) {
-                            fold_target(px, py, m.dst, &dead)
-                        } else {
-                            Some(m.dst)
-                        };
-                        match (src, dst) {
-                            (Some(src), Some(dst)) => folded.push(PMsg { src, dst, ..*m }),
-                            _ => dropped += 1,
-                        }
-                    }
-                    &folded
-                };
-                let mut rep = self.overlapped_faulty_step(
-                    i > 0,
-                    msgs,
-                    &inner,
-                    seed.wrapping_add(i as u64),
-                    order,
-                    barrier,
-                    now,
-                );
-                phase_end = now.max(rep.makespan);
-                rep.makespan = phase_end - now;
-                phase_rep = Some((rep, dropped));
-            }
-            // Deaths are on the same absolute clock as the schedule.
-            let visible = plan
-                .node_deaths
-                .iter()
-                .enumerate()
-                .filter(|(k, d)| {
-                    !handled[*k]
-                        && if phase_rep.is_some() {
-                            plan.detection_time(d.t) <= phase_end
-                        } else {
-                            d.t < now
-                        }
-                })
-                .min_by_key(|(_, d)| (d.t, d.node));
-            if let Some((k, d)) = visible {
-                handled[k] = true;
-                total.recovery.detected += 1;
-                if !dead.contains(&d.node) {
-                    dead.push(d.node);
-                    total.recovery.folded_nodes += 1;
-                }
-                let pos = ring
-                    .iter()
-                    .rposition(|c| c.base.elapsed <= d.t)
-                    .unwrap_or(0);
-                ring.truncate(pos + 1);
-                let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.base.elapsed;
-                let recovery = total.recovery;
-                total = c.base.report;
-                total.recovery = recovery;
-                total.recovery.rollbacks += 1;
-                now = c.base.elapsed;
-                i = c.base.phase;
-                barrier = c.barrier;
-                self.restore_overlapped(c);
-                continue;
-            }
-            let Some((rep, dropped)) = phase_rep else {
-                break;
-            };
-            total.absorb(&rep);
-            total.messages += dropped;
-            total.lost += dropped;
-            total.black_holes += dropped as u64;
-            now = phase_end;
-            if let Some((threshold, prefix)) = adapt {
-                if !barrier && inflation_exceeded(now, prefix[i], threshold) {
-                    barrier = true;
-                    total.downgrades += 1;
-                }
-            }
-            if i < frontier {
-                total.recovery.replayed_phases += 1;
-            } else {
-                frontier = i + 1;
-            }
-            i += 1;
-        }
-        total.recovery.deaths = handled.iter().filter(|&&h| h).count();
-        total
-    }
 }
 
 /// Sweep `byte_scales` over one compiled plan under `mode`, fanning out
@@ -915,8 +269,8 @@ mod tests {
             .collect();
         let mut sim = PhaseSim::new(mesh());
         for order in [OverlapOrder::Sorted, OverlapOrder::LongestFirst] {
-            let a = sim.simulate_phases_overlapped(&with_self, order);
-            let b = sim.simulate_phases_overlapped(&without, order);
+            let a = sim.simulate_phases_mode(&with_self, ScheduleMode::Overlapped(order));
+            let b = sim.simulate_phases_mode(&without, ScheduleMode::Overlapped(order));
             assert_eq!(a, b);
             let (_, events) = sim.simulate_phases_overlapped_traced(&with_self, order);
             assert!(events.iter().all(|e| e.msg.src != e.msg.dst));
@@ -927,10 +281,10 @@ mod tests {
     #[test]
     fn empty_and_self_only_plans_are_free() {
         let mut sim = PhaseSim::new(mesh());
-        assert_eq!(sim.simulate_phases_overlapped(&[], OverlapOrder::Sorted), 0);
+        assert_eq!(sim.simulate_phases_mode(&[], ScheduleMode::overlapped()), 0);
         let selfies = vec![vec![pm(0, 0, 7)], vec![], vec![pm(3, 3, 9)]];
         assert_eq!(
-            sim.simulate_phases_overlapped(&selfies, OverlapOrder::Sorted),
+            sim.simulate_phases_mode(&selfies, ScheduleMode::overlapped()),
             0
         );
     }

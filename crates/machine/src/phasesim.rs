@@ -1,70 +1,180 @@
-//! A reusable, zero-allocation phase scheduler for the wormhole mesh.
+//! The simulation engine: one transport step and one run driver behind
+//! every mesh schedule the workspace simulates.
 //!
-//! [`crate::Mesh2D::simulate_phase`] is correct but allocates on every
-//! call: a fresh link table, a sorted copy of the message set, and one
-//! route `Vec` per message. That is irrelevant for a handful of phases and
-//! ruinous for production-size sweeps (10⁴–10⁵ messages × thousands of
-//! configurations). [`PhaseSim`] keeps all scratch state alive across
-//! calls:
+//! * [`CachedPhase`] is a phase compiled for the step: self-messages
+//!   filtered, the rest sorted in [`PMsg`] order, every XY route
+//!   flattened into one link table. [`FaultSim::new`] also records the
+//!   YX detour of every message for rerouting around dead links.
+//! * **The step** runs one compiled phase: greedy whole-route
+//!   reservation on an epoch-stamped link table (no per-phase clear), in
+//!   sorted order or, for [`OverlapOrder::LongestFirst`], by (release
+//!   time, longest route, sorted order). It is generic over whether a
+//!   [`CompiledFaultPlan`] is present, so the healthy loop carries no
+//!   fault branches, and over an event sink that sees every
+//!   transmission (`()` sees nothing and compiles away).
+//! * **The driver** runs a plan of phases under a release rule:
+//!   *phased* (link table and clock restart at every phase, phase
+//!   makespans add up), *dependency frontier* (one shared clock; a
+//!   message releases once its source node has received every delivered
+//!   inflow of earlier phases), or, after an adaptive downgrade
+//!   ([`SchedulePolicy::Adaptive`]), a *barrier* at the committed clock.
+//!   Its checkpoint parameter is `None` for a run that black-holes
+//!   traffic to permanently dead nodes, or `Some(&CheckpointPolicy)` for
+//!   checkpoint/rollback recovery with survivor folding.
 //!
-//! * the link-reservation table persists and is *logically* cleared per
-//!   phase with an epoch stamp (no `memset` of the table, no rebuild);
-//! * routes are walked with the allocation-free
-//!   [`crate::mesh::RouteLinks`] iterator — twice per message, once to
-//!   find the start time and once to commit the reservation;
-//! * the sorted working copy of the phase lives in a reusable buffer.
-//!
-//! The schedule is **bit-for-bit identical** to
-//! [`crate::Mesh2D::simulate_phase`] (same filter, same sort order, same
-//! greedy whole-route reservation); the property tests in
-//! `tests/proptests.rs` pin that equivalence, and the original method is
-//! kept untouched as the oracle.
-//!
-//! For *repeated* simulation of one message set (payload sweeps, cost
-//! sweeps), [`CachedPhase`] precomputes the sorted order and the flattened
-//! route table once, so each replay is a linear scan with no routing
-//! arithmetic at all.
+//! [`PhaseSim`] owns the scratch state; its per-call entry points compile
+//! each phase into a reused scratch [`CachedPhase`] first, so they take
+//! the same step as [`PhaseSim::run_cached_phases`] and [`FaultSim`].
+//! The engine is tested against two oracles that share none of its
+//! code: [`Mesh2D::simulate_phase`] for healthy schedules and
+//! [`crate::reference::simulate`] for every fault and recovery semantic.
 
-use crate::fault::{fold_target, CompiledFaultPlan, FaultPlan, FaultReport};
-use crate::mesh::{Mesh2D, RouteLinks};
+use crate::fault::{CompiledFaultPlan, FaultReport};
+use crate::mesh::Mesh2D;
 use crate::model::PMsg;
-use crate::overlap::{inflation_exceeded, OverlapOrder, ScheduleMode, SchedulePolicy};
+use crate::overlap::{OverlapEvent, OverlapOrder, ScheduleMode, SchedulePolicy};
 use crate::rng::XorShift64;
+use crate::FaultPlan;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Reusable scratch state for simulating mesh communication phases.
 #[derive(Debug, Clone)]
 pub struct PhaseSim {
-    pub(crate) mesh: Mesh2D,
-    /// Per-link time at which the link becomes free — valid only where
-    /// `stamp` equals the current epoch.
-    free: Vec<u64>,
-    stamp: Vec<u32>,
+    mesh: Mesh2D,
+    /// Per-link reservation clock; a link whose stamp is not the current
+    /// epoch is free.
+    links: Vec<LinkClock>,
     epoch: u32,
-    pub(crate) scratch: Vec<PMsg>,
-    /// Per-node readiness/arrival scratch for the overlapped scheduler
-    /// (see [`crate::overlap`]); untouched by the phased paths.
-    pub(crate) node_ready: Vec<u64>,
-    pub(crate) node_arrival: Vec<u64>,
-    /// Index permutation scratch for the overlapped priority orders.
-    pub(crate) order: Vec<u32>,
+    /// Per-node release time and latest delivered arrival (the
+    /// dependency frontier).
+    node_ready: Vec<u64>,
+    node_arrival: Vec<u64>,
+    /// Processing-order scratch for [`OverlapOrder::LongestFirst`].
+    order: Vec<u32>,
+    /// Per-call compile scratch.
+    compiled: CachedPhase,
+}
+
+/// Observer of a run: the step reports every transmission, the driver
+/// every committed phase. `()` observes nothing.
+pub(crate) trait Sink {
+    /// One transmission over `links` (message, release, start, end).
+    fn sent(&mut self, _event: OverlapEvent, _links: &[u32]) {}
+    /// Phase `phase` committed; the run's clock is now `clock`.
+    fn committed(&mut self, _phase: usize, _clock: u64) {}
+}
+
+impl Sink for () {}
+
+impl Sink for Vec<OverlapEvent> {
+    fn sent(&mut self, event: OverlapEvent, _links: &[u32]) {
+        self.push(event);
+    }
+}
+
+/// Records the committed clock after every phase.
+struct Clocks(Vec<u64>);
+
+impl Sink for Clocks {
+    fn committed(&mut self, phase: usize, clock: u64) {
+        self.0[phase] = clock;
+    }
+}
+
+/// When a phase's messages may start (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Release {
+    /// Phased: link table and clock restart at 0.
+    PerPhase,
+    /// Overlapped: at the source node's dependency frontier.
+    Frontier,
+    /// Adaptive after a downgrade: every node at the committed clock.
+    Barrier,
+}
+
+/// Survivor folds of a recovering run, keyed by (phase, unique deaths
+/// folded), with each fold's dropped (no-survivor) message count.
+type Folds = BTreeMap<(usize, usize), (CachedPhase, usize)>;
+
+/// The phases a run executes.
+enum Phases<'a> {
+    /// Raw message sets, compiled one at a time into the scratch phase.
+    Raw(&'a [Vec<PMsg>]),
+    /// Precompiled phases.
+    Compiled(&'a [CachedPhase]),
+    /// Precompiled phases of a recovering run and the raw message sets
+    /// they came from; folds are compiled on first use.
+    Folding(&'a [CachedPhase], &'a [Vec<PMsg>], &'a mut Folds),
+}
+
+impl Phases<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Phases::Raw(raw) => raw.len(),
+            Phases::Compiled(c) | Phases::Folding(c, ..) => c.len(),
+        }
+    }
+}
+
+/// Everything the driver needs besides the phases.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    faults: Option<&'a CompiledFaultPlan>,
+    /// Phase `i` draws faults from `XorShift64::new(seed + i)`.
+    seed: u64,
+    mode: ScheduleMode,
+    /// Adaptive downgrade threshold and the healthy overlapped clock
+    /// after every phase.
+    adapt: Option<(f64, &'a [u64])>,
+    ckpt: Option<&'a CheckpointPolicy>,
+    byte_scale: u64,
+}
+
+impl Run<'_> {
+    fn healthy(mode: ScheduleMode, byte_scale: u64) -> Self {
+        Run {
+            faults: None,
+            seed: 0,
+            mode,
+            adapt: None,
+            ckpt: None,
+            byte_scale,
+        }
+    }
+}
+
+/// When a link becomes free, valid in epoch `stamp` only.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkClock {
+    stamp: u32,
+    free: u64,
+}
+
+/// A phase-boundary snapshot of the engine and the committed run.
+#[derive(Debug, Clone)]
+struct Checkpoint {
+    phase: usize,
+    now: u64,
+    report: FaultReport,
+    release: Release,
+    links: Vec<LinkClock>,
+    epoch: u32,
+    node_ready: Vec<u64>,
+    node_arrival: Vec<u64>,
 }
 
 impl PhaseSim {
     /// Build a scratch engine for `mesh` (sizes the link table once).
     pub fn new(mesh: Mesh2D) -> Self {
-        let links = mesh.link_count();
-        let nodes = mesh.nodes();
         PhaseSim {
-            mesh,
-            free: vec![0; links],
-            stamp: vec![0; links],
+            links: vec![LinkClock::default(); mesh.link_count()],
             epoch: 0,
-            scratch: Vec::new(),
-            node_ready: vec![0; nodes],
-            node_arrival: vec![0; nodes],
+            node_ready: vec![0; mesh.nodes()],
+            node_arrival: vec![0; mesh.nodes()],
             order: Vec::new(),
+            compiled: CachedPhase::default(),
+            mesh,
         }
     }
 
@@ -73,457 +183,232 @@ impl PhaseSim {
         &self.mesh
     }
 
-    /// Start a fresh phase: bump the epoch so every link reads as free.
-    pub(crate) fn begin_phase(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped: physically clear the stamps once per 2³² phases.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn link_free_at(&self, link: usize) -> u64 {
-        if self.stamp[link] == self.epoch {
-            self.free[link]
-        } else {
-            0
-        }
-    }
-
-    #[inline]
-    pub(crate) fn reserve_link(&mut self, link: usize, until: u64) {
-        self.stamp[link] = self.epoch;
-        self.free[link] = until;
-    }
-
     /// Simulate one phase; returns the same makespan as
-    /// [`Mesh2D::simulate_phase`] without any per-call allocation (after
-    /// the scratch buffer has warmed up).
+    /// [`Mesh2D::simulate_phase`] without per-call allocation once the
+    /// scratch buffers have warmed up.
     pub fn simulate_phase(&mut self, msgs: &[PMsg]) -> u64 {
-        self.scratch.clear();
-        self.scratch
-            .extend(msgs.iter().copied().filter(|m| m.src != m.dst));
-        // `PMsg` has a total order, so unstable sorting is observationally
-        // identical to the oracle's stable sort.
-        self.scratch.sort_unstable();
-        self.begin_phase();
-        let mut makespan = 0u64;
-        for idx in 0..self.scratch.len() {
-            let m = self.scratch[idx];
-            let mut hops = 0usize;
-            let mut start = 0u64;
-            for l in self.mesh.route_links(m.src, m.dst) {
-                hops += 1;
-                start = start.max(self.link_free_at(l.index()));
-            }
-            let end = start + self.mesh.cost.p2p(hops, m.bytes);
-            for l in self.mesh.route_links(m.src, m.dst) {
-                self.reserve_link(l.index(), end);
-            }
-            makespan = makespan.max(end);
-        }
-        makespan
+        let mut c = std::mem::take(&mut self.compiled);
+        c.compile(&self.mesh, msgs, false);
+        let run = Run::healthy(ScheduleMode::Phased, 1);
+        let rep = self.step::<false, _>(&c, 0, Release::PerPhase, &run, 0, &mut ());
+        self.compiled = c;
+        rep.makespan
     }
 
     /// Simulate dependent phases back to back (each starts after the
     /// previous completes); returns the total time.
     pub fn simulate_phases(&mut self, phases: &[Vec<PMsg>]) -> u64 {
-        phases.iter().map(|p| self.simulate_phase(p)).sum()
+        self.simulate_phases_mode(phases, ScheduleMode::Phased)
     }
 
-    /// Scan a candidate route: earliest start ≥ `not_before` given current
-    /// link reservations, the hop count, and — if any link of the route is
-    /// inside an outage window at that start — the earliest time one of the
-    /// dead links comes back (the time worth deferring to).
-    pub(crate) fn scan_route(
-        &self,
-        route: RouteLinks,
-        not_before: u64,
-        plan: &FaultPlan,
-    ) -> (u64, usize, Option<u64>) {
-        let mut start = not_before;
-        let mut hops = 0usize;
-        for l in route.clone() {
-            hops += 1;
-            start = start.max(self.link_free_at(l.index()));
-        }
-        let mut dead_until: Option<u64> = None;
-        for l in route {
-            if let Some(u) = plan.link_outage_until(l.index(), start) {
-                dead_until = Some(dead_until.map_or(u, |d: u64| d.min(u)));
-            }
-        }
-        (start, hops, dead_until)
+    /// Simulate `phases` under `mode` (see [`crate::overlap`] for the
+    /// overlapped readiness rule and its ≤-phased guarantee).
+    pub fn simulate_phases_mode(&mut self, phases: &[Vec<PMsg>], mode: ScheduleMode) -> u64 {
+        self.simulate_traced(phases, mode, &mut ())
     }
 
-    /// Transmit once over `route`, reserving every link `[start, end)`.
-    pub(crate) fn transmit(
-        &mut self,
-        route: RouteLinks,
-        start: u64,
-        hops: usize,
-        bytes: u64,
-    ) -> u64 {
-        let end = start.saturating_add(self.mesh.cost.p2p(hops, bytes));
-        for l in route {
-            self.reserve_link(l.index(), end);
-        }
-        end
-    }
-
-    /// Simulate one phase under a [`FaultPlan`]: same deterministic greedy
-    /// whole-route schedule as [`PhaseSim::simulate_phase`], but each
-    /// message runs the resilient transport:
-    ///
-    /// * **node outages** defer the send until both endpoints are alive;
-    /// * **link outages** trigger adaptive rerouting — a message whose XY
-    ///   route crosses a dead link falls back to the YX route, and defers
-    ///   to the end of the outage window only if both routes are dead;
-    /// * each transmission attempt is **lost** with `drop_prob` (the lost
-    ///   attempt still occupies its links — wasted bandwidth is modelled);
-    /// * losses are retransmitted after timeout × exponential backoff up
-    ///   to `max_attempts`, at which point the transport escalates to a
-    ///   reliable channel, so with retries enabled **every message is
-    ///   delivered exactly once** whatever the drop probability;
-    /// * a delivered message is **duplicated** with `dup_prob` (a lost
-    ///   acknowledgement); the receiver deduplicates, so the duplicate
-    ///   wastes bandwidth without double-delivering;
-    /// * a message whose endpoint is **permanently dead** at send time
-    ///   ([`crate::NodeDeath`]) is black-holed: counted under `lost` and
-    ///   `black_holes`. Surviving a permanent death needs the rollback
-    ///   path, [`PhaseSim::simulate_phases_recovering`].
-    ///
-    /// A [`FaultPlan::is_zero_fault`] plan takes none of these branches
-    /// and produces a makespan **bit-identical** to
-    /// [`PhaseSim::simulate_phase`] (pinned by property tests).
-    pub fn simulate_phase_faulty(&mut self, msgs: &[PMsg], plan: &FaultPlan) -> FaultReport {
-        self.simulate_phase_faulty_seeded(msgs, plan, plan.seed)
-    }
-
-    fn simulate_phase_faulty_seeded(
-        &mut self,
-        msgs: &[PMsg],
-        plan: &FaultPlan,
-        seed: u64,
-    ) -> FaultReport {
-        self.scratch.clear();
-        self.scratch
-            .extend(msgs.iter().copied().filter(|m| m.src != m.dst));
-        self.scratch.sort_unstable();
-        self.begin_phase();
-        let mut rng = XorShift64::new(seed);
-        let mut rep = FaultReport {
-            messages: self.scratch.len(),
-            ..FaultReport::default()
-        };
-        let max_attempts = if plan.retry.enabled {
-            plan.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        for idx in 0..self.scratch.len() {
-            let m = self.scratch[idx];
-            let mut next_send = 0u64;
-            let mut attempt = 0u32;
-            loop {
-                // Defer while an endpoint is inside an outage window.
-                let alive = plan
-                    .node_alive_after(m.src, next_send)
-                    .max(plan.node_alive_after(m.dst, next_send));
-                if alive == u64::MAX {
-                    // A permanently dead endpoint never comes back: the
-                    // message is black-holed (counted lost), not deferred
-                    // forever. Recovering from this requires the
-                    // checkpoint/rollback path.
-                    rep.lost += 1;
-                    rep.black_holes += 1;
-                    break;
-                }
-                if alive > next_send {
-                    rep.deferrals += 1;
-                    next_send = alive;
-                    continue;
-                }
-                // Route selection: XY unless dead, then YX, else wait out
-                // the outage. Each deferral jumps to a strictly later
-                // outage boundary, so this loop is bounded.
-                let (start, hops, xy_dead) =
-                    self.scan_route(self.mesh.route_links(m.src, m.dst), next_send, plan);
-                let (use_yx, start, hops) = if xy_dead.is_none() {
-                    (false, start, hops)
-                } else {
-                    let (start_yx, hops_yx, yx_dead) =
-                        self.scan_route(self.mesh.route_links_yx(m.src, m.dst), next_send, plan);
-                    if let Some(yx_until) = yx_dead {
-                        rep.deferrals += 1;
-                        next_send = xy_dead
-                            .unwrap_or(u64::MAX)
-                            .min(yx_until)
-                            .max(next_send.saturating_add(1));
-                        continue;
-                    }
-                    rep.reroutes += 1;
-                    (true, start_yx, hops_yx)
-                };
-                let route = |mesh: &Mesh2D| {
-                    if use_yx {
-                        mesh.route_links_yx(m.src, m.dst)
-                    } else {
-                        mesh.route_links(m.src, m.dst)
-                    }
-                };
-                // Transmit (a lost attempt still occupies its links).
-                attempt += 1;
-                rep.attempts += 1;
-                let end = self.transmit(route(&self.mesh), start, hops, m.bytes);
-                rep.makespan = rep.makespan.max(end);
-                let escalated = plan.retry.enabled && attempt >= max_attempts;
-                let unlucky = rng.chance(plan.drop_prob);
-                if unlucky && !escalated {
-                    if !plan.retry.enabled {
-                        rep.lost += 1;
-                        break;
-                    }
-                    rep.retries += 1;
-                    next_send = end.saturating_add(plan.retry.backoff_delay(attempt));
-                    continue;
-                }
-                if unlucky && escalated {
-                    rep.escalations += 1;
-                }
-                rep.delivered += 1;
-                // Lost-acknowledgement duplicate, suppressed at the
-                // receiver: pure wasted bandwidth.
-                if rng.chance(plan.dup_prob) {
-                    rep.duplicates += 1;
-                    rep.attempts += 1;
-                    // The delivery just reserved every link of this route
-                    // to `end`, so a rescan would return start = `end` and
-                    // the same hop count: retransmit directly.
-                    let end2 = self.transmit(route(&self.mesh), end, hops, m.bytes);
-                    rep.makespan = rep.makespan.max(end2);
-                }
-                break;
-            }
-        }
-        rep
-    }
-
-    /// Simulate dependent phases back to back under a fault plan. Each
-    /// phase restarts the clock at 0 (outage windows are per-phase) and
-    /// draws from its own PRNG stream (`seed + phase index`), so inserting
-    /// or removing a phase does not shift the fault sequence of the
-    /// others. Reports are summed via [`FaultReport::absorb`].
-    pub fn simulate_phases_faulty(
+    /// Overlapped makespan of `phases` plus every scheduled transmission
+    /// in processing order.
+    pub fn simulate_phases_overlapped_traced(
         &mut self,
         phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-    ) -> FaultReport {
-        let mut total = FaultReport::default();
-        for (i, p) in phases.iter().enumerate() {
-            let rep = self.simulate_phase_faulty_seeded(p, plan, plan.seed.wrapping_add(i as u64));
-            total.absorb(&rep);
+        order: OverlapOrder,
+    ) -> (u64, Vec<OverlapEvent>) {
+        let mut events = Vec::new();
+        let makespan = self.simulate_traced(phases, ScheduleMode::Overlapped(order), &mut events);
+        (makespan, events)
+    }
+
+    /// A healthy per-call run reporting to `sink`.
+    pub(crate) fn simulate_traced(
+        &mut self,
+        phases: &[Vec<PMsg>],
+        mode: ScheduleMode,
+        sink: &mut impl Sink,
+    ) -> u64 {
+        let run = Run::healthy(mode, 1);
+        self.drive(Phases::Raw(phases), run, sink).makespan
+    }
+
+    /// Replay precompiled phases under `mode` with every payload scaled
+    /// by `byte_scale` — the batch-sweep fast path. Equals
+    /// [`PhaseSim::simulate_phases_mode`] on the scaled message sets
+    /// (uniform scaling preserves both the sorted order and the
+    /// longest-first priority).
+    pub fn run_cached_phases(
+        &mut self,
+        phases: &[CachedPhase],
+        mode: ScheduleMode,
+        byte_scale: u64,
+    ) -> u64 {
+        let run = Run::healthy(mode, byte_scale);
+        self.drive(Phases::Compiled(phases), run, &mut ()).makespan
+    }
+
+    /// Start a fresh link timeline: bump the epoch so every link reads
+    /// as free.
+    fn begin_phase(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Epoch wrapped: physically clear the stamps once per 2³² phases.
+            self.links.fill(LinkClock::default());
+            self.epoch = 1;
         }
-        total
     }
 
-    /// Take a phase-boundary snapshot of the engine and the committed
-    /// run so far.
-    pub(crate) fn checkpoint(&self, phase: usize, elapsed: u64, report: FaultReport) -> Checkpoint {
-        Checkpoint {
-            phase,
-            elapsed,
-            report,
-            free: self.free.clone(),
-            stamp: self.stamp.clone(),
-            epoch: self.epoch,
+    /// Earliest start ≥ `t` at which every link of `links` is free.
+    #[inline]
+    fn earliest(&self, links: &[u32], t: u64) -> u64 {
+        links.iter().fold(t, |start, &l| {
+            let c = self.links[l as usize];
+            start.max(if c.stamp == self.epoch { c.free } else { 0 })
+        })
+    }
+
+    /// Reserve every link of `links` until `until`.
+    #[inline]
+    fn reserve(&mut self, links: &[u32], until: u64) {
+        for &l in links {
+            self.links[l as usize] = LinkClock {
+                stamp: self.epoch,
+                free: until,
+            };
         }
     }
 
-    /// Restore the engine's link-clock state from a snapshot.
-    pub(crate) fn restore(&mut self, c: &Checkpoint) {
-        self.free.copy_from_slice(&c.free);
-        self.stamp.copy_from_slice(&c.stamp);
-        self.epoch = c.epoch;
-    }
-
-    /// [`PhaseSim::checkpoint`] plus the overlapped per-node timeline
-    /// and the adaptive policy's degradation flag.
-    pub(crate) fn checkpoint_overlapped(
+    fn checkpoint(
         &self,
         phase: usize,
-        elapsed: u64,
+        now: u64,
         report: FaultReport,
-        barrier: bool,
-    ) -> OverlapCheckpoint {
-        OverlapCheckpoint {
-            base: self.checkpoint(phase, elapsed, report),
+        release: Release,
+    ) -> Checkpoint {
+        Checkpoint {
+            phase,
+            now,
+            report,
+            release,
+            links: self.links.clone(),
+            epoch: self.epoch,
             node_ready: self.node_ready.clone(),
             node_arrival: self.node_arrival.clone(),
-            barrier,
         }
     }
 
-    /// Restore link clocks *and* the per-node readiness/arrival
-    /// timeline (the caller restores the `barrier` flag itself).
-    pub(crate) fn restore_overlapped(&mut self, c: &OverlapCheckpoint) {
-        self.restore(&c.base);
+    fn restore(&mut self, c: &Checkpoint) {
+        self.links.copy_from_slice(&c.links);
+        self.epoch = c.epoch;
         self.node_ready.copy_from_slice(&c.node_ready);
         self.node_arrival.copy_from_slice(&c.node_arrival);
     }
 
-    /// Simulate dependent phases under a [`FaultPlan`] that may contain
-    /// **permanent node deaths**, surviving them end-to-end via
-    /// checkpoint/rollback:
-    ///
-    /// * at every `policy.interval`-th phase boundary the engine takes a
-    ///   [`Checkpoint`] (committed clock, committed report, link-clock
-    ///   scratch), keeping a bounded ring of the `policy.ring` most
-    ///   recent ones;
-    /// * a death at `t` becomes visible to the failure detector at
-    ///   `t + detection_latency` ([`FaultPlan::detection_time`]). When
-    ///   detection falls inside the simulated span, the run **rolls
-    ///   back** to the newest checkpoint taken at-or-before the death
-    ///   (hence the ring — the detection point may be several intervals
-    ///   past the death), folds the dead node's traffic onto its nearest
-    ///   survivor ([`fold_target`]) and resumes from there;
-    /// * the final report describes the **committed** run only — the
-    ///   exactly-once delivery guarantee and the zero-death bit-identity
-    ///   with [`PhaseSim::simulate_phases`] hold — while undone work,
-    ///   rollback counts, replayed phases and checkpoint overhead are
-    ///   accounted separately in [`crate::RecoveryReport`]
-    ///   (`report.recovery`; see [`FaultReport::wall_clock_ns`]).
-    ///
-    /// Recovery is phase-granular: a phase in flight when a death is
-    /// detected is discarded wholesale and its makespan counted as lost
-    /// work. Replayed phases reuse the per-phase seed (`seed + i`), so
-    /// the whole run — rollbacks included — is deterministic.
-    pub fn simulate_phases_recovering(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        plan: &FaultPlan,
-        policy: &CheckpointPolicy,
-    ) -> FaultReport {
-        let interval = policy.interval.max(1);
-        let ring_cap = policy.ring.max(1);
-        let (px, py) = (self.mesh.px, self.mesh.py);
-        // Deaths are handled at this level: the per-phase transport must
-        // not black-hole traffic to a not-yet-detected dead node (that
-        // work is lost on rollback instead).
-        let inner = FaultPlan {
-            node_deaths: Vec::new(),
-            ..plan.clone()
+    /// The run driver (see the module docs). The report's `makespan` is
+    /// the committed clock, the sum of the per-phase clock advances.
+    fn drive(&mut self, mut phases: Phases, run: Run, sink: &mut impl Sink) -> FaultReport {
+        let mut release = match run.mode {
+            ScheduleMode::Phased => Release::PerPhase,
+            ScheduleMode::Overlapped(_) => Release::Frontier,
         };
+        // Deaths are survived by rollback here, or black-holed by the
+        // step when there is no checkpoint policy.
+        let deaths = match (run.faults, run.ckpt) {
+            (Some(f), Some(_)) => f.sorted_deaths(),
+            _ => &[],
+        };
+        let mut scratch = std::mem::take(&mut self.compiled);
+        self.node_ready.fill(0);
+        self.node_arrival.fill(0);
+        self.begin_phase();
         let mut total = FaultReport::default();
-        let mut handled = vec![false; plan.node_deaths.len()];
-        let mut dead: Vec<usize> = Vec::new();
         let mut ring: VecDeque<Checkpoint> = VecDeque::new();
-        let mut now = 0u64;
-        // Highest phase index committed so far (exclusive): commits below
-        // it are re-executions after a rollback.
-        let mut frontier = 0usize;
-        let mut i = 0usize;
+        let (mut now, mut i) = (0u64, 0usize);
+        // Highest phase committed so far (exclusive), the next death in
+        // handling order, and the unique deaths folded so far.
+        let (mut frontier, mut next_death, mut k) = (0usize, 0usize, 0usize);
         loop {
             let mut phase_end = now;
-            let mut phase_rep: Option<(FaultReport, usize)> = None;
+            let mut done = None;
             if i < phases.len() {
-                // Checkpoint at the boundary (unless the rollback we just
-                // took restored exactly this point — its snapshot is
-                // already the ring's newest entry).
-                if i % interval == 0 && ring.back().is_none_or(|c| c.phase != i || c.elapsed != now)
-                {
-                    if ring.len() == ring_cap {
-                        ring.pop_front();
+                if let Some(p) = run.ckpt {
+                    // Checkpoint at the boundary, unless the rollback just
+                    // taken restored exactly this one.
+                    let fresh = ring.back().is_none_or(|c| c.phase != i || c.now != now);
+                    if i % p.interval.max(1) == 0 && fresh {
+                        if ring.len() == p.ring.max(1) {
+                            ring.pop_front();
+                        }
+                        ring.push_back(self.checkpoint(i, now, total, release));
+                        total.recovery.checkpoints += 1;
+                        total.recovery.checkpoint_overhead_ns += p.cost_ns;
                     }
-                    ring.push_back(self.checkpoint(i, now, total));
-                    total.recovery.checkpoints += 1;
-                    total.recovery.checkpoint_overhead_ns += policy.cost_ns;
                 }
-                // Fold traffic of already-detected dead nodes onto their
-                // nearest survivors; a message with no possible target
-                // (all nodes dead) is black-holed.
-                let mut folded = Vec::new();
-                let mut dropped = 0usize;
-                let msgs: &[PMsg] = if dead.is_empty() {
-                    &phases[i]
-                } else {
-                    for m in &phases[i] {
-                        let src = if dead.contains(&m.src) {
-                            fold_target(px, py, m.src, &dead)
-                        } else {
-                            Some(m.src)
-                        };
-                        let dst = if dead.contains(&m.dst) {
-                            fold_target(px, py, m.dst, &dead)
-                        } else {
-                            Some(m.dst)
-                        };
-                        match (src, dst) {
-                            (Some(src), Some(dst)) => folded.push(PMsg { src, dst, ..*m }),
-                            _ => dropped += 1,
-                        }
+                let (phase, dropped) = match &mut phases {
+                    Phases::Raw(raw) => {
+                        scratch.compile(&self.mesh, &raw[i], false);
+                        (&scratch, 0)
                     }
-                    &folded
+                    Phases::Compiled(c) => (&c[i], 0),
+                    Phases::Folding(c, _, _) if k == 0 => (&c[i], 0),
+                    Phases::Folding(_, raw, folds) => {
+                        let plan = run.faults.expect("a recovering run has a fault plan");
+                        let (p, d) = folds
+                            .entry((i, k))
+                            .or_insert_with(|| compile_folded(&self.mesh, plan, &raw[i], k));
+                        (&*p, *d)
+                    }
                 };
-                let rep = self.simulate_phase_faulty_seeded(
-                    msgs,
-                    &inner,
-                    plan.seed.wrapping_add(i as u64),
-                );
-                phase_end = now + rep.makespan;
-                phase_rep = Some((rep, dropped));
+                let mut rep = match run.faults {
+                    Some(_) => self.step::<true, _>(phase, i, release, &run, now, sink),
+                    None => self.step::<false, _>(phase, i, release, &run, now, sink),
+                };
+                phase_end = match release {
+                    Release::PerPhase => now + rep.makespan,
+                    _ => now.max(rep.makespan),
+                };
+                rep.makespan = phase_end - now;
+                rep.messages += dropped;
+                rep.lost += dropped;
+                rep.black_holes += dropped as u64;
+                done = Some(rep);
             }
-            // Earliest unhandled death the detector can see: inside the
-            // span this phase would commit, or — once all phases are done
-            // — anywhere inside the committed run (a death near the end
-            // whose detection latency reaches past it still recovers).
-            let visible = plan
-                .node_deaths
-                .iter()
-                .enumerate()
-                .filter(|(k, d)| {
-                    !handled[*k]
-                        && if phase_rep.is_some() {
-                            plan.detection_time(d.t) <= phase_end
-                        } else {
-                            d.t < now
-                        }
-                })
-                .min_by_key(|(_, d)| (d.t, d.node));
-            if let Some((k, d)) = visible {
-                handled[k] = true;
+            // The next death the detector sees: inside the span this phase
+            // would commit, or anywhere in the committed run once every
+            // phase is done. Visibility is monotone in handling order.
+            let visible = deaths.get(next_death).filter(|d| match done {
+                Some(_) => d.detect <= phase_end,
+                None => d.t < now,
+            });
+            if let Some(d) = visible {
+                next_death += 1;
                 total.recovery.detected += 1;
-                if !dead.contains(&d.node) {
-                    dead.push(d.node);
+                if d.first {
                     total.recovery.folded_nodes += 1;
                 }
-                // Roll back to the newest checkpoint at-or-before the
-                // death; if the ring already evicted it, the oldest
-                // surviving snapshot is the best we can do.
-                let pos = ring.iter().rposition(|c| c.elapsed <= d.t).unwrap_or(0);
+                k = d.k_after;
+                // Roll back to the newest checkpoint at or before the
+                // death (the oldest one left if the ring evicted it).
+                let pos = ring.iter().rposition(|c| c.now <= d.t).unwrap_or(0);
                 ring.truncate(pos + 1);
                 let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.elapsed;
+                total.recovery.lost_work_ns += phase_end - c.now;
                 let recovery = total.recovery;
                 total = c.report;
                 total.recovery = recovery;
                 total.recovery.rollbacks += 1;
-                now = c.elapsed;
-                i = c.phase;
+                (now, i, release) = (c.now, c.phase, c.release);
                 self.restore(c);
                 continue;
             }
-            let Some((rep, dropped)) = phase_rep else {
-                break;
-            };
-            // Commit the phase.
+            let Some(rep) = done else { break };
             total.absorb(&rep);
-            total.messages += dropped;
-            total.lost += dropped;
-            total.black_holes += dropped as u64;
             now = phase_end;
+            sink.committed(i, now);
+            if let Some((threshold, healthy)) = run.adapt {
+                if release == Release::Frontier && now as f64 > threshold * healthy[i] as f64 {
+                    release = Release::Barrier;
+                    total.downgrades += 1;
+                }
+            }
             if i < frontier {
                 total.recovery.replayed_phases += 1;
             } else {
@@ -531,239 +416,84 @@ impl PhaseSim {
             }
             i += 1;
         }
-        // Only deaths that struck the run count: one scheduled past the
-        // committed end never happened to this run. Struck ≡ handled —
-        // any death inside the committed span is caught by the final
-        // sweep, and a handled one caused a real rollback even if folding
-        // then shortened the schedule past its timestamp.
-        total.recovery.deaths = handled.iter().filter(|&&h| h).count();
+        total.recovery.deaths = next_death;
+        self.compiled = scratch;
         total
     }
 
-    /// Replay a precompiled phase (see [`CachedPhase`]).
-    pub fn run_cached(&mut self, phase: &CachedPhase) -> u64 {
-        self.run_cached_scaled(phase, 1)
-    }
-
-    /// Replay a precompiled phase with every payload multiplied by
-    /// `byte_scale` — the payload-sweep fast path. Scaling all payloads by
-    /// one factor preserves the oracle's sort order, so the result equals
-    /// `simulate_phase` on the scaled message set.
-    pub fn run_cached_scaled(&mut self, phase: &CachedPhase, byte_scale: u64) -> u64 {
-        self.begin_phase();
-        let mut makespan = 0u64;
-        for i in 0..phase.bytes.len() {
-            let (lo, hi) = (phase.offsets[i] as usize, phase.offsets[i + 1] as usize);
-            let mut start = 0u64;
-            for j in lo..hi {
-                start = start.max(self.link_free_at(phase.links[j] as usize));
-            }
-            let dur = self.mesh.cost.p2p(hi - lo, phase.bytes[i] * byte_scale);
-            let end = start + dur;
-            for j in lo..hi {
-                self.reserve_link(phase.links[j] as usize, end);
-            }
-            makespan = makespan.max(end);
-        }
-        makespan
-    }
-
-    /// Replay a precompiled phase under a precompiled fault plan:
-    /// bit-identical to [`PhaseSim::simulate_phase_faulty`] with
-    /// `FaultPlan { seed, ..plan }`, at [`CachedPhase`] speed — no
-    /// filtering, no sorting, no route arithmetic, and every outage
-    /// lookup is a binary search in a per-link/per-node bucket.
-    pub fn run_cached_faulty(
+    /// The transport step: run phase `i` (committed clock `now`) under
+    /// `release`. The report's `makespan` is the latest end time in the
+    /// phase's clock frame (0 when nothing was sent).
+    ///
+    /// With `FAULTY`, each message runs the resilient transport: defer
+    /// while an endpoint is inside an outage window; black-hole it when
+    /// an endpoint is permanently dead (runs without a checkpoint policy
+    /// only); take the YX detour when the XY route crosses a dead link,
+    /// or wait for the first dead link to return when both do; lose each
+    /// attempt with `drop_prob` (still occupying its links) and retry
+    /// after timeout × backoff until `max_attempts` forces delivery;
+    /// duplicate a delivery with `dup_prob` (a lost acknowledgement: the
+    /// copy wastes bandwidth and is dropped at the receiver). Only the
+    /// delivering transmission advances the destination's frontier.
+    fn step<const FAULTY: bool, S: Sink>(
         &mut self,
-        phase: &CachedFaultPhase,
-        plan: &CompiledFaultPlan,
-        seed: u64,
+        phase: &CachedPhase,
+        i: usize,
+        release: Release,
+        run: &Run,
+        now: u64,
+        sink: &mut S,
     ) -> FaultReport {
-        self.run_cached_faulty_mode(phase, plan, seed, true)
-    }
-
-    /// `with_deaths = false` is the recovery driver's transport view
-    /// (deaths survived by rollback, not black-holed) — the compiled
-    /// twin of the oracle's `FaultPlan { node_deaths: vec![], .. }`.
-    fn run_cached_faulty_mode(
-        &mut self,
-        phase: &CachedFaultPhase,
-        plan: &CompiledFaultPlan,
-        seed: u64,
-        with_deaths: bool,
-    ) -> FaultReport {
-        self.begin_phase();
-        let mut rng = XorShift64::new(seed);
-        let p = plan.plan();
-        let mut rep = FaultReport {
-            messages: phase.len(),
-            ..FaultReport::default()
-        };
-        let max_attempts = if p.retry.enabled {
-            p.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        // Skipping a check block when the plan has no matching event is
-        // observationally identical: the oracle's scan would find
-        // nothing and no RNG draw happens on those paths.
-        let check_nodes = plan.check_nodes(with_deaths);
-        let check_links = plan.has_link_outages();
-        for i in 0..phase.len() {
-            let (src, dst) = (phase.src[i] as usize, phase.dst[i] as usize);
-            let xy = &phase.xy_links[phase.xy_off[i] as usize..phase.xy_off[i + 1] as usize];
-            let yx = &phase.yx_links[phase.yx_off[i] as usize..phase.yx_off[i + 1] as usize];
-            let dur = phase.dur[i];
-            let mut next_send = 0u64;
-            let mut attempt = 0u32;
-            loop {
-                if check_nodes {
-                    let alive = plan
-                        .node_alive_after_mode(src, next_send, with_deaths)
-                        .max(plan.node_alive_after_mode(dst, next_send, with_deaths));
-                    if alive == u64::MAX {
-                        rep.lost += 1;
-                        rep.black_holes += 1;
-                        break;
-                    }
-                    if alive > next_send {
-                        rep.deferrals += 1;
-                        next_send = alive;
-                        continue;
-                    }
-                }
-                let mut start = next_send;
-                for &l in xy {
-                    start = start.max(self.link_free_at(l as usize));
-                }
-                let xy_dead = if check_links {
-                    scan_outages(xy, start, plan)
-                } else {
-                    None
-                };
-                let (links, start) = if xy_dead.is_none() {
-                    (xy, start)
-                } else {
-                    let mut start_yx = next_send;
-                    for &l in yx {
-                        start_yx = start_yx.max(self.link_free_at(l as usize));
-                    }
-                    if let Some(yx_until) = scan_outages(yx, start_yx, plan) {
-                        rep.deferrals += 1;
-                        next_send = xy_dead
-                            .unwrap_or(u64::MAX)
-                            .min(yx_until)
-                            .max(next_send.saturating_add(1));
-                        continue;
-                    }
-                    rep.reroutes += 1;
-                    (yx, start_yx)
-                };
-                attempt += 1;
-                rep.attempts += 1;
-                let end = start.saturating_add(dur);
-                for &l in links {
-                    self.reserve_link(l as usize, end);
-                }
-                rep.makespan = rep.makespan.max(end);
-                let escalated = p.retry.enabled && attempt >= max_attempts;
-                let unlucky = rng.chance(p.drop_prob);
-                if unlucky && !escalated {
-                    if !p.retry.enabled {
-                        rep.lost += 1;
-                        break;
-                    }
-                    rep.retries += 1;
-                    next_send = end.saturating_add(p.retry.backoff_delay(attempt));
-                    continue;
-                }
-                if unlucky && escalated {
-                    rep.escalations += 1;
-                }
-                rep.delivered += 1;
-                if rng.chance(p.dup_prob) {
-                    rep.duplicates += 1;
-                    rep.attempts += 1;
-                    let end2 = end.saturating_add(dur);
-                    for &l in links {
-                        self.reserve_link(l as usize, end2);
-                    }
-                    rep.makespan = rep.makespan.max(end2);
-                }
-                break;
-            }
-        }
-        rep
-    }
-
-    /// Compiled twin of the overlapped-faulty step (see
-    /// [`crate::overlap`]): [`CachedFaultPhase`] replay through the
-    /// per-node ready/arrival timeline. The caller owns the run-wide
-    /// state — one `begin_phase()` per run, the readiness reset, and the
-    /// clock/barrier bookkeeping — so, unlike
-    /// [`PhaseSim::run_cached_faulty`], this must be driven phase by
-    /// phase on one shared link timeline.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_cached_overlapped_faulty_step(
-        &mut self,
-        merge: bool,
-        phase: &CachedFaultPhase,
-        plan: &CompiledFaultPlan,
-        seed: u64,
-        order: OverlapOrder,
-        with_deaths: bool,
-        barrier: bool,
-        clock: u64,
-    ) -> FaultReport {
-        if merge {
-            if barrier {
-                self.node_ready.fill(clock);
-            } else {
-                for n in 0..self.node_ready.len() {
-                    if self.node_arrival[n] > self.node_ready[n] {
-                        self.node_ready[n] = self.node_arrival[n];
+        match release {
+            Release::PerPhase => self.begin_phase(),
+            Release::Frontier => {
+                if i > 0 {
+                    for (r, &a) in self.node_ready.iter_mut().zip(&self.node_arrival) {
+                        *r = (*r).max(a);
                     }
                 }
             }
+            Release::Barrier => self.node_ready.fill(now),
         }
-        self.order.clear();
-        self.order.extend(0..phase.len() as u32);
-        if order == OverlapOrder::LongestFirst {
-            let mut perm = std::mem::take(&mut self.order);
+        let longest = release != Release::PerPhase
+            && run.mode == ScheduleMode::Overlapped(OverlapOrder::LongestFirst);
+        if longest {
+            self.order.clear();
+            self.order.extend(0..phase.len() as u32);
             let ready = &self.node_ready;
-            perm.sort_by_key(|&i| {
-                let i = i as usize;
-                let hops = phase.xy_off[i + 1] - phase.xy_off[i];
-                (ready[phase.src[i] as usize], Reverse(hops), i as u32)
+            self.order.sort_by_key(|&j| {
+                let j = j as usize;
+                (ready[phase.msgs[j].src], Reverse(phase.xy(j).len()), j)
             });
-            self.order = perm;
         }
-        let mut rng = XorShift64::new(seed);
-        let p = plan.plan();
+        let faults = run.faults.filter(|_| FAULTY);
+        let with_deaths = run.ckpt.is_none();
+        let node_faults = faults.filter(|f| f.check_nodes(with_deaths));
+        let link_faults = faults.filter(|f| f.has_link_outages());
+        let plan = faults.map(CompiledFaultPlan::plan);
+        let cost = self.mesh.cost;
+        let mut rng = XorShift64::new(run.seed.wrapping_add(i as u64));
         let mut rep = FaultReport {
             messages: phase.len(),
             ..FaultReport::default()
         };
-        let max_attempts = if p.retry.enabled {
-            p.retry.max_attempts.max(1)
-        } else {
-            1
-        };
-        let check_nodes = plan.check_nodes(with_deaths);
-        let check_links = plan.has_link_outages();
-        for oi in 0..self.order.len() {
-            let i = self.order[oi] as usize;
-            let (src, dst) = (phase.src[i] as usize, phase.dst[i] as usize);
-            let xy = &phase.xy_links[phase.xy_off[i] as usize..phase.xy_off[i + 1] as usize];
-            let yx = &phase.yx_links[phase.yx_off[i] as usize..phase.yx_off[i + 1] as usize];
-            let dur = phase.dur[i];
-            let mut next_send = self.node_ready[src];
+        for oi in 0..phase.len() {
+            let j = if longest { self.order[oi] as usize } else { oi };
+            let msg = phase.msgs[j];
+            let (src, dst) = (msg.src, msg.dst);
+            let xy = phase.xy(j);
+            let dur = cost.p2p(xy.len(), msg.bytes * run.byte_scale);
+            let ready = match release {
+                Release::PerPhase => 0,
+                _ => self.node_ready[src],
+            };
+            let mut next_send = ready;
             let mut attempt = 0u32;
             loop {
-                if check_nodes {
-                    let alive = plan
+                if let Some(f) = node_faults {
+                    let alive = f
                         .node_alive_after_mode(src, next_send, with_deaths)
-                        .max(plan.node_alive_after_mode(dst, next_send, with_deaths));
+                        .max(f.node_alive_after_mode(dst, next_send, with_deaths));
                     if alive == u64::MAX {
                         rep.lost += 1;
                         rep.black_holes += 1;
@@ -775,66 +505,71 @@ impl PhaseSim {
                         continue;
                     }
                 }
-                let mut start = next_send;
-                for &l in xy {
-                    start = start.max(self.link_free_at(l as usize));
+                let (mut links, mut start) = (xy, self.earliest(xy, next_send));
+                if let Some(f) = link_faults {
+                    if let Some(xy_back) = scan_outages(xy, start, f) {
+                        let yx = phase.yx(j);
+                        let start_yx = self.earliest(yx, next_send);
+                        if let Some(yx_back) = scan_outages(yx, start_yx, f) {
+                            rep.deferrals += 1;
+                            next_send = xy_back.min(yx_back).max(next_send.saturating_add(1));
+                            continue;
+                        }
+                        rep.reroutes += 1;
+                        (links, start) = (yx, start_yx);
+                    }
                 }
-                let xy_dead = if check_links {
-                    scan_outages(xy, start, plan)
-                } else {
-                    None
-                };
-                let (links, start) = if xy_dead.is_none() {
-                    (xy, start)
-                } else {
-                    let mut start_yx = next_send;
-                    for &l in yx {
-                        start_yx = start_yx.max(self.link_free_at(l as usize));
-                    }
-                    if let Some(yx_until) = scan_outages(yx, start_yx, plan) {
-                        rep.deferrals += 1;
-                        next_send = xy_dead
-                            .unwrap_or(u64::MAX)
-                            .min(yx_until)
-                            .max(next_send.saturating_add(1));
-                        continue;
-                    }
-                    rep.reroutes += 1;
-                    (yx, start_yx)
-                };
                 attempt += 1;
                 rep.attempts += 1;
                 let end = start.saturating_add(dur);
-                for &l in links {
-                    self.reserve_link(l as usize, end);
-                }
+                self.reserve(links, end);
                 rep.makespan = rep.makespan.max(end);
-                let escalated = p.retry.enabled && attempt >= max_attempts;
-                let unlucky = rng.chance(p.drop_prob);
-                if unlucky && !escalated {
-                    if !p.retry.enabled {
-                        rep.lost += 1;
-                        break;
+                sink.sent(
+                    OverlapEvent {
+                        phase: i,
+                        msg,
+                        ready,
+                        start,
+                        end,
+                    },
+                    links,
+                );
+                if let Some(p) = plan {
+                    let lost = rng.chance(p.drop_prob);
+                    let forced = p.retry.enabled && attempt >= p.retry.max_attempts.max(1);
+                    if lost && !forced {
+                        if !p.retry.enabled {
+                            rep.lost += 1;
+                            break;
+                        }
+                        rep.retries += 1;
+                        next_send = end.saturating_add(p.retry.backoff_delay(attempt));
+                        continue;
                     }
-                    rep.retries += 1;
-                    next_send = end.saturating_add(p.retry.backoff_delay(attempt));
-                    continue;
-                }
-                if unlucky && escalated {
-                    rep.escalations += 1;
+                    if lost {
+                        rep.escalations += 1;
+                    }
                 }
                 rep.delivered += 1;
-                if end > self.node_arrival[dst] {
-                    self.node_arrival[dst] = end;
-                }
-                if rng.chance(p.dup_prob) {
+                self.node_arrival[dst] = self.node_arrival[dst].max(end);
+                if plan.is_some_and(|p| rng.chance(p.dup_prob)) {
+                    // The links were just reserved to `end`, so the copy
+                    // goes out back to back on the same route.
                     rep.duplicates += 1;
                     rep.attempts += 1;
                     let end2 = end.saturating_add(dur);
-                    for &l in links {
-                        self.reserve_link(l as usize, end2);
-                    }
+                    self.reserve(links, end2);
                     rep.makespan = rep.makespan.max(end2);
+                    sink.sent(
+                        OverlapEvent {
+                            phase: i,
+                            msg,
+                            ready,
+                            start: end,
+                            end: end2,
+                        },
+                        links,
+                    );
                 }
                 break;
             }
@@ -843,22 +578,37 @@ impl PhaseSim {
     }
 }
 
-/// Earliest comeback time among route links inside an outage window at
-/// `start` — the compiled twin of the oracle's per-link
-/// [`FaultPlan::link_outage_until`] scan inside `scan_route`.
+/// Earliest return among the links of `links` that are inside an outage
+/// window at `start`.
 #[inline]
-pub(crate) fn scan_outages(links: &[u32], start: u64, plan: &CompiledFaultPlan) -> Option<u64> {
-    let mut dead_until: Option<u64> = None;
-    for &l in links {
-        if let Some(u) = plan.link_outage_until(l as usize, start) {
-            dead_until = Some(dead_until.map_or(u, |d: u64| d.min(u)));
-        }
-    }
-    dead_until
+fn scan_outages(links: &[u32], start: u64, plan: &CompiledFaultPlan) -> Option<u64> {
+    links
+        .iter()
+        .filter_map(|&l| plan.link_outage_until(l as usize, start))
+        .min()
 }
 
-/// When and how often [`PhaseSim::simulate_phases_recovering`] takes
-/// checkpoints, and how many it keeps.
+/// Fold one raw phase for the first `k` unique deaths and compile it,
+/// returning the dropped (no-survivor) message count.
+fn compile_folded(
+    mesh: &Mesh2D,
+    plan: &CompiledFaultPlan,
+    raw: &[PMsg],
+    k: usize,
+) -> (CachedPhase, usize) {
+    let mut folded = Vec::with_capacity(raw.len());
+    for m in raw {
+        if let (Some(src), Some(dst)) = (plan.fold_lookup(k, m.src), plan.fold_lookup(k, m.dst)) {
+            folded.push(PMsg { src, dst, ..*m });
+        }
+    }
+    let mut c = CachedPhase::default();
+    c.compile(mesh, &folded, true);
+    (c, raw.len() - folded.len())
+}
+
+/// When and how often a recovering run takes checkpoints, and how many
+/// it keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint every `interval` phases (clamped to ≥ 1). Small
@@ -885,205 +635,118 @@ impl Default for CheckpointPolicy {
     }
 }
 
-/// A phase-boundary snapshot of the committed run: enough to roll the
-/// engine and the accounting back and replay from here.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Next phase to execute when restored.
-    pub(crate) phase: usize,
-    /// Committed simulated time at the boundary, in ns.
-    pub(crate) elapsed: u64,
-    /// Committed fault accounting at the boundary.
-    pub(crate) report: FaultReport,
-    /// Link-clock scratch state (valid where `stamp` matches `epoch`).
-    free: Vec<u64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-/// A [`Checkpoint`] extended with the overlapped scheduler's per-node
-/// timeline (and the adaptive policy's degradation flag): rollback in
-/// overlapped mode must restore readiness/arrival state too, or the
-/// replay would release messages against a future that was undone.
-#[derive(Debug, Clone)]
-pub(crate) struct OverlapCheckpoint {
-    pub(crate) base: Checkpoint,
-    node_ready: Vec<u64>,
-    node_arrival: Vec<u64>,
-    pub(crate) barrier: bool,
-}
-
-impl Checkpoint {
-    /// The phase this snapshot resumes at.
-    pub fn phase(&self) -> usize {
-        self.phase
-    }
-
-    /// Committed simulated time at the snapshot, in ns.
-    pub fn elapsed(&self) -> u64 {
-        self.elapsed
-    }
-}
-
-/// A phase compiled for repeated replay: messages filtered and sorted
-/// exactly as the greedy scheduler wants them, with all routes flattened
-/// into one dense link table.
-#[derive(Debug, Clone)]
+/// A phase compiled for the transport step (see the module docs).
+#[derive(Debug, Clone, Default)]
 pub struct CachedPhase {
-    /// Concatenated route link indices of every message, in schedule order.
-    pub(crate) links: Vec<u32>,
-    /// Prefix offsets into `links` (`len + 1` entries).
-    pub(crate) offsets: Vec<u32>,
-    /// Payload of each scheduled message.
-    pub(crate) bytes: Vec<u64>,
-    /// Endpoints of each scheduled message — used by the overlapped
-    /// replay path to track per-node readiness (see [`crate::overlap`]).
-    pub(crate) src: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
+    /// The scheduled (non-local) messages, in schedule order.
+    msgs: Vec<PMsg>,
+    /// Concatenated XY route links; message `i` owns
+    /// `links[off[i]..off[i + 1]]`.
+    links: Vec<u32>,
+    off: Vec<u32>,
+    /// YX detours, laid out like `links`; empty unless compiled for a
+    /// fault plan.
+    yx_links: Vec<u32>,
+    yx_off: Vec<u32>,
 }
 
 impl CachedPhase {
     /// Compile `msgs` for `mesh`: filter self-messages, sort, and record
     /// every route once.
     pub fn new(mesh: &Mesh2D, msgs: &[PMsg]) -> Self {
-        let mut sorted: Vec<PMsg> = msgs.iter().copied().filter(|m| m.src != m.dst).collect();
-        sorted.sort_unstable();
-        let mut links = Vec::new();
-        let mut offsets = Vec::with_capacity(sorted.len() + 1);
-        let mut bytes = Vec::with_capacity(sorted.len());
-        let mut src = Vec::with_capacity(sorted.len());
-        let mut dst = Vec::with_capacity(sorted.len());
-        offsets.push(0);
-        for m in &sorted {
-            links.extend(mesh.route_links(m.src, m.dst).map(|l| l.index() as u32));
-            offsets.push(links.len() as u32);
-            bytes.push(m.bytes);
-            src.push(m.src as u32);
-            dst.push(m.dst as u32);
+        let mut c = CachedPhase::default();
+        c.compile(mesh, msgs, false);
+        c
+    }
+
+    /// Recompile in place, reusing the buffers; `detours` also records
+    /// the YX routes.
+    fn compile(&mut self, mesh: &Mesh2D, msgs: &[PMsg], detours: bool) {
+        self.msgs.clear();
+        self.msgs.reserve(msgs.len());
+        self.msgs
+            .extend(msgs.iter().copied().filter(|m| m.src != m.dst));
+        // `PMsg` has a total order, so unstable sorting is observationally
+        // identical to the oracle's stable sort.
+        self.msgs.sort_unstable();
+        self.links.clear();
+        self.off.clear();
+        self.off.reserve(self.msgs.len() + 1);
+        self.off.push(0);
+        self.yx_links.clear();
+        self.yx_off.clear();
+        if detours {
+            self.yx_off.push(0);
         }
-        CachedPhase {
-            links,
-            offsets,
-            bytes,
-            src,
-            dst,
+        for m in &self.msgs {
+            mesh.extend_route(m.src, m.dst, false, &mut self.links);
+            self.off.push(self.links.len() as u32);
+            if detours {
+                mesh.extend_route(m.src, m.dst, true, &mut self.yx_links);
+                self.yx_off.push(self.yx_links.len() as u32);
+            }
         }
     }
 
     /// Number of scheduled (non-local) messages.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.msgs.len()
     }
 
     /// True when no message crosses a link.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.msgs.is_empty()
+    }
+
+    #[inline]
+    fn xy(&self, i: usize) -> &[u32] {
+        &self.links[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    #[inline]
+    fn yx(&self, i: usize) -> &[u32] {
+        &self.yx_links[self.yx_off[i] as usize..self.yx_off[i + 1] as usize]
     }
 }
 
-/// A phase compiled for repeated *faulty* replay: like [`CachedPhase`],
-/// but with **both** routes of every message flattened (XY, and the YX
-/// fallback taken around a dead link), the endpoints kept for liveness
-/// checks, and the transmission duration precomputed (XY and YX have
-/// the same hop count, hence the same cost).
-#[derive(Debug, Clone)]
-pub struct CachedFaultPhase {
-    pub(crate) src: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
-    /// Concatenated XY route links, in schedule order.
-    pub(crate) xy_links: Vec<u32>,
-    pub(crate) xy_off: Vec<u32>,
-    /// Concatenated YX route links.
-    pub(crate) yx_links: Vec<u32>,
-    pub(crate) yx_off: Vec<u32>,
-    /// `cost.p2p(hops, bytes)` of each scheduled message.
-    pub(crate) dur: Vec<u64>,
-}
-
-impl CachedFaultPhase {
-    /// Compile `msgs` for `mesh`: filter self-messages, sort, and record
-    /// both routes and the per-message cost once.
-    pub fn new(mesh: &Mesh2D, msgs: &[PMsg]) -> Self {
-        let mut sorted: Vec<PMsg> = msgs.iter().copied().filter(|m| m.src != m.dst).collect();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let mut out = CachedFaultPhase {
-            src: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            xy_links: Vec::new(),
-            xy_off: Vec::with_capacity(n + 1),
-            yx_links: Vec::new(),
-            yx_off: Vec::with_capacity(n + 1),
-            dur: Vec::with_capacity(n),
-        };
-        out.xy_off.push(0);
-        out.yx_off.push(0);
-        for m in &sorted {
-            out.src.push(m.src as u32);
-            out.dst.push(m.dst as u32);
-            out.xy_links
-                .extend(mesh.route_links(m.src, m.dst).map(|l| l.index() as u32));
-            out.xy_off.push(out.xy_links.len() as u32);
-            out.yx_links
-                .extend(mesh.route_links_yx(m.src, m.dst).map(|l| l.index() as u32));
-            out.yx_off.push(out.yx_links.len() as u32);
-            out.dur
-                .push(mesh.cost.p2p(mesh.hops(m.src, m.dst), m.bytes));
-        }
-        out
-    }
-
-    /// Number of scheduled (non-local) messages.
-    pub fn len(&self) -> usize {
-        self.dur.len()
-    }
-
-    /// True when no message crosses a link.
-    pub fn is_empty(&self) -> bool {
-        self.dur.is_empty()
-    }
-}
-
-/// The compiled fault-simulation engine: one phase set, one fault plan,
-/// many seeds. Compiles every phase once ([`CachedFaultPhase`]) and the
-/// plan once ([`CompiledFaultPlan`]), then replays the whole run per
-/// seed with zero routing or sorting work. Every replay is
-/// **bit-identical** to the per-call oracle with the same seed
-/// substituted into the plan
-/// ([`PhaseSim::simulate_phases_faulty`] /
-/// [`PhaseSim::simulate_phases_recovering`]) — pinned by differential
-/// property tests.
+/// The compiled fault engine: one phase set, one fault plan, many seeds.
+/// Compiles every phase (with YX detours) and the plan once, then
+/// replays the whole run per seed with no routing or sorting work. Every
+/// replay equals [`crate::reference::simulate`] with the seed
+/// substituted into the plan.
 #[derive(Debug, Clone)]
 pub struct FaultSim {
     sim: PhaseSim,
     plan: CompiledFaultPlan,
     phases: Vec<Vec<PMsg>>,
-    cached: Vec<CachedFaultPhase>,
-    /// Folded-phase cache for the recovering path, keyed by
-    /// `(phase index, unique deaths folded)` and holding the dropped
-    /// (no-survivor) message count. Fold outcomes depend only on the
-    /// plan's death order — never on the seed — so entries are reused
-    /// across all replications.
-    folded: BTreeMap<(usize, usize), (CachedFaultPhase, usize)>,
-    /// Healthy overlapped prefix makespans — the adaptive policy's
-    /// baseline. Computed lazily from the (plan-independent) phases on
-    /// the first adaptive run; survives [`FaultSim::set_plan`].
-    healthy_prefix: Option<Vec<u64>>,
+    cached: Vec<CachedPhase>,
+    /// Survivor folds depend only on the plan's death order, never on
+    /// the seed, so they are reused across replications.
+    folds: Folds,
+    /// Healthy overlapped clock after every phase — the adaptive
+    /// policy's baseline. Plan-independent, so it survives
+    /// [`FaultSim::set_plan`].
+    healthy: Option<Vec<u64>>,
 }
 
 impl FaultSim {
     /// Compile `phases` and `plan` for `mesh`.
     pub fn new(mesh: &Mesh2D, phases: &[Vec<PMsg>], plan: &FaultPlan) -> Self {
+        let cached = phases
+            .iter()
+            .map(|p| {
+                let mut c = CachedPhase::default();
+                c.compile(mesh, p, true);
+                c
+            })
+            .collect();
         FaultSim {
             sim: PhaseSim::new(mesh.clone()),
             plan: CompiledFaultPlan::new(plan, mesh),
             phases: phases.to_vec(),
-            cached: phases
-                .iter()
-                .map(|p| CachedFaultPhase::new(mesh, p))
-                .collect(),
-            folded: BTreeMap::new(),
-            healthy_prefix: None,
+            cached,
+            folds: Folds::new(),
+            healthy: None,
         }
     }
 
@@ -1102,104 +765,13 @@ impl FaultSim {
     /// many plans.
     pub fn set_plan(&mut self, plan: &FaultPlan) {
         self.plan = CompiledFaultPlan::new(plan, self.sim.mesh());
-        self.folded.clear();
+        self.folds.clear();
     }
 
-    /// Replay the whole run once with `seed` substituted for the plan's:
-    /// bit-identical to [`PhaseSim::simulate_phases_faulty_policy`] with
-    /// `FaultPlan { seed, ..plan }` under the same `sched`.
+    /// Replay the whole run once with `seed` substituted for the plan's;
+    /// traffic to or from a permanently dead node is black-holed.
     pub fn run_faulty(&mut self, seed: u64, sched: SchedulePolicy) -> FaultReport {
-        match sched {
-            SchedulePolicy::Fixed(ScheduleMode::Phased) => self.run_faulty_phased(seed),
-            SchedulePolicy::Fixed(ScheduleMode::Overlapped(order)) => {
-                self.run_faulty_overlapped(seed, order, None)
-            }
-            SchedulePolicy::Adaptive {
-                inflation_threshold,
-            } => self.run_faulty_overlapped(seed, OverlapOrder::Sorted, Some(inflation_threshold)),
-        }
-    }
-
-    /// The historical phased replay: dependent phases back to back,
-    /// per-phase clock, summed reports.
-    fn run_faulty_phased(&mut self, seed: u64) -> FaultReport {
-        let mut total = FaultReport::default();
-        for (i, c) in self.cached.iter().enumerate() {
-            let rep =
-                self.sim
-                    .run_cached_faulty_mode(c, &self.plan, seed.wrapping_add(i as u64), true);
-            total.absorb(&rep);
-        }
-        total
-    }
-
-    /// Healthy overlapped prefix makespans (fault-free, `Sorted`) — the
-    /// adaptive baseline, identical by construction to the oracle's
-    /// [`PhaseSim::simulate_phases_overlapped_prefix`] on the raw
-    /// phases. Plan-independent, so it survives [`FaultSim::set_plan`].
-    fn healthy_overlapped_prefix(&mut self) -> Vec<u64> {
-        if self.healthy_prefix.is_none() {
-            self.healthy_prefix = Some(
-                self.sim
-                    .simulate_phases_overlapped_prefix(&self.phases, OverlapOrder::Sorted),
-            );
-        }
-        self.healthy_prefix.clone().unwrap()
-    }
-
-    /// Compiled twin of the oracle's overlapped-faulty driver.
-    fn run_faulty_overlapped(
-        &mut self,
-        seed: u64,
-        order: OverlapOrder,
-        adapt: Option<f64>,
-    ) -> FaultReport {
-        let adapt = adapt.map(|t| (t, self.healthy_overlapped_prefix()));
-        self.sim.node_ready.fill(0);
-        self.sim.node_arrival.fill(0);
-        self.sim.begin_phase();
-        let mut total = FaultReport::default();
-        let mut clock = 0u64;
-        let mut barrier = false;
-        for (i, c) in self.cached.iter().enumerate() {
-            let mut rep = self.sim.run_cached_overlapped_faulty_step(
-                i > 0,
-                c,
-                &self.plan,
-                seed.wrapping_add(i as u64),
-                order,
-                true,
-                barrier,
-                clock,
-            );
-            let advanced = clock.max(rep.makespan);
-            rep.makespan = advanced - clock;
-            clock = advanced;
-            total.absorb(&rep);
-            if let Some((threshold, prefix)) = &adapt {
-                if !barrier && inflation_exceeded(clock, prefix[i], *threshold) {
-                    barrier = true;
-                    total.downgrades += 1;
-                }
-            }
-        }
-        total
-    }
-
-    /// Per-phase reports of the **phased** replay (same per-phase seed
-    /// derivation, `seed + index`): the batch-API view of the guarantee
-    /// that editing one phase never shifts another's fault stream.
-    /// Overlapped runs have no per-phase decomposition — a phase's
-    /// schedule depends on every earlier phase's arrivals.
-    pub fn run_faulty_per_phase(&mut self, seed: u64) -> Vec<FaultReport> {
-        self.cached
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                self.sim
-                    .run_cached_faulty_mode(c, &self.plan, seed.wrapping_add(i as u64), true)
-            })
-            .collect()
+        self.run(seed, sched, None)
     }
 
     /// Replay one faulty run per seed under `sched` — the Monte Carlo
@@ -1209,264 +781,23 @@ impl FaultSim {
     }
 
     /// Replay the checkpoint/rollback run once with `seed` substituted
-    /// for the plan's: bit-identical to
-    /// [`PhaseSim::simulate_phases_recovering_policy`] with
-    /// `FaultPlan { seed, ..plan }` under the same `sched`.
+    /// for the plan's: a death detected at `t + detection_latency` rolls
+    /// back to the newest checkpoint at or before it, folds the dead
+    /// node's traffic onto its nearest survivor ([`crate::fold_target`])
+    /// and replays. The report describes the committed run; undone work
+    /// and checkpoint costs land in [`crate::RecoveryReport`].
     pub fn run_recovering(
         &mut self,
         policy: &CheckpointPolicy,
         seed: u64,
         sched: SchedulePolicy,
     ) -> FaultReport {
-        match sched {
-            SchedulePolicy::Fixed(ScheduleMode::Phased) => self.run_recovering_phased(policy, seed),
-            SchedulePolicy::Fixed(ScheduleMode::Overlapped(order)) => {
-                self.run_recovering_overlapped(policy, seed, order, None)
-            }
-            SchedulePolicy::Adaptive {
-                inflation_threshold,
-            } => self.run_recovering_overlapped(
-                policy,
-                seed,
-                OverlapOrder::Sorted,
-                Some(inflation_threshold),
-            ),
-        }
+        self.run(seed, sched, Some(policy))
     }
 
-    fn run_recovering_phased(&mut self, policy: &CheckpointPolicy, seed: u64) -> FaultReport {
-        let FaultSim {
-            sim,
-            plan,
-            phases,
-            cached,
-            folded,
-            ..
-        } = self;
-        let mesh = sim.mesh().clone();
-        let interval = policy.interval.max(1);
-        let ring_cap = policy.ring.max(1);
-        let deaths = plan.sorted_deaths();
-        let mut total = FaultReport::default();
-        // Deaths are precompiled in handling order ((t, node), stable),
-        // so the oracle's scan for the earliest visible unhandled death
-        // becomes one pointer: visibility is monotone along that order.
-        let mut next_death = 0usize;
-        // Unique deaths folded so far — the fold-table prefix in force.
-        let mut k = 0usize;
-        let mut ring: VecDeque<Checkpoint> = VecDeque::new();
-        let mut now = 0u64;
-        let mut frontier = 0usize;
-        let mut i = 0usize;
-        loop {
-            let mut phase_end = now;
-            let mut phase_rep: Option<(FaultReport, usize)> = None;
-            if i < phases.len() {
-                if i % interval == 0 && ring.back().is_none_or(|c| c.phase != i || c.elapsed != now)
-                {
-                    if ring.len() == ring_cap {
-                        ring.pop_front();
-                    }
-                    ring.push_back(sim.checkpoint(i, now, total));
-                    total.recovery.checkpoints += 1;
-                    total.recovery.checkpoint_overhead_ns += policy.cost_ns;
-                }
-                let (phase, dropped): (&CachedFaultPhase, usize) = if k == 0 {
-                    (&cached[i], 0)
-                } else {
-                    let entry = folded
-                        .entry((i, k))
-                        .or_insert_with(|| compile_folded(&mesh, plan, &phases[i], k));
-                    (&entry.0, entry.1)
-                };
-                let seed_i = seed.wrapping_add(i as u64);
-                let rep = sim.run_cached_faulty_mode(phase, plan, seed_i, false);
-                phase_end = now + rep.makespan;
-                phase_rep = Some((rep, dropped));
-            }
-            let visible = next_death < deaths.len() && {
-                let d = &deaths[next_death];
-                if phase_rep.is_some() {
-                    d.detect <= phase_end
-                } else {
-                    d.t < now
-                }
-            };
-            if visible {
-                let d = &deaths[next_death];
-                next_death += 1;
-                total.recovery.detected += 1;
-                if d.first {
-                    total.recovery.folded_nodes += 1;
-                }
-                k = d.k_after;
-                let pos = ring.iter().rposition(|c| c.elapsed <= d.t).unwrap_or(0);
-                ring.truncate(pos + 1);
-                let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.elapsed;
-                let recovery = total.recovery;
-                total = c.report;
-                total.recovery = recovery;
-                total.recovery.rollbacks += 1;
-                now = c.elapsed;
-                i = c.phase;
-                sim.restore(c);
-                continue;
-            }
-            let Some((rep, dropped)) = phase_rep else {
-                break;
-            };
-            total.absorb(&rep);
-            total.messages += dropped;
-            total.lost += dropped;
-            total.black_holes += dropped as u64;
-            now = phase_end;
-            if i < frontier {
-                total.recovery.replayed_phases += 1;
-            } else {
-                frontier = i + 1;
-            }
-            i += 1;
-        }
-        total.recovery.deaths = next_death;
-        total
-    }
-
-    /// Compiled twin of the oracle's overlapped recovering driver: the
-    /// same checkpoint/rollback structure as the phased replay, with
-    /// the overlapped step, [`OverlapCheckpoint`] snapshots and
-    /// (optionally) adaptive degradation.
-    fn run_recovering_overlapped(
-        &mut self,
-        policy: &CheckpointPolicy,
-        seed: u64,
-        order: OverlapOrder,
-        adapt: Option<f64>,
-    ) -> FaultReport {
-        let adapt = adapt.map(|t| (t, self.healthy_overlapped_prefix()));
-        let FaultSim {
-            sim,
-            plan,
-            phases,
-            cached,
-            folded,
-            ..
-        } = self;
-        let mesh = sim.mesh().clone();
-        let interval = policy.interval.max(1);
-        let ring_cap = policy.ring.max(1);
-        let deaths = plan.sorted_deaths();
-        sim.node_ready.fill(0);
-        sim.node_arrival.fill(0);
-        sim.begin_phase();
-        let mut total = FaultReport::default();
-        let mut next_death = 0usize;
-        let mut k = 0usize;
-        let mut ring: VecDeque<OverlapCheckpoint> = VecDeque::new();
-        let mut now = 0u64;
-        let mut barrier = false;
-        let mut frontier = 0usize;
-        let mut i = 0usize;
-        loop {
-            let mut phase_end = now;
-            let mut phase_rep: Option<(FaultReport, usize)> = None;
-            if i < phases.len() {
-                if i % interval == 0
-                    && ring
-                        .back()
-                        .is_none_or(|c| c.base.phase != i || c.base.elapsed != now)
-                {
-                    if ring.len() == ring_cap {
-                        ring.pop_front();
-                    }
-                    ring.push_back(sim.checkpoint_overlapped(i, now, total, barrier));
-                    total.recovery.checkpoints += 1;
-                    total.recovery.checkpoint_overhead_ns += policy.cost_ns;
-                }
-                let (phase, dropped): (&CachedFaultPhase, usize) = if k == 0 {
-                    (&cached[i], 0)
-                } else {
-                    let entry = folded
-                        .entry((i, k))
-                        .or_insert_with(|| compile_folded(&mesh, plan, &phases[i], k));
-                    (&entry.0, entry.1)
-                };
-                let mut rep = sim.run_cached_overlapped_faulty_step(
-                    i > 0,
-                    phase,
-                    plan,
-                    seed.wrapping_add(i as u64),
-                    order,
-                    false,
-                    barrier,
-                    now,
-                );
-                phase_end = now.max(rep.makespan);
-                rep.makespan = phase_end - now;
-                phase_rep = Some((rep, dropped));
-            }
-            let visible = next_death < deaths.len() && {
-                let d = &deaths[next_death];
-                if phase_rep.is_some() {
-                    d.detect <= phase_end
-                } else {
-                    d.t < now
-                }
-            };
-            if visible {
-                let d = &deaths[next_death];
-                next_death += 1;
-                total.recovery.detected += 1;
-                if d.first {
-                    total.recovery.folded_nodes += 1;
-                }
-                k = d.k_after;
-                let pos = ring
-                    .iter()
-                    .rposition(|c| c.base.elapsed <= d.t)
-                    .unwrap_or(0);
-                ring.truncate(pos + 1);
-                let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.base.elapsed;
-                let recovery = total.recovery;
-                total = c.base.report;
-                total.recovery = recovery;
-                total.recovery.rollbacks += 1;
-                now = c.base.elapsed;
-                i = c.base.phase;
-                barrier = c.barrier;
-                sim.restore_overlapped(c);
-                continue;
-            }
-            let Some((rep, dropped)) = phase_rep else {
-                break;
-            };
-            total.absorb(&rep);
-            total.messages += dropped;
-            total.lost += dropped;
-            total.black_holes += dropped as u64;
-            now = phase_end;
-            if let Some((threshold, prefix)) = &adapt {
-                if !barrier && inflation_exceeded(now, prefix[i], *threshold) {
-                    barrier = true;
-                    total.downgrades += 1;
-                }
-            }
-            if i < frontier {
-                total.recovery.replayed_phases += 1;
-            } else {
-                frontier = i + 1;
-            }
-            i += 1;
-        }
-        total.recovery.deaths = next_death;
-        total
-    }
-
-    /// Replay one recovering run per seed under `sched` — the Monte
-    /// Carlo batch API for the checkpoint/rollback path. Folded phases
-    /// are compiled lazily on the first seed that needs them and reused
-    /// by the rest.
+    /// Replay one recovering run per seed under `sched`. Folded phases
+    /// are compiled on the first seed that needs them and reused by the
+    /// rest.
     pub fn replay_recovering(
         &mut self,
         policy: &CheckpointPolicy,
@@ -1478,46 +809,82 @@ impl FaultSim {
             .map(|&s| self.run_recovering(policy, s, sched))
             .collect()
     }
-}
 
-/// Fold one raw phase for the first `k` unique deaths and compile it:
-/// the compiled twin of the recovering oracle's per-message
-/// [`fold_target`] block, returning the dropped (no-survivor) count.
-fn compile_folded(
-    mesh: &Mesh2D,
-    plan: &CompiledFaultPlan,
-    raw: &[PMsg],
-    k: usize,
-) -> (CachedFaultPhase, usize) {
-    let mut folded = Vec::with_capacity(raw.len());
-    let mut dropped = 0usize;
-    for m in raw {
-        match (plan.fold_lookup(k, m.src), plan.fold_lookup(k, m.dst)) {
-            (Some(src), Some(dst)) => folded.push(PMsg { src, dst, ..*m }),
-            _ => dropped += 1,
+    fn run(
+        &mut self,
+        seed: u64,
+        sched: SchedulePolicy,
+        ckpt: Option<&CheckpointPolicy>,
+    ) -> FaultReport {
+        let (mode, threshold) = match sched {
+            SchedulePolicy::Fixed(mode) => (mode, None),
+            SchedulePolicy::Adaptive {
+                inflation_threshold,
+            } => (ScheduleMode::overlapped(), Some(inflation_threshold)),
+        };
+        if threshold.is_some() && self.healthy.is_none() {
+            let mut clocks = Clocks(vec![0; self.cached.len()]);
+            let healthy = Run::healthy(mode, 1);
+            self.sim
+                .drive(Phases::Compiled(&self.cached), healthy, &mut clocks);
+            self.healthy = Some(clocks.0);
         }
+        let phases = match ckpt {
+            None => Phases::Compiled(&self.cached),
+            Some(_) => Phases::Folding(&self.cached, &self.phases, &mut self.folds),
+        };
+        let run = Run {
+            faults: Some(&self.plan),
+            seed,
+            mode,
+            adapt: threshold.zip(self.healthy.as_deref()),
+            ckpt,
+            byte_scale: 1,
+        };
+        self.sim.drive(phases, run, &mut ())
     }
-    (CachedFaultPhase::new(mesh, &folded), dropped)
 }
-
-/// Fan a batch of *independent* phases out over worker threads, one
-/// [`PhaseSim`] per thread; returns each phase's makespan in input order.
-pub fn simulate_phases_batch(mesh: &Mesh2D, phases: &[Vec<PMsg>], threads: usize) -> Vec<u64> {
-    crate::sweep::par_sweep_with(
-        phases,
-        threads,
-        || PhaseSim::new(mesh.clone()),
-        |sim, phase| sim.simulate_phase(phase),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::CostModel;
+    use crate::reference;
+
+    /// A phased faulty run on the engine, checked against the oracle.
+    fn faulty_run(m: &Mesh2D, phases: &[Vec<PMsg>], plan: &FaultPlan) -> FaultReport {
+        let sched = SchedulePolicy::default();
+        let rep = FaultSim::new(m, phases, plan).run_faulty(plan.seed, sched);
+        assert_eq!(rep, reference::simulate(m, phases, plan, sched, None));
+        rep
+    }
+
+    /// One faulty phase.
+    fn faulty(m: &Mesh2D, msgs: &[PMsg], plan: &FaultPlan) -> FaultReport {
+        faulty_run(m, &[msgs.to_vec()], plan)
+    }
+
+    /// A phased recovering run on the engine, checked against the oracle.
+    fn recovering(
+        m: &Mesh2D,
+        phases: &[Vec<PMsg>],
+        plan: &FaultPlan,
+        policy: &CheckpointPolicy,
+    ) -> FaultReport {
+        let sched = SchedulePolicy::default();
+        let rep = FaultSim::new(m, phases, plan).run_recovering(policy, plan.seed, sched);
+        assert_eq!(
+            rep,
+            reference::simulate(m, phases, plan, sched, Some(policy))
+        );
+        rep
+    }
 
     fn mesh(px: usize, py: usize) -> Mesh2D {
         Mesh2D::new(px, py, CostModel::paragon())
+    }
+
+    fn pm(src: usize, dst: usize, bytes: u64) -> PMsg {
+        PMsg { src, dst, bytes }
     }
 
     fn mixed_phase(mesh: &Mesh2D, n: usize, seed: u64) -> Vec<PMsg> {
@@ -1577,7 +944,11 @@ mod tests {
         let msgs = mixed_phase(&m, 40, 3);
         let cached = CachedPhase::new(&m, &msgs);
         let mut sim = PhaseSim::new(m.clone());
-        assert_eq!(sim.run_cached(&cached), m.simulate_phase(&msgs));
+        let one = std::slice::from_ref(&cached);
+        assert_eq!(
+            sim.run_cached_phases(one, ScheduleMode::Phased, 1),
+            m.simulate_phase(&msgs)
+        );
         // Scaled replay equals simulating the scaled message set.
         let scaled: Vec<PMsg> = msgs
             .iter()
@@ -1587,7 +958,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            sim.run_cached_scaled(&cached, 16),
+            sim.run_cached_phases(one, ScheduleMode::Phased, 16),
             m.simulate_phase(&scaled)
         );
         assert_eq!(
@@ -1603,18 +974,24 @@ mod tests {
             .map(|s| mixed_phase(&m, 10 + s as usize, s))
             .collect();
         let serial: Vec<u64> = phases.iter().map(|p| m.simulate_phase(p)).collect();
-        assert_eq!(simulate_phases_batch(&m, &phases, 4), serial);
-        assert_eq!(simulate_phases_batch(&m, &phases, 1), serial);
+        for threads in [1, 4] {
+            let batch = crate::sweep::par_sweep_with(
+                &phases,
+                threads,
+                || PhaseSim::new(m.clone()),
+                |sim, phase| sim.simulate_phase(phase),
+            );
+            assert_eq!(batch, serial);
+        }
     }
 
     #[test]
     fn zero_fault_plan_matches_fast_path_bit_for_bit() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let plan = crate::FaultPlan::none();
         for seed in 0..10 {
             let msgs = mixed_phase(&m, 4 * seed as usize, seed);
-            let rep = sim.simulate_phase_faulty(&msgs, &plan);
+            let rep = faulty(&m, &msgs, &plan);
             assert_eq!(rep.makespan, m.simulate_phase(&msgs), "seed {seed}");
             assert_eq!(rep.delivered, rep.messages);
             assert_eq!(rep.lost, 0);
@@ -1628,10 +1005,9 @@ mod tests {
     #[test]
     fn total_drop_with_retry_still_delivers_everything() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let plan = crate::FaultPlan::with_drop(7, 1.0);
         let msgs = mixed_phase(&m, 20, 3);
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&m, &msgs, &plan);
         assert_eq!(rep.delivered, rep.messages);
         assert_eq!(rep.lost, 0);
         assert_eq!(rep.escalations as usize, rep.messages);
@@ -1642,13 +1018,12 @@ mod tests {
     #[test]
     fn total_drop_without_retry_loses_everything() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let plan = crate::FaultPlan {
             retry: crate::RetryPolicy::disabled(),
             ..crate::FaultPlan::with_drop(7, 1.0)
         };
         let msgs = mixed_phase(&m, 20, 3);
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&m, &msgs, &plan);
         assert_eq!(rep.delivered, 0);
         assert_eq!(rep.lost, rep.messages);
         assert_eq!(rep.delivered_fraction(), 0.0);
@@ -1658,20 +1033,19 @@ mod tests {
     #[test]
     fn faulty_schedule_is_deterministic_per_seed() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let plan = crate::FaultPlan {
             dup_prob: 0.2,
             ..crate::FaultPlan::with_drop(99, 0.3)
         };
         let msgs = mixed_phase(&m, 30, 5);
-        let a = sim.simulate_phase_faulty(&msgs, &plan);
-        let b = sim.simulate_phase_faulty(&msgs, &plan);
+        let a = faulty(&m, &msgs, &plan);
+        let b = faulty(&m, &msgs, &plan);
         assert_eq!(a, b, "same plan must replay identically");
         let other = crate::FaultPlan {
             seed: 100,
             ..plan.clone()
         };
-        let c = sim.simulate_phase_faulty(&msgs, &other);
+        let c = faulty(&m, &msgs, &other);
         assert!(
             a != c || a.attempts == a.messages as u64,
             "different seeds should draw different fault sequences"
@@ -1681,7 +1055,6 @@ mod tests {
     #[test]
     fn dead_link_triggers_yx_reroute() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let msg = [PMsg {
             src: m.node_id(0, 0),
             dst: m.node_id(3, 2),
@@ -1694,7 +1067,7 @@ mod tests {
             from: 0,
             until: u64::MAX / 2,
         });
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&m, &msg, &plan);
         assert_eq!(rep.delivered, 1);
         assert_eq!(rep.reroutes, 1);
         assert_eq!(rep.deferrals, 0);
@@ -1705,7 +1078,6 @@ mod tests {
     #[test]
     fn dead_link_on_both_routes_defers_to_window_end() {
         let m = mesh(4, 1); // 1-D mesh: no YX escape route.
-        let mut sim = PhaseSim::new(m.clone());
         let msg = [PMsg {
             src: 0,
             dst: 3,
@@ -1717,7 +1089,7 @@ mod tests {
             from: 0,
             until: 5_000_000,
         });
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&m, &msg, &plan);
         assert_eq!(rep.delivered, 1);
         assert!(rep.deferrals > 0);
         assert_eq!(rep.makespan, 5_000_000 + m.simulate_phase(&msg));
@@ -1726,7 +1098,6 @@ mod tests {
     #[test]
     fn dead_node_defers_the_send() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let msg = [PMsg {
             src: 0,
             dst: 5,
@@ -1738,7 +1109,7 @@ mod tests {
             from: 0,
             until: 1_000_000,
         });
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&m, &msg, &plan);
         assert_eq!(rep.delivered, 1);
         assert!(rep.deferrals > 0);
         assert_eq!(rep.makespan, 1_000_000 + m.simulate_phase(&msg));
@@ -1747,13 +1118,12 @@ mod tests {
     #[test]
     fn certain_duplication_doubles_attempts_not_deliveries() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let plan = crate::FaultPlan {
             dup_prob: 1.0,
             ..crate::FaultPlan::none()
         };
         let msgs = mixed_phase(&m, 20, 11);
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&m, &msgs, &plan);
         assert_eq!(rep.delivered, rep.messages);
         assert_eq!(rep.duplicates as usize, rep.messages);
         assert_eq!(rep.attempts as usize, 2 * rep.messages);
@@ -1763,22 +1133,20 @@ mod tests {
     #[test]
     fn multi_phase_faulty_reports_sum_and_replay() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..4).map(|s| mixed_phase(&m, 10, s)).collect();
         let plan = crate::FaultPlan::with_drop(5, 0.4);
-        let a = sim.simulate_phases_faulty(&phases, &plan);
-        let b = sim.simulate_phases_faulty(&phases, &plan);
+        let a = faulty_run(&m, &phases, &plan);
+        let b = faulty_run(&m, &phases, &plan);
         assert_eq!(a, b);
         assert_eq!(a.delivered, a.messages, "retry must deliver everything");
         // Zero-fault multi-phase equals the unfaulted total.
-        let rep = sim.simulate_phases_faulty(&phases, &crate::FaultPlan::none());
+        let rep = faulty_run(&m, &phases, &crate::FaultPlan::none());
         assert_eq!(rep.makespan, m.simulate_phases(&phases));
     }
 
     #[test]
     fn dead_endpoint_black_holes_without_recovery() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let mut plan = crate::FaultPlan::none();
         plan.node_deaths.push(crate::NodeDeath { node: 5, t: 0 });
         let msgs = [
@@ -1793,7 +1161,7 @@ mod tests {
                 bytes: 64,
             },
         ];
-        let rep = sim.simulate_phase_faulty(&msgs, &plan);
+        let rep = faulty(&m, &msgs, &plan);
         assert_eq!(rep.messages, 2);
         assert_eq!(rep.delivered, 1);
         assert_eq!(rep.lost, 1);
@@ -1803,19 +1171,18 @@ mod tests {
     #[test]
     fn zero_death_recovery_bit_identical() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..10).map(|s| mixed_phase(&m, 12, s)).collect();
         let policy = CheckpointPolicy::default();
-        let rep = sim.simulate_phases_recovering(&phases, &crate::FaultPlan::none(), &policy);
+        let rep = recovering(&m, &phases, &crate::FaultPlan::none(), &policy);
         assert_eq!(rep.makespan, m.simulate_phases(&phases));
         assert_eq!(rep.recovery.rollbacks, 0);
         assert_eq!(rep.recovery.lost_work_ns, 0);
         assert!(rep.recovery.checkpoints > 0);
         assert!(rep.wall_clock_ns() > rep.makespan, "overhead is accounted");
-        // Transport faults without deaths: same as simulate_phases_faulty.
+        // Transport faults without deaths: same as the faulty run.
         let plan = crate::FaultPlan::with_drop(3, 0.2);
-        let a = sim.simulate_phases_recovering(&phases, &plan, &policy);
-        let b = sim.simulate_phases_faulty(&phases, &plan);
+        let a = recovering(&m, &phases, &plan, &policy);
+        let b = faulty_run(&m, &phases, &plan);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.delivered, b.delivered);
     }
@@ -1823,7 +1190,6 @@ mod tests {
     #[test]
     fn death_mid_run_is_recovered() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..12).map(|s| mixed_phase(&m, 10, s)).collect();
         let healthy = m.simulate_phases(&phases);
         let mut plan = crate::FaultPlan::none();
@@ -1832,7 +1198,7 @@ mod tests {
             t: healthy / 2,
         });
         plan.detection_latency = 10_000;
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let rep = recovering(&m, &phases, &plan, &CheckpointPolicy::default());
         assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         assert_eq!(rep.recovery.deaths, 1);
         assert_eq!(rep.recovery.rollbacks, 1);
@@ -1845,14 +1211,13 @@ mod tests {
         assert_eq!(rep.lost, 0);
         assert_eq!(rep.black_holes, 0);
         // Determinism: the identical plan replays bit-for-bit.
-        let again = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let again = recovering(&m, &phases, &plan, &CheckpointPolicy::default());
         assert_eq!(rep, again);
     }
 
     #[test]
     fn death_near_end_detected_by_final_sweep() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..6).map(|s| mixed_phase(&m, 10, s)).collect();
         let healthy = m.simulate_phases(&phases);
         // Death just before the end, detection latency far past it: only
@@ -1863,7 +1228,7 @@ mod tests {
             t: healthy.saturating_sub(1),
         });
         plan.detection_latency = u64::MAX / 2;
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let rep = recovering(&m, &phases, &plan, &CheckpointPolicy::default());
         assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         assert_eq!(rep.delivered, rep.messages);
     }
@@ -1871,7 +1236,6 @@ mod tests {
     #[test]
     fn tiny_ring_still_recovers_with_more_lost_work() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..16).map(|s| mixed_phase(&m, 10, s)).collect();
         let healthy = m.simulate_phases(&phases);
         let mut plan = crate::FaultPlan::none();
@@ -1893,8 +1257,8 @@ mod tests {
             ring: 1,
             cost_ns: 0,
         };
-        let a = sim.simulate_phases_recovering(&phases, &plan, &deep);
-        let b = sim.simulate_phases_recovering(&phases, &plan, &shallow);
+        let a = recovering(&m, &phases, &plan, &deep);
+        let b = recovering(&m, &phases, &plan, &shallow);
         assert!(a.recovery.all_recovered());
         assert!(b.recovery.all_recovered());
         // With ring=1 the only snapshot is the most recent boundary,
@@ -1907,7 +1271,6 @@ mod tests {
     #[test]
     fn checkpoint_interval_trades_overhead_for_lost_work() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..24).map(|s| mixed_phase(&m, 10, s)).collect();
         let healthy = m.simulate_phases(&phases);
         let mut plan = crate::FaultPlan::none();
@@ -1925,8 +1288,8 @@ mod tests {
             ring: 64,
             cost_ns: 25_000,
         };
-        let a = sim.simulate_phases_recovering(&phases, &plan, &fine);
-        let b = sim.simulate_phases_recovering(&phases, &plan, &coarse);
+        let a = recovering(&m, &phases, &plan, &fine);
+        let b = recovering(&m, &phases, &plan, &coarse);
         assert!(a.recovery.checkpoints > b.recovery.checkpoints);
         assert!(a.recovery.checkpoint_overhead_ns > b.recovery.checkpoint_overhead_ns);
         assert!(
@@ -1940,7 +1303,6 @@ mod tests {
     #[test]
     fn two_deaths_fold_onto_survivors() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..12).map(|s| mixed_phase(&m, 12, s)).collect();
         let healthy = m.simulate_phases(&phases);
         let mut plan = crate::FaultPlan::none();
@@ -1952,7 +1314,7 @@ mod tests {
             node: 10,
             t: healthy / 2,
         });
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &CheckpointPolicy::default());
+        let rep = recovering(&m, &phases, &plan, &CheckpointPolicy::default());
         assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         assert_eq!(rep.recovery.deaths, 2);
         assert_eq!(rep.recovery.folded_nodes, 2);
@@ -1968,7 +1330,6 @@ mod tests {
         // fixed duplicate branch (no second route scan — the links were
         // just reserved to `end`, so the retransmission starts there).
         let m = mesh(4, 1);
-        let mut sim = PhaseSim::new(m.clone());
         let msg = [PMsg {
             src: 0,
             dst: 3,
@@ -1978,20 +1339,15 @@ mod tests {
             dup_prob: 1.0,
             ..crate::FaultPlan::none()
         };
-        let rep = sim.simulate_phase_faulty(&msg, &plan);
+        let rep = faulty(&m, &msg, &plan);
         assert_eq!(rep.makespan, 2 * m.cost.p2p(3, 64));
         assert_eq!(rep.duplicates, 1);
         assert_eq!(rep.attempts, 2);
-        // The compiled replay agrees bit for bit.
-        let cached = CachedFaultPhase::new(&m, &msg);
-        let compiled = CompiledFaultPlan::new(&plan, &m);
-        assert_eq!(sim.run_cached_faulty(&cached, &compiled, plan.seed), rep);
     }
 
     #[test]
     fn compiled_faulty_replay_matches_oracle() {
         let m = mesh(8, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..5).map(|s| mixed_phase(&m, 25, s)).collect();
         // Outages on both routes of some messages, a node window, a
         // death, drops and duplicates: every transport branch is live.
@@ -2026,17 +1382,20 @@ mod tests {
             };
             assert_eq!(
                 engine.run_faulty(seed, SchedulePolicy::default()),
-                sim.simulate_phases_faulty(&phases, &seeded),
+                reference::simulate(&m, &phases, &seeded, SchedulePolicy::default(), None),
                 "seed {seed}"
             );
         }
         let seeds = [3u64, 3, 99];
         let batch = engine.replay_faulty(&seeds, SchedulePolicy::default());
         assert_eq!(batch[0], batch[1], "same seed replays identically");
-        let per_phase = engine.run_faulty_per_phase(plan.seed);
+        // Phase `i` draws from stream `seed + i`: the phased run is the
+        // sum of single-phase runs at those seeds.
         let mut summed = FaultReport::default();
-        for rep in &per_phase {
-            summed.absorb(rep);
+        for (i, p) in phases.iter().enumerate() {
+            let mut one = FaultSim::new(&m, std::slice::from_ref(p), &plan);
+            let seed = plan.seed.wrapping_add(i as u64);
+            summed.absorb(&one.run_faulty(seed, SchedulePolicy::default()));
         }
         assert_eq!(
             summed,
@@ -2047,7 +1406,6 @@ mod tests {
     #[test]
     fn compiled_recovering_replay_matches_oracle() {
         let m = mesh(4, 4);
-        let mut sim = PhaseSim::new(m.clone());
         let phases: Vec<Vec<PMsg>> = (0..12).map(|s| mixed_phase(&m, 10, s)).collect();
         let healthy = m.simulate_phases(&phases);
         let mut plan = crate::FaultPlan::with_drop(5, 0.15);
@@ -2073,7 +1431,13 @@ mod tests {
             };
             assert_eq!(
                 engine.run_recovering(&policy, seed, SchedulePolicy::default()),
-                sim.simulate_phases_recovering(&phases, &seeded, &policy),
+                reference::simulate(
+                    &m,
+                    &phases,
+                    &seeded,
+                    SchedulePolicy::default(),
+                    Some(&policy)
+                ),
                 "seed {seed}"
             );
         }
@@ -2089,6 +1453,20 @@ mod tests {
             engine.run_recovering(&CheckpointPolicy::default(), 0, SchedulePolicy::default());
         assert_eq!(zero.makespan, healthy);
         assert_eq!(zero.recovery.rollbacks, 0);
+    }
+
+    #[test]
+    fn phased_calls_ignore_an_earlier_overlapped_frontier() {
+        // An overlapped run leaves node readiness behind; a later phased
+        // call on the same engine must release every message at 0.
+        let m = mesh(4, 1);
+        let mut sim = PhaseSim::new(m.clone());
+        let chain = vec![vec![pm(0, 3, 1 << 20)], vec![pm(3, 0, 8)]];
+        sim.simulate_phases_mode(&chain, ScheduleMode::overlapped());
+        let back = [pm(3, 0, 8)];
+        assert_eq!(sim.simulate_phase(&back), m.simulate_phase(&back));
+        let phases = vec![back.to_vec()];
+        assert_eq!(sim.simulate_phases(&phases), m.simulate_phases(&phases));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   in its own job, so progress never depends on pool threads being
 //!   free.
 //! * **Per-worker deques.** A sweep's task indices `0..n` are pre-split
-//!   into one contiguous range per worker, each held in a [`RangeDeque`]
+//!   into one contiguous range per worker, each held in a `RangeDeque`
 //!   — a single packed `(start, end)` word updated by CAS. The owner
 //!   claims `grain` tasks at a time from the front; a worker whose range
 //!   is dry steals the **back half** of a victim's remaining range and

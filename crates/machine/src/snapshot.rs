@@ -1,20 +1,19 @@
 //! Snapshot/restore for the machine layer's hot artifacts.
 //!
-//! The mapping service ([`rescomm::serve`]) keeps compiled plans warm in
+//! The mapping service (`rescomm::serve`) keeps compiled plans warm in
 //! memory and checkpoints them to disk so a `kill -9` loses nothing. The
 //! serialized form is the shared strict JSON of `rescomm-json`; this
-//! module is the machine half of that contract: [`CachedPhase`] (the
-//! flattened route tables the replay engines consume), [`FaultPlan`]
-//! (with its retry policy and outage windows), the [`Mesh2D`] +
-//! [`CostModel`] pair, and [`CompiledFaultPlan`].
+//! module is the machine half of that contract: [`FaultPlan`] (with its
+//! retry policy and outage windows), the [`Mesh2D`] + [`CostModel`]
+//! pair, and [`CompiledFaultPlan`]. Compiled phases are not stored: the
+//! service snapshots its communication plans and re-simulates them.
 //!
 //! Two invariants drive the design:
 //!
 //! * **Bit-identical restore.** Every `from_json(to_json(x))` rebuilds a
 //!   value whose simulated behavior is exactly `x`'s — same makespans
-//!   phased and overlapped, same fault outcomes seed for seed. For
-//!   [`CachedPhase`] the raw vectors round-trip verbatim; u64s that
-//!   exceed `i64::MAX` (saturated sentinels like a disabled control
+//!   phased and overlapped, same fault outcomes seed for seed. u64s
+//!   that exceed `i64::MAX` (saturated sentinels like a disabled control
 //!   network's `u64::MAX/4` start-up) are carried as decimal strings so
 //!   no value is ever squeezed through an f64. Probabilities round-trip
 //!   through Rust's shortest-exact float formatting.
@@ -31,7 +30,6 @@
 use crate::fault::{CompiledFaultPlan, FaultPlan, LinkOutage, NodeDeath, NodeOutage, RetryPolicy};
 use crate::mesh::Mesh2D;
 use crate::model::CostModel;
-use crate::phasesim::CachedPhase;
 use rescomm_json::JsonValue;
 
 /// Structural restore error: the JSON was well-formed but is not a valid
@@ -117,35 +115,6 @@ fn field_arr<'a>(v: &'a JsonValue, key: &str, what: &str) -> Restore<&'a [JsonVa
     field(v, key, what)?
         .as_array()
         .ok_or_else(|| SnapshotError::new(format!("{what}.{key}: expected array")))
-}
-
-fn u64_vec_json(xs: &[u64]) -> JsonValue {
-    JsonValue::Array(xs.iter().map(|&x| u64_json(x)).collect())
-}
-
-fn u32_vec_json(xs: &[u32]) -> JsonValue {
-    JsonValue::Array(xs.iter().map(|&x| JsonValue::Int(i64::from(x))).collect())
-}
-
-fn u64_vec_restore(v: &JsonValue, key: &str, what: &str) -> Restore<Vec<u64>> {
-    field_arr(v, key, what)?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| u64_restore(e, &format!("{what}.{key}[{i}]")))
-        .collect()
-}
-
-fn u32_vec_restore(v: &JsonValue, key: &str, what: &str) -> Restore<Vec<u32>> {
-    field_arr(v, key, what)?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            u64_restore(e, &format!("{what}.{key}[{i}]")).and_then(|x| {
-                u32::try_from(x)
-                    .map_err(|_| SnapshotError::new(format!("{what}.{key}[{i}]: does not fit u32")))
-            })
-        })
-        .collect()
 }
 
 fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
@@ -343,67 +312,6 @@ pub fn fault_plan_from_json(v: &JsonValue) -> Restore<FaultPlan> {
     })
 }
 
-// --- cached phase ----------------------------------------------------------
-
-/// Serialize a [`CachedPhase`]: the five flat vectors, verbatim.
-pub fn cached_phase_to_json(p: &CachedPhase) -> JsonValue {
-    obj(vec![
-        ("links", u32_vec_json(&p.links)),
-        ("offsets", u32_vec_json(&p.offsets)),
-        ("bytes", u64_vec_json(&p.bytes)),
-        ("src", u32_vec_json(&p.src)),
-        ("dst", u32_vec_json(&p.dst)),
-    ])
-}
-
-/// Restore a [`CachedPhase`], validating the internal consistency the
-/// replay engines rely on (monotone offsets bracketing `links`, parallel
-/// message arrays of equal length).
-pub fn cached_phase_from_json(v: &JsonValue) -> Restore<CachedPhase> {
-    let w = "cached_phase";
-    let links = u32_vec_restore(v, "links", w)?;
-    let offsets = u32_vec_restore(v, "offsets", w)?;
-    let bytes = u64_vec_restore(v, "bytes", w)?;
-    let src = u32_vec_restore(v, "src", w)?;
-    let dst = u32_vec_restore(v, "dst", w)?;
-    let n = bytes.len();
-    if src.len() != n || dst.len() != n {
-        return Err(SnapshotError::new(
-            "cached_phase: bytes/src/dst lengths disagree",
-        ));
-    }
-    if offsets.len() != n + 1
-        || offsets.first() != Some(&0)
-        || offsets.last().copied() != Some(links.len() as u32)
-        || offsets.windows(2).any(|w| w[0] > w[1])
-    {
-        return Err(SnapshotError::new(
-            "cached_phase: offsets must rise monotonically from 0 to links.len()",
-        ));
-    }
-    Ok(CachedPhase {
-        links,
-        offsets,
-        bytes,
-        src,
-        dst,
-    })
-}
-
-/// Serialize a phase sequence.
-pub fn cached_phases_to_json(ps: &[CachedPhase]) -> JsonValue {
-    JsonValue::Array(ps.iter().map(cached_phase_to_json).collect())
-}
-
-/// Restore a phase sequence.
-pub fn cached_phases_from_json(v: &JsonValue) -> Restore<Vec<CachedPhase>> {
-    v.as_array()
-        .ok_or_else(|| SnapshotError::new("cached_phases: expected array"))?
-        .iter()
-        .map(cached_phase_from_json)
-        .collect()
-}
-
 // --- compiled fault plan ---------------------------------------------------
 
 /// Serialize a [`CompiledFaultPlan`] as its inputs: the source plan and
@@ -429,8 +337,6 @@ pub fn compiled_plan_from_json(v: &JsonValue) -> Restore<(CompiledFaultPlan, Mes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::PMsg;
-    use crate::phasesim::PhaseSim;
     use rescomm_json::parse;
 
     fn hostile_plan() -> FaultPlan {
@@ -490,53 +396,6 @@ mod tests {
         assert_eq!(back.cost, m.cost);
         // The saturated value traveled as a string, not a float.
         assert!(text.contains(&format!("\"{}\"", u64::MAX)));
-    }
-
-    #[test]
-    fn cached_phase_round_trips_verbatim_and_replays_identically() {
-        let m = Mesh2D::new(8, 4, CostModel::paragon());
-        let msgs: Vec<PMsg> = (0..m.nodes())
-            .map(|n| PMsg {
-                src: n,
-                dst: (n * 7 + 3) % m.nodes(),
-                bytes: 64 + (n as u64) * 13,
-            })
-            .collect();
-        let phase = CachedPhase::new(&m, &msgs);
-        let text = cached_phase_to_json(&phase).render();
-        let back = cached_phase_from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back.links, phase.links);
-        assert_eq!(back.offsets, phase.offsets);
-        assert_eq!(back.bytes, phase.bytes);
-        assert_eq!(back.src, phase.src);
-        assert_eq!(back.dst, phase.dst);
-        let mut sim = PhaseSim::new(m);
-        assert_eq!(sim.run_cached(&back), sim.run_cached(&phase));
-    }
-
-    #[test]
-    fn cached_phase_restore_validates_structure() {
-        let m = Mesh2D::new(4, 4, CostModel::paragon());
-        let phase = CachedPhase::new(
-            &m,
-            &[PMsg {
-                src: 0,
-                dst: 5,
-                bytes: 8,
-            }],
-        );
-        let good = cached_phase_to_json(&phase).render();
-        // Drop a parallel array → length mismatch.
-        let broken = good.replace("\"src\": [0]", "\"src\": [0, 1]");
-        let e = cached_phase_from_json(&parse(&broken).unwrap()).unwrap_err();
-        assert!(e.msg.contains("lengths disagree"), "{e}");
-        // Corrupt the offsets bracket.
-        let broken = good.replace("\"offsets\": [0, ", "\"offsets\": [1, ");
-        let e = cached_phase_from_json(&parse(&broken).unwrap()).unwrap_err();
-        assert!(e.msg.contains("offsets"), "{e}");
-        // Missing field.
-        let e = cached_phase_from_json(&parse("{\"links\": []}").unwrap()).unwrap_err();
-        assert!(e.msg.contains("missing field"), "{e}");
     }
 
     #[test]

@@ -488,10 +488,9 @@ mod tests {
         }
         // Replication 0 of each config is the plan's own seed: the sweep
         // brackets the classic single-seed run.
-        let mut sim = PhaseSim::new(mesh.clone());
         for (plan, stats) in plans.iter().zip(&serial) {
             assert_eq!(stats.replications, 6);
-            let classic = sim.simulate_phases_faulty(&phases, plan);
+            let classic = crate::reference::simulate(&mesh, &phases, plan, sched, None);
             assert!(stats.makespan.min() <= classic.makespan as f64);
             assert!(stats.makespan.max() >= classic.makespan as f64);
             assert_eq!(stats.total.messages, 6 * classic.messages);

@@ -9,6 +9,8 @@
 
 use crate::mesh::Mesh2D;
 use crate::model::PMsg;
+use crate::overlap::{OverlapEvent, ScheduleMode};
+use crate::phasesim::{PhaseSim, Sink};
 
 /// Per-phase utilization statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,37 +35,37 @@ impl PhaseTrace {
     }
 }
 
-/// Simulate a phase (same greedy discipline as
+/// Per-link load of a traced run.
+struct LinkLoad {
+    busy: Vec<u64>,
+    msgs: Vec<usize>,
+}
+
+impl Sink for LinkLoad {
+    fn sent(&mut self, e: OverlapEvent, links: &[u32]) {
+        for &l in links {
+            self.busy[l as usize] += e.end - e.start;
+            self.msgs[l as usize] += 1;
+        }
+    }
+}
+
+/// Simulate a phase on the engine ([`PhaseSim`], the schedule of
 /// [`Mesh2D::simulate_phase`]) while recording link statistics.
 pub fn trace_phase(mesh: &Mesh2D, msgs: &[PMsg]) -> PhaseTrace {
-    use std::collections::HashMap;
-    let mut sorted: Vec<PMsg> = msgs.iter().copied().filter(|m| m.src != m.dst).collect();
-    sorted.sort();
-    let mut free: HashMap<usize, u64> = HashMap::new();
-    let mut busy: HashMap<usize, u64> = HashMap::new();
-    let mut count: HashMap<usize, usize> = HashMap::new();
-    let mut makespan = 0u64;
-    for m in &sorted {
-        let dur = mesh.cost.p2p(mesh.hops(m.src, m.dst), m.bytes);
-        let start = mesh
-            .route_links(m.src, m.dst)
-            .map(|l| free.get(&l.index()).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        let end = start + dur;
-        for l in mesh.route_links(m.src, m.dst) {
-            free.insert(l.index(), end);
-            *busy.entry(l.index()).or_insert(0) += dur;
-            *count.entry(l.index()).or_insert(0) += 1;
-        }
-        makespan = makespan.max(end);
-    }
+    let mut load = LinkLoad {
+        busy: vec![0; mesh.link_count()],
+        msgs: vec![0; mesh.link_count()],
+    };
+    let phases = [msgs.to_vec()];
+    let makespan =
+        PhaseSim::new(mesh.clone()).simulate_traced(&phases, ScheduleMode::Phased, &mut load);
     PhaseTrace {
         makespan,
-        max_link_busy: busy.values().copied().max().unwrap_or(0),
-        max_link_msgs: count.values().copied().max().unwrap_or(0),
-        links_used: busy.len(),
-        messages: sorted.len(),
+        max_link_busy: load.busy.iter().copied().max().unwrap_or(0),
+        max_link_msgs: load.msgs.iter().copied().max().unwrap_or(0),
+        links_used: load.msgs.iter().filter(|&&n| n > 0).count(),
+        messages: msgs.iter().filter(|m| m.src != m.dst).count(),
     }
 }
 

@@ -3,11 +3,13 @@
 
 use proptest::prelude::*;
 use rescomm_machine::{
-    par_fault_sweep, par_recovery_sweep, replication_seed, simulate_phases_batch, trace_phase,
-    CachedFaultPhase, CachedPhase, CheckpointPolicy, CompiledFaultPlan, CostModel, FatTree,
-    FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D, NodeDeath, NodeOutage, OverlapOrder,
-    PMsg, PhaseSim, RetryPolicy, ScheduleMode, SchedulePolicy,
+    par_fault_sweep, par_recovery_sweep, reference, replication_seed, trace_phase, CachedPhase,
+    CheckpointPolicy, CompiledFaultPlan, CostModel, FatTree, FaultPlan, FaultReport, FaultSim,
+    LinkOutage, Mesh2D, NodeDeath, NodeOutage, OverlapOrder, PMsg, PhaseSim, RetryPolicy,
+    ScheduleMode, SchedulePolicy,
 };
+
+const PHASED: SchedulePolicy = SchedulePolicy::Fixed(ScheduleMode::Phased);
 
 /// Every schedule policy the fault engines dispatch over — indexed so
 /// proptest can draw one without a float strategy.
@@ -20,6 +22,35 @@ fn policy(idx: u32) -> SchedulePolicy {
             inflation_threshold: 1.2,
         },
     }
+}
+
+/// One engine run of `plan` at its own seed: faulty (`ckpt = None`) or
+/// recovering.
+fn engine_run(
+    mesh: &Mesh2D,
+    phases: &[Vec<PMsg>],
+    plan: &FaultPlan,
+    sched: SchedulePolicy,
+    ckpt: Option<&CheckpointPolicy>,
+) -> FaultReport {
+    let mut engine = FaultSim::new(mesh, phases, plan);
+    match ckpt {
+        None => engine.run_faulty(plan.seed, sched),
+        Some(c) => engine.run_recovering(c, plan.seed, sched),
+    }
+}
+
+/// Busiest-link floor of a healthy schedule: the maximum over links of
+/// the summed `p2p` time of the XY traffic crossing it.
+fn link_floor(mesh: &Mesh2D, phases: &[Vec<PMsg>]) -> u64 {
+    let mut load = vec![0u64; mesh.link_count()];
+    for m in phases.iter().flatten().filter(|m| m.src != m.dst) {
+        let dur = mesh.cost.p2p(mesh.hops(m.src, m.dst), m.bytes);
+        for l in mesh.route_links(m.src, m.dst) {
+            load[l.index()] += dur;
+        }
+    }
+    load.into_iter().max().unwrap_or(0)
 }
 
 fn msgs(n_nodes: usize) -> impl Strategy<Value = Vec<PMsg>> {
@@ -186,25 +217,35 @@ proptest! {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let cached = CachedPhase::new(&mesh, &ms);
         let mut sim = PhaseSim::new(mesh.clone());
-        prop_assert_eq!(sim.run_cached(&cached), mesh.simulate_phase(&ms));
+        let one = std::slice::from_ref(&cached);
+        prop_assert_eq!(
+            sim.run_cached_phases(one, ScheduleMode::Phased, 1),
+            mesh.simulate_phase(&ms)
+        );
         let scaled: Vec<PMsg> = ms
             .iter()
             .map(|m| PMsg { bytes: m.bytes * scale, ..*m })
             .collect();
         prop_assert_eq!(
-            sim.run_cached_scaled(&cached, scale),
+            sim.run_cached_phases(one, ScheduleMode::Phased, scale),
             mesh.simulate_phase(&scaled)
         );
     }
 
-    /// The batch API agrees with per-phase oracle simulation at any
-    /// thread count.
+    /// Independent phases fanned out over workers, one engine per
+    /// worker, agree with per-phase oracle simulation at any thread count.
     #[test]
     fn batch_matches_oracle(a in msgs(32), b in msgs(32), threads in 1usize..6) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let phases = vec![a, b];
         let want: Vec<u64> = phases.iter().map(|p| mesh.simulate_phase(p)).collect();
-        prop_assert_eq!(simulate_phases_batch(&mesh, &phases, threads), want);
+        let got = par_sweep_with(
+            &phases,
+            threads,
+            || PhaseSim::new(mesh.clone()),
+            |sim, phase| sim.simulate_phase(phase),
+        );
+        prop_assert_eq!(got, want);
     }
 
     /// With retries enabled, *any* fault plan delivers every message
@@ -214,15 +255,15 @@ proptest! {
     #[test]
     fn faulty_delivery_guarantee(ms in msgs(32), plan in plans()) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let mut sim = PhaseSim::new(mesh.clone());
-        let rep = sim.simulate_phase_faulty(&ms, &plan);
+        let phases = vec![ms.clone()];
+        let rep = engine_run(&mesh, &phases, &plan, PHASED, None);
         prop_assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
         prop_assert_eq!(rep.lost, 0);
         prop_assert!(rep.delivered_fraction() == 1.0);
         prop_assert!(rep.attempts >= rep.messages as u64);
         prop_assert!(rep.makespan >= mesh.simulate_phase(&ms), "faults cannot speed up a phase");
         // Determinism: replaying the identical plan reproduces the report.
-        prop_assert_eq!(rep, sim.simulate_phase_faulty(&ms, &plan));
+        prop_assert_eq!(rep, engine_run(&mesh, &phases, &plan, PHASED, None));
     }
 
     /// A zero-fault plan is bit-identical in makespan to the unfaulted
@@ -234,14 +275,14 @@ proptest! {
         let plan = FaultPlan { seed, ..FaultPlan::none() };
         prop_assert!(plan.is_zero_fault());
         for ms in [&a, &b] {
-            let rep = sim.simulate_phase_faulty(ms, &plan);
+            let rep = engine_run(&mesh, std::slice::from_ref(ms), &plan, PHASED, None);
             prop_assert_eq!(rep.makespan, sim.simulate_phase(ms));
             prop_assert_eq!(rep.makespan, mesh.simulate_phase(ms));
             prop_assert_eq!(rep.retries + rep.duplicates + rep.reroutes + rep.deferrals, 0);
         }
         // Multi-phase: sums match too.
         let phases = vec![a.clone(), b.clone()];
-        let rep = sim.simulate_phases_faulty(&phases, &plan);
+        let rep = engine_run(&mesh, &phases, &plan, PHASED, None);
         prop_assert_eq!(rep.makespan, mesh.simulate_phases(&phases));
     }
 
@@ -250,9 +291,8 @@ proptest! {
     #[test]
     fn no_retry_accounting_is_total(ms in msgs(32), plan in plans()) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let mut sim = PhaseSim::new(mesh.clone());
         let plan = FaultPlan { retry: RetryPolicy::disabled(), ..plan };
-        let rep = sim.simulate_phase_faulty(&ms, &plan);
+        let rep = engine_run(&mesh, &[ms], &plan, PHASED, None);
         prop_assert_eq!(rep.delivered + rep.lost, rep.messages);
         prop_assert_eq!(rep.escalations, 0);
         prop_assert_eq!(rep.retries, 0);
@@ -272,7 +312,6 @@ proptest! {
     ) {
         let (interval, ring) = policy_raw;
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let mut sim = PhaseSim::new(mesh);
         let mut plan = FaultPlan { detection_latency: latency, ..plan };
         for (node, t) in deaths {
             if !plan.node_deaths.iter().any(|d| d.node == node) {
@@ -281,13 +320,13 @@ proptest! {
         }
         let phases = vec![a, b, c];
         let policy = CheckpointPolicy { interval, ring, ..CheckpointPolicy::default() };
-        let rep = sim.simulate_phases_recovering(&phases, &plan, &policy);
+        let rep = engine_run(&mesh, &phases, &plan, PHASED, Some(&policy));
         prop_assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         prop_assert!(rep.recovery.deaths <= plan.node_deaths.len());
         prop_assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
         prop_assert_eq!(rep.black_holes, 0, "folding leaves no black holes");
         prop_assert!(rep.wall_clock_ns() >= rep.makespan);
-        prop_assert_eq!(rep, sim.simulate_phases_recovering(&phases, &plan, &policy));
+        prop_assert_eq!(rep, engine_run(&mesh, &phases, &plan, PHASED, Some(&policy)));
     }
 
     /// With no deaths in the plan, the recovering driver is bit-identical
@@ -301,11 +340,10 @@ proptest! {
     ) {
         let (interval, ring) = policy_raw;
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let mut sim = PhaseSim::new(mesh);
         let phases = vec![a, b];
         let policy = CheckpointPolicy { interval, ring, ..CheckpointPolicy::default() };
-        let rec = sim.simulate_phases_recovering(&phases, &plan, &policy);
-        let base = sim.simulate_phases_faulty(&phases, &plan);
+        let rec = engine_run(&mesh, &phases, &plan, PHASED, Some(&policy));
+        let base = engine_run(&mesh, &phases, &plan, PHASED, None);
         prop_assert_eq!(rec.makespan, base.makespan);
         prop_assert_eq!(rec.delivered, base.delivered);
         prop_assert_eq!(rec.lost, base.lost);
@@ -342,8 +380,8 @@ proptest! {
         }
     }
 
-    /// The compiled faulty replay produces the full `FaultReport` the
-    /// per-call oracle produces, for every seed of a batch and under
+    /// The engine's faulty replay produces the full `FaultReport` the
+    /// reference oracle produces, for every seed of a batch and under
     /// every schedule policy, over random plans that exercise drops,
     /// duplicates, reroutes, deferrals and black holes.
     #[test]
@@ -366,22 +404,21 @@ proptest! {
         let sched = policy(sched_idx);
         let phases = vec![a, b, c];
         let mut engine = FaultSim::new(&mesh, &phases, &plan);
-        let mut sim = PhaseSim::new(mesh);
         let batch = engine.replay_faulty(&seeds, sched);
         for (&seed, got) in seeds.iter().zip(&batch) {
             let seeded = FaultPlan { seed, ..plan.clone() };
             prop_assert_eq!(
                 *got,
-                sim.simulate_phases_faulty_policy(&phases, &seeded, sched),
+                reference::simulate(&mesh, &phases, &seeded, sched, None),
                 "seed {} sched {:?}", seed, sched
             );
         }
     }
 
-    /// The compiled recovering replay is bit-identical (full report,
-    /// `RecoveryReport` included) to the rollback oracle over random
-    /// plans, deaths, detection latencies, checkpoint policies, seeds
-    /// and schedule policies.
+    /// The engine's recovering replay is bit-identical (full report,
+    /// `RecoveryReport` included) to the reference oracle over random
+    /// plans, deaths, detection latencies, retry settings, checkpoint
+    /// policies, seeds and schedule policies.
     #[test]
     fn compiled_recovering_replay_bit_identical(
         a in msgs(32), b in msgs(32), c in msgs(32),
@@ -389,12 +426,16 @@ proptest! {
         deaths in proptest::collection::vec((0usize..32, 0u64..2_000_000), 1..3),
         latency in 0u64..50_000,
         policy_raw in (1usize..6, 1usize..6),
+        no_retry in 0u32..2,
         sched_idx in 0u32..4,
         seeds in proptest::collection::vec(0u64..1_000_000, 1..3),
     ) {
         let (interval, ring) = policy_raw;
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let mut plan = FaultPlan { detection_latency: latency, ..plan };
+        if no_retry == 1 {
+            plan.retry = RetryPolicy::disabled();
+        }
         for (node, t) in deaths {
             plan.node_deaths.push(NodeDeath { node, t });
         }
@@ -402,22 +443,22 @@ proptest! {
         let phases = vec![a, b, c];
         let policy = CheckpointPolicy { interval, ring, ..CheckpointPolicy::default() };
         let mut engine = FaultSim::new(&mesh, &phases, &plan);
-        let mut sim = PhaseSim::new(mesh);
         let batch = engine.replay_recovering(&policy, &seeds, sched);
         for (&seed, got) in seeds.iter().zip(&batch) {
             let seeded = FaultPlan { seed, ..plan.clone() };
             prop_assert_eq!(
                 *got,
-                sim.simulate_phases_recovering_policy(&phases, &seeded, &policy, sched),
+                reference::simulate(&mesh, &phases, &seeded, sched, Some(&policy)),
                 "seed {} sched {:?}", seed, sched
             );
         }
     }
 
-    /// Per-phase seed derivation (`seed + index`) through the batch API:
-    /// replacing one phase's content leaves every other phase's fault
-    /// stream untouched, and appending a phase never shifts the existing
-    /// ones — for the oracle and the compiled engine alike.
+    /// Per-phase seed derivation (`seed + index`): a phased whole-run
+    /// report is the `absorb` of single-phase runs at `seed + i`, so
+    /// replacing one phase leaves every other phase's contribution
+    /// bit-identical, and appending a phase never shifts the existing
+    /// ones.
     #[test]
     fn batch_replay_per_phase_seed_stability(
         a in msgs(32), b in msgs(32), c in msgs(32),
@@ -425,30 +466,73 @@ proptest! {
         plan in plans(),
     ) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let phases = vec![a.clone(), b.clone(), c.clone()];
-        let mut engine = FaultSim::new(&mesh, &phases, &plan);
-        let base = engine.run_faulty_per_phase(plan.seed);
-        prop_assert_eq!(base.len(), 3);
-        // The per-phase reports sum to the whole-run report.
-        let mut summed = FaultReport::default();
-        for rep in &base {
-            summed.absorb(rep);
-        }
+        let single = |i: usize, phase: &Vec<PMsg>| {
+            let seed = plan.seed.wrapping_add(i as u64);
+            FaultSim::new(&mesh, std::slice::from_ref(phase), &plan).run_faulty(seed, PHASED)
+        };
+        let absorbed = |reps: &[FaultReport]| {
+            let mut total = FaultReport::default();
+            for rep in reps {
+                total.absorb(rep);
+            }
+            total
+        };
+        let whole = |phases: &[Vec<PMsg>]| engine_run(&mesh, phases, &plan, PHASED, None);
+        let base: Vec<FaultReport> =
+            [&a, &b, &c].into_iter().enumerate().map(|(i, p)| single(i, p)).collect();
+        prop_assert_eq!(whole(&[a.clone(), b.clone(), c.clone()]), absorbed(&base));
+        // Replace the middle phase: phases 0 and 2 contribute as before.
+        let swapped = [base[0], single(1, &replacement), base[2]];
+        prop_assert_eq!(
+            whole(&[a.clone(), replacement.clone(), c.clone()]),
+            absorbed(&swapped)
+        );
+        // Append a phase: the first three contribute as before.
+        let extended = [base[0], base[1], base[2], single(3, &replacement)];
+        prop_assert_eq!(whole(&[a, b, c, replacement]), absorbed(&extended));
+    }
+
+    /// Physical floor, in the lower-bound framing of Christ et al. (2013):
+    /// no schedule beats its busiest link. Without link outages every
+    /// transmission holds its XY route, so every schedule mode and every
+    /// drop/dup-only faulty run takes at least the busiest-link floor of
+    /// the whole plan, and phased runs at least the sum of the per-phase
+    /// floors.
+    #[test]
+    fn makespan_respects_busiest_link_floor(
+        a in msgs(32), b in msgs(32), c in msgs(32),
+        seed in 0u64..1_000_000,
+        drop_pct in 0u32..101,
+        dup_pct in 0u32..101,
+    ) {
+        let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+        let phases = vec![a, b, c];
+        let whole = link_floor(&mesh, &phases);
+        let phased: u64 = phases.iter().map(|p| link_floor(&mesh, std::slice::from_ref(p))).sum();
         let mut sim = PhaseSim::new(mesh.clone());
-        prop_assert_eq!(summed, sim.simulate_phases_faulty(&phases, &plan));
-        // Replace the middle phase: streams 0 and 2 must not move.
-        let swapped = vec![a.clone(), replacement.clone(), c.clone()];
-        let swapped_reps =
-            FaultSim::new(&mesh, &swapped, &plan).run_faulty_per_phase(plan.seed);
-        prop_assert_eq!(&base[0], &swapped_reps[0]);
-        prop_assert_eq!(&base[2], &swapped_reps[2]);
-        // Append a phase: the existing three are bit-identical; dropping
-        // the last phase is the same statement read backwards.
-        let extended = vec![a, b, c, replacement];
-        let extended_reps =
-            FaultSim::new(&mesh, &extended, &plan).run_faulty_per_phase(plan.seed);
-        prop_assert_eq!(extended_reps.len(), 4);
-        prop_assert_eq!(&extended_reps[..3], &base[..]);
+        for idx in 0..4u32 {
+            let mode = policy(idx).healthy_mode();
+            let t = sim.simulate_phases_mode(&phases, mode);
+            prop_assert!(t >= whole, "{:?}: {} below link floor {}", mode, t, whole);
+            if mode == ScheduleMode::Phased {
+                prop_assert!(t >= phased, "phased {} below per-phase floors {}", t, phased);
+            }
+        }
+        let plan = FaultPlan {
+            dup_prob: f64::from(dup_pct) / 100.0,
+            ..FaultPlan::with_drop(seed, f64::from(drop_pct) / 100.0)
+        };
+        let mut engine = FaultSim::new(&mesh, &phases, &plan);
+        let seeds: Vec<u64> = (0..3).map(|r| replication_seed(seed, r)).collect();
+        for idx in 0..4u32 {
+            let sched = policy(idx);
+            for rep in engine.replay_faulty(&seeds, sched) {
+                prop_assert!(rep.makespan >= whole, "{:?}: {} below {}", sched, rep.makespan, whole);
+                if sched == PHASED {
+                    prop_assert!(rep.makespan >= phased);
+                }
+            }
+        }
     }
 
     /// `par_fault_sweep` is bit-identical to serial evaluation order at
@@ -471,11 +555,10 @@ proptest! {
         let serial = par_fault_sweep(&mesh, &phases, &plans, replications, 1, SchedulePolicy::default());
         let parallel = par_fault_sweep(&mesh, &phases, &plans, replications, threads, SchedulePolicy::default());
         prop_assert_eq!(&serial, &parallel);
-        let mut sim = PhaseSim::new(mesh.clone());
         for (plan, stats) in plans.iter().zip(&serial) {
             prop_assert_eq!(stats.replications, replications);
             prop_assert_eq!(replication_seed(plan.seed, 0), plan.seed);
-            let classic = sim.simulate_phases_faulty(&phases, plan);
+            let classic = engine_run(&mesh, &phases, plan, PHASED, None);
             prop_assert!(stats.makespan.min() <= classic.makespan as f64);
             prop_assert!(stats.makespan.max() >= classic.makespan as f64);
         }
@@ -493,13 +576,13 @@ proptest! {
         let phased = sim.simulate_phases(&phases);
         prop_assert_eq!(sim.simulate_phases_mode(&phases, ScheduleMode::Phased), phased);
         prop_assert_eq!(phased, mesh.simulate_phases(&phases));
-        let over = sim.simulate_phases_overlapped(&phases, OverlapOrder::Sorted);
+        let over = sim.simulate_phases_mode(&phases, ScheduleMode::overlapped());
         prop_assert!(over <= phased, "overlapped {over} beats phased {phased} the wrong way");
         // Relaxing barriers cannot beat the slowest phase run alone.
         let slowest = phases.iter().map(|p| mesh.simulate_phase(p)).max().unwrap_or(0);
         prop_assert!(over >= slowest, "overlapped {over} below slowest phase {slowest}");
         // Determinism across scratch reuse.
-        prop_assert_eq!(over, sim.simulate_phases_overlapped(&phases, OverlapOrder::Sorted));
+        prop_assert_eq!(over, sim.simulate_phases_mode(&phases, ScheduleMode::overlapped()));
     }
 
     /// Dependency safety, both orders: no message starts before every
@@ -537,7 +620,6 @@ proptest! {
         let mut sim = PhaseSim::new(mesh.clone());
         let phases = vec![ms];
         let phased = sim.simulate_phases(&phases);
-        prop_assert_eq!(sim.simulate_phases_overlapped(&phases, OverlapOrder::Sorted), phased);
         prop_assert_eq!(sim.simulate_phases_mode(&phases, ScheduleMode::overlapped()), phased);
     }
 
@@ -578,21 +660,22 @@ proptest! {
         longest in 0u32..2,
     ) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let mut sim = PhaseSim::new(mesh);
+        let mut sim = PhaseSim::new(mesh.clone());
         let plan = FaultPlan { seed, ..FaultPlan::none() };
         prop_assert!(plan.is_zero_fault());
         let phases = vec![a, b, c];
         let order = if longest == 1 { OverlapOrder::LongestFirst } else { OverlapOrder::Sorted };
-        let healthy = sim.simulate_phases_overlapped(&phases, order);
-        let rep = sim.simulate_phases_overlapped_faulty(&phases, &plan, order);
+        let mode = ScheduleMode::Overlapped(order);
+        let healthy = sim.simulate_phases_mode(&phases, mode);
+        let rep = engine_run(&mesh, &phases, &plan, SchedulePolicy::Fixed(mode), None);
         prop_assert_eq!(rep.makespan, healthy);
         prop_assert_eq!(rep.delivered, rep.messages);
         prop_assert_eq!(rep.retries + rep.duplicates + rep.reroutes + rep.deferrals, 0);
         prop_assert_eq!(rep.downgrades, 0);
-        // Policy dispatch agrees with the mode it names.
+        // Every policy agrees with the mode it names.
         for idx in 0..4u32 {
             let sched = policy(idx);
-            let got = sim.simulate_phases_faulty_policy(&phases, &plan, sched);
+            let got = engine_run(&mesh, &phases, &plan, sched, None);
             prop_assert_eq!(
                 got.makespan,
                 sim.simulate_phases_mode(&phases, sched.healthy_mode()),
@@ -600,14 +683,6 @@ proptest! {
             );
             prop_assert_eq!(got.downgrades, 0, "zero-fault run degraded: {:?}", sched);
         }
-        // The prefix baseline's last entry is the full overlapped run.
-        let prefix = sim.simulate_phases_overlapped_prefix(&phases, OverlapOrder::Sorted);
-        prop_assert_eq!(prefix.len(), phases.len());
-        prop_assert_eq!(
-            prefix.last().copied().unwrap_or(0),
-            sim.simulate_phases_overlapped(&phases, OverlapOrder::Sorted)
-        );
-        prop_assert!(prefix.windows(2).all(|w| w[0] <= w[1]), "prefix not monotone");
     }
 
     /// Recovery under overlap: every death detected and survived, every
@@ -625,13 +700,13 @@ proptest! {
     ) {
         let (interval, ring) = policy_raw;
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let mut sim = PhaseSim::new(mesh);
         let order = if longest == 1 { OverlapOrder::LongestFirst } else { OverlapOrder::Sorted };
+        let sched = SchedulePolicy::Fixed(ScheduleMode::Overlapped(order));
         let phases = vec![a, b, c];
         let ckpt = CheckpointPolicy { interval, ring, ..CheckpointPolicy::default() };
-        // Zero-death: bit-identical to the overlapped faulty engine.
-        let rec = sim.simulate_phases_overlapped_recovering(&phases, &plan, &ckpt, order);
-        let base = sim.simulate_phases_overlapped_faulty(&phases, &plan, order);
+        // Zero-death: bit-identical to the overlapped faulty run.
+        let rec = engine_run(&mesh, &phases, &plan, sched, Some(&ckpt));
+        let base = engine_run(&mesh, &phases, &plan, sched, None);
         prop_assert_eq!(rec.makespan, base.makespan);
         prop_assert_eq!(rec.delivered, base.delivered);
         prop_assert_eq!(rec.recovery.rollbacks, 0);
@@ -642,15 +717,12 @@ proptest! {
                 plan.node_deaths.push(NodeDeath { node, t });
             }
         }
-        let rep = sim.simulate_phases_overlapped_recovering(&phases, &plan, &ckpt, order);
+        let rep = engine_run(&mesh, &phases, &plan, sched, Some(&ckpt));
         prop_assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
         prop_assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
         prop_assert_eq!(rep.black_holes, 0, "folding leaves no black holes");
         prop_assert!(rep.wall_clock_ns() >= rep.makespan);
-        prop_assert_eq!(
-            rep,
-            sim.simulate_phases_overlapped_recovering(&phases, &plan, &ckpt, order)
-        );
+        prop_assert_eq!(rep, engine_run(&mesh, &phases, &plan, sched, Some(&ckpt)));
     }
 
     /// The Monte Carlo sweeps are bit-identical across thread counts
@@ -693,38 +765,11 @@ proptest! {
 // --- snapshot/restore round-trips (the service durability contract) ------
 
 use rescomm_machine::snapshot::{
-    cached_phases_from_json, cached_phases_to_json, compiled_plan_from_json, compiled_plan_to_json,
-    fault_plan_from_json, fault_plan_to_json, mesh_from_json, mesh_to_json,
+    compiled_plan_from_json, compiled_plan_to_json, fault_plan_from_json, fault_plan_to_json,
+    mesh_from_json, mesh_to_json,
 };
 
 proptest! {
-    /// Cached phases survive JSON round-trips verbatim: the restored
-    /// plan replays bit-identically under every schedule mode and
-    /// payload scale.
-    #[test]
-    fn cached_phase_snapshot_replays_bit_identical(
-        a in msgs(32), b in msgs(32),
-        scale in 1u64..64,
-        longest in 0u32..2,
-    ) {
-        let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let cached: Vec<CachedPhase> =
-            [&a, &b].iter().map(|p| CachedPhase::new(&mesh, p)).collect();
-        let text = cached_phases_to_json(&cached).render();
-        let back = cached_phases_from_json(
-            &rescomm_json::parse(&text).expect("self-produced JSON parses"),
-        ).expect("restore");
-        let order = if longest == 1 { OverlapOrder::LongestFirst } else { OverlapOrder::Sorted };
-        let mut sim = PhaseSim::new(mesh.clone());
-        for mode in [ScheduleMode::Phased, ScheduleMode::Overlapped(order)] {
-            prop_assert_eq!(
-                sim.run_cached_phases(&back, mode, scale),
-                sim.run_cached_phases(&cached, mode, scale),
-                "{:?}", mode
-            );
-        }
-    }
-
     /// A compiled fault plan snapshot restores to an engine that
     /// replays the exact `FaultReport` of the original, and answers
     /// every outage/liveness query identically.
@@ -748,10 +793,13 @@ proptest! {
             prop_assert_eq!(back.node_dead_at(node, t), compiled.node_dead_at(node, t));
             prop_assert_eq!(back.node_alive_after(node, t), compiled.node_alive_after(node, t));
         }
-        let phase = CachedFaultPhase::new(&mesh, &a);
+        // Restore recompiles the stored inputs: the source plan comes back
+        // verbatim and an engine built from it replays the same report.
+        prop_assert_eq!(back.plan(), &plan);
+        let phases = [a];
         let seed = replication_seed(plan.seed, 1);
-        let want = PhaseSim::new(mesh.clone()).run_cached_faulty(&phase, &compiled, seed);
-        let got = PhaseSim::new(mesh_back).run_cached_faulty(&phase, &back, seed);
+        let want = FaultSim::new(&mesh, &phases, &plan).run_faulty(seed, PHASED);
+        let got = FaultSim::new(&mesh_back, &phases, back.plan()).run_faulty(seed, PHASED);
         prop_assert_eq!(got, want);
     }
 

@@ -7,7 +7,7 @@
 //! (`proptest = { path = "crates/proptest-shim", package = "rescomm-proptest" }`).
 //!
 //! Covered: the [`proptest!`] macro (with `#![proptest_config(..)]`),
-//! integer range strategies, tuples, [`collection::vec`], [`Just`],
+//! integer range strategies, tuples, [`collection::vec`], [`Just`](strategy::Just),
 //! `any::<bool>()`, `prop_map` / `prop_flat_map` / `prop_filter`,
 //! [`prop_oneof!`], regex-flavoured string strategies (the small subset the
 //! parser fuzz tests use), and the `prop_assert*` family.
@@ -128,7 +128,7 @@ pub mod strategy {
             }
         }
 
-        /// Type-erase the strategy (used by [`prop_oneof!`]).
+        /// Type-erase the strategy (used by [`prop_oneof!`](crate::prop_oneof)).
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,
@@ -221,7 +221,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between type-erased strategies ([`prop_oneof!`]).
+    /// Uniform choice between type-erased strategies ([`prop_oneof!`](crate::prop_oneof)).
     #[derive(Clone)]
     pub struct Union<T> {
         options: Vec<BoxedStrategy<T>>,
@@ -343,7 +343,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Inclusive length bounds for [`vec`].
+    /// Inclusive length bounds for [`vec`](fn@vec).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

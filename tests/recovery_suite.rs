@@ -14,7 +14,10 @@ use rescomm::{
     verify_execution_on, DegradedGrid, IncidentKind, MappingOptions,
 };
 use rescomm_loopnest::examples;
-use rescomm_machine::{CheckpointPolicy, CostModel, FaultPlan, Mesh2D, NodeDeath, PMsg, PhaseSim};
+use rescomm_machine::{
+    CheckpointPolicy, CostModel, FaultPlan, FaultReport, FaultSim, Mesh2D, NodeDeath, PMsg,
+    SchedulePolicy,
+};
 
 fn wrap(v: i64, n: usize) -> usize {
     v.rem_euclid(n as i64) as usize
@@ -45,6 +48,16 @@ fn plan_phases(nest: &rescomm_loopnest::LoopNest, mesh: &Mesh2D) -> Vec<Vec<PMsg
         .collect()
 }
 
+/// A phased checkpoint/rollback run of `phases` under `plan`.
+fn recovering(
+    mesh: &Mesh2D,
+    phases: &[Vec<PMsg>],
+    plan: &FaultPlan,
+    policy: &CheckpointPolicy,
+) -> FaultReport {
+    FaultSim::new(mesh, phases, plan).run_recovering(policy, plan.seed, SchedulePolicy::default())
+}
+
 #[test]
 fn paper_plan_survives_node_death_end_to_end() {
     let (nest, _) = examples::motivating_example(8, 4);
@@ -53,7 +66,6 @@ fn paper_plan_survives_node_death_end_to_end() {
     assert!(!phases.is_empty(), "the motivating example communicates");
     let healthy = mesh.simulate_phases(&phases);
 
-    let mut sim = PhaseSim::new(mesh);
     let plan = FaultPlan {
         seed: 7,
         node_deaths: vec![NodeDeath {
@@ -64,14 +76,14 @@ fn paper_plan_survives_node_death_end_to_end() {
         ..FaultPlan::none()
     };
     let policy = CheckpointPolicy::default();
-    let rep = sim.simulate_phases_recovering(&phases, &plan, &policy);
+    let rep = recovering(&mesh, &phases, &plan, &policy);
     assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
     assert_eq!(rep.delivered, rep.messages, "exactly-once delivery");
     assert_eq!(rep.black_holes, 0);
     assert_eq!(rep.recovery.folded_nodes, 1);
     assert!(rep.wall_clock_ns() >= rep.makespan);
     // Bit-exact determinism on the real schedule.
-    assert_eq!(rep, sim.simulate_phases_recovering(&phases, &plan, &policy));
+    assert_eq!(rep, recovering(&mesh, &phases, &plan, &policy));
 }
 
 #[test]
@@ -80,9 +92,12 @@ fn zero_death_recovering_driver_matches_plan_simulation() {
     let mesh = Mesh2D::new(8, 4, CostModel::paragon());
     let phases = plan_phases(&nest, &mesh);
     let healthy = mesh.simulate_phases(&phases);
-    let mut sim = PhaseSim::new(mesh);
-    let rep =
-        sim.simulate_phases_recovering(&phases, &FaultPlan::none(), &CheckpointPolicy::default());
+    let rep = recovering(
+        &mesh,
+        &phases,
+        &FaultPlan::none(),
+        &CheckpointPolicy::default(),
+    );
     assert_eq!(rep.makespan, healthy, "zero-death run is bit-identical");
     assert_eq!(rep.recovery.rollbacks, 0);
     assert_eq!(rep.recovery.lost_work_ns, 0);
@@ -94,7 +109,6 @@ fn tiny_checkpoint_ring_still_recovers_the_paper_plan() {
     let mesh = Mesh2D::new(8, 4, CostModel::paragon());
     let phases = plan_phases(&nest, &mesh);
     let healthy = mesh.simulate_phases(&phases);
-    let mut sim = PhaseSim::new(mesh);
     let plan = FaultPlan {
         seed: 7,
         node_deaths: vec![NodeDeath {
@@ -109,7 +123,7 @@ fn tiny_checkpoint_ring_still_recovers_the_paper_plan() {
         ring: 1,
         ..CheckpointPolicy::default()
     };
-    let rep = sim.simulate_phases_recovering(&phases, &plan, &policy);
+    let rep = recovering(&mesh, &phases, &plan, &policy);
     assert!(rep.recovery.all_recovered(), "{:?}", rep.recovery);
     assert_eq!(rep.delivered, rep.messages);
 }
