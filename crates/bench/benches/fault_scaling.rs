@@ -12,55 +12,16 @@
 //! `BENCH_faultperf.json` and asserts bit-identity before timing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rescomm_bench::workload::{lossy_plan, paragon_mesh, seeded_outages, synth_phases};
 use rescomm_machine::{
-    reference, replication_seed, CheckpointPolicy, CostModel, FaultPlan, FaultSim, LinkOutage,
-    Mesh2D, NodeDeath, PMsg, SchedulePolicy, XorShift64,
+    reference, replication_seed, CheckpointPolicy, FaultPlan, FaultSim, NodeDeath, SchedulePolicy,
 };
 use std::hint::black_box;
 
-/// Deterministic synthetic phase set on `nodes` processors.
-fn synth_phases(nodes: usize, n_phases: usize, per_phase: usize, seed: u64) -> Vec<Vec<PMsg>> {
-    let mut rng = XorShift64::new(seed);
-    (0..n_phases)
-        .map(|_| {
-            (0..per_phase)
-                .map(|_| PMsg {
-                    src: rng.below(nodes as u64) as usize,
-                    dst: rng.below(nodes as u64) as usize,
-                    bytes: 1 + rng.below(2048),
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// A fault plan with `outages` seeded link-outage windows, 20% drop and
-/// 2% duplication — the workload the plan compiler is built for.
-fn dense_plan(mesh: &Mesh2D, outages: usize) -> FaultPlan {
-    let mut rng = XorShift64::new(0xfa17_babe);
-    let link_outages = (0..outages)
-        .map(|_| {
-            let from = rng.below(600_000);
-            LinkOutage {
-                link: rng.below(mesh.link_count() as u64) as usize,
-                from,
-                until: from + 50_000 + rng.below(200_000),
-            }
-        })
-        .collect();
-    FaultPlan {
-        seed: 42,
-        drop_prob: 0.2,
-        dup_prob: 0.02,
-        link_outages,
-        ..FaultPlan::none()
-    }
-}
-
 fn bench_replay(c: &mut Criterion) {
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let phases = synth_phases(mesh.nodes(), 5, 56, 0xfa17);
-    let plan = dense_plan(&mesh, 48);
+    let plan = lossy_plan(42, seeded_outages(&mesh, 0, 48, 0));
     let mut g = c.benchmark_group("fault_replay");
     for n in [4usize, 16, 64] {
         let seeds: Vec<u64> = (0..n)
@@ -87,11 +48,11 @@ fn bench_replay(c: &mut Criterion) {
 }
 
 fn bench_outage_density(c: &mut Criterion) {
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let phases = synth_phases(mesh.nodes(), 5, 56, 0xfa17);
     let mut g = c.benchmark_group("outage_density");
     for outages in [4usize, 16, 64] {
-        let plan = dense_plan(&mesh, outages);
+        let plan = lossy_plan(42, seeded_outages(&mesh, 0, outages, 0));
         g.bench_with_input(BenchmarkId::new("oracle", outages), &plan, |b, plan| {
             let sched = SchedulePolicy::default();
             b.iter(|| black_box(reference::simulate(&mesh, &phases, plan, sched, None)))
@@ -105,7 +66,7 @@ fn bench_outage_density(c: &mut Criterion) {
 }
 
 fn bench_recovering(c: &mut Criterion) {
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let phases = synth_phases(mesh.nodes(), 12, 48, 0x4ec0);
     let healthy = mesh.simulate_phases(&phases);
     let plan = FaultPlan {
@@ -120,7 +81,7 @@ fn bench_recovering(c: &mut Criterion) {
             },
         ],
         detection_latency: 5_000,
-        ..dense_plan(&mesh, 16)
+        ..lossy_plan(42, seeded_outages(&mesh, 0, 16, 0))
     };
     let policy = CheckpointPolicy::default();
     let seeds: Vec<u64> = (0..16)

@@ -14,7 +14,8 @@
 //! show.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rescomm_machine::{CachedPhase, CostModel, Mesh2D, OverlapOrder, PMsg, PhaseSim, ScheduleMode};
+use rescomm_bench::workload::paragon_mesh;
+use rescomm_machine::{CachedPhase, OverlapOrder, PMsg, PhaseSim, ScheduleMode};
 use std::hint::black_box;
 
 /// A deterministic multi-phase workload: `phases` phases of `n` random
@@ -37,7 +38,7 @@ fn workload(phases: usize, n: usize) -> Vec<Vec<PMsg>> {
 }
 
 fn bench_schedule_modes(c: &mut Criterion) {
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let mut g = c.benchmark_group("schedule_modes");
     for n in [1_000usize, 10_000, 100_000] {
         let phases = workload(4, n);

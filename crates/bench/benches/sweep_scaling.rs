@@ -11,50 +11,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rescomm::{map_nest_batch, MappingOptions};
-use rescomm_bench::workload::{chained_stencil_nest, host_threads, pipeline_nest};
-use rescomm_loopnest::LoopNest;
-use rescomm_machine::{
-    par_fault_sweep, CostModel, FaultPlan, LinkOutage, Mesh2D, PMsg, PhaseSim, SchedulePolicy,
-    XorShift64,
+use rescomm_bench::workload::{
+    chained_stencil_nest, host_threads, lossy_plan, paragon_mesh, pipeline_nest, seeded_outages,
+    synth_phases,
 };
+use rescomm_loopnest::LoopNest;
+use rescomm_machine::{par_fault_sweep, FaultPlan, PhaseSim, SchedulePolicy};
 use std::hint::black_box;
-
-/// Deterministic synthetic phase set on `nodes` processors.
-fn synth_phases(nodes: usize, n_phases: usize, per_phase: usize, seed: u64) -> Vec<Vec<PMsg>> {
-    let mut rng = XorShift64::new(seed);
-    (0..n_phases)
-        .map(|_| {
-            (0..per_phase)
-                .map(|_| PMsg {
-                    src: rng.below(nodes as u64) as usize,
-                    dst: rng.below(nodes as u64) as usize,
-                    bytes: 1 + rng.below(2048),
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn dense_plan(mesh: &Mesh2D, seed: u64) -> FaultPlan {
-    let mut rng = XorShift64::new(0xfa17_babe ^ seed);
-    let link_outages = (0..24)
-        .map(|_| {
-            let from = rng.below(600_000);
-            LinkOutage {
-                link: rng.below(mesh.link_count() as u64) as usize,
-                from,
-                until: from + 50_000 + rng.below(200_000),
-            }
-        })
-        .collect();
-    FaultPlan {
-        seed,
-        drop_prob: 0.2,
-        dup_prob: 0.02,
-        link_outages,
-        ..FaultPlan::none()
-    }
-}
 
 /// Worker counts worth timing on this host: 1, and the powers of two up
 /// to the hardware thread count (oversubscribed points only measure the
@@ -68,14 +31,16 @@ fn worker_points() -> Vec<usize> {
 }
 
 fn bench_fault_replay(c: &mut Criterion) {
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let phases = synth_phases(mesh.nodes(), 5, 56, 0xfa17);
-    let bank: Vec<FaultPlan> = (0..8).map(|i| dense_plan(&mesh, 42 + i)).collect();
+    let bank: Vec<FaultPlan> = (0..8)
+        .map(|i| lossy_plan(42 + i, seeded_outages(&mesh, 42 + i, 24, 0)))
+        .collect();
     let sched = SchedulePolicy::default();
     let mut g = c.benchmark_group("pool_fault_replay");
     for workers in worker_points() {
         g.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            b.iter(|| black_box(par_fault_sweep(&mesh, &phases, &bank, 8, w, sched)))
+            b.iter(|| black_box(par_fault_sweep(&mesh, &phases, &bank, None, 8, w, sched)))
         });
     }
     g.finish();
@@ -105,7 +70,7 @@ fn bench_analysis_batch(c: &mut Criterion) {
 /// task index, so fine grains lean on the steal path and coarse grains
 /// on the initial partition.
 fn bench_grain_skew(c: &mut Criterion) {
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let tasks: Vec<u64> = (1..=256).collect();
     let workers = host_threads().clamp(1, 8);
     let mut g = c.benchmark_group("pool_grain_skew");

@@ -16,20 +16,17 @@
 //!   engine
 //!   ([`FaultSim::replay_faulty`]: plan compiled to sorted interval
 //!   buckets, phases compiled once to flat route slices). Full-mode
-//!   rows at ≥64 replications assert the compiled engine is ≥5×.
+//!   rows at ≥64 replications assert the compiled engine is ≥3×.
 //! * **recovering** — the same comparison through the
 //!   checkpoint/rollback path with permanent node deaths.
-//! * **parallel** — [`par_fault_sweep`] wall-clock at 1..8 threads over
+//! * **parallel** — [`par_fault_sweep`] wall-clock at 1..8 workers over
 //!   a bank of plans on the shared work-stealing pool (plan×seed task
 //!   sharding; see `machine::pool` and `BENCH_scaling.json` for the
-//!   dedicated scaling study); reports speedup over one thread and
-//!   efficiency against `workers_used` (the pool's post-clamp worker
-//!   count). Rows asking for more workers than the host has hardware
-//!   threads are marked `oversubscribed` in the artifact and excluded
-//!   from the efficiency gate; on a single-core host the multi-thread
-//!   rows are skipped outright (emitted with `skipped: true` and null
-//!   timings) — timing them would measure the OS scheduler, not the
-//!   sweep. The thread-count bit-identity gate runs on every host.
+//!   dedicated scaling study), as one shared [`Scaling`] section:
+//!   speedup over one worker, efficiency against `workers_used`, and
+//!   rows the host cannot run concurrently skipped (`skipped: true`,
+//!   null timings) — timing them would measure the OS scheduler, not
+//!   the sweep. The worker-count bit-identity gate runs on every host.
 //!
 //! ```text
 //! cargo run --release -p rescomm-bench --bin fault_baseline [--smoke] [--out PATH]
@@ -43,30 +40,17 @@
 //! are noisy); the identity gates are unchanged.
 
 use rescomm::{build_plan, map_nest, MappingOptions};
-use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
-use rescomm_bench::workload::host_threads;
+use rescomm_bench::harness::{median_ns, Args, Scaling};
+use rescomm_bench::workload::{
+    fixed_outages, host_threads, lossy_plan, paragon_mesh, seeded_outages,
+};
 use rescomm_distribution::{Dist1D, Dist2D};
+use rescomm_json::{fixed, raw, JsonDoc, Val};
 use rescomm_loopnest::examples;
 use rescomm_machine::{
-    mttf_death_schedule, par_fault_sweep, par_fault_sweep_report, reference, replication_seed,
-    CheckpointPolicy, CostModel, FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D, NodeOutage,
-    PMsg, RetryPolicy, ScheduleMode, SchedulePolicy,
+    mttf_death_schedule, par_fault_sweep, reference, replication_seed, CheckpointPolicy, FaultPlan,
+    FaultReport, FaultSim, PMsg, ScheduleMode, SchedulePolicy,
 };
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Median of `reps` timed runs of `f`, in nanoseconds.
-fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> u64 {
-    black_box(f()); // warm up
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(f());
-        samples.push(t0.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 struct ReplayRow {
     replications: usize,
@@ -74,31 +58,14 @@ struct ReplayRow {
     compiled_ns: u64,
 }
 
-struct ParRow {
-    threads: usize,
-    /// Workers the pool actually used (after clamping to the task
-    /// count) — efficiency is computed against this, not the request.
-    workers: usize,
-    /// `None` when the row was skipped (multi-thread sweep on a
-    /// single-core host — there is nothing meaningful to time).
-    wall_ns: Option<u64>,
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
-    let out = args
-        .iter()
-        .skip_while(|a| *a != "--out")
-        .nth(1)
-        .cloned()
-        .unwrap_or_else(|| "BENCH_faultperf.json".into());
+    let Args { out, smoke } = Args::parse("BENCH_faultperf.json");
 
     // The paper plan: motivating example through the full mapping
     // pipeline, folded onto the 8×4 Paragon mesh.
     let (nest, _) = examples::motivating_example(6, 2);
     let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let dist = Dist2D::uniform(Dist1D::Cyclic);
     let phases: Vec<Vec<PMsg>> =
         build_plan(&nest, &mapping).phases_on_mesh(&mesh, dist, (24, 24), 64);
@@ -111,49 +78,11 @@ fn main() {
     // per-link buckets), drop, duplication and retries. The first two
     // link windows and the node-13 window are the faultsweep harness's
     // fixed outages; the rest are seeded.
-    let mut fault_rng = rescomm_machine::XorShift64::new(0xfa17_babe);
-    let mut link_outages = vec![
-        LinkOutage {
-            link: mesh.h_link(2, 3, true).index(),
-            from: 0,
-            until: 400_000,
-        },
-        LinkOutage {
-            link: mesh.v_link(5, 1, false).index(),
-            from: 100_000,
-            until: 600_000,
-        },
-    ];
-    for _ in 0..46 {
-        let from = fault_rng.below(600_000);
-        link_outages.push(LinkOutage {
-            link: fault_rng.below(mesh.link_count() as u64) as usize,
-            from,
-            until: from + 50_000 + fault_rng.below(200_000),
-        });
-    }
-    let mut node_outages = vec![NodeOutage {
-        node: 13,
-        from: 0,
-        until: 250_000,
-    }];
-    for _ in 0..5 {
-        let from = fault_rng.below(400_000);
-        node_outages.push(NodeOutage {
-            node: fault_rng.below(mesh.nodes() as u64) as usize,
-            from,
-            until: from + 30_000 + fault_rng.below(100_000),
-        });
-    }
-    let plan = FaultPlan {
-        seed: 42,
-        drop_prob: 0.2,
-        dup_prob: 0.02,
-        link_outages,
-        node_outages,
-        retry: RetryPolicy::default(),
-        ..FaultPlan::none()
-    };
+    let (mut link_outages, mut node_outages) = fixed_outages(&mesh);
+    let (seeded_links, seeded_nodes) = seeded_outages(&mesh, 0, 46, 5);
+    link_outages.extend(seeded_links);
+    node_outages.extend(seeded_nodes);
+    let plan = lossy_plan(42, (link_outages, node_outages));
 
     let rep_counts: &[usize] = if smoke { &[4, 8] } else { &[16, 64, 256] };
     let timing_reps = if smoke { 3 } else { 7 };
@@ -196,8 +125,8 @@ fn main() {
             oracle(&plan, &seeds, sched, None),
             "compiled replay diverged from the oracle at {n} replications"
         );
-        let oracle_ns = median_ns(timing_reps, || oracle(&plan, &seeds, sched, None));
-        let compiled_ns = median_ns(timing_reps, || engine.replay_faulty(&seeds, sched));
+        let oracle_ns = median_ns(timing_reps, 1, || oracle(&plan, &seeds, sched, None));
+        let compiled_ns = median_ns(timing_reps, 1, || engine.replay_faulty(&seeds, sched));
         let speedup = oracle_ns as f64 / compiled_ns.max(1) as f64;
         assert!(speedup > 0.0);
         // Wall-clock floor: the compiled engine has measured 4–6.5x over
@@ -277,10 +206,10 @@ fn main() {
         }
         eprintln!("overlapped-recovering gate ({}): ok", gate.label());
     }
-    let rec_oracle_ns = median_ns(timing_reps, || {
+    let rec_oracle_ns = median_ns(timing_reps, 1, || {
         oracle(&recover_plan, &seeds, sched, Some(&policy))
     });
-    let rec_compiled_ns = median_ns(timing_reps, || {
+    let rec_compiled_ns = median_ns(timing_reps, 1, || {
         engine.replay_recovering(&policy, &seeds, sched)
     });
     eprintln!(
@@ -298,66 +227,23 @@ fn main() {
         .collect();
     let par_reps = if smoke { 4 } else { 32 };
     let host = host_threads();
-    let serial = par_fault_sweep(&mesh, &phases, &bank, par_reps, 1, sched);
-    let mut par_rows = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        // Thread-count-independence gate before timing — on *every*
-        // host, including single-core CI (the work-stealing pool still
-        // runs real worker threads there; only the timing is
-        // meaningless).
-        let (swept, report) =
-            par_fault_sweep_report(&mesh, &phases, &bank, par_reps, threads, sched);
+    let sweep = |w| par_fault_sweep(&mesh, &phases, &bank, None, par_reps, w, sched);
+    // Worker-count-independence gate before timing — on *every* host,
+    // including single-core CI (the work-stealing pool still runs real
+    // worker threads there; only the timing is meaningless).
+    let serial = sweep(1).0;
+    for w in [2, 4, 8] {
         assert_eq!(
-            swept, serial,
-            "parallel sweep diverged from serial at {threads} threads"
+            sweep(w).0,
+            serial,
+            "parallel sweep diverged from serial at {w} workers"
         );
-        // On a single-core host every multi-thread row is oversubscribed:
-        // it times the OS scheduler, not the sweep. Skip those rows
-        // outright instead of burning CI minutes on them.
-        if threads > 1 && host <= 1 {
-            eprintln!("  {threads} threads  skipped (single-core host)");
-            par_rows.push(ParRow {
-                threads,
-                workers: report.workers,
-                wall_ns: None,
-            });
-            continue;
-        }
-        let wall_ns = median_ns(timing_reps, || {
-            par_fault_sweep(&mesh, &phases, &bank, par_reps, threads, sched)
-        });
-        let speedup = par_rows.first().map_or(1.0, |r: &ParRow| {
-            r.wall_ns.unwrap_or(0) as f64 / wall_ns.max(1) as f64
-        });
-        let oversubscribed = threads > host;
-        eprintln!(
-            "  {threads} threads ({} used)  wall {wall_ns:>12} ns   x{speedup:.2}   efficiency {:.2}{}",
-            report.workers,
-            speedup / report.workers.max(1) as f64,
-            if oversubscribed {
-                "   (oversubscribed)"
-            } else {
-                ""
-            }
-        );
-        // The efficiency gate only means something when the host can
-        // actually run the workers concurrently: oversubscribed rows
-        // time the scheduler, not the sweep.
-        if !smoke && threads > 1 && !oversubscribed {
-            assert!(
-                speedup >= 1.1,
-                "parallel sweep at {threads} threads on a {host}-thread host \
-                 gained only {speedup:.2}x over serial"
-            );
-        }
-        par_rows.push(ParRow {
-            threads,
-            workers: report.workers,
-            wall_ns: Some(wall_ns),
-        });
+    }
+    let parallel = Scaling::measure(&[1, 2, 4, 8], timing_reps, |w| sweep(w).1);
+    if !smoke {
+        parallel.gate_efficiency("parallel");
     }
 
-    let t1 = par_rows[0].wall_ns.expect("the 1-thread row always runs");
     let mut doc = JsonDoc::new();
     doc.field("bench", "faultperf")
         .field("mesh", raw("[8, 4]"))
@@ -393,24 +279,15 @@ fn main() {
             ("speedup", fixed(r.1 as f64 / r.2.max(1) as f64, 2)),
         ]
     });
-    doc.rows("parallel", &par_rows, |r| {
-        let speedup = r.wall_ns.map(|w| t1 as f64 / w.max(1) as f64);
-        vec![
+    doc.rows("parallel", &parallel.rows, |r| {
+        let mut cols = vec![
             ("schedule_mode", Val::from(mode_label)),
             ("policy", Val::from(sched.label())),
-            ("threads", Val::from(r.threads)),
-            ("workers_used", Val::from(r.workers)),
             ("plans", Val::from(bank.len())),
             ("replications", Val::from(par_reps)),
-            ("wall_ns", r.wall_ns.map_or(raw("null"), Val::from)),
-            ("speedup_vs_1", speedup.map_or(raw("null"), |s| fixed(s, 2))),
-            (
-                "efficiency",
-                speedup.map_or(raw("null"), |s| fixed(s / r.workers.max(1) as f64, 2)),
-            ),
-            ("oversubscribed", Val::from(r.threads > host)),
-            ("skipped", Val::from(r.wall_ns.is_none())),
-        ]
+        ];
+        cols.extend(parallel.columns(r));
+        cols
     });
     doc.write(&out);
 }

@@ -38,63 +38,28 @@
 //! * (e) **delivery** — with retries enabled, every replication of
 //!   every row delivers every message.
 
-use rescomm::substrate::loopnest::examples;
-use rescomm::{build_plan_closed, map_nest, MappingOptions};
-use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
-use rescomm_bench::workload::{factor_chain_plan, host_threads};
-use rescomm_distribution::{Dist1D, Dist2D};
-use rescomm_intlin::IMat;
+use rescomm_bench::harness::Args;
+use rescomm_bench::workload::{host_threads, lossy_plan, paragon_mesh, zoo_workloads};
+use rescomm_json::{fixed, raw, JsonDoc, Val};
 use rescomm_machine::{
-    reference, replication_seed, CostModel, FaultPlan, FaultReport, FaultSim, Mesh2D, OverlapOrder,
-    PMsg, PhaseSim, ScheduleMode, SchedulePolicy,
+    reference, replication_seed, FaultPlan, FaultReport, FaultSim, OverlapOrder, PhaseSim,
+    ScheduleMode, SchedulePolicy,
 };
 
-/// A named multi-phase workload, already folded to physical messages.
-struct Workload {
-    name: String,
-    factors: usize,
-    multi_factor: bool,
-    phases: Vec<Vec<PMsg>>,
-}
-
-/// The multi-factor subset of `schedule_baseline`'s kernel zoo: chains
-/// where phases can actually pipeline, plus one single-factor control.
-fn zoo() -> Vec<(&'static str, IMat)> {
-    let m = |rows: &[&[i64]]| IMat::from_rows(rows);
-    vec![
-        ("U(3)", m(&[&[1, 3], &[0, 1]])),
-        ("coupled[[1,3],[2,7]]", m(&[&[1, 3], &[2, 7]])),
-        ("fib[[1,1],[1,2]]", m(&[&[1, 1], &[1, 2]])),
-        ("rot90", m(&[&[0, -1], &[1, 0]])),
-    ]
-}
-
-fn workloads(mesh: &Mesh2D, dist: Dist2D, side: usize, bytes: u64) -> Vec<Workload> {
-    let mut out = Vec::new();
-    for (name, t) in zoo() {
-        let chain = factor_chain_plan(&t);
-        out.push(Workload {
-            name: name.to_string(),
-            factors: chain.phases.len(),
-            multi_factor: chain.phases.len() >= 2,
-            phases: chain.phases_on_mesh(mesh, dist, (side, side), bytes),
-        });
-    }
-    let (nest, _) = examples::motivating_example(6, 2);
-    let mapping = map_nest(&nest, &MappingOptions::new(2)).expect("motivating example maps");
-    let plan = build_plan_closed(&nest, &mapping);
-    out.push(Workload {
-        name: "paper_plan".to_string(),
-        factors: plan.phases.len(),
-        multi_factor: false,
-        phases: plan.phases_on_mesh(mesh, dist, (side, side), bytes),
-    });
-    out
-}
+/// The multi-factor subset of the kernel zoo — chains where phases can
+/// actually pipeline, plus one single-factor control — and the paper
+/// plan.
+const WORKLOADS: [&str; 5] = [
+    "U(3)",
+    "coupled[[1,3],[2,7]]",
+    "fib[[1,1],[1,2]]",
+    "rot90",
+    "paper_plan",
+];
 
 /// One (workload, policy) row of the artifact.
 struct Row {
-    workload: String,
+    workload: &'static str,
     factors: usize,
     multi_factor: bool,
     messages: usize,
@@ -123,23 +88,9 @@ fn mean(reports: &[FaultReport]) -> f64 {
 }
 
 fn main() {
-    let mut out = "BENCH_faultsched.json".to_string();
-    let mut smoke = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path"),
-            "--smoke" => smoke = true,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-
-    let dist = Dist2D {
-        rows: Dist1D::Grouped(3),
-        cols: Dist1D::Block,
-    };
+    let Args { out, smoke } = Args::parse("BENCH_faultsched.json");
     let bytes = 64u64;
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let mut sim = PhaseSim::new(mesh.clone());
     let side = if smoke { 48usize } else { 256 };
     let replications = if smoke { 4usize } else { 16 };
@@ -147,10 +98,7 @@ fn main() {
     // Drop-only (plus duplication) faults: no outage windows, so the
     // per-message RNG draw sequence is identical under every schedule
     // mode and gate (b) compares schedules, not fault timings.
-    let fault = FaultPlan {
-        dup_prob: 0.02,
-        ..FaultPlan::with_drop(42, 0.2)
-    };
+    let fault = lossy_plan(42, Default::default());
     let seeds: Vec<u64> = (0..replications)
         .map(|r| replication_seed(fault.seed, r as u64))
         .collect();
@@ -167,7 +115,8 @@ fn main() {
     eprintln!("faultsched: {side}² grids on 8x4, drop 0.20 dup 0.02, {replications} replications");
     let mut rows = Vec::new();
     let mut overlap_beats_phased_somewhere = false;
-    for w in workloads(&mesh, dist, side, bytes) {
+    let workloads = zoo_workloads(&mesh, side, bytes);
+    for w in workloads.iter().filter(|w| WORKLOADS.contains(&w.name)) {
         let messages: usize = w.phases.iter().map(Vec::len).sum();
         let mut engine = FaultSim::new(&mesh, &w.phases, &fault);
         let mut per_policy = Vec::new();
@@ -208,7 +157,7 @@ fn main() {
                 );
             }
             let row = Row {
-                workload: w.name.clone(),
+                workload: w.name,
                 factors: w.factors,
                 multi_factor: w.multi_factor,
                 messages,
@@ -266,7 +215,7 @@ fn main() {
         .field("host_threads", host_threads());
     doc.rows("faultsched", &rows, |r| {
         vec![
-            ("workload", Val::from(r.workload.as_str())),
+            ("workload", Val::from(r.workload)),
             ("phases", Val::from(r.factors)),
             ("multi_factor", Val::from(r.multi_factor)),
             ("messages", Val::from(r.messages)),

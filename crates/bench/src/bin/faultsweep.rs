@@ -15,7 +15,7 @@
 //!   the software binomial fallback used when `ctrl_outage` is set.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin faultsweep [--quick] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin faultsweep [--smoke] [--out PATH]
 //! ```
 //!
 //! Every sweep point is evaluated twice — once through the fault oracle
@@ -28,30 +28,18 @@
 //! over [`rescomm_machine::replication_seed`]-derived replications
 //! (replication 0 **is** the classic run), computed with
 //! [`rescomm_machine::par_fault_sweep`] and asserted bit-identical to a
-//! serial evaluation. `--quick` shrinks the workload for the CI smoke
+//! serial evaluation. `--smoke` shrinks the workload for the CI smoke
 //! job; the invariants checked are identical.
 
-use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
-use rescomm_machine::{
-    par_fault_sweep, reference, CostModel, FatTree, FaultPlan, FaultSim, LinkOutage, Mesh2D,
-    NodeOutage, PMsg, RetryPolicy, SchedulePolicy, XorShift64,
+use rescomm_bench::harness::Args;
+use rescomm_bench::workload::{
+    fixed_outages, host_threads, lossy_plan, paragon_mesh, synth_phases,
 };
-
-/// Deterministic synthetic phase set on `nodes` processors.
-fn synth_phases(nodes: usize, n_phases: usize, per_phase: usize, seed: u64) -> Vec<Vec<PMsg>> {
-    let mut rng = XorShift64::new(seed);
-    (0..n_phases)
-        .map(|_| {
-            (0..per_phase)
-                .map(|_| PMsg {
-                    src: rng.below(nodes as u64) as usize,
-                    dst: rng.below(nodes as u64) as usize,
-                    bytes: 1 + rng.below(2048),
-                })
-                .collect()
-        })
-        .collect()
-}
+use rescomm_json::{fixed, raw, JsonDoc, Val};
+use rescomm_machine::{
+    par_fault_sweep, reference, CostModel, FatTree, FaultPlan, FaultSim, RetryPolicy,
+    SchedulePolicy,
+};
 
 struct DropRow {
     drop_pct: u32,
@@ -79,46 +67,19 @@ struct DegradedRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .skip_while(|a| *a != "--out")
-        .nth(1)
-        .cloned()
-        .unwrap_or_else(|| "BENCH_faults.json".into());
-
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-    let (n_phases, per_phase) = if quick { (4, 24) } else { (8, 48) };
+    let Args { out, smoke } = Args::parse("BENCH_faults.json");
+    let mesh = paragon_mesh();
+    let (n_phases, per_phase) = if smoke { (4, 24) } else { (8, 48) };
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0xfa17);
     let healthy = mesh.simulate_phases(&phases);
 
-    // Outage windows held fixed across the sweep: two dead links early in
-    // each phase's clock and one node out for the first stretch.
-    let link_outages = vec![
-        LinkOutage {
-            link: mesh.h_link(2, 3, true).index(),
-            from: 0,
-            until: 400_000,
-        },
-        LinkOutage {
-            link: mesh.v_link(5, 1, false).index(),
-            from: 100_000,
-            until: 600_000,
-        },
-    ];
-    let node_outages = vec![NodeOutage {
-        node: 13,
-        from: 0,
-        until: 250_000,
-    }];
-
-    let replications = if quick { 8usize } else { 32 };
-    let threads = rescomm_bench::workload::host_threads().max(1);
+    let replications = if smoke { 8usize } else { 32 };
+    let threads = host_threads().max(1);
     eprintln!(
         "drop sweep: 8x4 mesh, {n_phases} phases x {per_phase} msgs, outages in force, \
          {replications} replications"
     );
+    // Outage windows held fixed across the sweep; drop and retry vary.
     let points: Vec<(u32, bool)> = [0u32, 5, 10, 20, 40, 80]
         .iter()
         .flat_map(|&d| [(d, true), (d, false)])
@@ -126,28 +87,21 @@ fn main() {
     let plans: Vec<FaultPlan> = points
         .iter()
         .map(|&(drop_pct, retry)| FaultPlan {
-            seed: 42,
             drop_prob: f64::from(drop_pct) / 100.0,
-            dup_prob: 0.02,
-            link_outages: link_outages.clone(),
-            node_outages: node_outages.clone(),
             retry: if retry {
                 RetryPolicy::default()
             } else {
                 RetryPolicy::disabled()
             },
-            ..FaultPlan::none()
+            ..lossy_plan(42, fixed_outages(&mesh))
         })
         .collect();
     let sched = SchedulePolicy::default();
-    let stats = par_fault_sweep(&mesh, &phases, &plans, replications, threads, sched);
+    let sweep = |w| par_fault_sweep(&mesh, &phases, &plans, None, replications, w, sched).0;
+    let stats = sweep(threads);
     // Parallel-determinism gate: the sweep must not depend on the
     // thread count.
-    assert_eq!(
-        stats,
-        par_fault_sweep(&mesh, &phases, &plans, replications, 1, sched),
-        "parallel fault sweep diverged from serial"
-    );
+    assert_eq!(stats, sweep(1), "parallel fault sweep diverged from serial");
 
     let mut engine = FaultSim::new(&mesh, &phases, &plans[0]);
     let mut rows = Vec::new();
@@ -246,7 +200,7 @@ fn main() {
         .field("healthy_makespan_ns", healthy)
         .field("dup_prob", fixed(0.02, 2))
         .field("replications", replications)
-        .field("host_threads", rescomm_bench::workload::host_threads());
+        .field("host_threads", host_threads());
     doc.rows("drop_sweep", &rows, |r| {
         vec![
             ("drop_pct", Val::from(r.drop_pct)),

@@ -12,10 +12,11 @@
 //!   a warm shared [`rescomm::AnalysisCache`] (the batch-serving setting
 //!   `map_nest_batch` exists for).
 //! * **batch** — `map_nest_batch` over a fleet of nests, serial vs
-//!   multi-worker.
+//!   multi-worker, as one shared [`Scaling`] section (a worker count
+//!   the host cannot run is skipped, never timed).
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin pipeline_baseline [--quick] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin pipeline_baseline [--smoke] [--out PATH]
 //! ```
 //!
 //! Every timed pair is first checked for identical mappings (outcomes,
@@ -27,32 +28,10 @@ use rescomm::{
     AnalysisCache,
 };
 use rescomm::{Mapping, MappingOptions};
-use rescomm_bench::workload::{chained_stencil_nest, pipeline_nest};
+use rescomm_bench::harness::{median_ns, Args, Scaling};
+use rescomm_bench::workload::{chained_stencil_nest, host_threads, pipeline_nest};
+use rescomm_json::{fixed, JsonDoc, Val};
 use rescomm_loopnest::{examples, LoopNest};
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Median of `reps` timed runs of `f`, in nanoseconds.
-fn median_ns<R>(reps: usize, f: impl FnMut() -> R) -> u64 {
-    median_ns_inner(reps, 1, f)
-}
-
-/// [`median_ns`] with `inner` calls per timed sample (per-call median):
-/// microsecond-scale work needs batching to rise above timer jitter.
-fn median_ns_inner<R>(reps: usize, inner: u32, mut f: impl FnMut() -> R) -> u64 {
-    black_box(f()); // warm up
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..inner {
-            black_box(f());
-        }
-        samples.push(t0.elapsed().as_nanos() as u64 / u64::from(inner));
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 /// Panic unless the two mappings classify identically.
 fn assert_same_mapping(tag: &str, new: &Mapping, old: &Mapping) {
@@ -94,14 +73,10 @@ struct KernelRow {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let out = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_pipeline.json".into());
+    let Args { out, smoke } = Args::parse("BENCH_pipeline.json");
     let opts = MappingOptions::new(2);
 
-    let sizes: &[usize] = if quick {
+    let sizes: &[usize] = if smoke {
         &[10, 50, 200]
     } else {
         &[10, 50, 200, 500]
@@ -121,15 +96,15 @@ fn main() {
             let old = map_nest_reference(&nest, &opts);
             assert_same_mapping(&format!("{family} n={n}"), &new, &old);
 
-            let reps = if quick {
+            let reps = if smoke {
                 3
             } else if n >= 200 {
                 5
             } else {
                 9
             };
-            let old_ns = median_ns(reps, || map_nest_reference(&nest, &opts));
-            let new_ns = median_ns(reps.max(9), || map_nest(&nest, &opts));
+            let old_ns = median_ns(reps, 1, || map_nest_reference(&nest, &opts));
+            let new_ns = median_ns(reps.max(9), 1, || map_nest(&nest, &opts));
             eprintln!(
                 "  {family:>15} n={n:>4}  old {old_ns:>12} ns   new {new_ns:>10} ns   ×{:.1}",
                 old_ns as f64 / new_ns.max(1) as f64
@@ -157,10 +132,10 @@ fn main() {
         let old = map_nest_reference(nest, &opts);
         assert_same_mapping(name, &new, &old);
 
-        let reps = if quick { 9 } else { 33 };
-        let old_ns = median_ns_inner(reps, 32, || map_nest_reference(nest, &opts));
+        let reps = if smoke { 9 } else { 33 };
+        let old_ns = median_ns(reps, 32, || map_nest_reference(nest, &opts));
         let mut cache = AnalysisCache::new();
-        let new_ns = median_ns_inner(reps, 32, || map_nest_with(nest, &opts, &mut cache));
+        let new_ns = median_ns(reps, 32, || map_nest_with(nest, &opts, &mut cache));
         eprintln!(
             "  {name:>12}  old {old_ns:>9} ns   new {new_ns:>9} ns   ×{:.1}",
             old_ns as f64 / new_ns.max(1) as f64
@@ -173,82 +148,46 @@ fn main() {
     }
 
     eprintln!("batch: map_nest_batch over a fleet of synthetic nests");
-    let fleet: Vec<LoopNest> = (0..if quick { 4 } else { 16 })
+    let fleet: Vec<LoopNest> = (0..if smoke { 4 } else { 16 })
         .map(|i| chained_stencil_nest(20 + 3 * i, 8))
         .collect();
     let serial = map_nest_batch(&fleet, &opts, 1).unwrap();
-    let host = rescomm_bench::workload::host_threads();
+    let host = host_threads();
     let threads = host.clamp(2, 8);
-    // Worker-count identity gate runs on every host; the pool's report
-    // says how many workers actually ran.
-    let (par, report) = map_nest_batch_report(&fleet, &opts, threads);
+    // Worker-count identity gate runs on every host.
+    let (par, _) = map_nest_batch_report(&fleet, &opts, threads);
     for (i, (s, p)) in serial.iter().zip(&par.unwrap()).enumerate() {
         assert_same_mapping(&format!("batch nest {i}"), p, s);
     }
-    let reps = if quick { 3 } else { 7 };
-    let serial_ns = median_ns(reps, || map_nest_batch(&fleet, &opts, 1));
-    // A timed multi-worker run on a single-core host measures the OS
-    // scheduler, not the batch: skip it (null in the artifact), never
-    // fake it.
-    let batch_ns = (host > 1).then(|| median_ns(reps, || map_nest_batch(&fleet, &opts, threads)));
-    match batch_ns {
-        Some(b) => eprintln!(
-            "  {} nests  serial {serial_ns:>12} ns   {} workers {b:>12} ns   ×{:.1}",
-            fleet.len(),
-            report.workers,
-            serial_ns as f64 / b.max(1) as f64
-        ),
-        None => eprintln!(
-            "  {} nests  serial {serial_ns:>12} ns   parallel row skipped (single-core host)",
-            fleet.len()
-        ),
-    }
+    let batch = Scaling::measure(&[1, threads], if smoke { 3 } else { 7 }, |w| {
+        map_nest_batch_report(&fleet, &opts, w).1
+    });
 
-    let mut j = String::new();
-    j.push_str("{\n  \"bench\": \"pipeline\",\n  \"m\": 2,\n");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    j.push_str("  \"synthetic\": [\n");
-    for (i, r) in synth.iter().enumerate() {
-        let _ = write!(
-            j,
-            "    {{\"family\": \"{f}\", \"statements\": {n}, \"accesses\": {a}, \"reference_ns\": {o}, \"optimized_ns\": {w}, \"speedup\": {s:.2}}}",
-            f = r.family,
-            n = r.n_stmts,
-            a = r.accesses,
-            o = r.old_ns,
-            w = r.new_ns,
-            s = r.old_ns as f64 / r.new_ns.max(1) as f64
-        );
-        j.push_str(if i + 1 < synth.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ],\n  \"kernels\": [\n");
-    for (i, r) in kern.iter().enumerate() {
-        let _ = write!(
-            j,
-            "    {{\"kernel\": \"{k}\", \"reference_ns\": {o}, \"warm_cache_ns\": {w}, \"speedup\": {s:.2}}}",
-            k = r.kernel,
-            o = r.old_ns,
-            w = r.new_ns,
-            s = r.old_ns as f64 / r.new_ns.max(1) as f64
-        );
-        j.push_str(if i + 1 < kern.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"batch\": {{\"nests\": {n}, \"threads\": {threads}, \"workers_used\": {w}, \"host_threads\": {host}, \"oversubscribed\": {over}, \"skipped\": {skipped}, \"serial_ns\": {s}, \"parallel_ns\": {p}, \"speedup\": {x}}}",
-        n = fleet.len(),
-        w = report.workers,
-        over = threads > host,
-        skipped = batch_ns.is_none(),
-        s = serial_ns,
-        p = batch_ns.map_or_else(|| "null".to_string(), |v| v.to_string()),
-        x = batch_ns.map_or_else(
-            || "null".to_string(),
-            |v| format!("{:.2}", serial_ns as f64 / v.max(1) as f64)
-        )
-    );
-    j.push_str("}\n");
-    std::fs::write(&out, &j).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    eprintln!("wrote {out}");
+    let speedup = |old: u64, new: u64| fixed(old as f64 / new.max(1) as f64, 2);
+    let mut doc = JsonDoc::new();
+    doc.field("bench", "pipeline")
+        .field("m", 2u64)
+        .field("smoke", smoke)
+        .field("host_threads", host)
+        .field("batch_nests", fleet.len());
+    doc.rows("synthetic", &synth, |r| {
+        vec![
+            ("family", Val::from(r.family)),
+            ("statements", Val::from(r.n_stmts)),
+            ("accesses", Val::from(r.accesses)),
+            ("reference_ns", Val::from(r.old_ns)),
+            ("optimized_ns", Val::from(r.new_ns)),
+            ("speedup", speedup(r.old_ns, r.new_ns)),
+        ]
+    });
+    doc.rows("kernels", &kern, |r| {
+        vec![
+            ("kernel", Val::from(r.kernel)),
+            ("reference_ns", Val::from(r.old_ns)),
+            ("warm_cache_ns", Val::from(r.new_ns)),
+            ("speedup", speedup(r.old_ns, r.new_ns)),
+        ]
+    });
+    doc.rows("batch", &batch.rows, |r| batch.columns(r));
+    doc.write(&out);
 }

@@ -17,41 +17,28 @@
 //!   rollbacks, no folds, same makespan.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin recoverysweep [--quick] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin recoverysweep [--smoke] [--out PATH]
 //! ```
 //!
 //! Every MTTF point is evaluated through both the fault oracle
 //! ([`rescomm_machine::reference::simulate`]) and the compiled engine
 //! ([`rescomm_machine::FaultSim`]), which must agree bit for bit, and carries Monte Carlo statistics over
 //! [`rescomm_machine::replication_seed`]-derived replications computed
-//! with [`rescomm_machine::par_recovery_sweep`] (replication 0 **is**
+//! with [`rescomm_machine::par_fault_sweep`] under the checkpoint
+//! policy (replication 0 **is**
 //! the classic run; the parallel sweep is asserted bit-identical to a
 //! serial one).
 //!
-//! `--quick` (alias `--smoke`) shrinks the workload for the CI smoke job;
-//! the invariants checked are identical.
+//! `--smoke` shrinks the workload for the CI smoke job; the invariants
+//! checked are identical.
 
-use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
+use rescomm_bench::harness::Args;
+use rescomm_bench::workload::{host_threads, paragon_mesh, synth_phases};
+use rescomm_json::{fixed, raw, JsonDoc, Val};
 use rescomm_machine::{
-    mttf_death_schedule, par_recovery_sweep, reference, CheckpointPolicy, CostModel, FaultPlan,
-    FaultSim, Mesh2D, PMsg, SchedulePolicy, XorShift64,
+    mttf_death_schedule, par_fault_sweep, reference, CheckpointPolicy, FaultPlan, FaultSim,
+    SchedulePolicy,
 };
-
-/// Deterministic synthetic phase set on `nodes` processors.
-fn synth_phases(nodes: usize, n_phases: usize, per_phase: usize, seed: u64) -> Vec<Vec<PMsg>> {
-    let mut rng = XorShift64::new(seed);
-    (0..n_phases)
-        .map(|_| {
-            (0..per_phase)
-                .map(|_| PMsg {
-                    src: rng.below(nodes as u64) as usize,
-                    dst: rng.below(nodes as u64) as usize,
-                    bytes: 1 + rng.below(2048),
-                })
-                .collect()
-        })
-        .collect()
-}
 
 struct MttfRow {
     mttf_pct: u32,
@@ -80,17 +67,9 @@ struct IntervalRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
-    let out = args
-        .iter()
-        .skip_while(|a| *a != "--out")
-        .nth(1)
-        .cloned()
-        .unwrap_or_else(|| "BENCH_recovery.json".into());
-
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-    let (n_phases, per_phase) = if quick { (8, 24) } else { (24, 48) };
+    let Args { out, smoke } = Args::parse("BENCH_recovery.json");
+    let mesh = paragon_mesh();
+    let (n_phases, per_phase) = if smoke { (8, 24) } else { (24, 48) };
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0x4ec0);
     let healthy = mesh.simulate_phases(&phases);
     let policy = CheckpointPolicy::default();
@@ -109,8 +88,8 @@ fn main() {
     assert_eq!(zero.recovery.folded_nodes, 0);
     eprintln!("zero-death gate: makespan {} ns == healthy", zero.makespan);
 
-    let replications = if quick { 8usize } else { 32 };
-    let threads = rescomm_bench::workload::host_threads().max(1);
+    let replications = if smoke { 8usize } else { 32 };
+    let threads = host_threads().max(1);
     eprintln!(
         "mttf sweep: 8x4 mesh, {n_phases} phases x {per_phase} msgs, {replications} replications"
     );
@@ -127,20 +106,14 @@ fn main() {
             }
         })
         .collect();
-    let stats = par_recovery_sweep(
-        &mesh,
-        &phases,
-        &plans,
-        &policy,
-        replications,
-        threads,
-        sched,
-    );
+    let ckpt = Some(&policy);
+    let sweep = |w| par_fault_sweep(&mesh, &phases, &plans, ckpt, replications, w, sched).0;
+    let stats = sweep(threads);
     // Parallel-determinism gate: the sweep must not depend on the
     // thread count.
     assert_eq!(
         stats,
-        par_recovery_sweep(&mesh, &phases, &plans, &policy, replications, 1, sched),
+        sweep(1),
         "parallel recovery sweep diverged from serial"
     );
 
@@ -248,7 +221,7 @@ fn main() {
         .field("detection_latency_ns", 5000u64)
         .field("replications", replications)
         .field("schedule_policy", sched.label())
-        .field("host_threads", rescomm_bench::workload::host_threads());
+        .field("host_threads", host_threads());
     let mode_label = sched.healthy_mode().label();
     doc.rows("mttf_sweep", &mttf_rows, |r| {
         vec![

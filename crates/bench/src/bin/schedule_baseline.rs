@@ -30,68 +30,13 @@
 //! * (d) cached replay ([`PhaseSim::run_cached_phases`]) bit-identical
 //!   to direct simulation under every mode.
 
-use rescomm::substrate::loopnest::examples;
-use rescomm::{build_plan_closed, map_nest, MappingOptions};
-use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
-use rescomm_bench::workload::{factor_chain_plan, host_threads};
-use rescomm_distribution::{Dist1D, Dist2D};
-use rescomm_intlin::IMat;
-use rescomm_machine::{CachedPhase, CostModel, Mesh2D, OverlapOrder, PMsg, PhaseSim, ScheduleMode};
-
-/// A named multi-phase workload: already folded to physical messages.
-struct Workload {
-    name: String,
-    /// Number of affine factors (phases) for zoo entries; plan phase
-    /// count for the paper plan.
-    factors: usize,
-    /// True for kernel-zoo decompositions with ≥2 factors — the rows
-    /// gate (b) quantifies over.
-    multi_factor: bool,
-    phases: Vec<Vec<PMsg>>,
-}
-
-/// The kernel zoo of `simulator_baseline`, decomposed into unirow factor
-/// chains — each factor is one grid-wide affine sweep, applied right to
-/// left exactly as `build_plan_closed` orders a decomposition.
-fn zoo() -> Vec<(&'static str, IMat)> {
-    let m = |rows: &[&[i64]]| IMat::from_rows(rows);
-    vec![
-        ("U(3)", m(&[&[1, 3], &[0, 1]])),
-        ("L(2)", m(&[&[1, 0], &[2, 1]])),
-        ("U(-2)", m(&[&[1, -2], &[0, 1]])),
-        ("coupled[[1,3],[2,7]]", m(&[&[1, 3], &[2, 7]])),
-        ("fib[[1,1],[1,2]]", m(&[&[1, 1], &[1, 2]])),
-        ("rot90", m(&[&[0, -1], &[1, 0]])),
-        ("swap", m(&[&[0, 1], &[1, 0]])),
-    ]
-}
-
-fn workloads(mesh: &Mesh2D, dist: Dist2D, side: usize, bytes: u64) -> Vec<Workload> {
-    let mut out = Vec::new();
-    for (name, t) in zoo() {
-        let chain = factor_chain_plan(&t);
-        out.push(Workload {
-            name: name.to_string(),
-            factors: chain.phases.len(),
-            multi_factor: chain.phases.len() >= 2,
-            phases: chain.phases_on_mesh(mesh, dist, (side, side), bytes),
-        });
-    }
-    // The paper plan: the motivating example in closed (affine) form.
-    let (nest, _) = examples::motivating_example(6, 2);
-    let mapping = map_nest(&nest, &MappingOptions::new(2)).expect("motivating example maps");
-    let plan = build_plan_closed(&nest, &mapping);
-    out.push(Workload {
-        name: "paper_plan".to_string(),
-        factors: plan.phases.len(),
-        multi_factor: false,
-        phases: plan.phases_on_mesh(mesh, dist, (side, side), bytes),
-    });
-    out
-}
+use rescomm_bench::harness::Args;
+use rescomm_bench::workload::{host_threads, paragon_mesh, zoo_workloads, Workload};
+use rescomm_json::{fixed, raw, JsonDoc, Val};
+use rescomm_machine::{CachedPhase, Mesh2D, OverlapOrder, PhaseSim, ScheduleMode};
 
 struct Row {
-    workload: String,
+    workload: &'static str,
     side: usize,
     factors: usize,
     multi_factor: bool,
@@ -156,7 +101,7 @@ fn measure(mesh: &Mesh2D, sim: &mut PhaseSim, w: &Workload, side: usize) -> Row 
         );
     }
     Row {
-        workload: w.name.clone(),
+        workload: w.name,
         side,
         factors: w.factors,
         multi_factor: w.multi_factor,
@@ -173,7 +118,7 @@ fn gate_multi_factor_win(rows: &[Row]) {
     let best = rows
         .iter()
         .filter(|r| r.multi_factor)
-        .map(|r| (r.reduction_pct(), r.workload.clone(), r.side))
+        .map(|r| (r.reduction_pct(), r.workload, r.side))
         .max_by(|a, b| a.0.total_cmp(&b.0))
         .expect("no multi-factor rows");
     assert!(
@@ -190,23 +135,9 @@ fn gate_multi_factor_win(rows: &[Row]) {
 }
 
 fn main() {
-    let mut out = "BENCH_schedule.json".to_string();
-    let mut smoke = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path"),
-            "--smoke" => smoke = true,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-
-    let dist = Dist2D {
-        rows: Dist1D::Grouped(3),
-        cols: Dist1D::Block,
-    };
+    let Args { out, smoke } = Args::parse("BENCH_schedule.json");
     let bytes = 64u64;
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let mut sim = PhaseSim::new(mesh.clone());
 
     let sides: &[usize] = if smoke {
@@ -218,7 +149,7 @@ fn main() {
     let mut rows = Vec::new();
     eprintln!("schedule: phased vs overlapped, grouped(3)×block on 8×4");
     for &side in sides {
-        for w in workloads(&mesh, dist, side, bytes) {
+        for w in zoo_workloads(&mesh, side, bytes) {
             let row = measure(&mesh, &mut sim, &w, side);
             eprintln!(
                 "  {:<22} {side:>4}²  {} phases  phased {:>12} ns   overlapped {:>12} ns (−{:.1}%)   longest-first {:>12} ns (−{:.1}%)",
@@ -248,7 +179,7 @@ fn main() {
         .field("host_threads", host_threads());
     doc.rows("schedule", &rows, |r| {
         vec![
-            ("workload", Val::from(r.workload.as_str())),
+            ("workload", Val::from(r.workload)),
             ("grid", Val::from(format!("{0}x{0}", r.side))),
             ("phases", Val::from(r.factors)),
             ("multi_factor", Val::from(r.multi_factor)),

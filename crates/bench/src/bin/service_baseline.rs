@@ -21,8 +21,8 @@
 //! ```
 
 use rescomm::serve::{Server, ServerConfig, ServerHandle};
-use rescomm_bench::json::{fixed, JsonDoc, Val};
-use rescomm_json::{parse, JsonValue};
+use rescomm_bench::harness::Args;
+use rescomm_json::{fixed, parse, JsonDoc, JsonValue, Val};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -95,11 +95,7 @@ fn stat(client: &mut Client, key: &str) -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_service.json".into());
+    let Args { out, smoke } = Args::parse("BENCH_service.json");
 
     let n_corpus = if smoke { 8 } else { 24 };
     let warm_rounds = if smoke { 4 } else { 16 };

@@ -29,79 +29,13 @@
 //! previously-dense matrices, and sublinear-in-V growth of the closed
 //! path from 4096² to 8192².
 
-use rescomm_bench::json::{fixed, raw, JsonDoc, Val};
-use rescomm_bench::workload::host_threads;
-use rescomm_distribution::{
-    fold_affine_with, fold_pattern, general_pattern, Dist1D, Dist2D, FoldPath,
+use rescomm_bench::harness::{median_ns, Args};
+use rescomm_bench::workload::{
+    hashed_phase, host_threads, kernel_zoo, paragon_mesh, zoo_dist, Kernel,
 };
-use rescomm_intlin::IMat;
-use rescomm_machine::{CachedPhase, CostModel, Mesh2D, PMsg, PhaseSim, ScheduleMode};
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Median of `reps` timed runs of `f`, in nanoseconds.
-fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> u64 {
-    black_box(f()); // warm up
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(f());
-        samples.push(t0.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// One zoo entry: a named dataflow matrix. `previously_dense` marks the
-/// matrices the old elementary-only fast path could not handle (they hit
-/// the dense `O(V)` fold before the general segment algebra) — these
-/// carry the ≥20× acceptance gate at 4096².
-struct Kernel {
-    name: &'static str,
-    t: IMat,
-    previously_dense: bool,
-}
-
-fn kernel_zoo() -> Vec<Kernel> {
-    let m = |rows: &[&[i64]]| IMat::from_rows(rows);
-    vec![
-        Kernel {
-            name: "U(3)",
-            t: m(&[&[1, 3], &[0, 1]]),
-            previously_dense: false,
-        },
-        Kernel {
-            name: "L(2)",
-            t: m(&[&[1, 0], &[2, 1]]),
-            previously_dense: false,
-        },
-        Kernel {
-            name: "U(-2)",
-            t: m(&[&[1, -2], &[0, 1]]),
-            previously_dense: false,
-        },
-        Kernel {
-            name: "coupled[[1,3],[2,7]]",
-            t: m(&[&[1, 3], &[2, 7]]),
-            previously_dense: true,
-        },
-        Kernel {
-            name: "fib[[1,1],[1,2]]",
-            t: m(&[&[1, 1], &[1, 2]]),
-            previously_dense: true,
-        },
-        Kernel {
-            name: "rot90",
-            t: m(&[&[0, -1], &[1, 0]]),
-            previously_dense: true,
-        },
-        Kernel {
-            name: "swap",
-            t: m(&[&[0, 1], &[1, 0]]),
-            previously_dense: true,
-        },
-    ]
-}
+use rescomm_distribution::{fold_affine_with, fold_pattern, general_pattern, Dist2D, FoldPath};
+use rescomm_json::{fixed, raw, JsonDoc, Val};
+use rescomm_machine::{CachedPhase, PhaseSim, ScheduleMode};
 
 struct GenRow {
     matrix: &'static str,
@@ -161,21 +95,8 @@ fn gate(k: &Kernel, dist: Dist2D, side: usize, pshape: (usize, usize), bytes: u6
 }
 
 fn main() {
-    let mut out = "BENCH_simulator.json".to_string();
-    let mut smoke = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path"),
-            "--smoke" => smoke = true,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-
-    let dist = Dist2D {
-        rows: Dist1D::Grouped(3),
-        cols: Dist1D::Block,
-    };
+    let Args { out, smoke } = Args::parse("BENCH_simulator.json");
+    let dist = zoo_dist();
     let pshape = (8usize, 4usize);
     let bytes = 64u64;
     let zoo = kernel_zoo();
@@ -215,14 +136,14 @@ fn main() {
             gate(k, dist, side, pshape, bytes, with_oracle);
 
             let reps = if side >= 4096 { 3 } else { 7 };
-            let closed_ns = median_ns(reps.max(7), || {
+            let closed_ns = median_ns(reps.max(7), 1, || {
                 fold_affine_with(FoldPath::Closed, &k.t, (0, 0), dist, vshape, pshape, bytes)
             });
-            let dense_ns = median_ns(reps, || {
+            let dense_ns = median_ns(reps, 1, || {
                 fold_affine_with(FoldPath::Dense, &k.t, (0, 0), dist, vshape, pshape, bytes)
             });
             let enumerated_ns = with_oracle.then(|| {
-                median_ns(reps, || {
+                median_ns(reps, 1, || {
                     fold_pattern(&general_pattern(&k.t, vshape), dist, vshape, pshape, bytes)
                 })
             });
@@ -273,19 +194,10 @@ fn main() {
     eprintln!("gates ok: ≥20x over dense at 4096², sublinear growth to 8192²");
 
     eprintln!("scheduling: one-shot vs PhaseSim vs CachedPhase replay on 8×4");
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+    let mesh = paragon_mesh();
     let mut sched = Vec::new();
     for n in [1_000usize, 10_000, 100_000] {
-        let msgs: Vec<PMsg> = (0..n)
-            .map(|i| {
-                let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                PMsg {
-                    src: (h % 32) as usize,
-                    dst: ((h >> 17) % 32) as usize,
-                    bytes: 1 + (h >> 40) % 4096,
-                }
-            })
-            .collect();
+        let msgs = hashed_phase(n);
         let mut sim = PhaseSim::new(mesh.clone());
         let cached = [CachedPhase::new(&mesh, &msgs)];
         // Correctness gate before timing.
@@ -302,9 +214,9 @@ fn main() {
         );
 
         let reps = if n >= 100_000 { 5 } else { 9 };
-        let oneshot_ns = median_ns(reps, || mesh.simulate_phase(&msgs));
-        let phasesim_ns = median_ns(reps, || sim.simulate_phase(&msgs));
-        let cached_ns = median_ns(reps, || {
+        let oneshot_ns = median_ns(reps, 1, || mesh.simulate_phase(&msgs));
+        let phasesim_ns = median_ns(reps, 1, || sim.simulate_phase(&msgs));
+        let cached_ns = median_ns(reps, 1, || {
             sim.run_cached_phases(&cached, ScheduleMode::Phased, 1)
         });
         eprintln!(

@@ -4,7 +4,9 @@
 //! by (a) the `src/bin/*` harness binaries that print the same rows the
 //! paper reports, (b) the Criterion benches, and (c) the integration
 //! tests that assert the paper's qualitative claims (who wins, by what
-//! rough factor) hold on the simulated machines.
+//! rough factor) hold on the simulated machines. The baseline bins that
+//! write the committed `BENCH_*.json` artifacts share [`harness`] (flags,
+//! timing loop, scaling rows) and the generators in [`workload`].
 //!
 //! | paper artifact | function |
 //! |----------------|----------|
@@ -17,7 +19,7 @@
 //! | §3.5 message vectorization                     | [`vectorization`] |
 
 pub mod experiments;
-pub mod json;
+pub mod harness;
 pub mod workload;
 
 pub use experiments::{

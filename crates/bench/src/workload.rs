@@ -1,12 +1,18 @@
-//! Workload generators shared by the experiments: communication patterns
-//! on the simulated machines and cost estimation for a whole mapping.
+//! Workload generators shared by the experiments and the baseline bins:
+//! communication patterns on the simulated machines, cost estimation for
+//! a whole mapping, synthetic phase sets and fault schedules, and the
+//! kernel zoo.
 
+use rescomm::{build_plan_closed, map_nest, MappingOptions};
 use rescomm::{CommOutcome, CommPhase, CommPlan, Mapping, PhaseKind, PhasePattern};
 use rescomm_decompose::decompose_general;
 use rescomm_distribution::{fold_general, Dist1D, Dist2D, Msg};
 use rescomm_intlin::IMat;
-use rescomm_loopnest::{AccessId, Domain, LoopNest, NestBuilder};
-use rescomm_machine::{broadcast_rows_time, shift_time, CostModel, Mesh2D, PMsg, PhaseSim};
+use rescomm_loopnest::{examples, AccessId, Domain, LoopNest, NestBuilder};
+use rescomm_machine::{
+    broadcast_rows_time, shift_time, CostModel, FaultPlan, LinkOutage, Mesh2D, NodeOutage, PMsg,
+    PhaseSim, XorShift64,
+};
 
 /// Flatten aggregated distribution messages onto mesh node ids.
 pub fn msgs_to_phase(msgs: &[Msg], mesh: &Mesh2D) -> Vec<PMsg> {
@@ -47,7 +53,6 @@ pub fn simulate_dataflow(
     simulate_dataflow_with(&mut PhaseSim::new(mesh.clone()), t, dist, vshape, bytes)
 }
 
-/// The paper's default Paragon-like testbed: an 8×4 mesh (32 nodes).
 /// Number of hardware threads of the benchmarking host (0 when the OS
 /// will not say). Every committed `BENCH_*.json` records this so a
 /// parallel-speedup table can be read against the machine that produced
@@ -57,8 +62,193 @@ pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
+/// The paper's default Paragon-like testbed: an 8×4 mesh (32 nodes).
 pub fn paragon_mesh() -> Mesh2D {
     Mesh2D::new(8, 4, CostModel::paragon())
+}
+
+/// Deterministic synthetic phase set: `n_phases` phases of `per_phase`
+/// seeded random messages between `nodes` processors, 1–2048 bytes
+/// each.
+pub fn synth_phases(nodes: usize, n_phases: usize, per_phase: usize, seed: u64) -> Vec<Vec<PMsg>> {
+    let mut rng = XorShift64::new(seed);
+    (0..n_phases)
+        .map(|_| {
+            (0..per_phase)
+                .map(|_| PMsg {
+                    src: rng.below(nodes as u64) as usize,
+                    dst: rng.below(nodes as u64) as usize,
+                    bytes: 1 + rng.below(2048),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One phase of `n` messages between the 32 nodes of [`paragon_mesh`],
+/// spread by a multiplicative hash of the message index: the
+/// large-phase scheduling workload.
+pub fn hashed_phase(n: usize) -> Vec<PMsg> {
+    (0..n as u64)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            PMsg {
+                src: (h % 32) as usize,
+                dst: ((h >> 17) % 32) as usize,
+                bytes: 1 + (h >> 40) % 4096,
+            }
+        })
+        .collect()
+}
+
+/// The fixed outage windows of the fault sweeps: two dead links early in
+/// each phase's clock and node 13 out for the first stretch.
+pub fn fixed_outages(mesh: &Mesh2D) -> (Vec<LinkOutage>, Vec<NodeOutage>) {
+    let links = vec![
+        LinkOutage {
+            link: mesh.h_link(2, 3, true).index(),
+            from: 0,
+            until: 400_000,
+        },
+        LinkOutage {
+            link: mesh.v_link(5, 1, false).index(),
+            from: 100_000,
+            until: 600_000,
+        },
+    ];
+    let nodes = vec![NodeOutage {
+        node: 13,
+        from: 0,
+        until: 250_000,
+    }];
+    (links, nodes)
+}
+
+/// Seeded outage windows: `links` link outages (starting in the first
+/// 600 µs, lasting 50–250 µs), then `nodes` node outages (starting in
+/// the first 400 µs, lasting 30–130 µs), all drawn in that order from
+/// one stream seeded with `0xfa17_babe ^ seed`.
+pub fn seeded_outages(
+    mesh: &Mesh2D,
+    seed: u64,
+    links: usize,
+    nodes: usize,
+) -> (Vec<LinkOutage>, Vec<NodeOutage>) {
+    let mut rng = XorShift64::new(0xfa17_babe ^ seed);
+    let link_outages = (0..links)
+        .map(|_| {
+            let from = rng.below(600_000);
+            LinkOutage {
+                link: rng.below(mesh.link_count() as u64) as usize,
+                from,
+                until: from + 50_000 + rng.below(200_000),
+            }
+        })
+        .collect();
+    let node_outages = (0..nodes)
+        .map(|_| {
+            let from = rng.below(400_000);
+            NodeOutage {
+                node: rng.below(mesh.nodes() as u64) as usize,
+                from,
+                until: from + 30_000 + rng.below(100_000),
+            }
+        })
+        .collect();
+    (link_outages, node_outages)
+}
+
+/// A lossy fault plan under `seed`: 20% drop and 2% duplication with the
+/// default retry policy, on top of the given link and node outage
+/// windows.
+pub fn lossy_plan(seed: u64, outages: (Vec<LinkOutage>, Vec<NodeOutage>)) -> FaultPlan {
+    FaultPlan {
+        seed,
+        drop_prob: 0.2,
+        dup_prob: 0.02,
+        link_outages: outages.0,
+        node_outages: outages.1,
+        ..FaultPlan::none()
+    }
+}
+
+/// One kernel-zoo entry: a named unimodular dataflow matrix.
+pub struct Kernel {
+    pub name: &'static str,
+    pub t: IMat,
+    /// The old elementary-only fast path could not fold it in closed
+    /// form: it hit the dense `O(V)` fold before the general segment
+    /// algebra.
+    pub previously_dense: bool,
+}
+
+/// The kernel zoo: shears, fully-coupled maps, a rotation and a swap.
+pub fn kernel_zoo() -> Vec<Kernel> {
+    [
+        ("U(3)", [[1, 3], [0, 1]], false),
+        ("L(2)", [[1, 0], [2, 1]], false),
+        ("U(-2)", [[1, -2], [0, 1]], false),
+        ("coupled[[1,3],[2,7]]", [[1, 3], [2, 7]], true),
+        ("fib[[1,1],[1,2]]", [[1, 1], [1, 2]], true),
+        ("rot90", [[0, -1], [1, 0]], true),
+        ("swap", [[0, 1], [1, 0]], true),
+    ]
+    .into_iter()
+    .map(|(name, [r0, r1], previously_dense)| Kernel {
+        name,
+        t: IMat::from_rows(&[&r0, &r1]),
+        previously_dense,
+    })
+    .collect()
+}
+
+/// The distribution the kernel-zoo benches fold under: grouped(3) rows
+/// by block columns.
+pub fn zoo_dist() -> Dist2D {
+    Dist2D {
+        rows: Dist1D::Grouped(3),
+        cols: Dist1D::Block,
+    }
+}
+
+/// A named multi-phase workload, already folded to physical messages.
+pub struct Workload {
+    pub name: &'static str,
+    /// Plan phase count: one per unirow factor for a zoo chain.
+    pub factors: usize,
+    /// A kernel-zoo chain with ≥ 2 factors, where phases can pipeline.
+    pub multi_factor: bool,
+    pub phases: Vec<Vec<PMsg>>,
+}
+
+/// Every [`kernel_zoo`] matrix as its unirow factor chain
+/// ([`factor_chain_plan`]), then the paper's motivating-example plan in
+/// closed form (`paper_plan`), each folded onto `mesh` from a `side`²
+/// virtual grid under [`zoo_dist`] at `bytes` per element.
+pub fn zoo_workloads(mesh: &Mesh2D, side: usize, bytes: u64) -> Vec<Workload> {
+    let fold = |plan: &CommPlan| plan.phases_on_mesh(mesh, zoo_dist(), (side, side), bytes);
+    let mut out: Vec<Workload> = kernel_zoo()
+        .iter()
+        .map(|k| {
+            let chain = factor_chain_plan(&k.t);
+            Workload {
+                name: k.name,
+                factors: chain.phases.len(),
+                multi_factor: chain.phases.len() >= 2,
+                phases: fold(&chain),
+            }
+        })
+        .collect();
+    let (nest, _) = examples::motivating_example(6, 2);
+    let mapping = map_nest(&nest, &MappingOptions::new(2)).expect("motivating example maps");
+    let plan = build_plan_closed(&nest, &mapping);
+    out.push(Workload {
+        name: "paper_plan",
+        factors: plan.phases.len(),
+        multi_factor: false,
+        phases: fold(&plan),
+    });
+    out
 }
 
 /// Estimated communication time of a whole mapping on a mesh, pricing
@@ -257,6 +447,56 @@ mod tests {
             256,
         );
         assert_eq!(time, 0);
+    }
+
+    /// The shared generators reproduce what the committed artifacts
+    /// measure: `healthy_makespan_ns` of `BENCH_faults.json` and
+    /// `BENCH_recovery.json`.
+    #[test]
+    fn synth_phases_pin_the_committed_healthy_makespans() {
+        let mesh = paragon_mesh();
+        assert_eq!(
+            mesh.simulate_phases(&synth_phases(32, 8, 48, 0xfa17)),
+            4_905_636
+        );
+        assert_eq!(
+            mesh.simulate_phases(&synth_phases(32, 24, 48, 0x4ec0)),
+            12_440_126
+        );
+    }
+
+    /// `seeded_outages` keeps the draw order of the fault plans the
+    /// committed artifacts were measured under: `fault_baseline`'s 46
+    /// links + 5 nodes from the unmixed stream, and `scaling_baseline`'s
+    /// 24 links + 4 nodes per plan seed.
+    #[test]
+    fn seeded_outages_reproduce_the_committed_fault_plans() {
+        let mesh = paragon_mesh();
+        let link = |link, from, until| LinkOutage { link, from, until };
+        let node = |node, from, until| NodeOutage { node, from, until };
+        let (links, nodes) = seeded_outages(&mesh, 0, 46, 5);
+        assert_eq!((links.len(), nodes.len()), (46, 5));
+        assert_eq!(links[0], link(1, 305_656, 454_000));
+        assert_eq!(links[45], link(96, 92_145, 265_420));
+        assert_eq!(nodes[4], node(24, 345_578, 439_291));
+        let (links, nodes) = seeded_outages(&mesh, 42, 24, 4);
+        assert_eq!(links[23], link(51, 159_169, 234_117));
+        assert_eq!(nodes[3], node(26, 204_946, 242_882));
+        // The link prefix does not depend on how many nodes follow.
+        assert_eq!(seeded_outages(&mesh, 42, 24, 0).0, links);
+    }
+
+    #[test]
+    fn zoo_workloads_cover_the_zoo_and_the_paper_plan() {
+        let zoo = kernel_zoo();
+        let names: Vec<&str> = zoo_workloads(&paragon_mesh(), 16, 64)
+            .iter()
+            .map(|w| w.name)
+            .collect();
+        assert_eq!(names.len(), zoo.len() + 1);
+        assert!(zoo.iter().zip(&names).all(|(k, n)| k.name == *n));
+        assert_eq!(names.last(), Some(&"paper_plan"));
+        assert_eq!(zoo.iter().filter(|k| k.previously_dense).count(), 4);
     }
 
     #[test]

@@ -368,7 +368,9 @@ fn main() -> ExitCode {
     if args.replications > 0 {
         use rescomm::build_plan;
         use rescomm::substrate::distribution::{Dist1D, Dist2D};
-        use rescomm::substrate::machine::{CostModel, FaultPlan, Mesh2D, OnlineStats};
+        use rescomm::substrate::machine::{
+            replication_seed, CostModel, FaultPlan, Mesh2D, OnlineStats,
+        };
         let (w, h) = args.grid;
         let mesh = Mesh2D::new(w, h, CostModel::paragon());
         let dist = Dist2D::uniform(Dist1D::Cyclic);
@@ -382,15 +384,12 @@ fn main() -> ExitCode {
             drop_prob: args.drop_prob,
             ..FaultPlan::none()
         };
-        let reports = plan.simulate_on_mesh_faulty_replicated(
-            &mesh,
-            dist,
-            (24, 24),
-            64,
-            &fplan,
-            args.replications,
-            args.schedule,
-        );
+        let seeds: Vec<u64> = (0..args.replications as u64)
+            .map(|r| replication_seed(fplan.seed, r))
+            .collect();
+        let reports = plan
+            .fault_engine(&mesh, dist, (24, 24), 64, &fplan)
+            .replay_faulty(&seeds, args.schedule);
         let mut makespan = OnlineStats::default();
         let mut delivered = OnlineStats::default();
         let mut total_msgs = 0u64;

@@ -20,10 +20,7 @@ use rescomm_decompose::{product, Elementary};
 use rescomm_distribution::{fold_affine, fold_pattern, Dist2D};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::{AccessId, LoopNest};
-use rescomm_machine::{
-    replication_seed, CachedPhase, CheckpointPolicy, FaultPlan, FaultReport, FaultSim, Mesh2D,
-    PMsg, PhaseSim, ScheduleMode, SchedulePolicy,
-};
+use rescomm_machine::{FaultPlan, FaultSim, Mesh2D, PMsg, PhaseSim, ScheduleMode};
 use std::collections::{BTreeSet, HashMap};
 
 /// What a phase implements (for reporting; the pattern is authoritative).
@@ -249,27 +246,16 @@ impl CommPlan {
         sim.simulate_phases_mode(&self.phases_on_mesh(mesh, dist, vshape, bytes), mode)
     }
 
-    /// Compile the folded phases for repeated replay: the returned
-    /// [`CachedPhase`]s feed [`PhaseSim::run_cached_phases`] (or
-    /// [`rescomm_machine::par_schedule_sweep`]) under any
-    /// [`ScheduleMode`], which is the batch-sweep fast path.
-    pub fn compile_on_mesh(
-        &self,
-        mesh: &Mesh2D,
-        dist: Dist2D,
-        vshape: (usize, usize),
-        bytes: u64,
-    ) -> Vec<CachedPhase> {
-        self.phases_on_mesh(mesh, dist, vshape, bytes)
-            .iter()
-            .map(|p| CachedPhase::new(mesh, p))
-            .collect()
-    }
-
     /// Compile the plan into a reusable multi-seed fault replay engine:
     /// the folded phases and the fault plan are compiled once, then
-    /// [`FaultSim::replay_faulty`] / [`FaultSim::replay_recovering`]
-    /// replay any number of seeds at cached-phase speed.
+    /// [`FaultSim::run_faulty`] / [`FaultSim::run_recovering`] run one
+    /// seed and [`FaultSim::replay_faulty`] /
+    /// [`FaultSim::replay_recovering`] replay any number of seeds at
+    /// cached-phase speed. Monte Carlo replication `r` runs under
+    /// [`rescomm_machine::replication_seed`]`(plan.seed, r)`; replication
+    /// 0 is the plan's own seed. On a zero-fault plan the makespan
+    /// equals [`CommPlan::simulate_on_mesh`] under the schedule policy's
+    /// healthy mode exactly.
     pub fn fault_engine(
         &self,
         mesh: &Mesh2D,
@@ -279,92 +265,6 @@ impl CommPlan {
         plan: &FaultPlan,
     ) -> FaultSim {
         FaultSim::new(mesh, &self.phases_on_mesh(mesh, dist, vshape, bytes), plan)
-    }
-
-    /// Fold onto a mesh like [`CommPlan::simulate_on_mesh`], but drive
-    /// the phases through the resilient transport under `plan`, with
-    /// the phase schedule chosen by `sched` ([`SchedulePolicy::Fixed`]
-    /// barriers or overlap, or adaptive degradation). On a zero-fault
-    /// plan the makespan equals [`CommPlan::simulate_on_mesh`] under
-    /// the policy's healthy mode exactly.
-    pub fn simulate_on_mesh_faulty(
-        &self,
-        mesh: &Mesh2D,
-        dist: Dist2D,
-        vshape: (usize, usize),
-        bytes: u64,
-        plan: &FaultPlan,
-        sched: SchedulePolicy,
-    ) -> FaultReport {
-        self.fault_engine(mesh, dist, vshape, bytes, plan)
-            .run_faulty(plan.seed, sched)
-    }
-
-    /// Monte Carlo replication of the faulty simulation: run the plan
-    /// under `plan` with `replications` independent seeds derived from
-    /// `plan.seed` via [`replication_seed`] (replication 0 reproduces
-    /// the classic single-seed run exactly), every replication
-    /// scheduled per `sched`. Returns one full [`FaultReport`] per
-    /// replication.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_on_mesh_faulty_replicated(
-        &self,
-        mesh: &Mesh2D,
-        dist: Dist2D,
-        vshape: (usize, usize),
-        bytes: u64,
-        plan: &FaultPlan,
-        replications: usize,
-        sched: SchedulePolicy,
-    ) -> Vec<FaultReport> {
-        let seeds: Vec<u64> = (0..replications)
-            .map(|r| replication_seed(plan.seed, r as u64))
-            .collect();
-        self.fault_engine(mesh, dist, vshape, bytes, plan)
-            .replay_faulty(&seeds, sched)
-    }
-
-    /// Monte Carlo replication of the recovering simulation (checkpoint
-    /// and rollback under permanent node deaths); seed derivation as in
-    /// [`CommPlan::simulate_on_mesh_faulty_replicated`], schedule per
-    /// `sched`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_on_mesh_recovering_replicated(
-        &self,
-        mesh: &Mesh2D,
-        dist: Dist2D,
-        vshape: (usize, usize),
-        bytes: u64,
-        plan: &FaultPlan,
-        policy: &CheckpointPolicy,
-        replications: usize,
-        sched: SchedulePolicy,
-    ) -> Vec<FaultReport> {
-        let seeds: Vec<u64> = (0..replications)
-            .map(|r| replication_seed(plan.seed, r as u64))
-            .collect();
-        self.fault_engine(mesh, dist, vshape, bytes, plan)
-            .replay_recovering(policy, &seeds, sched)
-    }
-
-    /// Fold onto a mesh like [`CommPlan::simulate_on_mesh`], but drive
-    /// the phases through the checkpoint/rollback engine
-    /// ([`FaultSim::run_recovering`], scheduled per `sched`) so the plan
-    /// survives the fault plan's permanent node deaths. On a death-free plan the committed
-    /// makespan equals the faulty run under the same policy exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_on_mesh_recovering(
-        &self,
-        mesh: &Mesh2D,
-        dist: Dist2D,
-        vshape: (usize, usize),
-        bytes: u64,
-        plan: &FaultPlan,
-        policy: &CheckpointPolicy,
-        sched: SchedulePolicy,
-    ) -> FaultReport {
-        self.fault_engine(mesh, dist, vshape, bytes, plan)
-            .run_recovering(policy, plan.seed, sched)
     }
 
     /// Verify the plan delivers data correctly: for every non-local access
@@ -666,7 +566,9 @@ mod tests {
     use crate::pipeline::{map_nest, MappingOptions};
     use rescomm_distribution::Dist1D;
     use rescomm_loopnest::examples;
-    use rescomm_machine::CostModel;
+    use rescomm_machine::{
+        replication_seed, CachedPhase, CheckpointPolicy, CostModel, SchedulePolicy,
+    };
 
     #[test]
     fn local_accesses_produce_no_phase() {
@@ -742,7 +644,11 @@ mod tests {
         assert!(t > 0);
         // Relaxing the phase barriers can only help, and the compiled
         // replay reproduces both modes exactly.
-        let cached = plan.compile_on_mesh(&mesh, dist, (24, 24), 64);
+        let cached: Vec<CachedPhase> = plan
+            .phases_on_mesh(&mesh, dist, (24, 24), 64)
+            .iter()
+            .map(|p| CachedPhase::new(&mesh, p))
+            .collect();
         let mut sim = PhaseSim::new(mesh.clone());
         for mode in [ScheduleMode::Phased, ScheduleMode::overlapped()] {
             let direct = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, mode);
@@ -759,27 +665,18 @@ mod tests {
         let full = map_nest(&nest, &MappingOptions::new(2)).unwrap();
         let plan = build_plan(&nest, &full);
         let t = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, ScheduleMode::Phased);
-        let rep = plan.simulate_on_mesh_recovering(
-            &mesh,
-            dist,
-            (24, 24),
-            64,
-            &FaultPlan::none(),
-            &CheckpointPolicy::default(),
-            SchedulePolicy::default(),
-        );
+        let none = FaultPlan::none();
+        let mut engine = plan.fault_engine(&mesh, dist, (24, 24), 64, &none);
+        let policy = CheckpointPolicy::default();
+        let rep = engine.run_recovering(&policy, none.seed, SchedulePolicy::default());
         assert_eq!(rep.makespan, t, "zero-death recovery is bit-identical");
         assert_eq!(rep.recovery.rollbacks, 0);
         // Under an overlapped policy the zero-fault recovery matches the
         // fault-free overlapped schedule instead.
         let over = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, ScheduleMode::overlapped());
-        let rep = plan.simulate_on_mesh_recovering(
-            &mesh,
-            dist,
-            (24, 24),
-            64,
-            &FaultPlan::none(),
-            &CheckpointPolicy::default(),
+        let rep = engine.run_recovering(
+            &policy,
+            none.seed,
             SchedulePolicy::Fixed(ScheduleMode::overlapped()),
         );
         assert_eq!(rep.makespan, over, "zero-death overlapped recovery");
@@ -790,6 +687,7 @@ mod tests {
             node_deaths: vec![rescomm_machine::NodeDeath { node: 6, t: t / 2 }],
             ..FaultPlan::none()
         };
+        engine.set_plan(&faulty);
         for sched in [
             SchedulePolicy::default(),
             SchedulePolicy::Fixed(ScheduleMode::overlapped()),
@@ -797,15 +695,7 @@ mod tests {
                 inflation_threshold: 1.2,
             },
         ] {
-            let rep = plan.simulate_on_mesh_recovering(
-                &mesh,
-                dist,
-                (24, 24),
-                64,
-                &faulty,
-                &CheckpointPolicy::default(),
-                sched,
-            );
+            let rep = engine.run_recovering(&policy, faulty.seed, sched);
             assert!(
                 rep.recovery.all_recovered(),
                 "{sched:?}: {:?}",
@@ -829,15 +719,9 @@ mod tests {
             dup_prob: 0.02,
             ..FaultPlan::none()
         };
-        let reps = plan.simulate_on_mesh_faulty_replicated(
-            &mesh,
-            dist,
-            (24, 24),
-            64,
-            &fplan,
-            5,
-            SchedulePolicy::default(),
-        );
+        let seeds: Vec<u64> = (0..5).map(|r| replication_seed(fplan.seed, r)).collect();
+        let mut engine = plan.fault_engine(&mesh, dist, (24, 24), 64, &fplan);
+        let reps = engine.replay_faulty(&seeds, SchedulePolicy::default());
         assert_eq!(reps.len(), 5);
 
         // Replication 0 is the classic single-seed run, bit-identical to
@@ -858,11 +742,11 @@ mod tests {
         // The overlapped policy threads through to the batch engine and
         // agrees with the per-call policy oracle on replication 0.
         let sched = SchedulePolicy::Fixed(ScheduleMode::overlapped());
-        let over =
-            plan.simulate_on_mesh_faulty_replicated(&mesh, dist, (24, 24), 64, &fplan, 3, sched);
+        let over = engine.replay_faulty(&seeds[..3], sched);
         assert_eq!(
             over[0],
-            plan.simulate_on_mesh_faulty(&mesh, dist, (24, 24), 64, &fplan, sched)
+            plan.fault_engine(&mesh, dist, (24, 24), 64, &fplan)
+                .run_faulty(fplan.seed, sched)
         );
     }
 
@@ -885,26 +769,14 @@ mod tests {
             ..FaultPlan::none()
         };
         let policy = CheckpointPolicy::default();
-        let reps = plan.simulate_on_mesh_recovering_replicated(
-            &mesh,
-            dist,
-            (24, 24),
-            64,
-            &fplan,
-            &policy,
-            3,
-            SchedulePolicy::default(),
-        );
+        let seeds: Vec<u64> = (0..3).map(|r| replication_seed(fplan.seed, r)).collect();
+        let reps = plan
+            .fault_engine(&mesh, dist, (24, 24), 64, &fplan)
+            .replay_recovering(&policy, &seeds, SchedulePolicy::default());
         assert_eq!(reps.len(), 3);
-        let single = plan.simulate_on_mesh_recovering(
-            &mesh,
-            dist,
-            (24, 24),
-            64,
-            &fplan,
-            &policy,
-            SchedulePolicy::default(),
-        );
+        let single = plan
+            .fault_engine(&mesh, dist, (24, 24), 64, &fplan)
+            .run_recovering(&policy, fplan.seed, SchedulePolicy::default());
         assert_eq!(reps[0], single, "replication 0 is the classic run");
         for r in &reps {
             assert!(r.recovery.all_recovered(), "{:?}", r.recovery);

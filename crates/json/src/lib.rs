@@ -29,7 +29,7 @@
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
-// Emission (moved verbatim from `rescomm_bench::json`).
+// Emission.
 // ---------------------------------------------------------------------------
 
 /// A JSON value with explicit rendering. Floats carry their precision so

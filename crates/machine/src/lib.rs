@@ -43,9 +43,10 @@
 //! * [`sweep`] — the parallel sweep drivers on top of the pool, with
 //!   per-worker scratch state ([`par_sweep_with`],
 //!   [`par_sweep_with_report`]), and the Monte Carlo fault sweeps
-//!   sharded at plan×seed granularity ([`par_fault_sweep`],
-//!   [`par_recovery_sweep`]: [`replication_seed`]-derived seeds, Welford
-//!   [`OnlineStats`], results bit-identical to serial evaluation);
+//!   sharded at plan×seed granularity ([`par_fault_sweep`], faulty or
+//!   checkpoint/rollback by its `Option<&CheckpointPolicy>`:
+//!   [`replication_seed`]-derived seeds, Welford [`OnlineStats`], results
+//!   bit-identical to serial evaluation);
 //! * [`fault`] + [`rng`] — deterministic fault injection ([`FaultPlan`]:
 //!   link/node outage windows, permanent node deaths, drop/duplication
 //!   probabilities, control-network outage) with a resilient transport
@@ -90,8 +91,7 @@ pub use pool::{auto_grain, SweepReport};
 pub use rng::XorShift64;
 pub use snapshot::SnapshotError;
 pub use sweep::{
-    mttf_death_schedule, par_fault_sweep, par_fault_sweep_report, par_recovery_sweep,
-    par_recovery_sweep_report, par_sweep, par_sweep_with, par_sweep_with_report, replication_seed,
+    mttf_death_schedule, par_fault_sweep, par_sweep_with, par_sweep_with_report, replication_seed,
     FaultSweepStats, OnlineStats,
 };
 pub use trace::{trace_phase, PhaseTrace};

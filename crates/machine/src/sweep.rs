@@ -6,13 +6,14 @@
 //! configurations; each simulation is independent, so we shard them over
 //! the pool's per-worker deques — results land in pre-sized slots, in
 //! input order, bit-identical for every worker count. [`par_sweep_with`]
-//! additionally gives every worker a private scratch state (e.g. a
+//! gives every worker a private scratch state (e.g. a
 //! [`crate::PhaseSim`]), so per-simulation allocations are paid once per
-//! worker instead of once per configuration. The Monte Carlo drivers
-//! ([`par_fault_sweep`], [`par_recovery_sweep`]) shard at plan×seed
-//! granularity and refold the per-replication reports serially, so their
-//! Welford statistics stay bit-identical to a serial run even though the
-//! replications of one plan may run on different workers.
+//! worker instead of once per configuration. The Monte Carlo driver
+//! ([`par_fault_sweep`], faulty or recovering by its checkpoint policy)
+//! shards at plan×seed granularity and refolds the per-replication
+//! reports serially, so its Welford statistics stay bit-identical to a
+//! serial run even though the replications of one plan may run on
+//! different workers.
 
 use crate::fault::{FaultPlan, FaultReport, NodeDeath};
 use crate::mesh::Mesh2D;
@@ -50,20 +51,9 @@ pub fn mttf_death_schedule(
     deaths
 }
 
-/// Run `f` over every config on `threads` worker threads (chunked
-/// statically), preserving input order in the output.
-pub fn par_sweep<C, R, F>(configs: &[C], threads: usize, f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send + Default + Clone,
-    F: Fn(&C) -> R + Sync,
-{
-    par_sweep_with(configs, threads, || (), |(), c| f(c))
-}
-
-/// Like [`par_sweep`], but each worker first builds a private scratch
-/// state with `init` and threads it through every task it claims or
-/// steals — the pattern used to amortize simulator allocations across a
+/// Run `f` over every config on the shared work-stealing pool, in input
+/// order. Each worker first builds a private scratch state with `init`
+/// and threads it through every task it claims or steals — the pattern used to amortize simulator allocations across a
 /// sweep. Runs on the shared work-stealing pool; `threads` is clamped to
 /// `[1, n]` (use [`par_sweep_with_report`] when the caller needs the
 /// effective worker count back).
@@ -214,93 +204,29 @@ impl FaultSweepStats {
 /// Monte Carlo sweep over fault plans: for every plan, replay the phase
 /// set under `replications` derived seeds ([`replication_seed`]) on the
 /// compiled engine ([`FaultSim`]) and fold the reports into
-/// [`FaultSweepStats`]. Work units are sharded at **plan×seed**
-/// granularity over the shared work-stealing pool — each worker holds
-/// one engine that is recompiled only when its claimed block crosses a
-/// plan boundary ([`FaultSim::set_plan`]; the phase compilation is
-/// reused) — and the per-replication reports are refolded serially in
-/// `(plan, rep)` order, so the result is **bit-identical** whatever
-/// `threads` is.
+/// [`FaultSweepStats`]. With `ckpt = None` every replication is a faulty
+/// run ([`FaultSim::run_faulty`]: deaths black-hole their traffic); with
+/// `Some(policy)` it goes through checkpoint/rollback recovery
+/// ([`FaultSim::run_recovering`]). Either way it is scheduled per
+/// `sched`.
+///
+/// Work units are sharded at **plan×seed** granularity over the shared
+/// work-stealing pool — each worker holds one engine that is recompiled
+/// only when its claimed block crosses a plan boundary
+/// ([`FaultSim::set_plan`]; the phase compilation is reused) — and the
+/// per-replication reports are refolded serially in `(plan, rep)` order,
+/// so [`OnlineStats`] sees the exact push order of a serial run and the
+/// result is **bit-identical** whatever `threads` is. The pool's
+/// [`SweepReport`] comes back alongside.
 pub fn par_fault_sweep(
     mesh: &Mesh2D,
     phases: &[Vec<PMsg>],
     plans: &[FaultPlan],
-    replications: usize,
-    threads: usize,
-    sched: SchedulePolicy,
-) -> Vec<FaultSweepStats> {
-    par_fault_sweep_report(mesh, phases, plans, replications, threads, sched).0
-}
-
-/// [`par_fault_sweep`] plus the pool's [`SweepReport`].
-pub fn par_fault_sweep_report(
-    mesh: &Mesh2D,
-    phases: &[Vec<PMsg>],
-    plans: &[FaultPlan],
+    ckpt: Option<&CheckpointPolicy>,
     replications: usize,
     threads: usize,
     sched: SchedulePolicy,
 ) -> (Vec<FaultSweepStats>, SweepReport) {
-    mc_sweep(
-        plans,
-        replications,
-        threads,
-        mesh,
-        phases,
-        |engine, seed| engine.run_faulty(seed, sched),
-    )
-}
-
-/// [`par_fault_sweep`] for the checkpoint/rollback path: every
-/// replication goes through [`FaultSim::run_recovering`] under `policy`
-/// and `sched`.
-pub fn par_recovery_sweep(
-    mesh: &Mesh2D,
-    phases: &[Vec<PMsg>],
-    plans: &[FaultPlan],
-    policy: &CheckpointPolicy,
-    replications: usize,
-    threads: usize,
-    sched: SchedulePolicy,
-) -> Vec<FaultSweepStats> {
-    par_recovery_sweep_report(mesh, phases, plans, policy, replications, threads, sched).0
-}
-
-/// [`par_recovery_sweep`] plus the pool's [`SweepReport`].
-pub fn par_recovery_sweep_report(
-    mesh: &Mesh2D,
-    phases: &[Vec<PMsg>],
-    plans: &[FaultPlan],
-    policy: &CheckpointPolicy,
-    replications: usize,
-    threads: usize,
-    sched: SchedulePolicy,
-) -> (Vec<FaultSweepStats>, SweepReport) {
-    mc_sweep(
-        plans,
-        replications,
-        threads,
-        mesh,
-        phases,
-        |engine, seed| engine.run_recovering(policy, seed, sched),
-    )
-}
-
-/// Shared Monte Carlo harness: shard `plans.len() × replications` work
-/// units over the pool, one lazily-built [`FaultSim`] per worker,
-/// re-planned only at plan boundaries; then refold the reports serially
-/// so [`OnlineStats`] sees the exact push order of a serial run.
-fn mc_sweep<E>(
-    plans: &[FaultPlan],
-    replications: usize,
-    threads: usize,
-    mesh: &Mesh2D,
-    phases: &[Vec<PMsg>],
-    eval: E,
-) -> (Vec<FaultSweepStats>, SweepReport)
-where
-    E: Fn(&mut FaultSim, u64) -> FaultReport + Sync,
-{
     if plans.is_empty() || replications == 0 {
         let report = SweepReport {
             requested: threads,
@@ -324,7 +250,11 @@ where
                 engine.set_plan(plan);
                 *current = plan_idx;
             }
-            eval(engine, replication_seed(plan.seed, rep as u64))
+            let seed = replication_seed(plan.seed, rep as u64);
+            match ckpt {
+                None => engine.run_faulty(seed, sched),
+                Some(policy) => engine.run_recovering(policy, seed, sched),
+            }
         },
     );
     let mut stats = vec![FaultSweepStats::default(); plans.len()];
@@ -344,7 +274,7 @@ mod tests {
     #[test]
     fn preserves_order_and_values() {
         let configs: Vec<u64> = (0..100).collect();
-        let got = par_sweep(&configs, 8, |&c| c * 2);
+        let got = par_sweep_with(&configs, 8, || (), |(), &c| c * 2);
         let want: Vec<u64> = configs.iter().map(|c| c * 2).collect();
         assert_eq!(got, want);
     }
@@ -363,19 +293,25 @@ mod tests {
                 .collect();
             m.simulate_phase(&msgs)
         };
-        assert_eq!(par_sweep(&configs, 1, f), par_sweep(&configs, 7, f));
+        assert_eq!(
+            par_sweep_with(&configs, 1, || (), |(), c| f(c)),
+            par_sweep_with(&configs, 7, || (), |(), c| f(c))
+        );
     }
 
     #[test]
     fn empty_input() {
-        let got: Vec<u64> = par_sweep(&Vec::<u64>::new(), 4, |&c| c);
+        let got: Vec<u64> = par_sweep_with(&Vec::<u64>::new(), 4, || (), |(), &c| c);
         assert!(got.is_empty());
     }
 
     #[test]
     fn more_threads_than_work() {
         let configs = vec![1u64, 2];
-        assert_eq!(par_sweep(&configs, 64, |&c| c + 1), vec![2, 3]);
+        assert_eq!(
+            par_sweep_with(&configs, 64, || (), |(), &c| c + 1),
+            vec![2, 3]
+        );
     }
 
     #[test]
@@ -413,7 +349,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let plain = par_sweep(&phases, 3, |p| mesh.simulate_phase(p));
+        let plain = par_sweep_with(&phases, 3, || (), |(), p| mesh.simulate_phase(p));
         let scratch = par_sweep_with(
             &phases,
             3,
@@ -478,11 +414,11 @@ mod tests {
             .map(|(i, &p)| FaultPlan::with_drop(40 + i as u64, p))
             .collect();
         let sched = SchedulePolicy::default();
-        let serial = par_fault_sweep(&mesh, &phases, &plans, 6, 1, sched);
+        let serial = par_fault_sweep(&mesh, &phases, &plans, None, 6, 1, sched).0;
         for threads in [2, 3, 8] {
             assert_eq!(
                 serial,
-                par_fault_sweep(&mesh, &phases, &plans, 6, threads, sched),
+                par_fault_sweep(&mesh, &phases, &plans, None, 6, threads, sched).0,
                 "threads = {threads}"
             );
         }
@@ -523,10 +459,11 @@ mod tests {
             .collect();
         let policy = CheckpointPolicy::default();
         let sched = SchedulePolicy::default();
-        let serial = par_recovery_sweep(&mesh, &phases, &plans, &policy, 4, 1, sched);
+        let ckpt = Some(&policy);
+        let serial = par_fault_sweep(&mesh, &phases, &plans, ckpt, 4, 1, sched).0;
         assert_eq!(
             serial,
-            par_recovery_sweep(&mesh, &phases, &plans, &policy, 4, 4, sched)
+            par_fault_sweep(&mesh, &phases, &plans, ckpt, 4, 4, sched).0
         );
         for stats in &serial {
             assert_eq!(stats.replications, 4);

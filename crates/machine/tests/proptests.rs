@@ -3,10 +3,9 @@
 
 use proptest::prelude::*;
 use rescomm_machine::{
-    par_fault_sweep, par_recovery_sweep, reference, replication_seed, trace_phase, CachedPhase,
-    CheckpointPolicy, CompiledFaultPlan, CostModel, FatTree, FaultPlan, FaultReport, FaultSim,
-    LinkOutage, Mesh2D, NodeDeath, NodeOutage, OverlapOrder, PMsg, PhaseSim, RetryPolicy,
-    ScheduleMode, SchedulePolicy,
+    par_fault_sweep, reference, replication_seed, trace_phase, CachedPhase, CheckpointPolicy,
+    CompiledFaultPlan, CostModel, FatTree, FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D,
+    NodeDeath, NodeOutage, OverlapOrder, PMsg, PhaseSim, RetryPolicy, ScheduleMode, SchedulePolicy,
 };
 
 const PHASED: SchedulePolicy = SchedulePolicy::Fixed(ScheduleMode::Phased);
@@ -552,8 +551,9 @@ proptest! {
             .iter()
             .map(|&seed| FaultPlan::with_drop(seed, f64::from(drop_pct) / 100.0))
             .collect();
-        let serial = par_fault_sweep(&mesh, &phases, &plans, replications, 1, SchedulePolicy::default());
-        let parallel = par_fault_sweep(&mesh, &phases, &plans, replications, threads, SchedulePolicy::default());
+        let sched = SchedulePolicy::default();
+        let serial = par_fault_sweep(&mesh, &phases, &plans, None, replications, 1, sched).0;
+        let parallel = par_fault_sweep(&mesh, &phases, &plans, None, replications, threads, sched).0;
         prop_assert_eq!(&serial, &parallel);
         for (plan, stats) in plans.iter().zip(&serial) {
             prop_assert_eq!(stats.replications, replications);
@@ -745,15 +745,15 @@ proptest! {
         let phases = vec![a, b, c];
         let plans = [plan.clone(), FaultPlan { seed: plan.seed ^ 0xbeef, ..plan.clone() }];
         let ckpt = CheckpointPolicy::default();
-        let serial = par_fault_sweep(&mesh, &phases, &plans, 2, 1, sched);
+        let serial = par_fault_sweep(&mesh, &phases, &plans, None, 2, 1, sched).0;
         prop_assert_eq!(
             &serial,
-            &par_fault_sweep(&mesh, &phases, &plans, 2, threads, sched)
+            &par_fault_sweep(&mesh, &phases, &plans, None, 2, threads, sched).0
         );
-        let serial_rec = par_recovery_sweep(&mesh, &phases, &plans, &ckpt, 2, 1, sched);
+        let serial_rec = par_fault_sweep(&mesh, &phases, &plans, Some(&ckpt), 2, 1, sched).0;
         prop_assert_eq!(
             &serial_rec,
-            &par_recovery_sweep(&mesh, &phases, &plans, &ckpt, 2, threads, sched)
+            &par_fault_sweep(&mesh, &phases, &plans, Some(&ckpt), 2, threads, sched).0
         );
         // And the sweep's replication 0 is the engine's own run.
         let mut engine = FaultSim::new(&mesh, &phases, &plans[0]);
