@@ -80,15 +80,6 @@ impl Augmented {
         }
     }
 
-    /// The recorded outcome for a non-branching edge (`None` for edges in
-    /// the branching, which have no outcome entry).
-    pub fn outcome_of(&self, eid: EdgeId) -> Option<&AugmentOutcome> {
-        match self.outcome_slot.get(eid.0) {
-            Some(&i) if i != u32::MAX => Some(&self.outcomes[i as usize].1),
-            _ => None,
-        }
-    }
-
     /// O(1) outcome update through the edge-id index.
     fn set_outcome(&mut self, eid: EdgeId, o: AugmentOutcome) {
         let i = self.outcome_slot[eid.0];

@@ -76,14 +76,6 @@ pub struct Alignment {
 }
 
 impl Alignment {
-    /// The allocation of a vertex.
-    pub fn alloc_of(&self, v: Vertex) -> &Alloc {
-        match v {
-            Vertex::Stmt(s) => &self.stmt_alloc[s.0],
-            Vertex::Array(x) => &self.array_alloc[x.0],
-        }
-    }
-
     /// Component index of a vertex, if it belongs to one.
     pub fn component_of(&self, v: Vertex) -> Option<usize> {
         match v {

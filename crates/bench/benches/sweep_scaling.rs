@@ -60,7 +60,7 @@ fn bench_analysis_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("pool_analysis_batch");
     for workers in worker_points() {
         g.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            b.iter(|| black_box(map_nest_batch(&fleet, &opts, w).unwrap()))
+            b.iter(|| black_box(map_nest_batch(&fleet, &opts, w).0.unwrap()))
         });
     }
     g.finish();

@@ -23,10 +23,7 @@
 //! rotations, allocation matrices), so the numbers can't drift from a
 //! wrong answer going fast.
 
-use rescomm::{
-    map_nest, map_nest_batch, map_nest_batch_report, map_nest_reference, map_nest_with,
-    AnalysisCache,
-};
+use rescomm::{map_nest, map_nest_batch, map_nest_reference, map_nest_with, AnalysisCache};
 use rescomm::{Mapping, MappingOptions};
 use rescomm_bench::harness::{median_ns, Args, Scaling};
 use rescomm_bench::workload::{chained_stencil_nest, host_threads, pipeline_nest};
@@ -151,16 +148,16 @@ fn main() {
     let fleet: Vec<LoopNest> = (0..if smoke { 4 } else { 16 })
         .map(|i| chained_stencil_nest(20 + 3 * i, 8))
         .collect();
-    let serial = map_nest_batch(&fleet, &opts, 1).unwrap();
+    let serial = map_nest_batch(&fleet, &opts, 1).0.unwrap();
     let host = host_threads();
     let threads = host.clamp(2, 8);
     // Worker-count identity gate runs on every host.
-    let (par, _) = map_nest_batch_report(&fleet, &opts, threads);
+    let (par, _) = map_nest_batch(&fleet, &opts, threads);
     for (i, (s, p)) in serial.iter().zip(&par.unwrap()).enumerate() {
         assert_same_mapping(&format!("batch nest {i}"), p, s);
     }
     let batch = Scaling::measure(&[1, threads], if smoke { 3 } else { 7 }, |w| {
-        map_nest_batch_report(&fleet, &opts, w).1
+        map_nest_batch(&fleet, &opts, w).1
     });
 
     let speedup = |old: u64, new: u64| fixed(old as f64 / new.max(1) as f64, 2);

@@ -33,7 +33,7 @@
 //!   threads the 4-worker row of each workload must reach ≥ 0.7
 //!   efficiency.
 
-use rescomm::{map_nest_batch, map_nest_batch_report, MappingOptions};
+use rescomm::{map_nest_batch, MappingOptions};
 use rescomm_bench::harness::{Args, Scaling};
 use rescomm_bench::workload::{
     chained_stencil_nest, host_threads, lossy_plan, paragon_mesh, pipeline_nest, seeded_outages,
@@ -132,9 +132,9 @@ fn main() {
         id_rows.push(("schedule", w));
     }
 
-    let analysis_serial = map_nest_batch(&fleet, &opts, 1).unwrap();
+    let analysis_serial = map_nest_batch(&fleet, &opts, 1).0.unwrap();
     for &w in id_workers {
-        let par = map_nest_batch(&fleet, &opts, w).unwrap();
+        let par = map_nest_batch(&fleet, &opts, w).0.unwrap();
         assert_eq!(par.len(), analysis_serial.len());
         for (i, (s, p)) in analysis_serial.iter().zip(&par).enumerate() {
             assert_eq!(
@@ -160,7 +160,7 @@ fn main() {
     // --- timing: analysis batch -------------------------------------------
     eprintln!("analysis_batch: {} skewed nests", fleet.len());
     let analysis = Scaling::measure(&worker_counts, timing_reps, |w| {
-        let (result, report) = map_nest_batch_report(&fleet, &opts, w);
+        let (result, report) = map_nest_batch(&fleet, &opts, w);
         result.unwrap();
         report
     });

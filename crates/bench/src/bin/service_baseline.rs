@@ -9,9 +9,9 @@
 //!   snapshot and replays the corpus. **Gate: every restored response
 //!   carries the `snapshot` marker and byte-identical result bytes.**
 //! * **malformed** — a corpus of hostile request lines (bad JSON,
-//!   duplicate keys, wrong types, bad nests, unknown ops, oversized
-//!   lines). **Gate: every line gets a structured error, the server
-//!   keeps serving, and zero panics are absorbed.**
+//!   duplicate keys, wrong types, bad nests, unknown ops, an oversized
+//!   mesh, oversized lines). **Gate: every line gets a structured
+//!   error, the server keeps serving, and zero panics are absorbed.**
 //! * **deadline** — requests with already-expired and mid-pipeline
 //!   deadlines. **Gate: each is cancelled with the `deadline` error
 //!   code (exit code 6) and counted in the server stats.**
@@ -211,6 +211,9 @@ fn main() {
         "null".to_string(),
         "{\"op\": \"map_batch\", \"nests\": []}".to_string(),
         "{\"op\": \"map_batch\", \"nests\": [7]}".to_string(),
+        // A valid nest on a 2^40-node mesh: must be refused before the
+        // simulator allocates a clock per link.
+        map_req(0, &nests[0]).replace("[8, 4]", "[1048576, 1048576]"),
         format!("{{\"op\": \"map\", \"nest\": \"{}\"}}", "y".repeat(8000)),
     ];
     let mut rejected = 0usize;

@@ -15,8 +15,6 @@ use rescomm_intlin::LinError;
 use rescomm_loopnest::ParseError;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Any error the public pipeline API can return.
@@ -41,9 +39,9 @@ pub enum RescommError {
         /// What happened.
         detail: String,
     },
-    /// The request was cancelled cooperatively — its deadline expired (or
-    /// its [`CancelToken`] was cancelled) and the pipeline stopped at the
-    /// named checkpoint instead of finishing the work.
+    /// The request was cancelled cooperatively — its [`CancelToken`]'s
+    /// deadline expired and the pipeline stopped at the named checkpoint
+    /// instead of finishing the work.
     Cancelled {
         /// The checkpoint that observed the cancellation.
         stage: &'static str,
@@ -109,70 +107,34 @@ impl From<Cancelled> for RescommError {
     }
 }
 
-#[derive(Debug)]
-struct CancelInner {
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
-}
-
 /// Cooperative cancellation for long-running pipeline work.
 ///
 /// The mapping pipeline has no natural preemption points — its passes
 /// are exact integer algebra — so cancellation is *cooperative*: the
 /// pipeline calls [`CancelToken::check`] between passes and returns
 /// [`Cancelled`] from the first checkpoint past the deadline. A token is
-/// either inert ([`CancelToken::none`], zero-cost, never fires), armed
-/// with a wall-clock deadline ([`CancelToken::with_deadline`]), or
-/// manual ([`CancelToken::manual`] + [`CancelToken::cancel`], e.g. a
-/// server draining on shutdown). Clones share state, so one token can be
-/// handed to a worker and cancelled from the accept loop.
+/// either inert ([`CancelToken::none`], never fires) or armed with a
+/// wall-clock deadline ([`CancelToken::with_deadline`]).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    inner: Option<Arc<CancelInner>>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
     /// The inert token: never cancels, adds no overhead.
     pub fn none() -> Self {
-        CancelToken { inner: None }
+        CancelToken { deadline: None }
     }
 
     /// A token that fires once `deadline` from now has passed.
     pub fn with_deadline(deadline: Duration) -> Self {
         CancelToken {
-            inner: Some(Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Instant::now().checked_add(deadline),
-            })),
+            deadline: Instant::now().checked_add(deadline),
         }
     }
 
-    /// A token that fires only when [`CancelToken::cancel`] is called.
-    pub fn manual() -> Self {
-        CancelToken {
-            inner: Some(Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-            })),
-        }
-    }
-
-    /// Cancel now (all clones observe it). Inert tokens ignore this.
-    pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.cancelled.store(true, Ordering::Release);
-        }
-    }
-
-    /// Has the token fired (explicitly or by deadline)?
-    pub fn is_cancelled(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                inner.cancelled.load(Ordering::Acquire)
-                    || inner.deadline.is_some_and(|d| Instant::now() >= d)
-            }
-        }
+    fn is_cancelled(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Checkpoint: return [`Cancelled`] at `stage` if the token fired.
@@ -336,23 +298,9 @@ mod tests {
     #[test]
     fn inert_token_never_fires() {
         let t = CancelToken::none();
-        t.cancel();
         assert!(!t.is_cancelled());
         assert!(t.check("anywhere").is_ok());
         assert!(!CancelToken::default().is_cancelled());
-    }
-
-    #[test]
-    fn manual_token_fires_for_all_clones() {
-        let t = CancelToken::manual();
-        let clone = t.clone();
-        assert!(clone.check("before").is_ok());
-        t.cancel();
-        let c = clone.check("augment").unwrap_err();
-        assert_eq!(c.stage, "augment");
-        let e: RescommError = c.into();
-        assert_eq!(e.exit_code(), 6);
-        assert!(format!("{e}").contains("augment"));
     }
 
     #[test]
@@ -362,6 +310,10 @@ mod tests {
         let expired = CancelToken::with_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(1));
         assert!(expired.is_cancelled());
-        assert_eq!(expired.check("late").unwrap_err().stage, "late");
+        let c = expired.check("augment").unwrap_err();
+        assert_eq!(c.stage, "augment");
+        let e: RescommError = c.into();
+        assert_eq!(e.exit_code(), 6);
+        assert!(format!("{e}").contains("augment"));
     }
 }

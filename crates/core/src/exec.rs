@@ -113,7 +113,7 @@ fn execute_instance(
 }
 
 /// Sequential reference execution (timestep order, then statement order).
-pub fn run_sequential(nest: &LoopNest) -> ArrayState {
+fn run_sequential(nest: &LoopNest) -> ArrayState {
     let mut state: ArrayState = HashMap::new();
     for (_, instances) in instances_by_time(nest) {
         // Within a timestep everything is parallel: reads see the state

@@ -39,13 +39,11 @@ pub mod snapshot;
 
 pub use error::{guarded, CancelToken, Cancelled, Incident, IncidentKind, RescommError};
 pub use exec::{
-    run_distributed, run_distributed_on, run_sequential, verify_execution, verify_execution_on,
-    ExecStats,
+    run_distributed, run_distributed_on, verify_execution, verify_execution_on, ExecStats,
 };
 pub use pipeline::{
-    dataflow_matrix, dataflow_matrix_cached, map_nest, map_nest_batch, map_nest_batch_report,
-    map_nest_cancellable, map_nest_reference, map_nest_with, par_map_nests, AnalysisCache,
-    CommOutcome, Mapping, MappingOptions,
+    dataflow_matrix, dataflow_matrix_cached, map_nest, map_nest_batch, map_nest_cancellable,
+    map_nest_reference, map_nest_with, AnalysisCache, CommOutcome, Mapping, MappingOptions,
 };
 pub use plan::{build_plan, build_plan_closed, CommPhase, CommPlan, PhaseKind, PhasePattern};
 pub use recover::{remap_for_survivors, DegradedGrid};

@@ -80,12 +80,6 @@ impl MappingOptions {
             self_check: false,
         }
     }
-
-    /// Builder-style toggle for the self-checking mode.
-    pub fn with_self_check(mut self) -> Self {
-        self.self_check = true;
-        self
-    }
 }
 
 /// Final classification of one access's communication.
@@ -355,19 +349,10 @@ pub fn map_nest_reference(nest: &LoopNest, opts: &MappingOptions) -> Mapping {
 /// work-stealing pool with one [`AnalysisCache`] per worker (the
 /// `par_sweep_with` scratch pattern). Results are in input order and
 /// identical to mapping each nest alone; the first failing nest's error
-/// is returned.
+/// is returned. The pool's execution report (workers actually used,
+/// grain, steal count) rides along — scaling benches compute efficiency
+/// against [`SweepReport::workers`], never the request.
 pub fn map_nest_batch(
-    nests: &[LoopNest],
-    opts: &MappingOptions,
-    threads: usize,
-) -> Result<Vec<Mapping>, RescommError> {
-    map_nest_batch_report(nests, opts, threads).0
-}
-
-/// [`map_nest_batch`] plus the pool's execution report (workers actually
-/// used, grain, steal count) — the analysis-batch scaling bench computes
-/// efficiency against [`SweepReport::workers`], never the request.
-pub fn map_nest_batch_report(
     nests: &[LoopNest],
     opts: &MappingOptions,
     threads: usize,
@@ -381,15 +366,6 @@ pub fn map_nest_batch_report(
         .map(|r| r.expect("map_nest_batch worker produced no mapping"))
         .collect();
     (mappings, report)
-}
-
-/// Alias for [`map_nest_batch`] with one worker per available core.
-pub fn par_map_nests(
-    nests: &[LoopNest],
-    opts: &MappingOptions,
-) -> Result<Vec<Mapping>, RescommError> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    map_nest_batch(nests, opts, threads)
 }
 
 fn map_nest_impl(
@@ -980,7 +956,11 @@ mod tests {
         assert!(plain.incidents.is_empty());
         // Self-checking mode replays through the oracle, agrees, and adds
         // nothing to the record.
-        let checked = map_nest(&nest, &MappingOptions::new(2).with_self_check()).unwrap();
+        let opts = MappingOptions {
+            self_check: true,
+            ..MappingOptions::new(2)
+        };
+        let checked = map_nest(&nest, &opts).unwrap();
         assert_eq!(plain.outcomes, checked.outcomes);
         assert!(checked.incidents.is_empty());
     }
@@ -1018,7 +998,7 @@ mod tests {
             examples::adi_sweep(4),
         ];
         let opts = MappingOptions::new(2);
-        let batch = map_nest_batch(&nests, &opts, 2).unwrap();
+        let batch = map_nest_batch(&nests, &opts, 2).0.unwrap();
         assert_eq!(batch.len(), 3);
         for (nest, got) in nests.iter().zip(&batch) {
             let solo = map_nest(nest, &opts).unwrap();

@@ -2,23 +2,28 @@
 //!
 //! A std-only, long-lived JSON-lines-over-TCP server around the mapping
 //! pipeline: clients send affine nest sources plus machine/schedule
-//! specs, the server maps them ([`map_nest_cancellable`] /
-//! [`crate::map_nest_batch`]) with warm [`AnalysisCache`]s, builds the
-//! communication plan, simulates it, and answers with the mapping report
-//! counts and the simulated makespan. See `DESIGN.md` §15 for the full
-//! wire protocol and state machine; the short version:
+//! specs, the server maps them ([`map_nest_cancellable`]) with warm
+//! [`AnalysisCache`]s, builds the communication plan, simulates it, and
+//! answers with the mapping report counts and the simulated makespan.
+//! See `DESIGN.md` §15 for the full wire protocol and state machine; the
+//! short version:
 //!
 //! * **One request per line, one response per line.** Requests are
 //!   strict JSON objects (`rescomm_json::parse` — duplicate keys and
 //!   trailing garbage are protocol errors with line/col positions).
 //!   Ops: `map`, `map_batch`, `ping`, `stats`, `snapshot`, `shutdown`.
+//! * **One per-nest path.** A `map` and every entry of a `map_batch`
+//!   take the same steps: plan-cache lookup, admission, compute under
+//!   the request's deadline, store. A batch runs its entries in order
+//!   and answers `{"results": [...]}`; its first failing entry answers
+//!   for the batch, and the entries before it stay cached.
 //! * **Responses** are `{"id": …, "ok": true, "served": s, "result": …}`
 //!   with `served` ∈ `fresh | cache | snapshot`, or `{"id": …, "ok":
 //!   false, "error": {"code": …, "exit_code": …, "detail": …}}` — the
 //!   server never answers a malformed or hostile request with anything
 //!   but a structured error, and never crashes on one (every compute is
 //!   wrapped in [`crate::guarded`]).
-//! * **Admission control.** At most `workers` map computations run
+//! * **Admission control.** At most `workers` nest computations run
 //!   concurrently; up to `max_queue` more wait on a condvar. Beyond
 //!   that the request is rejected with a structured `overload` error
 //!   (`retry_after_ms` included), 429-style. Plan-cache hits bypass
@@ -28,11 +33,16 @@
 //!   entries; past the cap the least-recently-used entry is evicted
 //!   (hits refresh recency). Hit/miss/eviction counters surface in the
 //!   `stats` op.
-//! * **Deadlines.** A request's `deadline_ms` arms a [`CancelToken`];
-//!   the pipeline checks it between passes and the first checkpoint
-//!   past the deadline aborts the work with a `deadline` error.
+//! * **Deadlines.** A request's `deadline_ms` (or the server's default)
+//!   arms a [`CancelToken`]; the pipeline checks it between passes and
+//!   the first checkpoint past the deadline aborts the work with a
+//!   `deadline` error.
 //!   Requests that exhaust their deadline while *queued* are abandoned
 //!   without ever computing.
+//! * **Bounded meshes.** A mesh over [`MAX_MESH_NODES`] nodes is a
+//!   `protocol` error, and a snapshot holding one is rejected at restore
+//!   (cold start): the simulator allocates per link, so an unbounded
+//!   shape could exhaust memory and abort the process.
 //! * **Snapshots.** The plan cache checkpoints to disk (atomic
 //!   write-then-rename) every `snapshot_every` completed computations,
 //!   on an interval, on `shutdown` (drain first), and on demand. A
@@ -42,7 +52,7 @@
 //!   serves the same bytes with `"served": "snapshot"`.
 
 use crate::error::{CancelToken, RescommError};
-use crate::pipeline::{map_nest_batch, map_nest_cancellable, AnalysisCache, MappingOptions};
+use crate::pipeline::{map_nest_cancellable, AnalysisCache, MappingOptions};
 use crate::plan::CommPlan;
 use crate::snapshot::{plan_from_json, plan_to_json};
 use crate::{build_plan, guarded};
@@ -52,7 +62,7 @@ use rescomm_loopnest::parser::parse_nest;
 use rescomm_loopnest::LoopNest;
 use rescomm_machine::snapshot::{mesh_from_json, mesh_to_json};
 use rescomm_machine::sweep::par_sweep_with;
-use rescomm_machine::{CostModel, Mesh2D, ScheduleMode};
+use rescomm_machine::{CostModel, Mesh2D, ScheduleMode, MAX_MESH_NODES};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -228,32 +238,37 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `u64` as JSON without squeezing through f64 (see the snapshot rules).
-fn ju(x: u64) -> JsonValue {
-    if x <= i64::MAX as u64 {
-        JsonValue::Int(x as i64)
-    } else {
-        JsonValue::Str(x.to_string())
+/// A structured request failure: wire code, exit code and detail.
+struct Failure {
+    code: &'static str,
+    exit_code: u8,
+    detail: String,
+}
+
+impl Failure {
+    fn protocol(detail: impl Into<String>) -> Failure {
+        Failure {
+            code: "protocol",
+            exit_code: 1,
+            detail: detail.into(),
+        }
     }
 }
 
-fn jobj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Wire code + exit code for a pipeline error.
-fn error_code(e: &RescommError) -> &'static str {
-    match e {
-        RescommError::Parse(_) => "parse",
-        RescommError::Lin(_) => "lin",
-        RescommError::Analysis { .. } => "analysis",
-        RescommError::Exec { .. } => "exec",
-        RescommError::Cancelled { .. } => "deadline",
+impl From<RescommError> for Failure {
+    fn from(e: RescommError) -> Failure {
+        let code = match e {
+            RescommError::Parse(_) => "parse",
+            RescommError::Lin(_) => "lin",
+            RescommError::Analysis { .. } => "analysis",
+            RescommError::Exec { .. } => "exec",
+            RescommError::Cancelled { .. } => "deadline",
+        };
+        Failure {
+            code,
+            exit_code: e.exit_code(),
+            detail: e.to_string(),
+        }
     }
 }
 
@@ -266,12 +281,26 @@ fn err_response(id: &JsonValue, code: &str, exit_code: u8, detail: &str) -> Stri
     if code == "overload" {
         error.push(("retry_after_ms", JsonValue::Int(50)));
     }
-    jobj(vec![
+    JsonValue::object([
         ("id", id.clone()),
         ("ok", JsonValue::Bool(false)),
-        ("error", jobj(error)),
+        ("error", JsonValue::object(error)),
     ])
     .render()
+}
+
+/// Count a failure under its `stats` counter and render its response.
+fn fail(shared: &Shared, id: &JsonValue, f: Failure) -> String {
+    let s = &shared.stats;
+    let counter = match f.code {
+        "protocol" => &s.protocol_errors,
+        "overload" => &s.rejected_overload,
+        "deadline" => &s.deadline_cancelled,
+        "internal" => &s.panics_absorbed,
+        _ => &s.pipeline_errors,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    err_response(id, f.code, f.exit_code, &f.detail)
 }
 
 fn ok_response(id: &JsonValue, served: &str, result_json: &str) -> String {
@@ -299,12 +328,12 @@ impl MapParams {
     fn key(&self) -> String {
         JsonValue::Array(vec![
             JsonValue::Str(self.src.clone()),
-            ju(self.mesh.px as u64),
-            ju(self.mesh.py as u64),
+            JsonValue::exact_u64(self.mesh.px as u64),
+            JsonValue::exact_u64(self.mesh.py as u64),
             JsonValue::Str(self.cost_label.clone()),
-            ju(self.vshape.0 as u64),
-            ju(self.vshape.1 as u64),
-            ju(self.bytes),
+            JsonValue::exact_u64(self.vshape.0 as u64),
+            JsonValue::exact_u64(self.vshape.1 as u64),
+            JsonValue::exact_u64(self.bytes),
             JsonValue::Str(self.mode.label().to_string()),
         ])
         .render()
@@ -330,18 +359,18 @@ fn get_pair(v: &JsonValue, key: &str, default: (usize, usize)) -> Result<(usize,
     }
 }
 
-fn parse_map_params(req: &JsonValue) -> Result<MapParams, String> {
-    let src = req
-        .get("nest")
-        .and_then(JsonValue::as_str)
-        .ok_or("map needs a \"nest\" string (the nest source)")?
-        .to_string();
+/// The machine/schedule spec of a `map` or `map_batch` request, applied
+/// to the nest source `src`.
+fn parse_map_params(req: &JsonValue, src: &str) -> Result<MapParams, String> {
     if let Some(m) = req.get("m") {
         if m.as_i64() != Some(2) {
             return Err("only m=2 (2-D virtual grids) is served".to_string());
         }
     }
     let (px, py) = get_pair(req, "mesh", (8, 4))?;
+    if px * py > MAX_MESH_NODES {
+        return Err(format!("mesh {px}x{py} exceeds {MAX_MESH_NODES} nodes"));
+    }
     let cost_label = match req.get("cost").and_then(JsonValue::as_str) {
         None | Some("paragon") => "paragon",
         Some("cm5") => "cm5",
@@ -364,7 +393,7 @@ fn parse_map_params(req: &JsonValue) -> Result<MapParams, String> {
             .ok_or_else(|| format!("unknown mode {s:?} (phased|overlapped|overlapped-longest)"))?,
     };
     Ok(MapParams {
-        src,
+        src: src.to_string(),
         mesh: Mesh2D::new(px, py, cost),
         cost_label,
         vshape,
@@ -382,22 +411,23 @@ fn render_result(
     makespan: u64,
 ) -> String {
     let r = mapping.report(nest);
-    jobj(vec![
+    let n = |x: usize| JsonValue::exact_u64(x as u64);
+    JsonValue::object([
         ("nest", JsonValue::Str(r.nest.clone())),
-        ("accesses", ju(nest.accesses.len() as u64)),
-        ("local", ju(r.n_local as u64)),
-        ("translation", ju(r.n_translation as u64)),
-        ("broadcast", ju(r.n_broadcast as u64)),
-        ("scatter", ju(r.n_scatter as u64)),
-        ("gather", ju(r.n_gather as u64)),
-        ("reduction", ju(r.n_reduction as u64)),
-        ("decomposed", ju(r.n_decomposed as u64)),
-        ("factors", ju(r.n_factors as u64)),
-        ("general", ju(r.n_general as u64)),
-        ("incidents", ju(r.n_incidents as u64)),
-        ("phases", ju(plan.phases.len() as u64)),
+        ("accesses", n(nest.accesses.len())),
+        ("local", n(r.n_local)),
+        ("translation", n(r.n_translation)),
+        ("broadcast", n(r.n_broadcast)),
+        ("scatter", n(r.n_scatter)),
+        ("gather", n(r.n_gather)),
+        ("reduction", n(r.n_reduction)),
+        ("decomposed", n(r.n_decomposed)),
+        ("factors", n(r.n_factors)),
+        ("general", n(r.n_general)),
+        ("incidents", n(r.n_incidents)),
+        ("phases", n(plan.phases.len())),
         ("mode", JsonValue::Str(p.mode.label().to_string())),
-        ("makespan", ju(makespan)),
+        ("makespan", JsonValue::exact_u64(makespan)),
     ])
     .render()
 }
@@ -500,16 +530,25 @@ fn compute_entry(
     })
 }
 
-fn handle_map(shared: &Shared, id: &JsonValue, req: &JsonValue) -> String {
-    let p = match parse_map_params(req) {
-        Ok(p) => p,
-        Err(detail) => {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return err_response(id, "protocol", 1, &detail);
-        }
-    };
-    let key = p.key();
+/// A request's deadline: its own `deadline_ms`, else the server default.
+fn request_deadline(shared: &Shared, req: &JsonValue) -> Option<Instant> {
+    req.get("deadline_ms")
+        .and_then(JsonValue::as_u64)
+        .map(Duration::from_millis)
+        .or(shared.cfg.default_deadline)
+        .and_then(|d| Instant::now().checked_add(d))
+}
 
+/// The one per-nest path every `map` request and every `map_batch` entry
+/// takes: plan-cache lookup, admission under the request's deadline,
+/// compute under its token, store. Returns how the `result` was served
+/// and its bytes.
+fn map_one(
+    shared: &Shared,
+    p: MapParams,
+    deadline: Option<Instant>,
+) -> Result<(&'static str, String), Failure> {
+    let key = p.key();
     // Cached path first: hits are served even under full overload — the
     // degradation ladder is fresh → cached → rejected. `touch` also
     // refreshes recency so hot plans survive LRU eviction.
@@ -520,44 +559,27 @@ fn handle_map(shared: &Shared, id: &JsonValue, req: &JsonValue) -> String {
             ("cache", &shared.stats.cache_hits)
         };
         ctr.fetch_add(1, Ordering::Relaxed);
-        return ok_response(id, served, &entry.result_json);
+        return Ok((served, entry.result_json.clone()));
     }
     shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    let deadline_ms = req.get("deadline_ms").and_then(JsonValue::as_u64);
-    let deadline = deadline_ms
-        .map(Duration::from_millis)
-        .or(shared.cfg.default_deadline)
-        .and_then(|d| Instant::now().checked_add(d));
-
     match admit(shared, deadline) {
+        Admit::Granted => {}
         Admit::Overload => {
-            shared
-                .stats
-                .rejected_overload
-                .fetch_add(1, Ordering::Relaxed);
-            return err_response(
-                id,
-                "overload",
-                1,
-                "admission queue full (or draining); retry later",
-            );
+            return Err(Failure {
+                code: "overload",
+                exit_code: 1,
+                detail: "admission queue full (or draining); retry later".to_string(),
+            })
         }
         Admit::DeadlineExpired => {
-            shared
-                .stats
-                .deadline_cancelled
-                .fetch_add(1, Ordering::Relaxed);
-            return err_response(
-                id,
-                "deadline",
-                6,
-                "deadline expired while queued for admission",
-            );
+            return Err(Failure {
+                code: "deadline",
+                exit_code: 6,
+                detail: "deadline expired while queued for admission".to_string(),
+            })
         }
-        Admit::Granted => {}
     }
-
     let cancel = match deadline {
         Some(d) => CancelToken::with_deadline(d.saturating_duration_since(Instant::now())),
         None => CancelToken::none(),
@@ -566,214 +588,101 @@ fn handle_map(shared: &Shared, id: &JsonValue, req: &JsonValue) -> String {
     // error — the worker slot is released either way.
     let outcome = guarded("serve_map", || compute_entry(shared, &p, &cancel));
     release(shared);
-
-    match outcome {
-        Ok(Ok(entry)) => {
-            let response = ok_response(id, "fresh", &entry.result_json);
-            let evicted = lock(&shared.plans).insert(key, entry);
-            shared
-                .stats
-                .cache_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-            shared.stats.computed.fetch_add(1, Ordering::Relaxed);
-            let dirty = shared.dirty.fetch_add(1, Ordering::AcqRel) + 1;
-            if shared.cfg.snapshot_every > 0 && dirty >= shared.cfg.snapshot_every {
-                flush_snapshot(shared);
-            }
-            response
-        }
-        Ok(Err(e)) => {
-            let ctr = if matches!(e, RescommError::Cancelled { .. }) {
-                &shared.stats.deadline_cancelled
-            } else {
-                &shared.stats.pipeline_errors
-            };
-            ctr.fetch_add(1, Ordering::Relaxed);
-            err_response(id, error_code(&e), e.exit_code(), &e.to_string())
-        }
+    let entry = match outcome {
+        Ok(Ok(entry)) => entry,
+        Ok(Err(e)) => return Err(e.into()),
         Err(incident) => {
-            shared.stats.panics_absorbed.fetch_add(1, Ordering::Relaxed);
-            err_response(
-                id,
-                "internal",
-                1,
-                &format!("absorbed internal panic: {}", incident.detail),
-            )
+            return Err(Failure {
+                code: "internal",
+                exit_code: 1,
+                detail: format!("absorbed internal panic: {}", incident.detail),
+            })
         }
+    };
+
+    let result = entry.result_json.clone();
+    let evicted = lock(&shared.plans).insert(key, entry);
+    let s = &shared.stats;
+    s.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+    s.computed.fetch_add(1, Ordering::Relaxed);
+    let dirty = shared.dirty.fetch_add(1, Ordering::AcqRel) + 1;
+    if shared.cfg.snapshot_every > 0 && dirty >= shared.cfg.snapshot_every {
+        flush_snapshot(shared);
     }
+    Ok(("fresh", result))
 }
 
-fn handle_map_batch(shared: &Shared, id: &JsonValue, req: &JsonValue) -> String {
+fn handle_map(shared: &Shared, id: &JsonValue, req: &JsonValue) -> Result<String, Failure> {
+    let src = req
+        .get("nest")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| Failure::protocol("map needs a \"nest\" string (the nest source)"))?;
+    let p = parse_map_params(req, src).map_err(Failure::protocol)?;
+    let (served, result) = map_one(shared, p, request_deadline(shared, req))?;
+    Ok(ok_response(id, served, &result))
+}
+
+/// Every nest of a batch shares the request's machine/schedule spec and
+/// deadline. Entries run in order; the first failure answers for the
+/// batch, and the entries before it stay cached.
+fn handle_map_batch(shared: &Shared, id: &JsonValue, req: &JsonValue) -> Result<String, Failure> {
     let sources = match req.get("nests").and_then(JsonValue::as_array) {
         Some(a) if !a.is_empty() => a,
-        _ => {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return err_response(id, "protocol", 1, "map_batch needs a non-empty nests array");
-        }
+        _ => return Err(Failure::protocol("map_batch needs a non-empty nests array")),
     };
-    // Reuse the single-map parameter surface: all nests in a batch share
-    // one machine/schedule spec.
-    let mut proto = match req.get("nests") {
-        Some(_) => req.clone(),
-        None => unreachable!(),
-    };
-    if let JsonValue::Object(fields) = &mut proto {
-        fields.retain(|(k, _)| k != "nest" && k != "nests");
-        fields.push(("nest".to_string(), JsonValue::Str(String::new())));
+    let sources = sources
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            s.as_str()
+                .ok_or_else(|| Failure::protocol(format!("nests[{i}] must be a string")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let deadline = request_deadline(shared, req);
+    let mut results = Vec::with_capacity(sources.len());
+    for (i, src) in sources.into_iter().enumerate() {
+        let p = parse_map_params(req, src).map_err(Failure::protocol)?;
+        let (_, result) = map_one(shared, p, deadline).map_err(|f| Failure {
+            detail: format!("nests[{i}]: {}", f.detail),
+            ..f
+        })?;
+        results.push(result);
     }
-    let mut params = Vec::with_capacity(sources.len());
-    let mut nests = Vec::with_capacity(sources.len());
-    for (i, s) in sources.iter().enumerate() {
-        let Some(src) = s.as_str() else {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return err_response(id, "protocol", 1, &format!("nests[{i}] must be a string"));
-        };
-        if let JsonValue::Object(fields) = &mut proto {
-            if let Some(slot) = fields.iter_mut().find(|(k, _)| k == "nest") {
-                slot.1 = JsonValue::Str(src.to_string());
-            }
-        }
-        let p = match parse_map_params(&proto) {
-            Ok(p) => p,
-            Err(detail) => {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return err_response(id, "protocol", 1, &detail);
-            }
-        };
-        match parse_nest(src) {
-            Ok(n) => nests.push(n),
-            Err(e) => {
-                let e = RescommError::from(e);
-                shared.stats.pipeline_errors.fetch_add(1, Ordering::Relaxed);
-                return err_response(
-                    id,
-                    error_code(&e),
-                    e.exit_code(),
-                    &format!("nests[{i}]: {e}"),
-                );
-            }
-        }
-        params.push(p);
-    }
-
-    match admit(shared, None) {
-        Admit::Granted => {}
-        _ => {
-            shared
-                .stats
-                .rejected_overload
-                .fetch_add(1, Ordering::Relaxed);
-            return err_response(id, "overload", 1, "admission queue full; retry later");
-        }
-    }
-    let outcome = guarded("serve_map_batch", || {
-        let mappings = map_nest_batch(&nests, &MappingOptions::new(2), shared.cfg.workers.max(1))?;
-        let mut entries = Vec::with_capacity(nests.len());
-        for ((nest, mapping), p) in nests.iter().zip(&mappings).zip(&params) {
-            let plan = build_plan(nest, mapping);
-            let dist = Dist2D::uniform(Dist1D::Block);
-            let makespan = plan.simulate_on_mesh(&p.mesh, dist, p.vshape, p.bytes, p.mode);
-            entries.push(PlanEntry {
-                result_json: render_result(nest, mapping, &plan, p, makespan),
-                plan_json: plan_to_json(&plan).render(),
-                mesh_json: mesh_to_json(&p.mesh).render(),
-                vshape: p.vshape,
-                bytes: p.bytes,
-                mode: p.mode,
-                makespan,
-                from_snapshot: false,
-            });
-        }
-        Ok::<_, RescommError>(entries)
-    });
-    release(shared);
-
-    match outcome {
-        Ok(Ok(entries)) => {
-            let results: Vec<&str> = entries.iter().map(|e| e.result_json.as_str()).collect();
-            let body = format!("{{\"results\": [{}]}}", results.join(", "));
-            let count = results.len() as u64;
-            drop(results);
-            {
-                let mut plans = lock(&shared.plans);
-                let mut evicted = 0;
-                for (p, entry) in params.iter().zip(entries) {
-                    evicted += plans.insert(p.key(), entry);
-                }
-                shared
-                    .stats
-                    .cache_evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
-            }
-            shared.stats.computed.fetch_add(count, Ordering::Relaxed);
-            let dirty = shared.dirty.fetch_add(count, Ordering::AcqRel) + count;
-            if shared.cfg.snapshot_every > 0 && dirty >= shared.cfg.snapshot_every {
-                flush_snapshot(shared);
-            }
-            ok_response(id, "fresh", &body)
-        }
-        Ok(Err(e)) => {
-            shared.stats.pipeline_errors.fetch_add(1, Ordering::Relaxed);
-            err_response(id, error_code(&e), e.exit_code(), &e.to_string())
-        }
-        Err(incident) => {
-            shared.stats.panics_absorbed.fetch_add(1, Ordering::Relaxed);
-            err_response(
-                id,
-                "internal",
-                1,
-                &format!("absorbed internal panic: {}", incident.detail),
-            )
-        }
-    }
+    let body = format!("{{\"results\": [{}]}}", results.join(", "));
+    Ok(ok_response(id, "fresh", &body))
 }
 
 fn handle_stats(shared: &Shared, id: &JsonValue) -> String {
     let s = &shared.stats;
     let plan_entries = lock(&shared.plans).len();
     let analysis_entries: usize = lock(&shared.caches).iter().map(|c| c.len()).sum();
-    let result = jobj(vec![
-        ("requests", ju(s.requests.load(Ordering::Relaxed))),
-        ("computed", ju(s.computed.load(Ordering::Relaxed))),
-        ("cache_hits", ju(s.cache_hits.load(Ordering::Relaxed))),
-        ("cache_misses", ju(s.cache_misses.load(Ordering::Relaxed))),
-        (
-            "cache_evictions",
-            ju(s.cache_evictions.load(Ordering::Relaxed)),
-        ),
-        ("snapshot_hits", ju(s.snapshot_hits.load(Ordering::Relaxed))),
-        (
-            "rejected_overload",
-            ju(s.rejected_overload.load(Ordering::Relaxed)),
-        ),
-        (
-            "deadline_cancelled",
-            ju(s.deadline_cancelled.load(Ordering::Relaxed)),
-        ),
-        (
-            "protocol_errors",
-            ju(s.protocol_errors.load(Ordering::Relaxed)),
-        ),
-        (
-            "pipeline_errors",
-            ju(s.pipeline_errors.load(Ordering::Relaxed)),
-        ),
-        (
-            "panics_absorbed",
-            ju(s.panics_absorbed.load(Ordering::Relaxed)),
-        ),
-        (
-            "restored_entries",
-            ju(s.restored_entries.load(Ordering::Relaxed)),
-        ),
-        (
-            "snapshot_flushes",
-            ju(s.snapshot_flushes.load(Ordering::Relaxed)),
-        ),
-        ("plan_entries", ju(plan_entries as u64)),
-        ("plan_cache_cap", ju(shared.cfg.plan_cache_cap as u64)),
-        ("analysis_entries", ju(analysis_entries as u64)),
-    ])
+    let counters = [
+        ("requests", &s.requests),
+        ("computed", &s.computed),
+        ("cache_hits", &s.cache_hits),
+        ("cache_misses", &s.cache_misses),
+        ("cache_evictions", &s.cache_evictions),
+        ("snapshot_hits", &s.snapshot_hits),
+        ("rejected_overload", &s.rejected_overload),
+        ("deadline_cancelled", &s.deadline_cancelled),
+        ("protocol_errors", &s.protocol_errors),
+        ("pipeline_errors", &s.pipeline_errors),
+        ("panics_absorbed", &s.panics_absorbed),
+        ("restored_entries", &s.restored_entries),
+        ("snapshot_flushes", &s.snapshot_flushes),
+    ];
+    let sizes = [
+        ("plan_entries", plan_entries),
+        ("plan_cache_cap", shared.cfg.plan_cache_cap),
+        ("analysis_entries", analysis_entries),
+    ];
+    let result = JsonValue::object(
+        counters
+            .map(|(k, c)| (k, c.load(Ordering::Relaxed)))
+            .into_iter()
+            .chain(sizes.map(|(k, n)| (k, n as u64)))
+            .map(|(k, n)| (k, JsonValue::exact_u64(n))),
+    )
     .render();
     ok_response(id, "fresh", &result)
 }
@@ -785,52 +694,41 @@ fn handle_line(shared: &Shared, line: &str) -> String {
     let req = match parse(line) {
         Ok(v) => v,
         Err(e) => {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return err_response(
-                &JsonValue::Null,
-                "protocol",
-                1,
-                &format!("bad request: {e}"),
-            );
+            let f = Failure::protocol(format!("bad request: {e}"));
+            return fail(shared, &JsonValue::Null, f);
         }
     };
     let id = req.get("id").cloned().unwrap_or(JsonValue::Null);
     if !matches!(req, JsonValue::Object(_)) {
-        shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return err_response(&id, "protocol", 1, "request must be a JSON object");
+        return fail(
+            shared,
+            &id,
+            Failure::protocol("request must be a JSON object"),
+        );
     }
-    match req.get("op").and_then(JsonValue::as_str) {
-        Some("ping") => ok_response(&id, "fresh", "{\"pong\": true}"),
+    let response = match req.get("op").and_then(JsonValue::as_str) {
+        Some("ping") => Ok(ok_response(&id, "fresh", "{\"pong\": true}")),
         Some("map") => handle_map(shared, &id, &req),
         Some("map_batch") => handle_map_batch(shared, &id, &req),
-        Some("stats") => handle_stats(shared, &id),
+        Some("stats") => Ok(handle_stats(shared, &id)),
         Some("snapshot") => {
             let flushed = flush_snapshot(shared);
             let entries = lock(&shared.plans).len();
-            ok_response(
-                &id,
-                "fresh",
-                &jobj(vec![
-                    ("flushed", JsonValue::Bool(flushed)),
-                    ("entries", ju(entries as u64)),
-                ])
-                .render(),
-            )
+            let result = JsonValue::object([
+                ("flushed", JsonValue::Bool(flushed)),
+                ("entries", JsonValue::exact_u64(entries as u64)),
+            ]);
+            Ok(ok_response(&id, "fresh", &result.render()))
         }
         Some("shutdown") => {
             shared.shutdown.store(true, Ordering::Release);
             shared.adm_cv.notify_all();
-            ok_response(&id, "fresh", "{\"draining\": true}")
+            Ok(ok_response(&id, "fresh", "{\"draining\": true}"))
         }
-        Some(other) => {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            err_response(&id, "protocol", 1, &format!("unknown op {other:?}"))
-        }
-        None => {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            err_response(&id, "protocol", 1, "request needs an \"op\" string")
-        }
-    }
+        Some(other) => Err(Failure::protocol(format!("unknown op {other:?}"))),
+        None => Err(Failure::protocol("request needs an \"op\" string")),
+    };
+    response.unwrap_or_else(|f| fail(shared, &id, f))
 }
 
 // --- snapshot persistence --------------------------------------------------
@@ -851,22 +749,26 @@ fn snapshot_doc(plans: &PlanCache) -> String {
             let result = parse(&e.result_json).ok()?;
             let plan = parse(&e.plan_json).ok()?;
             let mesh = parse(&e.mesh_json).ok()?;
-            Some(jobj(vec![
+            let (vw, vh) = e.vshape;
+            Some(JsonValue::object([
                 ("key", JsonValue::Str((*k).clone())),
                 (
                     "vshape",
-                    JsonValue::Array(vec![ju(e.vshape.0 as u64), ju(e.vshape.1 as u64)]),
+                    JsonValue::Array(vec![
+                        JsonValue::exact_u64(vw as u64),
+                        JsonValue::exact_u64(vh as u64),
+                    ]),
                 ),
-                ("bytes", ju(e.bytes)),
+                ("bytes", JsonValue::exact_u64(e.bytes)),
                 ("mode", JsonValue::Str(e.mode.label().to_string())),
-                ("makespan", ju(e.makespan)),
+                ("makespan", JsonValue::exact_u64(e.makespan)),
                 ("result", result),
                 ("plan", plan),
                 ("mesh", mesh),
             ]))
         })
         .collect();
-    jobj(vec![
+    JsonValue::object([
         ("format", JsonValue::Str(SNAPSHOT_FORMAT.to_string())),
         ("version", JsonValue::Int(SNAPSHOT_VERSION)),
         ("entries", JsonValue::Array(entries)),
@@ -1311,16 +1213,44 @@ mod tests {
         let handle = Server::bind(ServerConfig::default()).unwrap().spawn();
         let (mut r, mut w) = client(handle.addr);
         let nest = JsonValue::Str(NEST.to_string()).render();
-        let req = format!("{{\"id\": 1, \"op\": \"map\", \"nest\": {nest}, \"deadline_ms\": 0}}");
+        // A batch honours the request deadline exactly as a map does.
+        for req in [
+            format!("{{\"id\": 1, \"op\": \"map\", \"nest\": {nest}, \"deadline_ms\": 0}}"),
+            format!(
+                "{{\"id\": 1, \"op\": \"map_batch\", \"nests\": [{nest}], \"deadline_ms\": 0}}"
+            ),
+        ] {
+            let resp = roundtrip(&mut r, &mut w, &req);
+            assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(false)), "{resp:?}");
+            let err = resp.get("error").unwrap();
+            assert_eq!(
+                err.get("code").and_then(JsonValue::as_str),
+                Some("deadline")
+            );
+            assert_eq!(err.get("exit_code").and_then(JsonValue::as_i64), Some(6));
+        }
+        // And the server still answers.
+        let pong = roundtrip(&mut r, &mut w, "{\"id\": 2, \"op\": \"ping\"}");
+        assert_eq!(pong.get("ok"), Some(&JsonValue::Bool(true)));
+        handle.stop().unwrap();
+    }
+
+    #[test]
+    fn oversized_mesh_is_a_protocol_error_not_an_abort() {
+        let handle = Server::bind(ServerConfig::default()).unwrap().spawn();
+        let (mut r, mut w) = client(handle.addr);
+        let nest = JsonValue::Str(NEST.to_string()).render();
+        let req = format!("{{\"op\": \"map\", \"nest\": {nest}, \"mesh\": [1048576, 1048576]}}");
         let resp = roundtrip(&mut r, &mut w, &req);
-        assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(false)), "{resp:?}");
-        let err = resp.get("error").unwrap();
+        let err = resp.get("error").expect("structured error");
         assert_eq!(
             err.get("code").and_then(JsonValue::as_str),
-            Some("deadline")
+            Some("protocol")
         );
-        assert_eq!(err.get("exit_code").and_then(JsonValue::as_i64), Some(6));
-        // And the server still answers.
+        assert!(err
+            .get("detail")
+            .and_then(JsonValue::as_str)
+            .is_some_and(|d| d.contains("exceeds")));
         let pong = roundtrip(&mut r, &mut w, "{\"id\": 2, \"op\": \"ping\"}");
         assert_eq!(pong.get("ok"), Some(&JsonValue::Bool(true)));
         handle.stop().unwrap();
@@ -1390,6 +1320,36 @@ mod tests {
             Some("cache")
         );
         assert_eq!(single.get("result").unwrap().render(), results[0].render());
+        handle.stop().unwrap();
+    }
+
+    #[test]
+    fn map_batch_serves_cached_entries_from_the_plan_cache() {
+        let handle = Server::bind(ServerConfig::default()).unwrap().spawn();
+        let (mut r, mut w) = client(handle.addr);
+        let single = roundtrip(&mut r, &mut w, &map_req(1));
+        let stat = |r: &mut BufReader<TcpStream>, w: &mut TcpStream, k: &str| {
+            let stats = roundtrip(r, w, "{\"op\": \"stats\"}");
+            stats
+                .get("result")
+                .and_then(|s| s.get(k))
+                .and_then(JsonValue::as_u64)
+        };
+        let (hits, computed) = (
+            stat(&mut r, &mut w, "cache_hits"),
+            stat(&mut r, &mut w, "computed"),
+        );
+        let nest = JsonValue::Str(NEST.to_string()).render();
+        let req = format!("{{\"op\": \"map_batch\", \"nests\": [{nest}], \"mesh\": [4, 4]}}");
+        let batch = roundtrip(&mut r, &mut w, &req);
+        let results = batch
+            .get("result")
+            .and_then(|r| r.get("results"))
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        assert_eq!(results[0].render(), single.get("result").unwrap().render());
+        assert_eq!(stat(&mut r, &mut w, "cache_hits"), hits.map(|h| h + 1));
+        assert_eq!(stat(&mut r, &mut w, "computed"), computed);
         handle.stop().unwrap();
     }
 

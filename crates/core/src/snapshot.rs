@@ -22,15 +22,6 @@ fn err<T>(msg: impl Into<String>) -> Restore<T> {
     Err(SnapshotError { msg: msg.into() })
 }
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn ints(xs: &[i64]) -> JsonValue {
     JsonValue::Array(xs.iter().map(|&x| JsonValue::Int(x)).collect())
 }
@@ -63,7 +54,7 @@ fn kind_to_json(k: &PhaseKind) -> JsonValue {
     if let Some(a) = arg {
         fields.push(("arg", JsonValue::Int(a)));
     }
-    obj(fields)
+    JsonValue::object(fields)
 }
 
 fn kind_from_json(v: &JsonValue) -> Restore<PhaseKind> {
@@ -162,7 +153,7 @@ fn pattern_from_json(v: &JsonValue) -> Restore<PhasePattern> {
 
 /// Serialize a [`CommPlan`].
 pub fn plan_to_json(plan: &CommPlan) -> JsonValue {
-    obj(vec![(
+    JsonValue::object([(
         "phases",
         JsonValue::Array(
             plan.phases
@@ -175,7 +166,7 @@ pub fn plan_to_json(plan: &CommPlan) -> JsonValue {
                         ("pattern", pattern_tag),
                     ];
                     fields.extend(rest);
-                    obj(fields)
+                    JsonValue::object(fields)
                 })
                 .collect(),
         ),

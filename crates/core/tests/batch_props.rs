@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rescomm::substrate::loopnest::examples;
-use rescomm::{map_nest, map_nest_batch_report, MappingOptions};
+use rescomm::{map_nest, map_nest_batch, MappingOptions};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -32,7 +32,7 @@ proptest! {
             .iter()
             .map(|n| map_nest(n, &opts).unwrap())
             .collect();
-        let (batch, report) = map_nest_batch_report(&nests, &opts, workers);
+        let (batch, report) = map_nest_batch(&nests, &opts, workers);
         let batch = batch.unwrap();
         prop_assert_eq!(report.requested, workers);
         prop_assert_eq!(report.workers, workers.clamp(1, nests.len()));

@@ -133,21 +133,31 @@ fn corrupt_snapshot_degrades_to_cold_start_not_a_crash() {
     let dir = std::env::temp_dir().join(format!("rescomm-corrupt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("plans.json");
-    std::fs::write(
-        &snap,
-        "{\"format\": \"rescomm-snapshot\", \"version\": 1, garbage",
-    )
-    .unwrap();
-
-    let server = Serve::start(&snap);
+    let _ = std::fs::remove_file(&snap);
     let nest_json = NEST.replace('\n', "\\n");
-    let resp = server.request(&format!(
-        "{{\"id\": 1, \"op\": \"map\", \"nest\": \"{nest_json}\"}}"
-    ));
-    assert!(
-        resp.contains("\"ok\": true") && resp.contains("\"served\": \"fresh\""),
-        "corrupt snapshot must cold-start, then serve: {resp}"
-    );
+    let map_req =
+        format!("{{\"id\": 1, \"op\": \"map\", \"nest\": \"{nest_json}\", \"mesh\": [4, 4]}}");
+
+    // A real snapshot, doctored so its entry's mesh has 2^40 nodes:
+    // simulating it at restore would abort the process on allocation.
+    let server = Serve::start(&snap);
+    server.request(&map_req);
     server.shutdown();
+    let oversized = std::fs::read_to_string(&snap)
+        .unwrap()
+        .replace("\"px\": 4, \"py\": 4", "\"px\": 1048576, \"py\": 1048576");
+    assert!(oversized.contains("1048576"), "{oversized}");
+
+    let garbage = "{\"format\": \"rescomm-snapshot\", \"version\": 1, garbage".to_string();
+    for doc in [garbage, oversized] {
+        std::fs::write(&snap, &doc).unwrap();
+        let server = Serve::start(&snap);
+        let resp = server.request(&map_req);
+        assert!(
+            resp.contains("\"ok\": true") && resp.contains("\"served\": \"fresh\""),
+            "corrupt snapshot must cold-start, then serve: {resp}"
+        );
+        server.shutdown();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

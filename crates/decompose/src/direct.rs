@@ -264,12 +264,6 @@ pub fn decompose_direct(t: &IMat) -> Option<Vec<Elementary>> {
     decompose4(t).or_else(|| euclid_decompose(t))
 }
 
-/// Minimum factor count among the methods of this module (a safe upper
-/// bound on the true minimum).
-pub fn min_known_factors(t: &IMat) -> Option<usize> {
-    decompose_direct(t).map(|s| s.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

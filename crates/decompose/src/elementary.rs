@@ -37,7 +37,7 @@ impl Elementary {
     }
 
     /// The shift amount.
-    pub fn coeff(self) -> i64 {
+    fn coeff(self) -> i64 {
         match self {
             Elementary::L(l) => l,
             Elementary::U(k) => k,

@@ -22,7 +22,7 @@ pub mod general;
 pub mod ndim;
 pub mod similar;
 
-pub use direct::{decompose_direct, euclid_decompose, min_known_factors};
+pub use direct::{decompose_direct, euclid_decompose};
 pub use elementary::{product, Elementary};
 pub use general::{decompose_general, GenFactor};
 pub use ndim::{shear_decompose, shear_product, NShear};

@@ -131,11 +131,6 @@ impl FoldedPattern {
             self.local_sends as f64 / self.total_sends as f64
         }
     }
-
-    /// Total bytes crossing the network.
-    pub fn total_bytes(&self) -> u64 {
-        self.msgs.iter().map(|m| m.bytes).sum()
-    }
 }
 
 /// Fold a virtual pattern in **one fused pass**: each endpoint is mapped

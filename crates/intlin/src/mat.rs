@@ -228,7 +228,7 @@ impl IMat {
 
     /// Raw row-major data, mutable.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [i64] {
+    fn as_mut_slice(&mut self) -> &mut [i64] {
         match &mut self.store {
             Store::Inline(buf) => &mut buf[..self.rows * self.cols],
             Store::Heap(v) => v,
@@ -267,7 +267,7 @@ impl IMat {
     ///
     /// # Panics
     /// Panics if `v.len() != self.cols()`.
-    pub fn try_mul_vec(&self, v: &[i64]) -> Result<Vec<i64>, LinError> {
+    fn try_mul_vec(&self, v: &[i64]) -> Result<Vec<i64>, LinError> {
         assert_eq!(v.len(), self.cols, "mul_vec: dimension mismatch");
         (0..self.rows)
             .map(|i| {
@@ -349,7 +349,7 @@ impl IMat {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn try_mul_into(&self, rhs: &IMat, out: &mut IMat) -> Result<(), LinError> {
+    fn try_mul_into(&self, rhs: &IMat, out: &mut IMat) -> Result<(), LinError> {
         assert_eq!(
             self.cols, rhs.rows,
             "matrix product shape mismatch: {}x{} · {}x{}",
@@ -370,13 +370,6 @@ impl IMat {
             }
         }
         Ok(())
-    }
-
-    /// Fallible matrix product (see [`IMat::try_mul_into`]).
-    pub fn try_mul(&self, rhs: &IMat) -> Result<IMat, LinError> {
-        let mut out = IMat::zeros(0, 0);
-        self.try_mul_into(rhs, &mut out)?;
-        Ok(out)
     }
 
     /// Reshape in place to `rows × cols`, zero-filling the entries and
@@ -467,11 +460,6 @@ impl IMat {
         rank_impl(scratch, self.rows, self.cols)
     }
 
-    /// `true` iff the matrix has full rank `min(rows, cols)`.
-    pub fn is_full_rank(&self) -> bool {
-        self.rank() == self.rows.min(self.cols)
-    }
-
     /// Inverse of a square unimodular-or-not integer matrix when the
     /// inverse is itself integral (i.e. `det = ±1`).
     pub fn inverse_unimodular(&self) -> Result<IMat, LinError> {
@@ -495,7 +483,7 @@ impl IMat {
     }
 
     /// The `(i,j)` minor: the matrix with row `i` and column `j` removed.
-    pub fn minor(&self, i: usize, j: usize) -> IMat {
+    fn minor(&self, i: usize, j: usize) -> IMat {
         assert!(self.rows > 0 && self.cols > 0);
         IMat::from_fn(self.rows - 1, self.cols - 1, |r, c| {
             let rr = if r < i { r } else { r + 1 };
@@ -948,7 +936,8 @@ mod tests {
     #[test]
     fn try_paths_error_instead_of_panicking() {
         let big = IMat::from_rows(&[&[i64::MAX / 2, i64::MAX / 2], &[1, 1]]);
-        assert_eq!(big.try_mul(&big), Err(LinError::Overflow));
+        let mut out = IMat::zeros(0, 0);
+        assert_eq!(big.try_mul_into(&big, &mut out), Err(LinError::Overflow));
         assert_eq!(
             big.try_mul_vec(&[i64::MAX / 2, i64::MAX / 2]),
             Err(LinError::Overflow)
@@ -959,7 +948,8 @@ mod tests {
         // And the happy path agrees with the panicking operators.
         let a = m(&[&[1, 2], &[3, 4]]);
         let b = m(&[&[0, 1], &[1, 0]]);
-        assert_eq!(a.try_mul(&b).unwrap(), &a * &b);
+        a.try_mul_into(&b, &mut out).unwrap();
+        assert_eq!(out, &a * &b);
         assert_eq!(a.try_det().unwrap(), a.det());
         assert_eq!(a.try_mul_vec(&[1, 1]).unwrap(), a.mul_vec(&[1, 1]));
     }

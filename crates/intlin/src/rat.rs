@@ -74,11 +74,6 @@ impl Rational {
         self.num == 0
     }
 
-    /// `true` iff the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// The value as an `i64` if it is an integer in range.
     pub fn to_int(&self) -> Result<i64, LinError> {
         if self.den != 1 {
@@ -91,7 +86,7 @@ impl Rational {
     ///
     /// # Panics
     /// Panics on zero.
-    pub fn recip(&self) -> Rational {
+    fn recip(&self) -> Rational {
         assert!(self.num != 0, "reciprocal of zero");
         Rational::new(self.den, self.num)
     }
@@ -320,11 +315,6 @@ impl RMat {
         Ok(inv)
     }
 
-    /// `true` iff every entry is an integer.
-    pub fn is_integral(&self) -> bool {
-        self.data.iter().all(|r| r.is_integer())
-    }
-
     /// Convert to an integer matrix; fails if any entry is fractional.
     pub fn to_int(&self) -> Result<IMat, LinError> {
         let mut out = IMat::zeros(self.rows, self.cols);
@@ -379,8 +369,8 @@ mod tests {
         assert_eq!(Rational::new(-2, -4), Rational::new(1, 2));
         assert_eq!(Rational::new(2, -4), Rational::new(-1, 2));
         assert_eq!(Rational::new(0, -7), Rational::ZERO);
-        assert!(Rational::new(3, 1).is_integer());
-        assert!(!Rational::new(3, 2).is_integer());
+        assert_eq!(Rational::new(6, 2).to_int(), Ok(3));
+        assert_eq!(Rational::new(3, 2).to_int(), Err(LinError::NotIntegral));
     }
 
     #[test]
@@ -418,7 +408,6 @@ mod tests {
         let inv = RMat::from_int(&a).inverse().unwrap();
         assert_eq!(inv.get(0, 0), Rational::new(1, 2));
         assert_eq!(inv.get(1, 1), Rational::new(1, 3));
-        assert!(!inv.is_integral());
         assert!(inv.to_int().is_err());
     }
 

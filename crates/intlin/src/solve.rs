@@ -30,7 +30,7 @@ pub struct SolutionFamily {
 impl SolutionFamily {
     /// Materialize `particular + C·homogeneous` for a given coefficient
     /// matrix `C` (`m×k`).
-    pub fn instantiate(&self, c: &IMat) -> IMat {
+    fn instantiate(&self, c: &IMat) -> IMat {
         match &self.homogeneous {
             None => self.particular.clone(),
             Some(h) => &self.particular + &(c * h),

@@ -8,7 +8,6 @@
 //! dataflow matrix into a similarity class that decomposes into elementary
 //! communications (§4.2.2).
 
-use crate::egcd;
 use crate::hermite::row_reduce;
 use crate::mat::{IMat, LinError};
 
@@ -83,17 +82,6 @@ pub fn complete_to_unimodular(v: &[i64]) -> Result<IMat, LinError> {
     Ok(uinv)
 }
 
-/// A 2×2 unimodular matrix `[[a, b], [c, d]]` from a Bézout relation
-/// `a·d − b·c = 1` for the primitive pair `(a, c)`.
-pub fn bezout_unimodular_2x2(a: i64, c: i64) -> Result<IMat, LinError> {
-    let (g, x, y) = egcd(a, c);
-    if g != 1 {
-        return Err(LinError::NotIntegral);
-    }
-    // a·x + c·y = 1  ⟹  det [[a, -y], [c, x]] = a·x + c·y = 1.
-    Ok(IMat::from_rows(&[&[a, -y], &[c, x]]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,10 +144,11 @@ mod tests {
 
     #[test]
     fn bezout_2x2() {
-        let u = bezout_unimodular_2x2(3, 5).unwrap();
-        assert_eq!(u.det(), 1);
+        // A primitive pair completes to a 2×2 matrix of determinant ±1.
+        let u = complete_to_unimodular(&[3, 5]).unwrap();
+        assert_eq!(u.det().abs(), 1);
         assert_eq!(u[(0, 0)], 3);
         assert_eq!(u[(1, 0)], 5);
-        assert!(bezout_unimodular_2x2(2, 4).is_err());
+        assert!(complete_to_unimodular(&[2, 4]).is_err());
     }
 }

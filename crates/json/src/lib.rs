@@ -90,7 +90,7 @@ impl From<String> for Val {
 }
 
 /// Escape `s` into `out` using the emitter's escape set.
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -293,15 +293,6 @@ impl JsonValue {
         }
     }
 
-    /// Numeric value as `f64` (both integers and floats coerce).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Int(x) => Some(*x as f64),
-            JsonValue::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// The element list, when this is an array.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -310,11 +301,22 @@ impl JsonValue {
         }
     }
 
-    /// The field list, when this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(v) => Some(v),
-            _ => None,
+    /// An object with `fields` in the given order.
+    pub fn object<'k>(fields: impl IntoIterator<Item = (&'k str, JsonValue)>) -> JsonValue {
+        JsonValue::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// A `u64`, exactly: a plain integer when it fits `i64`, otherwise a
+    /// decimal string, so no value is ever squeezed through an `f64`.
+    pub fn exact_u64(x: u64) -> JsonValue {
+        match i64::try_from(x) {
+            Ok(i) => JsonValue::Int(i),
+            Err(_) => JsonValue::Str(x.to_string()),
         }
     }
 
@@ -684,7 +686,7 @@ mod tests {
         let v = parse(&doc.finish()).unwrap();
         assert_eq!(v.get("bench").and_then(JsonValue::as_str), Some("svc"));
         assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(3));
-        assert_eq!(v.get("ratio").and_then(JsonValue::as_f64), Some(1.5));
+        assert_eq!(v.get("ratio"), Some(&JsonValue::Float(1.5)));
         let shape = v.get("shape").and_then(JsonValue::as_array).unwrap();
         assert_eq!(shape[0].as_i64(), Some(8));
         let rows = v.get("rows").and_then(JsonValue::as_array).unwrap();
@@ -695,13 +697,20 @@ mod tests {
     #[test]
     fn object_field_order_is_source_order() {
         let v = parse(r#"{"z": 1, "a": 2, "m": 3}"#).unwrap();
-        let keys: Vec<&str> = v
-            .as_object()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
+        let JsonValue::Object(fields) = &v else {
+            panic!("expected an object: {v:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["z", "a", "m"]);
+        // The builder keeps insertion order too, and renders exact u64s.
+        let built = JsonValue::object([
+            ("z", JsonValue::exact_u64(7)),
+            ("a", JsonValue::exact_u64(u64::MAX)),
+        ]);
+        assert_eq!(
+            built.render(),
+            format!("{{\"z\": 7, \"a\": \"{}\"}}", u64::MAX)
+        );
     }
 
     #[test]

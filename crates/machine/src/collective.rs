@@ -111,25 +111,25 @@ pub fn gather_rows_time(mesh: &Mesh2D, bytes_each: u64) -> u64 {
     mesh.simulate_phase(&msgs)
 }
 
-/// Naive broadcast for comparison: the root sends to every other node,
-/// one message per destination (all in one contended phase).
-pub fn naive_broadcast_time(mesh: &Mesh2D, bytes: u64) -> u64 {
-    let root = mesh.node_id(0, 0);
-    let msgs: Vec<PMsg> = (0..mesh.nodes())
-        .filter(|&n| n != root)
-        .map(|n| PMsg {
-            src: root,
-            dst: n,
-            bytes,
-        })
-        .collect();
-    mesh.simulate_phase(&msgs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::CostModel;
+
+    /// Naive broadcast for comparison: the root sends to every other node,
+    /// one message per destination (all in one contended phase).
+    fn naive_broadcast_time(mesh: &Mesh2D, bytes: u64) -> u64 {
+        let root = mesh.node_id(0, 0);
+        let msgs: Vec<PMsg> = (0..mesh.nodes())
+            .filter(|&n| n != root)
+            .map(|n| PMsg {
+                src: root,
+                dst: n,
+                bytes,
+            })
+            .collect();
+        mesh.simulate_phase(&msgs)
+    }
 
     fn mesh(px: usize, py: usize) -> Mesh2D {
         Mesh2D::new(px, py, CostModel::paragon())

@@ -23,7 +23,6 @@ pub struct FatTree {
     /// the leaves). A *fat* tree widens toward the root; the default is
     /// one lane everywhere (the conservative model).
     pub lanes: Vec<usize>,
-    levels: usize,
 }
 
 impl FatTree {
@@ -53,18 +52,12 @@ impl FatTree {
             arity,
             cost,
             lanes,
-            levels,
         }
-    }
-
-    /// Height of the tree (number of edge levels above the leaves).
-    pub fn levels(&self) -> usize {
-        self.levels
     }
 
     /// Level of the lowest common ancestor of two leaves (1-based; 0 means
     /// same leaf).
-    pub fn lca_level(&self, a: usize, b: usize) -> usize {
+    fn lca_level(&self, a: usize, b: usize) -> usize {
         let (mut a, mut b) = (a, b);
         let mut lvl = 0;
         while a != b {
@@ -146,20 +139,12 @@ impl FatTree {
         self.cost.ctrl_collective(participants, bytes)
     }
 
-    /// Hardware scatter/gather: the control network coordinates, but the
-    /// data still flows from/to one leaf — price one serialized stream
-    /// plus the collective start-up.
-    pub fn hw_scatter(&self, participants: usize, bytes_each: u64) -> u64 {
-        self.cost.ctrl_collective(participants, 0)
-            + participants as u64 * bytes_each * self.cost.per_byte
-    }
-
     /// Software broadcast over the *data* network: a binomial recursive-
     /// halving tree among leaves `0..participants` (the same schedule the
     /// mesh collectives use — each holder forwards to the middle of its
     /// segment, so one round's messages take disjoint subtrees). This is
     /// the degraded-mode fallback when the control network is down.
-    pub fn sw_broadcast(&self, participants: usize, bytes: u64) -> u64 {
+    fn sw_broadcast(&self, participants: usize, bytes: u64) -> u64 {
         let p = participants.min(self.nprocs);
         if p <= 1 {
             return 0;
@@ -191,13 +176,13 @@ impl FatTree {
 
     /// Software reduction over the data network (mirror of
     /// [`FatTree::sw_broadcast`] — identical cost in this model).
-    pub fn sw_reduce(&self, participants: usize, bytes: u64) -> u64 {
+    fn sw_reduce(&self, participants: usize, bytes: u64) -> u64 {
         self.sw_broadcast(participants, bytes)
     }
 
     /// Leaves of `0..participants` still alive at time `t` under the
     /// plan's permanent deaths ([`FaultPlan::death_time`]).
-    pub fn live_participants(&self, participants: usize, plan: &FaultPlan, t: u64) -> usize {
+    fn live_participants(&self, participants: usize, plan: &FaultPlan, t: u64) -> usize {
         (0..participants.min(self.nprocs))
             .filter(|&p| plan.death_time(p).is_none_or(|d| t < d))
             .count()
@@ -213,13 +198,7 @@ impl FatTree {
     /// [`FatTree::broadcast_time`] evaluated at time `t`: permanently
     /// dead leaves have been folded out of the collective by the recovery
     /// layer, so only the live participants pay.
-    pub fn broadcast_time_at(
-        &self,
-        participants: usize,
-        bytes: u64,
-        plan: &FaultPlan,
-        t: u64,
-    ) -> u64 {
+    fn broadcast_time_at(&self, participants: usize, bytes: u64, plan: &FaultPlan, t: u64) -> u64 {
         let live = self.live_participants(participants, plan, t);
         if plan.ctrl_outage {
             self.sw_broadcast(live, bytes)
@@ -235,7 +214,7 @@ impl FatTree {
 
     /// [`FatTree::reduce_time`] evaluated at time `t` (dead leaves folded
     /// out, like [`FatTree::broadcast_time_at`]).
-    pub fn reduce_time_at(&self, participants: usize, bytes: u64, plan: &FaultPlan, t: u64) -> u64 {
+    fn reduce_time_at(&self, participants: usize, bytes: u64, plan: &FaultPlan, t: u64) -> u64 {
         let live = self.live_participants(participants, plan, t);
         if plan.ctrl_outage {
             self.sw_reduce(live, bytes)
@@ -269,7 +248,7 @@ mod tests {
     #[test]
     fn levels_and_lca() {
         let t = ft();
-        assert_eq!(t.levels(), 3); // 4³ = 64 ≥ 32
+        assert_eq!(t.lanes.len(), 3); // one lane count per level: 4³ = 64 ≥ 32
         assert_eq!(t.lca_level(0, 0), 0);
         assert_eq!(t.lca_level(0, 1), 1);
         assert_eq!(t.lca_level(0, 4), 2);
@@ -380,7 +359,7 @@ mod tests {
     fn lane_counts_default_to_one() {
         let t = FatTree::new(32, 4, CostModel::cm5());
         assert!(t.lanes.iter().all(|&l| l == 1));
-        assert_eq!(t.lanes.len(), t.levels());
+        assert_eq!(t.lanes.len(), 3);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use fault::{
     fold_target, CompiledFaultPlan, FaultPlan, FaultReport, LinkOutage, NodeDeath, NodeOutage,
     RecoveryReport, RetryPolicy,
 };
-pub use mesh::Mesh2D;
+pub use mesh::{Mesh2D, MAX_MESH_NODES};
 pub use model::{CostModel, PMsg};
 pub use overlap::{par_schedule_sweep, OverlapEvent, OverlapOrder, ScheduleMode, SchedulePolicy};
 pub use phasesim::{CachedPhase, CheckpointPolicy, FaultSim, PhaseSim};

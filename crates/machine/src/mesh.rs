@@ -13,6 +13,12 @@
 use crate::model::{CostModel, PMsg};
 use std::cmp::Ordering;
 
+/// Largest node count (`px · py`) accepted for a mesh that comes from
+/// outside the program — a serve request or a snapshot file. The
+/// simulator allocates a clock per link, so an unbounded shape could
+/// exhaust memory and abort the process; real traffic is 8×4 or 4×4.
+pub const MAX_MESH_NODES: usize = 65_536;
+
 /// A 2-D mesh of `px × py` nodes.
 ///
 /// ```

@@ -48,7 +48,7 @@ impl XorShift64 {
 
     /// Uniform float in `[0, 1)` (53 mantissa bits).
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -142,7 +142,7 @@ impl OnlineStats {
     }
 
     /// Unbiased sample variance (0.0 below two samples).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {

@@ -764,56 +764,22 @@ proptest! {
 
 // --- snapshot/restore round-trips (the service durability contract) ------
 
-use rescomm_machine::snapshot::{
-    compiled_plan_from_json, compiled_plan_to_json, fault_plan_from_json, fault_plan_to_json,
-    mesh_from_json, mesh_to_json,
-};
+use rescomm_machine::snapshot::{mesh_from_json, mesh_to_json};
 
 proptest! {
-    /// A compiled fault plan snapshot restores to an engine that
-    /// replays the exact `FaultReport` of the original, and answers
-    /// every outage/liveness query identically.
+    /// The mesh snapshot is lossless for every shape within the node
+    /// bound and every cost model, saturated `u64` sentinels included —
+    /// bit for bit.
     #[test]
-    fn compiled_plan_snapshot_replays_bit_identical(
-        a in msgs(32),
-        plan in plans(),
-        queries in proptest::collection::vec((0usize..104, 0usize..32, 0u64..500_000), 0..16),
+    fn fault_plan_and_mesh_snapshots_lossless(
+        px in 1usize..257,
+        py in 1usize..257,
+        startup in any::<u64>(),
+        per_byte in 0u64..1_000,
+        cm5 in any::<bool>(),
     ) {
-        let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let compiled = CompiledFaultPlan::new(&plan, &mesh);
-        let text = compiled_plan_to_json(&compiled, &mesh).render();
-        let (back, mesh_back) = compiled_plan_from_json(
-            &rescomm_json::parse(&text).expect("self-produced JSON parses"),
-        ).expect("restore");
-        prop_assert_eq!(mesh_back.px, mesh.px);
-        prop_assert_eq!(mesh_back.py, mesh.py);
-        for (link, node, t) in queries {
-            prop_assert_eq!(back.link_dead_at(link, t), compiled.link_dead_at(link, t));
-            prop_assert_eq!(back.link_outage_until(link, t), compiled.link_outage_until(link, t));
-            prop_assert_eq!(back.node_dead_at(node, t), compiled.node_dead_at(node, t));
-            prop_assert_eq!(back.node_alive_after(node, t), compiled.node_alive_after(node, t));
-        }
-        // Restore recompiles the stored inputs: the source plan comes back
-        // verbatim and an engine built from it replays the same report.
-        prop_assert_eq!(back.plan(), &plan);
-        let phases = [a];
-        let seed = replication_seed(plan.seed, 1);
-        let want = FaultSim::new(&mesh, &phases, &plan).run_faulty(seed, PHASED);
-        let got = FaultSim::new(&mesh_back, &phases, back.plan()).run_faulty(seed, PHASED);
-        prop_assert_eq!(got, want);
-    }
-
-    /// The raw fault-plan and mesh snapshots are lossless for every
-    /// generated plan (probabilities, outages, retry policy, cost
-    /// model — bit for bit).
-    #[test]
-    fn fault_plan_and_mesh_snapshots_lossless(plan in plans()) {
-        let text = fault_plan_to_json(&plan).render();
-        let back = fault_plan_from_json(
-            &rescomm_json::parse(&text).expect("self-produced JSON parses"),
-        ).expect("restore");
-        prop_assert_eq!(back, plan);
-        let mesh = Mesh2D::new(8, 4, CostModel::cm5());
+        let base = if cm5 { CostModel::cm5() } else { CostModel::paragon() };
+        let mesh = Mesh2D::new(px, py, CostModel { startup, per_byte, ..base });
         let mesh_back = mesh_from_json(
             &rescomm_json::parse(&mesh_to_json(&mesh).render()).expect("parses"),
         ).expect("restore");
