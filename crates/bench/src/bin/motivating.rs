@@ -1,6 +1,8 @@
 //! Regenerate the **§2 motivating example** end to end: access graph,
 //! maximum branching, mapping report, and estimated mesh cost per
-//! strategy (Figures 1–3 in structural form).
+//! strategy (Figures 1–3 in structural form). The strategy table ends
+//! with the two step-2 ablations of EXPERIMENTS.md: macro-only and
+//! decompose-only.
 //!
 //! ```text
 //! cargo run -p rescomm-bench --bin motivating

@@ -349,7 +349,7 @@ pub fn vectorization(n_steps: usize, bytes: u64) -> VectorizationRow {
     }
 }
 
-/// The §2 motivating example, end to end, under three strategies.
+/// One strategy's row of the §2 motivating example, end to end.
 #[derive(Debug, Clone)]
 pub struct MotivatingRow {
     /// Strategy name.
@@ -361,7 +361,9 @@ pub struct MotivatingRow {
 }
 
 /// Run the motivating example under the full heuristic, the step-1-only
-/// baseline and Platonoff's strategy, with simulated mesh costs.
+/// baseline, Platonoff's strategy and the two step-2 ablations
+/// (macro-communications without decomposition, decomposition without
+/// macro-communications), with simulated mesh costs.
 pub fn motivating(bytes: u64) -> Vec<MotivatingRow> {
     let (nest, _) = examples::motivating_example(8, 4);
     let mesh = paragon_mesh();
@@ -395,6 +397,19 @@ pub fn motivating(bytes: u64) -> Vec<MotivatingRow> {
         feautrier_map(&nest, 2).expect("motivating example maps"),
     );
     push("Platonoff (macro-first)", platonoff_map(&nest, 2));
+    let mut macro_only = MappingOptions::new(2);
+    macro_only.enable_decompose = false;
+    macro_only.enable_similarity = false;
+    push(
+        "macro-only (no decomposition)",
+        map_nest(&nest, &macro_only).expect("motivating example maps"),
+    );
+    let mut decompose_only = MappingOptions::new(2);
+    decompose_only.enable_macro = false;
+    push(
+        "decompose-only (no macro)",
+        map_nest(&nest, &decompose_only).expect("motivating example maps"),
+    );
     rows
 }
 
@@ -485,7 +500,7 @@ mod tests {
     #[test]
     fn motivating_rows_ordered() {
         let rows = motivating(256);
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 5);
         let ours = rows[0].est_time;
         let step1 = rows[1].est_time;
         assert!(ours <= step1, "two-step {ours} vs step1 {step1}");

@@ -21,7 +21,7 @@ use rescomm_decompose::{
 };
 use rescomm_intlin::{solve_xf_eq_s, IMat};
 use rescomm_loopnest::{AccessId, AccessKind, LoopNest};
-use rescomm_machine::sweep::par_sweep_with_report;
+use rescomm_machine::pool;
 use rescomm_machine::SweepReport;
 use rescomm_macrocomm::{
     axis_alignment_rotation, detect, Extent, MacroComm, MacroInput, MacroKind,
@@ -346,8 +346,8 @@ pub fn map_nest_reference(nest: &LoopNest, opts: &MappingOptions) -> Mapping {
 }
 
 /// Map every nest, fanning out over `threads` workers on the shared
-/// work-stealing pool with one [`AnalysisCache`] per worker (the
-/// `par_sweep_with` scratch pattern). Results are in input order and
+/// work-stealing pool with one [`AnalysisCache`] per worker (the pool's
+/// per-worker scratch state). Results are in input order and
 /// identical to mapping each nest alone; the first failing nest's error
 /// is returned. The pool's execution report (workers actually used,
 /// grain, steal count) rides along — scaling benches compute efficiency
@@ -357,10 +357,9 @@ pub fn map_nest_batch(
     opts: &MappingOptions,
     threads: usize,
 ) -> (Result<Vec<Mapping>, RescommError>, SweepReport) {
-    let (results, report) =
-        par_sweep_with_report(nests, threads, AnalysisCache::new, |cache, nest| {
-            Some(map_nest_with(nest, opts, cache))
-        });
+    let (results, report) = pool::sweep(nests, threads, 0, AnalysisCache::new, |cache, nest| {
+        Some(map_nest_with(nest, opts, cache))
+    });
     let mappings = results
         .into_iter()
         .map(|r| r.expect("map_nest_batch worker produced no mapping"))

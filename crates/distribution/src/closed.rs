@@ -699,20 +699,6 @@ pub fn fold_general(
     fold_affine_with(FoldPath::Auto, t, (0, 0), dist, vshape, pshape, elem_bytes)
 }
 
-/// Closed-form fold of the elementary `U(k)` pattern
-/// (`(i, j) → (i + k·j, j)`, the paper's Figure 6) — a thin delegate to
-/// [`fold_general`], so it rides the same closed path.
-pub fn fold_elementary(
-    k: i64,
-    dist: Dist2D,
-    vshape: (usize, usize),
-    pshape: (usize, usize),
-    elem_bytes: u64,
-) -> FoldedPattern {
-    let t = IMat::from_rows(&[&[1, k], &[0, 1]]);
-    fold_general(&t, dist, vshape, pshape, elem_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,36 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn elementary_helper_matches_general() {
-        let dist = Dist2D {
-            rows: Dist1D::Grouped(3),
-            cols: Dist1D::Block,
-        };
-        let via_t = fold_general(
-            &IMat::from_rows(&[&[1, 3], &[0, 1]]),
-            dist,
-            (24, 8),
-            (4, 2),
-            16,
-        );
-        assert_eq!(fold_elementary(3, dist, (24, 8), (4, 2), 16), via_t);
-        assert!(via_t.closed, "U(3) must ride the closed path");
-    }
-
-    #[test]
-    fn elementary_identity_is_closed_and_fully_local() {
-        // Pins fold_elementary's delegation through the general path:
-        // U(0) = identity must take the closed path, move nothing, and
-        // report a zero-length factor chain.
-        let got = fold_elementary(0, Dist2D::uniform(Dist1D::Block), (8, 8), (4, 4), 8);
-        assert!(got.msgs.is_empty());
-        assert_eq!(got.local_sends, 64);
-        assert_eq!(got.locality_fraction(), 1.0);
-        assert!(got.closed);
-        assert_eq!(got.factors, 0);
-    }
-
-    #[test]
     fn identity_is_fully_local() {
         let got = fold_general(
             &IMat::identity(2),
@@ -1053,5 +1009,19 @@ mod tests {
         assert!(got.msgs.is_empty());
         assert_eq!(got.local_sends, 64);
         assert_eq!(got.locality_fraction(), 1.0);
+    }
+
+    #[test]
+    fn elementary_identity_is_closed_and_fully_local() {
+        // U(0) = identity, written as the elementary (i, j) → (i + 0·j, j):
+        // it must take the closed path, move nothing, and report a
+        // zero-length factor chain.
+        let u0 = IMat::from_rows(&[&[1, 0], &[0, 1]]);
+        let got = fold_general(&u0, Dist2D::uniform(Dist1D::Block), (8, 8), (4, 4), 8);
+        assert!(got.msgs.is_empty());
+        assert_eq!(got.local_sends, 64);
+        assert_eq!(got.locality_fraction(), 1.0);
+        assert!(got.closed);
+        assert_eq!(got.factors, 0);
     }
 }

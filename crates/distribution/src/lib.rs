@@ -19,7 +19,7 @@
 pub mod closed;
 pub mod msgs;
 
-pub use closed::{fold_affine, fold_affine_with, fold_elementary, fold_general, FoldPath};
+pub use closed::{fold_affine, fold_affine_with, fold_general, FoldPath};
 pub use msgs::{
     affine_pattern, elementary_pattern, fold_pattern, general_pattern, locality_fraction,
     physical_messages, FoldedPattern, Msg, VSend,

@@ -64,23 +64,6 @@ pub fn gcd(a: i64, b: i64) -> i64 {
     a as i64
 }
 
-/// Extended gcd: returns `(g, x, y)` with `a·x + b·y = g = gcd(a, b)`,
-/// `g ≥ 0`.
-pub fn egcd(a: i64, b: i64) -> (i64, i64, i64) {
-    if b == 0 {
-        if a < 0 {
-            (-a, -1, 0)
-        } else {
-            (a, 1, 0)
-        }
-    } else {
-        let (g, x, y) = egcd(b, a.rem_euclid(b));
-        // a = (a div b)·b + (a mod b) with Euclidean division.
-        let q = (a - a.rem_euclid(b)) / b;
-        (g, y, x - q * y)
-    }
-}
-
 /// Least common multiple (non-negative; `lcm(0, x) = 0`).
 pub fn lcm(a: i64, b: i64) -> i64 {
     if a == 0 || b == 0 {
@@ -99,18 +82,6 @@ mod tests {
         assert_eq!(gcd(0, 7), 7);
         assert_eq!(gcd(-4, 6), 2);
         assert_eq!(gcd(12, 18), 6);
-    }
-
-    #[test]
-    fn egcd_identity() {
-        for a in -20..20i64 {
-            for b in -20..20i64 {
-                let (g, x, y) = egcd(a, b);
-                assert_eq!(a * x + b * y, g, "bezout failed for {a},{b}");
-                assert_eq!(g, gcd(a, b));
-                assert!(g >= 0);
-            }
-        }
     }
 
     #[test]

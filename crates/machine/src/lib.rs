@@ -41,10 +41,9 @@
 //!   so output is bit-identical regardless of worker count
 //!   ([`SweepReport`] surfaces the workers actually used);
 //! * [`sweep`] — the parallel sweep drivers on top of the pool, with
-//!   per-worker scratch state ([`par_sweep_with`],
-//!   [`par_sweep_with_report`]), and the Monte Carlo fault sweeps
-//!   sharded at plan×seed granularity ([`par_fault_sweep`], faulty or
-//!   checkpoint/rollback by its `Option<&CheckpointPolicy>`:
+//!   per-worker scratch state ([`par_sweep_with`]), and the Monte Carlo
+//!   fault sweeps sharded at plan×seed granularity ([`par_fault_sweep`],
+//!   faulty or checkpoint/rollback by its `Option<&CheckpointPolicy>`:
 //!   [`replication_seed`]-derived seeds, Welford [`OnlineStats`], results
 //!   bit-identical to serial evaluation);
 //! * [`fault`] + [`rng`] — deterministic fault injection ([`FaultPlan`]:
@@ -91,7 +90,7 @@ pub use pool::{auto_grain, SweepReport};
 pub use rng::XorShift64;
 pub use snapshot::SnapshotError;
 pub use sweep::{
-    mttf_death_schedule, par_fault_sweep, par_sweep_with, par_sweep_with_report, replication_seed,
-    FaultSweepStats, OnlineStats,
+    mttf_death_schedule, par_fault_sweep, par_sweep_with, replication_seed, FaultSweepStats,
+    OnlineStats,
 };
 pub use trace::{trace_phase, PhaseTrace};

@@ -55,7 +55,7 @@ pub fn mttf_death_schedule(
 /// order. Each worker first builds a private scratch state with `init`
 /// and threads it through every task it claims or steals — the pattern used to amortize simulator allocations across a
 /// sweep. Runs on the shared work-stealing pool; `threads` is clamped to
-/// `[1, n]` (use [`par_sweep_with_report`] when the caller needs the
+/// `[1, n]` (call [`pool::sweep`] directly when the caller needs the
 /// effective worker count back).
 pub fn par_sweep_with<C, R, S, I, F>(configs: &[C], threads: usize, init: I, f: F) -> Vec<R>
 where
@@ -64,25 +64,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &C) -> R + Sync,
 {
-    par_sweep_with_report(configs, threads, init, f).0
-}
-
-/// [`par_sweep_with`] plus the execution report: how many workers
-/// actually ran (after clamping), the grain, and the steal count — so
-/// benches compute efficiency against workers used, never requested.
-pub fn par_sweep_with_report<C, R, S, I, F>(
-    configs: &[C],
-    threads: usize,
-    init: I,
-    f: F,
-) -> (Vec<R>, SweepReport)
-where
-    C: Sync,
-    R: Send + Default + Clone,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &C) -> R + Sync,
-{
-    pool::sweep(configs, threads, 0, init, f)
+    pool::sweep(configs, threads, 0, init, f).0
 }
 
 /// Seed of Monte Carlo replication `rep` for a plan whose own seed is

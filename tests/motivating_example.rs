@@ -140,3 +140,24 @@ fn two_step_beats_step1_on_simulated_mesh() {
         "residual optimization must pay off: {c_ours} vs {c_step1}"
     );
 }
+
+#[test]
+fn strategy_and_ablation_rows_match_experiments_md() {
+    // EXPERIMENTS.md's motivating-example and ablation tables: counts are
+    // (local, macro, decomposed, general), times are estimated ns on the
+    // 8×4 mesh at 256 B.
+    let got: Vec<_> = rescomm_bench::motivating(256)
+        .into_iter()
+        .map(|r| (r.strategy, r.counts, r.est_time))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("two-step heuristic", [5, 2, 1, 0], 798_352),
+            ("step 1 only (greedy zeroing)", [5, 0, 0, 3], 2_098_960),
+            ("Platonoff (macro-first)", [4, 1, 0, 3], 2_150_256),
+            ("macro-only (no decomposition)", [5, 2, 0, 1], 879_552),
+            ("decompose-only (no macro)", [5, 0, 1, 2], 2_510_512),
+        ]
+    );
+}
