@@ -50,6 +50,11 @@
 //!   and with `--recover` the closed plan is additionally folded onto
 //!   the survivor set and re-simulated
 //!
+//! Flags that cannot run exit `1` with a usage message naming the flag:
+//! `--m 0`, a zero `--grid` or `--vgrid` side, a `--grid` over the
+//! simulator's node bound, or `--closed-plan`/`--replications` with an
+//! `--m` other than 2.
+//!
 //! Malformed nests and arithmetic overflow exit with a diagnostic
 //! (line/column for parse errors) instead of a panic. The exit code
 //! tells scripts *which* stage failed: `0` success, `1` usage or I/O,
@@ -63,6 +68,7 @@
 
 use rescomm::baselines::{feautrier_map, platonoff_map};
 use rescomm::substrate::accessgraph::{maximum_branching, to_dot, AccessGraph};
+use rescomm::substrate::machine::MAX_MESH_NODES;
 use rescomm::{
     map_nest, remap_for_survivors, verify_execution_on, DegradedGrid, Mapping, MappingOptions,
     RescommError,
@@ -201,6 +207,27 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.file.is_empty() {
         return Err("missing nest file (try --help)".to_string());
+    }
+    if args.m == 0 {
+        return Err("--m must be at least 1".to_string());
+    }
+    for (flag, (w, h)) in [("--grid", args.grid), ("--vgrid", args.vgrid)] {
+        if w == 0 || h == 0 {
+            return Err(format!("{flag}: sides must be positive, got {w}x{h}"));
+        }
+    }
+    let (w, h) = args.grid;
+    if w.checked_mul(h).is_none_or(|n| n > MAX_MESH_NODES) {
+        return Err(format!("--grid: {w}x{h} exceeds {MAX_MESH_NODES} nodes"));
+    }
+    // Communication plans target 2-D grids, as `rescomm-serve` enforces.
+    for (flag, on) in [
+        ("--closed-plan", args.closed_plan),
+        ("--replications", args.replications > 0),
+    ] {
+        if on && args.m != 2 {
+            return Err(format!("{flag} needs --m 2 (plans target 2-D grids)"));
+        }
     }
     Ok(args)
 }

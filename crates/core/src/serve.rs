@@ -40,16 +40,21 @@
 //!   Requests that exhaust their deadline while *queued* are abandoned
 //!   without ever computing.
 //! * **Bounded meshes.** A mesh over [`MAX_MESH_NODES`] nodes is a
-//!   `protocol` error, and a snapshot holding one is rejected at restore
-//!   (cold start): the simulator allocates per link, so an unbounded
+//!   `protocol` error: the simulator allocates per link, so an unbounded
 //!   shape could exhaust memory and abort the process.
 //! * **Snapshots.** The plan cache checkpoints to disk (atomic
 //!   write-then-rename) every `snapshot_every` completed computations,
-//!   on an interval, on `shutdown` (drain first), and on demand. A
-//!   restarted server — even after `kill -9` — reloads the snapshot,
-//!   re-simulates every restored [`CommPlan`] (fanned out over the
-//!   shared work-stealing pool) to verify bit-identical makespans, and
-//!   serves the same bytes with `"served": "snapshot"`.
+//!   on an interval, on `shutdown` (drain first), and on demand. Each
+//!   entry is `{key, digest, result, plan}`: the key is the canonical
+//!   request object, so it alone holds the machine spec, and the served
+//!   `result` alone holds the makespan. A restarted server — even after
+//!   `kill -9` — reloads the snapshot and keeps an entry only if its
+//!   digest matches, its key reads back through the same request parser
+//!   (and node bound) as a live request, and its restored [`CommPlan`],
+//!   re-simulated under the key's spec (fanned out over the shared
+//!   work-stealing pool), reproduces the `result`'s makespan bit for
+//!   bit. Kept entries serve the same bytes with `"served": "snapshot"`;
+//!   any other entry is dropped and recomputed on demand.
 
 use crate::error::{CancelToken, RescommError};
 use crate::pipeline::{map_nest_cancellable, AnalysisCache, MappingOptions};
@@ -60,13 +65,12 @@ use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_json::{parse, JsonValue};
 use rescomm_loopnest::parser::parse_nest;
 use rescomm_loopnest::LoopNest;
-use rescomm_machine::snapshot::{mesh_from_json, mesh_to_json};
-use rescomm_machine::sweep::par_sweep_with;
-use rescomm_machine::{CostModel, Mesh2D, ScheduleMode, MAX_MESH_NODES};
+use rescomm_machine::{pool, CostModel, Mesh2D, ScheduleMode, MAX_MESH_NODES};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -74,7 +78,7 @@ use std::time::{Duration, Instant};
 /// Magic of the snapshot file format.
 const SNAPSHOT_FORMAT: &str = "rescomm-snapshot";
 /// Version of the snapshot file format; mismatches are rejected on load.
-const SNAPSHOT_VERSION: i64 = 1;
+const SNAPSHOT_VERSION: i64 = 2;
 
 /// Server tuning knobs. [`ServerConfig::default`] is sized for tests and
 /// local use; the bin exposes every field as a flag.
@@ -119,22 +123,34 @@ impl Default for ServerConfig {
     }
 }
 
-/// One served result, ready to replay byte-identically.
+/// One served result, ready to replay byte-identically. Its machine
+/// spec is its plan-cache key ([`MapParams::key`]), stored nowhere else.
 #[derive(Debug, Clone)]
 struct PlanEntry {
     /// The rendered `result` object — the bytes every later response
-    /// splices verbatim.
+    /// splices verbatim, and the only copy of the makespan.
     result_json: String,
     /// Serialized [`CommPlan`] (the durable artifact).
     plan_json: String,
-    /// Serialized mesh the plan was simulated on.
-    mesh_json: String,
-    vshape: (usize, usize),
-    bytes: u64,
-    mode: ScheduleMode,
-    makespan: u64,
+    /// [`entry_digest`] of the key, `result_json` and `plan_json`.
+    digest: String,
     /// Entry came from a snapshot restore, not this process's compute.
     from_snapshot: bool,
+}
+
+/// FNV-1a 64-bit digest of a snapshot entry's key, result and plan, as
+/// 16 hex digits: restore drops an entry whose bytes no longer match it.
+/// Each part ends with `0xff`, a byte UTF-8 text never holds, so the
+/// part boundaries are part of what is hashed.
+fn entry_digest(key: &str, result_json: &str, plan_json: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in [key, result_json, plan_json] {
+        for &b in part.as_bytes().iter().chain([0xff].iter()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{h:016x}")
 }
 
 /// The bounded LRU plan cache. Recency is a monotonically increasing
@@ -316,27 +332,31 @@ fn ok_response(id: &JsonValue, served: &str, result_json: &str) -> String {
 struct MapParams {
     src: String,
     mesh: Mesh2D,
-    cost_label: String,
+    cost_label: &'static str,
     vshape: (usize, usize),
     bytes: u64,
     mode: ScheduleMode,
 }
 
 impl MapParams {
-    /// Canonical plan-cache key: the exact inputs, rendered as JSON (so
-    /// distinct nests/specs can never collide).
+    /// Canonical plan-cache key: the exact inputs, rendered as the
+    /// request object that asks for them (so distinct nests/specs can
+    /// never collide, and [`parse_map_params`] reads the key back).
     fn key(&self) -> String {
-        JsonValue::Array(vec![
-            JsonValue::Str(self.src.clone()),
-            JsonValue::exact_u64(self.mesh.px as u64),
-            JsonValue::exact_u64(self.mesh.py as u64),
-            JsonValue::Str(self.cost_label.clone()),
-            JsonValue::exact_u64(self.vshape.0 as u64),
-            JsonValue::exact_u64(self.vshape.1 as u64),
-            JsonValue::exact_u64(self.bytes),
-            JsonValue::Str(self.mode.label().to_string()),
-        ])
-        .render()
+        // Rendered directly, in `JsonValue::render`'s canonical layout:
+        // the labels need no escaping and the integers fit `i64`.
+        format!(
+            "{{\"nest\": {}, \"mesh\": [{}, {}], \"cost\": \"{}\", \"vshape\": [{}, {}], \
+             \"bytes\": {}, \"mode\": \"{}\"}}",
+            JsonValue::Str(self.src.clone()).render(),
+            self.mesh.px,
+            self.mesh.py,
+            self.cost_label,
+            self.vshape.0,
+            self.vshape.1,
+            self.bytes,
+            self.mode.label()
+        )
     }
 }
 
@@ -375,8 +395,7 @@ fn parse_map_params(req: &JsonValue, src: &str) -> Result<MapParams, String> {
         None | Some("paragon") => "paragon",
         Some("cm5") => "cm5",
         Some(other) => return Err(format!("unknown cost model {other:?} (paragon|cm5)")),
-    }
-    .to_string();
+    };
     let cost = if cost_label == "cm5" {
         CostModel::cm5()
     } else {
@@ -502,10 +521,11 @@ fn checkin_cache(shared: &Shared, cache: AnalysisCache) {
 }
 
 /// Parse + map + plan + simulate one nest under a token. Returns the
-/// entry to cache. Runs inside a `guarded` wrapper upstream.
+/// entry to cache under `key`. Runs inside a `guarded` wrapper upstream.
 fn compute_entry(
     shared: &Shared,
     p: &MapParams,
+    key: &str,
     cancel: &CancelToken,
 ) -> Result<PlanEntry, RescommError> {
     let nest = parse_nest(&p.src)?;
@@ -518,14 +538,12 @@ fn compute_entry(
     cancel.check("simulate")?;
     let dist = Dist2D::uniform(Dist1D::Block);
     let makespan = plan.simulate_on_mesh(&p.mesh, dist, p.vshape, p.bytes, p.mode);
+    let result_json = render_result(&nest, &mapping, &plan, p, makespan);
+    let plan_json = plan_to_json(&plan).render();
     Ok(PlanEntry {
-        result_json: render_result(&nest, &mapping, &plan, p, makespan),
-        plan_json: plan_to_json(&plan).render(),
-        mesh_json: mesh_to_json(&p.mesh).render(),
-        vshape: p.vshape,
-        bytes: p.bytes,
-        mode: p.mode,
-        makespan,
+        digest: entry_digest(key, &result_json, &plan_json),
+        result_json,
+        plan_json,
         from_snapshot: false,
     })
 }
@@ -586,7 +604,7 @@ fn map_one(
     };
     // `guarded` so an internal panic becomes a structured `internal`
     // error — the worker slot is released either way.
-    let outcome = guarded("serve_map", || compute_entry(shared, &p, &cancel));
+    let outcome = guarded("serve_map", || compute_entry(shared, &p, &key, &cancel));
     release(shared);
     let entry = match outcome {
         Ok(Ok(entry)) => entry,
@@ -733,47 +751,28 @@ fn handle_line(shared: &Shared, line: &str) -> String {
 
 // --- snapshot persistence --------------------------------------------------
 
-/// Render the plan cache as one snapshot document.
+/// Render the plan cache as one snapshot document. Every part of an
+/// entry is already rendered JSON and is spliced verbatim, the way
+/// [`ok_response`] splices `result_json`.
 fn snapshot_doc(plans: &PlanCache) -> String {
     // Deterministic entry order so back-to-back flushes of the same
     // state write the same bytes.
     let mut keys: Vec<&String> = plans.map.keys().collect();
     keys.sort();
-    let entries: Vec<JsonValue> = keys
-        .iter()
-        .filter_map(|k| {
-            let (_, e) = &plans.map[*k];
-            // Self-produced JSON: reparse for embedding. An entry that
-            // fails (cannot happen short of memory corruption) is
-            // dropped rather than poisoning the whole snapshot.
-            let result = parse(&e.result_json).ok()?;
-            let plan = parse(&e.plan_json).ok()?;
-            let mesh = parse(&e.mesh_json).ok()?;
-            let (vw, vh) = e.vshape;
-            Some(JsonValue::object([
-                ("key", JsonValue::Str((*k).clone())),
-                (
-                    "vshape",
-                    JsonValue::Array(vec![
-                        JsonValue::exact_u64(vw as u64),
-                        JsonValue::exact_u64(vh as u64),
-                    ]),
-                ),
-                ("bytes", JsonValue::exact_u64(e.bytes)),
-                ("mode", JsonValue::Str(e.mode.label().to_string())),
-                ("makespan", JsonValue::exact_u64(e.makespan)),
-                ("result", result),
-                ("plan", plan),
-                ("mesh", mesh),
-            ]))
-        })
-        .collect();
-    JsonValue::object([
-        ("format", JsonValue::Str(SNAPSHOT_FORMAT.to_string())),
-        ("version", JsonValue::Int(SNAPSHOT_VERSION)),
-        ("entries", JsonValue::Array(entries)),
-    ])
-    .render()
+    let mut doc = format!(
+        "{{\"format\": \"{SNAPSHOT_FORMAT}\", \"version\": {SNAPSHOT_VERSION}, \"entries\": ["
+    );
+    for (i, k) in keys.into_iter().enumerate() {
+        let (_, e) = &plans.map[k];
+        let sep = if i > 0 { ", " } else { "" };
+        let _ = write!(
+            doc,
+            "{sep}{{\"key\": {k}, \"digest\": \"{}\", \"result\": {}, \"plan\": {}}}",
+            e.digest, e.result_json, e.plan_json
+        );
+    }
+    doc.push_str("]}");
+    doc
 }
 
 /// Write the snapshot atomically (tmp + rename). Returns `true` when a
@@ -805,21 +804,28 @@ fn flush_snapshot(shared: &Shared) -> bool {
     }
 }
 
-/// One parsed-but-unverified snapshot entry awaiting its restore proof.
+/// One read-back snapshot entry awaiting its restore proof.
 struct RestoredEntry {
+    /// Position in the file's `entries`, for diagnostics.
+    index: usize,
     key: String,
     entry: PlanEntry,
     plan: CommPlan,
-    mesh: Mesh2D,
+    /// The spec read back from the key.
+    params: MapParams,
+    /// The makespan inside the entry's served `result`.
+    makespan: u64,
 }
 
-/// Load and *verify* a snapshot: every entry's [`CommPlan`] is restored
-/// and re-simulated (fanned out over `workers` on the shared pool), and
-/// only entries whose recomputed makespan is bit-identical to the
-/// recorded one are accepted — a corrupted or stale-format snapshot
-/// degrades to a cold start, never to wrong answers. Returns the
-/// accepted entries.
-fn load_snapshot(path: &PathBuf, workers: usize) -> Result<Vec<(String, PlanEntry)>, String> {
+/// Load and *verify* a snapshot. A file that is not a well-formed
+/// version-[`SNAPSHOT_VERSION`] snapshot restores nothing (cold start).
+/// Each entry then stands alone: it is kept only if [`restore_entry`]
+/// reads it back and its restored [`CommPlan`], re-simulated under the
+/// key's spec (fanned out over `workers` on the shared pool), reproduces
+/// the makespan in its served `result` bit for bit. Any other entry is
+/// dropped and the rest still restore, so corruption degrades to
+/// recomputation, never to wrong answers. Returns the kept entries.
+fn load_snapshot(path: &Path, workers: usize) -> Result<Vec<(String, PlanEntry)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
     let doc = parse(&text).map_err(|e| format!("parse: {e}"))?;
     if doc.get("format").and_then(JsonValue::as_str) != Some(SNAPSHOT_FORMAT) {
@@ -834,85 +840,87 @@ fn load_snapshot(path: &PathBuf, workers: usize) -> Result<Vec<(String, PlanEntr
         .get("entries")
         .and_then(JsonValue::as_array)
         .ok_or("missing entries")?;
-    let mut parsed = Vec::with_capacity(entries.len());
-    for (i, e) in entries.iter().enumerate() {
-        parsed.push(restore_entry(e).map_err(|err| format!("entries[{i}]: {err}"))?);
-    }
-    // The restore proof: each deserialized plan must replay to the exact
-    // recorded makespan on its deserialized mesh. Entries are
-    // independent, so verification rides the work-stealing pool.
-    let verdicts = par_sweep_with(
+    let drop_entry = |i: usize, why: &str| {
+        eprintln!(
+            "rescomm-serve: dropping entries[{i}] of snapshot {}: {why}",
+            path.display()
+        );
+    };
+    let parsed: Vec<RestoredEntry> = entries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| restore_entry(i, e).map_err(|why| drop_entry(i, &why)).ok())
+        .collect();
+    // The restore proof. Entries are independent, so verification rides
+    // the work-stealing pool.
+    let (verdicts, _) = pool::sweep(
         &parsed,
         workers,
+        0,
         || (),
         |(), r| {
+            let p = &r.params;
             let dist = Dist2D::uniform(Dist1D::Block);
             let replayed = guarded("snapshot_verify", || {
                 r.plan
-                    .simulate_on_mesh(&r.mesh, dist, r.entry.vshape, r.entry.bytes, r.entry.mode)
+                    .simulate_on_mesh(&p.mesh, dist, p.vshape, p.bytes, p.mode)
             });
-            replayed == Ok(r.entry.makespan)
+            replayed == Ok(r.makespan)
         },
     );
     Ok(parsed
         .into_iter()
         .zip(verdicts)
-        .filter(|(_, ok)| *ok)
+        .filter(|(r, ok)| {
+            if !ok {
+                drop_entry(r.index, "replay disagrees with the served makespan");
+            }
+            *ok
+        })
         .map(|(r, _)| (r.key, r.entry))
         .collect())
 }
 
-/// Parse one snapshot entry (no verification yet); `Err` = structurally
-/// broken snapshot.
-fn restore_entry(e: &JsonValue) -> Result<RestoredEntry, String> {
-    let key = e
-        .get("key")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing key")?
-        .to_string();
-    let vs = e
-        .get("vshape")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing vshape")?;
-    let (vw, vh) = match (
-        vs.first().and_then(JsonValue::as_u64),
-        vs.get(1).and_then(JsonValue::as_u64),
-    ) {
-        (Some(a), Some(b)) if a > 0 && b > 0 => (a as usize, b as usize),
-        _ => return Err("bad vshape".to_string()),
+/// Read back snapshot entry `index` (its replay is checked later). The
+/// entry's digest must match its bytes, and its key must pass
+/// [`parse_map_params`] — the validator every live request passes — and
+/// re-render to the same bytes.
+fn restore_entry(index: usize, e: &JsonValue) -> Result<RestoredEntry, String> {
+    let field = |k: &str| e.get(k).ok_or(format!("missing {k}"));
+    let key_v = field("key")?;
+    let result = field("result")?;
+    let plan_v = field("plan")?;
+    let digest = field("digest")?.as_str().ok_or("digest must be a string")?;
+    let key = key_v.render();
+    let entry = PlanEntry {
+        result_json: result.render(),
+        plan_json: plan_v.render(),
+        digest: digest.to_string(),
+        from_snapshot: true,
     };
-    let bytes = e
-        .get("bytes")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing bytes")?;
-    let mode = e
-        .get("mode")
+    if entry_digest(&key, &entry.result_json, &entry.plan_json) != digest {
+        return Err("digest does not match the entry".to_string());
+    }
+    let src = key_v
+        .get("nest")
         .and_then(JsonValue::as_str)
-        .and_then(ScheduleMode::parse)
-        .ok_or("bad mode")?;
-    let makespan = e
+        .ok_or("key: missing nest")?;
+    let params = parse_map_params(key_v, src).map_err(|e| format!("key: {e}"))?;
+    if params.key() != key {
+        return Err("key is not a canonical request".to_string());
+    }
+    let makespan = result
         .get("makespan")
         .and_then(JsonValue::as_u64)
-        .ok_or("missing makespan")?;
-    let result = e.get("result").ok_or("missing result")?;
-    let plan_v = e.get("plan").ok_or("missing plan")?;
-    let mesh_v = e.get("mesh").ok_or("missing mesh")?;
-    let plan = plan_from_json(plan_v).map_err(|err| err.to_string())?;
-    let mesh = mesh_from_json(mesh_v).map_err(|err| err.to_string())?;
+        .ok_or("result: missing makespan")?;
+    let plan = plan_from_json(plan_v).map_err(|e| e.to_string())?;
     Ok(RestoredEntry {
+        index,
         key,
-        entry: PlanEntry {
-            result_json: result.render(),
-            plan_json: plan_v.render(),
-            mesh_json: mesh_v.render(),
-            vshape: (vw, vh),
-            bytes,
-            mode,
-            makespan,
-            from_snapshot: true,
-        },
+        entry,
         plan,
-        mesh,
+        params,
+        makespan,
     })
 }
 
@@ -1293,6 +1301,63 @@ mod tests {
             "{replay:?}"
         );
         assert_eq!(replay.get("result").unwrap().render(), fresh_bytes);
+        handle.stop().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_entry_with_oversized_key_mesh_is_dropped_alone() {
+        let dir = std::env::temp_dir().join(format!("rescomm-serve-forge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServerConfig {
+            snapshot_path: Some(path.clone()),
+            snapshot_every: 1,
+            ..ServerConfig::default()
+        };
+        let handle = Server::bind(cfg.clone()).unwrap().spawn();
+        let (mut r, mut w) = client(handle.addr);
+        let fresh = roundtrip(&mut r, &mut w, &map_req(1));
+        drop((r, w));
+        handle.stop().unwrap();
+
+        // Re-write the real entry beside a forged one: same result and
+        // plan, a digest that matches, but a key naming a 2^40-node mesh.
+        let doc = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let real = &doc.get("entries").and_then(JsonValue::as_array).unwrap()[0];
+        let part = |k: &str| real.get(k).unwrap().render();
+        let key = part("key");
+        let forged_key = key.replace("\"mesh\": [4, 4]", "\"mesh\": [1048576, 1048576]");
+        assert_ne!(forged_key, key);
+        let mut plans = PlanCache::new(0);
+        for k in [key, forged_key] {
+            let (result_json, plan_json) = (part("result"), part("plan"));
+            let entry = PlanEntry {
+                digest: entry_digest(&k, &result_json, &plan_json),
+                result_json,
+                plan_json,
+                from_snapshot: false,
+            };
+            plans.insert(k, entry);
+        }
+        let forged_doc = snapshot_doc(&plans);
+        assert!(
+            forged_doc.find("1048576") < forged_doc.find("\"mesh\": [4, 4]"),
+            "the forged entry comes first"
+        );
+        std::fs::write(&path, forged_doc).unwrap();
+
+        let server = Server::bind(cfg).unwrap();
+        assert_eq!(server.restored_entries(), 1);
+        let handle = server.spawn();
+        let (mut r, mut w) = client(handle.addr);
+        let replay = roundtrip(&mut r, &mut w, &map_req(2));
+        assert_eq!(
+            replay.get("served").and_then(JsonValue::as_str),
+            Some("snapshot")
+        );
+        assert_eq!(replay.get("result"), fresh.get("result"));
         handle.stop().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,6 @@
-//! Snapshot/restore for [`CommPlan`] — the core half of the service's
-//! durability contract (see [`rescomm_machine::snapshot`] for the
-//! machine half and the shared design rules).
+//! Snapshot/restore for [`CommPlan`] — the plan codec behind the
+//! service's durability contract (the entry layout around it lives in
+//! `rescomm::serve`; see `DESIGN.md` §15).
 //!
 //! A plan serializes phase by phase: the reporting kind as a tagged
 //! string, the pattern either as its explicit endpoint list or as the
@@ -8,13 +8,32 @@
 //! `T`, 4-tuple endpoint rows) and rebuilds a plan that simulates
 //! bit-identically to the original on every mesh, distribution, and
 //! schedule mode — the property-test suite pins this.
+//!
+//! Restore errors ([`SnapshotError`]) are structural ("missing phases
+//! array"), not positional — positional errors belong to the JSON parser
+//! itself, which reports line/col before this module ever runs.
 
 use crate::plan::{CommPhase, CommPlan, Endpoints, PhaseKind, PhasePattern};
 use rescomm_decompose::Elementary;
 use rescomm_intlin::IMat;
 use rescomm_json::JsonValue;
 use rescomm_loopnest::AccessId;
-use rescomm_machine::snapshot::SnapshotError;
+
+/// Structural restore error: the JSON was well-formed but is not a valid
+/// serialized plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotError {
+    /// What was wrong, with the offending field path.
+    pub msg: String,
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "snapshot: {}", self.msg)
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 type Restore<T> = Result<T, SnapshotError>;
 

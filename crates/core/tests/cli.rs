@@ -272,3 +272,23 @@ fn recover_rejects_malformed_grid_spec() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn unrunnable_flag_combinations_are_usage_errors_not_panics() {
+    let f = write_nest(NEST);
+    for (args, flag) in [
+        (&["--closed-plan", "--vgrid", "0x4"][..], "--vgrid"),
+        (&["--closed-plan", "--grid", "0x4"][..], "--grid"),
+        (&["--replications", "2", "--grid", "0x4"][..], "--grid"),
+        (&["--closed-plan", "--grid", "5000x5000"][..], "--grid"),
+        (&["--m", "3", "--closed-plan"][..], "--closed-plan"),
+        (&["--m", "1", "--replications", "2"][..], "--replications"),
+        (&["--m", "0"][..], "--m"),
+    ] {
+        let out = cli().arg(f.as_str()).args(args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
+    }
+}

@@ -135,28 +135,71 @@ fn corrupt_snapshot_degrades_to_cold_start_not_a_crash() {
     let snap = dir.join("plans.json");
     let _ = std::fs::remove_file(&snap);
     let nest_json = NEST.replace('\n', "\\n");
-    let map_req =
-        format!("{{\"id\": 1, \"op\": \"map\", \"nest\": \"{nest_json}\", \"mesh\": [4, 4]}}");
+    let req = |bytes: u64| {
+        format!(
+            "{{\"id\": 1, \"op\": \"map\", \"nest\": \"{nest_json}\", \
+             \"mesh\": [4, 4], \"bytes\": {bytes}}}"
+        )
+    };
 
-    // A real snapshot, doctored so its entry's mesh has 2^40 nodes:
-    // simulating it at restore would abort the process on allocation.
-    let server = Serve::start(&snap);
-    server.request(&map_req);
-    server.shutdown();
-    let oversized = std::fs::read_to_string(&snap)
-        .unwrap()
-        .replace("\"px\": 4, \"py\": 4", "\"px\": 1048576, \"py\": 1048576");
-    assert!(oversized.contains("1048576"), "{oversized}");
+    // The fresh answers, computed by servers that start cold.
+    let fresh = |bytes: u64, snapshot: &std::path::Path| {
+        let server = Serve::start(snapshot);
+        let resp = server.request(&req(bytes));
+        server.shutdown();
+        assert!(resp.contains("\"served\": \"fresh\""), "{resp}");
+        field(&resp, "result").to_string()
+    };
+    let fresh_2048 = fresh(2048, &dir.join("other.json"));
+    // A real snapshot holding one entry, for the 1024-byte request.
+    let fresh_1024 = fresh(1024, &snap);
+    let real = std::fs::read_to_string(&snap).unwrap();
 
+    // One-field edits of the real snapshot. Each must be caught at
+    // restore: the request is then recomputed, never served from the
+    // doctored entry.
+    let edit = |from: &str, to: &str| {
+        assert!(real.contains(from), "{from} not in {real}");
+        real.replacen(from, to, 1)
+    };
+    let makespan = {
+        let tail = field(&real, "makespan");
+        format!(
+            "\"makespan\": {}",
+            &tail[..tail.find(|c: char| !c.is_ascii_digit()).unwrap()]
+        )
+    };
     let garbage = "{\"format\": \"rescomm-snapshot\", \"version\": 1, garbage".to_string();
-    for doc in [garbage, oversized] {
+    let cases = [
+        (garbage, 1024, &fresh_1024),
+        // A key naming a 2^40-node mesh: simulating it at restore would
+        // abort the process on allocation.
+        (
+            edit("\"mesh\": [4, 4]", "\"mesh\": [1048576, 1048576]"),
+            1024,
+            &fresh_1024,
+        ),
+        // A count inside the served result.
+        (edit("\"local\": 1", "\"local\": 0"), 1024, &fresh_1024),
+        // The served makespan itself.
+        (edit(&makespan, "\"makespan\": 1"), 1024, &fresh_1024),
+        // The key's spec: accepted, it would answer a 2048-byte request
+        // with the 1024-byte makespan.
+        (
+            edit("\"bytes\": 1024", "\"bytes\": 2048"),
+            2048,
+            &fresh_2048,
+        ),
+    ];
+    for (doc, bytes, want) in cases {
         std::fs::write(&snap, &doc).unwrap();
         let server = Serve::start(&snap);
-        let resp = server.request(&map_req);
+        let resp = server.request(&req(bytes));
         assert!(
             resp.contains("\"ok\": true") && resp.contains("\"served\": \"fresh\""),
             "corrupt snapshot must cold-start, then serve: {resp}"
         );
+        assert_eq!(field(&resp, "result"), want.as_str(), "{doc}");
         server.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -82,18 +82,6 @@ pub fn unirow(n: usize, row: usize, coeffs: &[i64]) -> IMat {
     })
 }
 
-/// An `n×n` *unicolumn* matrix: identity with column `col` replaced.
-pub fn unicolumn(n: usize, col: usize, coeffs: &[i64]) -> IMat {
-    assert!(col < n && coeffs.len() == n, "unicolumn shape");
-    IMat::from_fn(n, n, |i, j| {
-        if j == col {
-            coeffs[i]
-        } else {
-            i64::from(i == j)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,9 +134,6 @@ mod tests {
         let r = unirow(3, 1, &[2, 5, -1]);
         assert_eq!(r, IMat::from_rows(&[&[1, 0, 0], &[2, 5, -1], &[0, 0, 1]]));
         assert_eq!(r.det(), 5);
-        let c = unicolumn(3, 0, &[3, 1, 0]);
-        assert_eq!(c, IMat::from_rows(&[&[3, 0, 0], &[1, 1, 0], &[0, 0, 1]]));
-        assert_eq!(c.det(), 3);
     }
 
     #[test]

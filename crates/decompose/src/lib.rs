@@ -6,7 +6,7 @@
 //! measures the gain on the Intel Paragon. This crate implements:
 //!
 //! * [`elementary`] — the elementary factors `L(l)` (horizontal) and
-//!   `U(k)` (vertical), plus `n`-dimensional unirow/unicolumn matrices;
+//!   `U(k)` (vertical), plus `n`-dimensional unirow matrices;
 //! * [`direct`] — the paper's §4.2.1 constructive conditions for products
 //!   of 2, 3 and 4 elementary matrices, and a Euclidean fallback that
 //!   decomposes *any* `det = 1` matrix (SL₂(ℤ) is generated by `L`, `U`);

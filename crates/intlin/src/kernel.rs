@@ -31,11 +31,6 @@ pub fn kernel_basis(a: &IMat) -> Option<IMat> {
     Some(qinv.submatrix(0, n, r, n))
 }
 
-/// Dimension of `ker A`.
-pub fn kernel_dim(a: &IMat) -> usize {
-    a.cols() - a.rank()
-}
-
 /// An integer basis of the intersection `⋂ᵢ ker Aᵢ` (all matrices must have
 /// the same column count). Implemented as the kernel of the vertical stack.
 ///
@@ -70,12 +65,6 @@ pub fn kernel_subset(a: &IMat, b: &IMat) -> bool {
     }
 }
 
-/// `true` iff there exists `v ∈ ker A` with `B·v ≠ 0`
-/// (the paper's "`ker A \ ker B` is non-empty").
-pub fn kernel_escapes(a: &IMat, b: &IMat) -> bool {
-    !kernel_subset(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +88,6 @@ mod tests {
     #[test]
     fn kernel_of_full_rank_square_is_trivial() {
         assert!(kernel_basis(&IMat::identity(3)).is_none());
-        assert_eq!(kernel_dim(&IMat::identity(3)), 0);
     }
 
     #[test]
@@ -173,9 +161,7 @@ mod tests {
         let a = m(&[&[1, 0, 0]]); // ker = span{e2, e3}
         let b = m(&[&[1, 0, 0], &[0, 1, 0]]); // ker = span{e3}
         assert!(kernel_subset(&b, &a), "smaller kernel is subset");
-        assert!(!kernel_subset(&a, &b));
-        assert!(kernel_escapes(&a, &b));
-        assert!(!kernel_escapes(&b, &a));
+        assert!(!kernel_subset(&a, &b), "larger kernel escapes");
         // Full-rank matrix has trivial kernel: subset of everything.
         assert!(kernel_subset(&IMat::identity(3), &a));
     }

@@ -24,9 +24,10 @@
 //!   `G·F = Id` obtained from the Hermite form (the access-graph weights);
 //! * [`solve`] — the matrix equation `X·F = S` (appendix Lemmas 2 and 3,
 //!   used to orient access-graph edges and to propagate allocations);
-//! * [`unimodular`] — unimodular completions and generators (used to rotate
-//!   mappings so that partial broadcasts become axis-parallel, §3.1, and to
-//!   search similarity classes for decomposability, §4.2.2).
+//! * [`unimodular`] — the unimodularity test and a seeded generator of
+//!   unimodular matrices (the transforms that rotate mappings so partial
+//!   broadcasts become axis-parallel, §3.1, and that search similarity
+//!   classes for decomposability, §4.2.2).
 //!
 //! Everything is deterministic and allocation-light; matrices in this
 //! domain are tiny (loop depths and array ranks are ≤ 6 in practice), so
@@ -42,15 +43,13 @@ pub mod solve;
 pub mod unimodular;
 
 pub use hermite::{left_hermite, right_hermite, HermiteForm};
-pub use kernel::{
-    kernel_basis, kernel_dim, kernel_escapes, kernel_intersection, kernel_subset, left_kernel_basis,
-};
+pub use kernel::{kernel_basis, kernel_intersection, kernel_subset, left_kernel_basis};
 pub use mat::{IMat, LinError};
 pub use pseudo::{left_inverse_int, pseudo_inverse, right_inverse_int, small_left_inverse};
 pub use rat::{RMat, Rational};
 pub use smith::{smith_normal_form, SmithForm};
 pub use solve::{solve_axb_int, solve_xf_eq_s, solve_xf_eq_s_fullrank, SolutionFamily};
-pub use unimodular::{complete_to_unimodular, is_unimodular, random_unimodular};
+pub use unimodular::{is_unimodular, random_unimodular};
 
 /// Greatest common divisor of two integers (always non-negative;
 /// `gcd(0, 0) = 0`).

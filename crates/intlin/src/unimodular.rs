@@ -1,4 +1,4 @@
-//! Unimodular matrices: tests, generators and completions.
+//! Unimodular matrices: the unimodularity test and a seeded generator.
 //!
 //! The paper exploits the degree of freedom that alignment matrices inside
 //! a connected component of the branching are only determined *up to
@@ -8,8 +8,7 @@
 //! dataflow matrix into a similarity class that decomposes into elementary
 //! communications (§4.2.2).
 
-use crate::hermite::row_reduce;
-use crate::mat::{IMat, LinError};
+use crate::mat::IMat;
 
 /// `true` iff `a` is square with determinant ±1.
 pub fn is_unimodular(a: &IMat) -> bool {
@@ -52,36 +51,6 @@ pub fn random_unimodular(n: usize, steps: usize, seed: u64) -> IMat {
     m
 }
 
-/// Complete a primitive integer column vector `v` (gcd of entries = 1) to a
-/// unimodular matrix whose **first column** is `v`.
-///
-/// Used in §4.2.2: the basis `(e₁', e₂')` with `f(e₁') = … ` is a
-/// unimodular change of basis built from one prescribed vector. Returns
-/// [`LinError::NotIntegral`] when `v` is not primitive (then no unimodular
-/// completion exists) and [`LinError::Singular`] for `v = 0`.
-pub fn complete_to_unimodular(v: &[i64]) -> Result<IMat, LinError> {
-    let n = v.len();
-    assert!(n > 0, "complete_to_unimodular: empty vector");
-    if v.iter().all(|&x| x == 0) {
-        return Err(LinError::Singular);
-    }
-    let col = IMat::col_vec(v);
-    // U·v = (g, 0, …, 0)ᵗ with U unimodular; if g = ±1 then the first
-    // column of U⁻¹ is ±v.
-    let (u, h, _) = row_reduce(&col);
-    let g = h[(0, 0)];
-    if g != 1 && g != -1 {
-        return Err(LinError::NotIntegral);
-    }
-    let mut uinv = u.inverse_unimodular().expect("row_reduce not unimodular");
-    if g == -1 {
-        uinv.negate_col(0);
-    }
-    debug_assert_eq!(uinv.col(0), v);
-    debug_assert!(is_unimodular(&uinv));
-    Ok(uinv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,45 +79,5 @@ mod tests {
         let a = random_unimodular(3, 30, 1);
         let b = random_unimodular(3, 30, 2);
         assert_ne!(a, b, "different seeds should give different matrices");
-    }
-
-    #[test]
-    fn completion_basic() {
-        let v = [2, 3];
-        let u = complete_to_unimodular(&v).unwrap();
-        assert_eq!(u.col(0), vec![2, 3]);
-        assert!(is_unimodular(&u));
-    }
-
-    #[test]
-    fn completion_3d() {
-        let v = [6, 10, 15]; // pairwise non-coprime but globally primitive
-        let u = complete_to_unimodular(&v).unwrap();
-        assert_eq!(u.col(0), vec![6, 10, 15]);
-        assert!(is_unimodular(&u));
-    }
-
-    #[test]
-    fn completion_non_primitive_fails() {
-        assert_eq!(complete_to_unimodular(&[2, 4]), Err(LinError::NotIntegral));
-        assert_eq!(complete_to_unimodular(&[0, 0]), Err(LinError::Singular));
-    }
-
-    #[test]
-    fn completion_negative_entries() {
-        let v = [-1, 1];
-        let u = complete_to_unimodular(&v).unwrap();
-        assert_eq!(u.col(0), vec![-1, 1]);
-        assert!(is_unimodular(&u));
-    }
-
-    #[test]
-    fn bezout_2x2() {
-        // A primitive pair completes to a 2×2 matrix of determinant ±1.
-        let u = complete_to_unimodular(&[3, 5]).unwrap();
-        assert_eq!(u.det().abs(), 1);
-        assert_eq!(u[(0, 0)], 3);
-        assert_eq!(u[(1, 0)], 5);
-        assert!(complete_to_unimodular(&[2, 4]).is_err());
     }
 }

@@ -69,48 +69,6 @@ pub fn shift_time(mesh: &Mesh2D, dx: usize, dy: usize, bytes: u64) -> u64 {
     mesh.simulate_phase(&msgs)
 }
 
-/// Binomial-tree broadcast inside every *column* (axis 1): the row-`0`
-/// member of each column is the source.
-pub fn broadcast_cols_time(mesh: &Mesh2D, bytes: u64) -> u64 {
-    // Transpose trick: run the row broadcast on the transposed mesh; the
-    // cost model is symmetric in the two axes.
-    let t = Mesh2D::new(mesh.py, mesh.px, mesh.cost);
-    broadcast_rows_time(&t, bytes)
-}
-
-/// Scatter from the row head: node `(0, y)` sends a *distinct* block to
-/// every other node of its row (sequential sends — the root's outgoing
-/// link serializes them whatever the schedule).
-pub fn scatter_rows_time(mesh: &Mesh2D, bytes_each: u64) -> u64 {
-    let mut msgs = Vec::new();
-    for y in 0..mesh.py {
-        for x in 1..mesh.px {
-            msgs.push(PMsg {
-                src: mesh.node_id(0, y),
-                dst: mesh.node_id(x, y),
-                bytes: bytes_each,
-            });
-        }
-    }
-    mesh.simulate_phase(&msgs)
-}
-
-/// Gather to the row head: the mirror of [`scatter_rows_time`] (identical
-/// cost in this symmetric-link model).
-pub fn gather_rows_time(mesh: &Mesh2D, bytes_each: u64) -> u64 {
-    let mut msgs = Vec::new();
-    for y in 0..mesh.py {
-        for x in 1..mesh.px {
-            msgs.push(PMsg {
-                src: mesh.node_id(x, y),
-                dst: mesh.node_id(0, y),
-                bytes: bytes_each,
-            });
-        }
-    }
-    mesh.simulate_phase(&msgs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +106,8 @@ mod tests {
 
     #[test]
     fn tree_broadcast_beats_naive_for_wide_rows() {
+        // On one row the naive broadcast is a scatter from the row head:
+        // the root's link serializes it, while the tree reuses the value.
         let m = mesh(16, 1);
         let tree = broadcast_rows_time(&m, 64);
         let naive = naive_broadcast_time(&m, 64);
@@ -169,29 +129,6 @@ mod tests {
     fn reduce_equals_broadcast_cost_in_model() {
         let m = mesh(8, 4);
         assert_eq!(reduce_time(&m, 64), broadcast_rows_time(&m, 64));
-    }
-
-    #[test]
-    fn column_broadcast_mirrors_row_broadcast() {
-        let m = mesh(8, 4);
-        let mt = mesh(4, 8);
-        assert_eq!(broadcast_cols_time(&m, 64), broadcast_rows_time(&mt, 64));
-    }
-
-    #[test]
-    fn scatter_and_gather_cost_match() {
-        let m = mesh(8, 4);
-        assert_eq!(scatter_rows_time(&m, 64), gather_rows_time(&m, 64));
-        assert!(scatter_rows_time(&m, 64) > 0);
-    }
-
-    #[test]
-    fn scatter_dearer_than_broadcast() {
-        // A scatter moves distinct data through the root's single link; a
-        // tree broadcast reuses the value: broadcast must win for equal
-        // payload.
-        let m = mesh(16, 1);
-        assert!(broadcast_rows_time(&m, 64) < scatter_rows_time(&m, 64));
     }
 
     #[test]

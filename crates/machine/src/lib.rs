@@ -40,10 +40,10 @@
 //!   runs on, with per-worker scratch engines and pre-sized result slots
 //!   so output is bit-identical regardless of worker count
 //!   ([`SweepReport`] surfaces the workers actually used);
-//! * [`sweep`] — the parallel sweep drivers on top of the pool, with
-//!   per-worker scratch state ([`par_sweep_with`]), and the Monte Carlo
-//!   fault sweeps sharded at plan×seed granularity ([`par_fault_sweep`],
-//!   faulty or checkpoint/rollback by its `Option<&CheckpointPolicy>`:
+//! * [`sweep`] — the Monte Carlo fault sweeps on top of the pool
+//!   ([`pool::sweep`] runs every other fan-out), sharded at
+//!   plan×seed granularity ([`par_fault_sweep`], faulty or
+//!   checkpoint/rollback by its `Option<&CheckpointPolicy>`:
 //!   [`replication_seed`]-derived seeds, Welford [`OnlineStats`], results
 //!   bit-identical to serial evaluation);
 //! * [`fault`] + [`rng`] — deterministic fault injection ([`FaultPlan`]:
@@ -69,14 +69,10 @@ pub mod phasesim;
 pub mod pool;
 pub mod reference;
 pub mod rng;
-pub mod snapshot;
 pub mod sweep;
 pub mod trace;
 
-pub use collective::{
-    broadcast_cols_time, broadcast_rows_time, gather_rows_time, reduce_time, scatter_rows_time,
-    shift_time,
-};
+pub use collective::{broadcast_rows_time, reduce_time, shift_time};
 pub use fattree::FatTree;
 pub use fault::{
     fold_target, CompiledFaultPlan, FaultPlan, FaultReport, LinkOutage, NodeDeath, NodeOutage,
@@ -88,9 +84,7 @@ pub use overlap::{par_schedule_sweep, OverlapEvent, OverlapOrder, ScheduleMode, 
 pub use phasesim::{CachedPhase, CheckpointPolicy, FaultSim, PhaseSim};
 pub use pool::{auto_grain, SweepReport};
 pub use rng::XorShift64;
-pub use snapshot::SnapshotError;
 pub use sweep::{
-    mttf_death_schedule, par_fault_sweep, par_sweep_with, replication_seed, FaultSweepStats,
-    OnlineStats,
+    mttf_death_schedule, par_fault_sweep, replication_seed, FaultSweepStats, OnlineStats,
 };
 pub use trace::{trace_phase, PhaseTrace};

@@ -33,7 +33,7 @@
 
 use crate::mesh::Mesh2D;
 use crate::phasesim::{CachedPhase, PhaseSim};
-use crate::sweep::par_sweep_with;
+use crate::pool;
 use crate::PMsg;
 
 /// How a multi-phase plan is executed on the mesh.
@@ -199,12 +199,14 @@ pub fn par_schedule_sweep(
     byte_scales: &[u64],
     threads: usize,
 ) -> Vec<u64> {
-    par_sweep_with(
+    pool::sweep(
         byte_scales,
         threads,
+        0,
         || PhaseSim::new(mesh.clone()),
         |sim, &scale| sim.run_cached_phases(phases, mode, scale),
     )
+    .0
 }
 
 #[cfg(test)]

@@ -975,9 +975,10 @@ mod tests {
             .collect();
         let serial: Vec<u64> = phases.iter().map(|p| m.simulate_phase(p)).collect();
         for threads in [1, 4] {
-            let batch = crate::sweep::par_sweep_with(
+            let (batch, _) = crate::pool::sweep(
                 &phases,
                 threads,
+                0,
                 || PhaseSim::new(m.clone()),
                 |sim, phase| sim.simulate_phase(phase),
             );

@@ -5,7 +5,7 @@
 //! The benchmark harness evaluates many (machine, distribution, k, size)
 //! configurations; each simulation is independent, so we shard them over
 //! the pool's per-worker deques — results land in pre-sized slots, in
-//! input order, bit-identical for every worker count. [`par_sweep_with`]
+//! input order, bit-identical for every worker count. [`pool::sweep`]
 //! gives every worker a private scratch state (e.g. a
 //! [`crate::PhaseSim`]), so per-simulation allocations are paid once per
 //! worker instead of once per configuration. The Monte Carlo driver
@@ -49,22 +49,6 @@ pub fn mttf_death_schedule(
         t = t.saturating_add(mttf_ns);
     }
     deaths
-}
-
-/// Run `f` over every config on the shared work-stealing pool, in input
-/// order. Each worker first builds a private scratch state with `init`
-/// and threads it through every task it claims or steals — the pattern used to amortize simulator allocations across a
-/// sweep. Runs on the shared work-stealing pool; `threads` is clamped to
-/// `[1, n]` (call [`pool::sweep`] directly when the caller needs the
-/// effective worker count back).
-pub fn par_sweep_with<C, R, S, I, F>(configs: &[C], threads: usize, init: I, f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send + Default + Clone,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &C) -> R + Sync,
-{
-    pool::sweep(configs, threads, 0, init, f).0
 }
 
 /// Seed of Monte Carlo replication `rep` for a plan whose own seed is
@@ -256,7 +240,7 @@ mod tests {
     #[test]
     fn preserves_order_and_values() {
         let configs: Vec<u64> = (0..100).collect();
-        let got = par_sweep_with(&configs, 8, || (), |(), &c| c * 2);
+        let got = pool::sweep(&configs, 8, 0, || (), |(), &c| c * 2).0;
         let want: Vec<u64> = configs.iter().map(|c| c * 2).collect();
         assert_eq!(got, want);
     }
@@ -276,14 +260,14 @@ mod tests {
             m.simulate_phase(&msgs)
         };
         assert_eq!(
-            par_sweep_with(&configs, 1, || (), |(), c| f(c)),
-            par_sweep_with(&configs, 7, || (), |(), c| f(c))
+            pool::sweep(&configs, 1, 0, || (), |(), c| f(c)).0,
+            pool::sweep(&configs, 7, 0, || (), |(), c| f(c)).0
         );
     }
 
     #[test]
     fn empty_input() {
-        let got: Vec<u64> = par_sweep_with(&Vec::<u64>::new(), 4, || (), |(), &c| c);
+        let (got, _): (Vec<u64>, _) = pool::sweep(&Vec::<u64>::new(), 4, 0, || (), |(), &c| c);
         assert!(got.is_empty());
     }
 
@@ -291,7 +275,7 @@ mod tests {
     fn more_threads_than_work() {
         let configs = vec![1u64, 2];
         assert_eq!(
-            par_sweep_with(&configs, 64, || (), |(), &c| c + 1),
+            pool::sweep(&configs, 64, 0, || (), |(), &c| c + 1).0,
             vec![2, 3]
         );
     }
@@ -331,10 +315,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        let plain = par_sweep_with(&phases, 3, || (), |(), p| mesh.simulate_phase(p));
-        let scratch = par_sweep_with(
+        let (plain, _) = pool::sweep(&phases, 3, 0, || (), |(), p| mesh.simulate_phase(p));
+        let (scratch, _) = pool::sweep(
             &phases,
             3,
+            0,
             || PhaseSim::new(mesh.clone()),
             |sim, p| sim.simulate_phase(p),
         );

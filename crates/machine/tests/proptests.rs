@@ -238,9 +238,10 @@ proptest! {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let phases = vec![a, b];
         let want: Vec<u64> = phases.iter().map(|p| mesh.simulate_phase(p)).collect();
-        let got = par_sweep_with(
+        let (got, _) = sweep(
             &phases,
             threads,
+            0,
             || PhaseSim::new(mesh.clone()),
             |sim, phase| sim.simulate_phase(phase),
         );
@@ -762,37 +763,10 @@ proptest! {
     }
 }
 
-// --- snapshot/restore round-trips (the service durability contract) ------
-
-use rescomm_machine::snapshot::{mesh_from_json, mesh_to_json};
-
-proptest! {
-    /// The mesh snapshot is lossless for every shape within the node
-    /// bound and every cost model, saturated `u64` sentinels included —
-    /// bit for bit.
-    #[test]
-    fn fault_plan_and_mesh_snapshots_lossless(
-        px in 1usize..257,
-        py in 1usize..257,
-        startup in any::<u64>(),
-        per_byte in 0u64..1_000,
-        cm5 in any::<bool>(),
-    ) {
-        let base = if cm5 { CostModel::cm5() } else { CostModel::paragon() };
-        let mesh = Mesh2D::new(px, py, CostModel { startup, per_byte, ..base });
-        let mesh_back = mesh_from_json(
-            &rescomm_json::parse(&mesh_to_json(&mesh).render()).expect("parses"),
-        ).expect("restore");
-        prop_assert_eq!(mesh_back.px, mesh.px);
-        prop_assert_eq!(mesh_back.py, mesh.py);
-        prop_assert_eq!(mesh_back.cost, mesh.cost);
-    }
-}
-
 // --- the work-stealing pool (the determinism contract, end to end) -------
 
+use rescomm_machine::par_schedule_sweep;
 use rescomm_machine::pool::{auto_grain, sweep};
-use rescomm_machine::{par_schedule_sweep, par_sweep_with};
 
 /// A pure task of tunable cost: `w` multiply-add rounds over a seed.
 fn spin(seed: u64, w: u64) -> u64 {
@@ -837,18 +811,6 @@ proptest! {
             auto_grain(weights.len(), report.workers)
         };
         prop_assert_eq!(report.grain, want_grain);
-    }
-
-    /// `par_sweep_with` (the driver every entry point shares) under the
-    /// same skew, against a plain serial map.
-    #[test]
-    fn par_sweep_with_bit_identical_under_cost_skew(
-        weights in proptest::collection::vec(0u64..3_000, 1..120),
-        workers in 2usize..9,
-    ) {
-        let expect: Vec<u64> = weights.iter().map(|&w| spin(0xcafe, w)).collect();
-        let got = par_sweep_with(&weights, workers, || (), |(), &w| spin(0xcafe, w));
-        prop_assert_eq!(&got, &expect);
     }
 
     /// The schedule sweep: bit-identical to its 1-worker run and to the
