@@ -17,6 +17,13 @@
 //!   ([`FaultSim::replay_faulty`]: plan compiled to sorted interval
 //!   buckets, phases compiled once to flat route slices). Full-mode
 //!   rows at ≥64 replications assert the compiled engine is ≥3×.
+//! * **lanes** — the same paper plan under drops alone
+//!   (`FaultPlan::with_drop(42, 0.05)`) and the overlapped schedule, at
+//!   64 replications: a per-seed [`FaultSim::run_faulty`] loop vs
+//!   [`FaultSim::replay_faulty`], which advances up to
+//!   [`rescomm_machine::LANES`] seeds through one pass when the plan has
+//!   no outages or deaths. Both sides are first gated against the oracle
+//!   (in `--smoke` too); no speedup floor.
 //! * **recovering** — the same comparison through the
 //!   checkpoint/rollback path with permanent node deaths.
 //! * **parallel** — [`par_fault_sweep`] wall-clock at 1..8 workers over
@@ -49,7 +56,7 @@ use rescomm_json::{fixed, raw, JsonDoc, Val};
 use rescomm_loopnest::examples;
 use rescomm_machine::{
     mttf_death_schedule, par_fault_sweep, reference, replication_seed, CheckpointPolicy, FaultPlan,
-    FaultReport, FaultSim, PMsg, ScheduleMode, SchedulePolicy,
+    FaultReport, FaultSim, PMsg, ScheduleMode, SchedulePolicy, LANES,
 };
 
 struct ReplayRow {
@@ -172,6 +179,43 @@ fn main() {
         eprintln!("overlapped-faulty gate ({}): ok", gate.label());
     }
 
+    // Lane path: a drop-only plan under the overlapped schedule, where
+    // every seed visits the messages in the same order. Gated against
+    // the oracle in smoke too; timed without a floor.
+    let lane_plan = FaultPlan::with_drop(42, 0.05);
+    let lane_sched = SchedulePolicy::Fixed(ScheduleMode::overlapped());
+    let lane_seeds: Vec<u64> = (0..64)
+        .map(|r| replication_seed(lane_plan.seed, r))
+        .collect();
+    let mut lane_engine = FaultSim::new(&mesh, &phases, &lane_plan);
+    let per_seed = |engine: &mut FaultSim| -> Vec<FaultReport> {
+        lane_seeds
+            .iter()
+            .map(|&s| engine.run_faulty(s, lane_sched))
+            .collect()
+    };
+    let want = oracle(&lane_plan, &lane_seeds, lane_sched, None);
+    assert_eq!(
+        per_seed(&mut lane_engine),
+        want,
+        "per-seed replay diverged from the oracle"
+    );
+    assert_eq!(
+        lane_engine.replay_faulty(&lane_seeds, lane_sched),
+        want,
+        "lane replay diverged from the oracle"
+    );
+    let per_seed_ns = median_ns(timing_reps, 1, || per_seed(&mut lane_engine));
+    let lanes_ns = median_ns(timing_reps, 1, || {
+        lane_engine.replay_faulty(&lane_seeds, lane_sched)
+    });
+    eprintln!(
+        "lanes: {} replications, drop 0.05, {}  per-seed {per_seed_ns} ns   lanes {lanes_ns} ns   x{:.1}",
+        lane_seeds.len(),
+        lane_sched.label(),
+        per_seed_ns as f64 / lanes_ns.max(1) as f64
+    );
+
     // Checkpoint/rollback path with permanent deaths on top of the lossy
     // transport.
     let policy = CheckpointPolicy::default();
@@ -267,6 +311,21 @@ fn main() {
                 "speedup",
                 fixed(r.oracle_ns as f64 / r.compiled_ns.max(1) as f64, 2),
             ),
+        ]
+    });
+    doc.rows("lanes", &[(per_seed_ns, lanes_ns)], |r| {
+        vec![
+            (
+                "schedule_mode",
+                Val::from(lane_sched.healthy_mode().label()),
+            ),
+            ("policy", Val::from(lane_sched.label())),
+            ("drop_prob", fixed(lane_plan.drop_prob, 2)),
+            ("replications", Val::from(lane_seeds.len())),
+            ("lanes", Val::from(LANES)),
+            ("per_seed_ns", Val::from(r.0)),
+            ("lanes_ns", Val::from(r.1)),
+            ("speedup", fixed(r.0 as f64 / r.1.max(1) as f64, 2)),
         ]
     });
     doc.rows("recovering", &[(n, rec_oracle_ns, rec_compiled_ns)], |r| {

@@ -180,6 +180,47 @@ fn replications_is_deterministic_across_runs() {
     assert_eq!(run(), run(), "seeded Monte Carlo must be reproducible");
 }
 
+/// The Monte Carlo stats of the motivating example at 64 replications
+/// and a 5 % drop rate, pinned line for line. A drop-only plan takes the
+/// lane path of `replay_faulty`, whose reports must equal the per-seed
+/// runs that produced these lines.
+#[test]
+fn replications_stats_are_pinned() {
+    let nest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/nests/motivating.nest"
+    );
+    let stats = |schedule: &[&str]| {
+        let out = cli()
+            .arg(nest)
+            .args(["--replications", "64", "--drop", "0.05"])
+            .args(schedule)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let at = text.find("--- monte carlo").expect("monte carlo section");
+        text[at..].to_string()
+    };
+    let phased = "\
+--- monte carlo: 64 replications on a 4x4 mesh, drop 0.05, schedule phased ---
+healthy makespan: 1211112 ns
+faulty makespan:  mean 1515843 ns, std 168276, min 1211112, max 2064872 (inflation 1.252x)
+delivered:        mean 115.0 of 115 messages (min 115, max 115)
+";
+    assert_eq!(stats(&[]), phased);
+    assert_eq!(stats(&["--schedule", "phased"]), phased);
+    assert_eq!(
+        stats(&["--schedule", "overlapped"]),
+        "\
+--- monte carlo: 64 replications on a 4x4 mesh, drop 0.05, schedule overlapped ---
+healthy makespan: 1029696 ns
+faulty makespan:  mean 1264186 ns, std 146273, min 1029696, max 1889416 (inflation 1.228x)
+delivered:        mean 115.0 of 115 messages (min 115, max 115)
+"
+    );
+}
+
 #[test]
 fn replications_rejects_bad_drop_probability() {
     let f = write_nest(NEST);

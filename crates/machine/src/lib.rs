@@ -81,7 +81,7 @@ pub use fault::{
 pub use mesh::{Mesh2D, MAX_MESH_NODES};
 pub use model::{CostModel, PMsg};
 pub use overlap::{par_schedule_sweep, OverlapEvent, OverlapOrder, ScheduleMode, SchedulePolicy};
-pub use phasesim::{CachedPhase, CheckpointPolicy, FaultSim, PhaseSim};
+pub use phasesim::{CachedPhase, CheckpointPolicy, FaultSim, PhaseSim, LANES};
 pub use pool::{auto_grain, SweepReport};
 pub use rng::XorShift64;
 pub use sweep::{

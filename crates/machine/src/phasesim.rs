@@ -21,6 +21,10 @@
 //!   Its checkpoint parameter is `None` for a run that black-holes
 //!   traffic to permanently dead nodes, or `Some(&CheckpointPolicy)` for
 //!   checkpoint/rollback recovery with survivor folding.
+//! * **The lane path** of [`FaultSim::replay_faulty`] runs up to
+//!   [`LANES`] seeds of a drop/dup-only run in one pass over lane-major
+//!   clocks. It settles each attempt through the step's own fault rule
+//!   (`fate`), so it needs no second copy of the fault semantics.
 //!
 //! [`PhaseSim`] owns the scratch state; its per-call entry points compile
 //! each phase into a reused scratch [`CachedPhase`] first, so they take
@@ -43,7 +47,8 @@ use std::collections::{BTreeMap, VecDeque};
 pub struct PhaseSim {
     mesh: Mesh2D,
     /// Per-link reservation clock; a link whose stamp is not the current
-    /// epoch is free.
+    /// epoch is free. The lane path keeps its clocks in `lanes` and
+    /// uses only the stamps.
     links: Vec<LinkClock>,
     epoch: u32,
     /// Per-node release time and latest delivered arrival (the
@@ -54,6 +59,34 @@ pub struct PhaseSim {
     order: Vec<u32>,
     /// Per-call compile scratch.
     compiled: CachedPhase,
+    /// Lane-path scratch, sized on first use.
+    lanes: Lanes,
+}
+
+/// Seeds that [`FaultSim::replay_faulty`] advances together in one pass
+/// when the plan and schedule allow it (see [`FaultSim::replay_faulty`]).
+pub const LANES: usize = 16;
+
+/// Lane-major clocks of the lane path: entry `k` of every row belongs
+/// to lane `k`, so one message's lanes sit side by side in memory.
+#[derive(Debug, Clone, Default)]
+struct Lanes {
+    /// Per-link reservation clocks, valid while the link's stamp in
+    /// [`PhaseSim::links`] is the current epoch.
+    free: Vec<[u64; LANES]>,
+    /// Per-node release time and latest delivered arrival.
+    node_ready: Vec<[u64; LANES]>,
+    node_arrival: Vec<[u64; LANES]>,
+}
+
+impl Lanes {
+    /// Reserve every link of `links` until `until` in lane `k`.
+    #[inline]
+    fn reserve(&mut self, links: &[u32], k: usize, until: u64) {
+        for &l in links {
+            self.free[l as usize][k] = until;
+        }
+    }
 }
 
 /// Observer of a run: the step reports every transmission, the driver
@@ -174,6 +207,7 @@ impl PhaseSim {
             node_arrival: vec![0; mesh.nodes()],
             order: Vec::new(),
             compiled: CachedPhase::default(),
+            lanes: Lanes::default(),
             mesh,
         }
     }
@@ -361,10 +395,7 @@ impl PhaseSim {
                     Some(_) => self.step::<true, _>(phase, i, release, &run, now, sink),
                     None => self.step::<false, _>(phase, i, release, &run, now, sink),
                 };
-                phase_end = match release {
-                    Release::PerPhase => now + rep.makespan,
-                    _ => now.max(rep.makespan),
-                };
+                phase_end = self::phase_end(release, now, rep.makespan);
                 rep.makespan = phase_end - now;
                 rep.messages += dropped;
                 rep.lost += dropped;
@@ -520,7 +551,6 @@ impl PhaseSim {
                     }
                 }
                 attempt += 1;
-                rep.attempts += 1;
                 let end = start.saturating_add(dur);
                 self.reserve(links, end);
                 rep.makespan = rep.makespan.max(end);
@@ -534,48 +564,245 @@ impl PhaseSim {
                     },
                     links,
                 );
-                if let Some(p) = plan {
-                    let lost = rng.chance(p.drop_prob);
-                    let forced = p.retry.enabled && attempt >= p.retry.max_attempts.max(1);
-                    if lost && !forced {
-                        if !p.retry.enabled {
-                            rep.lost += 1;
-                            break;
-                        }
-                        rep.retries += 1;
-                        next_send = end.saturating_add(p.retry.backoff_delay(attempt));
+                match fate(plan, &mut rng, attempt, end, &mut rep) {
+                    Fate::Retry(at) => {
+                        next_send = at;
                         continue;
                     }
-                    if lost {
-                        rep.escalations += 1;
+                    Fate::Lost => {}
+                    Fate::Delivered { dup } => {
+                        self.node_arrival[dst] = self.node_arrival[dst].max(end);
+                        if dup {
+                            // The links were just reserved to `end`, so the
+                            // copy goes out back to back on the same route.
+                            let end2 = end.saturating_add(dur);
+                            self.reserve(links, end2);
+                            rep.makespan = rep.makespan.max(end2);
+                            sink.sent(
+                                OverlapEvent {
+                                    phase: i,
+                                    msg,
+                                    ready,
+                                    start: end,
+                                    end: end2,
+                                },
+                                links,
+                            );
+                        }
                     }
-                }
-                rep.delivered += 1;
-                self.node_arrival[dst] = self.node_arrival[dst].max(end);
-                if plan.is_some_and(|p| rng.chance(p.dup_prob)) {
-                    // The links were just reserved to `end`, so the copy
-                    // goes out back to back on the same route.
-                    rep.duplicates += 1;
-                    rep.attempts += 1;
-                    let end2 = end.saturating_add(dur);
-                    self.reserve(links, end2);
-                    rep.makespan = rep.makespan.max(end2);
-                    sink.sent(
-                        OverlapEvent {
-                            phase: i,
-                            msg,
-                            ready,
-                            start: end,
-                            end: end2,
-                        },
-                        links,
-                    );
                 }
                 break;
             }
         }
         rep
     }
+
+    /// The lane path of [`FaultSim::replay_faulty`]: one faulty run per
+    /// seed of `seeds` (at most [`LANES`]) over `phases` under `mode`,
+    /// for a plan whose only faults are drops and duplicates, equal seed
+    /// for seed to the scalar driver. Such a run visits the messages of
+    /// every seed in the same order (`mode` is never
+    /// [`OverlapOrder::LongestFirst`]), so the seeds advance together:
+    /// each message's first attempt is an element-wise max/store over the
+    /// lanes' clocks, and each lane then settles that attempt's [`fate`]
+    /// on its own clocks and its own RNG stream before the next message.
+    fn drive_lanes(
+        &mut self,
+        phases: &[CachedPhase],
+        plan: &FaultPlan,
+        seeds: &[u64],
+        mode: ScheduleMode,
+    ) -> Vec<FaultReport> {
+        let release = match mode {
+            ScheduleMode::Phased => Release::PerPhase,
+            ScheduleMode::Overlapped(order) => {
+                debug_assert_eq!(order, OverlapOrder::Sorted);
+                Release::Frontier
+            }
+        };
+        let (n, links, nodes) = (seeds.len(), self.links.len(), self.node_ready.len());
+        debug_assert!(n <= LANES);
+        let lanes = &mut self.lanes;
+        lanes.free.resize(links, [0; LANES]);
+        lanes.node_ready.clear();
+        lanes.node_ready.resize(nodes, [0; LANES]);
+        lanes.node_arrival.clear();
+        lanes.node_arrival.resize(nodes, [0; LANES]);
+        self.begin_phase();
+        let mut totals = vec![FaultReport::default(); n];
+        let mut reps = totals.clone();
+        for (i, phase) in phases.iter().enumerate() {
+            self.step_lanes(phase, i, release, plan, seeds, &mut reps);
+            for (total, rep) in totals.iter_mut().zip(&mut reps) {
+                // A lane's committed clock is its summed makespan so far.
+                let now = total.makespan;
+                rep.makespan = phase_end(release, now, rep.makespan) - now;
+                total.absorb(rep);
+            }
+        }
+        totals
+    }
+
+    /// The transport step of [`PhaseSim::drive_lanes`] for phase `i`,
+    /// writing lane `k`'s report to `reps[k]`.
+    fn step_lanes(
+        &mut self,
+        phase: &CachedPhase,
+        i: usize,
+        release: Release,
+        plan: &FaultPlan,
+        seeds: &[u64],
+        reps: &mut [FaultReport],
+    ) {
+        match release {
+            Release::PerPhase => self.begin_phase(),
+            _ if i > 0 => {
+                let lanes = &mut self.lanes;
+                for (r, a) in lanes.node_ready.iter_mut().zip(&lanes.node_arrival) {
+                    for k in 0..LANES {
+                        r[k] = r[k].max(a[k]);
+                    }
+                }
+            }
+            _ => {}
+        }
+        let mut rngs: Vec<XorShift64> = seeds
+            .iter()
+            .map(|s| XorShift64::new(s.wrapping_add(i as u64)))
+            .collect();
+        for rep in reps.iter_mut() {
+            *rep = FaultReport {
+                messages: phase.len(),
+                ..FaultReport::default()
+            };
+        }
+        let cost = self.mesh.cost;
+        let epoch = self.epoch;
+        let mut makespan = [0u64; LANES];
+        for j in 0..phase.len() {
+            let msg = phase.msgs[j];
+            let xy = phase.xy(j);
+            let dur = cost.p2p(xy.len(), msg.bytes);
+            // Every lane's first attempt, released at its own frontier.
+            let mut end = match release {
+                Release::PerPhase => [0; LANES],
+                _ => self.lanes.node_ready[msg.src],
+            };
+            for &l in xy {
+                if self.links[l as usize].stamp == epoch {
+                    let free = &self.lanes.free[l as usize];
+                    for k in 0..LANES {
+                        end[k] = end[k].max(free[k]);
+                    }
+                }
+            }
+            for e in &mut end {
+                *e = e.saturating_add(dur);
+            }
+            for &l in xy {
+                // The stamp is shared by all lanes; this store rewrites
+                // every lane's clock, so stale rows never survive it.
+                self.links[l as usize].stamp = epoch;
+                self.lanes.free[l as usize] = end;
+            }
+            for k in 0..LANES {
+                makespan[k] = makespan[k].max(end[k]);
+            }
+            // Each lane settles its attempt alone. Every link of `xy` now
+            // carries this epoch's stamp, so the lane reads its row as is.
+            let lanes = &mut self.lanes;
+            for (k, (rng, rep)) in rngs.iter_mut().zip(reps.iter_mut()).enumerate() {
+                let (mut end, mut attempt) = (end[k], 1);
+                loop {
+                    match fate(Some(plan), rng, attempt, end, rep) {
+                        Fate::Retry(at) => {
+                            let start =
+                                xy.iter().fold(at, |t, &l| t.max(lanes.free[l as usize][k]));
+                            attempt += 1;
+                            end = start.saturating_add(dur);
+                            lanes.reserve(xy, k, end);
+                            makespan[k] = makespan[k].max(end);
+                        }
+                        Fate::Lost => break,
+                        Fate::Delivered { dup } => {
+                            let arrival = &mut lanes.node_arrival[msg.dst][k];
+                            *arrival = (*arrival).max(end);
+                            if dup {
+                                let end2 = end.saturating_add(dur);
+                                lanes.reserve(xy, k, end2);
+                                makespan[k] = makespan[k].max(end2);
+                            }
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        for (rep, &m) in reps.iter_mut().zip(&makespan) {
+            rep.makespan = m;
+        }
+    }
+}
+
+/// The committed clock after a phase whose step reported `makespan`,
+/// from the committed clock `now` before it.
+#[inline]
+fn phase_end(release: Release, now: u64, makespan: u64) -> u64 {
+    match release {
+        Release::PerPhase => now + makespan,
+        _ => now.max(makespan),
+    }
+}
+
+/// What follows one transmission attempt (see [`fate`]).
+enum Fate {
+    /// Lost on the wire; retransmit at this time.
+    Retry(u64),
+    /// Lost for good (retries disabled).
+    Lost,
+    /// Delivered; `dup` when a duplicate follows back to back on the
+    /// same route.
+    Delivered { dup: bool },
+}
+
+/// The fault rule of one transmission attempt, the `attempt`-th of its
+/// message, that ended at `end`: count it, draw whether it is dropped
+/// (retry after timeout × backoff, escalate at `max_attempts`, or lose
+/// it with retries off), and draw whether a delivery is duplicated.
+/// Both the scalar step and the lane path call it, so they share the
+/// rule and the RNG draw order. Without a plan every attempt delivers
+/// and nothing is drawn.
+#[inline]
+fn fate(
+    plan: Option<&FaultPlan>,
+    rng: &mut XorShift64,
+    attempt: u32,
+    end: u64,
+    rep: &mut FaultReport,
+) -> Fate {
+    rep.attempts += 1;
+    if let Some(p) = plan {
+        let lost = rng.chance(p.drop_prob);
+        let forced = p.retry.enabled && attempt >= p.retry.max_attempts.max(1);
+        if lost && !forced {
+            if !p.retry.enabled {
+                rep.lost += 1;
+                return Fate::Lost;
+            }
+            rep.retries += 1;
+            return Fate::Retry(end.saturating_add(p.retry.backoff_delay(attempt)));
+        }
+        if lost {
+            rep.escalations += 1;
+        }
+    }
+    rep.delivered += 1;
+    let dup = plan.is_some_and(|p| rng.chance(p.dup_prob));
+    if dup {
+        rep.duplicates += 1;
+        rep.attempts += 1;
+    }
+    Fate::Delivered { dup }
 }
 
 /// Earliest return among the links of `links` that are inside an outage
@@ -776,8 +1003,38 @@ impl FaultSim {
 
     /// Replay one faulty run per seed under `sched` — the Monte Carlo
     /// batch API. The compile cost is paid once, before the first seed.
+    ///
+    /// When every seed would visit the same messages in the same order,
+    /// up to [`LANES`] seeds advance together through one pass (the lane
+    /// path): the plan has no link or node outages and no deaths, and
+    /// `sched` is [`SchedulePolicy::Fixed`] with [`ScheduleMode::Phased`]
+    /// or [`OverlapOrder::Sorted`]. Otherwise each seed runs alone, as
+    /// in [`FaultSim::run_faulty`]. Either way report `k` equals
+    /// `run_faulty(seeds[k], sched)` bit for bit: each lane draws from
+    /// its own seed's RNG streams through the same fault rule.
     pub fn replay_faulty(&mut self, seeds: &[u64], sched: SchedulePolicy) -> Vec<FaultReport> {
-        seeds.iter().map(|&s| self.run_faulty(s, sched)).collect()
+        match self.lane_mode(sched) {
+            Some(mode) => seeds
+                .chunks(LANES)
+                .flat_map(|group| {
+                    self.sim
+                        .drive_lanes(&self.cached, self.plan.plan(), group, mode)
+                })
+                .collect(),
+            None => seeds.iter().map(|&s| self.run_faulty(s, sched)).collect(),
+        }
+    }
+
+    /// The mode of the lane path of [`FaultSim::replay_faulty`], when
+    /// the plan's only faults are drops and duplicates and `sched` fixes
+    /// a seed-independent processing order.
+    fn lane_mode(&self, sched: SchedulePolicy) -> Option<ScheduleMode> {
+        let transport_only = !self.plan.has_link_outages() && !self.plan.check_nodes(true);
+        match sched {
+            SchedulePolicy::Fixed(ScheduleMode::Overlapped(OverlapOrder::LongestFirst))
+            | SchedulePolicy::Adaptive { .. } => None,
+            SchedulePolicy::Fixed(mode) => transport_only.then_some(mode),
+        }
     }
 
     /// Replay the checkpoint/rollback run once with `seed` substituted

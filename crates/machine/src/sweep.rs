@@ -184,6 +184,9 @@ impl FaultSweepStats {
 /// so [`OnlineStats`] sees the exact push order of a serial run and the
 /// result is **bit-identical** whatever `threads` is. The pool's
 /// [`SweepReport`] comes back alongside.
+///
+/// Each task is one seed, so the sweep never takes the lane path of
+/// [`FaultSim::replay_faulty`]: lanes do not apply here yet.
 pub fn par_fault_sweep(
     mesh: &Mesh2D,
     phases: &[Vec<PMsg>],

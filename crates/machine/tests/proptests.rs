@@ -6,6 +6,7 @@ use rescomm_machine::{
     par_fault_sweep, reference, replication_seed, trace_phase, CachedPhase, CheckpointPolicy,
     CompiledFaultPlan, CostModel, FatTree, FaultPlan, FaultReport, FaultSim, LinkOutage, Mesh2D,
     NodeDeath, NodeOutage, OverlapOrder, PMsg, PhaseSim, RetryPolicy, ScheduleMode, SchedulePolicy,
+    LANES,
 };
 
 const PHASED: SchedulePolicy = SchedulePolicy::Fixed(ScheduleMode::Phased);
@@ -383,7 +384,9 @@ proptest! {
     /// The engine's faulty replay produces the full `FaultReport` the
     /// reference oracle produces, for every seed of a batch and under
     /// every schedule policy, over random plans that exercise drops,
-    /// duplicates, reroutes, deferrals and black holes.
+    /// duplicates, reroutes, deferrals and black holes. Batches run past
+    /// one lane group, so the per-seed path is checked at batch sizes
+    /// the lane path would split.
     #[test]
     fn compiled_faulty_replay_bit_identical(
         a in msgs(32), b in msgs(32), c in msgs(32),
@@ -391,7 +394,7 @@ proptest! {
         deaths in proptest::collection::vec((0usize..32, 0u64..2_000_000), 0..3),
         no_retry in 0u32..2,
         sched_idx in 0u32..4,
-        seeds in proptest::collection::vec(0u64..1_000_000, 1..4),
+        seeds in proptest::collection::vec(0u64..1_000_000, 1..LANES + 4),
     ) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let mut plan = plan;
@@ -412,6 +415,61 @@ proptest! {
                 reference::simulate(&mesh, &phases, &seeded, sched, None),
                 "seed {} sched {:?}", seed, sched
             );
+        }
+    }
+
+    /// The lane path of `replay_faulty` (a drop/dup-only plan under
+    /// `Phased` or `Overlapped(Sorted)`) reproduces the reference oracle
+    /// and the per-seed `run_faulty`, seed for seed, at every batch size
+    /// from 1 to two lane groups plus one, so partial groups are
+    /// covered. Drop rates include 0 % and 100 %; retries run with the
+    /// drawn policy, disabled, or capped at one attempt.
+    #[test]
+    fn lane_replay_bit_identical(
+        a in msgs(32), b in msgs(32), c in msgs(32),
+        base in 0u64..1_000_000,
+        drop_raw in 0u32..121,
+        dup_pct in 0u32..101,
+        retry_raw in (0u32..3, 1u64..100_000, 1u32..4, 1u32..8),
+    ) {
+        let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+        // 101..=110 pins drop 0 % and 111..=120 drop 100 %.
+        let drop_pct = match drop_raw {
+            0..=100 => drop_raw,
+            101..=110 => 0,
+            _ => 100,
+        };
+        let (retry_kind, timeout, backoff, max_attempts) = retry_raw;
+        let retry = match retry_kind {
+            0 => RetryPolicy { enabled: true, timeout, backoff, max_attempts },
+            1 => RetryPolicy::disabled(),
+            _ => RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        };
+        let plan = FaultPlan {
+            dup_prob: f64::from(dup_pct) / 100.0,
+            retry,
+            ..FaultPlan::with_drop(base, f64::from(drop_pct) / 100.0)
+        };
+        let phases = vec![a, b, c];
+        let seeds: Vec<u64> = (0..2 * LANES as u64 + 1).map(|r| replication_seed(base, r)).collect();
+        let mut engine = FaultSim::new(&mesh, &phases, &plan);
+        for sched in [PHASED, SchedulePolicy::Fixed(ScheduleMode::overlapped())] {
+            let want: Vec<FaultReport> = seeds
+                .iter()
+                .map(|&seed| {
+                    let seeded = FaultPlan { seed, ..plan.clone() };
+                    let rep = reference::simulate(&mesh, &phases, &seeded, sched, None);
+                    assert_eq!(engine.run_faulty(seed, sched), rep, "run_faulty seed {seed}");
+                    rep
+                })
+                .collect();
+            for n in 1..=seeds.len() {
+                prop_assert_eq!(
+                    engine.replay_faulty(&seeds[..n], sched),
+                    &want[..n],
+                    "{} seeds under {:?}", n, sched
+                );
+            }
         }
     }
 
