@@ -9,6 +9,10 @@
 //!   dataflow matrices (shears, fully-coupled maps, rotations, swaps —
 //!   the matrices that used to force the dense fallback) at virtual
 //!   grids 64² through 8192² (67M virtual processors).
+//! * **period_tile** — under CYCLIC × CYCLIC the `Auto` fold counts one
+//!   `lcm`-period tile (8×8 on the 8×4 mesh) and scales it, instead of
+//!   the closed lattice count over the whole grid: forced `Closed` vs
+//!   `Auto` for the four shear/coupled zoo matrices at 1024² to 8192².
 //! * **scheduling** — one-shot `Mesh2D::simulate_phase` (fresh link
 //!   table and route `Vec` per message) vs the reused `PhaseSim` scratch
 //!   engine and `CachedPhase` replay, at message counts up to 10⁵.
@@ -20,7 +24,9 @@
 //! `--smoke` runs the correctness gates only (small grids, no timing, no
 //! artifact): every zoo matrix must take the closed path and match the
 //! enumeration oracle bit-for-bit — CI fails on any dense fallback for
-//! unimodular `T`.
+//! unimodular `T` — and `Auto` must take the period tile under CYCLIC ×
+//! CYCLIC at every `period_tile` grid and equal the whole-grid closed
+//! fold (and the oracle at 1024²).
 //!
 //! Every timed pair is also checked for equality (same message sets, same
 //! locality) before timing, so the numbers can't drift from a wrong
@@ -33,7 +39,9 @@ use rescomm_bench::harness::{median_ns, Args};
 use rescomm_bench::workload::{
     hashed_phase, host_threads, kernel_zoo, paragon_mesh, zoo_dist, Kernel,
 };
-use rescomm_distribution::{fold_affine_with, fold_pattern, general_pattern, Dist2D, FoldPath};
+use rescomm_distribution::{
+    fold_affine_with, fold_pattern, general_pattern, Dist1D, Dist2D, FoldPath,
+};
 use rescomm_json::{fixed, raw, JsonDoc, Val};
 use rescomm_machine::{CachedPhase, PhaseSim, ScheduleMode};
 
@@ -47,6 +55,21 @@ struct GenRow {
     /// with tree-map constants; 16.8M-send patterns are not a baseline).
     enumerated_ns: Option<u64>,
 }
+
+struct TileRow {
+    matrix: &'static str,
+    side: usize,
+    closed_ns: u64,
+    auto_ns: u64,
+}
+
+/// The zoo matrices of the `period_tile` section.
+const TILE_KERNELS: [&str; 4] = ["U(3)", "L(2)", "U(-2)", "coupled[[1,3],[2,7]]"];
+/// Grid sides of the `period_tile` section, all multiples of the tile.
+const TILE_SIDES: [usize; 3] = [1024, 4096, 8192];
+/// Largest side at which a fold is checked against the enumeration
+/// oracle.
+const ORACLE_CUTOFF: usize = 1024;
 
 struct SchedRow {
     messages: usize,
@@ -94,12 +117,45 @@ fn gate(k: &Kernel, dist: Dist2D, side: usize, pshape: (usize, usize), bytes: u6
     }
 }
 
+/// Period-tile gate: under a periodic `dist` on a grid the period
+/// divides, `Auto` must count the tile (`closed == false`) and equal the
+/// forced whole-grid closed fold, and the enumeration oracle below the
+/// cutoff.
+fn tile_gate(k: &Kernel, dist: Dist2D, side: usize, pshape: (usize, usize), bytes: u64) {
+    let vshape = (side, side);
+    let auto = fold_affine_with(FoldPath::Auto, &k.t, (0, 0), dist, vshape, pshape, bytes);
+    assert!(
+        !auto.closed,
+        "{}: auto skipped the period tile at {side}x{side}",
+        k.name
+    );
+    let closed = fold_affine_with(FoldPath::Closed, &k.t, (0, 0), dist, vshape, pshape, bytes);
+    assert_eq!(
+        auto, closed,
+        "{}: period-tile fold diverged from the closed fold at {side}x{side}",
+        k.name
+    );
+    if side <= ORACLE_CUTOFF {
+        let want = fold_pattern(&general_pattern(&k.t, vshape), dist, vshape, pshape, bytes);
+        assert_eq!(
+            auto, want,
+            "{}: period-tile fold diverged from the enumeration oracle at {side}x{side}",
+            k.name
+        );
+    }
+}
+
 fn main() {
     let Args { out, smoke } = Args::parse("BENCH_simulator.json");
     let dist = zoo_dist();
     let pshape = (8usize, 4usize);
     let bytes = 64u64;
     let zoo = kernel_zoo();
+    let tile_dist = Dist2D::uniform(Dist1D::Cyclic);
+    let tile_zoo: Vec<&Kernel> = zoo
+        .iter()
+        .filter(|k| TILE_KERNELS.contains(&k.name))
+        .collect();
 
     if smoke {
         eprintln!("smoke: closed-path + oracle gates over the kernel zoo");
@@ -109,7 +165,17 @@ fn main() {
             }
             eprintln!("  {:<22} closed path ok", k.name);
         }
-        eprintln!("smoke ok: {} matrices, no dense fallback", zoo.len());
+        for k in &tile_zoo {
+            for side in TILE_SIDES {
+                tile_gate(k, tile_dist, side, pshape, bytes);
+            }
+            eprintln!("  {:<22} period tile ok (cyclic x cyclic)", k.name);
+        }
+        eprintln!(
+            "smoke ok: {} matrices, no dense fallback; {} period-tile matrices",
+            zoo.len(),
+            tile_zoo.len()
+        );
         return;
     }
 
@@ -132,7 +198,7 @@ fn main() {
             let vshape = (side, side);
             // Enumeration is the gold oracle but O(V log V): gate against
             // it only where it is tractable.
-            let with_oracle = side <= 1024;
+            let with_oracle = side <= ORACLE_CUTOFF;
             gate(k, dist, side, pshape, bytes, with_oracle);
 
             let reps = if side >= 4096 { 3 } else { 7 };
@@ -192,6 +258,30 @@ fn main() {
         );
     }
     eprintln!("gates ok: ≥20x over dense at 4096², sublinear growth to 8192²");
+
+    eprintln!("period_tile: whole-grid closed vs auto (one period tile), cyclic×cyclic on 8×4");
+    let mut tile = Vec::new();
+    for k in &tile_zoo {
+        for side in TILE_SIDES {
+            let vshape = (side, side);
+            tile_gate(k, tile_dist, side, pshape, bytes);
+            let fold =
+                |path| fold_affine_with(path, &k.t, (0, 0), tile_dist, vshape, pshape, bytes);
+            let closed_ns = median_ns(7, 1, || fold(FoldPath::Closed));
+            let auto_ns = median_ns(7, 16, || fold(FoldPath::Auto));
+            eprintln!(
+                "  {:<22} {side:>4}²  closed {closed_ns:>10} ns   auto {auto_ns:>8} ns (×{:.1})",
+                k.name,
+                closed_ns as f64 / auto_ns.max(1) as f64,
+            );
+            tile.push(TileRow {
+                matrix: k.name,
+                side,
+                closed_ns,
+                auto_ns,
+            });
+        }
+    }
 
     eprintln!("scheduling: one-shot vs PhaseSim vs CachedPhase replay on 8×4");
     let mesh = paragon_mesh();
@@ -256,6 +346,20 @@ fn main() {
             (
                 "dense_speedup",
                 fixed(r.dense_ns as f64 / r.closed_ns.max(1) as f64, 2),
+            ),
+        ]
+    });
+    doc.rows("period_tile", &tile, |r| {
+        vec![
+            ("matrix", Val::from(r.matrix)),
+            ("dist", Val::from("cyclic x cyclic")),
+            ("grid", Val::from(format!("{0}x{0}", r.side))),
+            ("auto_closed", Val::from(false)),
+            ("closed_ns", Val::from(r.closed_ns)),
+            ("auto_ns", Val::from(r.auto_ns)),
+            (
+                "auto_speedup",
+                fixed(r.closed_ns as f64 / r.auto_ns.max(1) as f64, 2),
             ),
         ]
     });

@@ -57,6 +57,29 @@ stmt S depth 2 domain 0..7 0..7
   read  a [1 0; 0 1] + [1 0]
 ";
 
+/// [`NEST`] plus a sheared read of `r`, which stays residual (a `U(-1)`
+/// decomposition), so the Monte Carlo path has messages to replay.
+const RESIDUAL_NEST: &str = "\
+nest demo
+array a 2
+array r 2
+stmt S depth 2 domain 0..7 0..7
+  write r [1 0; 0 1]
+  read  a [1 0; 0 1] + [1 0]
+  read  r [1 1; 0 1]
+";
+
+/// The message count `N` of the Monte Carlo `delivered: … of N messages`
+/// line.
+fn replayed_messages(text: &str) -> u64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("delivered:"))
+        .unwrap_or_else(|| panic!("no delivered line in {text}"));
+    let (_, rest) = line.split_once(" of ").expect("delivered: … of N messages");
+    rest.split_whitespace().next().unwrap().parse().unwrap()
+}
+
 #[test]
 fn maps_a_nest_and_reports() {
     let f = write_nest(NEST);
@@ -148,7 +171,7 @@ fn recover_rejects_killing_every_node() {
 
 #[test]
 fn replications_prints_monte_carlo_stats() {
-    let f = write_nest(NEST);
+    let f = write_nest(RESIDUAL_NEST);
     let out = cli()
         .arg(f.as_str())
         .args(["--replications", "4", "--grid", "4x4", "--drop", "0.2"])
@@ -162,12 +185,12 @@ fn replications_prints_monte_carlo_stats() {
     );
     assert!(text.contains("healthy makespan:"), "{text}");
     assert!(text.contains("faulty makespan:"), "{text}");
-    assert!(text.contains("delivered:"), "{text}");
+    assert!(replayed_messages(&text) > 0, "{text}");
 }
 
 #[test]
 fn replications_is_deterministic_across_runs() {
-    let f = write_nest(NEST);
+    let f = write_nest(RESIDUAL_NEST);
     let run = || {
         let out = cli()
             .arg(f.as_str())
@@ -177,7 +200,9 @@ fn replications_is_deterministic_across_runs() {
         assert!(out.status.success(), "{out:?}");
         String::from_utf8(out.stdout).unwrap()
     };
-    assert_eq!(run(), run(), "seeded Monte Carlo must be reproducible");
+    let first = run();
+    assert!(replayed_messages(&first) > 0, "{first}");
+    assert_eq!(first, run(), "seeded Monte Carlo must be reproducible");
 }
 
 /// The Monte Carlo stats of the motivating example at 64 replications

@@ -34,6 +34,17 @@
 //! path, and every fold records which path fired in
 //! [`FoldedPattern::closed`].
 //!
+//! **Period tile.** Under CYCLIC and CYCLIC(b) the owner of `i` is a
+//! function of `i mod period` alone (`P`, resp. `b·P`), independent of the
+//! grid side. When `L = lcm(period_r, period_c)` divides both sides, `x mod
+//! v ≡ x (mod L)` for every integer `x`, so source and destination owners
+//! of `v` are those of `v mod L`: the whole-grid count table is the `L×L`
+//! tile's table (the dense fold with the wrap taken modulo `L`) times the
+//! tile count `(v_r/L)·(v_c/L)`, for every integer `T` and shift. The
+//! [`FoldPath::Auto`] policy takes that tile whenever it is smaller than
+//! the grid and cheaper than the closed estimate; the forced paths always
+//! fold the whole grid, so each stays an independent oracle for it.
+//!
 //! Both paths return *exactly* the oracle's message set (same aggregation,
 //! same sort order) plus the locality statistics of the same fold; the
 //! property tests in `tests/proptests.rs` pin the equivalence against
@@ -495,7 +506,8 @@ fn fold_closed(
 /// both axis images and both ownership maps precomputed into flat tables,
 /// and the aggregation done in a flat count array — no tree map, no
 /// per-element matrix multiply. Kept as a differential oracle for the
-/// closed path and for tiny grids where table setup beats the algebra.
+/// closed path, for tiny grids where table setup beats the algebra, and
+/// to count one period tile (`vshape = (L, L)`).
 fn fold_dense(
     t: &IMat,
     shift: (i64, i64),
@@ -568,15 +580,19 @@ pub(crate) fn msgs_from_counts(
 /// Which fold implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FoldPath {
-    /// Cost-model choice. Unimodular `T` always takes the closed path
-    /// (its cost is flat in the virtual-grid area, which is the whole
-    /// point of the simulator); otherwise the closed path is taken when
-    /// its op estimate undercuts the dense `O(V)` fold.
+    /// Cost-model choice. Under CYCLIC/CYCLIC(b) on both axes, when the
+    /// lcm `L` of the two ownership periods divides both grid sides and
+    /// `L² < v_r·v_c`, the dense fold of one `L×L` period tile, scaled by
+    /// the tile count, is taken whenever it is cheaper than the closed
+    /// estimate (reported as `closed == false`). Otherwise unimodular `T`
+    /// always takes the closed path (its cost is flat in the virtual-grid
+    /// area, which is the whole point of the simulator), and any other `T`
+    /// takes it when its op estimate undercuts the dense `O(V)` fold.
     #[default]
     Auto,
-    /// Force the closed residue-class path.
+    /// Force the closed residue-class path over the whole grid.
     Closed,
-    /// Force the dense flat-table fold.
+    /// Force the dense flat-table fold over the whole grid.
     Dense,
 }
 
@@ -619,6 +635,61 @@ fn dense_cost(vshape: (usize, usize)) -> u128 {
     (vshape.0 as u128) * (vshape.1 as u128) * DENSE_OPS + (vshape.0 + vshape.1) as u128 * 8
 }
 
+/// Ownership period of a 1-D distribution whose owner of `i` is a
+/// function of `i mod period` alone, whatever the grid side: `P` for
+/// CYCLIC, `b·P` for CYCLIC(b). BLOCK and grouped owners depend on the
+/// side, so they have none.
+fn period(d: Dist1D, p: usize) -> Option<usize> {
+    let q = match d {
+        Dist1D::Cyclic => p,
+        Dist1D::CyclicBlock(b) => b * p,
+        Dist1D::Block | Dist1D::Grouped(_) => return None,
+    };
+    (q > 0).then_some(q)
+}
+
+/// Side `L` of the period tile of `dist` on a `vshape` grid: the lcm of
+/// the two axis periods, when it divides both sides and the tile is
+/// smaller than the grid.
+fn period_tile(dist: Dist2D, (vr, vc): (usize, usize), (pr, pc): (usize, usize)) -> Option<usize> {
+    let (qr, qc) = (period(dist.rows, pr)?, period(dist.cols, pc)?);
+    let l = qr / egcd(qr as i128, qc as i128).0 as usize * qc;
+    (vr % l == 0 && vc % l == 0 && l * l < vr * vc).then_some(l)
+}
+
+/// The counting routine [`fold_affine_with`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// Closed lattice count over the whole grid.
+    Closed,
+    /// Dense fold over the whole grid.
+    Dense,
+    /// Dense fold over one `L×L` period tile, scaled by the tile count.
+    Tile(usize),
+}
+
+/// The [`FoldPath::Auto`] policy.
+fn auto_fold(
+    t: &IMat,
+    shift: (i64, i64),
+    dist: Dist2D,
+    vshape: (usize, usize),
+    pshape: (usize, usize),
+) -> Fold {
+    let closed = closed_cost(t, shift, dist, vshape, pshape);
+    if let Some(l) = period_tile(dist, vshape, pshape) {
+        if dense_cost((l, l)) < closed {
+            return Fold::Tile(l);
+        }
+    }
+    let det = t[(0, 0)] as i128 * t[(1, 1)] as i128 - t[(0, 1)] as i128 * t[(1, 0)] as i128;
+    if det.abs() == 1 || closed < dense_cost(vshape) {
+        Fold::Closed
+    } else {
+        Fold::Dense
+    }
+}
+
 /// Factor count of `T`'s unirow chain (0 when `T` is singular or the
 /// identity) — surfaced in [`FoldedPattern::factors`] so benches can
 /// report the decomposition depth alongside the fold path.
@@ -642,18 +713,20 @@ pub fn fold_affine_with(
     elem_bytes: u64,
 ) -> FoldedPattern {
     assert_eq!(t.shape(), (2, 2));
-    let use_closed = match path {
-        FoldPath::Closed => true,
-        FoldPath::Dense => false,
-        FoldPath::Auto => {
-            let det = t[(0, 0)] as i128 * t[(1, 1)] as i128 - t[(0, 1)] as i128 * t[(1, 0)] as i128;
-            det.abs() == 1 || closed_cost(t, shift, dist, vshape, pshape) < dense_cost(vshape)
-        }
+    let fold = match path {
+        FoldPath::Closed => Fold::Closed,
+        FoldPath::Dense => Fold::Dense,
+        FoldPath::Auto => auto_fold(t, shift, dist, vshape, pshape),
     };
-    let counts = if use_closed {
-        fold_closed(t, shift, dist, vshape, pshape)
-    } else {
-        fold_dense(t, shift, dist, vshape, pshape)
+    let counts = match fold {
+        Fold::Closed => fold_closed(t, shift, dist, vshape, pshape),
+        Fold::Dense => fold_dense(t, shift, dist, vshape, pshape),
+        Fold::Tile(l) => {
+            let tiles = ((vshape.0 / l) * (vshape.1 / l)) as u64;
+            let mut counts = fold_dense(t, shift, dist, (l, l), pshape);
+            counts.iter_mut().for_each(|n| *n *= tiles);
+            counts
+        }
     };
     let np = pshape.0 * pshape.1;
     let mut local = 0u64;
@@ -664,7 +737,7 @@ pub fn fold_affine_with(
         msgs: msgs_from_counts(&counts, pshape, elem_bytes),
         local_sends: local,
         total_sends: (vshape.0 * vshape.1) as u64,
-        closed: use_closed,
+        closed: fold == Fold::Closed,
         factors: factor_count(t),
     }
 }
@@ -683,8 +756,9 @@ pub fn fold_affine(
 
 /// Generate the physical message set of the linear pattern
 /// `v → T·v mod vshape` under `dist` **without enumerating the virtual
-/// grid** — the closed residue-class path fires for every unimodular `T`
-/// (and for any `T` where the cost model favors it).
+/// grid** — one period tile under CYCLIC/CYCLIC(b) when the grid is a
+/// multiple of it, otherwise the closed residue-class path for every
+/// unimodular `T` (and for any `T` where the cost model favors it).
 ///
 /// Identical to
 /// `physical_messages(&general_pattern(t, vshape), dist, …)` — same
@@ -995,6 +1069,95 @@ mod tests {
         );
         assert!(forced.closed);
         assert_eq!(forced, got, "path metadata must not affect equality");
+    }
+
+    #[test]
+    fn block_or_grouped_axis_has_no_period_tile() {
+        let periodic = [Dist1D::Cyclic, Dist1D::CyclicBlock(2)];
+        for other in [Dist1D::Block, Dist1D::Grouped(3)] {
+            for p in periodic {
+                for dist in [
+                    Dist2D {
+                        rows: other,
+                        cols: p,
+                    },
+                    Dist2D {
+                        rows: p,
+                        cols: other,
+                    },
+                ] {
+                    assert_eq!(period_tile(dist, (64, 64), (8, 4)), None, "{dist:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cyclic_by_cyclic_block_tiles_at_the_lcm() {
+        // Periods 8 (CYCLIC on 8 rows) and 2·4 (CYCLIC(2) on 4 columns).
+        let dist = Dist2D {
+            rows: Dist1D::Cyclic,
+            cols: Dist1D::CyclicBlock(2),
+        };
+        assert_eq!(period_tile(dist, (64, 32), (8, 4)), Some(8));
+        assert_eq!(period_tile(dist, (4096, 4096), (8, 4)), Some(8));
+        // lcm(8, 3·4) = 24.
+        let dist = Dist2D {
+            rows: Dist1D::Cyclic,
+            cols: Dist1D::CyclicBlock(3),
+        };
+        assert_eq!(period_tile(dist, (48, 24), (8, 4)), Some(24));
+    }
+
+    #[test]
+    fn no_tile_unless_the_period_divides_a_smaller_grid() {
+        let dist = Dist2D::uniform(Dist1D::Cyclic);
+        // L = 8 misses a side.
+        assert_eq!(period_tile(dist, (64, 36), (8, 4)), None);
+        assert_eq!(period_tile(dist, (60, 64), (8, 4)), None);
+        // The tile is the whole grid.
+        assert_eq!(period_tile(dist, (8, 8), (8, 4)), None);
+        assert_eq!(period_tile(dist, (16, 8), (8, 4)), Some(8));
+    }
+
+    #[test]
+    fn tile_is_cheaper_than_the_closed_estimate() {
+        // L ≤ S_r·S_c for the segment counts S, so the tile's dense cost
+        // undercuts the closed estimate for every T the grid admits.
+        for dr in [
+            Dist1D::Cyclic,
+            Dist1D::CyclicBlock(2),
+            Dist1D::CyclicBlock(3),
+        ] {
+            for dc in [Dist1D::Cyclic, Dist1D::CyclicBlock(2)] {
+                let dist = Dist2D { rows: dr, cols: dc };
+                let (pshape, vshape) = ((8, 4), (4 * 48, 2 * 48));
+                let l = period_tile(dist, vshape, pshape).expect("48·k grids tile");
+                for t in [IMat::identity(2), IMat::from_rows(&[&[2, 4], &[1, 2]])] {
+                    let closed = closed_cost(&t, (0, 0), dist, vshape, pshape);
+                    assert!(dense_cost((l, l)) < closed, "{dist:?} L={l}");
+                    assert_eq!(auto_fold(&t, (0, 0), dist, vshape, pshape), Fold::Tile(l));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn auto_tiles_cyclic_4096_and_equals_the_closed_path() {
+        let dist = Dist2D::uniform(Dist1D::Cyclic);
+        let (vshape, pshape) = ((4096, 4096), (8, 4));
+        for t in [
+            IMat::from_rows(&[&[1, 3], &[0, 1]]),
+            IMat::from_rows(&[&[1, 0], &[2, 1]]),
+            IMat::from_rows(&[&[1, 3], &[2, 7]]),
+        ] {
+            let auto = fold_affine_with(FoldPath::Auto, &t, (0, 0), dist, vshape, pshape, 8);
+            let closed = fold_affine_with(FoldPath::Closed, &t, (0, 0), dist, vshape, pshape, 8);
+            assert!(!auto.closed, "T={t:?} skipped the period tile");
+            assert!(closed.closed);
+            assert_eq!(auto, closed, "T={t:?}");
+            assert_eq!(auto.total_sends, 4096 * 4096);
+        }
     }
 
     #[test]

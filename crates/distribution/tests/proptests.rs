@@ -46,6 +46,37 @@ fn unimodular_matrix() -> impl Strategy<Value = IMat> {
     proptest::collection::vec(unimodular_factor(), 0..6).prop_map(|f| product_general(&f, 2))
 }
 
+/// The CYCLIC / CYCLIC(b) ownership period of one axis, if any.
+fn period(d: Dist1D, p: usize) -> Option<usize> {
+    match d {
+        Dist1D::Cyclic => Some(p),
+        Dist1D::CyclicBlock(b) => Some(b * p),
+        Dist1D::Block | Dist1D::Grouped(_) => None,
+    }
+}
+
+/// The lcm of the two axis periods, when both axes have one.
+fn period_lcm(dist: Dist2D, (pr, pc): (usize, usize)) -> Option<usize> {
+    let (qr, qc) = (period(dist.rows, pr)?, period(dist.cols, pc)?);
+    let l = (1..=qr * qc).find(|l| l % qr == 0 && l % qc == 0);
+    Some(l.expect("qr·qc is a common multiple"))
+}
+
+/// Whether `FoldPath::Auto` may count one `L×L` period tile: `L` divides
+/// both sides and the tile is smaller than the grid. When it may, it
+/// does: the tile's dense cost `6L² + 16L` is below the closed estimate
+/// `320·S_r²·S_c²` (`S` the segment counts, `L ≤ S_r·S_c`).
+fn tiles(dist: Dist2D, (vr, vc): (usize, usize), pshape: (usize, usize)) -> bool {
+    period_lcm(dist, pshape).is_some_and(|l| vr % l == 0 && vc % l == 0 && l * l < vr * vc)
+}
+
+fn periodic_dist() -> impl Strategy<Value = Dist1D> {
+    prop_oneof![
+        Just(Dist1D::Cyclic),
+        (1usize..=3).prop_map(Dist1D::CyclicBlock),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -203,7 +234,8 @@ proptest! {
     /// Random unimodular `T` (a `product_general` of random shear/flip
     /// chains) through `fold_general` equals the enumeration oracle —
     /// message set (order included), locality and send counts — and the
-    /// closed path fires for every one of them.
+    /// closed path fires for every one of them unless a smaller period
+    /// tile applies, which is then always the cheaper estimate.
     #[test]
     fn random_unimodular_chain_matches_enumeration(
         dr in any_dist(),
@@ -218,7 +250,14 @@ proptest! {
         let want = physical_messages(&pat, dist, (vr, vc), (pr, pc), bytes);
         let want_loc = locality_fraction(&pat, dist, (vr, vc), (pr, pc));
         let got = fold_general(&t, dist, (vr, vc), (pr, pc), bytes);
-        prop_assert!(got.closed, "unimodular T={t:?} fell back to the dense fold");
+        prop_assert_eq!(
+            got.closed,
+            !tiles(dist, (vr, vc), (pr, pc)),
+            "unimodular T={:?} {:?} v={:?}: wrong fold path",
+            t,
+            dist,
+            (vr, vc)
+        );
         prop_assert_eq!(&got.msgs, &want);
         prop_assert!((got.locality_fraction() - want_loc).abs() < 1e-12);
         prop_assert_eq!(got.total_sends, (vr * vc) as u64);
@@ -246,5 +285,42 @@ proptest! {
         prop_assert_eq!(&closed.msgs, &want);
         // FoldedPattern equality covers msgs + local_sends + total_sends.
         prop_assert_eq!(closed, dense);
+    }
+
+    /// CYCLIC / CYCLIC(b) on both axes, on grids that are multiples of the
+    /// period lcm `L` (square or not, the tile itself included) and on
+    /// grids that are not: `FoldPath::Auto` equals both forced whole-grid
+    /// paths and the enumeration oracle for any `T` (singular included)
+    /// and shift, and it reports the period tile as a non-closed fold.
+    #[test]
+    fn period_tile_fold_matches_enumeration(
+        dr in periodic_dist(),
+        dc in periodic_dist(),
+        t00 in -4i64..5, t01 in -4i64..5, t10 in -4i64..5, t11 in -4i64..5,
+        s0 in -40i64..41, s1 in -40i64..41,
+        pr in 1usize..5, pc in 1usize..5,
+        aligned in proptest::arbitrary::any::<bool>(),
+        mr in 1usize..4, mc in 1usize..4,
+        vr in 1usize..30, vc in 1usize..30,
+    ) {
+        let t = IMat::from_rows(&[&[t00, t01], &[t10, t11]]);
+        let dist = Dist2D { rows: dr, cols: dc };
+        let pshape = (pr, pc);
+        let l = period_lcm(dist, pshape).expect("both axes periodic");
+        let vshape = if aligned { (l * mr, l * mc) } else { (vr, vc) };
+        let pat = affine_pattern(&t, (s0, s1), vshape);
+        let want = physical_messages(&pat, dist, vshape, pshape, 8);
+        let fold = |path| fold_affine_with(path, &t, (s0, s1), dist, vshape, pshape, 8);
+        let (auto, closed, dense) = (fold(FoldPath::Auto), fold(FoldPath::Closed), fold(FoldPath::Dense));
+        prop_assert_eq!(&auto.msgs, &want);
+        prop_assert_eq!(&auto, &closed);
+        prop_assert_eq!(&auto, &dense);
+        prop_assert_eq!(auto.total_sends, (vshape.0 * vshape.1) as u64);
+        let tiled = tiles(dist, vshape, pshape);
+        if tiled {
+            prop_assert!(!auto.closed, "{:?} v={:?}: the period tile did not fire", dist, vshape);
+        } else if t00 * t11 - t01 * t10 == 1 || t00 * t11 - t01 * t10 == -1 {
+            prop_assert!(auto.closed, "unimodular T={:?} {:?} v={:?} left the closed path", t, dist, vshape);
+        }
     }
 }
