@@ -94,28 +94,42 @@ impl Alignment {
         s.iter().zip(&x).map(|(&a, &b)| a - b).collect()
     }
 
-    /// Exact locality test of an access: `M_S = M_x·F` and
-    /// `ρ_S = M_x·c + ρ_x`.
-    pub fn is_local(&self, _nest: &LoopNest, access: &Access) -> bool {
-        let ms = &self.stmt_alloc[access.stmt.0];
-        let mx = &self.array_alloc[access.array.0];
-        if ms.mat != &mx.mat * &access.f {
-            return false;
+    /// The owner map of `access` composed into one affine map of the
+    /// iteration point: element `x[F·I + c]` lives on
+    /// `(M_x·F)·I + (M_x·c + ρ_x)`. The composition goes through the
+    /// checked [`IMat`] product, so it panics where that product leaves
+    /// `i64`.
+    pub fn owner_map(&self, access: &Access) -> Alloc {
+        Alloc {
+            mat: self.owner_linear(access),
+            rho: self.owner_offset(access),
         }
-        let mc = mx.mat.mul_vec(&access.c);
-        ms.rho
-            .iter()
-            .zip(mc.iter().zip(&mx.rho))
-            .all(|(&rs, (&c, &rx))| rs == c + rx)
+    }
+
+    /// The linear part `M_x·F` of [`Alignment::owner_map`].
+    fn owner_linear(&self, access: &Access) -> IMat {
+        &self.array_alloc[access.array.0].mat * &access.f
+    }
+
+    /// The constant term `M_x·c + ρ_x` of [`Alignment::owner_map`].
+    fn owner_offset(&self, access: &Access) -> Vec<i64> {
+        self.array_alloc[access.array.0].apply(&access.c)
+    }
+
+    /// Exact locality test of an access: the owner map equals the
+    /// statement's allocation, `M_S = M_x·F` and `ρ_S = M_x·c + ρ_x`.
+    /// The linear parts are compared first, and a mismatch there never
+    /// evaluates the constant term.
+    pub fn is_local(&self, nest: &LoopNest, access: &Access) -> bool {
+        self.is_linear_local(nest, access)
+            && self.stmt_alloc[access.stmt.0].rho == self.owner_offset(access)
     }
 
     /// Locality of only the *linear* part (`M_S = M_x·F`): the paper's
     /// criterion — a nonzero constant term is a fixed-size translation,
     /// cheap on any DMPC.
     pub fn is_linear_local(&self, _nest: &LoopNest, access: &Access) -> bool {
-        let ms = &self.stmt_alloc[access.stmt.0];
-        let mx = &self.array_alloc[access.array.0];
-        ms.mat == &mx.mat * &access.f
+        self.stmt_alloc[access.stmt.0].mat == self.owner_linear(access)
     }
 
     /// Left-multiply every allocation of component `ci` by the unimodular

@@ -36,7 +36,7 @@
 //!   the sweep. The worker-count bit-identity gate runs on every host.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin fault_baseline [--smoke] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin fault_baseline [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! Every timed pair is first checked for **bit-identity** (full
@@ -66,7 +66,8 @@ struct ReplayRow {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_faultperf.json");
+    let args = Args::parse("BENCH_faultperf.json");
+    let smoke = args.smoke;
 
     // The paper plan: motivating example through the full mapping
     // pipeline, folded onto the 8×4 Paragon mesh.
@@ -348,5 +349,5 @@ fn main() {
         cols.extend(parallel.columns(r));
         cols
     });
-    doc.write(&out);
+    args.emit(&doc);
 }

@@ -13,7 +13,7 @@
 //! deterministic, so the committed artifact is byte-stable across hosts.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin faultsched [--out PATH] [--smoke]
+//! cargo run --release -p rescomm-bench --bin faultsched [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! `--smoke` shrinks the grid and replication count for the CI job; the
@@ -88,7 +88,8 @@ fn mean(reports: &[FaultReport]) -> f64 {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_faultsched.json");
+    let args = Args::parse("BENCH_faultsched.json");
+    let smoke = args.smoke;
     let bytes = 64u64;
     let mesh = paragon_mesh();
     let mut sim = PhaseSim::new(mesh.clone());
@@ -229,5 +230,5 @@ fn main() {
             ("downgrades", Val::from(r.downgrades)),
         ]
     });
-    doc.write(&out);
+    args.emit(&doc);
 }

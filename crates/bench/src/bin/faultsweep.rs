@@ -15,7 +15,7 @@
 //!   the software binomial fallback used when `ctrl_outage` is set.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin faultsweep [--smoke] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin faultsweep [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! Every sweep point is evaluated twice — once through the fault oracle
@@ -67,7 +67,8 @@ struct DegradedRow {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_faults.json");
+    let args = Args::parse("BENCH_faults.json");
+    let smoke = args.smoke;
     let mesh = paragon_mesh();
     let (n_phases, per_phase) = if smoke { (4, 24) } else { (8, 48) };
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0xfa17);
@@ -227,5 +228,5 @@ fn main() {
             ("slowdown", fixed(r.sw_ns as f64 / r.hw_ns.max(1) as f64, 2)),
         ]
     });
-    doc.write(&out);
+    args.emit(&doc);
 }

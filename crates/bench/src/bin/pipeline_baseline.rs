@@ -16,7 +16,7 @@
 //!   the host cannot run is skipped, never timed).
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin pipeline_baseline [--smoke] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin pipeline_baseline [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! Every timed pair is first checked for identical mappings (outcomes,
@@ -70,7 +70,8 @@ struct KernelRow {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_pipeline.json");
+    let args = Args::parse("BENCH_pipeline.json");
+    let smoke = args.smoke;
     let opts = MappingOptions::new(2);
 
     let sizes: &[usize] = if smoke {
@@ -186,5 +187,5 @@ fn main() {
         ]
     });
     doc.rows("batch", &batch.rows, |r| batch.columns(r));
-    doc.write(&out);
+    args.emit(&doc);
 }

@@ -17,7 +17,7 @@
 //!   rollbacks, no folds, same makespan.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin recoverysweep [--smoke] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin recoverysweep [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! Every MTTF point is evaluated through both the fault oracle
@@ -67,7 +67,8 @@ struct IntervalRow {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_recovery.json");
+    let args = Args::parse("BENCH_recovery.json");
+    let smoke = args.smoke;
     let mesh = paragon_mesh();
     let (n_phases, per_phase) = if smoke { (8, 24) } else { (24, 48) };
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0x4ec0);
@@ -259,5 +260,5 @@ fn main() {
             ("wall_clock_ns", Val::from(r.wall_clock_ns)),
         ]
     });
-    doc.write(&out);
+    args.emit(&doc);
 }

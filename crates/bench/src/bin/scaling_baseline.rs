@@ -13,7 +13,7 @@
 //!   skew is what the steal path exists for).
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin scaling_baseline [--smoke] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin scaling_baseline [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! Gates, in order:
@@ -64,7 +64,8 @@ fn emit(doc: &mut JsonDoc, section: &'static str, s: &Scaling) {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_scaling.json");
+    let args = Args::parse("BENCH_scaling.json");
+    let smoke = args.smoke;
     let host = host_threads();
     let timing_reps = if smoke { 3 } else { 7 };
 
@@ -187,5 +188,5 @@ fn main() {
     });
     emit(&mut doc, "fault_replay", &fault);
     emit(&mut doc, "analysis_batch", &analysis);
-    doc.write(&out);
+    args.emit(&doc);
 }

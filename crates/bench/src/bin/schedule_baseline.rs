@@ -12,7 +12,7 @@
 //! committed artifact is byte-stable across hosts.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin schedule_baseline [--out PATH] [--smoke]
+//! cargo run --release -p rescomm-bench --bin schedule_baseline [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! `--smoke` runs the gates only (small grids, no artifact).
@@ -135,7 +135,8 @@ fn gate_multi_factor_win(rows: &[Row]) {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_schedule.json");
+    let args = Args::parse("BENCH_schedule.json");
+    let smoke = args.smoke;
     let bytes = 64u64;
     let mesh = paragon_mesh();
     let mut sim = PhaseSim::new(mesh.clone());
@@ -194,5 +195,5 @@ fn main() {
             ),
         ]
     });
-    doc.write(&out);
+    args.emit(&doc);
 }

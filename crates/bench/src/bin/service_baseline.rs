@@ -17,7 +17,7 @@
 //!   code (exit code 6) and counted in the server stats.**
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin service_baseline [--smoke] [--out PATH]
+//! cargo run --release -p rescomm-bench --bin service_baseline [--smoke] [--out PATH | --check PATH]
 //! ```
 
 use rescomm::serve::{Server, ServerConfig, ServerHandle};
@@ -95,7 +95,8 @@ fn stat(client: &mut Client, key: &str) -> u64 {
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_service.json");
+    let args = Args::parse("BENCH_service.json");
+    let smoke = args.smoke;
 
     let n_corpus = if smoke { 8 } else { 24 };
     let warm_rounds = if smoke { 4 } else { 16 };
@@ -308,5 +309,5 @@ fn main() {
                  deadline_cancelled_and_reported",
             ),
         );
-    doc.write(&out);
+    args.emit(&doc);
 }

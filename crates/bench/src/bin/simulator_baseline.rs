@@ -18,7 +18,7 @@
 //!   engine and `CachedPhase` replay, at message counts up to 10⁵.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin simulator_baseline [--out PATH] [--smoke]
+//! cargo run --release -p rescomm-bench --bin simulator_baseline [--smoke] [--out PATH | --check PATH]
 //! ```
 //!
 //! `--smoke` runs the correctness gates only (small grids, no timing, no
@@ -146,7 +146,8 @@ fn tile_gate(k: &Kernel, dist: Dist2D, side: usize, pshape: (usize, usize), byte
 }
 
 fn main() {
-    let Args { out, smoke } = Args::parse("BENCH_simulator.json");
+    let args = Args::parse("BENCH_simulator.json");
+    let smoke = args.smoke;
     let dist = zoo_dist();
     let pshape = (8usize, 4usize);
     let bytes = 64u64;
@@ -379,5 +380,5 @@ fn main() {
             ),
         ]
     });
-    doc.write(&out);
+    args.emit(&doc);
 }

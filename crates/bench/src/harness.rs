@@ -4,24 +4,29 @@
 //! columns.
 
 use crate::workload::host_threads;
-use rescomm_json::{fixed, raw, Val};
+use rescomm_json::{fixed, parse, raw, JsonDoc, JsonValue, Val};
 use rescomm_machine::SweepReport;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// The options every baseline bin takes: `--out PATH` (where the
-/// artifact goes) and `--smoke` (the small CI-sized workload, same
-/// gates).
+/// artifact goes), `--smoke` (the small CI-sized workload, same gates)
+/// and `--check PATH` (compare a full-size run with a committed artifact
+/// instead of writing one).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     pub out: String,
     pub smoke: bool,
+    /// The committed artifact `--check` compares the fresh run with.
+    pub check: Option<String>,
 }
 
 impl Args {
-    /// Parse `--out PATH` and `--smoke` from `args` (program name already
-    /// stripped); `out` defaults to `default_out`. Anything else is a
-    /// usage error.
+    /// Parse `--out PATH`, `--smoke` and `--check PATH` from `args`
+    /// (program name already stripped); `out` defaults to `default_out`.
+    /// Anything else is a usage error, and so is `--check` next to
+    /// `--out` (a check writes nothing) or `--smoke` (smoke output never
+    /// matches a full-size artifact).
     pub fn parse_from(
         args: impl IntoIterator<Item = String>,
         default_out: &str,
@@ -29,17 +34,31 @@ impl Args {
         let mut parsed = Args {
             out: default_out.to_string(),
             smoke: false,
+            check: None,
         };
+        let mut out_given = false;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--smoke" => parsed.smoke = true,
-                "--out" => match it.next() {
-                    Some(path) if !path.starts_with("--") => parsed.out = path,
-                    _ => return Err("--out needs a path".into()),
+                "--out" | "--check" => match it.next() {
+                    Some(path) if !path.starts_with("--") => {
+                        if arg == "--out" {
+                            parsed.out = path;
+                            out_given = true;
+                        } else {
+                            parsed.check = Some(path);
+                        }
+                    }
+                    _ => return Err(format!("{arg} needs a path")),
                 },
                 other => return Err(format!("unknown argument {other:?}")),
             }
+        }
+        if parsed.check.is_some() && (out_given || parsed.smoke) {
+            return Err("--check compares a full-size run and writes nothing: \
+                        drop --out and --smoke"
+                .into());
         }
         Ok(parsed)
     }
@@ -50,9 +69,153 @@ impl Args {
         let mut argv = std::env::args();
         let bin = argv.next().unwrap_or_default();
         Args::parse_from(argv, default_out).unwrap_or_else(|e| {
-            eprintln!("error: {e}\nusage: {bin} [--smoke] [--out PATH]");
+            eprintln!("error: {e}\nusage: {bin} [--smoke] [--out PATH | --check PATH]");
             std::process::exit(2)
         })
+    }
+
+    /// Write the finished artifact to `--out`, or, under `--check`,
+    /// compare it with the committed file leaf by leaf (skipping the
+    /// host-clock and host leaves of `CLOCK_HOST_LEAVES`), print every
+    /// path that differs and exit with status 1 if one does. A check
+    /// never writes a file.
+    pub fn emit(&self, doc: &JsonDoc) {
+        let Some(path) = &self.check else {
+            doc.write(&self.out);
+            return;
+        };
+        let committed = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse(&text).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| {
+                eprintln!("error: --check {path}: {e}");
+                std::process::exit(1)
+            });
+        let fresh = parse(&doc.finish()).expect("the harness emits valid JSON");
+        let diffs = artifact_diff(&fresh, &committed);
+        if diffs.is_empty() {
+            eprintln!("check {path}: every field off the clock/host list matches");
+            return;
+        }
+        for d in &diffs {
+            eprintln!("differs: {d}");
+        }
+        eprintln!("check {path}: {} field(s) differ", diffs.len());
+        std::process::exit(1)
+    }
+}
+
+/// The leaves `--check` skips because they record the host's clock or
+/// the host itself, not the program: timings read off `Instant` (named
+/// one by one — a blanket `*_ns` would also skip every simulated
+/// makespan, `makespan_ns`, `lost_work_ns`, `wall_clock_ns`, which is
+/// what the check exists to pin), ratios of timings (`*_speedup`,
+/// `speedup*`, `efficiency`), the host's thread count, and what the
+/// work-stealing pool did on it (`oversubscribed`, `skipped`, `steals`).
+/// A pattern starting or ending with `*` matches that key suffix or
+/// prefix; a subtree under a matching key is skipped whole. A new timing
+/// column fails `--check` until it is added here.
+const CLOCK_HOST_LEAVES: &[&str] = &[
+    // Ratios of timings.
+    "*_speedup",
+    "speedup*",
+    "efficiency",
+    // The host and the pool's run on it.
+    "host_threads",
+    "oversubscribed",
+    "skipped",
+    "steals",
+    // Timings.
+    "wall_ns",
+    "auto_ns",
+    "cached_replay_ns",
+    "closed_ns",
+    "dense_ns",
+    "enumerated_ns",
+    "oneshot_ns",
+    "phasesim_ns",
+    "compiled_ns",
+    "lanes_ns",
+    "oracle_ns",
+    "per_seed_ns",
+    "optimized_ns",
+    "reference_ns",
+    "warm_cache_ns",
+    "cold_ns_per_corpus",
+    "warm_ns_per_corpus",
+];
+
+fn is_clock_or_host(key: &str) -> bool {
+    CLOCK_HOST_LEAVES.iter().any(|pat| {
+        if let Some(suffix) = pat.strip_prefix('*') {
+            key.ends_with(suffix)
+        } else if let Some(prefix) = pat.strip_suffix('*') {
+            key.starts_with(prefix)
+        } else {
+            key == *pat
+        }
+    })
+}
+
+/// The paths (`section[3].field`) at which `fresh` and `committed`
+/// differ, skipping [`CLOCK_HOST_LEAVES`]: a changed leaf, a changed
+/// value kind, a key or array element only one side has, or keys in a
+/// different order.
+fn artifact_diff(fresh: &JsonValue, committed: &JsonValue) -> Vec<String> {
+    let mut out = Vec::new();
+    diff_at("", fresh, committed, &mut out);
+    out
+}
+
+fn diff_at(path: &str, a: &JsonValue, b: &JsonValue, out: &mut Vec<String>) {
+    let at = |p: &str| {
+        if p.is_empty() {
+            "(root)".to_string()
+        } else {
+            p.to_string()
+        }
+    };
+    match (a, b) {
+        (JsonValue::Object(fa), JsonValue::Object(fb)) => {
+            let keys = |f: &[(String, JsonValue)]| -> Vec<String> {
+                f.iter().map(|(k, _)| k.clone()).collect()
+            };
+            if keys(fa) != keys(fb) {
+                out.push(format!(
+                    "{}: keys {:?} vs committed {:?}",
+                    at(path),
+                    keys(fa),
+                    keys(fb)
+                ));
+                return;
+            }
+            for ((k, va), (_, vb)) in fa.iter().zip(fb) {
+                if !is_clock_or_host(k) {
+                    let sub = if path.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{path}.{k}")
+                    };
+                    diff_at(&sub, va, vb, out);
+                }
+            }
+        }
+        (JsonValue::Array(xa), JsonValue::Array(xb)) => {
+            if xa.len() != xb.len() {
+                out.push(format!(
+                    "{}: {} elements vs committed {}",
+                    at(path),
+                    xa.len(),
+                    xb.len()
+                ));
+                return;
+            }
+            for (i, (va, vb)) in xa.iter().zip(xb).enumerate() {
+                diff_at(&format!("{path}[{i}]"), va, vb, out);
+            }
+        }
+        _ if a == b => {}
+        _ => out.push(format!("{}: {a:?} vs committed {b:?}", at(path))),
     }
 }
 
@@ -182,14 +345,15 @@ impl Scaling {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Args, String> {
+    fn args(args: &[&str]) -> Result<Args, String> {
         Args::parse_from(args.iter().map(|a| a.to_string()), "BENCH_x.json")
     }
 
     #[test]
     fn args_default_to_full_run_at_the_committed_path() {
-        let a = parse(&[]).unwrap();
+        let a = args(&[]).unwrap();
         assert_eq!((a.out.as_str(), a.smoke), ("BENCH_x.json", false));
+        assert_eq!(a.check, None);
     }
 
     #[test]
@@ -197,28 +361,87 @@ mod tests {
         let want = Args {
             out: "/tmp/b.json".into(),
             smoke: true,
+            check: None,
         };
-        assert_eq!(
-            parse(&["--smoke", "--out", "/tmp/b.json"]),
-            Ok(want.clone())
-        );
-        assert_eq!(parse(&["--out", "/tmp/b.json", "--smoke"]), Ok(want));
+        assert_eq!(args(&["--smoke", "--out", "/tmp/b.json"]), Ok(want.clone()));
+        assert_eq!(args(&["--out", "/tmp/b.json", "--smoke"]), Ok(want));
     }
 
     #[test]
     fn args_reject_a_missing_out_path() {
-        assert!(parse(&["--out"])
+        assert!(args(&["--out"]).unwrap_err().contains("--out needs a path"));
+        assert!(args(&["--out", "--smoke"]).is_err());
+        assert!(args(&["--check"])
             .unwrap_err()
-            .contains("--out needs a path"));
-        assert!(parse(&["--out", "--smoke"]).is_err());
+            .contains("--check needs a path"));
     }
 
     #[test]
     fn args_reject_unknown_flags() {
         for bad in ["--quick", "--smok", "-s", "extra"] {
-            let err = parse(&["--smoke", bad]).unwrap_err();
+            let err = args(&["--smoke", bad]).unwrap_err();
             assert!(err.contains(bad), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn args_check_stands_alone() {
+        let a = args(&["--check", "BENCH_x.json"]).unwrap();
+        assert_eq!(a.check.as_deref(), Some("BENCH_x.json"));
+        assert!(!a.smoke);
+        for bad in [
+            &["--check", "BENCH_x.json", "--smoke"][..],
+            &["--out", "/tmp/b.json", "--check", "BENCH_x.json"],
+        ] {
+            assert!(args(bad).unwrap_err().contains("writes nothing"), "{bad:?}");
+        }
+    }
+
+    fn json(text: &str) -> JsonValue {
+        rescomm_json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn artifact_diff_skips_only_the_clock_and_host_leaves() {
+        let committed = json(
+            r#"{"host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
+                "efficiency": 0.7, "oversubscribed": false, "skipped": false,
+                "steals": 3, "makespan_ns": 42, "dense_speedup": 3.1,
+                "t": {"closed_ns": 5}}]}"#,
+        );
+        let clocks_moved = json(
+            r#"{"host_threads": 8, "rows": [{"n": 1, "wall_ns": null, "speedup_vs_1": 2.0,
+                "efficiency": 0.9, "oversubscribed": true, "skipped": true,
+                "steals": 0, "makespan_ns": 42, "dense_speedup": 2.7,
+                "t": {"closed_ns": 7}}]}"#,
+        );
+        assert_eq!(
+            artifact_diff(&clocks_moved, &committed),
+            Vec::<String>::new()
+        );
+        // A simulated makespan is not a clock reading, whatever its unit.
+        let makespan_moved = json(
+            r#"{"host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
+                "efficiency": 0.7, "oversubscribed": false, "skipped": false,
+                "steals": 3, "makespan_ns": 43, "dense_speedup": 3.1,
+                "t": {"closed_ns": 5}}]}"#,
+        );
+        let d = artifact_diff(&makespan_moved, &committed);
+        assert_eq!(d.len(), 1);
+        assert!(d[0].starts_with("rows[0].makespan_ns: Int(43)"), "{d:?}");
+    }
+
+    #[test]
+    fn artifact_diff_names_shape_changes() {
+        let committed = json(r#"{"a": [1, 2], "b": {"x": 1, "y": 2}, "c": "s"}"#);
+        let fresh = json(r#"{"a": [1], "b": {"y": 2, "x": 1}, "c": 1}"#);
+        let d = artifact_diff(&fresh, &committed);
+        assert_eq!(d.len(), 3, "{d:?}");
+        assert!(d[0].starts_with("a: 1 elements vs committed 2"), "{d:?}");
+        assert!(d[1].starts_with("b: keys"), "{d:?}");
+        assert!(d[2].starts_with("c: Int(1) vs committed Str"), "{d:?}");
+        let renamed = json(r#"{"a": [1, 2], "b": {"x": 1, "y": 2}, "d": "s"}"#);
+        assert!(artifact_diff(&renamed, &committed)[0].starts_with("(root): keys"));
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //! the processor that computes with it.
 
 use crate::pipeline::{dataflow_matrix, CommOutcome, Mapping};
+use rescomm_alignment::{Alignment, Alloc};
 use rescomm_decompose::{product, Elementary};
 use rescomm_distribution::{fold_affine, fold_pattern, Dist2D};
 use rescomm_intlin::IMat;
-use rescomm_loopnest::{AccessId, LoopNest};
+use rescomm_loopnest::{Access, AccessId, Domain, LoopNest};
 use rescomm_machine::{FaultPlan, FaultSim, Mesh2D, PMsg, PhaseSim, ScheduleMode};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::ControlFlow;
 
 /// What a phase implements (for reporting; the pattern is authoritative).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,6 +144,137 @@ fn coord2(v: &[i64]) -> (i64, i64) {
         v.first().copied().unwrap_or(0),
         v.get(1).copied().unwrap_or(0),
     )
+}
+
+/// One virtual endpoint pair per iteration point: `f(src, dst)` for every
+/// point of `acc`'s statement domain `dom`, in [`Domain::points`] order,
+/// until `f` breaks. `src` owns the element the point touches and
+/// `dst` computes at the point, both padded to 2-D by `coord2`.
+///
+/// The owner map is composed once ([`Alignment::owner_map`]) and both
+/// 2-row maps are evaluated inline over an allocation-free domain walk.
+/// The staged evaluation (`subscript`, then two `Alloc::apply`) panics
+/// where an entry leaves `i64`; so, once per access, the subscript, both
+/// allocations and the composition are bounded over the domain box, and
+/// an access whose bound could leave `i64` takes the staged loop instead
+/// and fails exactly as it does.
+fn for_each_transfer(
+    dom: &Domain,
+    alignment: &Alignment,
+    acc: &Access,
+    mut f: impl FnMut((i64, i64), (i64, i64)) -> ControlFlow<()>,
+) {
+    let array = &alignment.array_alloc[acc.array.0];
+    let stmt = &alignment.stmt_alloc[acc.stmt.0];
+    if !walk_is_exact(dom, acc, array, stmt) {
+        for p in dom.points() {
+            let e = acc.subscript(&p);
+            if f(coord2(&array.apply(&e)), coord2(&stmt.apply(&p))).is_break() {
+                return;
+            }
+        }
+        return;
+    }
+    let owner = alignment.owner_map(acc);
+    let (o0, o1) = (row_of(&owner, 0), row_of(&owner, 1));
+    let (s0, s1) = (row_of(stmt, 0), row_of(stmt, 1));
+    let eval = |(r, o): (&[i64], i64), p: &[i64]| -> i64 {
+        r.iter().zip(p).fold(o, |acc, (&a, &x)| acc + a * x)
+    };
+    let _ = dom.walk(|p| f((eval(o0, p), eval(o1, p)), (eval(s0, p), eval(s1, p))));
+}
+
+/// Row `i` of an allocation and its offset; a missing row is the zero
+/// map, as `coord2` pads a missing coordinate with 0.
+fn row_of(a: &Alloc, i: usize) -> (&[i64], i64) {
+    if i < a.mat.rows() {
+        (a.mat.row(i), a.rho[i])
+    } else {
+        (&[], 0)
+    }
+}
+
+/// The distinct `(src, dst)` pairs of `acc` in first-seen order (the
+/// order `plan_to_json` renders), the local ones (`src == dst`) only when
+/// `keep_local`.
+fn distinct_transfers(
+    nest: &LoopNest,
+    mapping: &Mapping,
+    acc: &Access,
+    keep_local: bool,
+) -> Vec<Endpoints> {
+    let dom = &nest.statement(acc.stmt).domain;
+    let mut seen = BTreeSet::new();
+    let mut v = Vec::new();
+    for_each_transfer(dom, &mapping.alignment, acc, |src, dst| {
+        if (keep_local || src != dst) && seen.insert((src, dst)) {
+            v.push((src, dst));
+        }
+        ControlFlow::Continue(())
+    });
+    v
+}
+
+/// `mat · pos` for a 2×2 `mat`, with [`IMat::mul_vec`]'s exact `i128`
+/// accumulation and its panic when a component leaves `i64`, but no
+/// allocation.
+fn mul2(mat: &IMat, pos: (i64, i64)) -> (i64, i64) {
+    let row = |i: usize| {
+        let acc = i128::from(mat[(i, 0)]) * i128::from(pos.0)
+            + i128::from(mat[(i, 1)]) * i128::from(pos.1);
+        i64::try_from(acc).expect("i64 overflow in exact integer matrix arithmetic")
+    };
+    (row(0), row(1))
+}
+
+/// Whether every evaluation [`for_each_transfer`]'s walk performs is exact
+/// in `i64`: the shapes fit the 2-row inline maps, and the bounds
+/// `Σ_j |a_ij|·r_j + |o_i|` over the domain box (`r_j = max(|lo_j|,
+/// |hi_j|, 1)`) of the subscript, of the owner allocation on the
+/// subscript's bound, and of the computer allocation stay within `i64`.
+/// The owner bound also covers each entry and the offset of the composed
+/// map and every partial sum of its evaluation, so under these bounds
+/// the composed and the staged evaluation neither overflow nor differ.
+fn walk_is_exact(dom: &Domain, acc: &Access, array: &Alloc, stmt: &Alloc) -> bool {
+    let d = dom.dim();
+    let shapes_fit = acc.f.cols() == d
+        && acc.c.len() == acc.f.rows()
+        && array.mat.cols() == acc.f.rows()
+        && stmt.mat.cols() == d
+        && array.mat.rows() <= 2
+        && stmt.mat.rows() <= 2
+        && array.rho.len() == array.mat.rows()
+        && stmt.rho.len() == stmt.mat.rows();
+    if !shapes_fit {
+        return false;
+    }
+    let reach: Vec<i128> = (0..d)
+        .map(|k| {
+            i128::from(
+                dom.lo(k)
+                    .unsigned_abs()
+                    .max(dom.hi(k).unsigned_abs())
+                    .max(1),
+            )
+        })
+        .collect();
+    let bound = |mat: &IMat, off: &[i64], reach: &[i128]| -> Vec<i128> {
+        (0..mat.rows())
+            .map(|i| {
+                mat.row(i).iter().zip(reach).fold(
+                    i128::from(off[i].unsigned_abs()),
+                    |acc, (&a, &r)| {
+                        acc.saturating_add(i128::from(a.unsigned_abs()).saturating_mul(r))
+                    },
+                )
+            })
+            .collect()
+    };
+    let fits = |b: &[i128]| b.iter().all(|&x| x <= i128::from(i64::MAX));
+    let subscript = bound(&acc.f, &acc.c, &reach);
+    fits(&subscript)
+        && fits(&bound(&array.mat, &array.rho, &subscript))
+        && fits(&bound(&stmt.mat, &stmt.rho, &reach))
 }
 
 impl CommPlan {
@@ -279,6 +412,18 @@ impl CommPlan {
             }
             let phases: Vec<&CommPhase> =
                 self.phases.iter().filter(|p| p.access == acc.id).collect();
+            // A phase is functional when it moves every position by a
+            // well-defined map: affine phases always, explicit ones when
+            // they belong to a factor chain.
+            let chained = phases.iter().all(|ph| {
+                matches!(ph.pattern, PhasePattern::Affine { .. })
+                    || matches!(
+                        ph.kind,
+                        PhaseKind::Elementary(_) | PhaseKind::DecompositionShift
+                    )
+            });
+            // The staged per-point evaluation, independent of the walk
+            // `build_plan` uses: this is the proof of that walk.
             let dom = &nest.statement(acc.stmt).domain;
             for p in dom.points() {
                 let e = acc.subscript(&p);
@@ -287,16 +432,6 @@ impl CommPlan {
                 if src == dst {
                     continue;
                 }
-                // A phase is functional when it moves every position by a
-                // well-defined map: affine phases always, explicit ones
-                // when they belong to a factor chain.
-                let chained = phases.iter().all(|ph| {
-                    matches!(ph.pattern, PhasePattern::Affine { .. })
-                        || matches!(
-                            ph.kind,
-                            PhaseKind::Elementary(_) | PhaseKind::DecompositionShift
-                        )
-                });
                 if chained {
                     // Chain the phases (absent entry = stays in place).
                     let mut pos = src;
@@ -336,21 +471,7 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     assert_eq!(mapping.alignment.m, 2, "plans target 2-D grids");
     let mut plan = CommPlan::default();
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
-        let dom = &nest.statement(acc.stmt).domain;
-        // Exact (owner → computer) endpoints per iteration point.
-        let endpoints = || {
-            let mut seen = BTreeSet::new();
-            let mut v = Vec::new();
-            for p in dom.points() {
-                let e = acc.subscript(&p);
-                let src = coord2(&mapping.alignment.array_alloc[acc.array.0].apply(&e));
-                let dst = coord2(&mapping.alignment.stmt_alloc[acc.stmt.0].apply(&p));
-                if src != dst && seen.insert((src, dst)) {
-                    v.push((src, dst));
-                }
-            }
-            v
-        };
+        let endpoints = || distinct_transfers(nest, mapping, acc, false);
         match out {
             CommOutcome::Local => {}
             CommOutcome::Translation => plan.phases.push(CommPhase {
@@ -367,26 +488,13 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
                 // precv = F₁·…·F_n·psend + t₀: one phase per factor (right
                 // to left), then the constant shift t₀ (§4.2: the dataflow
                 // equality holds "up to a translation").
-                let mut sources: Vec<((i64, i64), (i64, i64))> = {
-                    // (current position, final destination) pairs.
-                    let mut seen = BTreeSet::new();
-                    let mut v = Vec::new();
-                    for p in dom.points() {
-                        let e = acc.subscript(&p);
-                        let src = coord2(&mapping.alignment.array_alloc[acc.array.0].apply(&e));
-                        let dst = coord2(&mapping.alignment.stmt_alloc[acc.stmt.0].apply(&p));
-                        if seen.insert((src, dst)) {
-                            v.push((src, dst));
-                        }
-                    }
-                    v
-                };
+                // (current position, final destination) pairs.
+                let mut sources = distinct_transfers(nest, mapping, acc, true);
                 for f in factors.iter().rev() {
                     let mat = f.to_mat();
                     let mut pattern = Vec::new();
                     for (pos, _) in &mut sources {
-                        let q = mat.mul_vec(&[pos.0, pos.1]);
-                        let q = (q[0], q[1]);
+                        let q = mul2(&mat, *pos);
                         if q != *pos {
                             pattern.push((*pos, q));
                         }
@@ -463,27 +571,17 @@ pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
         if matches!(out, CommOutcome::Local) {
             continue;
         }
-        let dom = &nest.statement(acc.stmt).domain;
         // One sample pins the affine constant term.
-        let Some(p0) = dom.points().next() else {
+        let dom = &nest.statement(acc.stmt).domain;
+        let mut sample = None;
+        for_each_transfer(dom, &mapping.alignment, acc, |src, dst| {
+            sample = Some((src, dst));
+            ControlFlow::Break(())
+        });
+        let Some((src0, dst0)) = sample else {
             continue;
         };
-        let e0 = acc.subscript(&p0);
-        let src0 = coord2(&mapping.alignment.array_alloc[acc.array.0].apply(&e0));
-        let dst0 = coord2(&mapping.alignment.stmt_alloc[acc.stmt.0].apply(&p0));
-        let endpoints = || {
-            let mut seen = BTreeSet::new();
-            let mut v = Vec::new();
-            for p in dom.points() {
-                let e = acc.subscript(&p);
-                let src = coord2(&mapping.alignment.array_alloc[acc.array.0].apply(&e));
-                let dst = coord2(&mapping.alignment.stmt_alloc[acc.stmt.0].apply(&p));
-                if src != dst && seen.insert((src, dst)) {
-                    v.push((src, dst));
-                }
-            }
-            v
-        };
+        let endpoints = || distinct_transfers(nest, mapping, acc, false);
         match out {
             CommOutcome::Local => unreachable!(),
             CommOutcome::Translation => {
@@ -1036,5 +1134,198 @@ mod tests {
             assert_eq!(e.kind, c.kind);
             assert_eq!(e.access, c.access);
         }
+    }
+
+    /// One access `x[F·I + c]` of statement 0 over `dom`, with the array
+    /// allocated by `M_x·e + ρ_x` and the statement by `M_S·I + ρ_S`.
+    struct WalkCase {
+        dom: Domain,
+        acc: Access,
+        alignment: Alignment,
+    }
+
+    impl WalkCase {
+        /// `ents` supplies the matrix entries and offsets row-major, in
+        /// the order `F`, `c`, `M_x`, `ρ_x`, `M_S`, `ρ_S`.
+        fn new(dom: Domain, q: usize, rows_x: usize, rows_s: usize, ents: &[i64]) -> Self {
+            let d = dom.dim();
+            let mut it = ents.iter().copied().cycle();
+            let mut take = |n: usize| -> Vec<i64> { (&mut it).take(n).collect() };
+            let f = IMat::from_vec(q, d, take(q * d));
+            let c = take(q);
+            let mx = IMat::from_vec(rows_x, q, take(rows_x * q));
+            let rx = take(rows_x);
+            let ms = IMat::from_vec(rows_s, d, take(rows_s * d));
+            let rs = take(rows_s);
+            WalkCase {
+                dom,
+                acc: Access {
+                    id: AccessId(0),
+                    array: rescomm_loopnest::ArrayId(0),
+                    stmt: rescomm_loopnest::StmtId(0),
+                    f,
+                    c,
+                    kind: rescomm_loopnest::AccessKind::Read,
+                },
+                alignment: Alignment {
+                    m: 2,
+                    stmt_alloc: vec![Alloc { mat: ms, rho: rs }],
+                    array_alloc: vec![Alloc { mat: mx, rho: rx }],
+                    comp_of_stmt: vec![None],
+                    comp_of_array: vec![None],
+                    n_components: 0,
+                },
+            }
+        }
+
+        /// `points()` + `Access::subscript` + `Alloc::apply` + `coord2`.
+        fn oracle(&self) -> Vec<Endpoints> {
+            let (x, s) = (
+                &self.alignment.array_alloc[0],
+                &self.alignment.stmt_alloc[0],
+            );
+            self.dom
+                .points()
+                .map(|p| {
+                    (
+                        coord2(&x.apply(&self.acc.subscript(&p))),
+                        coord2(&s.apply(&p)),
+                    )
+                })
+                .collect()
+        }
+
+        fn walk(&self) -> Vec<Endpoints> {
+            let mut v = Vec::new();
+            for_each_transfer(&self.dom, &self.alignment, &self.acc, |src, dst| {
+                v.push((src, dst));
+                ControlFlow::Continue(())
+            });
+            v
+        }
+
+        fn exact(&self) -> bool {
+            let (x, s) = (
+                &self.alignment.array_alloc[0],
+                &self.alignment.stmt_alloc[0],
+            );
+            walk_is_exact(&self.dom, &self.acc, x, s)
+        }
+    }
+
+    /// A box of depth 1..=4 at small coordinates, cut by random guards
+    /// (possibly down to nothing) and, when `tri`, by Gauss's triangular
+    /// `i, j > k` over the first three loops.
+    fn guarded_box(
+        los: &[i64],
+        lens: &[i64],
+        guards: &[i64],
+        n_guards: usize,
+        tri: bool,
+    ) -> Domain {
+        let bounds: Vec<(i64, i64)> = los.iter().zip(lens).map(|(&l, &n)| (l, l + n)).collect();
+        let d = bounds.len();
+        let mut dom = Domain::rect(&bounds);
+        for g in guards.chunks(d + 1).take(n_guards) {
+            dom = dom.with_guard(&g[..d], g[d]);
+        }
+        if tri && d >= 3 {
+            let mut gi = vec![0; d];
+            gi[0] = 1;
+            gi[1] = -1;
+            let mut gj = vec![0; d];
+            gj[0] = 1;
+            gj[2] = -1;
+            dom = dom.with_guard(&gi, -1).with_guard(&gj, -1);
+        }
+        dom
+    }
+
+    proptest::proptest! {
+        /// The composed-map walk yields exactly the staged evaluation's
+        /// `(src, dst)` sequence, order included, over guarded boxes and
+        /// random `F`, `c`, `M` and `ρ` (rank-deficient, degenerate and
+        /// over-tall owner maps included).
+        #[test]
+        fn plan_walk_matches_the_staged_oracle(
+            d in 1usize..=4,
+            los in proptest::collection::vec(-4i64..=4, 4),
+            lens in proptest::collection::vec(0i64..=3, 4),
+            guards in proptest::collection::vec(-3i64..=3, 15),
+            n_guards in 0usize..=3,
+            tri in proptest::arbitrary::any::<bool>(),
+            q in 0usize..=3,
+            rows_x in 0usize..=3,
+            rows_s in 0usize..=2,
+            ents in proptest::collection::vec(-3i64..=3, 40),
+        ) {
+            let dom = guarded_box(&los[..d], &lens[..d], &guards, n_guards, tri);
+            let case = WalkCase::new(dom, q, rows_x, rows_s, &ents);
+            // Small inputs never need the staged fallback unless the owner
+            // map is taller than the 2-row inline form.
+            proptest::prop_assert_eq!(case.exact(), rows_x <= 2);
+            proptest::prop_assert_eq!(case.walk(), case.oracle());
+        }
+
+        /// Near `i64::MAX`/`MIN`, whenever the staged evaluation panics
+        /// the walk has taken the staged fallback and panics too; when it
+        /// does not, both give the same sequence.
+        #[test]
+        fn plan_walk_overflows_exactly_as_the_oracle(
+            d in 1usize..=2,
+            edge in proptest::prop_oneof![
+                proptest::strategy::Just(i64::MAX),
+                proptest::strategy::Just(i64::MIN),
+                proptest::strategy::Just(i64::MAX / 2),
+                proptest::strategy::Just(1i64 << 40),
+                proptest::strategy::Just(0i64),
+            ],
+            back in 0i64..=4,
+            len in 0i64..=2,
+            big in proptest::prop_oneof![
+                proptest::strategy::Just(1i64),
+                proptest::strategy::Just(2i64),
+                proptest::strategy::Just(1i64 << 31),
+                proptest::strategy::Just(i64::MAX / 3),
+            ],
+            q in 1usize..=2,
+            ents in proptest::collection::vec(-2i64..=2, 24),
+        ) {
+            let lo = if edge < 0 { edge + back } else { edge - back - len };
+            let dom = Domain::rect(&vec![(lo, lo + len); d]);
+            let ents: Vec<i64> = ents.iter().map(|&e| e * big).collect();
+            let case = WalkCase::new(dom, q, 2, 2, &ents);
+            let oracle = std::panic::catch_unwind(|| case.oracle());
+            let walk = std::panic::catch_unwind(|| case.walk());
+            proptest::prop_assert_eq!(oracle.is_err(), walk.is_err());
+            if oracle.is_err() {
+                proptest::prop_assert!(!case.exact(), "a panicking access took the walk");
+            }
+            if let (Ok(o), Ok(w)) = (oracle, walk) {
+                proptest::prop_assert_eq!(w, o);
+            }
+        }
+    }
+
+    #[test]
+    fn plan_walk_stops_at_the_first_break() {
+        let case = WalkCase::new(
+            Domain::cube(2, 3),
+            2,
+            2,
+            2,
+            &[1, 0, 0, 1, 1, 0, 2, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0],
+        );
+        let mut seen = 0;
+        for_each_transfer(&case.dom, &case.alignment, &case.acc, |_, _| {
+            seen += 1;
+            if seen == 4 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(seen, 4);
+        assert_eq!(case.walk().len(), 9);
     }
 }

@@ -554,12 +554,9 @@ fn fold_dense(
 }
 
 /// Extract the sorted non-local message list from a flat count table
-/// (shared with [`crate::msgs::fold_pattern`]).
-pub(crate) fn msgs_from_counts(
-    counts: &[u64],
-    (pr, pc): (usize, usize),
-    elem_bytes: u64,
-) -> Vec<Msg> {
+/// (the dense and period-tile affine folds; explicit patterns fold
+/// sparsely in [`crate::msgs::fold_pattern`], in the same order).
+fn msgs_from_counts(counts: &[u64], (pr, pc): (usize, usize), elem_bytes: u64) -> Vec<Msg> {
     let np = pr * pc;
     let mut msgs = Vec::new();
     for sp in 0..np {

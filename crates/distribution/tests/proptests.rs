@@ -231,6 +231,50 @@ proptest! {
         prop_assert!((folded.locality_fraction() - sep).abs() < 1e-12);
     }
 
+    /// The sparse fold equals the oracle on arbitrary explicit endpoint
+    /// lists, not only whole-grid patterns where every processor sends
+    /// once: raw coordinates wrapped into the grid as plan lowering wraps
+    /// them, repeated pairs, all-local lists and the empty list.
+    #[test]
+    fn sparse_fold_matches_oracle_on_explicit_lists(
+        dr in any_dist(),
+        dc in any_dist(),
+        vr in 1usize..20, vc in 1usize..20,
+        pr in 1usize..5, pc in 1usize..5,
+        raw in proptest::collection::vec((-40i64..40, -40i64..40, -40i64..40, -40i64..40), 0..40),
+        shape in 0u8..3,
+        bytes in 1u64..32,
+    ) {
+        let dist = Dist2D { rows: dr, cols: dc };
+        let (v, p) = ((vr, vc), (pr, pc));
+        let wrap = |i: i64, j: i64| (i.rem_euclid(vr as i64), j.rem_euclid(vc as i64));
+        let mut pat: Vec<_> = raw
+            .iter()
+            .map(|&(a, b, c, d)| (wrap(a, b), wrap(c, d)))
+            .collect();
+        match shape {
+            // Every send stays on its virtual processor.
+            1 => pat.iter_mut().for_each(|e| e.1 = e.0),
+            // Every pair twice, the copy in reverse order.
+            2 => {
+                let rev: Vec<_> = pat.iter().rev().copied().collect();
+                pat.extend(rev);
+            }
+            _ => {}
+        }
+        let folded = fold_pattern(&pat, dist, v, p, bytes);
+        prop_assert_eq!(&folded.msgs, &physical_messages(&pat, dist, v, p, bytes));
+        let local = pat
+            .iter()
+            .filter(|&&(s, d)| dist.map(s, v, p) == dist.map(d, v, p))
+            .count() as u64;
+        prop_assert_eq!(folded.local_sends, local);
+        prop_assert_eq!(folded.total_sends, pat.len() as u64);
+        if shape == 1 {
+            prop_assert!(folded.msgs.is_empty());
+        }
+    }
+
     /// Random unimodular `T` (a `product_general` of random shear/flip
     /// chains) through `fold_general` equals the enumeration oracle —
     /// message set (order included), locality and send counts — and the
@@ -322,5 +366,23 @@ proptest! {
         } else if t00 * t11 - t01 * t10 == 1 || t00 * t11 - t01 * t10 == -1 {
             prop_assert!(auto.closed, "unimodular T={:?} {:?} v={:?} left the closed path", t, dist, vshape);
         }
+    }
+}
+
+/// The empty explicit list folds to nothing, on every distribution.
+#[test]
+fn sparse_fold_of_the_empty_list_is_empty() {
+    for d in [
+        Dist1D::Block,
+        Dist1D::Cyclic,
+        Dist1D::CyclicBlock(2),
+        Dist1D::Grouped(3),
+    ] {
+        let dist = Dist2D::uniform(d);
+        let folded = fold_pattern(&[], dist, (8, 8), (2, 2), 8);
+        assert!(folded.msgs.is_empty());
+        assert_eq!(folded.msgs, physical_messages(&[], dist, (8, 8), (2, 2), 8));
+        assert_eq!((folded.local_sends, folded.total_sends), (0, 0));
+        assert_eq!(folded.locality_fraction(), 1.0);
     }
 }

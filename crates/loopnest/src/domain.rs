@@ -6,6 +6,11 @@
 //! [`Domain`] is a product of integer intervals `[lo_k, hi_k]` (inclusive),
 //! one per loop of the statement.
 
+use std::ops::ControlFlow;
+
+/// Loop depth up to which [`Domain::walk`] keeps its point on the stack.
+const WALK_STACK_DEPTH: usize = 8;
+
 /// An iteration domain: a box `lo_k ≤ I_k ≤ hi_k` optionally cut by
 /// affine guards `g·I ≤ b` (triangular loop bounds like Gaussian
 /// elimination's `i, j > k` become guards over the bounding box).
@@ -110,6 +115,46 @@ impl Domain {
         self.guards
             .iter()
             .all(|(g, b)| g.iter().zip(p).map(|(&c, &x)| c * x).sum::<i64>() <= *b)
+    }
+
+    /// Visit every point in the same lexicographic order as
+    /// [`Domain::points`] (guards applied) without allocating per point:
+    /// an in-place odometer over a stack buffer (one heap buffer for the
+    /// whole walk past eight loops). `f` sees each point as a slice and
+    /// may stop the walk with `Break`.
+    ///
+    /// [`Domain::points`] stays an independent iterator: it is the oracle
+    /// this walk is tested against, and the iterator for callers that
+    /// keep the points.
+    pub fn walk(&self, mut f: impl FnMut(&[i64]) -> ControlFlow<()>) -> ControlFlow<()> {
+        let dim = self.dim();
+        let mut stack = [0i64; WALK_STACK_DEPTH];
+        let mut heap = Vec::new();
+        let cur: &mut [i64] = if dim <= WALK_STACK_DEPTH {
+            &mut stack[..dim]
+        } else {
+            heap.resize(dim, 0);
+            &mut heap
+        };
+        cur.copy_from_slice(&self.lo);
+        loop {
+            if self.satisfies_guards(cur) {
+                f(cur)?;
+            }
+            // Successor: the odometer of `DomainIter`, from the last loop.
+            let mut k = dim;
+            loop {
+                if k == 0 {
+                    return ControlFlow::Continue(());
+                }
+                k -= 1;
+                if cur[k] < self.hi[k] {
+                    cur[k] += 1;
+                    cur[k + 1..].copy_from_slice(&self.lo[k + 1..]);
+                    break;
+                }
+            }
+        }
     }
 
     /// Iterate all points in lexicographic order (guards applied).
@@ -227,6 +272,48 @@ mod tests {
             .with_guard(&[1, 0], 1) // i ≤ 1
             .with_guard(&[0, 1], 2); // j ≤ 2
         assert_eq!(d.exact_size(), 2 * 3);
+    }
+
+    fn walked(d: &Domain) -> Vec<Vec<i64>> {
+        let mut v = Vec::new();
+        let _ = d.walk(|p| {
+            v.push(p.to_vec());
+            ControlFlow::Continue(())
+        });
+        v
+    }
+
+    #[test]
+    fn walk_matches_points_on_and_off_the_stack() {
+        let tri = Domain::cube(3, 4)
+            .with_guard(&[1, -1, 0], -1)
+            .with_guard(&[1, 0, -1], -1);
+        let deep = Domain::cube(WALK_STACK_DEPTH + 1, 2).with_guard(&[1; 9], 4);
+        let empty = Domain::cube(2, 3).with_guard(&[1, 1], -1);
+        for d in [
+            tri,
+            deep,
+            empty,
+            Domain::rect(&[]),
+            Domain::rect(&[(-2, 1), (3, 3)]),
+        ] {
+            assert_eq!(walked(&d), d.points().collect::<Vec<_>>(), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn walk_stops_on_break() {
+        let d = Domain::cube(2, 3);
+        let mut n = 0;
+        let flow = d.walk(|_| {
+            n += 1;
+            if n == 2 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!((flow, n), (ControlFlow::Break(()), 2));
     }
 
     #[test]
