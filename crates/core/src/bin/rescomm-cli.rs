@@ -70,8 +70,8 @@ use rescomm::baselines::{feautrier_map, platonoff_map};
 use rescomm::substrate::accessgraph::{maximum_branching, to_dot, AccessGraph};
 use rescomm::substrate::machine::MAX_MESH_NODES;
 use rescomm::{
-    map_nest, remap_for_survivors, verify_execution_on, DegradedGrid, Mapping, MappingOptions,
-    RescommError,
+    guarded, map_nest, remap_for_survivors, verify_execution_on, DegradedGrid, Mapping,
+    MappingOptions, RescommError,
 };
 use rescomm_loopnest::parser::parse_nest;
 use std::process::ExitCode;
@@ -80,6 +80,21 @@ use std::process::ExitCode;
 fn fail(file: &str, e: RescommError) -> ExitCode {
     eprintln!("{file}: {e}");
     ExitCode::from(e.exit_code())
+}
+
+/// Run one stage past the mapping, turning a panic inside it (an exact
+/// integer overflow the stage does not catch) into an analysis error.
+/// The default panic message is silenced for the stage: the error is
+/// reported once, through [`fail`].
+fn staged<T>(stage: &'static str, f: impl FnOnce() -> T) -> Result<T, RescommError> {
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = guarded(stage, f);
+    std::panic::set_hook(hook);
+    out.map_err(|incident| RescommError::Analysis {
+        stage: incident.stage,
+        detail: incident.detail,
+    })
 }
 
 /// Surface every absorbed incident on stderr (the report only counts
@@ -317,7 +332,10 @@ fn main() -> ExitCode {
         use rescomm::{build_plan_closed, PhasePattern};
         let (w, h) = args.grid;
         let (vw, vh) = args.vgrid;
-        let plan = build_plan_closed(&nest, &mapping);
+        let plan = match staged("build_plan_closed", || build_plan_closed(&nest, &mapping)) {
+            Ok(plan) => plan,
+            Err(e) => return fail(&args.file, e),
+        };
         println!(
             "--- closed plan: {} phases ({} affine) on a {w}x{h} mesh, \
              virtual grid {vw}x{vh} ---",
@@ -345,9 +363,15 @@ fn main() -> ExitCode {
                 ),
             }
         }
-        if let Err(e) = plan.verify_availability(&nest, &mapping) {
-            eprintln!("{}: closed plan availability failed: {e}", args.file);
-            return ExitCode::FAILURE;
+        match staged("verify_availability", || {
+            plan.verify_availability(&nest, &mapping)
+        }) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                eprintln!("{}: closed plan availability failed: {e}", args.file);
+                return ExitCode::FAILURE;
+            }
+            Err(e) => return fail(&args.file, e),
         }
         let mesh = Mesh2D::new(w, h, CostModel::paragon());
         let dist = Dist2D::uniform(Dist1D::Cyclic);
@@ -401,7 +425,10 @@ fn main() -> ExitCode {
         let (w, h) = args.grid;
         let mesh = Mesh2D::new(w, h, CostModel::paragon());
         let dist = Dist2D::uniform(Dist1D::Cyclic);
-        let plan = build_plan(&nest, &mapping);
+        let plan = match staged("build_plan", || build_plan(&nest, &mapping)) {
+            Ok(plan) => plan,
+            Err(e) => return fail(&args.file, e),
+        };
         // The healthy reference for inflation runs under the same
         // policy's fault-free mode as the replications themselves.
         let healthy =

@@ -358,3 +358,30 @@ fn unrunnable_flag_combinations_are_usage_errors_not_panics() {
         assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
     }
 }
+
+/// The motivating example with `S1`'s second loop moved next to
+/// `i64::MAX`: mapping succeeds, but the plan stages' exact subscript
+/// arithmetic overflows. Both plan flags must report that as an
+/// analysis error (exit 4) through the CLI's error path, never as a
+/// panic (exit 101).
+#[test]
+fn plan_stages_report_overflow_as_analysis_errors() {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/nests/motivating.nest"
+    ))
+    .unwrap()
+    .replace(
+        "stmt S1 depth 2 domain 0..7 0..7",
+        "stmt S1 depth 2 domain 0..1 9223372036854775805..9223372036854775806",
+    );
+    assert!(src.contains("9223372036854775805"));
+    let f = write_nest(&src);
+    for args in [&["--closed-plan"][..], &["--replications", "2"][..]] {
+        let out = cli().arg(f.as_str()).args(args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(4), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("analysis error"), "{args:?}: {err}");
+    }
+}

@@ -3,8 +3,9 @@
 //!
 //! * [`CachedPhase`] is a phase compiled for the step: self-messages
 //!   filtered, the rest sorted in [`PMsg`] order, every XY route
-//!   flattened into one link table. [`FaultSim::new`] also records the
-//!   YX detour of every message for rerouting around dead links.
+//!   flattened into one link table. When the fault plan has link
+//!   outages, [`FaultSim`] also records the YX detour of every message
+//!   for rerouting around dead links.
 //! * **The step** runs one compiled phase: greedy whole-route
 //!   reservation on an epoch-stamped link table (no per-phase clear), in
 //!   sorted order or, for [`OverlapOrder::LongestFirst`], by (release
@@ -23,8 +24,12 @@
 //!   checkpoint/rollback recovery with survivor folding.
 //! * **The lane path** of [`FaultSim::replay_faulty`] runs up to
 //!   [`LANES`] seeds of a drop/dup-only run in one pass over lane-major
-//!   clocks. It settles each attempt through the step's own fault rule
-//!   (`fate`), so it needs no second copy of the fault semantics.
+//!   clocks and RNG states. A message's first attempt and its drop and
+//!   duplicate draws are straight-line code over the lanes; a lane whose
+//!   first attempt dropped settles the rest through the step's own fault
+//!   rule (`fate`), so there is no second copy of the fault semantics.
+//!   The lane code is compiled twice, portable and for AVX-512, and the
+//!   CPU picks the build at run time.
 //!
 //! [`PhaseSim`] owns the scratch state; its per-call entry points compile
 //! each phase into a reused scratch [`CachedPhase`] first, so they take
@@ -37,7 +42,7 @@ use crate::fault::{CompiledFaultPlan, FaultReport};
 use crate::mesh::Mesh2D;
 use crate::model::PMsg;
 use crate::overlap::{OverlapEvent, OverlapOrder, ScheduleMode, SchedulePolicy};
-use crate::rng::XorShift64;
+use crate::rng::{advance, hits, threshold, XorShift64};
 use crate::FaultPlan;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
@@ -86,6 +91,15 @@ impl Lanes {
         for &l in links {
             self.free[l as usize][k] = until;
         }
+    }
+
+    /// Send lane `k`'s duplicate of a delivery that ended at `end` back to
+    /// back on the same route; returns its end.
+    #[inline]
+    fn duplicate(&mut self, links: &[u32], k: usize, end: u64, dur: u64) -> u64 {
+        let end2 = end.saturating_add(dur);
+        self.reserve(links, k, end2);
+        end2
     }
 }
 
@@ -602,11 +616,64 @@ impl PhaseSim {
     /// for a plan whose only faults are drops and duplicates, equal seed
     /// for seed to the scalar driver. Such a run visits the messages of
     /// every seed in the same order (`mode` is never
-    /// [`OverlapOrder::LongestFirst`]), so the seeds advance together:
-    /// each message's first attempt is an element-wise max/store over the
-    /// lanes' clocks, and each lane then settles that attempt's [`fate`]
-    /// on its own clocks and its own RNG stream before the next message.
+    /// [`OverlapOrder::LongestFirst`]), so the seeds advance together
+    /// (see [`PhaseSim::step_lanes`]). Runs the AVX-512 build of the lane
+    /// code when the CPU has it and the portable build otherwise; both
+    /// compile the same source and give the same reports.
     fn drive_lanes(
+        &mut self,
+        phases: &[CachedPhase],
+        plan: &FaultPlan,
+        seeds: &[u64],
+        mode: ScheduleMode,
+    ) -> Vec<FaultReport> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
+        {
+            // SAFETY: the CPU supports every feature the AVX-512 build is
+            // compiled for, as just detected.
+            return unsafe { self.drive_lanes_avx512(phases, plan, seeds, mode) };
+        }
+        self.drive_lanes_portable(phases, plan, seeds, mode)
+    }
+
+    /// The portable build of the lane driver.
+    fn drive_lanes_portable(
+        &mut self,
+        phases: &[CachedPhase],
+        plan: &FaultPlan,
+        seeds: &[u64],
+        mode: ScheduleMode,
+    ) -> Vec<FaultReport> {
+        self.lanes_body(phases, plan, seeds, mode)
+    }
+
+    /// The AVX-512 build of the lane driver: with 64-bit vector max,
+    /// compare and multiply, one message's lanes fill two 512-bit
+    /// registers. (The baseline x86-64 target, SSE2, has none of the
+    /// three, so the portable build stays scalar in those loops.)
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, AVX-512F, AVX-512DQ and AVX-512VL.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+    unsafe fn drive_lanes_avx512(
+        &mut self,
+        phases: &[CachedPhase],
+        plan: &FaultPlan,
+        seeds: &[u64],
+        mode: ScheduleMode,
+    ) -> Vec<FaultReport> {
+        self.lanes_body(phases, plan, seeds, mode)
+    }
+
+    /// The lane driver, inlined into each build.
+    #[inline(always)]
+    fn lanes_body(
         &mut self,
         phases: &[CachedPhase],
         plan: &FaultPlan,
@@ -643,8 +710,15 @@ impl PhaseSim {
         totals
     }
 
-    /// The transport step of [`PhaseSim::drive_lanes`] for phase `i`,
-    /// writing lane `k`'s report to `reps[k]`.
+    /// The transport step of the lane driver for phase `i`, writing lane
+    /// `k`'s report to `reps[k]`. Each message's first attempt is
+    /// straight-line code over the lanes: an element-wise max/store of
+    /// the clocks, then the drop draw of every lane (draw 1), then the
+    /// duplicate draw of every lane that delivered (draw 2, selected per
+    /// lane). Lanes whose first attempt dropped leave the vector path one
+    /// by one and settle it through [`fate`] on their own clocks, as the
+    /// scalar step would. Every lane keeps the scalar draw order.
+    #[inline(always)]
     fn step_lanes(
         &mut self,
         phase: &CachedPhase,
@@ -666,19 +740,26 @@ impl PhaseSim {
             }
             _ => {}
         }
-        let mut rngs: Vec<XorShift64> = seeds
-            .iter()
-            .map(|s| XorShift64::new(s.wrapping_add(i as u64)))
-            .collect();
+        // Lane `k` draws from `XorShift64::new(seeds[k] + i)`; lanes past
+        // the last seed draw from a dummy state and are never read.
+        let mut state = [0u64; LANES];
+        for (s, seed) in state.iter_mut().zip(seeds) {
+            *s = XorShift64::new(seed.wrapping_add(i as u64)).state();
+        }
+        let live = ((1u64 << seeds.len()) - 1) as u32;
         for rep in reps.iter_mut() {
+            // Every message's first attempt is counted here.
             *rep = FaultReport {
                 messages: phase.len(),
+                attempts: phase.len() as u64,
                 ..FaultReport::default()
             };
         }
+        let (drop, dup) = (threshold(plan.drop_prob), threshold(plan.dup_prob));
         let cost = self.mesh.cost;
         let epoch = self.epoch;
         let mut makespan = [0u64; LANES];
+        let mut delivered = [0u64; LANES];
         for j in 0..phase.len() {
             let msg = phase.msgs[j];
             let xy = phase.xy(j);
@@ -708,13 +789,43 @@ impl PhaseSim {
             for k in 0..LANES {
                 makespan[k] = makespan[k].max(end[k]);
             }
-            // Each lane settles its attempt alone. Every link of `xy` now
-            // carries this epoch's stamp, so the lane reads its row as is.
-            let lanes = &mut self.lanes;
-            for (k, (rng, rep)) in rngs.iter_mut().zip(reps.iter_mut()).enumerate() {
+            // Draw 1: the first attempt's drop, in every lane.
+            let mut dropped = 0u32;
+            for (k, s) in state.iter_mut().enumerate() {
+                *s = advance(*s);
+                dropped |= (hits(*s, drop) as u32) << k;
+            }
+            dropped &= live;
+            // Draw 2: the duplicate, in the lanes that delivered.
+            let arrival = &mut self.lanes.node_arrival[msg.dst];
+            let mut duped = 0u32;
+            for k in 0..LANES {
+                let kept = dropped >> k & 1 == 0;
+                let next = advance(state[k]);
+                state[k] = if kept { next } else { state[k] };
+                arrival[k] = if kept {
+                    arrival[k].max(end[k])
+                } else {
+                    arrival[k]
+                };
+                delivered[k] += kept as u64;
+                duped |= ((kept && hits(next, dup)) as u32) << k;
+            }
+            for k in lanes_of(duped & live) {
+                reps[k].duplicates += 1;
+                reps[k].attempts += 1;
+                makespan[k] = makespan[k].max(self.lanes.duplicate(xy, k, end[k], dur));
+            }
+            // The dropped lanes settle the rest of their message alone.
+            // Every link of `xy` now carries this epoch's stamp, so each
+            // lane reads its row as is.
+            for k in lanes_of(dropped) {
+                let (lanes, rep) = (&mut self.lanes, &mut reps[k]);
+                let mut rng = XorShift64::from_state(state[k]);
                 let (mut end, mut attempt) = (end[k], 1);
+                let mut next = dropped_attempt(plan, &mut rng, attempt, end, rep);
                 loop {
-                    match fate(Some(plan), rng, attempt, end, rep) {
+                    match next {
                         Fate::Retry(at) => {
                             let start =
                                 xy.iter().fold(at, |t, &l| t.max(lanes.free[l as usize][k]));
@@ -722,26 +833,39 @@ impl PhaseSim {
                             end = start.saturating_add(dur);
                             lanes.reserve(xy, k, end);
                             makespan[k] = makespan[k].max(end);
+                            next = fate(Some(plan), &mut rng, attempt, end, rep);
                         }
                         Fate::Lost => break,
                         Fate::Delivered { dup } => {
                             let arrival = &mut lanes.node_arrival[msg.dst][k];
                             *arrival = (*arrival).max(end);
                             if dup {
-                                let end2 = end.saturating_add(dur);
-                                lanes.reserve(xy, k, end2);
-                                makespan[k] = makespan[k].max(end2);
+                                makespan[k] = makespan[k].max(lanes.duplicate(xy, k, end, dur));
                             }
                             break;
                         }
                     }
                 }
+                state[k] = rng.state();
             }
         }
-        for (rep, &m) in reps.iter_mut().zip(&makespan) {
+        for ((rep, &m), &d) in reps.iter_mut().zip(&makespan).zip(&delivered) {
             rep.makespan = m;
+            rep.delivered += d as usize;
         }
     }
+}
+
+/// The lanes whose bits are set in `mask`, lowest first.
+#[inline(always)]
+fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            k
+        })
+    })
 }
 
 /// The committed clock after a phase whose step reported `makespan`,
@@ -767,11 +891,10 @@ enum Fate {
 
 /// The fault rule of one transmission attempt, the `attempt`-th of its
 /// message, that ended at `end`: count it, draw whether it is dropped
-/// (retry after timeout × backoff, escalate at `max_attempts`, or lose
-/// it with retries off), and draw whether a delivery is duplicated.
-/// Both the scalar step and the lane path call it, so they share the
-/// rule and the RNG draw order. Without a plan every attempt delivers
-/// and nothing is drawn.
+/// (then [`dropped_attempt`]), and deliver it (then [`delivery`]). Both
+/// the scalar step and the lane path use these rules, so they share the
+/// RNG draw order. Without a plan every attempt delivers and nothing is
+/// drawn.
 #[inline]
 fn fate(
     plan: Option<&FaultPlan>,
@@ -781,21 +904,38 @@ fn fate(
     rep: &mut FaultReport,
 ) -> Fate {
     rep.attempts += 1;
-    if let Some(p) = plan {
-        let lost = rng.chance(p.drop_prob);
-        let forced = p.retry.enabled && attempt >= p.retry.max_attempts.max(1);
-        if lost && !forced {
-            if !p.retry.enabled {
-                rep.lost += 1;
-                return Fate::Lost;
-            }
-            rep.retries += 1;
-            return Fate::Retry(end.saturating_add(p.retry.backoff_delay(attempt)));
-        }
-        if lost {
-            rep.escalations += 1;
-        }
+    match plan {
+        Some(p) if rng.chance(p.drop_prob) => dropped_attempt(p, rng, attempt, end, rep),
+        _ => delivery(plan, rng, rep),
     }
+}
+
+/// What follows a dropped attempt: retry after timeout × backoff, lose
+/// the message with retries off, or escalate it at `max_attempts` (a
+/// delivery).
+#[inline]
+fn dropped_attempt(
+    p: &FaultPlan,
+    rng: &mut XorShift64,
+    attempt: u32,
+    end: u64,
+    rep: &mut FaultReport,
+) -> Fate {
+    if p.retry.enabled && attempt >= p.retry.max_attempts.max(1) {
+        rep.escalations += 1;
+        return delivery(Some(p), rng, rep);
+    }
+    if !p.retry.enabled {
+        rep.lost += 1;
+        return Fate::Lost;
+    }
+    rep.retries += 1;
+    Fate::Retry(end.saturating_add(p.retry.backoff_delay(attempt)))
+}
+
+/// A delivery: count it and draw whether a duplicate follows.
+#[inline]
+fn delivery(plan: Option<&FaultPlan>, rng: &mut XorShift64, rep: &mut FaultReport) -> Fate {
     rep.delivered += 1;
     let dup = plan.is_some_and(|p| rng.chance(p.dup_prob));
     if dup {
@@ -937,7 +1077,8 @@ impl CachedPhase {
 }
 
 /// The compiled fault engine: one phase set, one fault plan, many seeds.
-/// Compiles every phase (with YX detours) and the plan once, then
+/// Compiles every phase (with YX detours when the plan has link
+/// outages, the only faults that read them) and the plan once, then
 /// replays the whole run per seed with no routing or sorting work. Every
 /// replay equals [`crate::reference::simulate`] with the seed
 /// substituted into the plan.
@@ -947,6 +1088,8 @@ pub struct FaultSim {
     plan: CompiledFaultPlan,
     phases: Vec<Vec<PMsg>>,
     cached: Vec<CachedPhase>,
+    /// Whether `cached` records the YX detours.
+    detours: bool,
     /// Survivor folds depend only on the plan's death order, never on
     /// the seed, so they are reused across replications.
     folds: Folds,
@@ -959,19 +1102,22 @@ pub struct FaultSim {
 impl FaultSim {
     /// Compile `phases` and `plan` for `mesh`.
     pub fn new(mesh: &Mesh2D, phases: &[Vec<PMsg>], plan: &FaultPlan) -> Self {
+        let plan = CompiledFaultPlan::new(plan, mesh);
+        let detours = plan.has_link_outages();
         let cached = phases
             .iter()
             .map(|p| {
                 let mut c = CachedPhase::default();
-                c.compile(mesh, p, true);
+                c.compile(mesh, p, detours);
                 c
             })
             .collect();
         FaultSim {
             sim: PhaseSim::new(mesh.clone()),
-            plan: CompiledFaultPlan::new(plan, mesh),
+            plan,
             phases: phases.to_vec(),
             cached,
+            detours,
             folds: Folds::new(),
             healthy: None,
         }
@@ -987,12 +1133,19 @@ impl FaultSim {
         self.plan.plan()
     }
 
-    /// Swap the fault plan, keeping the (plan-independent) compiled
-    /// phases — the sweep fast path for evaluating one workload under
-    /// many plans.
+    /// Swap the fault plan, keeping the compiled phases — the sweep fast
+    /// path for evaluating one workload under many plans. The first plan
+    /// with link outages on an engine compiled without YX detours
+    /// recompiles the phases with them.
     pub fn set_plan(&mut self, plan: &FaultPlan) {
         self.plan = CompiledFaultPlan::new(plan, self.sim.mesh());
         self.folds.clear();
+        if self.plan.has_link_outages() && !self.detours {
+            for (c, p) in self.cached.iter_mut().zip(&self.phases) {
+                c.compile(&self.sim.mesh, p, true);
+            }
+            self.detours = true;
+        }
     }
 
     /// Replay the whole run once with `seed` substituted for the plan's;
@@ -1711,6 +1864,124 @@ mod tests {
             engine.run_recovering(&CheckpointPolicy::default(), 0, SchedulePolicy::default());
         assert_eq!(zero.makespan, healthy);
         assert_eq!(zero.recovery.rollbacks, 0);
+    }
+
+    #[test]
+    fn set_plan_compiles_detours_when_link_outages_arrive() {
+        let m = mesh(8, 4);
+        let phases: Vec<Vec<PMsg>> = (0..4).map(|s| mixed_phase(&m, 20, s)).collect();
+        let drop_only = crate::FaultPlan {
+            dup_prob: 0.1,
+            ..crate::FaultPlan::with_drop(3, 0.2)
+        };
+        let mut outages = drop_only.clone();
+        for (x, y) in [(1, 0), (3, 2), (5, 1)] {
+            outages.link_outages.push(crate::LinkOutage {
+                link: m.h_link(x, y, true).index(),
+                from: 0,
+                until: 400_000,
+            });
+        }
+        let mut engine = FaultSim::new(&m, &phases, &drop_only);
+        assert!(!engine.detours);
+        for plan in [&outages, &drop_only, &outages] {
+            engine.set_plan(plan);
+            for sched in [SchedulePolicy::default(), SchedulePolicy::adaptive()] {
+                for seed in [0, 1, 17, 123_456] {
+                    let seeded = crate::FaultPlan {
+                        seed,
+                        ..plan.clone()
+                    };
+                    assert_eq!(
+                        engine.run_faulty(seed, sched),
+                        reference::simulate(&m, &phases, &seeded, sched, None),
+                        "seed {seed} under {sched:?}"
+                    );
+                }
+            }
+        }
+        assert!(engine.detours);
+        let rerouted = engine.run_faulty(0, SchedulePolicy::default());
+        assert!(rerouted.reroutes + rerouted.deferrals > 0, "{rerouted:?}");
+    }
+
+    /// Replay `seeds` in lane groups through the portable build or
+    /// through the dispatching [`PhaseSim::drive_lanes`].
+    fn lane_groups(
+        engine: &mut FaultSim,
+        seeds: &[u64],
+        mode: ScheduleMode,
+        portable: bool,
+    ) -> Vec<FaultReport> {
+        let mut out = Vec::new();
+        for group in seeds.chunks(LANES) {
+            let (phases, plan) = (&engine.cached, engine.plan.plan());
+            out.extend(match portable {
+                true => engine.sim.drive_lanes_portable(phases, plan, group, mode),
+                false => engine.sim.drive_lanes(phases, plan, group, mode),
+            });
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// Both builds of the lane path (on a host without AVX-512 both
+        /// calls run the portable one) equal `run_faulty` seed by seed,
+        /// at every batch size from 1 to two lane groups plus one.
+        #[test]
+        fn lane_builds_match_run_faulty(
+            sizes in (0usize..33, 0usize..33, 0usize..33),
+            base in 0u64..1_000_000,
+            drop_raw in 0u32..121,
+            dup_pct in 0u32..101,
+            retry_kind in 0u32..3,
+        ) {
+            let m = mesh(8, 4);
+            let phases: Vec<Vec<PMsg>> = [sizes.0, sizes.1, sizes.2]
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| mixed_phase(&m, n, base + i as u64))
+                .collect();
+            // 101..=110 pins drop 0 % and 111..=120 drop 100 %.
+            let drop_pct = match drop_raw {
+                0..=100 => drop_raw,
+                101..=110 => 0,
+                _ => 100,
+            };
+            let retry = match retry_kind {
+                0 => crate::RetryPolicy::default(),
+                1 => crate::RetryPolicy::disabled(),
+                _ => crate::RetryPolicy {
+                    max_attempts: 1,
+                    ..crate::RetryPolicy::default()
+                },
+            };
+            let plan = crate::FaultPlan {
+                dup_prob: f64::from(dup_pct) / 100.0,
+                retry,
+                ..crate::FaultPlan::with_drop(base, f64::from(drop_pct) / 100.0)
+            };
+            let seeds: Vec<u64> = (0..2 * LANES as u64 + 1)
+                .map(|r| crate::replication_seed(base, r))
+                .collect();
+            let mut engine = FaultSim::new(&m, &phases, &plan);
+            for mode in [ScheduleMode::Phased, ScheduleMode::overlapped()] {
+                let sched = SchedulePolicy::Fixed(mode);
+                proptest::prop_assert_eq!(engine.lane_mode(sched), Some(mode));
+                let want: Vec<FaultReport> =
+                    seeds.iter().map(|&s| engine.run_faulty(s, sched)).collect();
+                for n in 1..=seeds.len() {
+                    for portable in [true, false] {
+                        proptest::prop_assert_eq!(
+                            lane_groups(&mut engine, &seeds[..n], mode, portable),
+                            &want[..n],
+                            "{} seeds under {:?}, portable {}", n, mode, portable
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

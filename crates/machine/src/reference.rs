@@ -121,7 +121,7 @@ fn run(
         if i < phases.len() {
             if let Some(p) = ckpt {
                 let fresh = ring.last().is_none_or(|c| c.phase != i || c.now != s.now);
-                if i % p.interval.max(1) == 0 && fresh {
+                if i.is_multiple_of(p.interval.max(1)) && fresh {
                     if ring.len() == p.ring.max(1) {
                         ring.remove(0);
                     }
