@@ -19,6 +19,8 @@
 //!   duplicate paths) and rank-deficient constraint additions
 //!   (`M·(F_{p1} − F_{p2}) = 0` with full-rank `M`).
 
+#![forbid(unsafe_code)]
+
 pub mod augment;
 pub mod branching;
 pub mod dot;

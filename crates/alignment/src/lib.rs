@@ -17,6 +17,8 @@
 //! * the remaining accesses are extracted as [`ResidualComm`]s for the
 //!   macro-communication detector and the decomposer.
 
+#![forbid(unsafe_code)]
+
 use rescomm_accessgraph::{AccessGraph, Augmented, Component, Vertex};
 use rescomm_intlin::{left_kernel_basis, IMat};
 use rescomm_loopnest::{Access, AccessId, ArrayId, LoopNest, StmtId};

@@ -1,4 +1,4 @@
-//! Measure how the shared work-stealing pool (`machine::pool`) scales
+//! Measure how the work-stealing sweep (`machine::pool`) scales
 //! the workspace's parallel sweeps and write a machine-readable baseline
 //! to `BENCH_scaling.json` so later PRs can track the trajectory.
 //!
@@ -20,12 +20,12 @@
 //!
 //! * **Identity (every host, including single-core CI, smoke or not):**
 //!   fault, recovery, schedule and analysis sweeps must be bit-identical
-//!   to their 1-worker runs at several worker counts — the pool's
+//!   to their 1-worker runs at several worker counts — the sweep's
 //!   determinism contract, checked end to end at the public entry
 //!   points. The artifact's `identity` rows exist only if this passed
 //!   (a divergence panics the bin).
 //! * **Timing ([`Scaling`]):** speedup over the always-timed 1-worker
-//!   run and efficiency against `workers_used` (the pool's post-clamp
+//!   run and efficiency against `workers_used` (the sweep's post-clamp
 //!   worker count, not the request). Rows asking for more workers than
 //!   the host has hardware threads are **skipped** — emitted with
 //!   `skipped: true` and null timings, never fabricated — because they
@@ -46,7 +46,7 @@ use rescomm_machine::{
     SchedulePolicy,
 };
 
-/// One timing section: the harness's shared columns with the pool's
+/// One timing section: the harness's shared columns with the sweep's
 /// task, grain and steal counts after the worker counts.
 fn emit(doc: &mut JsonDoc, section: &'static str, s: &Scaling) {
     doc.rows(section, &s.rows, |r| {

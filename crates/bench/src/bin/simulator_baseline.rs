@@ -39,6 +39,7 @@ use rescomm_bench::harness::{median_ns, Args};
 use rescomm_bench::workload::{
     hashed_phase, host_threads, kernel_zoo, paragon_mesh, zoo_dist, Kernel,
 };
+use rescomm_decompose::decompose_general;
 use rescomm_distribution::{
     fold_affine_with, fold_pattern, general_pattern, Dist1D, Dist2D, FoldPath,
 };
@@ -90,8 +91,8 @@ fn gate(k: &Kernel, dist: Dist2D, side: usize, pshape: (usize, usize), bytes: u6
         k.name
     );
     assert!(
-        closed.factors > 0,
-        "{}: unimodular matrix reported no factor chain",
+        decompose_general(&k.t).is_ok_and(|f| !f.is_empty()),
+        "{}: unimodular matrix has no factor chain",
         k.name
     );
     let dense = fold_affine_with(FoldPath::Dense, &k.t, (0, 0), dist, vshape, pshape, bytes);
@@ -183,18 +184,7 @@ fn main() {
     eprintln!("generation: closed vs dense vs enumerated, grouped(3)×block on 8×4");
     let mut gen = Vec::new();
     for k in &zoo {
-        let factors = {
-            let f = fold_affine_with(
-                FoldPath::Closed,
-                &k.t,
-                (0, 0),
-                dist,
-                (64, 64),
-                pshape,
-                bytes,
-            );
-            f.factors
-        };
+        let factors = decompose_general(&k.t).map_or(0, |f| f.len());
         for side in [64usize, 256, 1024, 4096, 8192] {
             let vshape = (side, side);
             // Enumeration is the gold oracle but O(V log V): gate against

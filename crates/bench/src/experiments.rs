@@ -399,7 +399,6 @@ pub fn motivating(bytes: u64) -> Vec<MotivatingRow> {
     push("Platonoff (macro-first)", platonoff_map(&nest, 2));
     let mut macro_only = MappingOptions::new(2);
     macro_only.enable_decompose = false;
-    macro_only.enable_similarity = false;
     push(
         "macro-only (no decomposition)",
         map_nest(&nest, &macro_only).expect("motivating example maps"),

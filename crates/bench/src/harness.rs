@@ -111,7 +111,7 @@ impl Args {
 /// makespan, `makespan_ns`, `lost_work_ns`, `wall_clock_ns`, which is
 /// what the check exists to pin), ratios of timings (`*_speedup`,
 /// `speedup*`, `efficiency`), the host's thread count, and what the
-/// work-stealing pool did on it (`oversubscribed`, `skipped`, `steals`).
+/// work-stealing sweep did on it (`oversubscribed`, `skipped`, `steals`).
 /// A pattern starting or ending with `*` matches that key suffix or
 /// prefix; a subtree under a matching key is skipped whole. A new timing
 /// column fails `--check` until it is added here.
@@ -120,7 +120,7 @@ const CLOCK_HOST_LEAVES: &[&str] = &[
     "*_speedup",
     "speedup*",
     "efficiency",
-    // The host and the pool's run on it.
+    // The host and the sweep's run on it.
     "host_threads",
     "oversubscribed",
     "skipped",
@@ -253,7 +253,7 @@ pub struct Scaling {
 }
 
 impl Scaling {
-    /// Run `run(w)` once per worker count for its pool report, then time
+    /// Run `run(w)` once per worker count for its sweep report, then time
     /// it ([`median_ns`] over `reps`) if the host can run `w` workers.
     /// The 1-worker row is always timed, even when [`host_threads`]
     /// cannot tell (0); multi-worker rows are skipped, never faked.
@@ -300,7 +300,7 @@ impl Scaling {
     }
 
     /// The shared artifact columns of one row. Efficiency is measured
-    /// against the workers the pool actually used, not the request.
+    /// against the workers the sweep actually used, not the request.
     pub fn columns(&self, r: &ScaleRow) -> Vec<(&'static str, Val)> {
         let speedup = self.speedup(r);
         let null = || raw("null");

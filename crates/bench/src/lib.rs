@@ -23,6 +23,8 @@
 //!
 //! Each `--bin NAME` runs as `cargo run -p rescomm-bench --bin NAME`.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 pub mod workload;

@@ -27,6 +27,8 @@
 //! The crate re-exports the substrates (`rescomm_intlin`, …) under
 //! [`substrate`] so downstream users need a single dependency.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod error;
 pub mod exec;

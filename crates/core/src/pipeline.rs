@@ -38,8 +38,6 @@ pub struct MappingOptions {
     pub enable_macro: bool,
     /// Step 2(b): decompose residual general communications.
     pub enable_decompose: bool,
-    /// Allow unimodular similarity rotations during decomposition.
-    pub enable_similarity: bool,
     /// Weight access-graph edges by `rank F` (the paper's volume
     /// prioritization); `false` uses unit weights (ablation).
     pub weight_by_rank: bool,
@@ -60,7 +58,6 @@ impl MappingOptions {
             m,
             enable_macro: true,
             enable_decompose: true,
-            enable_similarity: true,
             weight_by_rank: true,
             enable_merging: true,
             self_check: false,
@@ -74,7 +71,6 @@ impl MappingOptions {
             m,
             enable_macro: false,
             enable_decompose: false,
-            enable_similarity: false,
             weight_by_rank: true,
             enable_merging: true,
             self_check: false,
@@ -345,11 +341,11 @@ pub fn map_nest_reference(nest: &LoopNest, opts: &MappingOptions) -> Mapping {
     .expect("the inert token never cancels")
 }
 
-/// Map every nest, fanning out over `threads` workers on the shared
-/// work-stealing pool with one [`AnalysisCache`] per worker (the pool's
+/// Map every nest, fanning out over `threads` workers on a work-stealing
+/// [`pool::sweep`] with one [`AnalysisCache`] per worker (the sweep's
 /// per-worker scratch state). Results are in input order and
 /// identical to mapping each nest alone; the first failing nest's error
-/// is returned. The pool's execution report (workers actually used,
+/// is returned. The sweep's execution report (workers actually used,
 /// grain, steal count) rides along — scaling benches compute efficiency
 /// against [`SweepReport::workers`], never the request.
 pub fn map_nest_batch(
@@ -357,14 +353,10 @@ pub fn map_nest_batch(
     opts: &MappingOptions,
     threads: usize,
 ) -> (Result<Vec<Mapping>, RescommError>, SweepReport) {
-    let (results, report) = pool::sweep(nests, threads, 0, AnalysisCache::new, |cache, nest| {
-        Some(map_nest_with(nest, opts, cache))
+    let (results, report) = pool::sweep(nests, threads, AnalysisCache::new, |cache, nest| {
+        map_nest_with(nest, opts, cache)
     });
-    let mappings = results
-        .into_iter()
-        .map(|r| r.expect("map_nest_batch worker produced no mapping"))
-        .collect();
-    (mappings, report)
+    (results.into_iter().collect(), report)
 }
 
 fn map_nest_impl(
@@ -523,7 +515,7 @@ pub(crate) fn classify_outcomes(
         }
         // Decomposition?
         if opts.enable_decompose {
-            if let Some(outcome) = try_decompose(nest, alignment, rotations, acc, opts, cache) {
+            if let Some(outcome) = try_decompose(nest, alignment, rotations, acc, cache) {
                 outcomes.push(outcome);
                 continue;
             }
@@ -577,7 +569,6 @@ fn try_decompose(
     alignment: &mut Alignment,
     rotations: &mut HashMap<usize, IMat>,
     acc: &rescomm_loopnest::Access,
-    opts: &MappingOptions,
     cache: &mut AnalysisCache,
 ) -> Option<CommOutcome> {
     let t = dataflow_matrix_cached(cache, alignment, nest, acc.id)?;
@@ -602,23 +593,20 @@ fn try_decompose(
                     // Long chain: try a similarity rotation first — only
                     // when statement and array share an unrotated
                     // component.
-                    if opts.enable_similarity {
-                        if let Some(ci) =
-                            alignment
-                                .component_of(Vertex::Stmt(acc.stmt))
-                                .filter(|&ci| {
-                                    alignment.component_of(Vertex::Array(acc.array)) == Some(ci)
-                                        && !rotations.contains_key(&ci)
-                                })
-                        {
-                            if let Some(sim) = search_similarity(&t, 200) {
-                                alignment.rotate_component(ci, &sim.m);
-                                rotations.insert(ci, sim.m.clone());
-                                return Some(CommOutcome::Decomposed {
-                                    factors: sim.factors,
-                                    rotated: true,
-                                });
-                            }
+                    if let Some(ci) = alignment
+                        .component_of(Vertex::Stmt(acc.stmt))
+                        .filter(|&ci| {
+                            alignment.component_of(Vertex::Array(acc.array)) == Some(ci)
+                                && !rotations.contains_key(&ci)
+                        })
+                    {
+                        if let Some(sim) = search_similarity(&t, 200) {
+                            alignment.rotate_component(ci, &sim.m);
+                            rotations.insert(ci, sim.m.clone());
+                            return Some(CommOutcome::Decomposed {
+                                factors: sim.factors,
+                                rotated: true,
+                            });
                         }
                     }
                     return Some(CommOutcome::Decomposed {

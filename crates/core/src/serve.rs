@@ -51,8 +51,8 @@
 //!   `kill -9` — reloads the snapshot and keeps an entry only if its
 //!   digest matches, its key reads back through the same request parser
 //!   (and node bound) as a live request, and its restored [`CommPlan`],
-//!   re-simulated under the key's spec (fanned out over the shared
-//!   work-stealing pool), reproduces the `result`'s makespan bit for
+//!   re-simulated under the key's spec (fanned out over a
+//!   work-stealing sweep), reproduces the `result`'s makespan bit for
 //!   bit. Kept entries serve the same bytes with `"served": "snapshot"`;
 //!   any other entry is dropped and recomputed on demand.
 
@@ -821,7 +821,7 @@ struct RestoredEntry {
 /// version-[`SNAPSHOT_VERSION`] snapshot restores nothing (cold start).
 /// Each entry then stands alone: it is kept only if [`restore_entry`]
 /// reads it back and its restored [`CommPlan`], re-simulated under the
-/// key's spec (fanned out over `workers` on the shared pool), reproduces
+/// key's spec (fanned out over `workers` by [`pool::sweep`]), reproduces
 /// the makespan in its served `result` bit for bit. Any other entry is
 /// dropped and the rest still restore, so corruption degrades to
 /// recomputation, never to wrong answers. Returns the kept entries.
@@ -852,11 +852,10 @@ fn load_snapshot(path: &Path, workers: usize) -> Result<Vec<(String, PlanEntry)>
         .filter_map(|(i, e)| restore_entry(i, e).map_err(|why| drop_entry(i, &why)).ok())
         .collect();
     // The restore proof. Entries are independent, so verification rides
-    // the work-stealing pool.
+    // a work-stealing sweep.
     let (verdicts, _) = pool::sweep(
         &parsed,
         workers,
-        0,
         || (),
         |(), r| {
             let p = &r.params;

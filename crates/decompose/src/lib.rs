@@ -16,6 +16,8 @@
 //!   condition `c | a − 1`;
 //! * [`general`] — §4.4: matrices with `det ≠ ±1` via unirow factors.
 
+#![forbid(unsafe_code)]
+
 pub mod direct;
 pub mod elementary;
 pub mod general;

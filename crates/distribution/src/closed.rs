@@ -687,13 +687,6 @@ fn auto_fold(
     }
 }
 
-/// Factor count of `T`'s unirow chain (0 when `T` is singular or the
-/// identity) — surfaced in [`FoldedPattern::factors`] so benches can
-/// report the decomposition depth alongside the fold path.
-fn factor_count(t: &IMat) -> usize {
-    rescomm_decompose::decompose_general(t).map_or(0, |f| f.len())
-}
-
 /// Generate the physical message set of the affine pattern
 /// `v → T·v + shift mod vshape` under `dist` with an explicit path
 /// choice. Identical to
@@ -735,7 +728,6 @@ pub fn fold_affine_with(
         local_sends: local,
         total_sends: (vshape.0 * vshape.1) as u64,
         closed: fold == Fold::Closed,
-        factors: factor_count(t),
     }
 }
 
@@ -1043,7 +1035,6 @@ mod tests {
         ] {
             let got = fold_general(&t, Dist2D::uniform(Dist1D::Block), (8, 8), (2, 2), 8);
             assert!(got.closed, "T={t:?} fell back to the dense fold");
-            assert!(got.factors > 0, "T={t:?} reported no factors");
         }
     }
 
@@ -1174,14 +1165,12 @@ mod tests {
     #[test]
     fn elementary_identity_is_closed_and_fully_local() {
         // U(0) = identity, written as the elementary (i, j) → (i + 0·j, j):
-        // it must take the closed path, move nothing, and report a
-        // zero-length factor chain.
+        // it must take the closed path and move nothing.
         let u0 = IMat::from_rows(&[&[1, 0], &[0, 1]]);
         let got = fold_general(&u0, Dist2D::uniform(Dist1D::Block), (8, 8), (4, 4), 8);
         assert!(got.msgs.is_empty());
         assert_eq!(got.local_sends, 64);
         assert_eq!(got.locality_fraction(), 1.0);
         assert!(got.closed);
-        assert_eq!(got.factors, 0);
     }
 }

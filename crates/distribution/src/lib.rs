@@ -16,6 +16,8 @@
 //! * [`msgs`] — turning a virtual communication pattern into an aggregated
 //!   physical message set for the machine simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod closed;
 pub mod msgs;
 

@@ -105,10 +105,6 @@ pub struct FoldedPattern {
     /// Whether the closed residue-class path generated this fold (as
     /// opposed to a dense `O(V)` or enumerating fold).
     pub closed: bool,
-    /// Length of the unirow factor chain of the dataflow matrix, when the
-    /// fold came from one (0 for identity, singular `T`, or explicit
-    /// enumeration).
-    pub factors: usize,
 }
 
 impl PartialEq for FoldedPattern {
@@ -176,7 +172,6 @@ pub fn fold_pattern(
         local_sends: (pattern.len() - keys.len()) as u64,
         total_sends: pattern.len() as u64,
         closed: false,
-        factors: 0,
     }
 }
 

@@ -33,6 +33,8 @@
 //! domain are tiny (loop depths and array ranks are ≤ 6 in practice), so
 //! the code favours clarity and exactness over asymptotics.
 
+#![forbid(unsafe_code)]
+
 pub mod hermite;
 pub mod kernel;
 pub mod mat;

@@ -26,6 +26,8 @@
 //! assert!(parse("{} junk").is_err(), "trailing garbage rejected");
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------

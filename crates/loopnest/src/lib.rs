@@ -19,6 +19,8 @@
 //!   the literal matrix entries, so we rebuilt an instance that satisfies
 //!   every structural property the text asserts (see DESIGN.md).
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod deps;
 pub mod domain;

@@ -34,13 +34,14 @@
 //! * [`reference`](mod@reference) — the fault-semantics oracle the engine is tested
 //!   against: one plain restatement of every faulty and recovering run,
 //!   sharing no code with the engine;
-//! * [`pool`] — the shared work-stealing execution substrate: a
-//!   process-wide worker pool (injector + per-worker range deques,
-//!   steal-back-half, grain knob) every `par_*` fan-out in the workspace
-//!   runs on, with per-worker scratch engines and pre-sized result slots
-//!   so output is bit-identical regardless of worker count
-//!   ([`SweepReport`] surfaces the workers actually used);
-//! * [`sweep`] — the Monte Carlo fault sweeps on top of the pool
+//! * [`pool`] — the work-stealing execution substrate every `par_*`
+//!   fan-out in the workspace runs on: [`pool::sweep`] runs its workers
+//!   in one `std::thread::scope` (the caller is worker 0) over
+//!   per-worker range deques with steal-back-half, keeps one scratch
+//!   engine per worker and returns results in input order, bit-identical
+//!   regardless of worker count ([`SweepReport`] surfaces the workers
+//!   actually used);
+//! * [`sweep`] — the Monte Carlo fault sweeps on top of the sweep
 //!   ([`pool::sweep`] runs every other fan-out), sharded at
 //!   plan×seed granularity ([`par_fault_sweep`], faulty or
 //!   checkpoint/rollback by its `Option<&CheckpointPolicy>`:

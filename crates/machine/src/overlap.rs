@@ -202,7 +202,6 @@ pub fn par_schedule_sweep(
     pool::sweep(
         byte_scales,
         threads,
-        0,
         || PhaseSim::new(mesh.clone()),
         |sim, &scale| sim.run_cached_phases(phases, mode, scale),
     )

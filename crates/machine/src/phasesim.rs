@@ -1388,7 +1388,6 @@ mod tests {
             let (batch, _) = crate::pool::sweep(
                 &phases,
                 threads,
-                0,
                 || PhaseSim::new(m.clone()),
                 |sim, phase| sim.simulate_phase(phase),
             );

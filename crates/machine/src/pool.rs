@@ -1,52 +1,37 @@
-//! The shared work-stealing execution substrate every `par_*` fan-out
-//! rides on.
+//! The work-stealing sweep every `par_*` fan-out rides on.
 //!
-//! The old driver split a sweep's configs into `threads` static chunks
-//! and spawned one scoped thread per chunk. That collapses the moment
-//! task costs are skewed (one long chunk serializes the whole sweep) and
-//! pays a spawn/join per call. This module replaces it with a
-//! process-wide pool:
+//! [`sweep`] runs its workers inside one `std::thread::scope`: the
+//! calling thread is worker 0, the others (at most 64) are spawned for
+//! the sweep and joined before it returns, so no thread outlives the
+//! call. Sweeps here run for milliseconds, so a spawn per sweep costs
+//! well under a percent.
 //!
-//! * **Injector.** Sweeps are published to a global job queue; parked
-//!   pool workers (spawned lazily, reused for the life of the process)
-//!   pick jobs up from it, and the submitting thread always participates
-//!   in its own job, so progress never depends on pool threads being
-//!   free.
-//! * **Per-worker deques.** A sweep's task indices `0..n` are pre-split
-//!   into one contiguous range per worker, each held in a `RangeDeque`
-//!   — a single packed `(start, end)` word updated by CAS. The owner
-//!   claims `grain` tasks at a time from the front; a worker whose range
+//! * **Per-worker deques.** The task indices `0..n` are pre-split into
+//!   one contiguous range per worker, each held in a `RangeDeque` — a
+//!   single packed `(start, end)` word updated by CAS. The owner claims
+//!   [`auto_grain`] tasks at a time from the front; a worker whose range
 //!   is dry steals the **back half** of a victim's remaining range and
 //!   installs the surplus in its own deque, so steal traffic is
-//!   O(workers · log(n/grain)) per sweep rather than per task. This is a
-//!   Chase–Lev deque specialized to index ranges: because tasks are
-//!   slice indices, the deque is one atomic word — no buffers, no ABA
-//!   (a packed `(start, end)` value always denotes the same pending
-//!   tasks, and claimed tasks are never re-queued).
+//!   O(workers · log(n/grain)) per sweep rather than per task. Because
+//!   tasks are slice indices, the deque is one atomic word — no buffers,
+//!   no ABA (claimed tasks are never re-queued). Deques beyond the
+//!   thread cap have no owner and are drained by stealing.
 //! * **Per-worker engines.** Each worker materializes its scratch state
 //!   (`FaultSim`, `PhaseSim`, `AnalysisCache`, …) lazily via `init` and
-//!   reuses it across every task it claims or steals — zero cross-thread
-//!   allocation in the hot loop.
-//! * **Determinism.** Task `i`'s result is written into pre-sized slot
-//!   `i`; every result must be (and, by the repo's sweep invariants, is)
-//!   a pure function of its config, so output order and every statistic
-//!   are bit-identical regardless of worker count or steal interleaving.
-//!   The property tests drive this at random worker counts and random
-//!   task-cost skew.
+//!   reuses it across every task it claims or steals.
+//! * **Determinism.** Each worker returns its `(index, result)` pairs,
+//!   put into input order after the scope ends. Every result is a pure
+//!   function of its config, so output and every statistic are
+//!   bit-identical regardless of worker count or steal interleaving.
 //!
-//! A panicking task poisons the job: the first payload is captured and
-//! re-raised on the submitting thread after the job drains, matching the
-//! old scoped-thread behaviour; the pool itself survives.
+//! A panicking task ends its worker; the others drain the remaining
+//! tasks, then the first payload is re-raised on the calling thread.
 
-use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Hard cap on pool threads: a sweep may request more workers than this
-/// (they are virtualized over the pool), but the process never holds
-/// more parked threads.
-const MAX_POOL_THREADS: usize = 64;
+/// Most threads one sweep runs on; further workers exist only as deques.
+const MAX_SWEEP_THREADS: usize = 64;
 
 /// How one sweep actually executed — the effective worker count (after
 /// clamping to the task count), the grain, and the steal traffic. The
@@ -60,7 +45,7 @@ pub struct SweepReport {
     pub workers: usize,
     /// Total work units in the sweep.
     pub tasks: usize,
-    /// Tasks claimed per deque operation (the coarseness knob).
+    /// Tasks claimed per deque operation: [`auto_grain`]`(tasks, workers)`.
     pub grain: usize,
     /// Successful steal operations across the sweep.
     pub steals: u64,
@@ -146,308 +131,123 @@ impl RangeDeque {
     }
 }
 
-/// Type-erased bookkeeping of one in-flight sweep. Lives on the
-/// submitting thread's stack; pool workers reach it through a raw
-/// pointer that is guaranteed valid until the submitter has observed
-/// `inside == 0` **after** unlisting the job from the injector.
-struct JobCore {
-    data: *const (),
-    /// Monomorphized participation entry point: `(data, worker_slot)`.
-    run: unsafe fn(*const (), usize),
-    workers: usize,
-    state: Mutex<JobState>,
-    /// Signalled when a participant leaves (`inside` drops).
-    done: Condvar,
-}
-
-struct JobState {
-    /// Next worker slot to hand out; slots `>= workers` mean the job is
-    /// fully subscribed.
-    next_slot: usize,
-    /// Participants currently inside `run` (including the submitter).
-    inside: usize,
-    /// First panic payload raised by any participant.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-/// A `*const JobCore` that may cross threads: validity is enforced by
-/// the unlist-then-drain protocol, not by the type system.
-#[derive(Clone, Copy)]
-struct JobPtr(*const JobCore);
-unsafe impl Send for JobPtr {}
-
-struct PoolShared {
-    /// The injector: jobs currently open for pool workers to join.
-    injector: Mutex<Vec<JobPtr>>,
-    /// Signalled when a job is published.
-    wake: Condvar,
-    /// Pool threads spawned so far.
-    spawned: AtomicUsize,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn pool() -> &'static PoolShared {
-    static POOL: OnceLock<PoolShared> = OnceLock::new();
-    POOL.get_or_init(|| PoolShared {
-        injector: Mutex::new(Vec::new()),
-        wake: Condvar::new(),
-        spawned: AtomicUsize::new(0),
-    })
-}
-
-/// Make sure at least `want` pool threads exist (capped). Workers are
-/// detached and live for the process; an idle worker parks on the
-/// injector condvar and costs nothing.
-fn ensure_threads(want: usize) {
-    let shared = pool();
-    let want = want.min(MAX_POOL_THREADS);
-    loop {
-        let cur = shared.spawned.load(Ordering::Acquire);
-        if cur >= want {
-            break;
-        }
-        if shared
-            .spawned
-            .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            continue;
-        }
-        std::thread::Builder::new()
-            .name(format!("rescomm-pool-{cur}"))
-            .spawn(worker_loop)
-            .expect("spawning a pool worker");
-    }
-}
-
-/// A parked pool thread's life: wait for a job with a free worker slot,
-/// join it, participate until its deques drain, repeat.
-fn worker_loop() {
-    let shared = pool();
-    loop {
-        // Find a joinable job. Slot assignment happens under the
-        // injector lock — the same lock a submitter unlists under — so a
-        // job can never gain participants after it is unlisted.
-        let (job, slot) = {
-            let mut q = lock(&shared.injector);
-            'find: loop {
-                for &JobPtr(ptr) in q.iter() {
-                    let core = unsafe { &*ptr };
-                    let mut st = lock(&core.state);
-                    if st.next_slot < core.workers {
-                        let slot = st.next_slot;
-                        st.next_slot += 1;
-                        st.inside += 1;
-                        break 'find (JobPtr(ptr), slot);
-                    }
-                }
-                q = shared.wake.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let core = unsafe { &*job.0 };
-        let run = core.run;
-        let data = core.data;
-        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { run(data, slot) }));
-        let mut st = lock(&core.state);
-        if let Err(payload) = outcome {
-            st.panic.get_or_insert(payload);
-        }
-        st.inside -= 1;
-        // Notify while holding the lock: after we release it we must not
-        // touch `core` again (the submitter may free it immediately).
-        core.done.notify_all();
-        drop(st);
-    }
-}
-
-/// The monomorphic half of a job: everything the worker algorithm needs,
-/// shared by reference across participants.
-struct JobData<'a, C, R, S, I, F> {
+/// One multi-worker sweep, shared by reference with every worker.
+struct Sweep<'a, C, I, F> {
     configs: &'a [C],
-    /// Pre-sized output; slot `i` is written exactly once, by whichever
-    /// worker claims task `i`.
-    results: *mut R,
     deques: Vec<RangeDeque>,
-    grain: usize,
-    steals: AtomicU64,
-    init: &'a I,
-    f: &'a F,
-    _marker: std::marker::PhantomData<S>,
-}
-
-/// `results` is a raw pointer only to erase the unique-borrow; every
-/// task index is claimed by exactly one worker, so writes never alias.
-unsafe impl<C: Sync, R: Send, S, I: Sync, F: Sync> Sync for JobData<'_, C, R, S, I, F> {}
-
-impl<C, R, S, I, F> JobData<'_, C, R, S, I, F>
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &C) -> R + Sync,
-{
-    /// One worker's participation: drain the own deque, then steal until
-    /// a full victim scan comes up empty. The scratch state is built on
-    /// first use and reused across owned *and* stolen tasks.
-    fn participate(&self, slot: usize) {
-        let workers = self.deques.len();
-        let mut state: Option<S> = None;
-        loop {
-            if let Some((a, b)) = self.deques[slot].take_front(self.grain) {
-                self.run_block(&mut state, a, b);
-                continue;
-            }
-            // Own range dry: scan for a victim, nearest neighbour first.
-            let mut stolen = None;
-            for off in 1..workers {
-                if let Some(r) = self.deques[(slot + off) % workers].steal_back() {
-                    stolen = Some(r);
-                    break;
-                }
-            }
-            let Some((s, e)) = stolen else {
-                return; // every deque empty: the sweep is fully claimed
-            };
-            self.steals.fetch_add(1, Ordering::Relaxed);
-            let take = self.grain.min(e - s);
-            // Expose the surplus *before* running so other idle workers
-            // can share the stolen range immediately.
-            if s + take < e {
-                self.deques[slot].install(s + take, e);
-            }
-            self.run_block(&mut state, s, s + take);
-        }
-    }
-
-    fn run_block(&self, state: &mut Option<S>, a: usize, b: usize) {
-        let state = state.get_or_insert_with(self.init);
-        for i in a..b {
-            let r = (self.f)(state, &self.configs[i]);
-            // Assignment (not `write`) so the pre-sized `Default` slot is
-            // dropped, never leaked. Slot `i` is claimed by exactly one
-            // worker, so the `&mut` never aliases.
-            unsafe { *self.results.add(i) = r };
-        }
-    }
-}
-
-unsafe fn run_erased<C, R, S, I, F>(data: *const (), slot: usize)
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &C) -> R + Sync,
-{
-    let job = &*data.cast::<JobData<'_, C, R, S, I, F>>();
-    job.participate(slot);
-}
-
-/// Run `f` over every config on the shared pool with `requested`
-/// workers (clamped to `[1, n]`) and the given `grain` (`0` =
-/// [`auto_grain`]). Results are in input order, bit-identical for every
-/// worker count; the report says how the sweep actually executed.
-///
-/// A panic inside `f` or `init` is re-raised here after the job drains.
-pub fn sweep<C, R, S, I, F>(
-    configs: &[C],
-    requested: usize,
     grain: usize,
     init: I,
     f: F,
-) -> (Vec<R>, SweepReport)
+}
+
+impl<C, I, F> Sweep<'_, C, I, F> {
+    /// One worker's run: drain the own deque, then steal until a full
+    /// victim scan comes up empty. The scratch state is built on first
+    /// use and reused across owned *and* stolen tasks. Returns the
+    /// worker's `(task index, result)` pairs and its successful steals.
+    fn participate<S, R>(&self, slot: usize) -> (Vec<(usize, R)>, u64)
+    where
+        I: Fn() -> S,
+        F: Fn(&mut S, &C) -> R,
+    {
+        let workers = self.deques.len();
+        let mut state: Option<S> = None;
+        let mut done = Vec::new();
+        let mut steals = 0;
+        loop {
+            let (a, b) = match self.deques[slot].take_front(self.grain) {
+                Some(block) => block,
+                None => {
+                    // Own range dry: scan for a victim, nearest neighbour
+                    // first; every deque empty means every task is claimed.
+                    let Some((s, e)) = (1..workers)
+                        .find_map(|off| self.deques[(slot + off) % workers].steal_back())
+                    else {
+                        return (done, steals);
+                    };
+                    steals += 1;
+                    let take = self.grain.min(e - s);
+                    // Expose the surplus *before* running so other idle
+                    // workers can share the stolen range immediately.
+                    if s + take < e {
+                        self.deques[slot].install(s + take, e);
+                    }
+                    (s, s + take)
+                }
+            };
+            let state = state.get_or_insert_with(&self.init);
+            done.extend((a..b).map(|i| (i, (self.f)(state, &self.configs[i]))));
+        }
+    }
+}
+
+/// Run `f` over every config with `requested` workers (clamped to
+/// `[1, n]`) claiming [`auto_grain`] tasks at a time. Results are in
+/// input order, bit-identical for every worker count; the report says
+/// how the sweep actually executed.
+///
+/// A panic inside `f` or `init` is re-raised here, with its original
+/// payload, after every worker has ended.
+pub fn sweep<C, R, S, I, F>(configs: &[C], requested: usize, init: I, f: F) -> (Vec<R>, SweepReport)
 where
     C: Sync,
-    R: Send + Default + Clone,
+    R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &C) -> R + Sync,
 {
     let n = configs.len();
+    let workers = requested.clamp(1, n.max(1));
     let mut report = SweepReport {
         requested,
-        workers: requested.clamp(1, n.max(1)),
+        workers,
         tasks: n,
-        grain: 0,
-        steals: 0,
+        ..SweepReport::default()
     };
     if n == 0 {
         return (Vec::new(), report);
     }
-    let grain = if grain == 0 {
-        auto_grain(n, report.workers)
-    } else {
-        grain
-    };
-    report.grain = grain;
-    if report.workers <= 1 {
-        // Single worker: run inline. Involving the pool buys nothing and
-        // costs a publish + park/unpark round trip per sweep, which is
-        // pure overhead on single-core hosts.
+    report.grain = auto_grain(n, workers);
+    if workers == 1 {
+        // Single worker: run inline, spawning nothing.
         let mut state = init();
         return (configs.iter().map(|c| f(&mut state, c)).collect(), report);
     }
 
-    let workers = report.workers;
-    let mut results = vec![R::default(); n];
     let chunk = n.div_ceil(workers);
-    let deques: Vec<RangeDeque> = (0..workers)
-        .map(|w| RangeDeque::new((w * chunk).min(n), ((w + 1) * chunk).min(n)))
-        .collect();
-    let job = JobData::<'_, C, R, S, I, F> {
+    let job = Sweep {
         configs,
-        results: results.as_mut_ptr(),
-        deques,
-        grain,
-        steals: AtomicU64::new(0),
-        init: &init,
-        f: &f,
-        _marker: std::marker::PhantomData,
+        deques: (0..workers)
+            .map(|w| RangeDeque::new((w * chunk).min(n), ((w + 1) * chunk).min(n)))
+            .collect(),
+        grain: report.grain,
+        init,
+        f,
     };
-    let core = JobCore {
-        data: (&raw const job).cast(),
-        run: run_erased::<C, R, S, I, F>,
-        workers,
-        state: Mutex::new(JobState {
-            next_slot: 1, // the submitter is slot 0
-            inside: 1,
-            panic: None,
-        }),
-        done: Condvar::new(),
-    };
+    let shares = std::thread::scope(|scope| {
+        let job = &job;
+        let handles: Vec<_> = (1..workers.min(MAX_SWEEP_THREADS))
+            .map(|slot| scope.spawn(move || job.participate(slot)))
+            .collect();
+        // Worker 0 is the calling thread; catching its panic lets every
+        // spawned worker be joined before anything is re-raised.
+        let mut shares = vec![catch_unwind(AssertUnwindSafe(|| job.participate(0)))];
+        shares.extend(handles.into_iter().map(|h| h.join()));
+        shares
+    });
 
-    let shared = pool();
-    ensure_threads(workers - 1);
-    {
-        let mut q = lock(&shared.injector);
-        q.push(JobPtr(&raw const core));
-        shared.wake.notify_all();
+    let mut pairs = Vec::with_capacity(n);
+    for share in shares {
+        match share {
+            Ok((done, steals)) => {
+                pairs.extend(done);
+                report.steals += steals;
+            }
+            Err(payload) => resume_unwind(payload),
+        }
     }
-
-    // Participate as slot 0: the job completes even if every pool thread
-    // is busy elsewhere.
-    let outcome = catch_unwind(AssertUnwindSafe(|| job.participate(0)));
-
-    // Unlist first (under the injector lock, so no new participant can
-    // join), then drain the ones already inside.
-    {
-        let mut q = lock(&shared.injector);
-        q.retain(|p| !std::ptr::eq(p.0, &raw const core));
-    }
-    let mut st = lock(&core.state);
-    if let Err(payload) = outcome {
-        st.panic.get_or_insert(payload);
-    }
-    st.inside -= 1;
-    while st.inside > 0 {
-        st = core.done.wait(st).unwrap_or_else(|e| e.into_inner());
-    }
-    let panic = st.panic.take();
-    drop(st);
-
-    report.steals = job.steals.load(Ordering::Relaxed);
-    drop(job);
-    if let Some(payload) = panic {
-        resume_unwind(payload);
-    }
-    (results, report)
+    assert_eq!(pairs.len(), n, "every task claimed exactly once");
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    (pairs.into_iter().map(|(_, r)| r).collect(), report)
 }
 
 #[cfg(test)]
@@ -487,17 +287,17 @@ mod tests {
     #[test]
     fn sweep_preserves_order_and_reports_effective_workers() {
         let configs: Vec<u64> = (0..1000).collect();
-        let (got, rep) = sweep(&configs, 6, 0, || (), |(), &c| c * 3 + 1);
+        let (got, rep) = sweep(&configs, 6, || (), |(), &c| c * 3 + 1);
         assert_eq!(got, configs.iter().map(|c| c * 3 + 1).collect::<Vec<_>>());
         assert_eq!((rep.requested, rep.workers, rep.tasks), (6, 6, 1000));
         assert_eq!(rep.grain, auto_grain(1000, 6));
 
         // More workers than tasks: clamped, surfaced.
-        let (_, rep) = sweep(&configs[..3], 64, 0, || (), |(), &c| c);
+        let (_, rep) = sweep(&configs[..3], 64, || (), |(), &c| c);
         assert_eq!((rep.requested, rep.workers), (64, 3));
 
         // Empty input.
-        let (got, rep) = sweep(&Vec::<u64>::new(), 4, 0, || (), |(), &c: &u64| c);
+        let (got, rep) = sweep(&Vec::<u64>::new(), 4, || (), |(), &c: &u64| c);
         assert!(got.is_empty());
         assert_eq!(rep.tasks, 0);
     }
@@ -505,13 +305,13 @@ mod tests {
     #[test]
     fn skewed_tasks_are_bit_identical_across_worker_counts_and_grains() {
         // Task i busy-works proportionally to a skewed cost so stealing
-        // actually happens, then returns a pure function of i.
+        // actually happens, then returns a pure function of i. The grain
+        // follows the worker count through `auto_grain`.
         let configs: Vec<usize> = (0..300).collect();
-        let run = |workers: usize, grain: usize| {
+        let run = |workers: usize| {
             sweep(
                 &configs,
                 workers,
-                grain,
                 || 0u64,
                 |acc, &i| {
                     let cost = if i % 37 == 0 { 20_000 } else { 50 };
@@ -525,13 +325,9 @@ mod tests {
             )
             .0
         };
-        let serial = run(1, 1);
-        for (workers, grain) in [(2, 1), (3, 0), (8, 4), (16, 2)] {
-            assert_eq!(
-                serial,
-                run(workers, grain),
-                "workers={workers} grain={grain}"
-            );
+        let serial = run(1);
+        for workers in [2, 3, 8, 16, 40] {
+            assert_eq!(serial, run(workers), "workers={workers}");
         }
     }
 
@@ -541,7 +337,6 @@ mod tests {
         let configs: Vec<usize> = (0..500).collect();
         let (_, rep) = sweep(
             &configs,
-            4,
             4,
             || inits.fetch_add(1, Ordering::Relaxed),
             |_, &i| i,
@@ -560,7 +355,6 @@ mod tests {
             sweep(
                 &configs,
                 4,
-                1,
                 || (),
                 |(), &i| {
                     assert!(i != 13, "boom at {i}");
@@ -569,22 +363,74 @@ mod tests {
             )
         }));
         assert!(boom.is_err(), "the task panic must reach the submitter");
-        // The pool still executes subsequent sweeps correctly.
-        let (got, _) = sweep(&configs, 4, 1, || (), |(), &i| i * 2);
+        // Subsequent sweeps still execute correctly.
+        let (got, _) = sweep(&configs, 4, || (), |(), &i| i * 2);
         assert_eq!(got, configs.iter().map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
+    fn spawned_worker_panic_keeps_its_message() {
+        // The last task sits in the last worker's range, which a spawned
+        // thread owns; whoever runs it, the caller sees the original text.
+        let configs: Vec<usize> = (0..64).collect();
+        let last = configs.len() - 1;
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            sweep(
+                &configs,
+                4,
+                || (),
+                |(), &i| {
+                    if i == last {
+                        panic!("task {i} failed");
+                    }
+                    i
+                },
+            )
+        }))
+        .expect_err("the task panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic carries a String payload");
+        assert_eq!(msg, "task 63 failed");
+        let (got, _) = sweep(&configs, 4, || (), |(), &i| i + 1);
+        assert_eq!(got, configs.iter().map(|i| i + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn workers_beyond_the_thread_cap_are_drained_by_stealing() {
+        let configs: Vec<u64> = (0..100).collect();
+        let (got, rep) = sweep(&configs, 100, || (), |(), &c| c * c);
+        assert_eq!(got, configs.iter().map(|c| c * c).collect::<Vec<_>>());
+        assert_eq!((rep.requested, rep.workers, rep.tasks), (100, 100, 100));
+    }
+
+    #[test]
+    fn nested_sweeps_match_the_serial_map() {
+        let outer: Vec<u64> = (0..8).collect();
+        let inner = |o: u64| -> Vec<u64> { (0..50).map(|i| o * 1000 + i * i).collect() };
+        let (got, _) = sweep(
+            &outer,
+            2,
+            || (),
+            |(), &o| {
+                let configs: Vec<u64> = (0..50).collect();
+                sweep(&configs, 2, || (), |(), &i| o * 1000 + i * i).0
+            },
+        );
+        assert_eq!(got, outer.iter().map(|&o| inner(o)).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn concurrent_sweeps_do_not_interfere() {
-        // Several submitters share the pool at once; every sweep's output
-        // must stay bit-identical to its serial run.
+        // Several callers sweep at once; every sweep's output must stay
+        // bit-identical to its serial run.
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 scope.spawn(move || {
                     let configs: Vec<u64> = (0..400).map(|i| i + 1000 * t).collect();
                     let want: Vec<u64> = configs.iter().map(|c| c ^ (c << 7)).collect();
                     for _ in 0..5 {
-                        let (got, _) = sweep(&configs, 4, 0, || (), |(), &c| c ^ (c << 7));
+                        let (got, _) = sweep(&configs, 4, || (), |(), &c| c ^ (c << 7));
                         assert_eq!(got, want);
                     }
                 });

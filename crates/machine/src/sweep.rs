@@ -1,11 +1,11 @@
-//! Parallel parameter sweeps on the shared work-stealing pool
+//! Parallel parameter sweeps on the work-stealing sweep
 //! ([`crate::pool`]), plus the deterministic fault-schedule generators
 //! the sweeps share.
 //!
 //! The benchmark harness evaluates many (machine, distribution, k, size)
 //! configurations; each simulation is independent, so we shard them over
-//! the pool's per-worker deques — results land in pre-sized slots, in
-//! input order, bit-identical for every worker count. [`pool::sweep`]
+//! per-worker range deques — results come back in input order,
+//! bit-identical for every worker count. [`pool::sweep`]
 //! gives every worker a private scratch state (e.g. a
 //! [`crate::PhaseSim`]), so per-simulation allocations are paid once per
 //! worker instead of once per configuration. The Monte Carlo driver
@@ -176,13 +176,13 @@ impl FaultSweepStats {
 /// ([`FaultSim::run_recovering`]). Either way it is scheduled per
 /// `sched`.
 ///
-/// Work units are sharded at **plan×seed** granularity over the shared
-/// work-stealing pool — each worker holds one engine that is recompiled
+/// Work units are sharded at **plan×seed** granularity over the
+/// work-stealing [`pool::sweep`] — each worker holds one engine that is recompiled
 /// only when its claimed block crosses a plan boundary
 /// ([`FaultSim::set_plan`]; the phase compilation is reused) — and the
 /// per-replication reports are refolded serially in `(plan, rep)` order,
 /// so [`OnlineStats`] sees the exact push order of a serial run and the
-/// result is **bit-identical** whatever `threads` is. The pool's
+/// result is **bit-identical** whatever `threads` is. The sweep's
 /// [`SweepReport`] comes back alongside.
 ///
 /// Each task is one seed, so the sweep never takes the lane path of
@@ -208,7 +208,6 @@ pub fn par_fault_sweep(
     let (reports, exec) = pool::sweep(
         &tasks,
         threads,
-        0,
         || None::<(FaultSim, usize)>,
         |state, &t| {
             let (plan_idx, rep) = (t as usize / replications, t as usize % replications);
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn preserves_order_and_values() {
         let configs: Vec<u64> = (0..100).collect();
-        let got = pool::sweep(&configs, 8, 0, || (), |(), &c| c * 2).0;
+        let got = pool::sweep(&configs, 8, || (), |(), &c| c * 2).0;
         let want: Vec<u64> = configs.iter().map(|c| c * 2).collect();
         assert_eq!(got, want);
     }
@@ -263,14 +262,14 @@ mod tests {
             m.simulate_phase(&msgs)
         };
         assert_eq!(
-            pool::sweep(&configs, 1, 0, || (), |(), c| f(c)).0,
-            pool::sweep(&configs, 7, 0, || (), |(), c| f(c)).0
+            pool::sweep(&configs, 1, || (), |(), c| f(c)).0,
+            pool::sweep(&configs, 7, || (), |(), c| f(c)).0
         );
     }
 
     #[test]
     fn empty_input() {
-        let (got, _): (Vec<u64>, _) = pool::sweep(&Vec::<u64>::new(), 4, 0, || (), |(), &c| c);
+        let (got, _): (Vec<u64>, _) = pool::sweep(&Vec::<u64>::new(), 4, || (), |(), &c| c);
         assert!(got.is_empty());
     }
 
@@ -278,7 +277,7 @@ mod tests {
     fn more_threads_than_work() {
         let configs = vec![1u64, 2];
         assert_eq!(
-            pool::sweep(&configs, 64, 0, || (), |(), &c| c + 1).0,
+            pool::sweep(&configs, 64, || (), |(), &c| c + 1).0,
             vec![2, 3]
         );
     }
@@ -318,11 +317,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        let (plain, _) = pool::sweep(&phases, 3, 0, || (), |(), p| mesh.simulate_phase(p));
+        let (plain, _) = pool::sweep(&phases, 3, || (), |(), p| mesh.simulate_phase(p));
         let (scratch, _) = pool::sweep(
             &phases,
             3,
-            0,
             || PhaseSim::new(mesh.clone()),
             |sim, p| sim.simulate_phase(p),
         );

@@ -242,7 +242,6 @@ proptest! {
         let (got, _) = sweep(
             &phases,
             threads,
-            0,
             || PhaseSim::new(mesh.clone()),
             |sim, phase| sim.simulate_phase(phase),
         );
@@ -821,7 +820,7 @@ proptest! {
     }
 }
 
-// --- the work-stealing pool (the determinism contract, end to end) -------
+// --- the work-stealing sweep (the determinism contract, end to end) ------
 
 use rescomm_machine::par_schedule_sweep;
 use rescomm_machine::pool::{auto_grain, sweep};
@@ -836,21 +835,19 @@ fn spin(seed: u64, w: u64) -> u64 {
 }
 
 proptest! {
-    /// The pool itself: results land in input order and bit-identical to
-    /// the serial map at any worker count, any explicit or auto grain,
-    /// and any task-cost skew — and the report tells the truth about the
-    /// workers actually used.
+    /// The sweep itself: results land in input order and bit-identical
+    /// to the serial map at any worker count and any task-cost skew — and
+    /// the report tells the truth about the workers and grain actually
+    /// used.
     #[test]
     fn pool_sweep_bit_identical_under_cost_skew(
         weights in proptest::collection::vec(0u64..3_000, 1..120),
         workers in 1usize..9,
-        grain in 0usize..9,
     ) {
         let expect: Vec<u64> = weights.iter().map(|&w| spin(0x5eed, w)).collect();
         let (got, report) = sweep(
             &weights,
             workers,
-            grain,
             || 0u64,
             // The per-worker counter proves scratch-state reuse cannot
             // leak into results: the answer ignores it entirely.
@@ -863,12 +860,7 @@ proptest! {
         prop_assert_eq!(report.requested, workers);
         prop_assert_eq!(report.workers, workers.clamp(1, weights.len()));
         prop_assert_eq!(report.tasks, weights.len());
-        let want_grain = if grain > 0 {
-            grain
-        } else {
-            auto_grain(weights.len(), report.workers)
-        };
-        prop_assert_eq!(report.grain, want_grain);
+        prop_assert_eq!(report.grain, auto_grain(weights.len(), report.workers));
     }
 
     /// The schedule sweep: bit-identical to its 1-worker run and to the

@@ -13,6 +13,8 @@
 //! access matrices; wiring them to a concrete [`rescomm_loopnest`] nest is
 //! done by the pipeline crate.
 
+#![forbid(unsafe_code)]
+
 pub mod detect;
 pub mod rotate;
 pub mod vectorize;

@@ -16,6 +16,8 @@
 //! name, the case index and the deterministic seed; cases are reproducible
 //! because every test derives its RNG seed from its own path.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// Deterministic split-mix RNG; every test gets a seed derived from
     /// its module path, so failures are reproducible run over run.
