@@ -27,7 +27,7 @@
 //! * **recovering** — the same comparison through the
 //!   checkpoint/rollback path with permanent node deaths.
 //! * **parallel** — [`par_fault_sweep`] wall-clock at 1..8 workers over
-//!   a bank of plans on the work-stealing sweep (plan×seed task
+//!   a bank of plans on the parallel sweep (plan×seed task
 //!   sharding; see `machine::pool` and `BENCH_scaling.json` for the
 //!   dedicated scaling study), as one shared [`Scaling`] section:
 //!   speedup over one worker, efficiency against `workers_used`, and
@@ -274,7 +274,7 @@ fn main() {
     let host = host_threads();
     let sweep = |w| par_fault_sweep(&mesh, &phases, &bank, None, par_reps, w, sched);
     // Worker-count-independence gate before timing — on *every* host,
-    // including single-core CI (the work-stealing sweep still runs real
+    // including single-core CI (the parallel sweep still runs real
     // worker threads there; only the timing is meaningless).
     let serial = sweep(1).0;
     for w in [2, 4, 8] {

@@ -1,4 +1,4 @@
-//! Measure how the work-stealing sweep (`machine::pool`) scales
+//! Measure how the claim-cursor sweep (`machine::pool`) scales
 //! the workspace's parallel sweeps and write a machine-readable baseline
 //! to `BENCH_scaling.json` so later PRs can track the trajectory.
 //!
@@ -10,7 +10,7 @@
 //!   (plan×seed task sharding, per-worker [`FaultSim`](rescomm_machine::FaultSim) engines);
 //! * **analysis_batch** — [`map_nest_batch`] over a fleet of loop nests
 //!   of deliberately skewed sizes (per-worker `AnalysisCache`s; the
-//!   skew is what the steal path exists for).
+//!   skew is what claiming small blocks from one cursor exists for).
 //!
 //! ```text
 //! cargo run --release -p rescomm-bench --bin scaling_baseline [--smoke] [--out PATH | --check PATH]
@@ -47,7 +47,7 @@ use rescomm_machine::{
 };
 
 /// One timing section: the harness's shared columns with the sweep's
-/// task, grain and steal counts after the worker counts.
+/// task count and grain after the worker counts.
 fn emit(doc: &mut JsonDoc, section: &'static str, s: &Scaling) {
     doc.rows(section, &s.rows, |r| {
         let mut cols = s.columns(r);
@@ -56,7 +56,6 @@ fn emit(doc: &mut JsonDoc, section: &'static str, s: &Scaling) {
             [
                 ("tasks", Val::from(r.report.tasks)),
                 ("grain", Val::from(r.report.grain)),
-                ("steals", Val::from(r.report.steals)),
             ],
         );
         cols
@@ -81,7 +80,7 @@ fn main() {
 
     // Analysis fleet with a ~4x size skew between the smallest and
     // largest nest, alternating families — the uneven per-task cost the
-    // steal path has to level out.
+    // shared cursor has to level out.
     let fleet: Vec<LoopNest> = (0..if smoke { 8 } else { 32 })
         .map(|i| {
             if i % 2 == 0 {

@@ -110,8 +110,8 @@ impl Args {
 /// one by one — a blanket `*_ns` would also skip every simulated
 /// makespan, `makespan_ns`, `lost_work_ns`, `wall_clock_ns`, which is
 /// what the check exists to pin), ratios of timings (`*_speedup`,
-/// `speedup*`, `efficiency`), the host's thread count, and what the
-/// work-stealing sweep did on it (`oversubscribed`, `skipped`, `steals`).
+/// `speedup*`, `efficiency`), the host's thread count, and whether the
+/// sweep's worker count fit on it (`oversubscribed`, `skipped`).
 /// A pattern starting or ending with `*` matches that key suffix or
 /// prefix; a subtree under a matching key is skipped whole. A new timing
 /// column fails `--check` until it is added here.
@@ -124,7 +124,6 @@ const CLOCK_HOST_LEAVES: &[&str] = &[
     "host_threads",
     "oversubscribed",
     "skipped",
-    "steals",
     // Timings.
     "wall_ns",
     "auto_ns",
@@ -279,10 +278,9 @@ impl Scaling {
                 let report = run(w);
                 let wall_ns = (w == 1 || w <= host).then(|| median_ns(reps, 1, || run(w)));
                 match wall_ns {
-                    Some(t) => eprintln!(
-                        "  {w} workers ({} used)  wall {t:>12} ns   steals {}",
-                        report.workers, report.steals
-                    ),
+                    Some(t) => {
+                        eprintln!("  {w} workers ({} used)  wall {t:>12} ns", report.workers)
+                    }
                     None => eprintln!("  {w} workers  skipped (host has {host} threads)"),
                 }
                 ScaleRow { report, wall_ns }
@@ -330,11 +328,10 @@ impl Scaling {
             assert!(
                 efficiency >= 0.7,
                 "{section}: 4-worker efficiency {efficiency:.2} below the 0.7 floor \
-                 on a {}-thread host (tasks {}, grain {}, steals {})",
+                 on a {}-thread host (tasks {}, grain {})",
                 self.host,
                 r.report.tasks,
-                r.report.grain,
-                r.report.steals
+                r.report.grain
             );
             eprintln!("  {section}: 4-worker efficiency {efficiency:.2} >= 0.7  ok");
         }
@@ -406,13 +403,13 @@ mod tests {
         let committed = json(
             r#"{"host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
                 "efficiency": 0.7, "oversubscribed": false, "skipped": false,
-                "steals": 3, "makespan_ns": 42, "dense_speedup": 3.1,
+                "makespan_ns": 42, "dense_speedup": 3.1,
                 "t": {"closed_ns": 5}}]}"#,
         );
         let clocks_moved = json(
             r#"{"host_threads": 8, "rows": [{"n": 1, "wall_ns": null, "speedup_vs_1": 2.0,
                 "efficiency": 0.9, "oversubscribed": true, "skipped": true,
-                "steals": 0, "makespan_ns": 42, "dense_speedup": 2.7,
+                "makespan_ns": 42, "dense_speedup": 2.7,
                 "t": {"closed_ns": 7}}]}"#,
         );
         assert_eq!(
@@ -423,7 +420,7 @@ mod tests {
         let makespan_moved = json(
             r#"{"host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
                 "efficiency": 0.7, "oversubscribed": false, "skipped": false,
-                "steals": 3, "makespan_ns": 43, "dense_speedup": 3.1,
+                "makespan_ns": 43, "dense_speedup": 3.1,
                 "t": {"closed_ns": 5}}]}"#,
         );
         let d = artifact_diff(&makespan_moved, &committed);
@@ -457,7 +454,6 @@ mod tests {
             workers: w,
             tasks: 64,
             grain: 1,
-            steals: 0,
         }
     }
 

@@ -41,9 +41,6 @@ pub struct MappingOptions {
     /// Weight access-graph edges by `rank F` (the paper's volume
     /// prioritization); `false` uses unit weights (ablation).
     pub weight_by_rank: bool,
-    /// Step 1(c) extension: merge compatible cross-component edges so
-    /// their communications become local too.
-    pub enable_merging: bool,
     /// Self-checking mode: after the fast path succeeds, replay the nest
     /// through [`map_nest_reference`] and compare outcomes. A disagreement
     /// makes the reference result win and is recorded as an
@@ -59,7 +56,6 @@ impl MappingOptions {
             enable_macro: true,
             enable_decompose: true,
             weight_by_rank: true,
-            enable_merging: true,
             self_check: false,
         }
     }
@@ -72,7 +68,6 @@ impl MappingOptions {
             enable_macro: false,
             enable_decompose: false,
             weight_by_rank: true,
-            enable_merging: true,
             self_check: false,
         }
     }
@@ -341,12 +336,12 @@ pub fn map_nest_reference(nest: &LoopNest, opts: &MappingOptions) -> Mapping {
     .expect("the inert token never cancels")
 }
 
-/// Map every nest, fanning out over `threads` workers on a work-stealing
+/// Map every nest, fanning out over `threads` workers on
 /// [`pool::sweep`] with one [`AnalysisCache`] per worker (the sweep's
 /// per-worker scratch state). Results are in input order and
 /// identical to mapping each nest alone; the first failing nest's error
 /// is returned. The sweep's execution report (workers actually used,
-/// grain, steal count) rides along — scaling benches compute efficiency
+/// grain) rides along — scaling benches compute efficiency
 /// against [`SweepReport::workers`], never the request.
 pub fn map_nest_batch(
     nests: &[LoopNest],
@@ -387,13 +382,13 @@ fn map_nest_impl(
     } else {
         augment(&graph, &branching.edges, &comps, m)
     };
-    if opts.enable_merging {
-        cancel.check("merge")?;
-        if use_reference {
-            reference::merge_cross_components_reference(&graph, &mut comps, &mut aug, m);
-        } else {
-            merge_cross_components(&graph, &mut comps, &mut aug, m);
-        }
+    // Step 1(c) extension: merge compatible cross-component edges so
+    // their communications become local too.
+    cancel.check("merge")?;
+    if use_reference {
+        reference::merge_cross_components_reference(&graph, &mut comps, &mut aug, m);
+    } else {
+        merge_cross_components(&graph, &mut comps, &mut aug, m);
     }
     cancel.check("alignment")?;
     let mut alignment = if use_reference {
@@ -817,18 +812,18 @@ mod tests {
             .count();
         assert_eq!(locals, 3, "all three accesses local: {:?}", with.outcomes);
 
-        let mut opts = MappingOptions::new(2);
-        opts.enable_merging = false;
-        let without = map_nest(&nest, &opts).unwrap();
-        let locals0 = without
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, CommOutcome::Local))
-            .count();
+        // Merging is the difference: the same stages without the merge
+        // pass leave fewer edges local.
+        let graph = AccessGraph::build_weighted(&nest, 2, true);
+        let branching = maximum_branching(&graph);
+        let mut comps = component_structure(&graph, &branching, &nest);
+        let mut aug = augment(&graph, &branching.edges, &comps, 2);
+        let before = aug.local_edges.len();
+        merge_cross_components(&graph, &mut comps, &mut aug, 2);
         assert!(
-            locals0 < 3,
-            "merging must be the difference: {:?}",
-            without.outcomes
+            before < aug.local_edges.len(),
+            "merging must be the difference: {before} local edges before, {:?} after",
+            aug.local_edges
         );
     }
 

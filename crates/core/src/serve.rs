@@ -52,7 +52,7 @@
 //!   digest matches, its key reads back through the same request parser
 //!   (and node bound) as a live request, and its restored [`CommPlan`],
 //!   re-simulated under the key's spec (fanned out over a
-//!   work-stealing sweep), reproduces the `result`'s makespan bit for
+//!   parallel sweep), reproduces the `result`'s makespan bit for
 //!   bit. Kept entries serve the same bytes with `"served": "snapshot"`;
 //!   any other entry is dropped and recomputed on demand.
 
@@ -852,7 +852,7 @@ fn load_snapshot(path: &Path, workers: usize) -> Result<Vec<(String, PlanEntry)>
         .filter_map(|(i, e)| restore_entry(i, e).map_err(|why| drop_entry(i, &why)).ok())
         .collect();
     // The restore proof. Entries are independent, so verification rides
-    // a work-stealing sweep.
+    // a parallel sweep.
     let (verdicts, _) = pool::sweep(
         &parsed,
         workers,

@@ -1,5 +1,5 @@
 //! Property tests for the batched analysis front-end on the shared
-//! work-stealing pool: `map_nest_batch` must be bit-identical to serial
+//! claim-cursor sweep: `map_nest_batch` must be bit-identical to serial
 //! per-nest mapping at any worker count and any task-cost skew (mixed
 //! kernel families of mixed sizes), and its [`SweepReport`] must tell
 //! the truth about the workers actually used.
@@ -17,7 +17,7 @@ proptest! {
         workers in 1usize..9,
     ) {
         // Mixed families at mixed sizes: the per-task cost skew the
-        // steal path has to level out without changing any answer.
+        // shared cursor has to level out without changing any answer.
         let nests: Vec<_> = fleet_spec
             .iter()
             .map(|&(kind, n)| match kind {

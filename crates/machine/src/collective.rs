@@ -45,13 +45,6 @@ pub fn broadcast_rows_time(mesh: &Mesh2D, bytes: u64) -> u64 {
     mesh.simulate_phases(&phases)
 }
 
-/// Binomial-tree reduction inside every row (mirror of the broadcast).
-pub fn reduce_time(mesh: &Mesh2D, bytes: u64) -> u64 {
-    // Same communication structure, reversed direction — identical cost in
-    // this model.
-    broadcast_rows_time(mesh, bytes)
-}
-
 /// A translation: every node sends to the node `(dx, dy)` away (toroidal).
 pub fn shift_time(mesh: &Mesh2D, dx: usize, dy: usize, bytes: u64) -> u64 {
     let mut msgs = Vec::with_capacity(mesh.nodes());
@@ -123,12 +116,6 @@ mod tests {
         let one = m.cost.p2p(1, 64);
         assert!(t <= 8 * one, "t={t} one={one}");
         assert!(t >= one);
-    }
-
-    #[test]
-    fn reduce_equals_broadcast_cost_in_model() {
-        let m = mesh(8, 4);
-        assert_eq!(reduce_time(&m, 64), broadcast_rows_time(&m, 64));
     }
 
     #[test]

@@ -19,39 +19,17 @@ pub struct FatTree {
     pub arity: usize,
     /// Cost model (use [`CostModel::cm5`]).
     pub cost: CostModel,
-    /// Parallel lanes per tree edge, indexed by level (level 0 = above
-    /// the leaves). A *fat* tree widens toward the root; the default is
-    /// one lane everywhere (the conservative model).
-    pub lanes: Vec<usize>,
 }
 
 impl FatTree {
     /// Build a fat tree over `nprocs` leaves with the given arity and one
     /// lane per edge (the conservative contention model).
     pub fn new(nprocs: usize, arity: usize, cost: CostModel) -> Self {
-        Self::with_lanes(nprocs, arity, cost, &[])
-    }
-
-    /// Build with explicit per-level lane counts (missing levels get 1).
-    /// `FatTree::with_lanes(32, 4, cm5, &[1, 2, 4])` models a tree whose
-    /// bandwidth doubles per level toward the root, like the real CM-5
-    /// data network.
-    pub fn with_lanes(nprocs: usize, arity: usize, cost: CostModel, lanes: &[usize]) -> Self {
         assert!(nprocs > 0 && arity >= 2);
-        assert!(lanes.iter().all(|&l| l > 0), "lane counts must be positive");
-        let mut levels = 0;
-        let mut span = 1;
-        while span < nprocs {
-            span *= arity;
-            levels += 1;
-        }
-        let mut lanes = lanes.to_vec();
-        lanes.resize(levels.max(lanes.len()), 1);
         FatTree {
             nprocs,
             arity,
             cost,
-            lanes,
         }
     }
 
@@ -90,37 +68,27 @@ impl FatTree {
     }
 
     /// Simulate a point-to-point phase on the data network (greedy
-    /// whole-route reservation, like the mesh). Each tree edge offers
-    /// `lanes[level]` parallel lanes; a message takes the earliest-free
-    /// lane on every edge of its route. Returns the makespan.
+    /// whole-route reservation, like the mesh). Each tree edge is one
+    /// lane; a message starts when every edge of its route is free.
+    /// Returns the makespan.
     pub fn simulate_phase(&self, msgs: &[PMsg]) -> u64 {
         use std::collections::HashMap;
-        // (level, group, up) -> per-lane free times.
-        let mut free: HashMap<(usize, usize, bool), Vec<u64>> = HashMap::new();
+        // (level, group, up) -> the time the edge is next free.
+        let mut free: HashMap<(usize, usize, bool), u64> = HashMap::new();
         let mut msgs: Vec<PMsg> = msgs.iter().copied().filter(|m| m.src != m.dst).collect();
         msgs.sort();
         let mut makespan = 0;
         for m in &msgs {
             let edges = self.route_edges(m.src, m.dst);
             let dur = self.cost.p2p(edges.len(), m.bytes);
-            // Pick the earliest-free lane per edge; start when all chosen
-            // lanes are free.
-            let mut chosen: Vec<((usize, usize, bool), usize)> = Vec::with_capacity(edges.len());
-            let mut start = 0u64;
-            for e in &edges {
-                let nlanes = self.lanes.get(e.0).copied().unwrap_or(1);
-                let lanes = free.entry(*e).or_insert_with(|| vec![0; nlanes]);
-                let (lane, &t) = lanes
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &t)| t)
-                    .expect("at least one lane");
-                chosen.push((*e, lane));
-                start = start.max(t);
-            }
+            let start = edges
+                .iter()
+                .map(|e| free.get(e).copied().unwrap_or(0))
+                .max()
+                .unwrap_or(0);
             let end = start + dur;
-            for (e, lane) in chosen {
-                free.get_mut(&e).expect("entry created above")[lane] = end;
+            for e in edges {
+                free.insert(e, end);
             }
             makespan = makespan.max(end);
         }
@@ -174,52 +142,20 @@ impl FatTree {
         total
     }
 
-    /// Software reduction over the data network (mirror of
-    /// [`FatTree::sw_broadcast`] — identical cost in this model).
-    fn sw_reduce(&self, participants: usize, bytes: u64) -> u64 {
-        self.sw_broadcast(participants, bytes)
-    }
-
-    /// Leaves of `0..participants` still alive at time `t` under the
-    /// plan's permanent deaths ([`FaultPlan::death_time`]).
-    fn live_participants(&self, participants: usize, plan: &FaultPlan, t: u64) -> usize {
-        (0..participants.min(self.nprocs))
-            .filter(|&p| plan.death_time(p).is_none_or(|d| t < d))
-            .count()
-    }
-
-    /// Broadcast under a fault plan: the hardware control network when
-    /// available, the software binomial tree when
-    /// [`FaultPlan::ctrl_outage`] marks it down (the CM-5 degraded mode).
+    /// Broadcast under a fault plan, at the start of the run: the
+    /// hardware control network when available, the software binomial
+    /// tree when [`FaultPlan::ctrl_outage`] marks it down (the CM-5
+    /// degraded mode). Leaves the plan kills at time 0
+    /// ([`FaultPlan::death_time`]) have been folded out of the collective
+    /// by the recovery layer, so only the live participants pay.
     pub fn broadcast_time(&self, participants: usize, bytes: u64, plan: &FaultPlan) -> u64 {
-        self.broadcast_time_at(participants, bytes, plan, 0)
-    }
-
-    /// [`FatTree::broadcast_time`] evaluated at time `t`: permanently
-    /// dead leaves have been folded out of the collective by the recovery
-    /// layer, so only the live participants pay.
-    fn broadcast_time_at(&self, participants: usize, bytes: u64, plan: &FaultPlan, t: u64) -> u64 {
-        let live = self.live_participants(participants, plan, t);
+        let live = (0..participants.min(self.nprocs))
+            .filter(|&p| plan.death_time(p).is_none_or(|d| d > 0))
+            .count();
         if plan.ctrl_outage {
             self.sw_broadcast(live, bytes)
         } else {
             self.hw_broadcast(live, bytes)
-        }
-    }
-
-    /// Reduction under a fault plan (see [`FatTree::broadcast_time`]).
-    pub fn reduce_time(&self, participants: usize, bytes: u64, plan: &FaultPlan) -> u64 {
-        self.reduce_time_at(participants, bytes, plan, 0)
-    }
-
-    /// [`FatTree::reduce_time`] evaluated at time `t` (dead leaves folded
-    /// out, like [`FatTree::broadcast_time_at`]).
-    fn reduce_time_at(&self, participants: usize, bytes: u64, plan: &FaultPlan, t: u64) -> u64 {
-        let live = self.live_participants(participants, plan, t);
-        if plan.ctrl_outage {
-            self.sw_reduce(live, bytes)
-        } else {
-            self.hw_reduce(live, bytes)
         }
     }
 
@@ -248,7 +184,6 @@ mod tests {
     #[test]
     fn levels_and_lca() {
         let t = ft();
-        assert_eq!(t.lanes.len(), 3); // one lane count per level: 4³ = 64 ≥ 32
         assert_eq!(t.lca_level(0, 0), 0);
         assert_eq!(t.lca_level(0, 1), 1);
         assert_eq!(t.lca_level(0, 4), 2);
@@ -332,37 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn extra_lanes_reduce_contention() {
-        let thin = FatTree::new(32, 4, CostModel::cm5());
-        let fat = FatTree::with_lanes(32, 4, CostModel::cm5(), &[1, 2, 4]);
-        // A root-crossing all-to-one-half pattern that hammers the top.
-        let msgs: Vec<PMsg> = (0..16)
-            .map(|i| PMsg {
-                src: i,
-                dst: 16 + i,
-                bytes: 512,
-            })
-            .collect();
-        let t_thin = thin.simulate_phase(&msgs);
-        let t_fat = fat.simulate_phase(&msgs);
-        assert!(t_fat < t_thin, "fat {t_fat} vs thin {t_thin}");
-        // And a single message costs the same on both.
-        let one = [PMsg {
-            src: 0,
-            dst: 31,
-            bytes: 512,
-        }];
-        assert_eq!(thin.simulate_phase(&one), fat.simulate_phase(&one));
-    }
-
-    #[test]
-    fn lane_counts_default_to_one() {
-        let t = FatTree::new(32, 4, CostModel::cm5());
-        assert!(t.lanes.iter().all(|&l| l == 1));
-        assert_eq!(t.lanes.len(), 3);
-    }
-
-    #[test]
     fn sw_broadcast_is_logarithmic_and_dearer_than_hw() {
         let t = ft();
         let sw = t.sw_broadcast(32, 64);
@@ -380,7 +284,6 @@ mod tests {
         // Degenerate participant counts are free.
         assert_eq!(t.sw_broadcast(0, 64), 0);
         assert_eq!(t.sw_broadcast(1, 64), 0);
-        assert_eq!(t.sw_reduce(32, 64), sw);
     }
 
     #[test]
@@ -393,8 +296,6 @@ mod tests {
         };
         assert_eq!(t.broadcast_time(32, 64, &healthy), t.hw_broadcast(32, 64));
         assert_eq!(t.broadcast_time(32, 64, &degraded), t.sw_broadcast(32, 64));
-        assert_eq!(t.reduce_time(32, 64, &healthy), t.hw_reduce(32, 64));
-        assert_eq!(t.reduce_time(32, 64, &degraded), t.sw_reduce(32, 64));
         // Degradation is measurable: the fallback costs strictly more.
         assert!(t.broadcast_time(32, 64, &degraded) > t.broadcast_time(32, 64, &healthy));
     }
@@ -402,28 +303,22 @@ mod tests {
     #[test]
     fn dead_leaves_fold_out_of_collectives() {
         let t = ft();
-        let plan = FaultPlan {
-            node_deaths: vec![
-                crate::NodeDeath { node: 3, t: 1_000 },
-                crate::NodeDeath { node: 7, t: 5_000 },
-            ],
+        let death = |node, t| crate::NodeDeath { node, t };
+        let plan = |node_deaths, ctrl_outage| FaultPlan {
+            node_deaths,
+            ctrl_outage,
             ..FaultPlan::none()
         };
-        assert_eq!(t.live_participants(32, &plan, 0), 32);
-        assert_eq!(
-            t.live_participants(32, &plan, 1_000),
-            31,
-            "death at t strikes at t"
-        );
-        assert_eq!(t.live_participants(32, &plan, 10_000), 30);
-        // Before any death the timed collective equals the plain one…
-        assert_eq!(
-            t.broadcast_time_at(32, 64, &plan, 0),
-            t.broadcast_time(32, 64, &plan)
-        );
-        // …after the deaths the collective shrinks, so it cannot cost more.
-        assert!(t.broadcast_time_at(32, 64, &plan, 10_000) <= t.broadcast_time(32, 64, &plan));
-        assert_eq!(t.reduce_time_at(32, 64, &plan, 10_000), t.hw_reduce(30, 64));
+        // Leaves dead at time 0 leave the collective; later deaths do not
+        // shrink it yet (a death at t strikes at t).
+        let later = plan(vec![death(3, 1_000), death(7, 5_000)], false);
+        assert_eq!(t.broadcast_time(32, 64, &later), t.hw_broadcast(32, 64));
+        let at_start = plan(vec![death(3, 0), death(7, 5_000)], false);
+        assert_eq!(t.broadcast_time(32, 64, &at_start), t.hw_broadcast(31, 64));
+        let degraded = plan(vec![death(3, 0), death(7, 0)], true);
+        assert_eq!(t.broadcast_time(32, 64, &degraded), t.sw_broadcast(30, 64));
+        // Beyond the tree's leaves nobody else can join.
+        assert_eq!(t.broadcast_time(64, 64, &later), t.hw_broadcast(32, 64));
     }
 
     #[test]

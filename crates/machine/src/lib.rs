@@ -15,8 +15,8 @@
 //! * [`fattree`] — a 4-ary fat tree with single-capacity tree edges for
 //!   point-to-point traffic and a control network for collectives;
 //! * [`collective`] — software collectives on the mesh (tree broadcasts
-//!   along rows/columns, shifts, reductions) used by the benchmark
-//!   harness;
+//!   along rows/columns — a reduction is the mirrored tree at the same
+//!   cost — and shifts) used by the benchmark harness;
 //! * [`phasesim`] — the simulation engine: one transport step and one
 //!   run driver behind every mesh schedule. [`PhaseSim`] runs healthy
 //!   phases per call or from precompiled [`CachedPhase`]s for sweeps,
@@ -34,10 +34,10 @@
 //! * [`reference`](mod@reference) — the fault-semantics oracle the engine is tested
 //!   against: one plain restatement of every faulty and recovering run,
 //!   sharing no code with the engine;
-//! * [`pool`] — the work-stealing execution substrate every `par_*`
-//!   fan-out in the workspace runs on: [`pool::sweep`] runs its workers
-//!   in one `std::thread::scope` (the caller is worker 0) over
-//!   per-worker range deques with steal-back-half, keeps one scratch
+//! * [`pool`] — the execution substrate every `par_*` fan-out in the
+//!   workspace runs on: [`pool::sweep`] runs its workers in one
+//!   `std::thread::scope` (the caller is worker 0), each claiming
+//!   blocks of tasks from one shared atomic cursor, keeps one scratch
 //!   engine per worker and returns results in input order, bit-identical
 //!   regardless of worker count ([`SweepReport`] surfaces the workers
 //!   actually used);
@@ -73,7 +73,7 @@ pub mod rng;
 pub mod sweep;
 pub mod trace;
 
-pub use collective::{broadcast_rows_time, reduce_time, shift_time};
+pub use collective::{broadcast_rows_time, shift_time};
 pub use fattree::FatTree;
 pub use fault::{
     fold_target, CompiledFaultPlan, FaultPlan, FaultReport, LinkOutage, NodeDeath, NodeOutage,

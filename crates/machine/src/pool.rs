@@ -1,4 +1,4 @@
-//! The work-stealing sweep every `par_*` fan-out rides on.
+//! The claim-cursor sweep every `par_*` fan-out rides on.
 //!
 //! [`sweep`] runs its workers inside one `std::thread::scope`: the
 //! calling thread is worker 0, the others (at most 64) are spawned for
@@ -6,37 +6,35 @@
 //! call. Sweeps here run for milliseconds, so a spawn per sweep costs
 //! well under a percent.
 //!
-//! * **Per-worker deques.** The task indices `0..n` are pre-split into
-//!   one contiguous range per worker, each held in a `RangeDeque` — a
-//!   single packed `(start, end)` word updated by CAS. The owner claims
-//!   [`auto_grain`] tasks at a time from the front; a worker whose range
-//!   is dry steals the **back half** of a victim's remaining range and
-//!   installs the surplus in its own deque, so steal traffic is
-//!   O(workers · log(n/grain)) per sweep rather than per task. Because
-//!   tasks are slice indices, the deque is one atomic word — no buffers,
-//!   no ABA (claimed tasks are never re-queued). Deques beyond the
-//!   thread cap have no owner and are drained by stealing.
+//! * **One claim cursor.** The task indices `0..n` are handed out from
+//!   one shared `AtomicUsize`: a worker claims the next [`auto_grain`]
+//!   tasks with a single `fetch_add` and comes back for more until the
+//!   cursor passes `n`. A worker stuck on an expensive task simply
+//!   claims nothing further while the others drain the rest, so skewed
+//!   costs level out without any per-worker queue. Claimed tasks are
+//!   never re-queued, so each index runs exactly once.
 //! * **Per-worker engines.** Each worker materializes its scratch state
 //!   (`FaultSim`, `PhaseSim`, `AnalysisCache`, …) lazily via `init` and
-//!   reuses it across every task it claims or steals.
+//!   reuses it across every block it claims.
 //! * **Determinism.** Each worker returns its `(index, result)` pairs,
 //!   put into input order after the scope ends. Every result is a pure
 //!   function of its config, so output and every statistic are
-//!   bit-identical regardless of worker count or steal interleaving.
+//!   bit-identical regardless of worker count or claim interleaving.
 //!
 //! A panicking task ends its worker; the others drain the remaining
 //! tasks, then the first payload is re-raised on the calling thread.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Most threads one sweep runs on; further workers exist only as deques.
+/// Most threads one sweep runs on; a larger request shares the cursor
+/// among this many threads.
 const MAX_SWEEP_THREADS: usize = 64;
 
 /// How one sweep actually executed — the effective worker count (after
-/// clamping to the task count), the grain, and the steal traffic. The
-/// bench harnesses compute parallel efficiency against
-/// [`SweepReport::workers`], never against the requested count.
+/// clamping to the task count) and the grain. The bench harnesses
+/// compute parallel efficiency against [`SweepReport::workers`], never
+/// against the requested count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepReport {
     /// Worker count the caller asked for.
@@ -45,136 +43,49 @@ pub struct SweepReport {
     pub workers: usize,
     /// Total work units in the sweep.
     pub tasks: usize,
-    /// Tasks claimed per deque operation: [`auto_grain`]`(tasks, workers)`.
+    /// Tasks claimed per cursor operation: [`auto_grain`]`(tasks, workers)`.
     pub grain: usize,
-    /// Successful steal operations across the sweep.
-    pub steals: u64,
 }
 
-/// Pick a grain so each worker sees ~8 claim operations on its own range
-/// before any stealing starts: coarse enough to amortize the CAS per
-/// block, fine enough that the back half of a lagging worker's range is
-/// still worth stealing. Calibrated in `BENCH_scaling.json`.
+/// Pick a grain so each worker makes ~8 claims over the sweep: coarse
+/// enough to amortize the atomic per block, fine enough that the last
+/// blocks claimed level out a worker held up by one expensive task.
+/// Calibrated in `BENCH_scaling.json`.
 pub fn auto_grain(tasks: usize, workers: usize) -> usize {
     (tasks / (workers.max(1) * 8)).max(1)
-}
-
-/// One worker's share of the task indices: `(start, end)` packed into a
-/// single atomic word. Empty when `start >= end`.
-struct RangeDeque {
-    bounds: AtomicU64,
-}
-
-fn pack(start: usize, end: usize) -> u64 {
-    ((start as u64) << 32) | end as u64
-}
-
-fn unpack(word: u64) -> (usize, usize) {
-    ((word >> 32) as usize, (word & 0xffff_ffff) as usize)
-}
-
-impl RangeDeque {
-    fn new(start: usize, end: usize) -> Self {
-        RangeDeque {
-            bounds: AtomicU64::new(pack(start, end)),
-        }
-    }
-
-    /// Claim up to `grain` tasks from the front (owner's fast path; also
-    /// used by a thief draining its own freshly installed range).
-    fn take_front(&self, grain: usize) -> Option<(usize, usize)> {
-        let mut cur = self.bounds.load(Ordering::Acquire);
-        loop {
-            let (s, e) = unpack(cur);
-            if s >= e {
-                return None;
-            }
-            let take = grain.min(e - s);
-            match self.bounds.compare_exchange_weak(
-                cur,
-                pack(s + take, e),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((s, s + take)),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Steal the back half (rounded up) of the remaining range.
-    fn steal_back(&self) -> Option<(usize, usize)> {
-        let mut cur = self.bounds.load(Ordering::Acquire);
-        loop {
-            let (s, e) = unpack(cur);
-            if s >= e {
-                return None;
-            }
-            let keep = (e - s) / 2;
-            match self.bounds.compare_exchange_weak(
-                cur,
-                pack(s, s + keep),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((s + keep, e)),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Install a stolen range into this (empty, owner-local) deque so
-    /// other thieves can share it. Only the owning worker stores; thieves
-    /// only CAS-remove, so a plain store is race-free against them.
-    fn install(&self, start: usize, end: usize) {
-        self.bounds.store(pack(start, end), Ordering::Release);
-    }
 }
 
 /// One multi-worker sweep, shared by reference with every worker.
 struct Sweep<'a, C, I, F> {
     configs: &'a [C],
-    deques: Vec<RangeDeque>,
+    /// The first task index no worker has claimed yet.
+    next: AtomicUsize,
     grain: usize,
     init: I,
     f: F,
 }
 
 impl<C, I, F> Sweep<'_, C, I, F> {
-    /// One worker's run: drain the own deque, then steal until a full
-    /// victim scan comes up empty. The scratch state is built on first
-    /// use and reused across owned *and* stolen tasks. Returns the
-    /// worker's `(task index, result)` pairs and its successful steals.
-    fn participate<S, R>(&self, slot: usize) -> (Vec<(usize, R)>, u64)
+    /// One worker's run: claim `grain` tasks at a time until the cursor
+    /// passes the end. The scratch state is built on the first claim and
+    /// reused across every later one. Returns the worker's
+    /// `(task index, result)` pairs.
+    fn participate<S, R>(&self) -> Vec<(usize, R)>
     where
         I: Fn() -> S,
         F: Fn(&mut S, &C) -> R,
     {
-        let workers = self.deques.len();
+        let n = self.configs.len();
         let mut state: Option<S> = None;
         let mut done = Vec::new();
-        let mut steals = 0;
         loop {
-            let (a, b) = match self.deques[slot].take_front(self.grain) {
-                Some(block) => block,
-                None => {
-                    // Own range dry: scan for a victim, nearest neighbour
-                    // first; every deque empty means every task is claimed.
-                    let Some((s, e)) = (1..workers)
-                        .find_map(|off| self.deques[(slot + off) % workers].steal_back())
-                    else {
-                        return (done, steals);
-                    };
-                    steals += 1;
-                    let take = self.grain.min(e - s);
-                    // Expose the surplus *before* running so other idle
-                    // workers can share the stolen range immediately.
-                    if s + take < e {
-                        self.deques[slot].install(s + take, e);
-                    }
-                    (s, s + take)
-                }
-            };
+            // The cursor only hands out indices; results reach the caller
+            // through the scope's join, so no ordering beyond the RMW.
+            let a = self.next.fetch_add(self.grain, Ordering::Relaxed);
+            if a >= n {
+                return done;
+            }
+            let b = (a + self.grain).min(n);
             let state = state.get_or_insert_with(&self.init);
             done.extend((a..b).map(|i| (i, (self.f)(state, &self.configs[i]))));
         }
@@ -213,12 +124,9 @@ where
         return (configs.iter().map(|c| f(&mut state, c)).collect(), report);
     }
 
-    let chunk = n.div_ceil(workers);
     let job = Sweep {
         configs,
-        deques: (0..workers)
-            .map(|w| RangeDeque::new((w * chunk).min(n), ((w + 1) * chunk).min(n)))
-            .collect(),
+        next: AtomicUsize::new(0),
         grain: report.grain,
         init,
         f,
@@ -226,11 +134,11 @@ where
     let shares = std::thread::scope(|scope| {
         let job = &job;
         let handles: Vec<_> = (1..workers.min(MAX_SWEEP_THREADS))
-            .map(|slot| scope.spawn(move || job.participate(slot)))
+            .map(|_| scope.spawn(move || job.participate()))
             .collect();
         // Worker 0 is the calling thread; catching its panic lets every
         // spawned worker be joined before anything is re-raised.
-        let mut shares = vec![catch_unwind(AssertUnwindSafe(|| job.participate(0)))];
+        let mut shares = vec![catch_unwind(AssertUnwindSafe(|| job.participate()))];
         shares.extend(handles.into_iter().map(|h| h.join()));
         shares
     });
@@ -238,10 +146,7 @@ where
     let mut pairs = Vec::with_capacity(n);
     for share in shares {
         match share {
-            Ok((done, steals)) => {
-                pairs.extend(done);
-                report.steals += steals;
-            }
+            Ok(done) => pairs.extend(done),
             Err(payload) => resume_unwind(payload),
         }
     }
@@ -253,28 +158,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn deque_take_and_steal_partition_exactly() {
-        let d = RangeDeque::new(0, 100);
-        let mut seen = [false; 100];
-        let (a, b) = d.take_front(8).unwrap();
-        assert_eq!((a, b), (0, 8));
-        seen[a..b].iter_mut().for_each(|s| *s = true);
-        let (s, e) = d.steal_back().unwrap();
-        assert_eq!((s, e), (54, 100), "back half of 8..100");
-        seen[s..e].iter_mut().for_each(|x| *x = true);
-        // Drain the rest from the front.
-        while let Some((a, b)) = d.take_front(7) {
-            for (i, slot) in seen.iter_mut().enumerate().take(b).skip(a) {
-                assert!(!*slot, "task {i} claimed twice");
-                *slot = true;
-            }
-        }
-        assert!(d.steal_back().is_none());
-        assert!(seen[..54].iter().all(|&s| s), "front segment fully claimed");
-    }
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn auto_grain_is_sane() {
@@ -304,8 +188,8 @@ mod tests {
 
     #[test]
     fn skewed_tasks_are_bit_identical_across_worker_counts_and_grains() {
-        // Task i busy-works proportionally to a skewed cost so stealing
-        // actually happens, then returns a pure function of i. The grain
+        // Task i busy-works proportionally to a skewed cost so claims
+        // interleave unevenly, then returns a pure function of i. The grain
         // follows the worker count through `auto_grain`.
         let configs: Vec<usize> = (0..300).collect();
         let run = |workers: usize| {
@@ -370,8 +254,8 @@ mod tests {
 
     #[test]
     fn spawned_worker_panic_keeps_its_message() {
-        // The last task sits in the last worker's range, which a spawned
-        // thread owns; whoever runs it, the caller sees the original text.
+        // Whichever worker claims the last task, spawned or the caller,
+        // the caller sees the original text.
         let configs: Vec<usize> = (0..64).collect();
         let last = configs.len() - 1;
         let payload = catch_unwind(AssertUnwindSafe(|| {
@@ -397,7 +281,39 @@ mod tests {
     }
 
     #[test]
-    fn workers_beyond_the_thread_cap_are_drained_by_stealing() {
+    fn spawned_worker_init_panic_keeps_its_payload() {
+        // `init` panics on every spawned worker; the caller's `init` waits
+        // until one has, so the panic is certain to come from a spawned
+        // thread rather than depend on who claims first.
+        #[derive(Debug, PartialEq)]
+        struct InitFailed(u32);
+        let caller = std::thread::current().id();
+        let entered = AtomicBool::new(false);
+        let configs: Vec<usize> = (0..64).collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            sweep(
+                &configs,
+                4,
+                || {
+                    if std::thread::current().id() != caller {
+                        entered.store(true, Ordering::Relaxed);
+                        std::panic::panic_any(InitFailed(7));
+                    }
+                    while !entered.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                },
+                |(), &i| i,
+            )
+        }))
+        .expect_err("the init panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<InitFailed>(), Some(&InitFailed(7)));
+        let (got, _) = sweep(&configs, 4, || (), |(), &i| i * 3);
+        assert_eq!(got, configs.iter().map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn workers_beyond_the_thread_cap_share_the_cursor() {
         let configs: Vec<u64> = (0..100).collect();
         let (got, rep) = sweep(&configs, 100, || (), |(), &c| c * c);
         assert_eq!(got, configs.iter().map(|c| c * c).collect::<Vec<_>>());

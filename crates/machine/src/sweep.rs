@@ -1,10 +1,10 @@
-//! Parallel parameter sweeps on the work-stealing sweep
+//! Parallel parameter sweeps on the claim-cursor sweep
 //! ([`crate::pool`]), plus the deterministic fault-schedule generators
 //! the sweeps share.
 //!
 //! The benchmark harness evaluates many (machine, distribution, k, size)
-//! configurations; each simulation is independent, so we shard them over
-//! per-worker range deques — results come back in input order,
+//! configurations; each simulation is independent, so workers claim them
+//! in blocks from one shared cursor — results come back in input order,
 //! bit-identical for every worker count. [`pool::sweep`]
 //! gives every worker a private scratch state (e.g. a
 //! [`crate::PhaseSim`]), so per-simulation allocations are paid once per
@@ -177,7 +177,7 @@ impl FaultSweepStats {
 /// `sched`.
 ///
 /// Work units are sharded at **plan×seed** granularity over the
-/// work-stealing [`pool::sweep`] — each worker holds one engine that is recompiled
+/// [`pool::sweep`] — each worker holds one engine that is recompiled
 /// only when its claimed block crosses a plan boundary
 /// ([`FaultSim::set_plan`]; the phase compilation is reused) — and the
 /// per-replication reports are refolded serially in `(plan, rep)` order,

@@ -111,13 +111,12 @@ proptest! {
         assert_identical("m=2", &map_nest(&nest, &opts).unwrap(), &map_nest_reference(&nest, &opts));
     }
 
-    /// Same, with the ablation options (unit weights, no merging) that
-    /// exercise the other branching/augment code paths.
+    /// Same, with the unit-weights ablation that exercises the other
+    /// branching/augment code paths.
     #[test]
     fn optimized_matches_reference_ablations(nest in small_nest()) {
         let mut opts = MappingOptions::new(2);
         opts.weight_by_rank = false;
-        opts.enable_merging = false;
         assert_identical(
             "ablation",
             &map_nest(&nest, &opts).unwrap(),
