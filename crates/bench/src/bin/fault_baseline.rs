@@ -22,32 +22,24 @@
 //!   64 replications: a per-seed [`FaultSim::run_faulty`] loop vs
 //!   [`FaultSim::replay_faulty`], which advances up to
 //!   [`rescomm_machine::LANES`] seeds through one pass when the plan has
-//!   no outages or deaths. Both sides are first gated against the oracle
-//!   (in `--smoke` too); no speedup floor.
+//!   no outages or deaths. Both sides are first gated against the
+//!   oracle; no speedup floor.
 //! * **recovering** — the same comparison through the
 //!   checkpoint/rollback path with permanent node deaths.
-//! * **parallel** — [`par_fault_sweep`] wall-clock at 1..8 workers over
-//!   a bank of plans on the parallel sweep (plan×seed task
-//!   sharding; see `machine::pool` and `BENCH_scaling.json` for the
-//!   dedicated scaling study), as one shared [`Scaling`] section:
-//!   speedup over one worker, efficiency against `workers_used`, and
-//!   rows the host cannot run concurrently skipped (`skipped: true`,
-//!   null timings) — timing them would measure the OS scheduler, not
-//!   the sweep. The worker-count bit-identity gate runs on every host.
+//!
+//! How the parallel sweep scales is measured once, by `scaling_baseline`
+//! (`BENCH_scaling.json`).
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin fault_baseline [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin fault_baseline [--out PATH | --check PATH]
 //! ```
 //!
 //! Every timed pair is first checked for **bit-identity** (full
-//! [`rescomm_machine::FaultReport`] per seed) and the parallel sweep for
-//! thread-count independence, so the numbers can't drift from a wrong
-//! answer going fast. `--smoke` shrinks the replication counts for the
-//! CI job and skips the wall-clock-dependent speedup floors (CI boxes
-//! are noisy); the identity gates are unchanged.
+//! [`rescomm_machine::FaultReport`] per seed), so the numbers can't
+//! drift from a wrong answer going fast.
 
 use rescomm::{build_plan, map_nest, MappingOptions};
-use rescomm_bench::harness::{median_ns, Args, Scaling};
+use rescomm_bench::harness::{median_ns, Args};
 use rescomm_bench::workload::{
     fixed_outages, host_threads, lossy_plan, paragon_mesh, seeded_outages,
 };
@@ -55,8 +47,8 @@ use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_json::{fixed, raw, JsonDoc, Val};
 use rescomm_loopnest::examples;
 use rescomm_machine::{
-    mttf_death_schedule, par_fault_sweep, reference, replication_seed, CheckpointPolicy, FaultPlan,
-    FaultReport, FaultSim, PMsg, ScheduleMode, SchedulePolicy, LANES,
+    mttf_death_schedule, reference, replication_seed, CheckpointPolicy, FaultPlan, FaultReport,
+    FaultSim, PMsg, ScheduleMode, SchedulePolicy, LANES,
 };
 
 struct ReplayRow {
@@ -67,7 +59,6 @@ struct ReplayRow {
 
 fn main() {
     let args = Args::parse("BENCH_faultperf.json");
-    let smoke = args.smoke;
 
     // The paper plan: motivating example through the full mapping
     // pipeline, folded onto the 8×4 Paragon mesh.
@@ -92,8 +83,8 @@ fn main() {
     node_outages.extend(seeded_nodes);
     let plan = lossy_plan(42, (link_outages, node_outages));
 
-    let rep_counts: &[usize] = if smoke { &[4, 8] } else { &[16, 64, 256] };
-    let timing_reps = if smoke { 3 } else { 7 };
+    let rep_counts = [16usize, 64, 256];
+    let timing_reps = 7;
     // The timed sections track the historical phased-barrier path; the
     // overlapped schedules get their own identity gates below and their
     // own artifact (`faultsched`).
@@ -122,7 +113,7 @@ fn main() {
             .collect()
     };
     let mut replay_rows = Vec::new();
-    for &n in rep_counts {
+    for n in rep_counts {
         let seeds: Vec<u64> = (0..n)
             .map(|r| replication_seed(plan.seed, r as u64))
             .collect();
@@ -141,7 +132,7 @@ fn main() {
         // the oracle across hosts (both sides single-threaded; the ratio
         // swings with the box's memory subsystem and background load, so
         // the floor carries headroom below the worst measurement).
-        if !smoke && n >= 64 {
+        if n >= 64 {
             assert!(
                 speedup >= 3.0,
                 "compiled replay must be >=3x the oracle at {n} replications, got {speedup:.2}x"
@@ -157,7 +148,7 @@ fn main() {
         });
     }
 
-    // Overlapped-faulty gate (runs in smoke too): the compiled engine
+    // Overlapped-faulty gate: the compiled engine
     // must reproduce the oracle bit for bit under the overlapped and
     // adaptive schedules as well.
     let gate_seeds: Vec<u64> = (0..4).map(|r| replication_seed(plan.seed, r)).collect();
@@ -182,7 +173,7 @@ fn main() {
 
     // Lane path: a drop-only plan under the overlapped schedule, where
     // every seed visits the messages in the same order. Gated against
-    // the oracle in smoke too; timed without a floor.
+    // the oracle; timed without a floor.
     let lane_plan = FaultPlan::with_drop(42, 0.05);
     let lane_sched = SchedulePolicy::Fixed(ScheduleMode::overlapped());
     let lane_seeds: Vec<u64> = (0..64)
@@ -225,7 +216,7 @@ fn main() {
         detection_latency: 5_000,
         ..plan.clone()
     };
-    let n = if smoke { 8usize } else { 64 };
+    let n = 64usize;
     let seeds: Vec<u64> = (0..n)
         .map(|r| replication_seed(plan.seed, r as u64))
         .collect();
@@ -235,7 +226,7 @@ fn main() {
         oracle(&recover_plan, &seeds, sched, Some(&policy)),
         "compiled recovering replay diverged from the oracle"
     );
-    // Overlapped-recovering gate (runs in smoke too): rollback + replay
+    // Overlapped-recovering gate: rollback + replay
     // under the overlapped schedule, compiled vs oracle, exactly once.
     {
         let gate = SchedulePolicy::Fixed(ScheduleMode::overlapped());
@@ -262,33 +253,6 @@ fn main() {
         rec_oracle_ns as f64 / rec_compiled_ns.max(1) as f64
     );
 
-    // Parallel efficiency of the Monte Carlo sweep driver: a bank of
-    // plans (distinct seeds, same faults), replications per plan.
-    let bank: Vec<FaultPlan> = (0..8)
-        .map(|i| FaultPlan {
-            seed: 42 + i,
-            ..plan.clone()
-        })
-        .collect();
-    let par_reps = if smoke { 4 } else { 32 };
-    let host = host_threads();
-    let sweep = |w| par_fault_sweep(&mesh, &phases, &bank, None, par_reps, w, sched);
-    // Worker-count-independence gate before timing — on *every* host,
-    // including single-core CI (the parallel sweep still runs real
-    // worker threads there; only the timing is meaningless).
-    let serial = sweep(1).0;
-    for w in [2, 4, 8] {
-        assert_eq!(
-            sweep(w).0,
-            serial,
-            "parallel sweep diverged from serial at {w} workers"
-        );
-    }
-    let parallel = Scaling::measure(&[1, 2, 4, 8], timing_reps, |w| sweep(w).1);
-    if !smoke {
-        parallel.gate_efficiency("parallel");
-    }
-
     let mut doc = JsonDoc::new();
     doc.field("bench", "faultperf")
         .field("mesh", raw("[8, 4]"))
@@ -297,9 +261,8 @@ fn main() {
         .field("healthy_makespan_ns", healthy)
         .field("drop_prob", fixed(0.2, 2))
         .field("dup_prob", fixed(0.02, 2))
-        .field("host_threads", host)
-        .field("schedule_policy", sched.label())
-        .field("smoke", smoke);
+        .field("host_threads", host_threads())
+        .field("schedule_policy", sched.label());
     let mode_label = sched.healthy_mode().label();
     doc.rows("replay", &replay_rows, |r| {
         vec![
@@ -338,16 +301,6 @@ fn main() {
             ("compiled_ns", Val::from(r.2)),
             ("speedup", fixed(r.1 as f64 / r.2.max(1) as f64, 2)),
         ]
-    });
-    doc.rows("parallel", &parallel.rows, |r| {
-        let mut cols = vec![
-            ("schedule_mode", Val::from(mode_label)),
-            ("policy", Val::from(sched.label())),
-            ("plans", Val::from(bank.len())),
-            ("replications", Val::from(par_reps)),
-        ];
-        cols.extend(parallel.columns(r));
-        cols
     });
     args.emit(&doc);
 }

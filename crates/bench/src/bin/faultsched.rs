@@ -13,13 +13,12 @@
 //! deterministic, so the committed artifact is byte-stable across hosts.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin faultsched [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin faultsched [--out PATH | --check PATH]
 //! ```
 //!
-//! `--smoke` shrinks the grid and replication count for the CI job; the
-//! gates are identical.
-//!
-//! Gates (checked before anything is written):
+//! Gates (checked before anything is written, also on a gate-only pass
+//! at 48² with 4 replications that adds no artifact row: grouped(3)
+//! divides 48 but not 256):
 //!
 //! * (a) **zero-fault identity per mode** — a zero-fault plan through
 //!   the fault engine is bit-identical in makespan to the fault-free
@@ -57,6 +56,9 @@ const WORKLOADS: [&str; 5] = [
     "paper_plan",
 ];
 
+/// Element size of every message, in bytes.
+const BYTES: u64 = 64;
+
 /// One (workload, policy) row of the artifact.
 struct Row {
     workload: &'static str,
@@ -87,15 +89,11 @@ fn mean(reports: &[FaultReport]) -> f64 {
     reports.iter().map(|r| r.makespan as f64).sum::<f64>() / reports.len() as f64
 }
 
-fn main() {
-    let args = Args::parse("BENCH_faultsched.json");
-    let smoke = args.smoke;
-    let bytes = 64u64;
+/// Every row of the study at `side`² over `replications` seeds, with
+/// gates (a)–(e) checked on the way.
+fn run(side: usize, replications: usize) -> Vec<Row> {
     let mesh = paragon_mesh();
     let mut sim = PhaseSim::new(mesh.clone());
-    let side = if smoke { 48usize } else { 256 };
-    let replications = if smoke { 4usize } else { 16 };
-
     // Drop-only (plus duplication) faults: no outage windows, so the
     // per-message RNG draw sequence is identical under every schedule
     // mode and gate (b) compares schedules, not fault timings.
@@ -116,7 +114,7 @@ fn main() {
     eprintln!("faultsched: {side}² grids on 8x4, drop 0.20 dup 0.02, {replications} replications");
     let mut rows = Vec::new();
     let mut overlap_beats_phased_somewhere = false;
-    let workloads = zoo_workloads(&mesh, side, bytes);
+    let workloads = zoo_workloads(&mesh, side, BYTES);
     for w in workloads.iter().filter(|w| WORKLOADS.contains(&w.name)) {
         let messages: usize = w.phases.iter().map(Vec::len).sum();
         let mut engine = FaultSim::new(&mesh, &w.phases, &fault);
@@ -202,17 +200,24 @@ fn main() {
         "overlapped-faulty beat phased-faulty on no multi-factor chain"
     );
     eprintln!("gates ok: zero-fault identity, overlap win, adaptive dominance, oracle identity");
+    rows
+}
+
+fn main() {
+    let args = Args::parse("BENCH_faultsched.json");
+    let (side, replications) = (256usize, 16usize);
+    run(48, 4);
+    let rows = run(side, replications);
 
     let mut doc = JsonDoc::new();
     doc.field("bench", "faultsched")
         .field("mesh", raw("[8, 4]"))
         .field("dist", "grouped(3) x block")
         .field("grid", format!("{side}x{side}"))
-        .field("elem_bytes", bytes)
+        .field("elem_bytes", BYTES)
         .field("drop_prob", fixed(0.2, 2))
         .field("dup_prob", fixed(0.02, 2))
         .field("replications", replications)
-        .field("smoke", smoke)
         .field("host_threads", host_threads());
     doc.rows("faultsched", &rows, |r| {
         vec![

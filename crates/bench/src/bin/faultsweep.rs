@@ -15,7 +15,7 @@
 //!   the software binomial fallback used when `ctrl_outage` is set.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin faultsweep [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin faultsweep [--out PATH | --check PATH]
 //! ```
 //!
 //! Every sweep point is evaluated twice — once through the fault oracle
@@ -28,8 +28,7 @@
 //! over [`rescomm_machine::replication_seed`]-derived replications
 //! (replication 0 **is** the classic run), computed with
 //! [`rescomm_machine::par_fault_sweep`] and asserted bit-identical to a
-//! serial evaluation. `--smoke` shrinks the workload for the CI smoke
-//! job; the invariants checked are identical.
+//! serial evaluation.
 
 use rescomm_bench::harness::Args;
 use rescomm_bench::workload::{
@@ -68,13 +67,12 @@ struct DegradedRow {
 
 fn main() {
     let args = Args::parse("BENCH_faults.json");
-    let smoke = args.smoke;
     let mesh = paragon_mesh();
-    let (n_phases, per_phase) = if smoke { (4, 24) } else { (8, 48) };
+    let (n_phases, per_phase) = (8, 48);
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0xfa17);
     let healthy = mesh.simulate_phases(&phases);
 
-    let replications = if smoke { 8usize } else { 32 };
+    let replications = 32;
     let threads = host_threads().max(1);
     eprintln!(
         "drop sweep: 8x4 mesh, {n_phases} phases x {per_phase} msgs, outages in force, \

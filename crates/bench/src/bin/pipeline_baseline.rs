@@ -2,7 +2,7 @@
 //! machine-readable baseline to `BENCH_pipeline.json` so later PRs can
 //! track the analysis-cost trajectory.
 //!
-//! Three sections, matching the three halves of the optimization:
+//! Two sections, matching the two halves of the optimization:
 //!
 //! * **synthetic** — `map_nest_reference` (the seed passes: positional
 //!   vertex scans, per-start cycle rescans, O(E²) twin marking, no
@@ -11,21 +11,21 @@
 //! * **kernels** — the paper's kernels mapped repeatedly, old vs new with
 //!   a warm shared [`rescomm::AnalysisCache`] (the batch-serving setting
 //!   `map_nest_batch` exists for).
-//! * **batch** — `map_nest_batch` over a fleet of nests, serial vs
-//!   multi-worker, as one shared [`Scaling`] section (a worker count
-//!   the host cannot run is skipped, never timed).
+//!
+//! How `map_nest_batch` scales across workers is measured once, by
+//! `scaling_baseline` (`BENCH_scaling.json`).
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin pipeline_baseline [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin pipeline_baseline [--out PATH | --check PATH]
 //! ```
 //!
 //! Every timed pair is first checked for identical mappings (outcomes,
 //! rotations, allocation matrices), so the numbers can't drift from a
 //! wrong answer going fast.
 
-use rescomm::{map_nest, map_nest_batch, map_nest_reference, map_nest_with, AnalysisCache};
+use rescomm::{map_nest, map_nest_reference, map_nest_with, AnalysisCache};
 use rescomm::{Mapping, MappingOptions};
-use rescomm_bench::harness::{median_ns, Args, Scaling};
+use rescomm_bench::harness::{median_ns, Args};
 use rescomm_bench::workload::{chained_stencil_nest, host_threads, pipeline_nest};
 use rescomm_json::{fixed, JsonDoc, Val};
 use rescomm_loopnest::{examples, LoopNest};
@@ -71,14 +71,9 @@ struct KernelRow {
 
 fn main() {
     let args = Args::parse("BENCH_pipeline.json");
-    let smoke = args.smoke;
     let opts = MappingOptions::new(2);
 
-    let sizes: &[usize] = if smoke {
-        &[10, 50, 200]
-    } else {
-        &[10, 50, 200, 500]
-    };
+    let sizes = [10usize, 50, 200, 500];
     let families: [Family; 2] = [
         ("chained_stencil", chained_stencil_nest),
         ("pipeline", pipeline_nest),
@@ -87,20 +82,14 @@ fn main() {
     eprintln!("synthetic: map_nest_reference (seed passes) vs map_nest");
     let mut synth = Vec::new();
     for (family, build) in families {
-        for &n in sizes {
+        for n in sizes {
             let nest = build(n, 8);
             // Correctness gate before timing.
             let new = map_nest(&nest, &opts).unwrap();
             let old = map_nest_reference(&nest, &opts);
             assert_same_mapping(&format!("{family} n={n}"), &new, &old);
 
-            let reps = if smoke {
-                3
-            } else if n >= 200 {
-                5
-            } else {
-                9
-            };
+            let reps = if n >= 200 { 5 } else { 9 };
             let old_ns = median_ns(reps, 1, || map_nest_reference(&nest, &opts));
             let new_ns = median_ns(reps.max(9), 1, || map_nest(&nest, &opts));
             eprintln!(
@@ -130,10 +119,9 @@ fn main() {
         let old = map_nest_reference(nest, &opts);
         assert_same_mapping(name, &new, &old);
 
-        let reps = if smoke { 9 } else { 33 };
-        let old_ns = median_ns(reps, 32, || map_nest_reference(nest, &opts));
+        let old_ns = median_ns(33, 32, || map_nest_reference(nest, &opts));
         let mut cache = AnalysisCache::new();
-        let new_ns = median_ns(reps, 32, || map_nest_with(nest, &opts, &mut cache));
+        let new_ns = median_ns(33, 32, || map_nest_with(nest, &opts, &mut cache));
         eprintln!(
             "  {name:>12}  old {old_ns:>9} ns   new {new_ns:>9} ns   ×{:.1}",
             old_ns as f64 / new_ns.max(1) as f64
@@ -145,29 +133,11 @@ fn main() {
         });
     }
 
-    eprintln!("batch: map_nest_batch over a fleet of synthetic nests");
-    let fleet: Vec<LoopNest> = (0..if smoke { 4 } else { 16 })
-        .map(|i| chained_stencil_nest(20 + 3 * i, 8))
-        .collect();
-    let serial = map_nest_batch(&fleet, &opts, 1).0.unwrap();
-    let host = host_threads();
-    let threads = host.clamp(2, 8);
-    // Worker-count identity gate runs on every host.
-    let (par, _) = map_nest_batch(&fleet, &opts, threads);
-    for (i, (s, p)) in serial.iter().zip(&par.unwrap()).enumerate() {
-        assert_same_mapping(&format!("batch nest {i}"), p, s);
-    }
-    let batch = Scaling::measure(&[1, threads], if smoke { 3 } else { 7 }, |w| {
-        map_nest_batch(&fleet, &opts, w).1
-    });
-
     let speedup = |old: u64, new: u64| fixed(old as f64 / new.max(1) as f64, 2);
     let mut doc = JsonDoc::new();
     doc.field("bench", "pipeline")
         .field("m", 2u64)
-        .field("smoke", smoke)
-        .field("host_threads", host)
-        .field("batch_nests", fleet.len());
+        .field("host_threads", host_threads());
     doc.rows("synthetic", &synth, |r| {
         vec![
             ("family", Val::from(r.family)),
@@ -186,6 +156,5 @@ fn main() {
             ("speedup", speedup(r.old_ns, r.new_ns)),
         ]
     });
-    doc.rows("batch", &batch.rows, |r| batch.columns(r));
     args.emit(&doc);
 }

@@ -17,7 +17,7 @@
 //!   rollbacks, no folds, same makespan.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin recoverysweep [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin recoverysweep [--out PATH | --check PATH]
 //! ```
 //!
 //! Every MTTF point is evaluated through both the fault oracle
@@ -29,8 +29,8 @@
 //! the classic run; the parallel sweep is asserted bit-identical to a
 //! serial one).
 //!
-//! `--smoke` shrinks the workload for the CI smoke job; the invariants
-//! checked are identical.
+//! Every gate also runs on a smaller 8×24 phase set with 8 replications
+//! first, a gate-only pass that adds nothing to the artifact.
 
 use rescomm_bench::harness::Args;
 use rescomm_bench::workload::{host_threads, paragon_mesh, synth_phases};
@@ -66,11 +66,15 @@ struct IntervalRow {
     wall_clock_ns: u64,
 }
 
-fn main() {
-    let args = Args::parse("BENCH_recovery.json");
-    let smoke = args.smoke;
+/// The zero-death gate, the MTTF sweep and the checkpoint-interval
+/// sweep over `n_phases × per_phase` messages, every gate checked on the
+/// way: the healthy makespan and the rows of both sweeps.
+fn study(
+    n_phases: usize,
+    per_phase: usize,
+    replications: usize,
+) -> (u64, Vec<MttfRow>, Vec<IntervalRow>) {
     let mesh = paragon_mesh();
-    let (n_phases, per_phase) = if smoke { (8, 24) } else { (24, 48) };
     let phases = synth_phases(mesh.nodes(), n_phases, per_phase, 0x4ec0);
     let healthy = mesh.simulate_phases(&phases);
     let policy = CheckpointPolicy::default();
@@ -89,7 +93,6 @@ fn main() {
     assert_eq!(zero.recovery.folded_nodes, 0);
     eprintln!("zero-death gate: makespan {} ns == healthy", zero.makespan);
 
-    let replications = if smoke { 8usize } else { 32 };
     let threads = host_threads().max(1);
     eprintln!(
         "mttf sweep: 8x4 mesh, {n_phases} phases x {per_phase} msgs, {replications} replications"
@@ -212,6 +215,15 @@ fn main() {
         );
         assert!(w[0].checkpoints >= w[1].checkpoints);
     }
+    (healthy, mttf_rows, interval_rows)
+}
+
+fn main() {
+    let args = Args::parse("BENCH_recovery.json");
+    let (n_phases, per_phase, replications) = (24, 48, 32);
+    study(8, 24, 8);
+    let (healthy, mttf_rows, interval_rows) = study(n_phases, per_phase, replications);
+    let sched = SchedulePolicy::default();
 
     let mut doc = JsonDoc::new();
     doc.field("bench", "recovery")

@@ -13,12 +13,12 @@
 //!   skew is what claiming small blocks from one cursor exists for).
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin scaling_baseline [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin scaling_baseline [--out PATH | --check PATH]
 //! ```
 //!
 //! Gates, in order:
 //!
-//! * **Identity (every host, including single-core CI, smoke or not):**
+//! * **Identity (every host, including single-core CI):**
 //!   fault, recovery, schedule and analysis sweeps must be bit-identical
 //!   to their 1-worker runs at several worker counts — the sweep's
 //!   determinism contract, checked end to end at the public entry
@@ -46,42 +46,25 @@ use rescomm_machine::{
     SchedulePolicy,
 };
 
-/// One timing section: the harness's shared columns with the sweep's
-/// task count and grain after the worker counts.
-fn emit(doc: &mut JsonDoc, section: &'static str, s: &Scaling) {
-    doc.rows(section, &s.rows, |r| {
-        let mut cols = s.columns(r);
-        cols.splice(
-            2..2,
-            [
-                ("tasks", Val::from(r.report.tasks)),
-                ("grain", Val::from(r.report.grain)),
-            ],
-        );
-        cols
-    });
-}
-
 fn main() {
     let args = Args::parse("BENCH_scaling.json");
-    let smoke = args.smoke;
     let host = host_threads();
-    let timing_reps = if smoke { 3 } else { 7 };
+    let timing_reps = 7;
 
     let mesh = paragon_mesh();
     let phases = synth_phases(mesh.nodes(), 5, 56, 0xfa17);
     let sched = SchedulePolicy::default();
     // Fault plans exercising every transport mechanism: seeded link and
     // node outage windows, drop, duplication, retries.
-    let bank: Vec<FaultPlan> = (0..if smoke { 4 } else { 8 })
+    let bank: Vec<FaultPlan> = (0..8)
         .map(|i| lossy_plan(42 + i, seeded_outages(&mesh, 42 + i, 24, 4)))
         .collect();
-    let reps = if smoke { 4 } else { 32 };
+    let reps = 32;
 
     // Analysis fleet with a ~4x size skew between the smallest and
     // largest nest, alternating families — the uneven per-task cost the
     // shared cursor has to level out.
-    let fleet: Vec<LoopNest> = (0..if smoke { 8 } else { 32 })
+    let fleet: Vec<LoopNest> = (0..32)
         .map(|i| {
             if i % 2 == 0 {
                 chained_stencil_nest(12 + 3 * i, 8)
@@ -92,13 +75,13 @@ fn main() {
         .collect();
     let opts = MappingOptions::new(2);
 
-    // --- identity gates: every host, smoke or not --------------------------
+    // --- identity gates: every host ----------------------------------------
     eprintln!("identity: fault, recovery, schedule and analysis sweeps vs their 1-worker runs");
-    let id_workers: &[usize] = if smoke { &[2, 3, 8] } else { &[2, 3, 5, 8] };
+    let id_workers = [2usize, 3, 5, 8];
     let mut id_rows: Vec<(&str, usize)> = Vec::new();
 
     let fault_serial = par_fault_sweep(&mesh, &phases, &bank, None, reps, 1, sched).0;
-    for &w in id_workers {
+    for w in id_workers {
         assert_eq!(
             par_fault_sweep(&mesh, &phases, &bank, None, reps, w, sched).0,
             fault_serial,
@@ -120,7 +103,7 @@ fn main() {
     }
 
     let cached: Vec<CachedPhase> = phases.iter().map(|p| CachedPhase::new(&mesh, p)).collect();
-    let byte_scales: Vec<u64> = (1..=if smoke { 16 } else { 64 }).collect();
+    let byte_scales: Vec<u64> = (1..=64).collect();
     let sched_serial =
         par_schedule_sweep(&mesh, &cached, ScheduleMode::overlapped(), &byte_scales, 1);
     for &w in &id_workers[..2] {
@@ -133,7 +116,7 @@ fn main() {
     }
 
     let analysis_serial = map_nest_batch(&fleet, &opts, 1).0.unwrap();
-    for &w in id_workers {
+    for w in id_workers {
         let par = map_nest_batch(&fleet, &opts, w).0.unwrap();
         assert_eq!(par.len(), analysis_serial.len());
         for (i, (s, p)) in analysis_serial.iter().zip(&par).enumerate() {
@@ -173,7 +156,6 @@ fn main() {
     let mut doc = JsonDoc::new();
     doc.field("bench", "scaling")
         .field("host_threads", host)
-        .field("smoke", smoke)
         .field("mesh", raw("[8, 4]"))
         .field("fault_plans", bank.len())
         .field("fault_replications", reps)
@@ -185,7 +167,7 @@ fn main() {
             ("identical", Val::from(true)),
         ]
     });
-    emit(&mut doc, "fault_replay", &fault);
-    emit(&mut doc, "analysis_batch", &analysis);
+    doc.rows("fault_replay", &fault.rows, |r| fault.columns(r));
+    doc.rows("analysis_batch", &analysis.rows, |r| analysis.columns(r));
     args.emit(&doc);
 }

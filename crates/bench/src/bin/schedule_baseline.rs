@@ -12,12 +12,12 @@
 //! committed artifact is byte-stable across hosts.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin schedule_baseline [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin schedule_baseline [--out PATH | --check PATH]
 //! ```
 //!
-//! `--smoke` runs the gates only (small grids, no artifact).
-//!
-//! Gates (checked in both modes, before anything is written):
+//! Gates (checked before anything is written, also on a gate-only 48²
+//! pass that adds no artifact row: grouped(3) divides 48 but not the
+//! recorded sides):
 //!
 //! * (a) overlapped ≤ phased on **every** row — the default order keeps
 //!   the phased processing order, so this is structural, and the gate
@@ -136,22 +136,18 @@ fn gate_multi_factor_win(rows: &[Row]) {
 
 fn main() {
     let args = Args::parse("BENCH_schedule.json");
-    let smoke = args.smoke;
     let bytes = 64u64;
     let mesh = paragon_mesh();
     let mut sim = PhaseSim::new(mesh.clone());
 
-    let sides: &[usize] = if smoke {
-        &[48, 64]
-    } else {
-        &[64, 256, 1024, 4096, 8192]
-    };
-
-    let mut rows = Vec::new();
     eprintln!("schedule: phased vs overlapped, grouped(3)×block on 8×4");
-    for &side in sides {
-        for w in zoo_workloads(&mesh, side, bytes) {
-            let row = measure(&mesh, &mut sim, &w, side);
+    let mut run = |side: usize| -> Vec<Row> {
+        let workloads = zoo_workloads(&mesh, side, bytes);
+        let rows: Vec<Row> = workloads
+            .iter()
+            .map(|w| measure(&mesh, &mut sim, w, side))
+            .collect();
+        for row in &rows {
             eprintln!(
                 "  {:<22} {side:>4}²  {} phases  phased {:>12} ns   overlapped {:>12} ns (−{:.1}%)   longest-first {:>12} ns (−{:.1}%)",
                 row.workload,
@@ -162,15 +158,15 @@ fn main() {
                 row.longest_ns,
                 row.longest_reduction_pct(),
             );
-            rows.push(row);
         }
-    }
+        rows
+    };
+    gate_multi_factor_win(&run(48));
+    let rows: Vec<Row> = [64, 256, 1024, 4096, 8192]
+        .into_iter()
+        .flat_map(&mut run)
+        .collect();
     gate_multi_factor_win(&rows);
-
-    if smoke {
-        eprintln!("smoke ok: {} rows gated, no artifact written", rows.len());
-        return;
-    }
 
     let mut doc = JsonDoc::new();
     doc.field("bench", "schedule")

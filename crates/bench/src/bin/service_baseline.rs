@@ -17,7 +17,7 @@
 //!   code (exit code 6) and counted in the server stats.**
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin service_baseline [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin service_baseline [--out PATH | --check PATH]
 //! ```
 
 use rescomm::serve::{Server, ServerConfig, ServerHandle};
@@ -96,10 +96,8 @@ fn stat(client: &mut Client, key: &str) -> u64 {
 
 fn main() {
     let args = Args::parse("BENCH_service.json");
-    let smoke = args.smoke;
-
-    let n_corpus = if smoke { 8 } else { 24 };
-    let warm_rounds = if smoke { 4 } else { 16 };
+    let n_corpus = 24;
+    let warm_rounds = 16;
     let nests = corpus(n_corpus);
 
     // --- throughput: cold (every request computes) vs warm (cache) ---
@@ -294,7 +292,6 @@ fn main() {
 
     let mut doc = JsonDoc::new();
     doc.field("bench", "service")
-        .field("smoke", smoke)
         .field("corpus", n_corpus)
         .field("warm_rounds", warm_rounds)
         .field("cold_ns_per_corpus", cold_ns)

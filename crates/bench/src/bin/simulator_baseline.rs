@@ -18,22 +18,20 @@
 //!   engine and `CachedPhase` replay, at message counts up to 10⁵.
 //!
 //! ```text
-//! cargo run --release -p rescomm-bench --bin simulator_baseline [--smoke] [--out PATH | --check PATH]
+//! cargo run --release -p rescomm-bench --bin simulator_baseline [--out PATH | --check PATH]
 //! ```
 //!
-//! `--smoke` runs the correctness gates only (small grids, no timing, no
-//! artifact): every zoo matrix must take the closed path and match the
-//! enumeration oracle bit-for-bit — CI fails on any dense fallback for
-//! unimodular `T` — and `Auto` must take the period tile under CYCLIC ×
-//! CYCLIC at every `period_tile` grid and equal the whole-grid closed
-//! fold (and the oracle at 1024²).
-//!
-//! Every timed pair is also checked for equality (same message sets, same
-//! locality) before timing, so the numbers can't drift from a wrong
-//! answer going fast. The full run additionally gates the acceptance
-//! floor: closed ≥ 20× over the dense fold at 4096² for the
-//! previously-dense matrices, and sublinear-in-V growth of the closed
-//! path from 4096² to 8192².
+//! Before any timing, a gate-only pass over small grids (16², 48², 96²;
+//! no artifact rows) checks that every zoo matrix takes the closed path
+//! and matches the enumeration oracle bit-for-bit — the run fails on any
+//! dense fallback for unimodular `T`. Every timed pair is also checked
+//! for equality (same message sets, same locality) before timing, so the
+//! numbers can't drift from a wrong answer going fast: `Auto` must take
+//! the period tile under CYCLIC × CYCLIC at every `period_tile` grid and
+//! equal the whole-grid closed fold (and the oracle at 1024²). The run
+//! also gates the acceptance floor: closed ≥ 20× over the dense fold at
+//! 4096² for the previously-dense matrices, and sublinear-in-V growth of
+//! the closed path from 4096² to 8192².
 
 use rescomm_bench::harness::{median_ns, Args};
 use rescomm_bench::workload::{
@@ -148,7 +146,6 @@ fn tile_gate(k: &Kernel, dist: Dist2D, side: usize, pshape: (usize, usize), byte
 
 fn main() {
     let args = Args::parse("BENCH_simulator.json");
-    let smoke = args.smoke;
     let dist = zoo_dist();
     let pshape = (8usize, 4usize);
     let bytes = 64u64;
@@ -159,26 +156,11 @@ fn main() {
         .filter(|k| TILE_KERNELS.contains(&k.name))
         .collect();
 
-    if smoke {
-        eprintln!("smoke: closed-path + oracle gates over the kernel zoo");
-        for k in &zoo {
-            for side in [16usize, 48, 96] {
-                gate(k, dist, side, pshape, bytes, true);
-            }
-            eprintln!("  {:<22} closed path ok", k.name);
+    eprintln!("closed-path + oracle gates over the kernel zoo at 16², 48², 96²");
+    for k in &zoo {
+        for side in [16usize, 48, 96] {
+            gate(k, dist, side, pshape, bytes, true);
         }
-        for k in &tile_zoo {
-            for side in TILE_SIDES {
-                tile_gate(k, tile_dist, side, pshape, bytes);
-            }
-            eprintln!("  {:<22} period tile ok (cyclic x cyclic)", k.name);
-        }
-        eprintln!(
-            "smoke ok: {} matrices, no dense fallback; {} period-tile matrices",
-            zoo.len(),
-            tile_zoo.len()
-        );
-        return;
     }
 
     eprintln!("generation: closed vs dense vs enumerated, grouped(3)×block on 8×4");

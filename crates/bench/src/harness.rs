@@ -10,37 +10,32 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// The options every baseline bin takes: `--out PATH` (where the
-/// artifact goes), `--smoke` (the small CI-sized workload, same gates)
-/// and `--check PATH` (compare a full-size run with a committed artifact
-/// instead of writing one).
+/// artifact goes) and `--check PATH` (compare the run with a committed
+/// artifact instead of writing one).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     pub out: String,
-    pub smoke: bool,
     /// The committed artifact `--check` compares the fresh run with.
     pub check: Option<String>,
 }
 
 impl Args {
-    /// Parse `--out PATH`, `--smoke` and `--check PATH` from `args`
-    /// (program name already stripped); `out` defaults to `default_out`.
-    /// Anything else is a usage error, and so is `--check` next to
-    /// `--out` (a check writes nothing) or `--smoke` (smoke output never
-    /// matches a full-size artifact).
+    /// Parse `--out PATH` and `--check PATH` from `args` (program name
+    /// already stripped); `out` defaults to `default_out`. Anything else
+    /// is a usage error, and so is `--check` next to `--out` (a check
+    /// writes nothing).
     pub fn parse_from(
         args: impl IntoIterator<Item = String>,
         default_out: &str,
     ) -> Result<Args, String> {
         let mut parsed = Args {
             out: default_out.to_string(),
-            smoke: false,
             check: None,
         };
         let mut out_given = false;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--smoke" => parsed.smoke = true,
                 "--out" | "--check" => match it.next() {
                     Some(path) if !path.starts_with("--") => {
                         if arg == "--out" {
@@ -55,9 +50,9 @@ impl Args {
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        if parsed.check.is_some() && (out_given || parsed.smoke) {
-            return Err("--check compares a full-size run and writes nothing: \
-                        drop --out and --smoke"
+        if parsed.check.is_some() && out_given {
+            return Err("--check compares the run with a committed artifact and \
+                        writes nothing: drop --out"
                 .into());
         }
         Ok(parsed)
@@ -69,7 +64,7 @@ impl Args {
         let mut argv = std::env::args();
         let bin = argv.next().unwrap_or_default();
         Args::parse_from(argv, default_out).unwrap_or_else(|e| {
-            eprintln!("error: {e}\nusage: {bin} [--smoke] [--out PATH | --check PATH]");
+            eprintln!("error: {e}\nusage: {bin} [--out PATH | --check PATH]");
             std::process::exit(2)
         })
     }
@@ -297,14 +292,17 @@ impl Scaling {
         r.wall_ns.map(|w| t1 as f64 / w.max(1) as f64)
     }
 
-    /// The shared artifact columns of one row. Efficiency is measured
-    /// against the workers the sweep actually used, not the request.
+    /// The artifact columns of one row: the sweep's worker counts, task
+    /// count and grain, then its timing. Efficiency is measured against
+    /// the workers the sweep actually used, not the request.
     pub fn columns(&self, r: &ScaleRow) -> Vec<(&'static str, Val)> {
         let speedup = self.speedup(r);
         let null = || raw("null");
         vec![
             ("workers_requested", Val::from(r.report.requested)),
             ("workers_used", Val::from(r.report.workers)),
+            ("tasks", Val::from(r.report.tasks)),
+            ("grain", Val::from(r.report.grain)),
             ("wall_ns", r.wall_ns.map_or_else(null, Val::from)),
             ("speedup_vs_1", speedup.map_or_else(null, |s| fixed(s, 2))),
             (
@@ -349,25 +347,19 @@ mod tests {
     #[test]
     fn args_default_to_full_run_at_the_committed_path() {
         let a = args(&[]).unwrap();
-        assert_eq!((a.out.as_str(), a.smoke), ("BENCH_x.json", false));
+        assert_eq!(a.out, "BENCH_x.json");
         assert_eq!(a.check, None);
-    }
-
-    #[test]
-    fn args_take_smoke_and_out_in_any_order() {
         let want = Args {
             out: "/tmp/b.json".into(),
-            smoke: true,
             check: None,
         };
-        assert_eq!(args(&["--smoke", "--out", "/tmp/b.json"]), Ok(want.clone()));
-        assert_eq!(args(&["--out", "/tmp/b.json", "--smoke"]), Ok(want));
+        assert_eq!(args(&["--out", "/tmp/b.json"]), Ok(want));
     }
 
     #[test]
     fn args_reject_a_missing_out_path() {
         assert!(args(&["--out"]).unwrap_err().contains("--out needs a path"));
-        assert!(args(&["--out", "--smoke"]).is_err());
+        assert!(args(&["--out", "--check"]).is_err());
         assert!(args(&["--check"])
             .unwrap_err()
             .contains("--check needs a path"));
@@ -375,8 +367,8 @@ mod tests {
 
     #[test]
     fn args_reject_unknown_flags() {
-        for bad in ["--quick", "--smok", "-s", "extra"] {
-            let err = args(&["--smoke", bad]).unwrap_err();
+        for bad in ["--smoke", "--quick", "--smok", "-s", "extra"] {
+            let err = args(&["--out", "/tmp/b.json", bad]).unwrap_err();
             assert!(err.contains(bad), "{bad}: {err}");
         }
     }
@@ -385,10 +377,9 @@ mod tests {
     fn args_check_stands_alone() {
         let a = args(&["--check", "BENCH_x.json"]).unwrap();
         assert_eq!(a.check.as_deref(), Some("BENCH_x.json"));
-        assert!(!a.smoke);
         for bad in [
-            &["--check", "BENCH_x.json", "--smoke"][..],
-            &["--out", "/tmp/b.json", "--check", "BENCH_x.json"],
+            &["--out", "/tmp/b.json", "--check", "BENCH_x.json"][..],
+            &["--check", "BENCH_x.json", "--out", "/tmp/b.json"],
         ] {
             assert!(args(bad).unwrap_err().contains("writes nothing"), "{bad:?}");
         }
@@ -457,18 +448,20 @@ mod tests {
         }
     }
 
+    /// The `key` column of row `row`.
+    fn column(s: &Scaling, row: usize, key: &str) -> Val {
+        let cols = s.columns(&s.rows[row]);
+        cols.into_iter().find(|c| c.0 == key).unwrap().1
+    }
+
     #[test]
     fn scaling_times_one_worker_even_when_the_host_will_not_say() {
         let s = Scaling::measure_on(0, &[1, 2, 4], 3, fake_report);
         assert!(s.rows[0].wall_ns.is_some(), "1-worker row always timed");
         assert!(s.rows[1..].iter().all(|r| r.wall_ns.is_none()));
-        let cols = s.columns(&s.rows[0]);
-        assert_eq!(cols[0].0, "workers_requested");
-        assert!(matches!(cols[6], ("skipped", Val::Bool(false))));
-        assert!(matches!(
-            s.columns(&s.rows[2])[6],
-            ("skipped", Val::Bool(true))
-        ));
+        assert_eq!(s.columns(&s.rows[0])[0].0, "workers_requested");
+        assert!(matches!(column(&s, 0, "skipped"), Val::Bool(false)));
+        assert!(matches!(column(&s, 2, "skipped"), Val::Bool(true)));
         s.gate_efficiency("host0");
     }
 
@@ -477,9 +470,6 @@ mod tests {
         let s = Scaling::measure_on(2, &[1, 2, 4, 8], 1, fake_report);
         let timed: Vec<bool> = s.rows.iter().map(|r| r.wall_ns.is_some()).collect();
         assert_eq!(timed, [true, true, false, false]);
-        assert!(matches!(
-            s.columns(&s.rows[2])[5],
-            ("oversubscribed", Val::Bool(true))
-        ));
+        assert!(matches!(column(&s, 2, "oversubscribed"), Val::Bool(true)));
     }
 }

@@ -24,9 +24,10 @@
 //!   but a structured error, and never crashes on one (every compute is
 //!   wrapped in [`crate::guarded`]).
 //! * **Admission control.** At most `workers` nest computations run
-//!   concurrently; up to `max_queue` more wait on a condvar. Beyond
-//!   that the request is rejected with a structured `overload` error
-//!   (`retry_after_ms` included), 429-style. Plan-cache hits bypass
+//!   concurrently, each holding one of `workers` slots (a warm analysis
+//!   cache) for its duration; up to `max_queue` more wait on a condvar.
+//!   Beyond that the request is rejected with a structured `overload`
+//!   error (`retry_after_ms` included), 429-style. Plan-cache hits bypass
 //!   admission entirely — under overload the server degrades to serving
 //!   cached results before it starts rejecting.
 //! * **Bounded plan cache.** The cache holds at most `plan_cache_cap`
@@ -210,9 +211,11 @@ impl PlanCache {
     }
 }
 
-#[derive(Default)]
+/// The admission slots: one warm [`AnalysisCache`] per idle worker
+/// slot. [`admit`] grants a slot by popping its cache and [`release`]
+/// pushes it back, so a server holds exactly `workers` caches.
 struct AdmState {
-    active: usize,
+    idle: Vec<AnalysisCache>,
     waiting: usize,
 }
 
@@ -236,8 +239,6 @@ struct Stats {
 
 struct Shared {
     cfg: ServerConfig,
-    /// Pool of warm analysis caches, one checked out per computation.
-    caches: Mutex<Vec<AnalysisCache>>,
     plans: Mutex<PlanCache>,
     adm: Mutex<AdmState>,
     adm_cv: Condvar,
@@ -453,7 +454,8 @@ fn render_result(
 
 /// The admission decision for one computation slot.
 enum Admit {
-    Granted,
+    /// The slot's warm cache, to hand back through [`release`].
+    Granted(AnalysisCache),
     Overload,
     DeadlineExpired,
 }
@@ -463,9 +465,8 @@ fn admit(shared: &Shared, deadline: Option<Instant>) -> Admit {
     if shared.shutdown.load(Ordering::Acquire) {
         return Admit::Overload;
     }
-    if st.active < shared.cfg.workers {
-        st.active += 1;
-        return Admit::Granted;
+    if let Some(cache) = st.idle.pop() {
+        return Admit::Granted(cache);
     }
     if st.waiting >= shared.cfg.max_queue {
         return Admit::Overload;
@@ -476,10 +477,9 @@ fn admit(shared: &Shared, deadline: Option<Instant>) -> Admit {
             st.waiting -= 1;
             return Admit::Overload;
         }
-        if st.active < shared.cfg.workers {
+        if let Some(cache) = st.idle.pop() {
             st.waiting -= 1;
-            st.active += 1;
-            return Admit::Granted;
+            return Admit::Granted(cache);
         }
         // Queued past the deadline: abandon without computing — a
         // doomed request must not occupy a worker.
@@ -502,37 +502,23 @@ fn admit(shared: &Shared, deadline: Option<Instant>) -> Admit {
     }
 }
 
-fn release(shared: &Shared) {
-    let mut st = lock(&shared.adm);
-    st.active = st.active.saturating_sub(1);
-    drop(st);
+/// Hand a slot back to admission with its cache.
+fn release(shared: &Shared, cache: AnalysisCache) {
+    lock(&shared.adm).idle.push(cache);
     shared.adm_cv.notify_all();
 }
 
-fn checkout_cache(shared: &Shared) -> AnalysisCache {
-    lock(&shared.caches).pop().unwrap_or_default()
-}
-
-fn checkin_cache(shared: &Shared, cache: AnalysisCache) {
-    let mut pool = lock(&shared.caches);
-    if pool.len() < shared.cfg.workers.max(1) {
-        pool.push(cache);
-    }
-}
-
-/// Parse + map + plan + simulate one nest under a token. Returns the
-/// entry to cache under `key`. Runs inside a `guarded` wrapper upstream.
+/// Parse + map + plan + simulate one nest under a token with the slot's
+/// analysis cache. Returns the entry to cache under `key`. Runs inside
+/// a `guarded` wrapper upstream.
 fn compute_entry(
-    shared: &Shared,
     p: &MapParams,
     key: &str,
     cancel: &CancelToken,
+    cache: &mut AnalysisCache,
 ) -> Result<PlanEntry, RescommError> {
     let nest = parse_nest(&p.src)?;
-    let mut cache = checkout_cache(shared);
-    let mapped = map_nest_cancellable(&nest, &MappingOptions::new(2), &mut cache, cancel);
-    checkin_cache(shared, cache);
-    let mapping = mapped?;
+    let mapping = map_nest_cancellable(&nest, &MappingOptions::new(2), cache, cancel)?;
     cancel.check("build_plan")?;
     let plan = build_plan(&nest, &mapping);
     cancel.check("simulate")?;
@@ -581,8 +567,8 @@ fn map_one(
     }
     shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    match admit(shared, deadline) {
-        Admit::Granted => {}
+    let mut cache = match admit(shared, deadline) {
+        Admit::Granted(cache) => cache,
         Admit::Overload => {
             return Err(Failure {
                 code: "overload",
@@ -597,15 +583,23 @@ fn map_one(
                 detail: "deadline expired while queued for admission".to_string(),
             })
         }
-    }
+    };
     let cancel = match deadline {
         Some(d) => CancelToken::with_deadline(d.saturating_duration_since(Instant::now())),
         None => CancelToken::none(),
     };
     // `guarded` so an internal panic becomes a structured `internal`
-    // error — the worker slot is released either way.
-    let outcome = guarded("serve_map", || compute_entry(shared, &p, &key, &cancel));
-    release(shared);
+    // error — the worker slot is released either way, with a fresh cache
+    // after a panic (the used one may be half-updated).
+    let outcome = guarded("serve_map", || compute_entry(&p, &key, &cancel, &mut cache));
+    release(
+        shared,
+        if outcome.is_ok() {
+            cache
+        } else {
+            AnalysisCache::new()
+        },
+    );
     let entry = match outcome {
         Ok(Ok(entry)) => entry,
         Ok(Err(e)) => return Err(e.into()),
@@ -673,7 +667,7 @@ fn handle_map_batch(shared: &Shared, id: &JsonValue, req: &JsonValue) -> Result<
 fn handle_stats(shared: &Shared, id: &JsonValue) -> String {
     let s = &shared.stats;
     let plan_entries = lock(&shared.plans).len();
-    let analysis_entries: usize = lock(&shared.caches).iter().map(|c| c.len()).sum();
+    let analysis_entries: usize = lock(&shared.adm).idle.iter().map(|c| c.len()).sum();
     let counters = [
         ("requests", &s.requests),
         ("computed", &s.computed),
@@ -980,11 +974,14 @@ impl Server {
                 }
             }
         }
+        let adm = AdmState {
+            idle: (0..cfg.workers).map(|_| AnalysisCache::new()).collect(),
+            waiting: 0,
+        };
         let shared = Arc::new(Shared {
             cfg,
-            caches: Mutex::new(Vec::new()),
             plans: Mutex::new(plans),
-            adm: Mutex::new(AdmState::default()),
+            adm: Mutex::new(adm),
             adm_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             dirty: AtomicU64::new(0),
@@ -1053,7 +1050,7 @@ impl Server {
         // Drain: wait for in-flight computations, then flush.
         loop {
             let st = lock(&shared.adm);
-            if st.active == 0 && st.waiting == 0 {
+            if st.idle.len() == shared.cfg.workers && st.waiting == 0 {
                 break;
             }
             drop(st);
@@ -1430,10 +1427,7 @@ mod tests {
         let shared = Arc::clone(&server.shared);
         let handle = server.spawn();
         // Occupy the only worker slot from the outside.
-        {
-            let mut st = lock(&shared.adm);
-            st.active = 1;
-        }
+        let slot = lock(&shared.adm).idle.pop().unwrap();
         let (mut r, mut w) = client(handle.addr);
         let resp = roundtrip(&mut r, &mut w, &map_req(1));
         assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(false)));
@@ -1443,11 +1437,7 @@ mod tests {
             Some("overload")
         );
         assert!(err.get("retry_after_ms").is_some());
-        {
-            let mut st = lock(&shared.adm);
-            st.active = 0;
-        }
-        shared.adm_cv.notify_all();
+        release(&shared, slot);
         // With the slot free the same request computes fine.
         let resp = roundtrip(&mut r, &mut w, &map_req(2));
         assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(true)), "{resp:?}");

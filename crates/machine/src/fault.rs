@@ -181,16 +181,9 @@ impl FaultPlan {
             && self.node_deaths.is_empty()
     }
 
-    /// Is `link` dead at time `t`?
-    #[inline]
-    pub fn link_dead_at(&self, link: usize, t: u64) -> bool {
-        self.link_outages
-            .iter()
-            .any(|o| o.link == link && o.from <= t && t < o.until)
-    }
-
     /// If `link` is inside an outage window at time `t`, the earliest
-    /// `until` among the active windows (the next time worth re-checking).
+    /// `until` among the active windows (the next time worth re-checking);
+    /// `None` when the link is up at `t`.
     pub fn link_outage_until(&self, link: usize, t: u64) -> Option<u64> {
         self.link_outages
             .iter()
@@ -199,20 +192,10 @@ impl FaultPlan {
             .min()
     }
 
-    /// Is `node` dead at time `t` — inside an outage window *or* past a
-    /// permanent death?
-    #[inline]
-    pub fn node_dead_at(&self, node: usize, t: u64) -> bool {
-        self.node_outages
-            .iter()
-            .any(|o| o.node == node && o.from <= t && t < o.until)
-            || self.node_deaths.iter().any(|d| d.node == node && t >= d.t)
-    }
-
     /// Earliest time ≥ `t` at which `node` is alive (nested / overlapping
-    /// windows are chased to a fixed point). A node past a permanent
-    /// death never comes back: the result is `u64::MAX`, consistent with
-    /// [`FaultPlan::node_dead_at`] returning `true` forever.
+    /// windows are chased to a fixed point), so the node is down at `t`
+    /// exactly when the result differs from `t`. A node past a permanent
+    /// death never comes back: the result is `u64::MAX`.
     pub fn node_alive_after(&self, node: usize, mut t: u64) -> u64 {
         loop {
             if self.node_deaths.iter().any(|d| d.node == node && t >= d.t) {
@@ -350,27 +333,35 @@ impl CompiledFaultPlan {
         let nodes = mesh.nodes();
         let (px, py) = (mesh.px, mesh.py);
 
+        // Each outage list is sorted once by (link or node, from) and
+        // cut into per-owner groups; `*_off[i + 1]` first counts owner
+        // `i`'s entries, and one prefix sweep turns counts into offsets.
+        let mut link_wins: Vec<(usize, u64, u64)> = plan
+            .link_outages
+            .iter()
+            .filter(|o| o.link < links && o.from < o.until)
+            .map(|o| (o.link, o.from, o.until))
+            .collect();
+        link_wins.sort_unstable();
         let mut link_segs = Vec::new();
-        let mut link_off = Vec::with_capacity(links + 1);
-        link_off.push(0u32);
-        let mut wins: Vec<(u64, u64)> = Vec::new();
-        for l in 0..links {
-            wins.clear();
-            wins.extend(
-                plan.link_outages
-                    .iter()
-                    .filter(|o| o.link == l && o.from < o.until)
-                    .map(|o| (o.from, o.until)),
-            );
-            let mut cuts: Vec<u64> = wins.iter().flat_map(|&(f, u)| [f, u]).collect();
+        let mut link_off = vec![0u32; links + 1];
+        let mut cuts: Vec<u64> = Vec::new();
+        for group in link_wins.chunk_by(|a, b| a.0 == b.0) {
+            cuts.clear();
+            cuts.extend(group.iter().flat_map(|&(_, f, u)| [f, u]));
             cuts.sort_unstable();
             cuts.dedup();
+            let before = link_segs.len();
             // A window covering any point of `[cut, next)` covers all of
             // it (its endpoints are themselves cuts), so the min-until on
-            // the segment is the min over windows covering its start.
+            // the segment is the min over windows covering its start —
+            // a prefix of the group, which is sorted by `from`.
             for c in cuts.windows(2) {
-                let covering = wins.iter().filter(|&&(f, u)| f <= c[0] && c[0] < u);
-                if let Some(min_until) = covering.map(|&(_, u)| u).min() {
+                let covering = group
+                    .iter()
+                    .take_while(|w| w.1 <= c[0])
+                    .filter(|w| c[0] < w.2);
+                if let Some(min_until) = covering.map(|w| w.2).min() {
                     link_segs.push(OutageSeg {
                         from: c[0],
                         until: c[1],
@@ -378,36 +369,35 @@ impl CompiledFaultPlan {
                     });
                 }
             }
-            link_off.push(link_segs.len() as u32);
+            link_off[group[0].0 + 1] = (link_segs.len() - before) as u32;
         }
 
-        let mut node_wins = Vec::new();
-        let mut node_off = Vec::with_capacity(nodes + 1);
-        node_off.push(0u32);
-        for n in 0..nodes {
-            wins.clear();
-            wins.extend(
-                plan.node_outages
-                    .iter()
-                    .filter(|o| o.node == n && o.from < o.until)
-                    .map(|o| (o.from, o.until)),
-            );
-            wins.sort_unstable();
-            let base = node_wins.len();
+        let mut node_wins_raw: Vec<(usize, u64, u64)> = plan
+            .node_outages
+            .iter()
+            .filter(|o| o.node < nodes && o.from < o.until)
+            .map(|o| (o.node, o.from, o.until))
+            .collect();
+        node_wins_raw.sort_unstable();
+        let mut node_wins: Vec<(u64, u64)> = Vec::new();
+        let mut node_off = vec![0u32; nodes + 1];
+        for group in node_wins_raw.chunk_by(|a, b| a.0 == b.0) {
+            let before = node_wins.len();
             // Merge touching windows too ([a, b) + [b, c) = [a, c)): the
             // oracle's chase steps from one window's `until` straight
             // into the next.
-            for &(f, u) in &wins {
-                if node_wins.len() > base {
-                    let last: &mut (u64, u64) = node_wins.last_mut().unwrap();
-                    if f <= last.1 {
-                        last.1 = last.1.max(u);
-                        continue;
-                    }
+            for &(_, f, u) in group {
+                match node_wins[before..].last_mut() {
+                    Some(last) if f <= last.1 => last.1 = last.1.max(u),
+                    _ => node_wins.push((f, u)),
                 }
-                node_wins.push((f, u));
             }
-            node_off.push(node_wins.len() as u32);
+            node_off[group[0].0 + 1] = (node_wins.len() - before) as u32;
+        }
+        for off in [&mut link_off, &mut node_off] {
+            for i in 1..off.len() {
+                off[i] += off[i - 1];
+            }
         }
 
         let mut death = vec![u64::MAX; nodes];
@@ -480,25 +470,6 @@ impl CompiledFaultPlan {
         }
     }
 
-    /// Compiled [`FaultPlan::link_dead_at`].
-    #[inline]
-    pub fn link_dead_at(&self, link: usize, t: u64) -> bool {
-        self.link_outage_until(link, t).is_some()
-    }
-
-    /// Compiled [`FaultPlan::node_dead_at`].
-    #[inline]
-    pub fn node_dead_at(&self, node: usize, t: u64) -> bool {
-        if self.death[node] != u64::MAX && t >= self.death[node] {
-            return true;
-        }
-        let wins = self.node_bucket(node);
-        match wins.partition_point(|w| w.0 <= t) {
-            0 => false,
-            i => t < wins[i - 1].1,
-        }
-    }
-
     /// Compiled [`FaultPlan::node_alive_after`]: the oracle's chase ends
     /// at the end of the merged window component containing `t` (or `t`
     /// itself outside every window), and reports `u64::MAX` exactly when
@@ -562,10 +533,17 @@ impl CompiledFaultPlan {
     }
 }
 
-/// Dense [`fold_target`] table for one dead set.
+/// Dense [`fold_target`] table for one dead set (a live node is its own
+/// target, the only one at distance 0, so only dead nodes search).
 fn fold_table(px: usize, py: usize, dead: &[usize]) -> Vec<u32> {
     (0..px * py)
-        .map(|n| fold_target(px, py, n, dead).map_or(u32::MAX, |t| t as u32))
+        .map(|n| {
+            if dead.contains(&n) {
+                fold_target(px, py, n, dead).map_or(u32::MAX, |t| t as u32)
+            } else {
+                n as u32
+            }
+        })
         .collect()
 }
 
@@ -717,11 +695,11 @@ mod tests {
             from: 100,
             until: 200,
         });
-        assert!(!p.link_dead_at(3, 99));
-        assert!(p.link_dead_at(3, 100));
-        assert!(p.link_dead_at(3, 199));
-        assert!(!p.link_dead_at(3, 200));
-        assert!(!p.link_dead_at(4, 150));
+        assert_eq!(p.link_outage_until(3, 99), None);
+        assert_eq!(p.link_outage_until(3, 100), Some(200));
+        assert_eq!(p.link_outage_until(3, 199), Some(200));
+        assert_eq!(p.link_outage_until(3, 200), None);
+        assert_eq!(p.link_outage_until(4, 150), None);
     }
 
     #[test]
@@ -747,12 +725,10 @@ mod tests {
         let mut p = FaultPlan::none();
         p.node_deaths.push(NodeDeath { node: 7, t: 1_000 });
         assert!(!p.is_zero_fault());
-        assert!(!p.node_dead_at(7, 999));
-        assert!(p.node_dead_at(7, 1_000));
-        assert!(p.node_dead_at(7, u64::MAX));
-        assert!(!p.node_dead_at(8, 1_000));
         assert_eq!(p.node_alive_after(7, 999), 999);
         assert_eq!(p.node_alive_after(7, 1_000), u64::MAX);
+        assert_eq!(p.node_alive_after(7, u64::MAX - 1), u64::MAX);
+        assert_eq!(p.node_alive_after(8, 1_000), 1_000);
         assert_eq!(p.death_time(7), Some(1_000));
         assert_eq!(p.death_time(8), None);
     }
@@ -769,10 +745,9 @@ mod tests {
             until: 200,
         });
         p.node_deaths.push(NodeDeath { node: 3, t: 200 });
-        assert!(p.node_dead_at(3, 150));
-        assert!(p.node_dead_at(3, 200));
         assert_eq!(p.node_alive_after(3, 150), u64::MAX);
-        // Death *inside* the window: same answer — dead_at stays true
+        assert_eq!(p.node_alive_after(3, 200), u64::MAX);
+        // Death *inside* the window: same answer — the node stays down
         // across the `until` boundary where the window alone would end.
         let mut q = FaultPlan::none();
         q.node_outages.push(NodeOutage {
@@ -781,8 +756,8 @@ mod tests {
             until: 200,
         });
         q.node_deaths.push(NodeDeath { node: 3, t: 150 });
-        assert!(q.node_dead_at(3, 199));
-        assert!(q.node_dead_at(3, 200));
+        assert_eq!(q.node_alive_after(3, 199), u64::MAX);
+        assert_eq!(q.node_alive_after(3, 200), u64::MAX);
         assert_eq!(q.node_alive_after(3, 120), u64::MAX);
         assert_eq!(q.node_alive_after(3, 99), 99);
         // Death strictly after the window: the chase exits the window
@@ -795,8 +770,8 @@ mod tests {
         });
         r.node_deaths.push(NodeDeath { node: 3, t: 300 });
         assert_eq!(r.node_alive_after(3, 150), 200);
-        assert!(!r.node_dead_at(3, 250));
-        assert!(r.node_dead_at(3, 300));
+        assert_eq!(r.node_alive_after(3, 250), 250);
+        assert_eq!(r.node_alive_after(3, 300), u64::MAX);
     }
 
     #[test]
@@ -930,8 +905,7 @@ mod tests {
                 p.link_outage_until(3, t),
                 "t = {t}"
             );
-            assert_eq!(c.link_dead_at(3, t), p.link_dead_at(3, t), "t = {t}");
-            assert_eq!(c.link_dead_at(4, t), p.link_dead_at(4, t));
+            assert_eq!(c.link_outage_until(4, t), p.link_outage_until(4, t));
         }
         assert_eq!(c.link_outage_until(3, 60), Some(100));
         assert!(c.has_link_outages());
@@ -957,11 +931,6 @@ mod tests {
                 assert_eq!(
                     c.node_alive_after(node, t),
                     p.node_alive_after(node, t),
-                    "node {node} t {t}"
-                );
-                assert_eq!(
-                    c.node_dead_at(node, t),
-                    p.node_dead_at(node, t),
                     "node {node} t {t}"
                 );
             }

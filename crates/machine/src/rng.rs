@@ -4,8 +4,8 @@
 //! `rand` crate in the build image), so drops and duplications are drawn
 //! from this xorshift64* generator seeded explicitly by the
 //! [`crate::FaultPlan`]. The same seed always yields the same fault
-//! sequence, which is what makes `faultsweep` curves and the CI smoke
-//! step deterministic.
+//! sequence, which is what makes `faultsweep` curves and the committed
+//! `BENCH_*.json` artifacts that `--check` compares deterministic.
 
 /// xorshift64* — tiny, fast, and good enough for fault sampling.
 #[derive(Debug, Clone)]

@@ -350,7 +350,10 @@ proptest! {
     }
 
     /// The compiled plan answers every outage/liveness query exactly like
-    /// the per-call scans it replaces.
+    /// the per-call scans it replaces, and both agree on the half-open
+    /// windows and the death boundary: a link is down at `t` exactly when
+    /// a raw window holds `t`, a node exactly when a window holds `t` or
+    /// its death is at or before `t`.
     #[test]
     fn compiled_plan_lookups_match(
         plan in plans(),
@@ -364,16 +367,21 @@ proptest! {
         }
         let compiled = CompiledFaultPlan::new(&plan, &mesh);
         for (link, node, t) in queries {
-            prop_assert_eq!(compiled.link_dead_at(link, t), plan.link_dead_at(link, t));
-            prop_assert_eq!(
-                compiled.link_outage_until(link, t),
-                plan.link_outage_until(link, t)
-            );
-            prop_assert_eq!(compiled.node_dead_at(node, t), plan.node_dead_at(node, t));
-            prop_assert_eq!(
-                compiled.node_alive_after(node, t),
-                plan.node_alive_after(node, t)
-            );
+            let link_down = plan
+                .link_outages
+                .iter()
+                .any(|o| o.link == link && o.from <= t && t < o.until);
+            let node_down = plan
+                .node_outages
+                .iter()
+                .any(|o| o.node == node && o.from <= t && t < o.until)
+                || plan.node_deaths.iter().any(|d| d.node == node && t >= d.t);
+            let until = compiled.link_outage_until(link, t);
+            prop_assert_eq!(until, plan.link_outage_until(link, t));
+            prop_assert_eq!(until.is_some(), link_down);
+            let alive = compiled.node_alive_after(node, t);
+            prop_assert_eq!(alive, plan.node_alive_after(node, t));
+            prop_assert_eq!(alive != t, node_down);
         }
     }
 
