@@ -15,8 +15,9 @@
 //!   rejections (default 16)
 //! * `--snapshot PATH` plan-cache snapshot file; enables crash-safe
 //!   restarts (restored entries are re-verified by re-simulation)
-//! * `--snapshot-every N`        flush after every N computations
-//!   (default 32; 0 = interval/shutdown only)
+//! * `--snapshot-every N`        flush after every N computations; the
+//!   Nth is answered only after the write (default 32; 0 =
+//!   interval/shutdown only)
 //! * `--snapshot-interval-ms N`  flush interval when dirty
 //!   (default 5000; 0 = no interval flushes)
 //! * `--deadline-ms N` default per-request deadline for requests that

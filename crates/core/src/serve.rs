@@ -45,7 +45,9 @@
 //!   shape could exhaust memory and abort the process.
 //! * **Snapshots.** The plan cache checkpoints to disk (atomic
 //!   write-then-rename) every `snapshot_every` completed computations,
-//!   on an interval, on `shutdown` (drain first), and on demand. Each
+//!   on an interval, on `shutdown` (drain first), and on demand, always
+//!   through one writer, so writes never interleave and the newest state
+//!   wins. The computation that triggers a write is answered after it. Each
 //!   entry is `{key, digest, result, plan}`: the key is the canonical
 //!   request object, so it alone holds the machine spec, and the served
 //!   `result` alone holds the makespan. A restarted server — even after
@@ -93,7 +95,8 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Plan-cache snapshot file; `None` disables durability.
     pub snapshot_path: Option<PathBuf>,
-    /// Flush the snapshot after this many completed computations
+    /// Flush the snapshot after this many completed computations; the
+    /// one that reaches the count is answered only after the write
     /// (0 = only on interval/shutdown/demand).
     pub snapshot_every: u64,
     /// Flush the snapshot at this interval when dirty.
@@ -157,11 +160,14 @@ fn entry_digest(key: &str, result_json: &str, plan_json: &str) -> String {
 /// The bounded LRU plan cache. Recency is a monotonically increasing
 /// clock stamp per entry; `by_age` indexes stamp → key so eviction pops
 /// the stalest entry in O(log n) instead of scanning the whole map.
+/// Keys and entries are shared, so a snapshot copies pointers, not bytes.
 struct PlanCache {
     cap: usize,
     clock: u64,
-    map: HashMap<String, (u64, PlanEntry)>,
-    by_age: BTreeMap<u64, String>,
+    map: HashMap<Arc<str>, (u64, Arc<PlanEntry>)>,
+    by_age: BTreeMap<u64, Arc<str>>,
+    /// Computations stored since the snapshot file last held them.
+    dirty: u64,
 }
 
 impl PlanCache {
@@ -171,6 +177,7 @@ impl PlanCache {
             clock: 0,
             map: HashMap::new(),
             by_age: BTreeMap::new(),
+            dirty: 0,
         }
     }
 
@@ -183,17 +190,19 @@ impl PlanCache {
         self.clock += 1;
         let clock = self.clock;
         let (stamp, entry) = self.map.get_mut(key)?;
-        self.by_age.remove(stamp);
-        self.by_age.insert(clock, key.to_string());
+        let key = self.by_age.remove(stamp).expect("every entry has an age");
+        self.by_age.insert(clock, key);
         *stamp = clock;
-        Some(entry)
+        Some(&**entry)
     }
 
     /// Insert (or replace) an entry, evicting least-recently-used
     /// entries past the cap. Returns how many were evicted.
     fn insert(&mut self, key: String, entry: PlanEntry) -> u64 {
         self.clock += 1;
-        if let Some((old_stamp, _)) = self.map.insert(key.clone(), (self.clock, entry)) {
+        let key: Arc<str> = key.into();
+        let stamped = (self.clock, Arc::new(entry));
+        if let Some((old_stamp, _)) = self.map.insert(Arc::clone(&key), stamped) {
             self.by_age.remove(&old_stamp);
         }
         self.by_age.insert(self.clock, key);
@@ -242,9 +251,10 @@ struct Shared {
     plans: Mutex<PlanCache>,
     adm: Mutex<AdmState>,
     adm_cv: Condvar,
+    /// Held by the one snapshot writer ([`flush_snapshot`]).
+    writer: Mutex<()>,
+    writer_cv: Condvar,
     shutdown: AtomicBool,
-    /// Completed computations since the last flush.
-    dirty: AtomicU64,
     stats: Stats,
 }
 
@@ -452,54 +462,37 @@ fn render_result(
     .render()
 }
 
-/// The admission decision for one computation slot.
-enum Admit {
-    /// The slot's warm cache, to hand back through [`release`].
-    Granted(AnalysisCache),
-    Overload,
-    DeadlineExpired,
-}
-
-fn admit(shared: &Shared, deadline: Option<Instant>) -> Admit {
+/// Grant a slot — its warm cache, to hand back through [`release`] — or
+/// queue until `release` frees one, [`begin_shutdown`] closes admission
+/// or the deadline passes: a request queued past its deadline is
+/// abandoned, as a doomed request must not occupy a worker.
+fn admit(shared: &Shared, deadline: Option<Instant>) -> Result<AnalysisCache, Failure> {
+    let overload = || Failure {
+        code: "overload",
+        exit_code: 1,
+        detail: "admission queue full (or draining); retry later".to_string(),
+    };
     let mut st = lock(&shared.adm);
-    if shared.shutdown.load(Ordering::Acquire) {
-        return Admit::Overload;
+    if st.idle.is_empty() && st.waiting >= shared.cfg.max_queue {
+        return Err(overload());
     }
-    if let Some(cache) = st.idle.pop() {
-        return Admit::Granted(cache);
-    }
-    if st.waiting >= shared.cfg.max_queue {
-        return Admit::Overload;
-    }
+    let now = Instant::now();
+    let left = deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(now));
+    let closed = || shared.shutdown.load(Ordering::Acquire);
     st.waiting += 1;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            st.waiting -= 1;
-            return Admit::Overload;
-        }
-        if let Some(cache) = st.idle.pop() {
-            st.waiting -= 1;
-            return Admit::Granted(cache);
-        }
-        // Queued past the deadline: abandon without computing — a
-        // doomed request must not occupy a worker.
-        let wait_for = match deadline {
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    st.waiting -= 1;
-                    return Admit::DeadlineExpired;
-                }
-                (d - now).min(Duration::from_millis(50))
-            }
-            None => Duration::from_millis(50),
-        };
-        let (guard, _) = shared
-            .adm_cv
-            .wait_timeout(st, wait_for)
-            .unwrap_or_else(|e| e.into_inner());
-        st = guard;
+    let waited = shared
+        .adm_cv
+        .wait_timeout_while(st, left, |st| st.idle.is_empty() && !closed());
+    let (mut st, _) = waited.unwrap_or_else(|e| e.into_inner());
+    st.waiting -= 1;
+    if closed() {
+        return Err(overload());
     }
+    st.idle.pop().ok_or_else(|| Failure {
+        code: "deadline",
+        exit_code: 6,
+        detail: "deadline expired while queued for admission".to_string(),
+    })
 }
 
 /// Hand a slot back to admission with its cache.
@@ -567,23 +560,7 @@ fn map_one(
     }
     shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    let mut cache = match admit(shared, deadline) {
-        Admit::Granted(cache) => cache,
-        Admit::Overload => {
-            return Err(Failure {
-                code: "overload",
-                exit_code: 1,
-                detail: "admission queue full (or draining); retry later".to_string(),
-            })
-        }
-        Admit::DeadlineExpired => {
-            return Err(Failure {
-                code: "deadline",
-                exit_code: 6,
-                detail: "deadline expired while queued for admission".to_string(),
-            })
-        }
-    };
+    let mut cache = admit(shared, deadline)?;
     let cancel = match deadline {
         Some(d) => CancelToken::with_deadline(d.saturating_duration_since(Instant::now())),
         None => CancelToken::none(),
@@ -591,35 +568,35 @@ fn map_one(
     // `guarded` so an internal panic becomes a structured `internal`
     // error — the worker slot is released either way, with a fresh cache
     // after a panic (the used one may be half-updated).
-    let outcome = guarded("serve_map", || compute_entry(&p, &key, &cancel, &mut cache));
-    release(
-        shared,
-        if outcome.is_ok() {
-            cache
-        } else {
-            AnalysisCache::new()
-        },
-    );
-    let entry = match outcome {
-        Ok(Ok(entry)) => entry,
-        Ok(Err(e)) => return Err(e.into()),
+    let stored = match guarded("serve_map", || compute_entry(&p, &key, &cancel, &mut cache)) {
+        Ok(Ok(entry)) => {
+            // Stored before the slot goes back, so a drain that finds
+            // every slot idle finds every computed entry.
+            let result = entry.result_json.clone();
+            let mut plans = lock(&shared.plans);
+            let evicted = plans.insert(key, entry);
+            plans.dirty += 1;
+            Ok((result, evicted, plans.dirty))
+        }
+        Ok(Err(e)) => Err(e.into()),
         Err(incident) => {
-            return Err(Failure {
+            cache = AnalysisCache::new();
+            Err(Failure {
                 code: "internal",
                 exit_code: 1,
                 detail: format!("absorbed internal panic: {}", incident.detail),
             })
         }
     };
-
-    let result = entry.result_json.clone();
-    let evicted = lock(&shared.plans).insert(key, entry);
+    release(shared, cache);
+    let (result, evicted, dirty) = stored?;
     let s = &shared.stats;
     s.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
     s.computed.fetch_add(1, Ordering::Relaxed);
-    let dirty = shared.dirty.fetch_add(1, Ordering::AcqRel) + 1;
+    // The answer waits for a write that holds this entry: ours, or an
+    // earlier writer's that cleared the count.
     if shared.cfg.snapshot_every > 0 && dirty >= shared.cfg.snapshot_every {
-        flush_snapshot(shared);
+        flush_snapshot(shared, &lock(&shared.writer), true);
     }
     Ok(("fresh", result))
 }
@@ -724,7 +701,7 @@ fn handle_line(shared: &Shared, line: &str) -> String {
         Some("map_batch") => handle_map_batch(shared, &id, &req),
         Some("stats") => Ok(handle_stats(shared, &id)),
         Some("snapshot") => {
-            let flushed = flush_snapshot(shared);
+            let flushed = flush_snapshot(shared, &lock(&shared.writer), false);
             let entries = lock(&shared.plans).len();
             let result = JsonValue::object([
                 ("flushed", JsonValue::Bool(flushed)),
@@ -733,8 +710,7 @@ fn handle_line(shared: &Shared, line: &str) -> String {
             Ok(ok_response(&id, "fresh", &result.render()))
         }
         Some("shutdown") => {
-            shared.shutdown.store(true, Ordering::Release);
-            shared.adm_cv.notify_all();
+            begin_shutdown(shared);
             Ok(ok_response(&id, "fresh", "{\"draining\": true}"))
         }
         Some(other) => Err(Failure::protocol(format!("unknown op {other:?}"))),
@@ -745,19 +721,17 @@ fn handle_line(shared: &Shared, line: &str) -> String {
 
 // --- snapshot persistence --------------------------------------------------
 
-/// Render the plan cache as one snapshot document. Every part of an
+/// Render plan-cache entries as one snapshot document. Every part of an
 /// entry is already rendered JSON and is spliced verbatim, the way
 /// [`ok_response`] splices `result_json`.
-fn snapshot_doc(plans: &PlanCache) -> String {
+fn snapshot_doc(mut entries: Vec<(Arc<str>, Arc<PlanEntry>)>) -> String {
     // Deterministic entry order so back-to-back flushes of the same
     // state write the same bytes.
-    let mut keys: Vec<&String> = plans.map.keys().collect();
-    keys.sort();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut doc = format!(
         "{{\"format\": \"{SNAPSHOT_FORMAT}\", \"version\": {SNAPSHOT_VERSION}, \"entries\": ["
     );
-    for (i, k) in keys.into_iter().enumerate() {
-        let (_, e) = &plans.map[k];
+    for (i, (k, e)) in entries.iter().enumerate() {
         let sep = if i > 0 { ", " } else { "" };
         let _ = write!(
             doc,
@@ -769,19 +743,31 @@ fn snapshot_doc(plans: &PlanCache) -> String {
     doc
 }
 
-/// Write the snapshot atomically (tmp + rename). Returns `true` when a
-/// file was written. Failures are reported to stderr, never raised — a
-/// full disk must not take the serving path down.
-fn flush_snapshot(shared: &Shared) -> bool {
+/// Write the snapshot atomically (tmp + rename) under the `writer` lock,
+/// so writes never interleave and each copies a newer state than the
+/// last; hits wait only for the copy. `skip_if_clean` skips the write
+/// when every stored computation is already on disk. Returns `true`
+/// when a file was written. Failures are reported to stderr, never
+/// raised — a full disk must not take the serving path down.
+fn flush_snapshot(shared: &Shared, _writer: &MutexGuard<'_, ()>, skip_if_clean: bool) -> bool {
     let Some(path) = &shared.cfg.snapshot_path else {
         return false;
     };
-    let doc = snapshot_doc(&lock(&shared.plans));
+    let (entries, dirty) = {
+        let plans = lock(&shared.plans);
+        if skip_if_clean && plans.dirty == 0 {
+            return false;
+        }
+        let pairs = plans.map.iter().map(|(k, (_, e))| (k.clone(), e.clone()));
+        (pairs.collect(), plans.dirty)
+    };
     let tmp = path.with_extension("tmp");
-    let result = std::fs::write(&tmp, &doc).and_then(|()| std::fs::rename(&tmp, path));
+    let result =
+        std::fs::write(&tmp, snapshot_doc(entries)).and_then(|()| std::fs::rename(&tmp, path));
     match result {
         Ok(()) => {
-            shared.dirty.store(0, Ordering::Release);
+            // Computations stored during the write stay counted.
+            lock(&shared.plans).dirty -= dirty;
             shared
                 .stats
                 .snapshot_flushes
@@ -940,10 +926,19 @@ impl ServerHandle {
     /// Ask the server to drain and stop (as the `shutdown` op does),
     /// then wait for it.
     pub fn stop(self) -> std::io::Result<()> {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.adm_cv.notify_all();
+        begin_shutdown(&self.shared);
         self.thread.join().unwrap_or(Ok(()))
     }
+}
+
+/// Close admission and wake every condvar waiter. Each lock is taken
+/// after the store, so a waiter that saw the flag unset is waiting.
+fn begin_shutdown(shared: &Shared) {
+    shared.shutdown.store(true, Ordering::Release);
+    drop(lock(&shared.adm));
+    shared.adm_cv.notify_all();
+    drop(lock(&shared.writer));
+    shared.writer_cv.notify_all();
 }
 
 impl Server {
@@ -952,15 +947,13 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let mut plans = PlanCache::new(cfg.plan_cache_cap);
-        let mut restored = 0u64;
         if let Some(path) = &cfg.snapshot_path {
             if path.exists() {
                 match load_snapshot(path, cfg.workers.max(1)) {
                     Ok(p) => {
-                        restored = p.len() as u64;
                         for (key, entry) in p {
                             // A snapshot larger than the cap degrades to
-                            // the freshest cap entries, silently.
+                            // the freshest cap entries.
                             plans.insert(key, entry);
                         }
                     }
@@ -978,13 +971,16 @@ impl Server {
             idle: (0..cfg.workers).map(|_| AnalysisCache::new()).collect(),
             waiting: 0,
         };
+        // What the cache kept: no duplicate key or entry past the cap.
+        let restored = plans.len() as u64;
         let shared = Arc::new(Shared {
             cfg,
             plans: Mutex::new(plans),
             adm: Mutex::new(adm),
             adm_cv: Condvar::new(),
+            writer: Mutex::new(()),
+            writer_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            dirty: AtomicU64::new(0),
             stats: Stats::default(),
         });
         shared
@@ -1009,55 +1005,42 @@ impl Server {
     }
 
     /// Serve until a `shutdown` op (or [`ServerHandle::stop`]) drains the
-    /// server; flushes a final snapshot on the way out.
+    /// server; flushes a final snapshot on the way out. A failed `accept`
+    /// drains the same way before its error is returned.
     pub fn run(self) -> std::io::Result<()> {
         let Server {
             listener, shared, ..
         } = self;
         listener.set_nonblocking(true)?;
-
-        // Interval flusher.
-        if shared.cfg.snapshot_path.is_some() {
-            if let Some(interval) = shared.cfg.snapshot_interval {
-                let flusher = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut last = Instant::now();
-                    while !flusher.shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(25).min(interval));
-                        if last.elapsed() >= interval && flusher.dirty.load(Ordering::Acquire) > 0 {
-                            flush_snapshot(&flusher);
-                            last = Instant::now();
-                        }
+        std::thread::scope(|scope| {
+            if let (Some(_), Some(interval)) =
+                (&shared.cfg.snapshot_path, shared.cfg.snapshot_interval)
+            {
+                let shared = &shared;
+                scope.spawn(move || interval_flusher(shared, interval));
+            }
+            let mut accepted = Ok(());
+            while accepted.is_ok() && !shared.shutdown.load(Ordering::Acquire) {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let conn = Arc::clone(&shared);
+                        std::thread::spawn(move || serve_connection(&conn, stream));
                     }
-                });
-            }
-        }
-
-        while !shared.shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let conn = Arc::clone(&shared);
-                    std::thread::spawn(move || serve_connection(&conn, stream));
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => accepted = Err(e),
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
-        }
-
-        // Drain: wait for in-flight computations, then flush.
-        loop {
-            let st = lock(&shared.adm);
-            if st.idle.len() == shared.cfg.workers && st.waiting == 0 {
-                break;
-            }
-            drop(st);
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        flush_snapshot(&shared);
-        Ok(())
+            begin_shutdown(&shared);
+            // Drain: no slot is granted past shutdown, so once `release`
+            // has returned every slot the final write holds every entry.
+            let busy = |st: &mut AdmState| st.idle.len() < shared.cfg.workers;
+            drop(shared.adm_cv.wait_while(lock(&shared.adm), busy));
+            flush_snapshot(&shared, &lock(&shared.writer), false);
+            accepted
+        })
     }
 
     /// [`Server::run`] on a background thread.
@@ -1070,6 +1053,21 @@ impl Server {
             thread,
             shared,
         }
+    }
+}
+
+/// Flush a dirty cache every `interval` until shutdown wakes it.
+/// Waiting releases the writer lock, even when the interval is 0.
+fn interval_flusher(shared: &Shared, interval: Duration) {
+    let open = |_: &mut ()| !shared.shutdown.load(Ordering::Acquire);
+    let mut writer = lock(&shared.writer);
+    loop {
+        let waited = shared.writer_cv.wait_timeout_while(writer, interval, open);
+        match waited.unwrap_or_else(|e| e.into_inner()) {
+            (guard, timeout) if timeout.timed_out() => writer = guard,
+            _ => return,
+        }
+        flush_snapshot(shared, &writer, true);
     }
 }
 
@@ -1326,7 +1324,7 @@ mod tests {
         let key = part("key");
         let forged_key = key.replace("\"mesh\": [4, 4]", "\"mesh\": [1048576, 1048576]");
         assert_ne!(forged_key, key);
-        let mut plans = PlanCache::new(0);
+        let mut plans = Vec::new();
         for k in [key, forged_key] {
             let (result_json, plan_json) = (part("result"), part("plan"));
             let entry = PlanEntry {
@@ -1335,9 +1333,9 @@ mod tests {
                 plan_json,
                 from_snapshot: false,
             };
-            plans.insert(k, entry);
+            plans.push((k.into(), Arc::new(entry)));
         }
-        let forged_doc = snapshot_doc(&plans);
+        let forged_doc = snapshot_doc(plans);
         assert!(
             forged_doc.find("1048576") < forged_doc.find("\"mesh\": [4, 4]"),
             "the forged entry comes first"
@@ -1510,5 +1508,237 @@ mod tests {
             .and_then(JsonValue::as_str)
             .is_some_and(|d| d.contains("exceeds")));
         handle.stop().unwrap();
+    }
+
+    /// A `map` of [`NEST`] on a 4×4 mesh; `bytes` is part of the key, so
+    /// each value is a distinct plan-cache entry.
+    fn bytes_req(bytes: u64) -> String {
+        let nest = JsonValue::Str(NEST.to_string()).render();
+        format!("{{\"op\": \"map\", \"nest\": {nest}, \"mesh\": [4, 4], \"bytes\": {bytes}}}")
+    }
+
+    fn key_of(req: &str) -> String {
+        parse_map_params(&parse(req).unwrap(), NEST).unwrap().key()
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rescomm-serve-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn concurrent_flushes_never_tear_or_lose_an_answered_entry() {
+        let dir = scratch_dir("flush");
+        let path = dir.join("plans.json");
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServerConfig {
+            workers: 4,
+            snapshot_path: Some(path.clone()),
+            snapshot_every: 1,
+            snapshot_interval: None,
+            ..ServerConfig::default()
+        };
+        let handle = Server::bind(cfg).unwrap().spawn();
+        let (clients, misses) = (4, 40);
+        let start = std::sync::Barrier::new(clients as usize);
+        std::thread::scope(|s| {
+            for c in 0..clients {
+                let (addr, path, start) = (handle.addr, &path, &start);
+                s.spawn(move || {
+                    let (mut r, mut w) = client(addr);
+                    start.wait();
+                    for i in 0..misses {
+                        let req = bytes_req(64 + c * misses + i);
+                        let resp = roundtrip(&mut r, &mut w, &req);
+                        let served = resp.get("served").and_then(JsonValue::as_str);
+                        assert_eq!(served, Some("fresh"), "{resp:?}");
+                        // The answer is out: the live file must be whole
+                        // and already hold its entry.
+                        let text = std::fs::read_to_string(path).unwrap();
+                        let doc = parse(&text).unwrap_or_else(|e| panic!("torn snapshot: {e}"));
+                        let entries = doc.get("entries").and_then(JsonValue::as_array).unwrap();
+                        let key = key_of(&req);
+                        assert!(
+                            entries
+                                .iter()
+                                .any(|e| e.get("key").unwrap().render() == key),
+                            "answered entry {} missing from the snapshot",
+                            64 + c * misses + i
+                        );
+                    }
+                });
+            }
+        });
+        handle.stop().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restored_entries_counts_what_the_capped_cache_keeps() {
+        let dir = scratch_dir("cap");
+        let path = dir.join("plans.json");
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServerConfig {
+            snapshot_path: Some(path),
+            snapshot_every: 1,
+            ..ServerConfig::default()
+        };
+        let handle = Server::bind(cfg.clone()).unwrap().spawn();
+        let (mut r, mut w) = client(handle.addr);
+        for bytes in [64, 128, 256] {
+            roundtrip(&mut r, &mut w, &bytes_req(bytes));
+        }
+        drop((r, w));
+        handle.stop().unwrap();
+
+        let server = Server::bind(ServerConfig {
+            plan_cache_cap: 2,
+            ..cfg
+        })
+        .unwrap();
+        assert_eq!(server.restored_entries(), 2);
+        let handle = server.spawn();
+        let (mut r, mut w) = client(handle.addr);
+        let stats = roundtrip(&mut r, &mut w, "{\"op\": \"stats\"}");
+        let field = |k: &str| stats.get("result").and_then(|s| s.get(k)?.as_u64());
+        assert_eq!(field("restored_entries"), Some(2));
+        assert_eq!(field("plan_entries"), Some(2));
+        handle.stop().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queued_admissions_wake_on_release_deadline_and_shutdown() {
+        let cfg = ServerConfig {
+            workers: 1,
+            max_queue: 4,
+            ..ServerConfig::default()
+        };
+        let shared = Server::bind(cfg).unwrap().shared;
+        let queued = || {
+            while lock(&shared.adm).waiting == 0 {
+                std::thread::yield_now();
+            }
+        };
+        let code = |r: Result<AnalysisCache, Failure>| r.err().map(|f| f.code);
+        let slot = admit(&shared, None).ok().expect("an idle slot");
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert_eq!(code(admit(&shared, Some(soon))), Some("deadline"));
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| admit(&shared, None).ok());
+            queued();
+            release(&shared, slot);
+            let slot = waiter.join().unwrap().expect("release wakes the queue");
+            let waiter = s.spawn(|| code(admit(&shared, None)));
+            queued();
+            begin_shutdown(&shared);
+            assert_eq!(waiter.join().unwrap(), Some("overload"));
+            release(&shared, slot);
+        });
+    }
+
+    #[test]
+    fn stop_wakes_the_interval_flusher_and_the_drain_writes_last() {
+        let dir = scratch_dir("drain");
+        let path = dir.join("plans.json");
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServerConfig {
+            snapshot_path: Some(path.clone()),
+            snapshot_every: 0,
+            snapshot_interval: Some(Duration::from_secs(3600)),
+            ..ServerConfig::default()
+        };
+        let handle = Server::bind(cfg).unwrap().spawn();
+        let (mut r, mut w) = client(handle.addr);
+        let fresh = roundtrip(&mut r, &mut w, &map_req(1));
+        assert!(!path.exists(), "no write is due before the drain");
+        drop((r, w));
+        // Returns only because shutdown wakes the flusher's hour-long wait.
+        handle.stop().unwrap();
+        let doc = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let entries = doc.get("entries").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].get("result"), fresh.get("result"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Six real entries, each with its key, computed once.
+    fn fresh_entries() -> &'static [(String, PlanEntry)] {
+        static FRESH: std::sync::OnceLock<Vec<(String, PlanEntry)>> = std::sync::OnceLock::new();
+        FRESH.get_or_init(|| {
+            (0..6)
+                .map(|i| {
+                    let key = key_of(&bytes_req(64 << i));
+                    let p = parse_map_params(&parse(&key).unwrap(), NEST).unwrap();
+                    let cancel = CancelToken::none();
+                    let entry = compute_entry(&p, &key, &cancel, &mut AnalysisCache::new());
+                    (key, entry.unwrap())
+                })
+                .collect()
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Hostile snapshot files: a real snapshot of 3–6 entries with its
+        /// entries reordered and duplicated, then optionally one bit
+        /// flipped or the file cut at any byte. Restore never panics and
+        /// keeps only entries whose bytes are the fresh ones; reordering
+        /// and duplicating alone keep every key.
+        #[test]
+        fn hostile_snapshot_files_restore_only_fresh_bytes(
+            n in 3usize..7,
+            order in proptest::collection::vec(any::<u64>(), 6),
+            dups in proptest::collection::vec((0usize..6, 0usize..9), 0..3),
+            damage in 0u8..3,
+            at in any::<u64>(),
+            bit in 0u32..8,
+        ) {
+            let fresh = &fresh_entries()[..n];
+            let shared = fresh.iter().map(|(k, e)| (k.as_str().into(), Arc::new(e.clone())));
+            let doc = parse(&snapshot_doc(shared.collect())).unwrap();
+            let entries = doc.get("entries").and_then(JsonValue::as_array).unwrap();
+            let mut idx: Vec<usize> = (0..n).collect();
+            idx.sort_by_key(|&i| order[i]);
+            let mut list: Vec<JsonValue> = idx.iter().map(|&i| entries[i].clone()).collect();
+            for (src, pos) in dups {
+                let e = list[src % n].clone();
+                list.insert(pos % (list.len() + 1), e);
+            }
+            let header = |k: &str| doc.get(k).unwrap().clone();
+            let file = JsonValue::object([
+                ("format", header("format")),
+                ("version", header("version")),
+                ("entries", JsonValue::Array(list)),
+            ]);
+            let mut bytes = file.render().into_bytes();
+            let at = (at % bytes.len() as u64) as usize;
+            match damage {
+                1 => bytes[at] ^= 1 << bit,
+                2 => bytes.truncate(at),
+                _ => {}
+            }
+            let path = std::env::temp_dir()
+                .join(format!("rescomm-serve-hostile-{}.json", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let kept = load_snapshot(&path, 2).unwrap_or_default();
+            let _ = std::fs::remove_file(&path);
+            for (key, entry) in &kept {
+                let want = fresh.iter().find(|(k, _)| k == key).map(|(_, e)| e);
+                prop_assert!(want.is_some(), "kept a key no fresh entry has: {key}");
+                let want = want.unwrap();
+                prop_assert_eq!(&entry.result_json, &want.result_json);
+                prop_assert_eq!(&entry.plan_json, &want.plan_json);
+            }
+            if damage == 0 {
+                for (key, _) in fresh {
+                    prop_assert!(kept.iter().any(|(k, _)| k == key), "lost {key}");
+                }
+            }
+        }
     }
 }
