@@ -123,8 +123,14 @@ impl Alignment {
     /// The linear parts are compared first, and a mismatch there never
     /// evaluates the constant term.
     pub fn is_local(&self, nest: &LoopNest, access: &Access) -> bool {
-        self.is_linear_local(nest, access)
-            && self.stmt_alloc[access.stmt.0].rho == self.owner_offset(access)
+        self.is_linear_local(nest, access) && self.is_offset_local(access)
+    }
+
+    /// Locality of only the *constant* part (`ρ_S = M_x·c + ρ_x`). An
+    /// access whose linear part is local is local when this holds and a
+    /// translation otherwise.
+    pub fn is_offset_local(&self, access: &Access) -> bool {
+        self.stmt_alloc[access.stmt.0].rho == self.owner_offset(access)
     }
 
     /// Locality of only the *linear* part (`M_S = M_x·F`): the paper's

@@ -12,7 +12,7 @@
 use crate::pipeline::{CommOutcome, Mapping, MappingOptions};
 use rescomm_alignment::{Alignment, Alloc};
 use rescomm_intlin::{kernel_intersection, solve_xf_eq_s_fullrank, IMat};
-use rescomm_loopnest::{AccessKind, LoopNest};
+use rescomm_loopnest::{AccessKind, LoopNest, StmtId};
 use rescomm_macrocomm::{detect, Extent, MacroInput};
 use std::collections::HashMap;
 
@@ -35,11 +35,12 @@ pub fn feautrier_map(nest: &LoopNest, m: usize) -> Result<Mapping, crate::error:
 pub fn platonoff_map(nest: &LoopNest, m: usize) -> Mapping {
     // Step 1-2: statement allocations preserving broadcast directions.
     let mut stmt_alloc: Vec<Alloc> = Vec::with_capacity(nest.statements.len());
+    let by_stmt = nest.by_stmt();
     for (si, st) in nest.statements.iter().enumerate() {
         let d = st.depth;
         // Broadcast directions of this statement's reads.
         let mut dirs: Vec<Vec<i64>> = Vec::new();
-        for acc in nest.accesses_of(rescomm_loopnest::StmtId(si)) {
+        for acc in by_stmt.of(StmtId(si)) {
             if acc.kind != AccessKind::Read {
                 continue;
             }
@@ -129,6 +130,7 @@ pub fn platonoff_map(nest: &LoopNest, m: usize) -> Mapping {
     // Classify with the same vocabulary as the main pipeline (macro
     // detection on, decomposition off — Platonoff's algorithm does not
     // decompose).
+    let reduces = nest.reduction_stmts();
     let outcomes: Vec<CommOutcome> = nest
         .accesses
         .iter()
@@ -146,9 +148,7 @@ pub fn platonoff_map(nest: &LoopNest, m: usize) -> Mapping {
                 m_s: &alignment.stmt_alloc[acc.stmt.0].mat,
                 m_x: &alignment.array_alloc[acc.array.0].mat,
                 kind: acc.kind,
-                stmt_is_reduction: nest
-                    .accesses_of(acc.stmt)
-                    .any(|a| a.kind == AccessKind::Reduce),
+                stmt_is_reduction: reduces[acc.stmt.0],
             });
             match mc {
                 Some(mc) => match mc.extent {

@@ -14,7 +14,7 @@
 use crate::error::RescommError;
 use crate::pipeline::Mapping;
 use crate::recover::DegradedGrid;
-use rescomm_loopnest::{AccessKind, ArrayId, LoopNest};
+use rescomm_loopnest::{AccessKind, ArrayId, LoopNest, StmtAccesses, StmtId};
 use std::collections::{BTreeMap, HashMap};
 
 /// Final array contents: `(array, element subscript) → value`.
@@ -86,7 +86,7 @@ fn instances_by_time(nest: &LoopNest) -> BTreeMap<Vec<i64>, Vec<(usize, Vec<i64>
 /// Execute one statement instance against a state: returns the list of
 /// `(array, subscript, value, is_reduce)` writes.
 fn execute_instance(
-    nest: &LoopNest,
+    by_stmt: &StmtAccesses<'_>,
     si: usize,
     point: &[i64],
     read_value: &mut impl FnMut(ArrayId, &[i64]) -> u64,
@@ -94,7 +94,7 @@ fn execute_instance(
     // Reads first (a statement reads its inputs before writing).
     let mut inputs: Vec<u64> = vec![si as u64 + 101];
     inputs.extend(point.iter().map(|&v| v as u64 ^ 0xdead_beef));
-    for acc in nest.accesses_of(rescomm_loopnest::StmtId(si)) {
+    for acc in by_stmt.of(StmtId(si)) {
         if acc.kind == AccessKind::Read {
             let e = acc.subscript(point);
             inputs.push(read_value(acc.array, &e));
@@ -102,7 +102,7 @@ fn execute_instance(
     }
     let value = mix(0xbb67ae8584caa73b, &inputs);
     let mut writes = Vec::new();
-    for acc in nest.accesses_of(rescomm_loopnest::StmtId(si)) {
+    for acc in by_stmt.of(StmtId(si)) {
         match acc.kind {
             AccessKind::Write => writes.push((acc.array, acc.subscript(point), value, false)),
             AccessKind::Reduce => writes.push((acc.array, acc.subscript(point), value, true)),
@@ -115,6 +115,7 @@ fn execute_instance(
 /// Sequential reference execution (timestep order, then statement order).
 fn run_sequential(nest: &LoopNest) -> ArrayState {
     let mut state: ArrayState = HashMap::new();
+    let by_stmt = nest.by_stmt();
     for (_, instances) in instances_by_time(nest) {
         // Within a timestep everything is parallel: reads see the state
         // from before the timestep. Buffer the writes.
@@ -127,7 +128,7 @@ fn run_sequential(nest: &LoopNest) -> ArrayState {
                     .copied()
                     .unwrap_or_else(|| initial(x, e))
             };
-            writes.extend(execute_instance(nest, si, &p, &mut read));
+            writes.extend(execute_instance(&by_stmt, si, &p, &mut read));
         }
         apply_writes(&mut state, writes);
     }
@@ -182,6 +183,7 @@ pub fn run_distributed_on(
         timesteps: 0,
         remapped_placements: 0,
     };
+    let by_stmt = nest.by_stmt();
     for (_, instances) in instances_by_time(nest) {
         stats.timesteps += 1;
         let snapshot = state.clone();
@@ -211,7 +213,7 @@ pub fn run_distributed_on(
                     .copied()
                     .unwrap_or_else(|| initial(x, e))
             };
-            let ws = execute_instance(nest, si, &p, &mut read);
+            let ws = execute_instance(&by_stmt, si, &p, &mut read);
             for (x, e, _v, _r) in &ws {
                 let owner = mapping.alignment.array_alloc[x.0].apply(e);
                 if !colocated(&owner) {

@@ -26,7 +26,9 @@ use rescomm_machine::SweepReport;
 use rescomm_macrocomm::{
     axis_alignment_rotation, detect, Extent, MacroComm, MacroInput, MacroKind,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Options controlling the pipeline (the `false` settings are the
 /// ablations benchmarked in `rescomm-bench`).
@@ -127,9 +129,35 @@ impl Mapping {
     }
 }
 
-fn stmt_is_reduction(nest: &LoopNest, s: rescomm_loopnest::StmtId) -> bool {
-    nest.accesses_of(s).any(|a| a.kind == AccessKind::Reduce)
+/// Multiply-rotate hashing (the rustc "Fx" hash) for the memo keys, which
+/// are tiny integer matrices: a memo lives inside one process and holds
+/// only keys the pipeline made, so it needs no flood-resistant hash.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Memo key for [`detect`]: `(θ, F, M_S, M_x, access kind, reduction?)`.
 type DetectKey = (IMat, IMat, IMat, IMat, AccessKind, bool);
@@ -137,8 +165,10 @@ type DetectKey = (IMat, IMat, IMat, IMat, AccessKind, bool);
 /// Memo for the kernel-heavy computations of the pipeline: the per-access
 /// graph-build classification ([`GraphBuildCache`] — the integer
 /// left-inverse search dominates build time on nests with store
-/// accesses), [`detect`](fn@detect)'s collective classification, and the
-/// dataflow-matrix solve, keyed by the exact matrices involved. Chained
+/// accesses), [`detect`](fn@detect)'s collective classification, the
+/// dataflow-matrix solve and the unirow decomposition of a dataflow
+/// matrix ([`decompose_general`], a Smith form), keyed by the exact
+/// matrices involved. Chained
 /// stencil families repeat the same `(θ, F, M_S, M_x)` combinations
 /// across hundreds of statements, so one cache entry replaces many
 /// Hermite/kernel/adjugate computations.
@@ -149,8 +179,9 @@ type DetectKey = (IMat, IMat, IMat, IMat, AccessKind, bool);
 /// each worker thread its own), or keep one per call as [`map_nest`] does.
 pub struct AnalysisCache {
     enabled: bool,
-    detect: HashMap<DetectKey, Option<MacroComm>>,
-    dataflow: HashMap<(IMat, IMat, IMat, usize), Option<IMat>>,
+    detect: FxMap<DetectKey, Option<MacroComm>>,
+    dataflow: FxMap<(IMat, IMat, IMat, usize), Option<IMat>>,
+    unirow: FxMap<IMat, Option<UnirowCounts>>,
     graph: GraphBuildCache,
 }
 
@@ -159,8 +190,9 @@ impl AnalysisCache {
     pub fn new() -> Self {
         AnalysisCache {
             enabled: true,
-            detect: HashMap::new(),
-            dataflow: HashMap::new(),
+            detect: FxMap::default(),
+            dataflow: FxMap::default(),
+            unirow: FxMap::default(),
             graph: GraphBuildCache::new(),
         }
     }
@@ -170,8 +202,9 @@ impl AnalysisCache {
     pub fn disabled() -> Self {
         AnalysisCache {
             enabled: false,
-            detect: HashMap::new(),
-            dataflow: HashMap::new(),
+            detect: FxMap::default(),
+            dataflow: FxMap::default(),
+            unirow: FxMap::default(),
             graph: GraphBuildCache::new(),
         }
     }
@@ -180,17 +213,21 @@ impl AnalysisCache {
     pub fn clear(&mut self) {
         self.detect.clear();
         self.dataflow.clear();
+        self.unirow.clear();
         self.graph.clear();
     }
 
     /// Number of memoized entries across all tables.
     pub fn len(&self) -> usize {
-        self.detect.len() + self.dataflow.len() + self.graph.len()
+        self.detect.len() + self.dataflow.len() + self.unirow.len() + self.graph.len()
     }
 
     /// `true` when nothing is memoized.
     pub fn is_empty(&self) -> bool {
-        self.detect.is_empty() && self.dataflow.is_empty() && self.graph.is_empty()
+        self.detect.is_empty()
+            && self.dataflow.is_empty()
+            && self.unirow.is_empty()
+            && self.graph.is_empty()
     }
 }
 
@@ -399,47 +436,39 @@ fn map_nest_impl(
     let mut rotations: HashMap<usize, IMat> = HashMap::new();
 
     // ---- Step 2(a): macro-communications, rotating components. ----
+    let reduces = nest.reduction_stmts();
+    let mut scanned = None;
     if opts.enable_macro {
         cancel.check("macro_scan")?;
-        // Process residuals; rotate each component at most once, driven by
-        // the first partial collective that needs it.
-        let residuals = residual_communications(nest, &alignment);
-        for r in &residuals {
-            let acc = nest.access(r.access);
-            let st = nest.statement(r.stmt);
-            let mc = detect_cached(
+        if use_reference {
+            macro_scan_reference(nest, &mut alignment, &mut rotations, cache);
+        } else {
+            scanned = Some(macro_scan(
+                nest,
+                &mut alignment,
+                &mut rotations,
+                &reduces,
                 cache,
-                MacroInput {
-                    theta: st.schedule.theta(),
-                    f: &acc.f,
-                    m_s: &alignment.stmt_alloc[r.stmt.0].mat,
-                    m_x: &alignment.array_alloc[r.array.0].mat,
-                    kind: acc.kind,
-                    stmt_is_reduction: stmt_is_reduction(nest, r.stmt),
-                },
-            );
-            let Some(mc) = mc else { continue };
-            if let Extent::Partial { .. } = mc.extent {
-                if !mc.axis_parallel && r.same_component {
-                    let ci = alignment
-                        .component_of(Vertex::Stmt(r.stmt))
-                        .expect("same-component residual has a component");
-                    if rotations.contains_key(&ci) {
-                        continue; // one rotation per component
-                    }
-                    let d = mc.directions.as_ref().expect("partial has directions");
-                    let (qinv, _) = axis_alignment_rotation(d);
-                    alignment.rotate_component(ci, &qinv);
-                    rotations.insert(ci, qinv);
-                }
-            }
+            ));
         }
     }
 
     // ---- Classify every access under the (possibly rotated) alignment,
     //      decomposing leftover general communications. ----
     cancel.check("classify")?;
-    let outcomes = classify_outcomes(nest, &mut alignment, &mut rotations, opts, cache);
+    let outcomes = if use_reference {
+        classify_outcomes_reference(nest, &mut alignment, &mut rotations, opts, cache)
+    } else {
+        classify_outcomes(
+            nest,
+            &mut alignment,
+            &mut rotations,
+            opts,
+            cache,
+            &reduces,
+            scanned.as_deref(),
+        )
+    };
 
     Ok(Mapping {
         alignment,
@@ -449,12 +478,213 @@ fn map_nest_impl(
     })
 }
 
+/// What [`macro_scan`] learned about one access, under the allocations it
+/// saw. Those hold until a component on either side of the access is
+/// rotated, so classify reuses the entry while neither is.
+#[derive(Clone)]
+pub(crate) enum Scanned {
+    /// `M_S = M_x·F`: only the offsets separate Local from Translation.
+    LinearLocal,
+    /// A residual communication, with what [`detect`](fn@detect) made of it.
+    Residual(Option<MacroComm>),
+}
+
+/// Step 2(a): detect the macro-communication of every residual, and rotate
+/// each component at most once, driven by the first partial collective
+/// that is not axis-parallel. The residual test runs on the alignment
+/// before any rotation. `reduces` is [`LoopNest::reduction_stmts`].
+fn macro_scan(
+    nest: &LoopNest,
+    alignment: &mut Alignment,
+    rotations: &mut HashMap<usize, IMat>,
+    reduces: &[bool],
+    cache: &mut AnalysisCache,
+) -> Vec<Scanned> {
+    let mut scanned = vec![Scanned::LinearLocal; nest.accesses.len()];
+    for r in residual_communications(nest, alignment) {
+        let acc = nest.access(r.access);
+        let mc = detect_cached(
+            cache,
+            MacroInput {
+                theta: nest.statement(r.stmt).schedule.theta(),
+                f: &acc.f,
+                m_s: &alignment.stmt_alloc[r.stmt.0].mat,
+                m_x: &alignment.array_alloc[r.array.0].mat,
+                kind: acc.kind,
+                stmt_is_reduction: reduces[r.stmt.0],
+            },
+        );
+        if let Some(mc) = &mc {
+            if matches!(mc.extent, Extent::Partial { .. }) && !mc.axis_parallel && r.same_component
+            {
+                let ci = alignment
+                    .component_of(Vertex::Stmt(r.stmt))
+                    .expect("same-component residual has a component");
+                if let Entry::Vacant(slot) = rotations.entry(ci) {
+                    let d = mc.directions.as_ref().expect("partial has directions");
+                    let (qinv, _) = axis_alignment_rotation(d);
+                    alignment.rotate_component(ci, &qinv);
+                    slot.insert(qinv);
+                }
+            }
+        }
+        scanned[r.access.0] = Scanned::Residual(mc);
+    }
+    scanned
+}
+
 /// Classify every access under `alignment`, decomposing leftover general
 /// communications (and possibly applying similarity rotations). Shared
 /// between [`map_nest`] and the degraded-grid remapper
 /// ([`crate::recover::remap_for_survivors`]), which re-derives outcomes
-/// after a node-loss fold rotation.
+/// after a node-loss fold rotation and has no scan to pass.
+///
+/// Each access's owner linear part `M_x·F` is formed at most once, and
+/// its offset compared only when the linear parts match. Where `scanned`
+/// (from [`macro_scan`] on this alignment) has an entry and neither the
+/// statement's nor the array's component is in `rotations`, the entry
+/// stands in for the residual test and the detection. `reduces` is
+/// [`LoopNest::reduction_stmts`].
 pub(crate) fn classify_outcomes(
+    nest: &LoopNest,
+    alignment: &mut Alignment,
+    rotations: &mut HashMap<usize, IMat>,
+    opts: &MappingOptions,
+    cache: &mut AnalysisCache,
+    reduces: &[bool],
+    scanned: Option<&[Scanned]>,
+) -> Vec<CommOutcome> {
+    let mut outcomes: Vec<CommOutcome> = Vec::with_capacity(nest.accesses.len());
+    for acc in &nest.accesses {
+        let unrotated = |v: Vertex| {
+            alignment
+                .component_of(v)
+                .is_none_or(|c| !rotations.contains_key(&c))
+        };
+        let seen = scanned
+            .filter(|_| unrotated(Vertex::Stmt(acc.stmt)) && unrotated(Vertex::Array(acc.array)))
+            .map(|s| &s[acc.id.0]);
+        let linear_local = match seen {
+            Some(Scanned::LinearLocal) => true,
+            Some(Scanned::Residual(_)) => false,
+            None => alignment.is_linear_local(nest, acc),
+        };
+        if linear_local {
+            outcomes.push(if alignment.is_offset_local(acc) {
+                CommOutcome::Local
+            } else {
+                CommOutcome::Translation
+            });
+            continue;
+        }
+        // Macro-communication?
+        if opts.enable_macro {
+            let fresh;
+            let mc = match seen {
+                Some(Scanned::Residual(mc)) => mc.as_ref(),
+                _ => {
+                    fresh = detect_cached(
+                        cache,
+                        MacroInput {
+                            theta: nest.statement(acc.stmt).schedule.theta(),
+                            f: &acc.f,
+                            m_s: &alignment.stmt_alloc[acc.stmt.0].mat,
+                            m_x: &alignment.array_alloc[acc.array.0].mat,
+                            kind: acc.kind,
+                            stmt_is_reduction: reduces[acc.stmt.0],
+                        },
+                    );
+                    fresh.as_ref()
+                }
+            };
+            if let Some(mc) = mc {
+                match mc.extent {
+                    Extent::Total => {
+                        outcomes.push(CommOutcome::Macro {
+                            kind: mc.kind,
+                            total: true,
+                            rotated: false,
+                        });
+                        continue;
+                    }
+                    Extent::Partial { .. } if mc.axis_parallel => {
+                        let ci = alignment.component_of(Vertex::Stmt(acc.stmt));
+                        outcomes.push(CommOutcome::Macro {
+                            kind: mc.kind,
+                            total: false,
+                            rotated: ci.is_some_and(|c| rotations.contains_key(&c)),
+                        });
+                        continue;
+                    }
+                    _ => { /* hidden or misaligned: fall through */ }
+                }
+            }
+        }
+        // Decomposition?
+        if opts.enable_decompose {
+            if let Some(outcome) = try_decompose(nest, alignment, rotations, acc, cache) {
+                outcomes.push(outcome);
+                continue;
+            }
+        }
+        outcomes.push(CommOutcome::General);
+    }
+    outcomes
+}
+
+fn stmt_is_reduction(nest: &LoopNest, s: rescomm_loopnest::StmtId) -> bool {
+    nest.accesses
+        .iter()
+        .any(|a| a.stmt == s && a.kind == AccessKind::Reduce)
+}
+
+/// The seed's step 2(a), kept as the oracle for [`macro_scan`]: the
+/// reduction test rescans every access per residual.
+fn macro_scan_reference(
+    nest: &LoopNest,
+    alignment: &mut Alignment,
+    rotations: &mut HashMap<usize, IMat>,
+    cache: &mut AnalysisCache,
+) {
+    // Process residuals; rotate each component at most once, driven by
+    // the first partial collective that needs it.
+    let residuals = residual_communications(nest, alignment);
+    for r in &residuals {
+        let acc = nest.access(r.access);
+        let st = nest.statement(r.stmt);
+        let mc = detect_cached(
+            cache,
+            MacroInput {
+                theta: st.schedule.theta(),
+                f: &acc.f,
+                m_s: &alignment.stmt_alloc[r.stmt.0].mat,
+                m_x: &alignment.array_alloc[r.array.0].mat,
+                kind: acc.kind,
+                stmt_is_reduction: stmt_is_reduction(nest, r.stmt),
+            },
+        );
+        let Some(mc) = mc else { continue };
+        if let Extent::Partial { .. } = mc.extent {
+            if !mc.axis_parallel && r.same_component {
+                let ci = alignment
+                    .component_of(Vertex::Stmt(r.stmt))
+                    .expect("same-component residual has a component");
+                if rotations.contains_key(&ci) {
+                    continue; // one rotation per component
+                }
+                let d = mc.directions.as_ref().expect("partial has directions");
+                let (qinv, _) = axis_alignment_rotation(d);
+                alignment.rotate_component(ci, &qinv);
+                rotations.insert(ci, qinv);
+            }
+        }
+    }
+}
+
+/// The seed's classify, kept as the oracle for [`classify_outcomes`]:
+/// every access is tested with [`Alignment::is_local`] and then
+/// [`Alignment::is_linear_local`], and detected afresh.
+fn classify_outcomes_reference(
     nest: &LoopNest,
     alignment: &mut Alignment,
     rotations: &mut HashMap<usize, IMat>,
@@ -613,8 +843,10 @@ fn try_decompose(
         }
         // det ≠ 1: unirow decomposition.
         if det != 0 {
-            if let Ok(f) = decompose_general(&t) {
-                return Some(CommOutcome::DecomposedGeneral { n_factors: f.len() });
+            if let Some(counts) = unirow_counts(cache, &t) {
+                return Some(CommOutcome::DecomposedGeneral {
+                    n_factors: counts.all,
+                });
             }
         }
         return None;
@@ -627,22 +859,52 @@ fn try_decompose(
         }
     }
     if det != 0 {
-        if let Ok(f) = decompose_general(&t) {
-            let n = f
+        if let Some(counts) = unirow_counts(cache, &t) {
+            return Some(CommOutcome::DecomposedGeneral {
+                n_factors: counts.moving,
+            });
+        }
+    }
+    None
+}
+
+/// Factor counts of [`decompose_general`]'s unirow decomposition.
+#[derive(Debug, Clone, Copy)]
+struct UnirowCounts {
+    /// Every factor.
+    all: usize,
+    /// The factors that are not the identity (identity rows are free).
+    moving: usize,
+}
+
+/// [`decompose_general`] of a dataflow matrix through the memo, keyed on
+/// `T` alone (the decomposition depends on nothing else), so hits are
+/// exact replays. `None` when `T` has no unirow decomposition.
+fn unirow_counts(cache: &mut AnalysisCache, t: &IMat) -> Option<UnirowCounts> {
+    let compute = || {
+        decompose_general(t).ok().map(|f| UnirowCounts {
+            all: f.len(),
+            moving: f
                 .iter()
                 .filter(|g| {
                     let GenFactor::Unirow { coeffs, row } = g;
-                    // Identity rows are free.
                     coeffs
                         .iter()
                         .enumerate()
                         .any(|(j, &c)| c != i64::from(j == *row))
                 })
-                .count();
-            return Some(CommOutcome::DecomposedGeneral { n_factors: n });
-        }
+                .count(),
+        })
+    };
+    if !cache.enabled {
+        return compute();
     }
-    None
+    if let Some(hit) = cache.unirow.get(t) {
+        return *hit;
+    }
+    let out = compute();
+    cache.unirow.insert(t.clone(), out);
+    out
 }
 
 #[cfg(test)]

@@ -182,6 +182,7 @@ fn affected_components(nest: &LoopNest, alignment: &Alignment, grid: &DegradedGr
             }
         }
     };
+    let by_stmt = nest.by_stmt();
     for si in 0..nest.statements.len() {
         for p in sample(nest, si) {
             if grid.displaced(&alignment.stmt_alloc[si].apply(&p)) {
@@ -190,7 +191,7 @@ fn affected_components(nest: &LoopNest, alignment: &Alignment, grid: &DegradedGr
                     &mut affected,
                 );
             }
-            for acc in nest.accesses_of(StmtId(si)) {
+            for acc in by_stmt.of(StmtId(si)) {
                 let e = acc.subscript(&p);
                 if grid.displaced(&alignment.array_alloc[acc.array.0].apply(&e)) {
                     mark(
@@ -264,11 +265,12 @@ fn candidates(m: usize, grid: &DegradedGrid) -> Vec<IMat> {
 fn degraded_score(nest: &LoopNest, trial: &Alignment, grid: &DegradedGrid) -> (usize, usize) {
     let mut remote = 0usize;
     let mut load = vec![0usize; grid.px * grid.py];
+    let by_stmt = nest.by_stmt();
     for si in 0..nest.statements.len() {
         for p in sample(nest, si) {
             let here = grid.place(&trial.stmt_alloc[si].apply(&p));
             load[here] += 1;
-            for acc in nest.accesses_of(StmtId(si)) {
+            for acc in by_stmt.of(StmtId(si)) {
                 let e = acc.subscript(&p);
                 if grid.place(&trial.array_alloc[acc.array.0].apply(&e)) != here {
                     remote += 1;
@@ -343,6 +345,8 @@ pub fn remap_for_survivors(
         &mut out.rotations,
         opts,
         &mut cache,
+        &nest.reduction_stmts(),
+        None,
     );
     out.incidents.push(Incident::node_loss(grid.dead()));
     debug_assert!(out

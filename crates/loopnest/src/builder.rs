@@ -128,7 +128,7 @@ mod tests {
         let nest = b.build().unwrap();
         assert_eq!(nest.arrays.len(), 1);
         assert_eq!(nest.accesses.len(), 2);
-        assert_eq!(nest.accesses_of(s).count(), 2);
+        assert_eq!(nest.by_stmt().of(s).count(), 2);
         assert_eq!(nest.accesses_to(a).count(), 2);
     }
 

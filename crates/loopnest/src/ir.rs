@@ -108,9 +108,31 @@ impl LoopNest {
         &self.accesses[id.0]
     }
 
-    /// All accesses of a statement.
-    pub fn accesses_of(&self, s: StmtId) -> impl Iterator<Item = &Access> {
-        self.accesses.iter().filter(move |a| a.stmt == s)
+    /// The accesses of every statement, grouped once (see
+    /// [`StmtAccesses`]).
+    pub fn by_stmt(&self) -> StmtAccesses<'_> {
+        let order = (!self.accesses.is_sorted_by_key(|a| a.stmt)).then(|| {
+            let mut order: Vec<usize> = (0..self.accesses.len()).collect();
+            order.sort_by_key(|&i| self.accesses[i].stmt); // stable: keeps access order
+            order
+        });
+        StmtAccesses { nest: self, order }
+    }
+
+    /// Per statement (indexed by [`StmtId`]): does it accumulate into an
+    /// array (a [`AccessKind::Reduce`] access)? One pass over the accesses.
+    pub fn reduction_stmts(&self) -> Vec<bool> {
+        let mut reduces = vec![false; self.statements.len()];
+        for a in self
+            .accesses
+            .iter()
+            .filter(|a| a.kind == AccessKind::Reduce)
+        {
+            if let Some(r) = reduces.get_mut(a.stmt.0) {
+                *r = true;
+            }
+        }
+        reduces
     }
 
     /// All accesses touching an array.
@@ -181,12 +203,46 @@ impl LoopNest {
     }
 }
 
+/// The accesses of a nest grouped by statement ([`LoopNest::by_stmt`]),
+/// in access order within each statement, so a loop over all statements
+/// visits every access once instead of rescanning the whole list per
+/// statement. Accesses already in statement order (as the parser and the
+/// builder make them) are used in place; others through one stable sort
+/// of their indices. Either way each statement's accesses are one run,
+/// found by binary search. Accesses naming a statement the nest does not
+/// have are left out.
+#[derive(Debug, Clone)]
+pub struct StmtAccesses<'a> {
+    nest: &'a LoopNest,
+    /// Access indices sorted by statement; `None` when the accesses are
+    /// in statement order already.
+    order: Option<Vec<usize>>,
+}
+
+impl<'a> StmtAccesses<'a> {
+    /// The accesses of statement `s`, in access order.
+    pub fn of(&self, s: StmtId) -> impl Iterator<Item = &'a Access> + '_ {
+        let accesses = &self.nest.accesses;
+        let run = match &self.order {
+            None => {
+                accesses.partition_point(|a| a.stmt < s)..accesses.partition_point(|a| a.stmt <= s)
+            }
+            Some(order) => {
+                order.partition_point(|&i| accesses[i].stmt < s)
+                    ..order.partition_point(|&i| accesses[i].stmt <= s)
+            }
+        };
+        run.map(move |k| &accesses[self.order.as_ref().map_or(k, |order| order[k])])
+    }
+}
+
 impl fmt::Display for LoopNest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "nest {}:", self.name)?;
+        let by_stmt = self.by_stmt();
         for (si, st) in self.statements.iter().enumerate() {
             writeln!(f, "  {} (depth {}):", st.name, st.depth)?;
-            for a in self.accesses_of(StmtId(si)) {
+            for a in by_stmt.of(StmtId(si)) {
                 let kind = match a.kind {
                     AccessKind::Read => "read ",
                     AccessKind::Write => "write",

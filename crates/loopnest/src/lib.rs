@@ -32,7 +32,9 @@ pub mod schedule;
 
 pub use builder::NestBuilder;
 pub use domain::Domain;
-pub use ir::{Access, AccessId, AccessKind, Array, ArrayId, LoopNest, Statement, StmtId};
+pub use ir::{
+    Access, AccessId, AccessKind, Array, ArrayId, LoopNest, Statement, StmtAccesses, StmtId,
+};
 pub use parser::{parse_nest, ParseError};
 pub use printer::to_text;
 pub use schedule::Schedule;

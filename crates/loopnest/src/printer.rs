@@ -65,6 +65,7 @@ pub fn to_text(nest: &LoopNest) -> String {
     for a in &nest.arrays {
         writeln!(out, "array {} {}", a.name, a.dim).unwrap();
     }
+    let by_stmt = nest.by_stmt();
     for (si, st) in nest.statements.iter().enumerate() {
         let ranges: Vec<String> = (0..st.depth)
             .map(|k| format!("{}..{}", st.domain.lo(k), st.domain.hi(k)))
@@ -84,7 +85,7 @@ pub fn to_text(nest: &LoopNest) -> String {
             let coeffs: Vec<String> = g.iter().map(|x| x.to_string()).collect();
             writeln!(out, "  guard {} <= {b}", coeffs.join(" ")).unwrap();
         }
-        for acc in nest.accesses_of(StmtId(si)) {
+        for acc in by_stmt.of(StmtId(si)) {
             let kw = match acc.kind {
                 AccessKind::Read => "read",
                 AccessKind::Write => "write",

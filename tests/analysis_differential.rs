@@ -2,15 +2,20 @@
 //! passes (`map_nest`, and `map_nest_with` under a warm shared
 //! [`AnalysisCache`]) must classify exactly like the seed implementation
 //! (`map_nest_reference`: positional vertex scans, per-start cycle
-//! rescans, O(E²) twin marking, no memoization) on every nest — random
-//! small nests and the large synthetic families alike.
+//! rescans, O(E²) twin marking, per-residual reduction rescans, a second
+//! locality test and detection per access, no memoization) on every
+//! nest — random small nests and the large synthetic families alike.
+//! The printers' per-statement access table is pinned against the
+//! per-statement scan it replaced.
 
 use proptest::prelude::*;
 use rescomm::{map_nest, map_nest_reference, map_nest_with, AnalysisCache};
 use rescomm::{CommOutcome, Mapping, MappingOptions};
-use rescomm_bench::workload::{chained_stencil_nest, pipeline_nest};
+use rescomm_bench::workload::{chained_stencil_nest, kernel_zoo, pipeline_nest};
 use rescomm_intlin::IMat;
-use rescomm_loopnest::{Domain, LoopNest, NestBuilder};
+use rescomm_loopnest::{
+    examples, to_text, Access, AccessId, AccessKind, Domain, LoopNest, NestBuilder, StmtId,
+};
 
 /// Assert the two mappings are observably identical: outcomes, component
 /// rotations, allocation matrices and offsets, component assignment.
@@ -52,8 +57,8 @@ fn assert_identical(tag: &str, new: &Mapping, old: &Mapping) {
 }
 
 /// Strategy: a random nest with 1–3 statements (depths 2–3), 1–3 arrays
-/// (dims 1–3) and 2–7 affine accesses with small coefficients — same
-/// family as `cross_crate_invariants`, slightly wider.
+/// (dims 1–3) and 2–7 affine reads, writes and reductions with small
+/// coefficients — same family as `cross_crate_invariants`, slightly wider.
 fn small_nest() -> impl Strategy<Value = LoopNest> {
     let dims = proptest::collection::vec(1usize..=3, 1..=3);
     let depths = proptest::collection::vec(2usize..=3, 1..=3);
@@ -66,7 +71,7 @@ fn small_nest() -> impl Strategy<Value = LoopNest> {
                 0usize..100,
                 proptest::collection::vec(-2i64..=2, 9),
                 proptest::collection::vec(-2i64..=2, 3),
-                any::<bool>(),
+                0usize..3,
             ),
             2..=7,
         ),
@@ -83,18 +88,18 @@ fn small_nest() -> impl Strategy<Value = LoopNest> {
                 .enumerate()
                 .map(|(i, &d)| b.statement(&format!("S{i}"), d, Domain::cube(d, 4)))
                 .collect();
-            for (ai, si, coeffs, offs, write) in accs {
+            for (ai, si, coeffs, offs, kind) in accs {
                 let x = arrays[ai % arrays.len()];
                 let s = stmts[si % stmts.len()];
                 let q = dims[ai % arrays.len()];
                 let d = depths[si % stmts.len()];
                 let f = IMat::from_fn(q, d, |i, j| coeffs[(i * d + j) % coeffs.len()]);
                 let c: Vec<i64> = (0..q).map(|i| offs[i % offs.len()]).collect();
-                if write {
-                    b.write(s, x, f, &c);
-                } else {
-                    b.read(s, x, f, &c);
-                }
+                match kind {
+                    0 => b.read(s, x, f, &c),
+                    1 => b.write(s, x, f, &c),
+                    _ => b.reduce(s, x, f, &c),
+                };
             }
             b.build().expect("random nest must validate")
         })
@@ -174,4 +179,198 @@ fn golden_pipeline_200() {
     let new = map_nest(&nest, &opts).unwrap();
     let old = map_nest_reference(&nest, &opts);
     assert_identical("pipeline n=200", &new, &old);
+}
+
+/// Every nest of the kernel zoo (the textbook nests of
+/// [`rescomm_loopnest::examples`]) at size 6.
+fn zoo_nests() -> Vec<LoopNest> {
+    vec![
+        examples::motivating_example(6, 4).0,
+        examples::example2_broadcast(6),
+        examples::example3_gather(6),
+        examples::example4_reduction(6),
+        examples::example5_platonoff(6).0,
+        examples::matmul(6),
+        examples::gauss_elim(6),
+        examples::jacobi2d(6),
+        examples::transpose(6),
+        examples::syrk(6),
+        examples::stencil1d(6, 4),
+        examples::gauss_triangular(6),
+        examples::adi_sweep(6),
+    ]
+}
+
+/// `nest` with its access list reversed (ids renumbered), so each
+/// statement's accesses interleave with every other statement's.
+fn reversed_accesses(nest: &LoopNest) -> LoopNest {
+    let mut out = nest.clone();
+    out.accesses = nest
+        .accesses
+        .iter()
+        .rev()
+        .enumerate()
+        .map(|(i, a)| Access {
+            id: AccessId(i),
+            ..a.clone()
+        })
+        .collect();
+    out
+}
+
+/// The printer as it was before the per-statement access table: every
+/// statement rescans the whole access list.
+fn to_text_by_scan(nest: &LoopNest) -> String {
+    let row = |v: &[i64]| v.iter().map(i64::to_string).collect::<Vec<_>>().join(" ");
+    let mut out = format!("nest {}\n", nest.name);
+    for a in &nest.arrays {
+        out += &format!("array {} {}\n", a.name, a.dim);
+    }
+    for (si, st) in nest.statements.iter().enumerate() {
+        let ranges: Vec<String> = (0..st.depth)
+            .map(|k| format!("{}..{}", st.domain.lo(k), st.domain.hi(k)))
+            .collect();
+        out += &format!(
+            "stmt {} depth {} domain {}\n",
+            st.name,
+            st.depth,
+            ranges.join(" ")
+        );
+        if !st.schedule.is_parallel() {
+            let theta = st.schedule.theta();
+            let mark = if theta.rows() == 1 {
+                ""
+            } else {
+                " # (first row of a multidim schedule)"
+            };
+            out += &format!("  schedule linear {}{mark}\n", row(theta.row(0)));
+        }
+        for (g, b) in st.domain.guards() {
+            out += &format!("  guard {} <= {b}\n", row(g));
+        }
+        for acc in nest.accesses.iter().filter(|a| a.stmt == StmtId(si)) {
+            let kw = match acc.kind {
+                AccessKind::Read => "read",
+                AccessKind::Write => "write",
+                AccessKind::Reduce => "reduce",
+            };
+            let rows: Vec<String> = (0..acc.f.rows()).map(|i| row(acc.f.row(i))).collect();
+            out += &format!(
+                "  {kw} {} [{}] + [{}]\n",
+                nest.array(acc.array).name,
+                rows.join("; "),
+                row(&acc.c)
+            );
+        }
+    }
+    out
+}
+
+/// `Display for LoopNest` as it was before the per-statement access
+/// table.
+fn display_by_scan(nest: &LoopNest) -> String {
+    let mut out = format!("nest {}:\n", nest.name);
+    for (si, st) in nest.statements.iter().enumerate() {
+        out += &format!("  {} (depth {}):\n", st.name, st.depth);
+        for a in nest.accesses.iter().filter(|a| a.stmt == StmtId(si)) {
+            let kind = match a.kind {
+                AccessKind::Read => "read ",
+                AccessKind::Write => "write",
+                AccessKind::Reduce => "reduce",
+            };
+            out += &format!(
+                "    {kind} {}[F{}·I + {:?}]\n",
+                nest.array(a.array).name,
+                a.id.0,
+                a.c
+            );
+        }
+    }
+    out
+}
+
+/// `to_text` and `Display` print byte-identically to the per-statement
+/// scan on the kernel zoo and the 200-statement synthetic families, also
+/// with every statement's accesses interleaved.
+#[test]
+fn printers_match_the_per_statement_scan() {
+    let mut nests = zoo_nests();
+    nests.push(chained_stencil_nest(200, 8));
+    nests.push(pipeline_nest(200, 8));
+    let interleaved: Vec<LoopNest> = nests.iter().map(reversed_accesses).collect();
+    for nest in nests.iter().chain(&interleaved) {
+        assert_eq!(
+            to_text(nest),
+            to_text_by_scan(nest),
+            "to_text: {}",
+            nest.name
+        );
+        assert_eq!(
+            nest.to_string(),
+            display_by_scan(nest),
+            "Display: {}",
+            nest.name
+        );
+    }
+}
+
+/// A one-statement nest whose residual has dataflow matrix `t` (or its
+/// inverse, whichever side the branching zeroes): the statement writes
+/// `x[I]` and reads `x[t⁻¹·I]`.
+fn dataflow_nest(name: &str, t: &IMat) -> LoopNest {
+    let n = t.rows();
+    let mut b = NestBuilder::new(name);
+    let x = b.array("x", n);
+    let s = b.statement("S", n, Domain::cube(n, 6));
+    b.write(s, x, IMat::identity(n), &vec![0; n]);
+    let tinv = t.inverse_unimodular().expect("unimodular dataflow matrix");
+    b.read(s, x, tinv, &vec![0; n]);
+    b.build().expect("dataflow nest valid")
+}
+
+/// The unirow-decomposition memo is outcome-transparent: the Fig. 8
+/// shears `U(k)`, the kernel-zoo dataflow matrices (plus reflections that
+/// take the `det ≠ 1` unirow path on 2-D and 3-D grids) and the kernel-zoo
+/// nests map identically through one warm [`AnalysisCache`], twice over,
+/// and through a disabled one that computes every decomposition afresh.
+#[test]
+fn warm_decomposition_memo_is_outcome_transparent() {
+    let mut nests: Vec<(LoopNest, usize)> = (1..=8)
+        .map(|k| {
+            let u = IMat::from_rows(&[&[1, k], &[0, 1]]);
+            (dataflow_nest(&format!("U({k})"), &u), 2)
+        })
+        .collect();
+    for k in kernel_zoo() {
+        nests.push((dataflow_nest(k.name, &k.t), 2));
+    }
+    for (name, t) in [
+        ("reflect2", IMat::from_rows(&[&[1, 1], &[0, -1]])),
+        ("reflect2b", IMat::from_rows(&[&[-1, 2], &[0, 1]])),
+        (
+            "reflect3",
+            IMat::from_rows(&[&[1, 1, 0], &[0, -1, 0], &[0, 0, 1]]),
+        ),
+    ] {
+        let m = t.rows();
+        nests.push((dataflow_nest(name, &t), m));
+    }
+    nests.extend(zoo_nests().into_iter().map(|n| (n, 2)));
+
+    let mut warm = AnalysisCache::new();
+    let mut unirow = 0;
+    for pass in 0..2 {
+        for (nest, m) in &nests {
+            let opts = MappingOptions::new(*m);
+            let fresh = map_nest_with(nest, &opts, &mut AnalysisCache::disabled()).unwrap();
+            let cached = map_nest_with(nest, &opts, &mut warm).unwrap();
+            assert_identical(&format!("{} pass {pass}", nest.name), &cached, &fresh);
+            unirow += cached
+                .outcomes
+                .iter()
+                .filter(|o| matches!(o, CommOutcome::DecomposedGeneral { .. }))
+                .count();
+        }
+    }
+    assert!(unirow >= 4, "the unirow path must be exercised: {unirow}");
 }
