@@ -16,7 +16,9 @@
 //!   engine
 //!   ([`FaultSim::replay_faulty`]: plan compiled to sorted interval
 //!   buckets, phases compiled once to flat route slices). Full-mode
-//!   rows at ≥64 replications assert the compiled engine is ≥3×.
+//!   rows at ≥64 replications assert the compiled engine is ≥3×: the
+//!   median ratio of interleaved oracle/compiled pairs, so host drift
+//!   between samples lands on both sides.
 //! * **lanes** — the same paper plan under drops alone
 //!   (`FaultPlan::with_drop(42, 0.05)`) and the overlapped schedule, at
 //!   64 replications: a per-seed [`FaultSim::run_faulty`] loop vs
@@ -39,7 +41,7 @@
 //! drift from a wrong answer going fast.
 
 use rescomm::{build_plan, map_nest, MappingOptions};
-use rescomm_bench::harness::{median_ns, Args};
+use rescomm_bench::harness::{median_ns, paired_ns, Args, Paired};
 use rescomm_bench::workload::{
     fixed_outages, host_threads, lossy_plan, paragon_mesh, seeded_outages,
 };
@@ -53,8 +55,8 @@ use rescomm_machine::{
 
 struct ReplayRow {
     replications: usize,
-    oracle_ns: u64,
-    compiled_ns: u64,
+    /// Oracle (`a`) against compiled engine (`b`).
+    timing: Paired,
 }
 
 fn main() {
@@ -124,9 +126,12 @@ fn main() {
             oracle(&plan, &seeds, sched, None),
             "compiled replay diverged from the oracle at {n} replications"
         );
-        let oracle_ns = median_ns(timing_reps, 1, || oracle(&plan, &seeds, sched, None));
-        let compiled_ns = median_ns(timing_reps, 1, || engine.replay_faulty(&seeds, sched));
-        let speedup = oracle_ns as f64 / compiled_ns.max(1) as f64;
+        let timing = paired_ns(
+            timing_reps,
+            || oracle(&plan, &seeds, sched, None),
+            || engine.replay_faulty(&seeds, sched),
+        );
+        let speedup = timing.ratio;
         assert!(speedup > 0.0);
         // Wall-clock floor: the compiled engine has measured 4–6.5x over
         // the oracle across hosts (both sides single-threaded; the ratio
@@ -139,12 +144,12 @@ fn main() {
             );
         }
         eprintln!(
-            "  {n:>4} replications  oracle {oracle_ns:>12} ns   compiled {compiled_ns:>10} ns   x{speedup:.1}"
+            "  {n:>4} replications  oracle {:>12} ns   compiled {:>10} ns   x{speedup:.1}",
+            timing.a_ns, timing.b_ns
         );
         replay_rows.push(ReplayRow {
             replications: n,
-            oracle_ns,
-            compiled_ns,
+            timing,
         });
     }
 
@@ -242,15 +247,14 @@ fn main() {
         }
         eprintln!("overlapped-recovering gate ({}): ok", gate.label());
     }
-    let rec_oracle_ns = median_ns(timing_reps, 1, || {
-        oracle(&recover_plan, &seeds, sched, Some(&policy))
-    });
-    let rec_compiled_ns = median_ns(timing_reps, 1, || {
-        engine.replay_recovering(&policy, &seeds, sched)
-    });
+    let rec = paired_ns(
+        timing_reps,
+        || oracle(&recover_plan, &seeds, sched, Some(&policy)),
+        || engine.replay_recovering(&policy, &seeds, sched),
+    );
     eprintln!(
-        "recovering: {n} replications  oracle {rec_oracle_ns} ns   compiled {rec_compiled_ns} ns   x{:.1}",
-        rec_oracle_ns as f64 / rec_compiled_ns.max(1) as f64
+        "recovering: {n} replications  oracle {} ns   compiled {} ns   x{:.1}",
+        rec.a_ns, rec.b_ns, rec.ratio
     );
 
     let mut doc = JsonDoc::new();
@@ -269,12 +273,9 @@ fn main() {
             ("schedule_mode", Val::from(mode_label)),
             ("policy", Val::from(sched.label())),
             ("replications", Val::from(r.replications)),
-            ("oracle_ns", Val::from(r.oracle_ns)),
-            ("compiled_ns", Val::from(r.compiled_ns)),
-            (
-                "speedup",
-                fixed(r.oracle_ns as f64 / r.compiled_ns.max(1) as f64, 2),
-            ),
+            ("oracle_ns", Val::from(r.timing.a_ns)),
+            ("compiled_ns", Val::from(r.timing.b_ns)),
+            ("speedup", fixed(r.timing.ratio, 2)),
         ]
     });
     doc.rows("lanes", &[(per_seed_ns, lanes_ns)], |r| {
@@ -292,14 +293,14 @@ fn main() {
             ("speedup", fixed(r.0 as f64 / r.1.max(1) as f64, 2)),
         ]
     });
-    doc.rows("recovering", &[(n, rec_oracle_ns, rec_compiled_ns)], |r| {
+    doc.rows("recovering", &[(n, rec)], |(n, r)| {
         vec![
             ("schedule_mode", Val::from(mode_label)),
             ("policy", Val::from(sched.label())),
-            ("replications", Val::from(r.0)),
-            ("oracle_ns", Val::from(r.1)),
-            ("compiled_ns", Val::from(r.2)),
-            ("speedup", fixed(r.1 as f64 / r.2.max(1) as f64, 2)),
+            ("replications", Val::from(*n)),
+            ("oracle_ns", Val::from(r.a_ns)),
+            ("compiled_ns", Val::from(r.b_ns)),
+            ("speedup", fixed(r.ratio, 2)),
         ]
     });
     args.emit(&doc);

@@ -231,6 +231,51 @@ pub fn median_ns<R>(reps: usize, inner: u32, mut f: impl FnMut() -> R) -> u64 {
     samples[samples.len() / 2]
 }
 
+/// Two workloads timed as interleaved pairs by [`paired_ns`].
+pub struct Paired {
+    /// Median of `a`'s samples, ns per call.
+    pub a_ns: u64,
+    /// Median of `b`'s samples, ns per call.
+    pub b_ns: u64,
+    /// Median over the pairs of `a`'s time over `b`'s.
+    pub ratio: f64,
+}
+
+/// Time `a` then `b`, `reps` times. A host slowing down or speeding up
+/// between pairs moves both halves of a pair alike, so the median paired
+/// ratio holds where the ratio of two separately timed medians would
+/// carry the drift on one side only. Each timed call follows an untimed
+/// call of the same side, so neither side is timed on the caches the
+/// other one left, just as [`median_ns`] times a side after itself.
+pub fn paired_ns<R, S>(reps: usize, mut a: impl FnMut() -> R, mut b: impl FnMut() -> S) -> Paired {
+    let warm_ns = |f: &mut dyn FnMut()| {
+        f();
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_nanos() as u64
+    };
+    let pairs: Vec<(u64, u64)> = (0..reps)
+        .map(|_| {
+            let ta = warm_ns(&mut || drop(black_box(a())));
+            (ta, warm_ns(&mut || drop(black_box(b()))))
+        })
+        .collect();
+    let median = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .map(|&(ta, tb)| ta as f64 / tb.max(1) as f64)
+        .collect();
+    ratios.sort_unstable_by(f64::total_cmp);
+    Paired {
+        a_ns: median(pairs.iter().map(|p| p.0).collect()),
+        b_ns: median(pairs.iter().map(|p| p.1).collect()),
+        ratio: ratios[ratios.len() / 2],
+    }
+}
+
 /// One worker-count row of a [`Scaling`] section.
 pub struct ScaleRow {
     pub report: SweepReport,
@@ -437,6 +482,18 @@ mod tests {
         let mut calls = 0u32;
         median_ns(5, 3, || calls += 1);
         assert_eq!(calls, 1 + 5 * 3);
+    }
+
+    #[test]
+    fn paired_ns_interleaves_warm_calls() {
+        let order = std::cell::RefCell::new(String::new());
+        let p = paired_ns(
+            3,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(order.into_inner(), "aabbaabbaabb");
+        assert!(p.ratio > 0.0);
     }
 
     fn fake_report(w: usize) -> SweepReport {

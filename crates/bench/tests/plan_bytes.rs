@@ -1,18 +1,88 @@
 //! Golden bytes of the explicit (and closed) communication plans.
 //!
-//! `plan_to_json` renders each explicit endpoint list in its stored
-//! order, and that order reaches serve results and snapshot digests. A
-//! plan builder that dedups or walks the domain differently can keep
-//! every message count and makespan while reordering the endpoints; only
-//! the rendered bytes show it. Each digest below is the FNV-1a hash of
-//! `plan_to_json(&build_plan(..)).render()` (and of the closed plan's),
-//! recorded before the plan builder walked composed access maps.
+//! This pins the plan builders' exact output. A plan builder that
+//! dedups or walks the domain differently can keep every message count
+//! and makespan while reordering the endpoints of an explicit phase;
+//! only rendered bytes show it. [`plan_to_json`] below renders a plan
+//! phase by phase (each explicit endpoint list in its stored order, each
+//! affine phase as its `(T, shift)`), and each digest is the FNV-1a hash
+//! of `plan_to_json(&build_plan(..)).render()` (and of the closed
+//! plan's), recorded before the plan builder walked composed access
+//! maps.
 
 use rescomm::pipeline::{map_nest, MappingOptions};
-use rescomm::snapshot::plan_to_json;
-use rescomm::{build_plan, build_plan_closed};
+use rescomm::substrate::decompose::Elementary;
+use rescomm::{build_plan, build_plan_closed, CommPlan, PhaseKind, PhasePattern};
 use rescomm_bench::workload::{chained_stencil_nest, pipeline_nest};
+use rescomm_json::JsonValue;
 use rescomm_loopnest::{examples, LoopNest};
+
+fn ints(xs: &[i64]) -> JsonValue {
+    JsonValue::Array(xs.iter().map(|&x| JsonValue::Int(x)).collect())
+}
+
+fn kind_to_json(k: &PhaseKind) -> JsonValue {
+    let (tag, arg) = match k {
+        PhaseKind::Translation => ("translation", None),
+        PhaseKind::CollectiveRound => ("collective_round", None),
+        PhaseKind::Elementary(Elementary::L(l)) => ("elementary_l", Some(*l)),
+        PhaseKind::Elementary(Elementary::U(u)) => ("elementary_u", Some(*u)),
+        PhaseKind::DecompositionShift => ("decomposition_shift", None),
+        PhaseKind::UnirowFactor => ("unirow_factor", None),
+        PhaseKind::GeneralAffine => ("general_affine", None),
+    };
+    let mut fields = vec![("kind", JsonValue::Str(tag.to_string()))];
+    if let Some(a) = arg {
+        fields.push(("arg", JsonValue::Int(a)));
+    }
+    JsonValue::object(fields)
+}
+
+fn pattern_to_json(p: &PhasePattern) -> (JsonValue, Vec<(&'static str, JsonValue)>) {
+    match p {
+        PhasePattern::Explicit(pairs) => (
+            JsonValue::Str("explicit".into()),
+            vec![(
+                "pairs",
+                JsonValue::Array(
+                    pairs
+                        .iter()
+                        .map(|&((sx, sy), (dx, dy))| ints(&[sx, sy, dx, dy]))
+                        .collect(),
+                ),
+            )],
+        ),
+        PhasePattern::Affine { t, shift } => (
+            JsonValue::Str("affine".into()),
+            vec![
+                ("t", ints(&[t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]])),
+                ("shift", ints(&[shift.0, shift.1])),
+            ],
+        ),
+    }
+}
+
+/// Render a [`CommPlan`] phase by phase: access id, tagged kind, pattern.
+fn plan_to_json(plan: &CommPlan) -> JsonValue {
+    JsonValue::object([(
+        "phases",
+        JsonValue::Array(
+            plan.phases
+                .iter()
+                .map(|ph| {
+                    let (pattern_tag, rest) = pattern_to_json(&ph.pattern);
+                    let mut fields = vec![
+                        ("access", JsonValue::Int(ph.access.0 as i64)),
+                        ("k", kind_to_json(&ph.kind)),
+                        ("pattern", pattern_tag),
+                    ];
+                    fields.extend(rest);
+                    JsonValue::object(fields)
+                })
+                .collect(),
+        ),
+    )])
+}
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -14,7 +14,8 @@
 //! * `--queue N`       admission queue depth before overload
 //!   rejections (default 16)
 //! * `--snapshot PATH` plan-cache snapshot file; enables crash-safe
-//!   restarts (restored entries are re-verified by re-simulation)
+//!   restarts (each restored entry is recomputed and kept only if the
+//!   recomputation renders its stored bytes)
 //! * `--snapshot-every N`        flush after every N computations; the
 //!   Nth is answered only after the write (default 32; 0 =
 //!   interval/shutdown only)

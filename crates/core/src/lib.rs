@@ -24,6 +24,11 @@
 //! assert_eq!(report.n_decomposed, 1); // F3 = L(1)·U(1) after rotation
 //! ```
 //!
+//! [`serve`] runs the same pipeline as a crash-safe JSON-lines service.
+//! Its snapshots keep served answers, not plans: a restart recomputes
+//! each entry through the miss path and keeps it only if the answer
+//! comes out byte for byte (`DESIGN.md` §15).
+//!
 //! The crate re-exports the substrates (`rescomm_intlin`, …) under
 //! [`substrate`] so downstream users need a single dependency.
 
@@ -37,7 +42,6 @@ pub mod plan;
 pub mod recover;
 pub mod report;
 pub mod serve;
-pub mod snapshot;
 
 pub use error::{guarded, CancelToken, Cancelled, Incident, IncidentKind, RescommError};
 pub use exec::{

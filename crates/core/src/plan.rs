@@ -195,8 +195,8 @@ fn row_of(a: &Alloc, i: usize) -> (&[i64], i64) {
 }
 
 /// The distinct `(src, dst)` pairs of `acc` in first-seen order (the
-/// order `plan_to_json` renders), the local ones (`src == dst`) only when
-/// `keep_local`.
+/// order an explicit phase stores, pinned by `plan_bytes.rs`), the local
+/// ones (`src == dst`) only when `keep_local`.
 fn distinct_transfers(
     nest: &LoopNest,
     mapping: &Mapping,
