@@ -8,7 +8,10 @@ use rescomm::{CommOutcome, CommPhase, CommPlan, Mapping, PhaseKind, PhasePattern
 use rescomm_decompose::decompose_general;
 use rescomm_distribution::{fold_general, Dist1D, Dist2D, Msg};
 use rescomm_intlin::IMat;
-use rescomm_loopnest::{examples, AccessId, Domain, LoopNest, NestBuilder};
+use rescomm_loopnest::{examples, AccessId, LoopNest};
+
+/// The synthetic nest families, kept with the paper's examples.
+pub use rescomm_loopnest::examples::{chained_stencil_nest, pipeline_nest};
 use rescomm_machine::{
     broadcast_rows_time, shift_time, CostModel, FaultPlan, LinkOutage, Mesh2D, NodeOutage, PMsg,
     PhaseSim, XorShift64,
@@ -324,72 +327,6 @@ pub fn factor_chain_plan(t: &IMat) -> CommPlan {
             })
             .collect(),
     }
-}
-
-/// Deterministic chained-stencil nest with `n_stmts` depth-2 statements:
-/// statement `S_i` writes its own array `a_i` (identity), reads the
-/// previous stage `a_{i-1}` through a unimodular transform, and reads a
-/// shared coefficient array `g` through a second one — the repeating
-/// producer/consumer chains of time-stepped stencil codes. Both
-/// transforms cycle through a 3-element family by statement index, so the
-/// analysis sees long chains of *repeated* `(F, M_S, M_x)` combinations,
-/// exactly the shape real unrolled pipelines hand the compiler. The
-/// family is signed permutations on purpose: relative alignment matrices
-/// along an `n`-statement chain are *products* of the access matrices,
-/// and a finite matrix group keeps those entries bounded at any depth
-/// (skews like `U(1)·L(1)·…` blow up Fibonacci-fast instead).
-pub fn chained_stencil_nest(n_stmts: usize, size: i64) -> LoopNest {
-    assert!(n_stmts >= 1);
-    let fam = [
-        IMat::identity(2),
-        IMat::from_rows(&[&[0, 1], &[1, 0]]),
-        IMat::from_rows(&[&[0, -1], &[1, 0]]),
-    ];
-    let mut b = NestBuilder::new("chained-stencil");
-    let g = b.array("g", 2);
-    let stages: Vec<_> = (0..=n_stmts)
-        .map(|i| b.array(&format!("a{i}"), 2))
-        .collect();
-    for i in 1..=n_stmts {
-        let s = b.statement(&format!("S{i}"), 2, Domain::cube(2, size));
-        b.write(s, stages[i], IMat::identity(2), &[0, 0]);
-        b.read(s, stages[i - 1], fam[i % 3].clone(), &[0, 0]);
-        b.read(s, g, fam[(i + 1) % 3].clone(), &[(i % 2) as i64, 0]);
-    }
-    b.build().expect("chained stencil nest valid")
-}
-
-/// Deterministic pipeline nest with `n_stmts` depth-3 statements mixing
-/// both edge orientations: `S_i` writes its stage array `b_i` (3-D,
-/// square unimodular), reads `b_{i-1}` through a cycling 3×3 permutation
-/// (bounded chain products, see [`chained_stencil_nest`]), and reads a
-/// shared 2-D table `c` through a cycling *flat* 2×3 access (array →
-/// statement edges). Exercises the rank/orientation logic the chained
-/// stencil family does not.
-pub fn pipeline_nest(n_stmts: usize, size: i64) -> LoopNest {
-    assert!(n_stmts >= 1);
-    let perms = [
-        IMat::identity(3),
-        IMat::from_rows(&[&[0, 1, 0], &[0, 0, 1], &[1, 0, 0]]),
-        IMat::from_rows(&[&[0, 1, 0], &[1, 0, 0], &[0, 0, 1]]),
-    ];
-    let flats = [
-        IMat::from_rows(&[&[1, 0, 0], &[0, 1, 0]]),
-        IMat::from_rows(&[&[0, 1, 0], &[0, 0, 1]]),
-        IMat::from_rows(&[&[1, 1, 0], &[0, 1, 1]]),
-    ];
-    let mut b = NestBuilder::new("pipeline");
-    let c = b.array("c", 2);
-    let stages: Vec<_> = (0..=n_stmts)
-        .map(|i| b.array(&format!("b{i}"), 3))
-        .collect();
-    for i in 1..=n_stmts {
-        let s = b.statement(&format!("P{i}"), 3, Domain::cube(3, size));
-        b.write(s, stages[i], IMat::identity(3), &[0, 0, 0]);
-        b.read(s, stages[i - 1], perms[i % 3].clone(), &[0, 0, 0]);
-        b.read(s, c, flats[(i + 1) % 3].clone(), &[0, 0]);
-    }
-    b.build().expect("pipeline nest valid")
 }
 
 #[cfg(test)]

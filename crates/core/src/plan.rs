@@ -18,7 +18,7 @@
 use crate::pipeline::{dataflow_matrix, CommOutcome, Mapping};
 use rescomm_alignment::{Alignment, Alloc};
 use rescomm_decompose::{product, Elementary};
-use rescomm_distribution::{fold_affine, fold_pattern, Dist2D};
+use rescomm_distribution::{fold_affine, Dist2D, ExplicitFold};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::{Access, AccessId, Domain, LoopNest};
 use rescomm_machine::{FaultPlan, FaultSim, Mesh2D, PMsg, PhaseSim, ScheduleMode};
@@ -130,13 +130,6 @@ pub struct CommPlan {
 /// and the shift.
 type AffineKey = ([i64; 4], (i64, i64));
 
-fn wrap2(p: (i64, i64), vshape: (usize, usize)) -> (i64, i64) {
-    (
-        p.0.rem_euclid(vshape.0 as i64),
-        p.1.rem_euclid(vshape.1 as i64),
-    )
-}
-
 /// Pad a (possibly degenerate, e.g. 1-D array owner) virtual coordinate
 /// to the 2-D grid: missing dimensions live at coordinate 0.
 fn coord2(v: &[i64]) -> (i64, i64) {
@@ -151,22 +144,21 @@ fn coord2(v: &[i64]) -> (i64, i64) {
 /// until `f` breaks. `src` owns the element the point touches and
 /// `dst` computes at the point, both padded to 2-D by `coord2`.
 ///
-/// The owner map is composed once ([`Alignment::owner_map`]) and both
-/// 2-row maps are evaluated inline over an allocation-free domain walk.
-/// The staged evaluation (`subscript`, then two `Alloc::apply`) panics
-/// where an entry leaves `i64`; so, once per access, the subscript, both
-/// allocations and the composition are bounded over the domain box, and
-/// an access whose bound could leave `i64` takes the staged loop instead
-/// and fails exactly as it does.
+/// `owner` is [`exact_owner`]'s answer for this access. With the composed
+/// owner map, both 2-row maps are evaluated inline over an
+/// allocation-free domain walk. Without it (a bound that could leave
+/// `i64`), the walk takes the staged evaluation (`subscript`, then two
+/// `Alloc::apply`), which panics where an entry leaves `i64`.
 fn for_each_transfer(
     dom: &Domain,
     alignment: &Alignment,
     acc: &Access,
+    owner: Option<&Alloc>,
     mut f: impl FnMut((i64, i64), (i64, i64)) -> ControlFlow<()>,
 ) {
-    let array = &alignment.array_alloc[acc.array.0];
     let stmt = &alignment.stmt_alloc[acc.stmt.0];
-    if !walk_is_exact(dom, acc, array, stmt) {
+    let Some(owner) = owner else {
+        let array = &alignment.array_alloc[acc.array.0];
         for p in dom.points() {
             let e = acc.subscript(&p);
             if f(coord2(&array.apply(&e)), coord2(&stmt.apply(&p))).is_break() {
@@ -174,14 +166,23 @@ fn for_each_transfer(
             }
         }
         return;
-    }
-    let owner = alignment.owner_map(acc);
-    let (o0, o1) = (row_of(&owner, 0), row_of(&owner, 1));
+    };
+    let (o0, o1) = (row_of(owner, 0), row_of(owner, 1));
     let (s0, s1) = (row_of(stmt, 0), row_of(stmt, 1));
     let eval = |(r, o): (&[i64], i64), p: &[i64]| -> i64 {
         r.iter().zip(p).fold(o, |acc, (&a, &x)| acc + a * x)
     };
     let _ = dom.walk(|p| f((eval(o0, p), eval(o1, p)), (eval(s0, p), eval(s1, p))));
+}
+
+/// The owner map of `acc` composed once ([`Alignment::owner_map`]), when
+/// [`walk_is_exact`] proves the inline walk exact; `None` sends the walk
+/// down the staged loop, which fails exactly as the staged evaluation
+/// does.
+fn exact_owner(dom: &Domain, alignment: &Alignment, acc: &Access) -> Option<Alloc> {
+    let array = &alignment.array_alloc[acc.array.0];
+    let stmt = &alignment.stmt_alloc[acc.stmt.0];
+    walk_is_exact(dom, acc, array, stmt).then(|| alignment.owner_map(acc))
 }
 
 /// Row `i` of an allocation and its offset; a missing row is the zero
@@ -194,25 +195,94 @@ fn row_of(a: &Alloc, i: usize) -> (&[i64], i64) {
     }
 }
 
-/// The distinct `(src, dst)` pairs of `acc` in first-seen order (the
-/// order an explicit phase stores, pinned by `plan_bytes.rs`), the local
-/// ones (`src == dst`) only when `keep_local`.
+/// At most this many endpoint pairs are reserved up front for one
+/// access; a larger domain grows the buffer as it goes.
+const RESERVE_CAP: usize = 1 << 16;
+
+/// Points in `dom`'s bounding box, saturating at `usize::MAX`.
+fn box_points(dom: &Domain) -> usize {
+    (0..dom.dim())
+        .try_fold(1usize, |n, k| {
+            let side = usize::try_from(dom.hi(k).abs_diff(dom.lo(k))).ok()?;
+            n.checked_mul(side.checked_add(1)?)
+        })
+        .unwrap_or(usize::MAX)
+}
+
+/// Whether `I ↦ (src, dst)` is injective on ℤ^d: the owner map's and the
+/// statement allocation's linear parts, stacked, have full column rank
+/// `d`. Under an exact walk each has at most the two rows `coord2` keeps,
+/// so the stack has at most four rows and `d ≤ 4` columns when it can
+/// succeed. Fraction-free elimination runs in `i64` without divisions; an
+/// entry that leaves `i64` answers `false`, which only costs the set.
+fn is_injective(owner: &Alloc, stmt: &Alloc, d: usize) -> bool {
+    let rows = owner.mat.rows() + stmt.mat.rows();
+    if d > rows || rows > 4 {
+        return false;
+    }
+    let mut a = [[0i64; 4]; 4];
+    let stacked = (0..owner.mat.rows())
+        .map(|i| owner.mat.row(i))
+        .chain((0..stmt.mat.rows()).map(|i| stmt.mat.row(i)));
+    for (dst, row) in a.iter_mut().zip(stacked) {
+        dst[..d].copy_from_slice(row);
+    }
+    for col in 0..d {
+        // A column without a pivot depends on the ones before it.
+        let Some(p) = (col..rows).find(|&i| a[i][col] != 0) else {
+            return false;
+        };
+        a.swap(col, p);
+        let pivot = a[col];
+        for row in &mut a[col + 1..rows] {
+            let f = row[col];
+            if f == 0 {
+                continue;
+            }
+            for j in col..d {
+                match row[j]
+                    .checked_mul(pivot[col])
+                    .and_then(|x| x.checked_sub(pivot[j].checked_mul(f)?))
+                {
+                    Some(v) => row[j] = v,
+                    None => return false,
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Fill `out` with the distinct `(src, dst)` pairs of `acc` in first-seen
+/// order (the order an explicit phase stores, pinned by `plan_bytes.rs`),
+/// the local ones (`src == dst`) only when `keep_local`.
+///
+/// When [`is_injective`] holds, distinct points give distinct pairs, so
+/// the walk order already is first-seen order and no set is built. Any
+/// other access drops repeats through a set.
 fn distinct_transfers(
     nest: &LoopNest,
     mapping: &Mapping,
     acc: &Access,
     keep_local: bool,
-) -> Vec<Endpoints> {
+    out: &mut Vec<Endpoints>,
+) {
     let dom = &nest.statement(acc.stmt).domain;
+    let alignment = &mapping.alignment;
+    let owner = exact_owner(dom, alignment, acc);
+    let stmt = &alignment.stmt_alloc[acc.stmt.0];
+    out.clear();
+    out.reserve(box_points(dom).min(RESERVE_CAP));
+    let injective = owner
+        .as_ref()
+        .is_some_and(|o| is_injective(o, stmt, dom.dim()));
     let mut seen = BTreeSet::new();
-    let mut v = Vec::new();
-    for_each_transfer(dom, &mapping.alignment, acc, |src, dst| {
-        if (keep_local || src != dst) && seen.insert((src, dst)) {
-            v.push((src, dst));
+    for_each_transfer(dom, alignment, acc, owner.as_ref(), |src, dst| {
+        if (keep_local || src != dst) && (injective || seen.insert((src, dst))) {
+            out.push((src, dst));
         }
         ControlFlow::Continue(())
     });
-    v
 }
 
 /// `mat · pos` for a 2×2 `mat`, with [`IMat::mul_vec`]'s exact `i128`
@@ -248,33 +318,34 @@ fn walk_is_exact(dom: &Domain, acc: &Access, array: &Alloc, stmt: &Alloc) -> boo
     if !shapes_fit {
         return false;
     }
-    let reach: Vec<i128> = (0..d)
-        .map(|k| {
-            i128::from(
-                dom.lo(k)
-                    .unsigned_abs()
-                    .max(dom.hi(k).unsigned_abs())
-                    .max(1),
-            )
-        })
-        .collect();
-    let bound = |mat: &IMat, off: &[i64], reach: &[i128]| -> Vec<i128> {
-        (0..mat.rows())
-            .map(|i| {
-                mat.row(i).iter().zip(reach).fold(
-                    i128::from(off[i].unsigned_abs()),
-                    |acc, (&a, &r)| {
-                        acc.saturating_add(i128::from(a.unsigned_abs()).saturating_mul(r))
-                    },
-                )
-            })
-            .collect()
+    let reach = |k: usize| {
+        dom.lo(k)
+            .unsigned_abs()
+            .max(dom.hi(k).unsigned_abs())
+            .max(1)
     };
-    let fits = |b: &[i128]| b.iter().all(|&x| x <= i128::from(i64::MAX));
-    let subscript = bound(&acc.f, &acc.c, &reach);
-    fits(&subscript)
-        && fits(&bound(&array.mat, &array.rho, &subscript))
-        && fits(&bound(&stmt.mat, &stmt.rho, &reach))
+    let subscript = |i: usize| {
+        // Read only once every subscript row is known to fit `i64`.
+        u64::try_from(bound(acc.f.row(i), acc.c[i], reach)).unwrap_or(u64::MAX)
+    };
+    rows_fit(&acc.f, &acc.c, reach)
+        && rows_fit(&array.mat, &array.rho, subscript)
+        && rows_fit(&stmt.mat, &stmt.rho, reach)
+}
+
+/// `Σ_j |a_j|·r(j) + |o|` for one row of a map, exact: a product of two
+/// `u64` stays below 2¹²⁸, and the sum saturates.
+fn bound(row: &[i64], off: i64, r: impl Fn(usize) -> u64) -> u128 {
+    row.iter()
+        .enumerate()
+        .fold(u128::from(off.unsigned_abs()), |acc, (j, &a)| {
+            acc.saturating_add(u128::from(a.unsigned_abs()) * u128::from(r(j)))
+        })
+}
+
+/// Whether every row's [`bound`] stays within `i64`.
+fn rows_fit(mat: &IMat, off: &[i64], r: impl Fn(usize) -> u64 + Copy) -> bool {
+    (0..mat.rows()).all(|i| bound(mat.row(i), off[i], r) <= i64::MAX as u128)
 }
 
 impl CommPlan {
@@ -302,6 +373,14 @@ impl CommPlan {
     /// points below — the phases it returns feed [`PhaseSim`] and
     /// [`FaultSim`] directly.
     ///
+    /// An explicit phase goes through the single explicit fold,
+    /// [`ExplicitFold`] (the routine behind
+    /// [`rescomm_distribution::fold_pattern`]), straight to node-id
+    /// messages: its endpoints are wrapped only where they leave the grid,
+    /// and one key buffer serves every explicit phase of the call. The
+    /// result equals `fold_pattern` on the wrapped pattern, mapped through
+    /// [`Mesh2D::node_id`], in the same order.
+    ///
     /// Each distinct affine pattern is folded once per call: a factor
     /// chain reuses a handful of `L(k)`/`U(k)` matrices, so a repeated
     /// `(T, shift)` clones the phase lowered first under that key.
@@ -314,42 +393,45 @@ impl CommPlan {
         vshape: (usize, usize),
         bytes: u64,
     ) -> Vec<Vec<PMsg>> {
+        let pshape = (mesh.px, mesh.py);
+        let mut explicit = ExplicitFold::new(dist, vshape, pshape);
         let mut first: HashMap<AffineKey, usize> = HashMap::new();
         let mut out: Vec<Vec<PMsg>> = Vec::with_capacity(self.phases.len());
+        let node = |(p, q): (usize, usize)| mesh.node_id(p, q);
         for phase in &self.phases {
-            let folded = match &phase.pattern {
+            let lowered = match &phase.pattern {
                 PhasePattern::Explicit(pattern) => {
-                    let wrapped: Vec<((i64, i64), (i64, i64))> = pattern
-                        .iter()
-                        .map(|&(s, d)| (wrap2(s, vshape), wrap2(d, vshape)))
-                        .filter(|(s, d)| s != d)
-                        .collect();
-                    fold_pattern(&wrapped, dist, vshape, (mesh.px, mesh.py), bytes)
+                    explicit.fold(pattern);
+                    explicit
+                        .runs()
+                        .map(|(src, dst, sends)| PMsg {
+                            src: node(src),
+                            dst: node(dst),
+                            bytes: sends * bytes,
+                        })
+                        .collect()
                 }
                 // The closed path: no virtual-grid enumeration, cost
                 // flat in the grid area.
                 PhasePattern::Affine { t, shift } => {
                     let key = ([t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]], *shift);
                     if let Some(&i) = first.get(&key) {
-                        let repeat = out[i].clone();
-                        out.push(repeat);
-                        continue;
+                        out[i].clone()
+                    } else {
+                        first.insert(key, out.len());
+                        fold_affine(t, *shift, dist, vshape, pshape, bytes)
+                            .msgs
+                            .iter()
+                            .map(|m| PMsg {
+                                src: node(m.src),
+                                dst: node(m.dst),
+                                bytes: m.bytes,
+                            })
+                            .collect()
                     }
-                    first.insert(key, out.len());
-                    fold_affine(t, *shift, dist, vshape, (mesh.px, mesh.py), bytes)
                 }
             };
-            out.push(
-                folded
-                    .msgs
-                    .iter()
-                    .map(|m| PMsg {
-                        src: mesh.node_id(m.src.0, m.src.1),
-                        dst: mesh.node_id(m.dst.0, m.dst.1),
-                        bytes: m.bytes,
-                    })
-                    .collect(),
-            );
+            out.push(lowered);
         }
         out
     }
@@ -470,77 +552,63 @@ impl CommPlan {
 pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     assert_eq!(mapping.alignment.m, 2, "plans target 2-D grids");
     let mut plan = CommPlan::default();
+    // Scratch kept across accesses: the access's endpoint pairs, and the
+    // moves of one factor sweep. Each phase stores an exact-size copy.
+    let mut transfers = Vec::new();
+    let mut moves = Vec::new();
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
-        let endpoints = || distinct_transfers(nest, mapping, acc, false);
-        match out {
-            CommOutcome::Local => {}
-            CommOutcome::Translation => plan.phases.push(CommPhase {
+        let mut push = |kind, pattern: &[Endpoints]| {
+            plan.phases.push(CommPhase {
                 access: acc.id,
-                kind: PhaseKind::Translation,
-                pattern: PhasePattern::Explicit(endpoints()),
-            }),
-            CommOutcome::Macro { .. } => plan.phases.push(CommPhase {
-                access: acc.id,
-                kind: PhaseKind::CollectiveRound,
-                pattern: PhasePattern::Explicit(endpoints()),
-            }),
+                kind,
+                pattern: PhasePattern::Explicit(pattern.to_vec()),
+            })
+        };
+        let kind = match out {
+            CommOutcome::Local => continue,
+            CommOutcome::Translation => PhaseKind::Translation,
+            CommOutcome::Macro { .. } => PhaseKind::CollectiveRound,
+            CommOutcome::DecomposedGeneral { .. } => PhaseKind::UnirowFactor,
+            CommOutcome::General => PhaseKind::GeneralAffine,
             CommOutcome::Decomposed { factors, .. } => {
                 // precv = F₁·…·F_n·psend + t₀: one phase per factor (right
                 // to left), then the constant shift t₀ (§4.2: the dataflow
                 // equality holds "up to a translation").
                 // (current position, final destination) pairs.
-                let mut sources = distinct_transfers(nest, mapping, acc, true);
+                distinct_transfers(nest, mapping, acc, true, &mut transfers);
                 for f in factors.iter().rev() {
                     let mat = f.to_mat();
-                    let mut pattern = Vec::new();
-                    for (pos, _) in &mut sources {
+                    moves.clear();
+                    for (pos, _) in &mut transfers {
                         let q = mul2(&mat, *pos);
                         if q != *pos {
-                            pattern.push((*pos, q));
+                            moves.push((*pos, q));
                         }
                         *pos = q;
                     }
-                    pattern.sort();
-                    pattern.dedup();
-                    plan.phases.push(CommPhase {
-                        access: acc.id,
-                        kind: PhaseKind::Elementary(*f),
-                        pattern: PhasePattern::Explicit(pattern),
-                    });
+                    moves.sort_unstable();
+                    moves.dedup();
+                    push(PhaseKind::Elementary(*f), &moves);
                 }
                 // Final constant shift to the true destination.
-                let mut shift: Vec<((i64, i64), (i64, i64))> = sources
-                    .iter()
-                    .filter(|(pos, dst)| pos != dst)
-                    .map(|&(pos, dst)| (pos, dst))
-                    .collect();
-                shift.sort();
-                shift.dedup();
-                if !shift.is_empty() {
+                moves.clear();
+                moves.extend(transfers.iter().filter(|(pos, dst)| pos != dst));
+                moves.sort_unstable();
+                moves.dedup();
+                if let Some(&(s0, d0)) = moves.first() {
                     // All moves share one offset (affine constant term).
-                    let d0 = (shift[0].1 .0 - shift[0].0 .0, shift[0].1 .1 - shift[0].0 .1);
+                    let off = (d0.0 - s0.0, d0.1 - s0.1);
                     debug_assert!(
-                        shift.iter().all(|&(s, d)| (d.0 - s.0, d.1 - s.1) == d0),
+                        moves.iter().all(|&(s, d)| (d.0 - s.0, d.1 - s.1) == off),
                         "decomposition residue is not a constant shift"
                     );
-                    plan.phases.push(CommPhase {
-                        access: acc.id,
-                        kind: PhaseKind::DecompositionShift,
-                        pattern: PhasePattern::Explicit(shift),
-                    });
+                    push(PhaseKind::DecompositionShift, &moves);
                 }
+                continue;
             }
-            CommOutcome::DecomposedGeneral { .. } => plan.phases.push(CommPhase {
-                access: acc.id,
-                kind: PhaseKind::UnirowFactor,
-                pattern: PhasePattern::Explicit(endpoints()),
-            }),
-            CommOutcome::General => plan.phases.push(CommPhase {
-                access: acc.id,
-                kind: PhaseKind::GeneralAffine,
-                pattern: PhasePattern::Explicit(endpoints()),
-            }),
-        }
+        };
+        distinct_transfers(nest, mapping, acc, false, &mut transfers);
+        push(kind, &transfers);
     }
     plan
 }
@@ -567,21 +635,26 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
 pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     assert_eq!(mapping.alignment.m, 2, "plans target 2-D grids");
     let mut plan = CommPlan::default();
+    let mut transfers = Vec::new();
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
         if matches!(out, CommOutcome::Local) {
             continue;
         }
         // One sample pins the affine constant term.
         let dom = &nest.statement(acc.stmt).domain;
+        let owner = exact_owner(dom, &mapping.alignment, acc);
         let mut sample = None;
-        for_each_transfer(dom, &mapping.alignment, acc, |src, dst| {
+        for_each_transfer(dom, &mapping.alignment, acc, owner.as_ref(), |src, dst| {
             sample = Some((src, dst));
             ControlFlow::Break(())
         });
         let Some((src0, dst0)) = sample else {
             continue;
         };
-        let endpoints = || distinct_transfers(nest, mapping, acc, false);
+        let mut endpoints = || {
+            distinct_transfers(nest, mapping, acc, false, &mut transfers);
+            transfers.to_vec()
+        };
         match out {
             CommOutcome::Local => unreachable!(),
             CommOutcome::Translation => {
@@ -662,8 +735,8 @@ pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
 mod tests {
     use super::*;
     use crate::pipeline::{map_nest, MappingOptions};
-    use rescomm_distribution::Dist1D;
-    use rescomm_loopnest::examples;
+    use rescomm_distribution::{fold_pattern, Dist1D};
+    use rescomm_loopnest::examples::{self, chained_stencil_nest};
     use rescomm_machine::{
         replication_seed, CachedPhase, CheckpointPolicy, CostModel, SchedulePolicy,
     };
@@ -983,11 +1056,11 @@ mod tests {
             .map(|phase| {
                 let folded = match &phase.pattern {
                     PhasePattern::Explicit(pattern) => {
-                        let wrapped: Vec<Endpoints> = pattern
-                            .iter()
-                            .map(|&(s, d)| (wrap2(s, vshape), wrap2(d, vshape)))
-                            .filter(|(s, d)| s != d)
-                            .collect();
+                        let wrap = |(i, j): (i64, i64)| {
+                            (i.rem_euclid(vshape.0 as i64), j.rem_euclid(vshape.1 as i64))
+                        };
+                        let wrapped: Vec<Endpoints> =
+                            pattern.iter().map(|&(s, d)| (wrap(s), wrap(d))).collect();
                         fold_pattern(&wrapped, dist, vshape, pshape, bytes)
                     }
                     PhasePattern::Affine { t, shift } => {
@@ -1007,29 +1080,6 @@ mod tests {
             .collect()
     }
 
-    /// A chained stencil: each statement reads the previous stage and a
-    /// shared array through signed permutations, so the closed plan is a
-    /// chain of repeated elementary factors.
-    fn chained_stencil(n_stmts: usize) -> LoopNest {
-        let fam = [
-            IMat::identity(2),
-            IMat::from_rows(&[&[0, 1], &[1, 0]]),
-            IMat::from_rows(&[&[0, -1], &[1, 0]]),
-        ];
-        let mut b = rescomm_loopnest::NestBuilder::new("chained-stencil");
-        let g = b.array("g", 2);
-        let stages: Vec<_> = (0..=n_stmts)
-            .map(|i| b.array(&format!("a{i}"), 2))
-            .collect();
-        for i in 1..=n_stmts {
-            let s = b.statement(&format!("S{i}"), 2, rescomm_loopnest::Domain::cube(2, 4));
-            b.write(s, stages[i], IMat::identity(2), &[0, 0]);
-            b.read(s, stages[i - 1], fam[i % 3].clone(), &[0, 0]);
-            b.read(s, g, fam[(i + 1) % 3].clone(), &[(i % 2) as i64, 0]);
-        }
-        b.build().unwrap()
-    }
-
     #[test]
     fn memoized_lowering_matches_per_phase_fold() {
         let mut nests = vec![
@@ -1045,7 +1095,7 @@ mod tests {
             examples::gauss_triangular(6),
             examples::adi_sweep(6),
         ];
-        nests.extend([5, 9, 16].map(chained_stencil));
+        nests.extend([5, 9, 16].map(|n| chained_stencil_nest(n, 4)));
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let mut repeats = 0;
         for nest in &nests {
@@ -1197,10 +1247,17 @@ mod tests {
 
         fn walk(&self) -> Vec<Endpoints> {
             let mut v = Vec::new();
-            for_each_transfer(&self.dom, &self.alignment, &self.acc, |src, dst| {
-                v.push((src, dst));
-                ControlFlow::Continue(())
-            });
+            let owner = exact_owner(&self.dom, &self.alignment, &self.acc);
+            for_each_transfer(
+                &self.dom,
+                &self.alignment,
+                &self.acc,
+                owner.as_ref(),
+                |src, dst| {
+                    v.push((src, dst));
+                    ControlFlow::Continue(())
+                },
+            );
             v
         }
 
@@ -1317,14 +1374,21 @@ mod tests {
             &[1, 0, 0, 1, 1, 0, 2, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0],
         );
         let mut seen = 0;
-        for_each_transfer(&case.dom, &case.alignment, &case.acc, |_, _| {
-            seen += 1;
-            if seen == 4 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        let owner = exact_owner(&case.dom, &case.alignment, &case.acc);
+        for_each_transfer(
+            &case.dom,
+            &case.alignment,
+            &case.acc,
+            owner.as_ref(),
+            |_, _| {
+                seen += 1;
+                if seen == 4 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
         assert_eq!(seen, 4);
         assert_eq!(case.walk().len(), 9);
     }

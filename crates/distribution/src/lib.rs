@@ -24,7 +24,7 @@ pub mod msgs;
 pub use closed::{fold_affine, fold_affine_with, fold_general, FoldPath};
 pub use msgs::{
     affine_pattern, elementary_pattern, fold_pattern, general_pattern, locality_fraction,
-    physical_messages, FoldedPattern, Msg, VSend,
+    physical_messages, ExplicitFold, FoldedPattern, Msg, VSend,
 };
 
 /// A one-dimensional virtual→physical folding scheme.

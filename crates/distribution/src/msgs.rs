@@ -129,14 +129,147 @@ impl FoldedPattern {
     }
 }
 
-/// Fold a virtual pattern in **one fused pass**: each endpoint is mapped
-/// exactly once, locality is counted along the way, and the non-local
-/// sends are aggregated sparsely — their `src·P + dst` processor-pair
-/// keys are sorted and run-length counted, so the cost follows the
-/// pattern's length, not the `P²` processor pairs (an explicit phase
-/// carries a few dozen sends, the 8×4 mesh 1,024 pairs).
+/// The explicit fold: the one routine that lowers an enumerated virtual
+/// pattern to aggregated processor pairs, behind both [`fold_pattern`]
+/// and the plan lowering (`CommPlan::phases_on_mesh` in `rescomm-core`).
 ///
-/// Ascending key order is `(src, dst)` order, so the message set equals
+/// Each endpoint is wrapped toroidally into `vshape` (only a coordinate
+/// outside `[0, v)` pays a `rem_euclid`) and mapped through the
+/// distribution once. Once the sends folded so far reach half an axis's
+/// length, that axis's owners are tabulated, so a lookup replaces the
+/// divisions of [`crate::Dist1D::map`] and the table never costs more
+/// than the maps it saves. Each non-local send becomes one key that packs
+/// `(src row, src col, dst row, dst col)` into bit fields. Ascending key
+/// order is therefore `(src, dst)` order, and decoding a key takes shifts
+/// and masks, not divisions. The keys are sorted and run-length counted,
+/// so the cost follows the pattern's length, not the `P²` processor
+/// pairs (an explicit phase carries a few dozen sends, the 8×4 mesh
+/// 1,024 pairs). The key buffer is kept from one fold to the next.
+#[derive(Debug, Clone)]
+pub struct ExplicitFold {
+    dist: Dist2D,
+    vshape: (usize, usize),
+    pshape: (usize, usize),
+    /// Bit widths of a processor row and of a processor column index.
+    bits: (u32, u32),
+    /// Sends folded so far (they decide when to tabulate).
+    sends: usize,
+    /// Owner of each virtual row and column, once tabulated.
+    owners: (Vec<u32>, Vec<u32>),
+    keys: Vec<u64>,
+}
+
+/// Bits that hold every index below `n`.
+fn index_bits(n: usize) -> u32 {
+    usize::BITS - n.saturating_sub(1).leading_zeros()
+}
+
+/// The physical owner of virtual index `i` (any integer, wrapped into
+/// `[0, v)`) on one axis: from `table` when it is built, else by
+/// [`crate::Dist1D::map`].
+fn owner(table: &[u32], dist: crate::Dist1D, i: i64, v: usize, p: usize) -> u64 {
+    let i = wrap(i, v);
+    if table.is_empty() {
+        dist.map(i, v, p) as u64
+    } else {
+        u64::from(table[i as usize])
+    }
+}
+
+/// Toroidal wrap of one coordinate into `[0, v)`.
+fn wrap(x: i64, v: usize) -> i64 {
+    if (x as u64) < v as u64 {
+        x
+    } else {
+        x.rem_euclid(v as i64)
+    }
+}
+
+impl ExplicitFold {
+    /// A fold of patterns on a `vshape` virtual grid onto a `pshape`
+    /// physical grid under `dist`.
+    ///
+    /// # Panics
+    /// Panics if a processor pair does not fit a 64-bit key (a grid of
+    /// more than about 2³⁰ processors).
+    pub fn new(dist: Dist2D, vshape: (usize, usize), pshape: (usize, usize)) -> Self {
+        let bits = (index_bits(pshape.0), index_bits(pshape.1));
+        assert!(
+            2 * (bits.0 + bits.1) <= u64::BITS,
+            "processor grid {pshape:?} too large for pair keys"
+        );
+        ExplicitFold {
+            dist,
+            vshape,
+            pshape,
+            bits,
+            sends: 0,
+            owners: (Vec::new(), Vec::new()),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Fold `pattern` (raw virtual coordinates) and return the number of
+    /// its sends that stay on one physical processor. The aggregated
+    /// non-local sends are read back with [`ExplicitFold::runs`].
+    pub fn fold(&mut self, pattern: &[VSend]) -> u64 {
+        let ExplicitFold {
+            dist,
+            vshape: (vr, vc),
+            pshape: (pr, pc),
+            bits: (br, bc),
+            ..
+        } = *self;
+        // Each send maps two coordinates per axis.
+        self.sends = self.sends.saturating_add(pattern.len());
+        let tabulate = |table: &mut Vec<u32>, d: crate::Dist1D, v: usize, p: usize| {
+            if table.is_empty() && self.sends >= v.div_ceil(2) {
+                // `new` bounds every processor index below 2³².
+                table.extend((0..v).map(|i| d.map(i as i64, v, p) as u32));
+            }
+        };
+        tabulate(&mut self.owners.0, dist.rows, vr, pr);
+        tabulate(&mut self.owners.1, dist.cols, vc, pc);
+        let (rows, cols) = (&self.owners.0, &self.owners.1);
+        let place = |(i, j): (i64, i64)| {
+            owner(rows, dist.rows, i, vr, pr) << bc | owner(cols, dist.cols, j, vc, pc)
+        };
+        self.keys.clear();
+        for &(src, dst) in pattern {
+            let (s, d) = (place(src), place(dst));
+            if s != d {
+                self.keys.push(s << (br + bc) | d);
+            }
+        }
+        self.keys.sort_unstable();
+        (pattern.len() - self.keys.len()) as u64
+    }
+
+    /// The last fold's non-local sends aggregated per processor pair:
+    /// `(src, dst, sends)` in ascending `(src, dst)` order, processors as
+    /// `(row, col)` coordinates.
+    pub fn runs(&self) -> impl Iterator<Item = ((usize, usize), (usize, usize), u64)> + '_ {
+        let (br, bc) = self.bits;
+        let field =
+            |key: u64, shift: u32, width: u32| ((key >> shift) & ((1 << width) - 1)) as usize;
+        self.keys.chunk_by(|a, b| a == b).map(move |run| {
+            let k = run[0];
+            (
+                (field(k, br + 2 * bc, br), field(k, br + bc, bc)),
+                (field(k, bc, br), field(k, 0, bc)),
+                run.len() as u64,
+            )
+        })
+    }
+}
+
+/// Fold a virtual pattern in **one fused pass** through
+/// [`ExplicitFold`]: each endpoint is mapped exactly once, locality is
+/// counted along the way, and the non-local sends are aggregated
+/// sparsely. Coordinates outside the grid are wrapped toroidally into
+/// `vshape` first.
+///
+/// On a pattern inside the grid the message set equals
 /// [`physical_messages`] exactly (same order, same aggregation), which
 /// stays its oracle; the locality equals [`locality_fraction`].
 pub fn fold_pattern(
@@ -146,30 +279,18 @@ pub fn fold_pattern(
     pshape: (usize, usize),
     elem_bytes: u64,
 ) -> FoldedPattern {
-    let np = pshape.0 * pshape.1;
-    let mut keys = Vec::with_capacity(pattern.len());
-    for &(src_v, dst_v) in pattern {
-        let (sp, sq) = dist.map(src_v, vshape, pshape);
-        let (dp, dq) = dist.map(dst_v, vshape, pshape);
-        let s = sp * pshape.1 + sq;
-        let d = dp * pshape.1 + dq;
-        if s != d {
-            keys.push(s * np + d);
-        }
-    }
-    keys.sort_unstable();
-    let mut msgs = Vec::new();
-    for run in keys.chunk_by(|a, b| a == b) {
-        let (s, d) = (run[0] / np, run[0] % np);
-        msgs.push(Msg {
-            src: (s / pshape.1, s % pshape.1),
-            dst: (d / pshape.1, d % pshape.1),
-            bytes: run.len() as u64 * elem_bytes,
-        });
-    }
+    let mut fold = ExplicitFold::new(dist, vshape, pshape);
+    let local_sends = fold.fold(pattern);
     FoldedPattern {
-        msgs,
-        local_sends: (pattern.len() - keys.len()) as u64,
+        msgs: fold
+            .runs()
+            .map(|(src, dst, sends)| Msg {
+                src,
+                dst,
+                bytes: sends * elem_bytes,
+            })
+            .collect(),
+        local_sends,
         total_sends: pattern.len() as u64,
         closed: false,
     }
