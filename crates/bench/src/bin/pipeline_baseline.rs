@@ -1,8 +1,8 @@
-//! Measure the compiler front-end (`map_nest`) old vs new and write a
-//! machine-readable baseline to `BENCH_pipeline.json` so later PRs can
-//! track the analysis-cost trajectory.
+//! Measure the compiler front-end (`map_nest`) old vs new, and the
+//! explicit lowering behind it, and write a machine-readable baseline to
+//! `BENCH_pipeline.json` so later PRs can track the cost trajectory.
 //!
-//! Two sections, matching the two halves of the optimization:
+//! Three sections:
 //!
 //! * **synthetic** — `map_nest_reference` (the seed passes: positional
 //!   vertex scans, per-start cycle rescans, O(E²) twin marking, no
@@ -11,6 +11,15 @@
 //! * **kernels** — the paper's kernels mapped repeatedly, old vs new with
 //!   a warm shared [`rescomm::AnalysisCache`] (the batch-serving setting
 //!   `map_nest_batch` exists for).
+//! * **lowering** — `build_plan` followed by `phases_on_mesh` on the 8×4
+//!   Paragon mesh (32² virtual grid, CYCLIC) for the synthetic nests: the
+//!   explicit plan and fold of the cold CLI path. Its counts and the
+//!   overlapped makespan are pinned by `--check`; the time is
+//!   `optimized_ns`.
+//!
+//! Each old/new pair is timed as interleaved pairs
+//! ([`rescomm_bench::harness::paired_ns`]), so a host that drifts during
+//! the run moves both sides alike; `speedup` is the median paired ratio.
 //!
 //! How `map_nest_batch` scales across workers is measured once, by
 //! `scaling_baseline` (`BENCH_scaling.json`).
@@ -23,12 +32,20 @@
 //! rotations, allocation matrices), so the numbers can't drift from a
 //! wrong answer going fast.
 
-use rescomm::{map_nest, map_nest_reference, map_nest_with, AnalysisCache};
+use rescomm::{build_plan, map_nest, map_nest_reference, map_nest_with, AnalysisCache};
 use rescomm::{Mapping, MappingOptions};
-use rescomm_bench::harness::{median_ns, Args};
-use rescomm_bench::workload::{chained_stencil_nest, host_threads, pipeline_nest};
+use rescomm_bench::harness::{median_ns, paired_ns, Args, Paired};
+use rescomm_bench::workload::{chained_stencil_nest, host_threads, paragon_mesh, pipeline_nest};
+use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_json::{fixed, JsonDoc, Val};
 use rescomm_loopnest::{examples, LoopNest};
+use rescomm_machine::ScheduleMode;
+use std::hint::black_box;
+
+/// The virtual grid the lowering section's explicit patterns wrap into.
+const VSHAPE: (usize, usize) = (32, 32);
+/// Element size of every lowered message.
+const BYTES: u64 = 64;
 
 /// Panic unless the two mappings classify identically.
 fn assert_same_mapping(tag: &str, new: &Mapping, old: &Mapping) {
@@ -59,14 +76,25 @@ struct SynthRow {
     family: &'static str,
     n_stmts: usize,
     accesses: usize,
-    old_ns: u64,
-    new_ns: u64,
+    /// `map_nest_reference` (`a`) against `map_nest` (`b`).
+    timing: Paired,
 }
 
 struct KernelRow {
     kernel: &'static str,
-    old_ns: u64,
-    new_ns: u64,
+    /// `map_nest_reference` (`a`) against the warm-cache `map_nest_with`
+    /// (`b`), per call.
+    timing: Paired,
+}
+
+struct LoweringRow {
+    family: &'static str,
+    n_stmts: usize,
+    phases: usize,
+    virtual_msgs: usize,
+    physical_msgs: usize,
+    makespan_ns: u64,
+    lower_ns: u64,
 }
 
 fn main() {
@@ -90,18 +118,20 @@ fn main() {
             assert_same_mapping(&format!("{family} n={n}"), &new, &old);
 
             let reps = if n >= 200 { 5 } else { 9 };
-            let old_ns = median_ns(reps, 1, || map_nest_reference(&nest, &opts));
-            let new_ns = median_ns(reps.max(9), 1, || map_nest(&nest, &opts));
+            let timing = paired_ns(
+                reps,
+                || map_nest_reference(&nest, &opts),
+                || map_nest(&nest, &opts),
+            );
             eprintln!(
-                "  {family:>15} n={n:>4}  old {old_ns:>12} ns   new {new_ns:>10} ns   ×{:.1}",
-                old_ns as f64 / new_ns.max(1) as f64
+                "  {family:>15} n={n:>4}  old {:>12} ns   new {:>10} ns   ×{:.1}",
+                timing.a_ns, timing.b_ns, timing.ratio
             );
             synth.push(SynthRow {
                 family,
                 n_stmts: n,
                 accesses: nest.accesses.len(),
-                old_ns,
-                new_ns,
+                timing,
             });
         }
     }
@@ -119,21 +149,60 @@ fn main() {
         let old = map_nest_reference(nest, &opts);
         assert_same_mapping(name, &new, &old);
 
-        let old_ns = median_ns(33, 32, || map_nest_reference(nest, &opts));
+        // Microsecond-scale calls: each timed sample runs 32 of them.
+        const INNER: u64 = 32;
         let mut cache = AnalysisCache::new();
-        let new_ns = median_ns(33, 32, || map_nest_with(nest, &opts, &mut cache));
+        let batch = paired_ns(
+            33,
+            || (0..INNER).for_each(|_| drop(black_box(map_nest_reference(nest, &opts)))),
+            || (0..INNER).for_each(|_| drop(black_box(map_nest_with(nest, &opts, &mut cache)))),
+        );
+        let timing = Paired {
+            a_ns: batch.a_ns / INNER,
+            b_ns: batch.b_ns / INNER,
+            ..batch
+        };
         eprintln!(
-            "  {name:>12}  old {old_ns:>9} ns   new {new_ns:>9} ns   ×{:.1}",
-            old_ns as f64 / new_ns.max(1) as f64
+            "  {name:>12}  old {:>9} ns   new {:>9} ns   ×{:.1}",
+            timing.a_ns, timing.b_ns, timing.ratio
         );
         kern.push(KernelRow {
             kernel: name,
-            old_ns,
-            new_ns,
+            timing,
         });
     }
 
-    let speedup = |old: u64, new: u64| fixed(old as f64 / new.max(1) as f64, 2);
+    eprintln!("lowering: build_plan + phases_on_mesh, 8x4 mesh, 32x32 CYCLIC");
+    let mesh = paragon_mesh();
+    let dist = Dist2D::uniform(Dist1D::Cyclic);
+    let mut lowering = Vec::new();
+    for (family, build) in families {
+        for n in sizes {
+            let nest = build(n, 8);
+            let mapping = map_nest(&nest, &opts).unwrap();
+            let plan = build_plan(&nest, &mapping);
+            plan.verify_availability(&nest, &mapping)
+                .unwrap_or_else(|e| panic!("{family} n={n}: {e}"));
+            let phases = plan.phases_on_mesh(&mesh, dist, VSHAPE, BYTES);
+            let makespan_ns =
+                plan.simulate_on_mesh(&mesh, dist, VSHAPE, BYTES, ScheduleMode::overlapped());
+            let lower_ns = median_ns(9, 1, || {
+                build_plan(&nest, &mapping).phases_on_mesh(&mesh, dist, VSHAPE, BYTES)
+            });
+            eprintln!("  {family:>15} n={n:>4}  {lower_ns:>10} ns");
+            lowering.push(LoweringRow {
+                family,
+                n_stmts: n,
+                phases: plan.phases.len(),
+                virtual_msgs: plan.message_count(),
+                physical_msgs: phases.iter().map(Vec::len).sum(),
+                makespan_ns,
+                lower_ns,
+            });
+        }
+    }
+
+    let speedup = |t: &Paired| fixed(t.ratio, 2);
     let mut doc = JsonDoc::new();
     doc.field("bench", "pipeline")
         .field("m", 2u64)
@@ -143,17 +212,28 @@ fn main() {
             ("family", Val::from(r.family)),
             ("statements", Val::from(r.n_stmts)),
             ("accesses", Val::from(r.accesses)),
-            ("reference_ns", Val::from(r.old_ns)),
-            ("optimized_ns", Val::from(r.new_ns)),
-            ("speedup", speedup(r.old_ns, r.new_ns)),
+            ("reference_ns", Val::from(r.timing.a_ns)),
+            ("optimized_ns", Val::from(r.timing.b_ns)),
+            ("speedup", speedup(&r.timing)),
         ]
     });
     doc.rows("kernels", &kern, |r| {
         vec![
             ("kernel", Val::from(r.kernel)),
-            ("reference_ns", Val::from(r.old_ns)),
-            ("warm_cache_ns", Val::from(r.new_ns)),
-            ("speedup", speedup(r.old_ns, r.new_ns)),
+            ("reference_ns", Val::from(r.timing.a_ns)),
+            ("warm_cache_ns", Val::from(r.timing.b_ns)),
+            ("speedup", speedup(&r.timing)),
+        ]
+    });
+    doc.rows("lowering", &lowering, |r| {
+        vec![
+            ("family", Val::from(r.family)),
+            ("statements", Val::from(r.n_stmts)),
+            ("phases", Val::from(r.phases)),
+            ("virtual_msgs", Val::from(r.virtual_msgs)),
+            ("physical_msgs", Val::from(r.physical_msgs)),
+            ("makespan_ns", Val::from(r.makespan_ns)),
+            ("optimized_ns", Val::from(r.lower_ns)),
         ]
     });
     args.emit(&doc);

@@ -1392,4 +1392,300 @@ mod tests {
         assert_eq!(seen, 4);
         assert_eq!(case.walk().len(), 9);
     }
+
+    /// The set-based `distinct_transfers` the plan builder used before the
+    /// injectivity skip: every pair goes through a first-seen set.
+    fn distinct_transfers_by_set(
+        nest: &LoopNest,
+        mapping: &Mapping,
+        acc: &Access,
+        keep_local: bool,
+    ) -> Vec<Endpoints> {
+        let dom = &nest.statement(acc.stmt).domain;
+        let owner = exact_owner(dom, &mapping.alignment, acc);
+        let mut seen = BTreeSet::new();
+        let mut v = Vec::new();
+        for_each_transfer(dom, &mapping.alignment, acc, owner.as_ref(), |src, dst| {
+            if (keep_local || src != dst) && seen.insert((src, dst)) {
+                v.push((src, dst));
+            }
+            ControlFlow::Continue(())
+        });
+        v
+    }
+
+    /// The 13 nests of the kernel zoo at size `n`.
+    fn kernel_zoo(n: i64) -> Vec<LoopNest> {
+        vec![
+            examples::motivating_example(n, 4).0,
+            examples::example2_broadcast(n),
+            examples::example3_gather(n),
+            examples::example4_reduction(n),
+            examples::example5_platonoff(n).0,
+            examples::matmul(n),
+            examples::gauss_elim(n),
+            examples::jacobi2d(n),
+            examples::transpose(n),
+            examples::syrk(n),
+            examples::stencil1d(n, 4),
+            examples::gauss_triangular(n),
+            examples::adi_sweep(n),
+        ]
+    }
+
+    #[test]
+    fn dedup_skip_matches_the_set_oracle() {
+        let mut nests: Vec<LoopNest> = (3..=9).flat_map(kernel_zoo).collect();
+        for n in 1..=50 {
+            nests.push(chained_stencil_nest(n, 4));
+            nests.push(examples::pipeline_nest(n, 3));
+        }
+        let (mut skipped, mut deduped) = (0, 0);
+        let mut buf = Vec::new();
+        for nest in &nests {
+            let mapping = map_nest(nest, &MappingOptions::new(2)).unwrap();
+            for acc in &nest.accesses {
+                let dom = &nest.statement(acc.stmt).domain;
+                let owner = exact_owner(dom, &mapping.alignment, acc);
+                let stmt = &mapping.alignment.stmt_alloc[acc.stmt.0];
+                if owner
+                    .as_ref()
+                    .is_some_and(|o| is_injective(o, stmt, dom.dim()))
+                {
+                    skipped += 1;
+                } else {
+                    deduped += 1;
+                }
+                for keep_local in [false, true] {
+                    distinct_transfers(nest, &mapping, acc, keep_local, &mut buf);
+                    assert_eq!(
+                        buf,
+                        distinct_transfers_by_set(nest, &mapping, acc, keep_local),
+                        "{} access {:?}, keep_local {keep_local}",
+                        nest.name,
+                        acc.id
+                    );
+                }
+            }
+        }
+        // Both branches run: broadcasts and the flat 2×3 `c` reads repeat
+        // pairs, most other accesses are injective.
+        assert!(skipped > deduped && deduped > 0, "{skipped} / {deduped}");
+    }
+
+    /// A plan of explicit phases, one per raw endpoint list.
+    fn explicit_plan(patterns: &[Vec<Endpoints>]) -> CommPlan {
+        CommPlan {
+            phases: patterns
+                .iter()
+                .map(|pattern| CommPhase {
+                    access: AccessId(0),
+                    kind: PhaseKind::GeneralAffine,
+                    pattern: PhasePattern::Explicit(pattern.clone()),
+                })
+                .collect(),
+        }
+    }
+
+    fn any_dist() -> impl proptest::strategy::Strategy<Value = Dist1D> {
+        use proptest::strategy::{Just, Strategy};
+        proptest::prop_oneof![
+            Just(Dist1D::Block),
+            Just(Dist1D::Cyclic),
+            (1usize..=4).prop_map(Dist1D::CyclicBlock),
+            (1usize..=6).prop_map(Dist1D::Grouped),
+        ]
+    }
+
+    #[test]
+    fn an_all_local_explicit_phase_lowers_to_nothing() {
+        // Raw pairs a whole grid period apart wrap onto one processor.
+        let pattern: Vec<Endpoints> =
+            vec![((0, 0), (0, 0)), ((-3, 2), (9, -14)), ((5, 7), (-7, 7))];
+        let plan = explicit_plan(&[pattern]);
+        for (px, py) in [(8, 4), (3, 5), (1, 7)] {
+            let mesh = Mesh2D::new(px, py, CostModel::paragon());
+            for d in [
+                Dist1D::Block,
+                Dist1D::Cyclic,
+                Dist1D::CyclicBlock(2),
+                Dist1D::Grouped(3),
+            ] {
+                let lowered = plan.phases_on_mesh(&mesh, Dist2D::uniform(d), (12, 8), 8);
+                assert_eq!(lowered, vec![Vec::<PMsg>::new()], "{d:?} on {px}×{py}");
+            }
+        }
+    }
+
+    /// The buffer-free exactness bound as it stood with heap buffers: one
+    /// `Vec` of reaches and one of bounds per map.
+    fn walk_is_exact_buffered(dom: &Domain, acc: &Access, array: &Alloc, stmt: &Alloc) -> bool {
+        let d = dom.dim();
+        let shapes_fit = acc.f.cols() == d
+            && acc.c.len() == acc.f.rows()
+            && array.mat.cols() == acc.f.rows()
+            && stmt.mat.cols() == d
+            && array.mat.rows() <= 2
+            && stmt.mat.rows() <= 2
+            && array.rho.len() == array.mat.rows()
+            && stmt.rho.len() == stmt.mat.rows();
+        if !shapes_fit {
+            return false;
+        }
+        let reach: Vec<i128> = (0..d)
+            .map(|k| {
+                i128::from(
+                    dom.lo(k)
+                        .unsigned_abs()
+                        .max(dom.hi(k).unsigned_abs())
+                        .max(1),
+                )
+            })
+            .collect();
+        let bound = |mat: &IMat, off: &[i64], reach: &[i128]| -> Vec<i128> {
+            (0..mat.rows())
+                .map(|i| {
+                    mat.row(i).iter().zip(reach).fold(
+                        i128::from(off[i].unsigned_abs()),
+                        |acc, (&a, &r)| {
+                            acc.saturating_add(i128::from(a.unsigned_abs()).saturating_mul(r))
+                        },
+                    )
+                })
+                .collect()
+        };
+        let fits = |b: &[i128]| b.iter().all(|&x| x <= i128::from(i64::MAX));
+        let subscript = bound(&acc.f, &acc.c, &reach);
+        fits(&subscript)
+            && fits(&bound(&array.mat, &array.rho, &subscript))
+            && fits(&bound(&stmt.mat, &stmt.rho, &reach))
+    }
+
+    impl WalkCase {
+        /// Break the shapes one way (`how` in 1..=4): `c` one short, an
+        /// extra `ρ_x` entry, `M_S` one column too wide, or `F` one column
+        /// too wide. Any other `how` keeps them.
+        fn mismatch(mut self, how: usize) -> Self {
+            let widen = |m: &IMat| {
+                IMat::from_fn(m.rows(), m.cols() + 1, |i, j| {
+                    if j < m.cols() {
+                        m[(i, j)]
+                    } else {
+                        1
+                    }
+                })
+            };
+            match how {
+                1 => {
+                    self.acc.c.pop();
+                }
+                2 => self.alignment.array_alloc[0].rho.push(0),
+                3 => {
+                    let s = &mut self.alignment.stmt_alloc[0];
+                    s.mat = widen(&s.mat);
+                }
+                4 => self.acc.f = widen(&self.acc.f),
+                _ => {}
+            }
+            self
+        }
+
+        fn exact_buffered(&self) -> bool {
+            let (x, s) = (
+                &self.alignment.array_alloc[0],
+                &self.alignment.stmt_alloc[0],
+            );
+            walk_is_exact_buffered(&self.dom, &self.acc, x, s)
+        }
+    }
+
+    /// Entries and bounds at the `i64` edges: `i64::MIN`, `±2⁶²` and
+    /// neighbours, plus small values.
+    fn edge_value() -> impl proptest::strategy::Strategy<Value = i64> {
+        use proptest::strategy::Just;
+        proptest::prop_oneof![
+            Just(i64::MIN),
+            Just(i64::MIN + 1),
+            Just(-(1i64 << 62)),
+            Just((1i64 << 62) - 1),
+            Just(1i64 << 62),
+            Just(i64::MAX),
+            Just(1i64 << 31),
+            -3i64..=3,
+        ]
+    }
+
+    #[test]
+    fn an_access_past_the_bound_takes_the_staged_loop_and_fails_there() {
+        // `x[2⁶²·i]` on `[1, 2]`: the subscript leaves `i64` at `i = 2`.
+        let case = WalkCase::new(Domain::rect(&[(1, 2)]), 1, 1, 1, &[1 << 62, 0, 1, 0, 1, 0]);
+        assert!(!case.exact() && !case.exact_buffered());
+        let walk = std::panic::catch_unwind(|| case.walk());
+        let oracle = std::panic::catch_unwind(|| case.oracle());
+        assert!(walk.is_err() && oracle.is_err());
+    }
+
+    proptest::proptest! {
+        /// Every explicit phase lowers to `fold_pattern` on its wrapped
+        /// pattern mapped through `Mesh2D::node_id`, in the same order:
+        /// raw coordinates far outside the grid on both sides, every
+        /// distribution kind, the three mesh shapes, and plans long enough
+        /// that the fold switches to tabulated owners part-way through.
+        #[test]
+        fn explicit_lowering_matches_fold_pattern(
+            dr in any_dist(),
+            dc in any_dist(),
+            vr in 1usize..=24,
+            vc in 1usize..=24,
+            mesh in 0usize..3,
+            raw in proptest::collection::vec(
+                proptest::collection::vec((-60i64..60, -60i64..60, -60i64..60, -60i64..60), 0..12),
+                1..6,
+            ),
+            bytes in 1u64..=64,
+        ) {
+            let (px, py) = [(8, 4), (3, 5), (1, 7)][mesh];
+            let mesh = Mesh2D::new(px, py, CostModel::paragon());
+            let patterns: Vec<Vec<Endpoints>> = raw
+                .iter()
+                .map(|p| p.iter().map(|&(a, b, c, d)| ((a, b), (c, d))).collect())
+                .collect();
+            let plan = explicit_plan(&patterns);
+            let dist = Dist2D { rows: dr, cols: dc };
+            let vshape = (vr, vc);
+            proptest::prop_assert_eq!(
+                plan.phases_on_mesh(&mesh, dist, vshape, bytes),
+                lower_each_phase(&plan, &mesh, dist, vshape, bytes)
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(1024))]
+
+        /// The buffer-free bound accepts and rejects exactly where the
+        /// buffered one does: entries, offsets and domain bounds at the
+        /// `i64` edges, loop depths up to 10 and broken shapes.
+        #[test]
+        fn walk_bound_matches_the_buffered_bound(
+            d in 0usize..=10,
+            lo in proptest::prop_oneof![edge_value(), -4i64..=4],
+            len in 0i64..=2,
+            q in 0usize..=3,
+            rows_x in 0usize..=3,
+            rows_s in 0usize..=3,
+            ents in proptest::collection::vec(-3i64..=3, 90),
+            edges in proptest::collection::vec((0usize..90, edge_value()), 0..3),
+            how in 0usize..=8,
+        ) {
+            let lo = lo.min(i64::MAX - len);
+            let dom = Domain::rect(&vec![(lo, lo + len); d]);
+            let mut ents = ents;
+            for (at, e) in edges {
+                ents[at] = e;
+            }
+            let case = WalkCase::new(dom, q, rows_x, rows_s, &ents).mismatch(how);
+            proptest::prop_assert_eq!(case.exact(), case.exact_buffered());
+        }
+    }
 }

@@ -275,6 +275,29 @@ proptest! {
         }
     }
 
+    /// Raw coordinates outside the grid, on either side, fold as their
+    /// toroidal wrap: the explicit fold wraps them itself. Patterns
+    /// shorter and longer than half a grid side take the direct owner
+    /// maps and the tabulated ones.
+    #[test]
+    fn sparse_fold_wraps_raw_coordinates(
+        dr in any_dist(),
+        dc in any_dist(),
+        vr in 1usize..20, vc in 1usize..20,
+        pr in 1usize..5, pc in 1usize..5,
+        raw in proptest::collection::vec((-90i64..90, -90i64..90, -90i64..90, -90i64..90), 0..30),
+        bytes in 1u64..32,
+    ) {
+        let dist = Dist2D { rows: dr, cols: dc };
+        let (v, p) = ((vr, vc), (pr, pc));
+        let wrap = |(i, j): (i64, i64)| (i.rem_euclid(vr as i64), j.rem_euclid(vc as i64));
+        let pat: Vec<_> = raw.iter().map(|&(a, b, c, d)| ((a, b), (c, d))).collect();
+        let wrapped: Vec<_> = pat.iter().map(|&(s, d)| (wrap(s), wrap(d))).collect();
+        let folded = fold_pattern(&pat, dist, v, p, bytes);
+        prop_assert_eq!(&folded.msgs, &physical_messages(&wrapped, dist, v, p, bytes));
+        prop_assert_eq!(folded, fold_pattern(&wrapped, dist, v, p, bytes));
+    }
+
     /// Random unimodular `T` (a `product_general` of random shear/flip
     /// chains) through `fold_general` equals the enumeration oracle —
     /// message set (order included), locality and send counts — and the
