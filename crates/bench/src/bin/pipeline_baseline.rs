@@ -35,10 +35,11 @@
 use rescomm::{build_plan, map_nest, map_nest_reference, map_nest_with, AnalysisCache};
 use rescomm::{Mapping, MappingOptions};
 use rescomm_bench::harness::{median_ns, paired_ns, Args, Paired};
-use rescomm_bench::workload::{chained_stencil_nest, host_threads, paragon_mesh, pipeline_nest};
+use rescomm_bench::workload::{host_threads, paragon_mesh};
 use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_json::{fixed, JsonDoc, Val};
-use rescomm_loopnest::{examples, LoopNest};
+use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
+use rescomm_loopnest::LoopNest;
 use rescomm_machine::ScheduleMode;
 use std::hint::black_box;
 

@@ -36,10 +36,10 @@
 use rescomm::{map_nest_batch, MappingOptions};
 use rescomm_bench::harness::{Args, Scaling};
 use rescomm_bench::workload::{
-    chained_stencil_nest, host_threads, lossy_plan, paragon_mesh, pipeline_nest, seeded_outages,
-    synth_phases,
+    host_threads, lossy_plan, paragon_mesh, seeded_outages, synth_phases,
 };
 use rescomm_json::{raw, JsonDoc, Val};
+use rescomm_loopnest::examples::{chained_stencil_nest, pipeline_nest};
 use rescomm_loopnest::LoopNest;
 use rescomm_machine::{
     par_fault_sweep, par_schedule_sweep, CachedPhase, CheckpointPolicy, FaultPlan, ScheduleMode,

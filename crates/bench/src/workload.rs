@@ -9,9 +9,6 @@ use rescomm_decompose::decompose_general;
 use rescomm_distribution::{fold_general, Dist1D, Dist2D, Msg};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::{examples, AccessId, LoopNest};
-
-/// The synthetic nest families, kept with the paper's examples.
-pub use rescomm_loopnest::examples::{chained_stencil_nest, pipeline_nest};
 use rescomm_machine::{
     broadcast_rows_time, shift_time, CostModel, FaultPlan, LinkOutage, Mesh2D, NodeOutage, PMsg,
     PhaseSim, XorShift64,

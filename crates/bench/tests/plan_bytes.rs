@@ -13,9 +13,9 @@
 use rescomm::pipeline::{map_nest, MappingOptions};
 use rescomm::substrate::decompose::Elementary;
 use rescomm::{build_plan, build_plan_closed, CommPlan, PhaseKind, PhasePattern};
-use rescomm_bench::workload::{chained_stencil_nest, pipeline_nest};
 use rescomm_json::JsonValue;
-use rescomm_loopnest::{examples, LoopNest};
+use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
+use rescomm_loopnest::LoopNest;
 
 fn ints(xs: &[i64]) -> JsonValue {
     JsonValue::Array(xs.iter().map(|&x| JsonValue::Int(x)).collect())

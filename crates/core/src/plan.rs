@@ -736,7 +736,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{map_nest, MappingOptions};
     use rescomm_distribution::{fold_pattern, Dist1D};
-    use rescomm_loopnest::examples::{self, chained_stencil_nest};
+    use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
     use rescomm_machine::{
         replication_seed, CachedPhase, CheckpointPolicy, CostModel, SchedulePolicy,
     };
@@ -1438,7 +1438,7 @@ mod tests {
         let mut nests: Vec<LoopNest> = (3..=9).flat_map(kernel_zoo).collect();
         for n in 1..=50 {
             nests.push(chained_stencil_nest(n, 4));
-            nests.push(examples::pipeline_nest(n, 3));
+            nests.push(pipeline_nest(n, 3));
         }
         let (mut skipped, mut deduped) = (0, 0);
         let mut buf = Vec::new();

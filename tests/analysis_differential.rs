@@ -11,8 +11,9 @@
 use proptest::prelude::*;
 use rescomm::{map_nest, map_nest_reference, map_nest_with, AnalysisCache};
 use rescomm::{CommOutcome, Mapping, MappingOptions};
-use rescomm_bench::workload::{chained_stencil_nest, kernel_zoo, pipeline_nest};
+use rescomm_bench::workload::kernel_zoo;
 use rescomm_intlin::IMat;
+use rescomm_loopnest::examples::{chained_stencil_nest, pipeline_nest};
 use rescomm_loopnest::{
     examples, to_text, Access, AccessId, AccessKind, Domain, LoopNest, NestBuilder, StmtId,
 };
