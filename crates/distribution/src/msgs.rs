@@ -5,7 +5,7 @@
 //! physical messages (aggregated source→destination byte counts) and
 //! feeding it to the mesh simulator.
 
-use crate::Dist2D;
+use crate::{Dist1D, Dist2D};
 use rescomm_intlin::IMat;
 
 /// One virtual send: `(source, destination)` virtual processor coords.
@@ -137,7 +137,7 @@ impl FoldedPattern {
 /// outside `[0, v)` pays a `rem_euclid`) and mapped through the
 /// distribution once. Once the sends folded so far reach half an axis's
 /// length, that axis's owners are tabulated, so a lookup replaces the
-/// divisions of [`crate::Dist1D::map`] and the table never costs more
+/// divisions of [`Dist1D::map`] and the table never costs more
 /// than the maps it saves. Each non-local send becomes one key that packs
 /// `(src row, src col, dst row, dst col)` into bit fields. Ascending key
 /// order is therefore `(src, dst)` order, and decoding a key takes shifts
@@ -145,7 +145,7 @@ impl FoldedPattern {
 /// so the cost follows the pattern's length, not the `P²` processor
 /// pairs (an explicit phase carries a few dozen sends, the 8×4 mesh
 /// 1,024 pairs). The key buffer is kept from one fold to the next.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ExplicitFold {
     dist: Dist2D,
     vshape: (usize, usize),
@@ -166,8 +166,8 @@ fn index_bits(n: usize) -> u32 {
 
 /// The physical owner of virtual index `i` (any integer, wrapped into
 /// `[0, v)`) on one axis: from `table` when it is built, else by
-/// [`crate::Dist1D::map`].
-fn owner(table: &[u32], dist: crate::Dist1D, i: i64, v: usize, p: usize) -> u64 {
+/// [`Dist1D::map`].
+fn owner(table: &[u32], dist: Dist1D, i: i64, v: usize, p: usize) -> u64 {
     let i = wrap(i, v);
     if table.is_empty() {
         dist.map(i, v, p) as u64
@@ -220,9 +220,10 @@ impl ExplicitFold {
             bits: (br, bc),
             ..
         } = *self;
-        // Each send maps two coordinates per axis.
         self.sends = self.sends.saturating_add(pattern.len());
-        let tabulate = |table: &mut Vec<u32>, d: crate::Dist1D, v: usize, p: usize| {
+        // A table of `v` owners costs `v` maps; each send maps two
+        // coordinates per axis, so `v / 2` sends have paid for it.
+        let tabulate = |table: &mut Vec<u32>, d: Dist1D, v: usize, p: usize| {
             if table.is_empty() && self.sends >= v.div_ceil(2) {
                 // `new` bounds every processor index below 2³².
                 table.extend((0..v).map(|i| d.map(i as i64, v, p) as u32));
@@ -309,7 +310,6 @@ pub fn locality_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Dist1D;
 
     #[test]
     fn elementary_pattern_stays_in_class() {
