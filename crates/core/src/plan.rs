@@ -735,7 +735,7 @@ pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
 mod tests {
     use super::*;
     use crate::pipeline::{map_nest, MappingOptions};
-    use rescomm_distribution::{fold_pattern, Dist1D};
+    use rescomm_distribution::{physical_messages, Dist1D};
     use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
     use rescomm_machine::{
         replication_seed, CachedPhase, CheckpointPolicy, CostModel, SchedulePolicy,
@@ -1043,6 +1043,10 @@ mod tests {
 
     /// The unmemoized lowering: every phase folded on its own, then
     /// flattened to node ids — what `phases_on_mesh` must reproduce.
+    /// Explicit phases go through the `BTreeMap` enumeration oracle
+    /// `physical_messages` on the wrapped pattern, not through
+    /// `ExplicitFold`, so the comparison checks the fold's keys and
+    /// owners independently.
     fn lower_each_phase(
         plan: &CommPlan,
         mesh: &Mesh2D,
@@ -1054,22 +1058,20 @@ mod tests {
         plan.phases
             .iter()
             .map(|phase| {
-                let folded = match &phase.pattern {
+                let msgs = match &phase.pattern {
                     PhasePattern::Explicit(pattern) => {
                         let wrap = |(i, j): (i64, i64)| {
                             (i.rem_euclid(vshape.0 as i64), j.rem_euclid(vshape.1 as i64))
                         };
                         let wrapped: Vec<Endpoints> =
                             pattern.iter().map(|&(s, d)| (wrap(s), wrap(d))).collect();
-                        fold_pattern(&wrapped, dist, vshape, pshape, bytes)
+                        physical_messages(&wrapped, dist, vshape, pshape, bytes)
                     }
                     PhasePattern::Affine { t, shift } => {
-                        fold_affine(t, *shift, dist, vshape, pshape, bytes)
+                        fold_affine(t, *shift, dist, vshape, pshape, bytes).msgs
                     }
                 };
-                folded
-                    .msgs
-                    .iter()
+                msgs.iter()
                     .map(|m| PMsg {
                         src: mesh.node_id(m.src.0, m.src.1),
                         dst: mesh.node_id(m.dst.0, m.dst.1),
@@ -1626,13 +1628,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Every explicit phase lowers to `fold_pattern` on its wrapped
-        /// pattern mapped through `Mesh2D::node_id`, in the same order:
-        /// raw coordinates far outside the grid on both sides, every
-        /// distribution kind, the three mesh shapes, and plans long enough
-        /// that the fold switches to tabulated owners part-way through.
+        /// Every explicit phase lowers to `physical_messages` (which
+        /// `fold_pattern` equals) on its wrapped pattern mapped through
+        /// `Mesh2D::node_id`, in the same order: raw coordinates far
+        /// outside the grid on both sides, every distribution kind, the
+        /// three mesh shapes, and several phases through one fold's key
+        /// buffer.
         #[test]
-        fn explicit_lowering_matches_fold_pattern(
+        fn explicit_lowering_matches_physical_messages(
             dr in any_dist(),
             dc in any_dist(),
             vr in 1usize..=24,

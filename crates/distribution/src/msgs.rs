@@ -134,11 +134,8 @@ impl FoldedPattern {
 /// and the plan lowering (`CommPlan::phases_on_mesh` in `rescomm-core`).
 ///
 /// Each endpoint is wrapped toroidally into `vshape` (only a coordinate
-/// outside `[0, v)` pays a `rem_euclid`) and mapped through the
-/// distribution once. Once the sends folded so far reach half an axis's
-/// length, that axis's owners are tabulated, so a lookup replaces the
-/// divisions of [`Dist1D::map`] and the table never costs more
-/// than the maps it saves. Each non-local send becomes one key that packs
+/// outside `[0, v)` pays a `rem_euclid`) and mapped through
+/// [`Dist1D::map`] once. Each non-local send becomes one key that packs
 /// `(src row, src col, dst row, dst col)` into bit fields. Ascending key
 /// order is therefore `(src, dst)` order, and decoding a key takes shifts
 /// and masks, not divisions. The keys are sorted and run-length counted,
@@ -152,10 +149,6 @@ pub struct ExplicitFold {
     pshape: (usize, usize),
     /// Bit widths of a processor row and of a processor column index.
     bits: (u32, u32),
-    /// Sends folded so far (they decide when to tabulate).
-    sends: usize,
-    /// Owner of each virtual row and column, once tabulated.
-    owners: (Vec<u32>, Vec<u32>),
     keys: Vec<u64>,
 }
 
@@ -165,15 +158,9 @@ fn index_bits(n: usize) -> u32 {
 }
 
 /// The physical owner of virtual index `i` (any integer, wrapped into
-/// `[0, v)`) on one axis: from `table` when it is built, else by
-/// [`Dist1D::map`].
-fn owner(table: &[u32], dist: Dist1D, i: i64, v: usize, p: usize) -> u64 {
-    let i = wrap(i, v);
-    if table.is_empty() {
-        dist.map(i, v, p) as u64
-    } else {
-        u64::from(table[i as usize])
-    }
+/// `[0, v)`) on one axis.
+fn owner(dist: Dist1D, i: i64, v: usize, p: usize) -> u64 {
+    dist.map(wrap(i, v), v, p) as u64
 }
 
 /// Toroidal wrap of one coordinate into `[0, v)`.
@@ -203,8 +190,6 @@ impl ExplicitFold {
             vshape,
             pshape,
             bits,
-            sends: 0,
-            owners: (Vec::new(), Vec::new()),
             keys: Vec::new(),
         }
     }
@@ -220,20 +205,8 @@ impl ExplicitFold {
             bits: (br, bc),
             ..
         } = *self;
-        self.sends = self.sends.saturating_add(pattern.len());
-        // A table of `v` owners costs `v` maps; each send maps two
-        // coordinates per axis, so `v / 2` sends have paid for it.
-        let tabulate = |table: &mut Vec<u32>, d: Dist1D, v: usize, p: usize| {
-            if table.is_empty() && self.sends >= v.div_ceil(2) {
-                // `new` bounds every processor index below 2³².
-                table.extend((0..v).map(|i| d.map(i as i64, v, p) as u32));
-            }
-        };
-        tabulate(&mut self.owners.0, dist.rows, vr, pr);
-        tabulate(&mut self.owners.1, dist.cols, vc, pc);
-        let (rows, cols) = (&self.owners.0, &self.owners.1);
         let place = |(i, j): (i64, i64)| {
-            owner(rows, dist.rows, i, vr, pr) << bc | owner(cols, dist.cols, j, vc, pc)
+            owner(dist.rows, i, vr, pr) << bc | owner(dist.cols, j, vc, pc)
         };
         self.keys.clear();
         for &(src, dst) in pattern {
@@ -267,12 +240,16 @@ impl ExplicitFold {
 /// Fold a virtual pattern in **one fused pass** through
 /// [`ExplicitFold`]: each endpoint is mapped exactly once, locality is
 /// counted along the way, and the non-local sends are aggregated
-/// sparsely. Coordinates outside the grid are wrapped toroidally into
-/// `vshape` first.
+/// sparsely.
 ///
-/// On a pattern inside the grid the message set equals
-/// [`physical_messages`] exactly (same order, same aggregation), which
-/// stays its oracle; the locality equals [`locality_fraction`].
+/// The message set equals [`physical_messages`] exactly (same order,
+/// same aggregation), which stays its oracle; the locality equals
+/// [`locality_fraction`].
+///
+/// # Panics
+/// Panics if a coordinate lies outside `vshape`, as [`Dist1D::map`]
+/// does: only the plan lowering, which drives [`ExplicitFold`] itself,
+/// wraps raw coordinates toroidally.
 pub fn fold_pattern(
     pattern: &[VSend],
     dist: Dist2D,
@@ -280,6 +257,14 @@ pub fn fold_pattern(
     pshape: (usize, usize),
     elem_bytes: u64,
 ) -> FoldedPattern {
+    for &((a, b), (c, d)) in pattern {
+        for (i, v) in [(a, vshape.0), (b, vshape.1), (c, vshape.0), (d, vshape.1)] {
+            assert!(
+                i >= 0 && (i as usize) < v,
+                "virtual index {i} outside [0, {v})"
+            );
+        }
+    }
     let mut fold = ExplicitFold::new(dist, vshape, pshape);
     let local_sends = fold.fold(pattern);
     FoldedPattern {

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use rescomm_decompose::general::{product_general, GenFactor};
 use rescomm_distribution::{
     affine_pattern, elementary_pattern, fold_affine_with, fold_general, fold_pattern,
-    general_pattern, grouped_rank, locality_fraction, physical_messages, Dist1D, Dist2D, FoldPath,
+    general_pattern, grouped_rank, locality_fraction, physical_messages, Dist1D, Dist2D,
+    ExplicitFold, FoldPath, Msg,
 };
 use rescomm_intlin::IMat;
 
@@ -276,9 +277,9 @@ proptest! {
     }
 
     /// Raw coordinates outside the grid, on either side, fold as their
-    /// toroidal wrap: the explicit fold wraps them itself. Patterns
-    /// shorter and longer than half a grid side take the direct owner
-    /// maps and the tabulated ones.
+    /// toroidal wrap: `ExplicitFold` wraps them itself, so its runs and
+    /// locality on the raw pattern equal `physical_messages` and
+    /// `fold_pattern` on the wrapped one.
     #[test]
     fn sparse_fold_wraps_raw_coordinates(
         dr in any_dist(),
@@ -293,9 +294,16 @@ proptest! {
         let wrap = |(i, j): (i64, i64)| (i.rem_euclid(vr as i64), j.rem_euclid(vc as i64));
         let pat: Vec<_> = raw.iter().map(|&(a, b, c, d)| ((a, b), (c, d))).collect();
         let wrapped: Vec<_> = pat.iter().map(|&(s, d)| (wrap(s), wrap(d))).collect();
-        let folded = fold_pattern(&pat, dist, v, p, bytes);
-        prop_assert_eq!(&folded.msgs, &physical_messages(&wrapped, dist, v, p, bytes));
-        prop_assert_eq!(folded, fold_pattern(&wrapped, dist, v, p, bytes));
+        let mut fold = ExplicitFold::new(dist, v, p);
+        let local = fold.fold(&pat);
+        let msgs: Vec<Msg> = fold
+            .runs()
+            .map(|(src, dst, sends)| Msg { src, dst, bytes: sends * bytes })
+            .collect();
+        prop_assert_eq!(&msgs, &physical_messages(&wrapped, dist, v, p, bytes));
+        let folded = fold_pattern(&wrapped, dist, v, p, bytes);
+        prop_assert_eq!(msgs, folded.msgs);
+        prop_assert_eq!(local, folded.local_sends);
     }
 
     /// Random unimodular `T` (a `product_general` of random shear/flip
@@ -390,6 +398,15 @@ proptest! {
             prop_assert!(auto.closed, "unimodular T={:?} {:?} v={:?} left the closed path", t, dist, vshape);
         }
     }
+}
+
+/// `fold_pattern` keeps `Dist1D::map`'s range contract: a coordinate
+/// outside the grid panics instead of folding as its wrap.
+#[test]
+#[should_panic(expected = "virtual index -1 outside [0, 8)")]
+fn fold_pattern_rejects_a_coordinate_outside_the_grid() {
+    let dist = Dist2D::uniform(Dist1D::Cyclic);
+    fold_pattern(&[((0, 0), (-1, 3))], dist, (8, 8), (2, 2), 8);
 }
 
 /// The empty explicit list folds to nothing, on every distribution.
