@@ -5,7 +5,7 @@
 //! physical messages (aggregated source→destination byte counts) and
 //! feeding it to the mesh simulator.
 
-use crate::{Dist1D, Dist2D};
+use crate::Dist2D;
 use rescomm_intlin::IMat;
 
 /// One virtual send: `(source, destination)` virtual processor coords.
@@ -135,7 +135,7 @@ impl FoldedPattern {
 ///
 /// Each endpoint is wrapped toroidally into `vshape` (only a coordinate
 /// outside `[0, v)` pays a `rem_euclid`) and mapped through
-/// [`Dist1D::map`] once. Each non-local send becomes one key that packs
+/// [`crate::Dist1D::map`] once. Each non-local send becomes one key that packs
 /// `(src row, src col, dst row, dst col)` into bit fields. Ascending key
 /// order is therefore `(src, dst)` order, and decoding a key takes shifts
 /// and masks, not divisions. The keys are sorted and run-length counted,
@@ -155,12 +155,6 @@ pub struct ExplicitFold {
 /// Bits that hold every index below `n`.
 fn index_bits(n: usize) -> u32 {
     usize::BITS - n.saturating_sub(1).leading_zeros()
-}
-
-/// The physical owner of virtual index `i` (any integer, wrapped into
-/// `[0, v)`) on one axis.
-fn owner(dist: Dist1D, i: i64, v: usize, p: usize) -> u64 {
-    dist.map(wrap(i, v), v, p) as u64
 }
 
 /// Toroidal wrap of one coordinate into `[0, v)`.
@@ -206,7 +200,8 @@ impl ExplicitFold {
             ..
         } = *self;
         let place = |(i, j): (i64, i64)| {
-            owner(dist.rows, i, vr, pr) << bc | owner(dist.cols, j, vc, pc)
+            let row = dist.rows.map(wrap(i, vr), vr, pr) as u64;
+            row << bc | dist.cols.map(wrap(j, vc), vc, pc) as u64
         };
         self.keys.clear();
         for &(src, dst) in pattern {
@@ -247,7 +242,7 @@ impl ExplicitFold {
 /// [`locality_fraction`].
 ///
 /// # Panics
-/// Panics if a coordinate lies outside `vshape`, as [`Dist1D::map`]
+/// Panics if a coordinate lies outside `vshape`, as [`crate::Dist1D::map`]
 /// does: only the plan lowering, which drives [`ExplicitFold`] itself,
 /// wraps raw coordinates toroidally.
 pub fn fold_pattern(
@@ -295,6 +290,7 @@ pub fn locality_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dist1D;
 
     #[test]
     fn elementary_pattern_stays_in_class() {
