@@ -12,14 +12,15 @@
 //!   only for roots satisfying `M_root·K = 0`. That is possible with a
 //!   full-rank `M_root` iff the left kernel of the accumulated constraint
 //!   matrix `[K₁ | K₂ | …]` still has dimension ≥ `m` — the paper's
-//!   "`F_{p1} − F_{p2}` of deficient rank: it can or not be possible";
+//!   "`F_{p1} − F_{p2}` of deficient rank: it can or not be possible".
+//!   That dimension is `rows − rank` of the accumulated matrix, so the
+//!   test is one rank computation and no kernel basis is built;
 //! * edges across two components are left for the residual-communication
 //!   optimizer (the branching, being maximum, had its reasons).
 
 use crate::graph::{AccessGraph, EdgeId, Vertex};
-use crate::paths::Component;
-use rescomm_intlin::{left_kernel_basis, IMat};
-use std::collections::HashMap;
+use crate::paths::Components;
+use rescomm_intlin::{solve_xf_eq_s_particular, IMat};
 
 /// Outcome of examining one non-branching edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,9 +51,8 @@ pub struct Augmented {
     /// Residual edges (to hand to the macro-communication detector and
     /// the decomposer).
     pub residual_edges: Vec<EdgeId>,
-    /// Per component-root accumulated constraint `M_root·K = 0`
-    /// (`None` = unconstrained root).
-    pub root_constraints: HashMap<Vertex, IMat>,
+    /// Per component-root accumulated constraint `M_root·K = 0`.
+    pub root_constraints: RootConstraints,
     /// Edge id → index into `outcomes` (`u32::MAX` for branching edges,
     /// which have no outcome entry), so updating one edge's outcome is O(1).
     outcome_slot: Vec<u32>,
@@ -64,7 +64,7 @@ impl Augmented {
         outcomes: Vec<(EdgeId, AugmentOutcome)>,
         local_edges: Vec<EdgeId>,
         residual_edges: Vec<EdgeId>,
-        root_constraints: HashMap<Vertex, IMat>,
+        root_constraints: RootConstraints,
         n_edges: usize,
     ) -> Self {
         let mut outcome_slot = vec![u32::MAX; n_edges];
@@ -88,6 +88,47 @@ impl Augmented {
     }
 }
 
+/// The accumulated constraints `M_root·K = 0` of the constrained
+/// component roots, looked up by the root's
+/// [`AccessGraph::vertex_index`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RootConstraints {
+    /// `(root, K)` in the order the roots were first constrained.
+    list: Vec<(Vertex, IMat)>,
+    /// Vertex index → position in `list` (`u32::MAX`: unconstrained);
+    /// left empty until the first constraint.
+    slot: Vec<u32>,
+}
+
+impl RootConstraints {
+    /// The constraint of the root with vertex index `root`, if any.
+    pub fn get(&self, root: usize) -> Option<&IMat> {
+        match self.slot.get(root) {
+            Some(&i) if i != u32::MAX => Some(&self.list[i as usize].1),
+            _ => None,
+        }
+    }
+
+    /// `(root, K)` pairs in the order the roots were first constrained.
+    pub fn iter(&self) -> impl Iterator<Item = (Vertex, &IMat)> {
+        self.list.iter().map(|(v, k)| (*v, k))
+    }
+
+    /// Set the constraint of `root` (vertex index `ri` of `n` vertices).
+    pub(crate) fn insert(&mut self, n: usize, ri: usize, root: Vertex, k: IMat) {
+        if self.slot.is_empty() {
+            self.slot = vec![u32::MAX; n];
+        }
+        match self.slot[ri] {
+            u32::MAX => {
+                self.slot[ri] = self.list.len() as u32;
+                self.list.push((root, k));
+            }
+            i => self.list[i as usize].1 = k,
+        }
+    }
+}
+
 /// Run the augmentation pass.
 ///
 /// `branching_edges` are the already-local edges; `components` the
@@ -96,7 +137,7 @@ impl Augmented {
 pub fn augment(
     graph: &AccessGraph,
     branching_edges: &[EdgeId],
-    components: &[Component],
+    components: &Components,
     m: usize,
 ) -> Augmented {
     let in_branching: Vec<bool> = {
@@ -107,17 +148,12 @@ pub fn augment(
         v
     };
     // Vertex index -> component index (dense; vertex_index is O(1)).
-    let mut comp_of: Vec<usize> = vec![usize::MAX; graph.vertices.len()];
-    for (ci, c) in components.iter().enumerate() {
-        for &v in &c.members {
-            comp_of[graph.vertex_index(v)] = ci;
-        }
-    }
+    let comp_of = component_index(graph, components);
 
     let mut outcomes = Vec::new();
     let mut local_edges: Vec<EdgeId> = branching_edges.to_vec();
     let mut residual_edges = Vec::new();
-    let mut root_constraints: HashMap<Vertex, IMat> = HashMap::new();
+    let mut root_constraints = RootConstraints::default();
     // Track which edge ids belong to an already-local access: the second
     // direction of a square access is the same communication. Sized once by
     // the edge count; marking walks only the access's own edges through the
@@ -152,20 +188,16 @@ pub fn augment(
             outcomes.push((e.id, AugmentOutcome::Residual));
             continue;
         }
-        let (cu, cv) = (
-            comp_of[graph.vertex_index(e.from)],
-            comp_of[graph.vertex_index(e.to)],
-        );
-        if cu != cv {
+        let (ui, vi) = (graph.vertex_index(e.from), graph.vertex_index(e.to));
+        let cu = comp_of[ui];
+        if cu != comp_of[vi] {
             outcomes.push((e.id, AugmentOutcome::CrossComponent));
             residual_edges.push(e.id);
             residual_access[e.access.0] = true;
             continue;
         }
-        let comp = &components[cu];
-        let ru = &comp.rel[&e.from];
-        let rv = &comp.rel[&e.to];
-        let lhs = ru * &e.weight;
+        let rv = &components.rel[vi];
+        let lhs = &components.rel[ui] * &e.weight;
         if lhs == *rv {
             outcomes.push((e.id, AugmentOutcome::Free));
             local_edges.push(e.id);
@@ -174,18 +206,17 @@ pub fn augment(
         }
         // Constraint K = R_u·W − R_v; accumulate with existing ones.
         let k = &lhs - rv;
-        let accumulated = match root_constraints.get(&comp.root) {
+        let root = components.list[cu as usize].root;
+        let ri = graph.vertex_index(root);
+        let accumulated = match root_constraints.get(ri) {
             Some(prev) => prev.hstack(&k),
-            None => k.clone(),
+            None => k,
         };
         // Need a full-rank m root with M·K = 0: the left kernel of the
-        // accumulated constraint must have dimension ≥ m.
-        let feasible = match left_kernel_basis(&accumulated) {
-            Some(basis) => basis.rows() >= m,
-            None => false,
-        };
-        if feasible {
-            root_constraints.insert(comp.root, accumulated);
+        // accumulated constraint, of dimension rows − rank, must have
+        // dimension ≥ m.
+        if accumulated.rows() - accumulated.rank() >= m {
+            root_constraints.insert(graph.vertices.len(), ri, root, accumulated);
             outcomes.push((e.id, AugmentOutcome::Constrained));
             local_edges.push(e.id);
             mark_access(&mut local_access, graph, e.id);
@@ -203,6 +234,17 @@ pub fn augment(
         root_constraints,
         graph.edges.len(),
     )
+}
+
+/// Component index per vertex index.
+fn component_index(graph: &AccessGraph, components: &Components) -> Vec<u32> {
+    let mut comp_of = vec![u32::MAX; graph.vertices.len()];
+    for (ci, c) in components.list.iter().enumerate() {
+        for &v in &c.members {
+            comp_of[graph.vertex_index(v)] = ci as u32;
+        }
+    }
+    comp_of
 }
 
 /// Second pass over the `CrossComponent` residuals: try to *merge* the two
@@ -223,20 +265,14 @@ pub fn augment(
 /// constraints is possible but the pipeline keeps them rare).
 pub fn merge_cross_components(
     graph: &AccessGraph,
-    components: &mut Vec<Component>,
+    components: &mut Components,
     aug: &mut Augmented,
     _m: usize,
 ) {
-    use rescomm_intlin::solve_xf_eq_s;
     // Dense vertex → initial component index; merges are tracked by the
     // union-find on component indices instead of rewriting the map.
-    let mut comp_of: Vec<usize> = vec![usize::MAX; graph.vertices.len()];
-    for (ci, c) in components.iter().enumerate() {
-        for &v in &c.members {
-            comp_of[graph.vertex_index(v)] = ci;
-        }
-    }
-    let mut uf = UnionFind::new(components.len());
+    let comp_of = component_index(graph, components);
+    let mut uf = UnionFind::new(components.list.len());
     let cross: Vec<EdgeId> = aug
         .outcomes
         .iter()
@@ -248,50 +284,42 @@ pub fn merge_cross_components(
     let mut merged_edge = vec![false; graph.edges.len()];
     for eid in cross {
         let e = &graph.edges[eid.0];
-        let (cu, cv) = (
-            uf.find(comp_of[graph.vertex_index(e.from)]),
-            uf.find(comp_of[graph.vertex_index(e.to)]),
-        );
+        let (ui, vi) = (graph.vertex_index(e.from), graph.vertex_index(e.to));
+        let (cu, cv) = (uf.find(comp_of[ui] as usize), uf.find(comp_of[vi] as usize));
         if cu == cv {
             continue; // already merged through an earlier edge
         }
-        if aug.root_constraints.contains_key(&components[cu].root)
-            || aug.root_constraints.contains_key(&components[cv].root)
-        {
+        let constrained = |c: usize| {
+            let root = components.list[c].root;
+            aug.root_constraints.get(graph.vertex_index(root)).is_some()
+        };
+        if constrained(cu) || constrained(cv) {
             continue;
         }
-        let target = &components[cu].rel[&e.from] * &e.weight; // R_u·W
+        let target = &components.rel[ui] * &e.weight; // R_u·W
 
-        // Direction (a): rebase cv onto cu's root.
-        let try_a = solve_xf_eq_s(&target, &components[cv].rel[&e.to])
+        // Full row rank of every rebased relation keeps the Lemma-1
+        // guarantee alive.
+        let keeps_rank = |z: &IMat, c: usize| {
+            components.list[c]
+                .members
+                .iter()
+                .all(|&w| (z * &components.rel[graph.vertex_index(w)]).rank() == z.rows())
+        };
+
+        // Direction (a): rebase cv onto cu's root; else (b): cu onto cv's.
+        let rebase = solve_xf_eq_s_particular(&target, &components.rel[vi])
             .ok()
-            .map(|f| f.particular)
-            .filter(|z| {
-                components[cv].rel.values().all(|rw| {
-                    // Full row rank keeps the Lemma-1 guarantee alive.
-                    (z * rw).rank() == z.rows()
-                })
+            .filter(|z| keeps_rank(z, cv))
+            .map(|z| (cv, cu, z))
+            .or_else(|| {
+                solve_xf_eq_s_particular(&components.rel[vi], &target)
+                    .ok()
+                    .filter(|z| keeps_rank(z, cu))
+                    .map(|z| (cu, cv, z))
             });
-        if let Some(z) = try_a {
-            let (absorbed, grown) = (cv, cu);
-            apply_merge(components, absorbed, grown, &z, eid);
-            uf.absorb(absorbed, grown);
-            mark_merged(aug, eid, &mut merged_edge);
-            continue;
-        }
-        // Direction (b): rebase cu onto cv's root.
-        let try_b = solve_xf_eq_s(&components[cv].rel[&e.to], &target)
-            .ok()
-            .map(|f| f.particular)
-            .filter(|z| {
-                components[cu].rel.values().all(|rw| {
-                    let rebased = z * rw;
-                    rebased.rank() == z.rows()
-                })
-            });
-        if let Some(z) = try_b {
-            let (absorbed, grown) = (cu, cv);
-            apply_merge(components, absorbed, grown, &z, eid);
+        if let Some((absorbed, grown, z)) = rebase {
+            apply_merge(graph, components, absorbed, grown, &z, eid);
             uf.absorb(absorbed, grown);
             mark_merged(aug, eid, &mut merged_edge);
         }
@@ -301,7 +329,7 @@ pub fn merge_cross_components(
     }
     // Drop now-empty components (keep indices stable by filtering at the
     // end; comp_of was only internal).
-    components.retain(|c| !c.members.is_empty());
+    components.list.retain(|c| !c.members.is_empty());
 }
 
 /// Union-find over component indices with an explicitly directed union:
@@ -333,21 +361,24 @@ impl UnionFind {
     }
 }
 
-fn apply_merge(components: &mut [Component], absorbed: usize, grown: usize, z: &IMat, eid: EdgeId) {
-    let moved: Vec<(Vertex, IMat)> = components[absorbed]
-        .rel
-        .iter()
-        .map(|(&w, r)| (w, z * r))
-        .collect();
-    let moved_members: Vec<Vertex> = std::mem::take(&mut components[absorbed].members);
-    let moved_edges: Vec<EdgeId> = std::mem::take(&mut components[absorbed].edges);
-    for (w, r) in moved {
-        components[grown].rel.insert(w, r);
+fn apply_merge(
+    graph: &AccessGraph,
+    components: &mut Components,
+    absorbed: usize,
+    grown: usize,
+    z: &IMat,
+    eid: EdgeId,
+) {
+    let Components { list, rel } = components;
+    let moved_members = std::mem::take(&mut list[absorbed].members);
+    let moved_edges = std::mem::take(&mut list[absorbed].edges);
+    for &w in &moved_members {
+        let wi = graph.vertex_index(w);
+        rel[wi] = z * &rel[wi];
     }
-    components[grown].members.extend(moved_members);
-    components[grown].edges.extend(moved_edges);
-    components[grown].edges.push(eid);
-    components[absorbed].rel.clear();
+    list[grown].members.extend(moved_members);
+    list[grown].edges.extend(moved_edges);
+    list[grown].edges.push(eid);
 }
 
 /// O(1) per merged edge: the outcome index points straight at the entry,
@@ -404,7 +435,7 @@ mod tests {
             .map(|e| g.edges[e.0].access)
             .collect();
         assert_eq!(local_accs.len(), 5);
-        assert!(aug.root_constraints.is_empty());
+        assert_eq!(aug.root_constraints.iter().count(), 0);
     }
 
     #[test]
@@ -450,7 +481,7 @@ mod tests {
             aug.outcomes
         );
         assert!(aug.residual_edges.is_empty());
-        assert_eq!(aug.root_constraints.len(), 1);
+        assert_eq!(aug.root_constraints.iter().count(), 1);
     }
 
     #[test]
@@ -469,7 +500,7 @@ mod tests {
             .iter()
             .any(|(_, o)| *o == AugmentOutcome::Residual));
         assert_eq!(aug.residual_edges.len(), 1);
-        assert!(aug.root_constraints.is_empty());
+        assert_eq!(aug.root_constraints.iter().count(), 0);
     }
 
     #[test]
@@ -516,12 +547,14 @@ mod tests {
             .iter()
             .any(|(_, o)| *o == AugmentOutcome::Merged));
         // One unified component containing all five vertices.
-        assert_eq!(comps.iter().filter(|c| !c.members.is_empty()).count(), 1);
-        assert_eq!(comps[0].members.len(), 4);
+        let list = &comps.list;
+        assert_eq!(list.iter().filter(|c| !c.members.is_empty()).count(), 1);
+        assert_eq!(list[0].members.len(), 4);
         // Merged relations still satisfy every component edge.
-        for &eid in &comps[0].edges {
+        let rel = |v| &comps.rel[g.vertex_index(v)];
+        for &eid in &list[0].edges {
             let e = &g.edges[eid.0];
-            assert_eq!(comps[0].rel[&e.to], &comps[0].rel[&e.from] * &e.weight);
+            assert_eq!(*rel(e.to), rel(e.from) * &e.weight);
         }
     }
 

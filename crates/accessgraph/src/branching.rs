@@ -107,12 +107,24 @@ fn dsu_find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
-/// One contraction: the cycle's member forest nodes with their selected
-/// in-edges `(forest node, edge index, adjusted weight)`, plus the super
-/// node that replaced them.
-struct Event {
-    node: u32,
+/// The contractions of one run in one flat arena: contraction `k`
+/// replaced its cycle by super node `node[k]`, and its members — forest
+/// nodes with their selected in-edges `(forest node, edge index, adjusted
+/// weight)` — are `members[start[k]..start[k + 1]]`.
+struct Events {
+    node: Vec<u32>,
+    start: Vec<u32>,
     members: Vec<(u32, u32, i64)>,
+}
+
+impl Events {
+    fn len(&self) -> usize {
+        self.node.len()
+    }
+
+    fn members(&self, k: usize) -> &[(u32, u32, i64)] {
+        &self.members[self.start[k] as usize..self.start[k + 1] as usize]
+    }
 }
 
 /// Compute a maximum branching of `graph` (using the integer edge weights)
@@ -181,10 +193,25 @@ fn max_branching_raw(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
     // appends a super node. `chosen` holds a node's selected in-edge
     // `(edge index, adjusted weight)` until the node is itself contracted
     // (the edge then moves into the contraction's event record).
+    //
+    // Every contraction merges at least two classes, so there are fewer
+    // than `n` of them, the forest has fewer than `2n` nodes, and every
+    // forest node is a contraction member at most once: the tables below
+    // are sized once.
     let mut node_of: Vec<u32> = (0..n as u32).collect();
-    let mut fparent: Vec<u32> = vec![NIL; n];
-    let mut chosen: Vec<Option<(u32, i64)>> = vec![None; n];
-    let mut events: Vec<Event> = Vec::new();
+    let mut fparent: Vec<u32> = Vec::with_capacity(2 * n);
+    fparent.resize(n, NIL);
+    let mut chosen: Vec<Option<(u32, i64)>> = Vec::with_capacity(2 * n);
+    chosen.resize(n, None);
+    let mut events = Events {
+        node: Vec::with_capacity(n),
+        start: Vec::with_capacity(n + 1),
+        members: Vec::with_capacity(2 * n),
+    };
+    events.start.push(0);
+    // The union-find representatives of the cycle being contracted,
+    // aligned with its entries in `events.members`.
+    let mut reprs: Vec<u32> = Vec::new();
     // 0 = untouched, 1 = on the current path, 2 = finished.
     let mut status: Vec<u8> = vec![0; n];
     let mut path: Vec<u32> = Vec::new();
@@ -247,8 +274,8 @@ fn max_branching_raw(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
                     let snode = fparent.len() as u32;
                     fparent.push(NIL);
                     chosen.push(None);
-                    let mut members: Vec<(u32, u32, i64)> = Vec::new();
-                    let mut reprs: Vec<u32> = Vec::new();
+                    let first = events.members.len();
+                    reprs.clear();
                     let mut wmin = i64::MAX;
                     loop {
                         let m = path.pop().expect("cycle member on path");
@@ -257,7 +284,7 @@ fn max_branching_raw(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
                             .take()
                             .expect("path member has a selected in-edge");
                         wmin = wmin.min(adj);
-                        members.push((mnode, ce, adj));
+                        events.members.push((mnode, ce, adj));
                         reprs.push(m);
                         fparent[mnode as usize] = snode;
                         if m == p {
@@ -265,7 +292,7 @@ fn max_branching_raw(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
                         }
                     }
                     let mut merged = NIL;
-                    for (&m, &(_, _, adj)) in reprs.iter().zip(&members) {
+                    for (&m, &(_, _, adj)) in reprs.iter().zip(&events.members[first..]) {
                         heaps.add(heap[m as usize], wmin - adj);
                         merged = heaps.meld(merged, heap[m as usize]);
                         heap[m as usize] = NIL;
@@ -286,10 +313,8 @@ fn max_branching_raw(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
                     status[r as usize] = 1;
                     path.push(r);
                     current = r;
-                    events.push(Event {
-                        node: snode,
-                        members,
-                    });
+                    events.node.push(snode);
+                    events.start.push(events.members.len() as u32);
                 }
             }
         }
@@ -300,7 +325,7 @@ fn max_branching_raw(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
     // keeps all its selected edges except the one of the member the entry
     // lands in; an unentered cycle drops a minimum one instead.
     let mut assigned: Vec<Option<u32>> = vec![None; fparent.len()];
-    let mut result: Vec<usize> = Vec::new();
+    let mut result: Vec<usize> = Vec::with_capacity(n);
     for node in 0..fparent.len() {
         if fparent[node] == NIL {
             if let Some((eidx, _)) = chosen[node] {
@@ -309,31 +334,32 @@ fn max_branching_raw(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
             }
         }
     }
-    for ev in events.iter().rev() {
-        let drop_node = match assigned[ev.node as usize] {
+    for k in (0..events.len()).rev() {
+        let (node, members) = (events.node[k], events.members(k));
+        let drop_node = match assigned[node as usize] {
             Some(eidx) => {
                 // Walk the forest up from the entry edge's original target
                 // to the member of *this* contraction containing it.
                 let mut x = edges[eidx as usize].to as u32;
-                while fparent[x as usize] != ev.node {
+                while fparent[x as usize] != node {
                     x = fparent[x as usize];
                     debug_assert_ne!(x, NIL, "entry target outside contracted cycle");
                 }
                 x
             }
             None => {
-                ev.members
+                members
                     .iter()
                     .min_by_key(|&&(_, ce, adj)| (adj, edges[ce as usize].orig))
                     .expect("contraction has members")
                     .0
             }
         };
-        for &(mnode, ce, _) in &ev.members {
+        for &(mnode, ce, _) in members {
             if mnode == drop_node {
                 // Displaced by the entry edge (or dropped): pass the entry
                 // down so nested contractions resolve against it.
-                assigned[mnode as usize] = assigned[ev.node as usize];
+                assigned[mnode as usize] = assigned[node as usize];
             } else {
                 assigned[mnode as usize] = Some(ce);
                 result.push(edges[ce as usize].orig);

@@ -28,8 +28,8 @@ pub mod graph;
 pub mod paths;
 pub mod reference;
 
-pub use augment::{augment, merge_cross_components, AugmentOutcome, Augmented};
+pub use augment::{augment, merge_cross_components, AugmentOutcome, Augmented, RootConstraints};
 pub use branching::{maximum_branching, Branching};
 pub use dot::to_dot;
 pub use graph::{AccessGraph, Edge, EdgeId, Exclusion, GraphBuildCache, Vertex};
-pub use paths::{component_structure, Component};
+pub use paths::{component_structure, Component, Components};

@@ -13,51 +13,67 @@ use crate::branching::Branching;
 use crate::graph::{AccessGraph, EdgeId, Vertex};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::LoopNest;
-use std::collections::HashMap;
 
 /// One connected component of the branching forest.
 #[derive(Debug, Clone)]
 pub struct Component {
     /// The root vertex (no incoming branching edge).
     pub root: Vertex,
-    /// All member vertices, root first, in BFS order.
+    /// All member vertices, root first, in traversal order.
     pub members: Vec<Vertex>,
-    /// `R_v` per member: `M_v = M_root · R_v` (`R_root = Id`).
-    pub rel: HashMap<Vertex, IMat>,
     /// The branching edges inside this component.
     pub edges: Vec<EdgeId>,
 }
 
-impl Component {
-    /// Dimension of the root vertex (column count of `M_root`).
-    pub fn root_dim(&self) -> usize {
-        self.rel[&self.root].rows()
-    }
-
-    /// `true` iff the vertex belongs to this component.
-    pub fn contains(&self, v: Vertex) -> bool {
-        self.rel.contains_key(&v)
-    }
+/// The components of a branching with their relative matrices.
+///
+/// Components are vertex-disjoint and cover every vertex, so one
+/// vertex-indexed table holds every `R_v`: augmentation, merging and
+/// alignment read it by [`AccessGraph::vertex_index`], and a merge
+/// rebases the absorbed vertices in place.
+#[derive(Debug, Clone)]
+pub struct Components {
+    /// The components, ordered by root vertex index; merging drops the
+    /// absorbed ones.
+    pub list: Vec<Component>,
+    /// `R_v` per vertex index: `M_v = M_root · R_v` for the root of `v`'s
+    /// component (`R_root = Id`).
+    pub rel: Vec<IMat>,
 }
 
 /// Split the branching into its connected components and compute the
 /// relative matrices along the tree paths.
+///
+/// The children of every vertex sit in one CSR table (an offsets array
+/// over the branching edges, in edge order), and the traversal reuses one
+/// stack across all roots, so the only per-component allocations are the
+/// exact-size `members` and `edges` lists.
 pub fn component_structure(
     graph: &AccessGraph,
     branching: &Branching,
     nest: &LoopNest,
-) -> Vec<Component> {
+) -> Components {
     let n = graph.vertices.len();
-    // Dense child/parent tables indexed by vertex index (O(1) via the
-    // arrays-then-statements layout), replacing per-vertex HashMaps.
     let mut has_parent = vec![false; n];
-    let mut children: Vec<Vec<(Vertex, EdgeId)>> = vec![Vec::new(); n];
+    // `child_start[v]..child_start[v + 1]` indexes `child_edge` for the
+    // branching edges leaving vertex `v`.
+    let mut child_start = vec![0u32; n + 1];
     for &eid in &branching.edges {
         let e = &graph.edges[eid.0];
         let ti = graph.vertex_index(e.to);
         assert!(!has_parent[ti], "branching has in-degree > 1 at {:?}", e.to);
         has_parent[ti] = true;
-        children[graph.vertex_index(e.from)].push((e.to, eid));
+        child_start[graph.vertex_index(e.from) + 1] += 1;
+    }
+    for v in 0..n {
+        child_start[v + 1] += child_start[v];
+    }
+    let mut child_edge = vec![EdgeId(0); branching.edges.len()];
+    let mut cursor = child_start.clone();
+    for &eid in &branching.edges {
+        let fi = graph.vertex_index(graph.edges[eid.0].from);
+        child_edge[cursor[fi] as usize] = eid;
+        cursor[fi] += 1;
     }
     // Vertex dimension hint from the first incident edge (one pass over
     // all edges instead of one scan per root): for `u → v`, `W` is
@@ -74,41 +90,42 @@ pub fn component_structure(
         }
     }
 
-    let mut comps = Vec::new();
-    for &v in &graph.vertices {
-        if has_parent[graph.vertex_index(v)] {
+    let mut rel = vec![IMat::zeros(0, 0); n];
+    let mut list = Vec::new();
+    let mut members: Vec<Vertex> = Vec::new();
+    let mut edges: Vec<EdgeId> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
+    for (ri, &root) in graph.vertices.iter().enumerate() {
+        if has_parent[ri] {
             continue; // not a root
         }
-        // BFS from the root.
-        let root = v;
-        let mut members = vec![root];
-        let mut rel: HashMap<Vertex, IMat> = HashMap::new();
-        let mut edges = Vec::new();
         // R_root = identity of the root's dimension, derived from any
         // incident weight matrix; fall back to the vertex dimension for
         // isolated vertices.
-        let root_dim =
-            dim_hint[graph.vertex_index(root)].unwrap_or_else(|| graph.vertex_dim(nest, root));
-        rel.insert(root, IMat::identity(root_dim));
-        let mut queue = vec![root];
-        while let Some(u) = queue.pop() {
-            for &(child, eid) in &children[graph.vertex_index(u)] {
-                let w = &graph.edges[eid.0].weight;
-                let r = &rel[&u] * w;
-                rel.insert(child, r);
-                members.push(child);
+        let root_dim = dim_hint[ri].unwrap_or_else(|| graph.vertex_dim(nest, root));
+        rel[ri] = IMat::identity(root_dim);
+        members.clear();
+        edges.clear();
+        members.push(root);
+        stack.push(ri);
+        while let Some(ui) = stack.pop() {
+            let (a, b) = (child_start[ui] as usize, child_start[ui + 1] as usize);
+            for &eid in &child_edge[a..b] {
+                let e = &graph.edges[eid.0];
+                let ci = graph.vertex_index(e.to);
+                rel[ci] = &rel[ui] * &e.weight;
+                members.push(e.to);
                 edges.push(eid);
-                queue.push(child);
+                stack.push(ci);
             }
         }
-        comps.push(Component {
+        list.push(Component {
             root,
-            members,
-            rel,
-            edges,
+            members: members.clone(),
+            edges: edges.clone(),
         });
     }
-    comps
+    Components { list, rel }
 }
 
 #[cfg(test)]
@@ -123,13 +140,13 @@ mod tests {
         let (nest, _) = examples::motivating_example(8, 4);
         let g = AccessGraph::build(&nest, 2);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, &nest);
-        assert_eq!(comps.len(), 1, "all six vertices align into one tree");
-        let c = &comps[0];
+        let cs = component_structure(&g, &b, &nest);
+        assert_eq!(cs.list.len(), 1, "all six vertices align into one tree");
+        let c = &cs.list[0];
         assert_eq!(c.members.len(), 6);
         assert_eq!(c.edges.len(), 5);
         // Root relative matrix is the identity.
-        assert!(c.rel[&c.root].is_identity());
+        assert!(cs.rel[g.vertex_index(c.root)].is_identity());
     }
 
     #[test]
@@ -137,12 +154,12 @@ mod tests {
         let (nest, _) = examples::motivating_example(8, 4);
         let g = AccessGraph::build(&nest, 2);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, &nest);
-        let c = &comps[0];
+        let cs = component_structure(&g, &b, &nest);
+        let rel = |v| &cs.rel[g.vertex_index(v)];
         // Every branching edge u→v must satisfy R_v = R_u · W.
-        for &eid in &c.edges {
+        for &eid in &cs.list[0].edges {
             let e = &g.edges[eid.0];
-            assert_eq!(c.rel[&e.to], &c.rel[&e.from] * &e.weight);
+            assert_eq!(*rel(e.to), rel(e.from) * &e.weight);
         }
     }
 
@@ -153,10 +170,12 @@ mod tests {
         let (nest, _) = examples::motivating_example(8, 4);
         let g = AccessGraph::build(&nest, 2);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, &nest);
-        let c = &comps[0];
-        for (v, r) in &c.rel {
-            assert_eq!(r.rank(), c.root_dim(), "R for {v:?} lost rank: {r:?}");
+        let cs = component_structure(&g, &b, &nest);
+        let c = &cs.list[0];
+        let root_dim = cs.rel[g.vertex_index(c.root)].rows();
+        for &v in &c.members {
+            let r = &cs.rel[g.vertex_index(v)];
+            assert_eq!(r.rank(), root_dim, "R for {v:?} lost rank: {r:?}");
         }
     }
 
@@ -170,9 +189,9 @@ mod tests {
         let nest = bld.build().unwrap();
         let g = AccessGraph::build(&nest, 2);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, &nest);
-        assert_eq!(comps.len(), 3);
-        assert!(comps.iter().all(|c| c.members.len() == 1));
+        let cs = component_structure(&g, &b, &nest);
+        assert_eq!(cs.list.len(), 3);
+        assert!(cs.list.iter().all(|c| c.members.len() == 1));
     }
 
     #[test]
@@ -180,11 +199,11 @@ mod tests {
         let nest = examples::matmul(4);
         let g = AccessGraph::build(&nest, 2);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, &nest);
+        let cs = component_structure(&g, &b, &nest);
         // One edge chosen: one 2-vertex component + two singletons.
-        assert_eq!(comps.len(), 3);
+        assert_eq!(cs.list.len(), 3);
         let sizes: Vec<usize> = {
-            let mut v: Vec<usize> = comps.iter().map(|c| c.members.len()).collect();
+            let mut v: Vec<usize> = cs.list.iter().map(|c| c.members.len()).collect();
             v.sort();
             v
         };

@@ -5,14 +5,18 @@
 //! replaced positional vertex scans, per-start cycle rescans, the O(E²)
 //! twin marking and the per-merge residual retains with dense indices and
 //! a union-find. These functions preserve the original algorithms verbatim
-//! (up to the `Augmented` index bookkeeping, which did not exist then) so
-//! differential property tests and the `pipeline_baseline` bin can check —
-//! and time — old versus new on the same inputs.
+//! (up to the `Augmented` index bookkeeping, which did not exist then, and
+//! the vertex-indexed relative-matrix and root-constraint tables, which
+//! are data layout) so differential property tests and the
+//! `pipeline_baseline` bin can check — and time — old versus new on the
+//! same inputs. Feasibility stays the seed's kernel-basis test and merging
+//! the seed's full solution family, the oracles of the rank test and the
+//! particular-only solve.
 
 use crate::branching::Branching;
 use crate::graph::{AccessGraph, EdgeId, Vertex};
-use crate::paths::Component;
-use crate::{AugmentOutcome, Augmented};
+use crate::paths::Components;
+use crate::{AugmentOutcome, Augmented, RootConstraints};
 use rescomm_intlin::{left_kernel_basis, solve_xf_eq_s, IMat};
 use std::collections::HashMap;
 
@@ -182,7 +186,7 @@ fn max_branching_raw_ref(n: usize, edges: Vec<RawEdge>) -> Vec<usize> {
 pub fn augment_reference(
     graph: &AccessGraph,
     branching_edges: &[EdgeId],
-    components: &[Component],
+    components: &Components,
     m: usize,
 ) -> Augmented {
     let in_branching: Vec<bool> = {
@@ -193,16 +197,17 @@ pub fn augment_reference(
         v
     };
     let mut comp_of: HashMap<Vertex, usize> = HashMap::new();
-    for (ci, c) in components.iter().enumerate() {
+    for (ci, c) in components.list.iter().enumerate() {
         for &v in &c.members {
             comp_of.insert(v, ci);
         }
     }
+    let rel = |v: Vertex| &components.rel[graph.vertex_index(v)];
 
     let mut outcomes = Vec::new();
     let mut local_edges: Vec<EdgeId> = branching_edges.to_vec();
     let mut residual_edges = Vec::new();
-    let mut root_constraints: HashMap<Vertex, IMat> = HashMap::new();
+    let mut root_constraints = RootConstraints::default();
     let mut local_access: Vec<bool> = vec![false; graph.edges.len().max(1)];
     let mark_access = |local_access: &mut Vec<bool>, graph: &AccessGraph, eid: EdgeId| {
         let a = graph.edges[eid.0].access;
@@ -241,9 +246,9 @@ pub fn augment_reference(
             residual_access.insert(e.access);
             continue;
         }
-        let comp = &components[cu];
-        let ru = &comp.rel[&e.from];
-        let rv = &comp.rel[&e.to];
+        let comp = &components.list[cu];
+        let ru = rel(e.from);
+        let rv = rel(e.to);
         let lhs = ru * &e.weight;
         if lhs == *rv {
             outcomes.push((e.id, AugmentOutcome::Free));
@@ -252,7 +257,8 @@ pub fn augment_reference(
             continue;
         }
         let k = &lhs - rv;
-        let accumulated = match root_constraints.get(&comp.root) {
+        let ri = graph.vertex_index(comp.root);
+        let accumulated = match root_constraints.get(ri) {
             Some(prev) => prev.hstack(&k),
             None => k.clone(),
         };
@@ -261,7 +267,7 @@ pub fn augment_reference(
             None => false,
         };
         if feasible {
-            root_constraints.insert(comp.root, accumulated);
+            root_constraints.insert(graph.vertices.len(), ri, comp.root, accumulated);
             outcomes.push((e.id, AugmentOutcome::Constrained));
             local_edges.push(e.id);
             mark_access(&mut local_access, graph, e.id);
@@ -286,12 +292,12 @@ pub fn augment_reference(
 /// `residual_edges.retain(..)` per merged edge.
 pub fn merge_cross_components_reference(
     graph: &AccessGraph,
-    components: &mut Vec<Component>,
+    components: &mut Components,
     aug: &mut Augmented,
     _m: usize,
 ) {
     let mut comp_of: HashMap<Vertex, usize> = HashMap::new();
-    for (ci, c) in components.iter().enumerate() {
+    for (ci, c) in components.list.iter().enumerate() {
         for &v in &c.members {
             comp_of.insert(v, ci);
         }
@@ -308,71 +314,68 @@ pub fn merge_cross_components_reference(
         if cu == cv {
             continue;
         }
-        if aug.root_constraints.contains_key(&components[cu].root)
-            || aug.root_constraints.contains_key(&components[cv].root)
+        let root_index = |c: usize| graph.vertex_index(components.list[c].root);
+        if aug.root_constraints.get(root_index(cu)).is_some()
+            || aug.root_constraints.get(root_index(cv)).is_some()
         {
             continue;
         }
-        let target = &components[cu].rel[&e.from] * &e.weight;
+        let rel = |v: Vertex| &components.rel[graph.vertex_index(v)];
+        let target = rel(e.from) * &e.weight;
 
-        let try_a = solve_xf_eq_s(&target, &components[cv].rel[&e.to])
+        let try_a = solve_xf_eq_s(&target, rel(e.to))
             .ok()
             .map(|f| f.particular)
             .filter(|z| {
-                components[cv]
-                    .rel
-                    .values()
-                    .all(|rw| (z * rw).rank() == z.rows())
+                components.list[cv]
+                    .members
+                    .iter()
+                    .all(|&w| (z * rel(w)).rank() == z.rows())
             });
         if let Some(z) = try_a {
-            apply_merge_ref(components, &mut comp_of, cv, cu, &z, eid);
+            apply_merge_ref(graph, components, &mut comp_of, cv, cu, &z, eid);
             mark_merged_ref(aug, eid);
             continue;
         }
-        let try_b = solve_xf_eq_s(&components[cv].rel[&e.to], &target)
+        let try_b = solve_xf_eq_s(rel(e.to), &target)
             .ok()
             .map(|f| f.particular)
             .filter(|z| {
-                components[cu]
-                    .rel
-                    .values()
-                    .all(|rw| (z * rw).rank() == z.rows())
+                components.list[cu]
+                    .members
+                    .iter()
+                    .all(|&w| (z * rel(w)).rank() == z.rows())
             });
         if let Some(z) = try_b {
-            apply_merge_ref(components, &mut comp_of, cu, cv, &z, eid);
+            apply_merge_ref(graph, components, &mut comp_of, cu, cv, &z, eid);
             mark_merged_ref(aug, eid);
         }
     }
-    components.retain(|c| !c.members.is_empty());
+    components.list.retain(|c| !c.members.is_empty());
 }
 
 fn apply_merge_ref(
-    components: &mut [Component],
+    graph: &AccessGraph,
+    components: &mut Components,
     comp_of: &mut HashMap<Vertex, usize>,
     absorbed: usize,
     grown: usize,
     z: &IMat,
     eid: EdgeId,
 ) {
-    let moved: Vec<(Vertex, IMat)> = components[absorbed]
-        .rel
-        .iter()
-        .map(|(&w, r)| (w, z * r))
-        .collect();
-    let moved_members: Vec<Vertex> = components[absorbed].members.clone();
-    let moved_edges: Vec<EdgeId> = components[absorbed].edges.clone();
-    for (w, r) in moved {
-        components[grown].rel.insert(w, r);
-    }
+    let Components { list, rel } = components;
+    let moved_members: Vec<Vertex> = list[absorbed].members.clone();
+    let moved_edges: Vec<EdgeId> = list[absorbed].edges.clone();
     for w in moved_members {
-        components[grown].members.push(w);
+        let wi = graph.vertex_index(w);
+        rel[wi] = z * &rel[wi];
+        list[grown].members.push(w);
         comp_of.insert(w, grown);
     }
-    components[grown].edges.extend(moved_edges);
-    components[grown].edges.push(eid);
-    components[absorbed].members.clear();
-    components[absorbed].rel.clear();
-    components[absorbed].edges.clear();
+    list[grown].edges.extend(moved_edges);
+    list[grown].edges.push(eid);
+    list[absorbed].members.clear();
+    list[absorbed].edges.clear();
 }
 
 fn mark_merged_ref(aug: &mut Augmented, eid: EdgeId) {

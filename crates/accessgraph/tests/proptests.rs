@@ -113,14 +113,17 @@ proptest! {
         let g = AccessGraph::build(&nest, 2);
         let b = maximum_branching(&g);
         let comps = component_structure(&g, &b, &nest);
+        let rel = |v| &comps.rel[g.vertex_index(v)];
+        prop_assert_eq!(comps.rel.len(), g.vertices.len());
         let mut seen = std::collections::HashSet::new();
-        for c in &comps {
+        for c in &comps.list {
+            prop_assert!(rel(c.root).is_identity(), "root {:?}", c.root);
             for &v in &c.members {
                 prop_assert!(seen.insert(v), "vertex {v:?} in two components");
             }
             for &eid in &c.edges {
                 let e = &g.edges[eid.0];
-                prop_assert_eq!(c.rel[&e.to].clone(), &c.rel[&e.from] * &e.weight);
+                prop_assert_eq!(rel(e.to).clone(), rel(e.from) * &e.weight);
             }
         }
         prop_assert_eq!(seen.len(), g.vertices.len());
@@ -135,7 +138,7 @@ proptest! {
         let b = maximum_branching(&g);
         let comps = component_structure(&g, &b, &nest);
         let aug = augment(&g, &b.edges, &comps, 2);
-        for k in aug.root_constraints.values() {
+        for (_, k) in aug.root_constraints.iter() {
             let basis = rescomm_intlin::left_kernel_basis(k)
                 .expect("accepted constraint must have kernel");
             prop_assert!(basis.rows() >= 2);
@@ -178,12 +181,12 @@ proptest! {
         prop_assert_eq!(&aug_new.outcomes, &aug_old.outcomes);
         prop_assert_eq!(&aug_new.local_edges, &aug_old.local_edges);
         prop_assert_eq!(&aug_new.residual_edges, &aug_old.residual_edges);
-        prop_assert_eq!(comps_new.len(), comps_old.len());
-        for (cn, co) in comps_new.iter().zip(&comps_old) {
+        prop_assert_eq!(comps_new.list.len(), comps_old.list.len());
+        for (cn, co) in comps_new.list.iter().zip(&comps_old.list) {
             prop_assert_eq!(cn.root, co.root);
             prop_assert_eq!(&cn.members, &co.members);
-            prop_assert_eq!(&cn.rel, &co.rel);
             prop_assert_eq!(&cn.edges, &co.edges);
         }
+        prop_assert_eq!(&comps_new.rel, &comps_old.rel);
     }
 }

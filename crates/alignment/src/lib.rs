@@ -19,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 
-use rescomm_accessgraph::{AccessGraph, Augmented, Component, Vertex};
+use rescomm_accessgraph::{AccessGraph, Augmented, Components, Vertex};
 use rescomm_intlin::{left_kernel_basis, IMat};
 use rescomm_loopnest::{Access, AccessId, ArrayId, LoopNest, StmtId};
 
@@ -175,14 +175,17 @@ impl Alignment {
 /// seeds then come from the constraint kernels.
 ///
 /// Dense throughout: allocations and component indices live in
-/// `StmtId`/`ArrayId`-indexed tables and the offset fixpoint runs over
-/// precomputed `(x, S, M_x·c)` triples — the seed's `HashMap<Vertex, _>`
-/// bookkeeping (kept in [`reference`](mod@reference)) re-hashed every vertex on every
-/// sweep and recomputed `M_x·c` per edge *per sweep*.
+/// `StmtId`/`ArrayId`-indexed tables, relative matrices come from the
+/// vertex-indexed [`Components::rel`], and the offsets live in one flat
+/// `n·m` buffer (a row of `m` entries per vertex, of which a component
+/// uses its seed's row count) beside a flat `M_x·c` buffer for the
+/// component's edges — the seed's `HashMap<Vertex, _>` bookkeeping (kept
+/// in [`reference`](mod@reference)) re-hashed every vertex on every sweep
+/// and recomputed `M_x·c` per edge *per sweep*.
 pub fn compute_alignment(
     nest: &LoopNest,
     graph: &AccessGraph,
-    components: &[Component],
+    components: &Components,
     augmented: &Augmented,
 ) -> Alignment {
     let m = graph.m;
@@ -190,18 +193,25 @@ pub fn compute_alignment(
     let mut array_alloc: Vec<Option<Alloc>> = vec![None; nest.arrays.len()];
     let mut comp_of_stmt: Vec<Option<u32>> = vec![None; nest.statements.len()];
     let mut comp_of_array: Vec<Option<u32>> = vec![None; nest.arrays.len()];
-    // Offset slots per graph vertex; components are vertex-disjoint, so
-    // one shared table serves every component's fixpoint.
-    let mut rho: Vec<Option<Vec<i64>>> = vec![None; graph.vertices.len()];
-    let mut edge_info: Vec<(usize, usize, Vec<i64>)> = Vec::new();
+    // Offsets per graph vertex, `m` slots each; components are
+    // vertex-disjoint, so one shared buffer serves every component's
+    // fixpoint, and an offset it never reaches (the root's included)
+    // stays zero.
+    let mut rho = vec![0i64; graph.vertices.len() * m];
+    let mut known = vec![false; graph.vertices.len()];
+    // Per component edge: (array vertex, statement vertex); `mc` holds
+    // the edge's `M_x·c` in `m` slots.
+    let mut edge_info: Vec<(usize, usize)> = Vec::new();
+    let mut mc: Vec<i64> = Vec::new();
 
-    for (ci, comp) in components.iter().enumerate() {
+    for (ci, comp) in components.list.iter().enumerate() {
         // Seed the root.
         let root_dim = match comp.root {
             Vertex::Stmt(s) => nest.statement(s).depth,
             Vertex::Array(x) => nest.array(x).dim,
         };
-        let seed = match augmented.root_constraints.get(&comp.root) {
+        let root = graph.vertex_index(comp.root);
+        let seed = match augmented.root_constraints.get(root) {
             Some(k) => {
                 let basis =
                     left_kernel_basis(k).expect("augment accepted an infeasible constraint");
@@ -210,22 +220,24 @@ pub fn compute_alignment(
             }
             None => IMat::from_fn(m.min(root_dim), root_dim, |i, j| i64::from(i == j)),
         };
-        for &v in &comp.members {
-            match v {
-                Vertex::Stmt(s) => comp_of_stmt[s.0] = Some(ci as u32),
-                Vertex::Array(x) => comp_of_array[x.0] = Some(ci as u32),
-            }
-        }
+        // Every offset of the component has the seed's row count.
+        let rows = seed.rows();
         // Matrices come straight from the relative matrices (valid for
         // plain branching trees AND merged components): M_w = seed·R_w.
-        for (&w, r) in &comp.rel {
+        for &v in &comp.members {
             let alloc = Alloc {
-                mat: &seed * r,
+                mat: &seed * &components.rel[graph.vertex_index(v)],
                 rho: Vec::new(), // filled below
             };
-            match w {
-                Vertex::Stmt(s) => stmt_alloc[s.0] = Some(alloc),
-                Vertex::Array(x) => array_alloc[x.0] = Some(alloc),
+            match v {
+                Vertex::Stmt(s) => {
+                    comp_of_stmt[s.0] = Some(ci as u32);
+                    stmt_alloc[s.0] = Some(alloc);
+                }
+                Vertex::Array(x) => {
+                    comp_of_array[x.0] = Some(ci as u32);
+                    array_alloc[x.0] = Some(alloc);
+                }
             }
         }
         // Offsets: fixpoint propagation over the component's edges (each
@@ -235,6 +247,7 @@ pub fn compute_alignment(
         // with (x = array side, S = stmt side); M_x·c is constant across
         // sweeps, so hoist it.
         edge_info.clear();
+        mc.clear();
         for &eid in &comp.edges {
             let e = &graph.edges[eid.0];
             let acc = nest.access(e.access);
@@ -243,48 +256,50 @@ pub fn compute_alignment(
                 (Vertex::Stmt(st), Vertex::Array(x)) => (x, st),
                 _ => unreachable!("access graph is bipartite"),
             };
-            let mx = array_alloc[xv.0]
+            let mx = &array_alloc[xv.0]
                 .as_ref()
-                .expect("component endpoint has an allocation");
+                .expect("component endpoint has an allocation")
+                .mat;
+            let at = mc.len();
+            mc.resize(at + m, 0);
+            mx.mul_vec_into(&acc.c, &mut mc[at..at + rows]);
             edge_info.push((
                 graph.vertex_index(Vertex::Array(xv)),
                 graph.vertex_index(Vertex::Stmt(sv)),
-                mx.mat.mul_vec(&acc.c),
             ));
         }
-        rho[graph.vertex_index(comp.root)] = Some(vec![0; m.min(root_dim)]);
+        known[root] = true;
         let mut progress = true;
         while progress {
             progress = false;
-            for (xi, si, mc) in &edge_info {
-                match (rho[*xi].is_some(), rho[*si].is_some()) {
+            for (k, &(xi, si)) in edge_info.iter().enumerate() {
+                let mc = &mc[k * m..k * m + rows];
+                match (known[xi], known[si]) {
                     (true, false) => {
-                        let rx = rho[*xi].as_ref().expect("checked");
-                        let rs: Vec<i64> = mc.iter().zip(rx).map(|(&a, &b)| a + b).collect();
-                        rho[*si] = Some(rs);
-                        progress = true;
+                        for (r, &c) in mc.iter().enumerate() {
+                            rho[si * m + r] = c + rho[xi * m + r];
+                        }
+                        known[si] = true;
                     }
                     (false, true) => {
-                        let rs = rho[*si].as_ref().expect("checked");
-                        let rx: Vec<i64> = rs.iter().zip(mc).map(|(&a, &b)| a - b).collect();
-                        rho[*xi] = Some(rx);
-                        progress = true;
+                        for (r, &c) in mc.iter().enumerate() {
+                            rho[xi * m + r] = rho[si * m + r] - c;
+                        }
+                        known[xi] = true;
                     }
-                    _ => {}
+                    _ => continue,
                 }
+                progress = true;
             }
         }
-        for &w in comp.rel.keys() {
+        for &w in &comp.members {
+            let wi = graph.vertex_index(w);
             let alloc = match w {
                 Vertex::Stmt(s) => stmt_alloc[s.0].as_mut(),
                 Vertex::Array(x) => array_alloc[x.0].as_mut(),
             }
-            .expect("rel vertex has an allocation");
-            if alloc.rho.is_empty() {
-                alloc.rho = rho[graph.vertex_index(w)]
-                    .clone()
-                    .unwrap_or_else(|| vec![0; alloc.mat.rows()]);
-            }
+            .expect("member has an allocation");
+            alloc.rho = rho[wi * m..wi * m + rows].to_vec();
         }
     }
 
@@ -307,7 +322,7 @@ pub fn compute_alignment(
         array_alloc,
         comp_of_stmt,
         comp_of_array,
-        n_components: components.len(),
+        n_components: components.list.len(),
     }
 }
 

@@ -7,12 +7,13 @@
 //! `StmtId`/`ArrayId`-indexed tables and hoisted the per-edge `M_x·c`
 //! product out of the offset fixpoint sweeps. This function preserves the
 //! original algorithm verbatim (up to materializing the same dense
-//! [`Alignment`] struct at the end, which did not exist then) so
+//! [`Alignment`] struct at the end, which did not exist then, and reading
+//! the relative matrices from the vertex-indexed [`Components::rel`]) so
 //! differential tests and `pipeline_baseline` can check — and time — old
 //! versus new on the same inputs.
 
 use crate::{canonical, Alignment, Alloc};
-use rescomm_accessgraph::{AccessGraph, Augmented, Component, Vertex};
+use rescomm_accessgraph::{AccessGraph, Augmented, Components, Vertex};
 use rescomm_intlin::{left_kernel_basis, IMat};
 use rescomm_loopnest::{ArrayId, LoopNest, StmtId};
 use std::collections::HashMap;
@@ -23,20 +24,23 @@ use std::collections::HashMap;
 pub fn compute_alignment_reference(
     nest: &LoopNest,
     graph: &AccessGraph,
-    components: &[Component],
+    components: &Components,
     augmented: &Augmented,
 ) -> Alignment {
     let m = graph.m;
     let mut allocs: HashMap<Vertex, Alloc> = HashMap::new();
     let mut component_of: HashMap<Vertex, usize> = HashMap::new();
 
-    for (ci, comp) in components.iter().enumerate() {
+    for (ci, comp) in components.list.iter().enumerate() {
         // Seed the root.
         let root_dim = match comp.root {
             Vertex::Stmt(s) => nest.statement(s).depth,
             Vertex::Array(x) => nest.array(x).dim,
         };
-        let seed = match augmented.root_constraints.get(&comp.root) {
+        let seed = match augmented
+            .root_constraints
+            .get(graph.vertex_index(comp.root))
+        {
             Some(k) => {
                 let basis =
                     left_kernel_basis(k).expect("augment accepted an infeasible constraint");
@@ -48,11 +52,11 @@ pub fn compute_alignment_reference(
         for &v in &comp.members {
             component_of.insert(v, ci);
         }
-        for (&w, r) in &comp.rel {
+        for &w in &comp.members {
             allocs.insert(
                 w,
                 Alloc {
-                    mat: &seed * r,
+                    mat: &seed * &components.rel[graph.vertex_index(w)],
                     rho: Vec::new(), // filled below
                 },
             );
@@ -89,10 +93,11 @@ pub fn compute_alignment_reference(
                 }
             }
         }
-        for (&w, alloc) in allocs.iter_mut() {
-            if comp.rel.contains_key(&w) && alloc.rho.is_empty() {
+        for w in &comp.members {
+            let alloc = allocs.get_mut(w).expect("member has an allocation");
+            if alloc.rho.is_empty() {
                 alloc.rho = rho
-                    .get(&w)
+                    .get(w)
                     .cloned()
                     .unwrap_or_else(|| vec![0; alloc.mat.rows()]);
             }
@@ -134,6 +139,6 @@ pub fn compute_alignment_reference(
         array_alloc,
         comp_of_stmt,
         comp_of_array,
-        n_components: components.len(),
+        n_components: components.list.len(),
     }
 }

@@ -35,7 +35,7 @@
 use rescomm::{build_plan, map_nest, map_nest_reference, map_nest_with, AnalysisCache};
 use rescomm::{Mapping, MappingOptions};
 use rescomm_bench::harness::{median_ns, paired_ns, Args, Paired};
-use rescomm_bench::workload::{host_threads, paragon_mesh};
+use rescomm_bench::workload::{host_cpu, host_threads, paragon_mesh};
 use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_json::{fixed, JsonDoc, Val};
 use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
@@ -207,6 +207,7 @@ fn main() {
     let mut doc = JsonDoc::new();
     doc.field("bench", "pipeline")
         .field("m", 2u64)
+        .field("host", host_cpu())
         .field("host_threads", host_threads());
     doc.rows("synthetic", &synth, |r| {
         vec![

@@ -116,6 +116,7 @@ const CLOCK_HOST_LEAVES: &[&str] = &[
     "speedup*",
     "efficiency",
     // The host and the sweep's run on it.
+    "host",
     "host_threads",
     "oversubscribed",
     "skipped",
@@ -437,13 +438,13 @@ mod tests {
     #[test]
     fn artifact_diff_skips_only_the_clock_and_host_leaves() {
         let committed = json(
-            r#"{"host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
+            r#"{"host": "cpu a", "host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
                 "efficiency": 0.7, "oversubscribed": false, "skipped": false,
                 "makespan_ns": 42, "dense_speedup": 3.1,
                 "t": {"closed_ns": 5}}]}"#,
         );
         let clocks_moved = json(
-            r#"{"host_threads": 8, "rows": [{"n": 1, "wall_ns": null, "speedup_vs_1": 2.0,
+            r#"{"host": "cpu b", "host_threads": 8, "rows": [{"n": 1, "wall_ns": null, "speedup_vs_1": 2.0,
                 "efficiency": 0.9, "oversubscribed": true, "skipped": true,
                 "makespan_ns": 42, "dense_speedup": 2.7,
                 "t": {"closed_ns": 7}}]}"#,
@@ -454,7 +455,7 @@ mod tests {
         );
         // A simulated makespan is not a clock reading, whatever its unit.
         let makespan_moved = json(
-            r#"{"host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
+            r#"{"host": "cpu a", "host_threads": 2, "rows": [{"n": 1, "wall_ns": 10, "speedup_vs_1": 1.5,
                 "efficiency": 0.7, "oversubscribed": false, "skipped": false,
                 "makespan_ns": 43, "dense_speedup": 3.1,
                 "t": {"closed_ns": 5}}]}"#,

@@ -62,6 +62,21 @@ pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
+/// The host's CPU model (the first `model name` of `/proc/cpuinfo`), or
+/// `"unknown"` where that is unreadable: recorded beside timings, so a
+/// committed time says which machine it was measured on.
+pub fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .filter(|l| l.starts_with("model name"))
+                .find_map(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// The paper's default Paragon-like testbed: an 8×4 mesh (32 nodes).
 pub fn paragon_mesh() -> Mesh2D {
     Mesh2D::new(8, 4, CostModel::paragon())

@@ -19,7 +19,7 @@ use rescomm_alignment::{compute_alignment, residual_communications, Alignment};
 use rescomm_decompose::{
     decompose_direct, decompose_general, search_similarity, shear_decompose, Elementary, GenFactor,
 };
-use rescomm_intlin::{solve_xf_eq_s, IMat};
+use rescomm_intlin::{solve_xf_eq_s_particular, IMat};
 use rescomm_loopnest::{AccessId, AccessKind, LoopNest};
 use rescomm_machine::pool;
 use rescomm_machine::SweepReport;
@@ -786,7 +786,7 @@ fn dataflow_solve(m_s: &IMat, m_x: &IMat, f: &IMat, m: usize) -> Option<IMat> {
     if mxf.rank() < m.min(mxf.rows()) {
         return None;
     }
-    solve_xf_eq_s(m_s, &mxf).ok().map(|fam| fam.particular)
+    solve_xf_eq_s_particular(m_s, &mxf).ok()
 }
 
 fn try_decompose(

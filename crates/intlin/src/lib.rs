@@ -50,7 +50,9 @@ pub use mat::{IMat, LinError};
 pub use pseudo::{left_inverse_int, pseudo_inverse, right_inverse_int, small_left_inverse};
 pub use rat::{RMat, Rational};
 pub use smith::{smith_normal_form, SmithForm};
-pub use solve::{solve_axb_int, solve_xf_eq_s, solve_xf_eq_s_fullrank, SolutionFamily};
+pub use solve::{
+    solve_axb_int, solve_xf_eq_s, solve_xf_eq_s_fullrank, solve_xf_eq_s_particular, SolutionFamily,
+};
 pub use unimodular::{is_unimodular, random_unimodular};
 
 /// Greatest common divisor of two integers (always non-negative;

@@ -269,16 +269,39 @@ impl IMat {
     /// Panics if `v.len() != self.cols()`.
     fn try_mul_vec(&self, v: &[i64]) -> Result<Vec<i64>, LinError> {
         assert_eq!(v.len(), self.cols, "mul_vec: dimension mismatch");
-        (0..self.rows)
-            .map(|i| {
-                let row = self.row(i);
-                let mut acc: i128 = 0;
-                for j in 0..self.cols {
-                    acc += row[j] as i128 * v[j] as i128;
-                }
-                try_narrow(acc)
-            })
-            .collect()
+        (0..self.rows).map(|i| self.row_dot(i, v)).collect()
+    }
+
+    /// Matrix–vector product into a caller-provided slice of
+    /// `self.rows()` entries: [`IMat::mul_vec`] without the allocation.
+    ///
+    /// # Panics
+    /// Panics on a length mismatch or `i64` overflow.
+    pub fn mul_vec_into(&self, v: &[i64], out: &mut [i64]) {
+        self.try_mul_vec_into(v, out)
+            .expect("i64 overflow in exact integer matrix arithmetic")
+    }
+
+    /// Fallible [`IMat::mul_vec_into`]; on error `out` holds a partial
+    /// result.
+    fn try_mul_vec_into(&self, v: &[i64], out: &mut [i64]) -> Result<(), LinError> {
+        assert_eq!(v.len(), self.cols, "mul_vec: dimension mismatch");
+        assert_eq!(out.len(), self.rows, "mul_vec: output length mismatch");
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.row_dot(i, v)?;
+        }
+        Ok(())
+    }
+
+    /// Row `i` times `v`, accumulated in `i128` and narrowed once.
+    #[inline]
+    fn row_dot(&self, i: usize, v: &[i64]) -> Result<i64, LinError> {
+        let row = self.row(i);
+        let mut acc: i128 = 0;
+        for j in 0..self.cols {
+            acc += row[j] as i128 * v[j] as i128;
+        }
+        try_narrow(acc)
     }
 
     /// Multiply every entry by the scalar `s`.
@@ -431,11 +454,22 @@ impl IMat {
 
     /// Rank over ℚ (fraction-free Gaussian elimination).
     ///
-    /// Matrices with at most [`IMat::INLINE_CAP`] entries are eliminated
-    /// in a stack buffer; larger ones can reuse a scratch buffer via
-    /// [`IMat::rank_with`].
+    /// An inline-stored matrix (every one of at most [`IMat::INLINE_CAP`]
+    /// entries, unless [`IMat::force_heap`] moved it) is eliminated first
+    /// in `i64` without any division. A heap-stored one, or an inline one
+    /// with an entry of that elimination leaving `i64`, goes through the
+    /// `i128` elimination, in a stack buffer up to `INLINE_CAP` entries.
+    /// Both are exact, so the rank does not depend on the path; storage
+    /// picks it only so differential tests can reach the `i128` path.
+    /// Larger matrices can reuse a scratch buffer via [`IMat::rank_with`].
     pub fn rank(&self) -> usize {
         let len = self.rows * self.cols;
+        if let Store::Inline(buf) = &self.store {
+            let mut small = *buf;
+            if let Some(r) = rank_i64(&mut small[..len], self.rows, self.cols) {
+                return r;
+            }
+        }
         if len <= Self::INLINE_CAP {
             let mut buf = [0i128; Self::INLINE_CAP];
             for (d, &s) in buf[..len].iter_mut().zip(self.as_slice()) {
@@ -609,6 +643,50 @@ fn det_impl(a: &mut [i128], n: usize) -> Result<i64, LinError> {
         prev = a[k * n + k];
     }
     try_narrow(sign * a[n * n - 1])
+}
+
+/// Division-free Gaussian rank of the `r × c` matrix in `a` (row-major,
+/// destroyed): each row below the pivot row `p` becomes
+/// `pivot·row − f·p` (`row − f·pivot·p` when the pivot is ±1, so unit
+/// pivots never grow the entries), with checked `i64` arithmetic.
+/// `None` when an entry leaves `i64`; [`rank_impl`] then decides.
+fn rank_i64(a: &mut [i64], r: usize, c: usize) -> Option<usize> {
+    let mut row = 0;
+    for col in 0..c {
+        if row == r {
+            break;
+        }
+        let Some(p) = (row..r).find(|&i| a[i * c + col] != 0) else {
+            continue;
+        };
+        if p != row {
+            for j in col..c {
+                a.swap(row * c + j, p * c + j);
+            }
+        }
+        let pv = a[row * c + col];
+        for i in row + 1..r {
+            let f = a[i * c + col];
+            if f == 0 {
+                continue;
+            }
+            let (keep, take) = if pv == 1 || pv == -1 {
+                (1, f.checked_mul(pv)?)
+            } else {
+                (pv, f)
+            };
+            // Columns left of `col` are zero in both rows; `col` itself
+            // cancels.
+            a[i * c + col] = 0;
+            for j in col + 1..c {
+                a[i * c + j] = a[i * c + j]
+                    .checked_mul(keep)?
+                    .checked_sub(a[row * c + j].checked_mul(take)?)?;
+            }
+        }
+        row += 1;
+    }
+    Some(row)
 }
 
 /// Fraction-free Gaussian rank of the `r × c` matrix in `a`

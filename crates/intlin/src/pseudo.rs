@@ -17,7 +17,7 @@
 use crate::kernel::left_kernel_basis;
 use crate::mat::{IMat, LinError};
 use crate::rat::RMat;
-use crate::smith::smith_normal_form;
+use crate::smith::smith_reduce;
 
 /// Rational pseudo-inverse of a full-rank matrix (appendix §8.2).
 ///
@@ -58,8 +58,9 @@ pub fn right_inverse_int(f: &IMat) -> Result<IMat, LinError> {
     if u > v {
         return Err(LinError::Incompatible);
     }
-    let s = smith_normal_form(f);
-    let uinv = s.u.inverse_unimodular().expect("smith U not unimodular");
+    // `ui·F·vi = D` holds `U⁻¹` and `V⁻¹` of the Smith form directly.
+    let s = smith_reduce(f);
+    let uinv = &s.ui;
     let mut y = IMat::zeros(v, u);
     for i in 0..u {
         let d = s.d[(i, i)];
@@ -74,8 +75,7 @@ pub fn right_inverse_int(f: &IMat) -> Result<IMat, LinError> {
             y[(i, j)] = num / d;
         }
     }
-    let vinv = s.v.inverse_unimodular().expect("smith V not unimodular");
-    Ok(&vinv * &y)
+    Ok(&s.vi * &y)
 }
 
 /// An integer left inverse: `G` with `G·F = Id_v` for a full-rank narrow

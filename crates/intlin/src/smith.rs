@@ -31,13 +31,39 @@ impl SmithForm {
     }
 }
 
+/// The transforms the Smith reduction accumulates: `ui·a·vi = d` with
+/// `ui` (`m×m`) and `vi` (`n×n`) unimodular, so `a = ui⁻¹·d·vi⁻¹`.
+///
+/// Solving `a·x = b` needs only these (`d·z = ui·b`, `x = vi·z`), not the
+/// inverses [`SmithForm`] carries.
+#[derive(Debug, Clone)]
+pub(crate) struct SmithReduction {
+    /// Accumulated row transform, `U⁻¹` of the Smith form.
+    pub ui: IMat,
+    /// Diagonal middle factor (`m×n`).
+    pub d: IMat,
+    /// Accumulated column transform, `V⁻¹` of the Smith form.
+    pub vi: IMat,
+}
+
 /// Compute the Smith normal form of `a`.
 ///
 /// Returns [`SmithForm`] `{u, d, v}` with `a = u·d·v` exactly.
 pub fn smith_normal_form(a: &IMat) -> SmithForm {
+    let SmithReduction { ui, d, vi } = smith_reduce(a);
+    let u = ui
+        .inverse_unimodular()
+        .expect("smith: row transform not unimodular");
+    let v = vi
+        .inverse_unimodular()
+        .expect("smith: column transform not unimodular");
+    SmithForm { u, d, v }
+}
+
+/// The Smith reduction of `a`, without inverting its transforms.
+pub(crate) fn smith_reduce(a: &IMat) -> SmithReduction {
     let (m, n) = a.shape();
     let mut d = a.clone();
-    // We accumulate the *inverse* transforms: ui·a·vi = d, so a = ui⁻¹·d·vi⁻¹.
     let mut ui = IMat::identity(m);
     let mut vi = IMat::identity(n);
 
@@ -58,7 +84,7 @@ pub fn smith_normal_form(a: &IMat) -> SmithForm {
             }
             let Some((pi, pj)) = best else {
                 // Trailing block is all zero; done.
-                return finish(ui, d, vi, t);
+                return SmithReduction { ui, d, vi };
             };
             if pi != t {
                 d.swap_rows(pi, t);
@@ -115,17 +141,7 @@ pub fn smith_normal_form(a: &IMat) -> SmithForm {
             }
         }
     }
-    finish(ui, d, vi, k)
-}
-
-fn finish(ui: IMat, d: IMat, vi: IMat, _r: usize) -> SmithForm {
-    let u = ui
-        .inverse_unimodular()
-        .expect("smith: row transform not unimodular");
-    let v = vi
-        .inverse_unimodular()
-        .expect("smith: column transform not unimodular");
-    SmithForm { u, d, v }
+    SmithReduction { ui, d, vi }
 }
 
 #[cfg(test)]

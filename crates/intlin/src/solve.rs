@@ -12,7 +12,7 @@
 
 use crate::kernel::left_kernel_basis;
 use crate::mat::{IMat, LinError};
-use crate::smith::smith_normal_form;
+use crate::smith::{smith_reduce, SmithReduction};
 
 /// The complete integer solution set of `X·F = S`:
 /// `X = particular + C·homogeneous` for any integer `C` (row-wise: each row
@@ -43,16 +43,19 @@ impl SolutionFamily {
 /// Returns a particular solution; `Err(Incompatible)` if no rational
 /// solution exists, `Err(NotIntegral)` if solutions exist over ℚ but not ℤ.
 pub fn solve_axb_int(a: &IMat, b: &[i64]) -> Result<Vec<i64>, LinError> {
-    let (m, n) = a.shape();
+    solve_reduced(&smith_reduce(a), b)
+}
+
+/// [`solve_axb_int`] against an already computed Smith reduction
+/// `ui·A·vi = D` of `A`: `A·x = b` becomes `D·z = ui·b` with `x = vi·z`.
+fn solve_reduced(red: &SmithReduction, b: &[i64]) -> Result<Vec<i64>, LinError> {
+    let (m, n) = red.d.shape();
     assert_eq!(b.len(), m, "solve_axb_int: rhs length mismatch");
-    // A = U·D·V  ⟹  D·(V·x) = U⁻¹·b.
-    let s = smith_normal_form(a);
-    let uinv = s.u.inverse_unimodular().expect("smith U not unimodular");
-    let rhs = uinv.mul_vec(b);
+    let rhs = red.ui.mul_vec(b);
     let mut z = vec![0i64; n];
     let k = m.min(n);
     for i in 0..k {
-        let d = s.d[(i, i)];
+        let d = red.d[(i, i)];
         if d == 0 {
             if rhs[i] != 0 {
                 return Err(LinError::Incompatible);
@@ -69,35 +72,43 @@ pub fn solve_axb_int(a: &IMat, b: &[i64]) -> Result<Vec<i64>, LinError> {
             return Err(LinError::Incompatible);
         }
     }
-    let vinv = s.v.inverse_unimodular().expect("smith V not unimodular");
-    Ok(vinv.mul_vec(&z))
+    Ok(red.vi.mul_vec(&z))
 }
 
 /// Solve `X·F = S` over ℤ, returning the full solution family.
 ///
 /// `F` is `a×d`, `S` is `m×d`; the solution `X` is `m×a`.
 pub fn solve_xf_eq_s(s: &IMat, f: &IMat) -> Result<SolutionFamily, LinError> {
+    Ok(SolutionFamily {
+        particular: solve_xf_eq_s_particular(s, f)?,
+        homogeneous: left_kernel_basis(f),
+    })
+}
+
+/// The particular solution of [`solve_xf_eq_s`] alone, for callers that
+/// never read the homogeneous family: the same `X` and the same errors,
+/// without the left-kernel basis of `F`.
+///
+/// `Fᵗ` is reduced once; row `i` of `X` then solves
+/// `Fᵗ·xᵢᵗ = (row i of S)ᵗ` against that reduction.
+pub fn solve_xf_eq_s_particular(s: &IMat, f: &IMat) -> Result<IMat, LinError> {
     assert_eq!(
         s.cols(),
         f.cols(),
         "solve_xf_eq_s: column mismatch (S m×d, F a×d)"
     );
-    let ft = f.transpose(); // d×a
+    let red = smith_reduce(&f.transpose()); // Fᵗ is d×a
     let m = s.rows();
     let a = f.rows();
     let mut x = IMat::zeros(m, a);
     for i in 0..m {
-        // Row i of X solves Fᵗ·xᵢᵗ = (row i of S)ᵗ.
-        let xi = solve_axb_int(&ft, s.row(i))?;
+        let xi = solve_reduced(&red, s.row(i))?;
         for j in 0..a {
             x[(i, j)] = xi[j];
         }
     }
     debug_assert_eq!(&x * f, *s);
-    Ok(SolutionFamily {
-        particular: x,
-        homogeneous: left_kernel_basis(f),
-    })
+    Ok(x)
 }
 
 /// Solve `X·F = S` over ℤ and insist on a solution of rank `want_rank`.
@@ -219,6 +230,31 @@ mod tests {
         let f = m(&[&[1, 0, 0], &[0, 1, 0]]); // 2×3 flat (qx=2 < d=3)
         let s = m(&[&[0, 0, 1], &[1, 0, 0]]); // wants to see column 3
         assert_eq!(solve_xf_eq_s(&s, &f), Err(LinError::Incompatible));
+    }
+
+    #[test]
+    fn particular_solve_keeps_every_outcome() {
+        let cases = [
+            // Flat F that cannot see column 3: incompatible.
+            (m(&[&[0, 0, 1], &[1, 0, 0]]), m(&[&[1, 0, 0], &[0, 1, 0]])),
+            // X = S·(2·Id)⁻¹ is fractional: not integral.
+            (IMat::identity(2), m(&[&[2, 0], &[0, 2]])),
+            // Row 0 solves, row 1 does not: the error still surfaces.
+            (m(&[&[2, 4], &[1, 2]]), m(&[&[2, 0], &[0, 2]])),
+            // Narrow F with a left kernel: solvable.
+            (IMat::identity(2), m(&[&[1, 0], &[0, 1], &[0, 1]])),
+        ];
+        let want = [
+            Err(LinError::Incompatible),
+            Err(LinError::NotIntegral),
+            Err(LinError::NotIntegral),
+            Ok(m(&[&[1, 0, 0], &[0, 1, 0]])),
+        ];
+        for ((s, f), want) in cases.iter().zip(want) {
+            let got = solve_xf_eq_s_particular(s, f);
+            assert_eq!(got, want, "S={s:?} F={f:?}");
+            assert_eq!(got, solve_xf_eq_s(s, f).map(|fam| fam.particular));
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 
 use proptest::prelude::*;
 use rescomm_intlin::{
-    gcd, kernel_basis, kernel_subset, left_inverse_int, pseudo_inverse, right_hermite,
-    right_inverse_int, smith_normal_form, solve_xf_eq_s, IMat, RMat,
+    gcd, kernel_basis, kernel_subset, left_inverse_int, left_kernel_basis, pseudo_inverse,
+    right_hermite, right_inverse_int, smith_normal_form, solve_xf_eq_s, solve_xf_eq_s_particular,
+    IMat, LinError, RMat,
 };
+use std::panic::catch_unwind;
 
 /// Strategy: a rows×cols matrix with small entries.
 fn small_mat(rows: usize, cols: usize) -> impl Strategy<Value = IMat> {
@@ -21,8 +23,136 @@ fn any_shape_mat() -> impl Strategy<Value = IMat> {
     (1usize..=4, 1usize..=4).prop_flat_map(|(r, c)| small_mat(r, c))
 }
 
+/// Entries whose products straddle 2⁶⁴: an elimination that wrapped
+/// instead of falling back would see false zeros among them.
+const WRAP_TRAPS: [i64; 11] = [
+    0,
+    1,
+    -1,
+    1 << 31,
+    -(1 << 31),
+    1 << 32,
+    -(1 << 32),
+    1 << 33,
+    -(1 << 33),
+    (1 << 32) + 1,
+    -(1 << 32) - 1,
+];
+
+/// An entry near zero, at either end of `i64`, or one of [`WRAP_TRAPS`].
+fn edge_entry() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..=3,
+        (i64::MAX - 3)..=i64::MAX,
+        i64::MIN..=(i64::MIN + 3),
+        (0usize..WRAP_TRAPS.len()).prop_map(|i| WRAP_TRAPS[i]),
+    ]
+}
+
+/// Up to 4×4 (so stored inline) with entries from [`edge_entry`]; each
+/// row after the first may repeat an earlier row or its negation, so
+/// rank-deficient matrices with huge entries come up often.
+fn edge_mat() -> impl Strategy<Value = IMat> {
+    (1usize..=4, 1usize..=4).prop_flat_map(|(r, c)| {
+        (
+            proptest::collection::vec(edge_entry(), r * c),
+            proptest::collection::vec(0usize..8, r),
+        )
+            .prop_map(move |(mut v, copy)| {
+                for i in 1..r {
+                    let (src, neg) = (copy[i] % 4, copy[i] >= 4);
+                    if src < i {
+                        for j in 0..c {
+                            let x = v[src * c + j];
+                            v[i * c + j] = if neg { x.checked_neg().unwrap_or(x) } else { x };
+                        }
+                    }
+                }
+                IMat::from_vec(r, c, v)
+            })
+    })
+}
+
+/// `(S, F)` with the same column count, as `X·F = S` needs.
+fn same_cols_pair() -> impl Strategy<Value = (IMat, IMat)> {
+    (1usize..=3, 1usize..=4, 1usize..=4)
+        .prop_flat_map(|(m, a, d)| (small_mat(m, d), small_mat(a, d)))
+}
+
+/// The seed's `X·F = S` solve: one Smith form of `Fᵗ` and two unimodular
+/// inverses per row of `S`, each row solved on its own.
+fn seed_particular(s: &IMat, f: &IMat) -> Result<IMat, LinError> {
+    let ft = f.transpose();
+    let mut x = IMat::zeros(s.rows(), f.rows());
+    for i in 0..s.rows() {
+        let sf = smith_normal_form(&ft);
+        let uinv = sf.u.inverse_unimodular().unwrap();
+        let rhs = uinv.mul_vec(s.row(i));
+        let (m, n) = ft.shape();
+        let mut z = vec![0i64; n];
+        for k in 0..m.min(n) {
+            let d = sf.d[(k, k)];
+            if d == 0 {
+                if rhs[k] != 0 {
+                    return Err(LinError::Incompatible);
+                }
+            } else {
+                if rhs[k] % d != 0 {
+                    return Err(LinError::NotIntegral);
+                }
+                z[k] = rhs[k] / d;
+            }
+        }
+        if rhs.iter().skip(m.min(n)).any(|&r| r != 0) {
+            return Err(LinError::Incompatible);
+        }
+        let xi = sf.v.inverse_unimodular().unwrap().mul_vec(&z);
+        for (j, v) in xi.into_iter().enumerate() {
+            x[(i, j)] = v;
+        }
+    }
+    Ok(x)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The division-free `i64` rank of an inline matrix equals the `i128`
+    /// elimination (which heap storage forces), entries at the edges of
+    /// `i64` included; where the `i128` path overflows, both panic.
+    #[test]
+    fn rank_i64_matches_i128_path(a in edge_mat()) {
+        prop_assert!(a.is_inline());
+        let mut heap = a.clone();
+        heap.force_heap();
+        let fast = catch_unwind(|| a.rank());
+        match catch_unwind(|| heap.rank()) {
+            Ok(r) => prop_assert_eq!(fast.ok(), Some(r), "{:?}", a),
+            Err(_) => prop_assert!(fast.is_err(), "i128 path panicked, i64 path did not: {:?}", a),
+        }
+    }
+
+    /// Augment's feasibility test: the left-kernel dimension is the rank
+    /// deficit of the rows, with no basis built.
+    #[test]
+    fn left_kernel_dimension_is_rank_deficit(a in any_shape_mat()) {
+        let dim = left_kernel_basis(&a).map_or(0, |b| b.rows());
+        prop_assert_eq!(a.rows() - a.rank(), dim);
+    }
+
+    /// The particular-only solve returns what `solve_xf_eq_s` returns as
+    /// its particular solution, `Err` variant included, and both match the
+    /// seed's per-row Smith solve.
+    #[test]
+    fn particular_solve_matches_family(pair in same_cols_pair()) {
+        let (s, f) = pair;
+        let got = solve_xf_eq_s_particular(&s, &f);
+        prop_assert_eq!(&got, &solve_xf_eq_s(&s, &f).map(|fam| fam.particular));
+        prop_assert_eq!(&got, &seed_particular(&s, &f));
+        if let Ok(x) = &got {
+            prop_assert_eq!(&(x * &f), &s);
+        }
+    }
 
     #[test]
     fn hermite_reconstructs(a in any_shape_mat()) {

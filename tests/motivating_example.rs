@@ -66,8 +66,8 @@ fn single_connected_component() {
     let g = AccessGraph::build(&nest, 2);
     let b = maximum_branching(&g);
     let comps = component_structure(&g, &b, &nest);
-    assert_eq!(comps.len(), 1);
-    assert_eq!(comps[0].members.len(), 6);
+    assert_eq!(comps.list.len(), 1);
+    assert_eq!(comps.list[0].members.len(), 6);
 }
 
 #[test]
