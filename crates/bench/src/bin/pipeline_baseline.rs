@@ -14,8 +14,10 @@
 //! * **lowering** — `build_plan` followed by `phases_on_mesh` on the 8×4
 //!   Paragon mesh (32² virtual grid, CYCLIC) for the synthetic nests: the
 //!   explicit plan and fold of the cold CLI path. Its counts and the
-//!   overlapped makespan are pinned by `--check`; the time is
-//!   `optimized_ns`.
+//!   overlapped makespan are pinned by `--check`. The time
+//!   (`optimized_ns`) is paired with a fixed partner (`oracle_ns`):
+//!   `build_plan`, then each phase's wrapped pattern through the
+//!   `physical_messages` enumeration oracle.
 //!
 //! Each old/new pair is timed as interleaved pairs
 //! ([`rescomm_bench::harness::paired_ns`]), so a host that drifts during
@@ -33,14 +35,14 @@
 //! wrong answer going fast.
 
 use rescomm::{build_plan, map_nest, map_nest_reference, map_nest_with, AnalysisCache};
-use rescomm::{Mapping, MappingOptions};
-use rescomm_bench::harness::{median_ns, paired_ns, Args, Paired};
+use rescomm::{CommPlan, Mapping, MappingOptions};
+use rescomm_bench::harness::{paired_ns, Args, Paired};
 use rescomm_bench::workload::{host_cpu, host_threads, paragon_mesh};
-use rescomm_distribution::{Dist1D, Dist2D};
+use rescomm_distribution::{physical_messages, Dist1D, Dist2D};
 use rescomm_json::{fixed, JsonDoc, Val};
 use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
 use rescomm_loopnest::LoopNest;
-use rescomm_machine::ScheduleMode;
+use rescomm_machine::{Mesh2D, PMsg, ScheduleMode};
 use std::hint::black_box;
 
 /// The virtual grid the lowering section's explicit patterns wrap into.
@@ -70,6 +72,31 @@ fn assert_same_mapping(tag: &str, new: &Mapping, old: &Mapping) {
     }
 }
 
+/// The lowering's partner: every phase of an explicit plan folded on its
+/// own by the `physical_messages` enumeration oracle on its toroidally
+/// wrapped pattern, then flattened to node ids.
+fn lower_by_oracle(plan: &CommPlan, mesh: &Mesh2D, dist: Dist2D) -> Vec<Vec<PMsg>> {
+    let wrap = |(i, j): (i64, i64)| (i.rem_euclid(VSHAPE.0 as i64), j.rem_euclid(VSHAPE.1 as i64));
+    plan.phases
+        .iter()
+        .map(|phase| {
+            let pattern = phase
+                .pattern
+                .explicit()
+                .expect("build_plan emits explicit phases");
+            let wrapped: Vec<_> = pattern.iter().map(|&(s, d)| (wrap(s), wrap(d))).collect();
+            physical_messages(&wrapped, dist, VSHAPE, (mesh.px, mesh.py), BYTES)
+                .iter()
+                .map(|m| PMsg {
+                    src: mesh.node_id(m.src.0, m.src.1),
+                    dst: mesh.node_id(m.dst.0, m.dst.1),
+                    bytes: m.bytes,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// A synthetic nest family: name + generator `(n_stmts, size)`.
 type Family = (&'static str, fn(usize, i64) -> LoopNest);
 
@@ -95,7 +122,9 @@ struct LoweringRow {
     virtual_msgs: usize,
     physical_msgs: usize,
     makespan_ns: u64,
-    lower_ns: u64,
+    /// `build_plan` + [`lower_by_oracle`] (`a`) against `build_plan` +
+    /// `phases_on_mesh` (`b`).
+    timing: Paired,
 }
 
 fn main() {
@@ -185,12 +214,23 @@ fn main() {
             plan.verify_availability(&nest, &mapping)
                 .unwrap_or_else(|e| panic!("{family} n={n}: {e}"));
             let phases = plan.phases_on_mesh(&mesh, dist, VSHAPE, BYTES);
+            // Correctness gate before timing.
+            assert_eq!(
+                phases,
+                lower_by_oracle(&plan, &mesh, dist),
+                "{family} n={n}: lowering differs from the oracle"
+            );
             let makespan_ns =
                 plan.simulate_on_mesh(&mesh, dist, VSHAPE, BYTES, ScheduleMode::overlapped());
-            let lower_ns = median_ns(9, 1, || {
-                build_plan(&nest, &mapping).phases_on_mesh(&mesh, dist, VSHAPE, BYTES)
-            });
-            eprintln!("  {family:>15} n={n:>4}  {lower_ns:>10} ns");
+            let timing = paired_ns(
+                9,
+                || lower_by_oracle(&build_plan(&nest, &mapping), &mesh, dist),
+                || build_plan(&nest, &mapping).phases_on_mesh(&mesh, dist, VSHAPE, BYTES),
+            );
+            eprintln!(
+                "  {family:>15} n={n:>4}  oracle {:>10} ns   lowering {:>10} ns   ×{:.1}",
+                timing.a_ns, timing.b_ns, timing.ratio
+            );
             lowering.push(LoweringRow {
                 family,
                 n_stmts: n,
@@ -198,7 +238,7 @@ fn main() {
                 virtual_msgs: plan.message_count(),
                 physical_msgs: phases.iter().map(Vec::len).sum(),
                 makespan_ns,
-                lower_ns,
+                timing,
             });
         }
     }
@@ -235,7 +275,9 @@ fn main() {
             ("virtual_msgs", Val::from(r.virtual_msgs)),
             ("physical_msgs", Val::from(r.physical_msgs)),
             ("makespan_ns", Val::from(r.makespan_ns)),
-            ("optimized_ns", Val::from(r.lower_ns)),
+            ("oracle_ns", Val::from(r.timing.a_ns)),
+            ("optimized_ns", Val::from(r.timing.b_ns)),
+            ("speedup", speedup(&r.timing)),
         ]
     });
     args.emit(&doc);

@@ -145,10 +145,12 @@ fn coord2(v: &[i64]) -> (i64, i64) {
 /// `dst` computes at the point, both padded to 2-D by `coord2`.
 ///
 /// `owner` is [`exact_owner`]'s answer for this access. With the composed
-/// owner map, both 2-row maps are evaluated inline over an
-/// allocation-free domain walk. Without it (a bound that could leave
-/// `i64`), the walk takes the staged evaluation (`subscript`, then two
-/// `Alloc::apply`), which panics where an entry leaves `i64`.
+/// owner map, the four rows of the two 2-row maps are evaluated inline
+/// over an allocation-free domain walk, as prefix sums over the loop axes:
+/// a step of the walk recomputes only the sums from the first axis it
+/// changed, one column at an innermost step. Without it (a bound that
+/// could leave `i64`), the walk takes the staged evaluation (`subscript`,
+/// then two `Alloc::apply`), which panics where an entry leaves `i64`.
 fn for_each_transfer(
     dom: &Domain,
     alignment: &Alignment,
@@ -167,13 +169,44 @@ fn for_each_transfer(
         }
         return;
     };
-    let (o0, o1) = (row_of(owner, 0), row_of(owner, 1));
-    let (s0, s1) = (row_of(stmt, 0), row_of(stmt, 1));
-    let eval = |(r, o): (&[i64], i64), p: &[i64]| -> i64 {
-        r.iter().zip(p).fold(o, |acc, (&a, &x)| acc + a * x)
+    let rows = [
+        row_of(owner, 0),
+        row_of(owner, 1),
+        row_of(stmt, 0),
+        row_of(stmt, 1),
+    ];
+    // `cols[j]` holds axis `j`'s coefficient in each row; `sums[j]` each
+    // row's offset plus its terms over the axes before `j`. Every such
+    // sum is a partial evaluation `walk_is_exact` bounds, so none
+    // overflows.
+    let d = dom.dim();
+    let mut stack = [[0i64; 4]; 2 * WALK_STACK_AXES + 1];
+    let mut heap = Vec::new();
+    let buf: &mut [[i64; 4]] = if d <= WALK_STACK_AXES {
+        &mut stack[..2 * d + 1]
+    } else {
+        heap.resize(2 * d + 1, [0; 4]);
+        &mut heap
     };
-    let _ = dom.walk(|p| f((eval(o0, p), eval(o1, p)), (eval(s0, p), eval(s1, p))));
+    let (cols, sums) = buf.split_at_mut(d);
+    for (j, col) in cols.iter_mut().enumerate() {
+        *col = rows.map(|(r, _)| r.get(j).copied().unwrap_or(0));
+    }
+    sums[0] = rows.map(|(_, o)| o);
+    let _ = dom.walk(|p, changed| {
+        for j in changed..d {
+            let (a, x) = (cols[j], p[j]);
+            let prev = sums[j];
+            sums[j + 1] = std::array::from_fn(|r| prev[r] + a[r] * x);
+        }
+        let [o0, o1, s0, s1] = sums[d];
+        f((o0, o1), (s0, s1))
+    });
 }
+
+/// Loop depth up to which [`for_each_transfer`] keeps its sums on the
+/// stack.
+const WALK_STACK_AXES: usize = 8;
 
 /// The owner map of `acc` composed once ([`Alignment::owner_map`]), when
 /// [`walk_is_exact`] proves the inline walk exact; `None` sends the walk
@@ -285,16 +318,15 @@ fn distinct_transfers(
     });
 }
 
-/// `mat · pos` for a 2×2 `mat`, with [`IMat::mul_vec`]'s exact `i128`
-/// accumulation and its panic when a component leaves `i64`, but no
-/// allocation.
-fn mul2(mat: &IMat, pos: (i64, i64)) -> (i64, i64) {
-    let row = |i: usize| {
-        let acc = i128::from(mat[(i, 0)]) * i128::from(pos.0)
-            + i128::from(mat[(i, 1)]) * i128::from(pos.1);
+/// `mat · pos` for a row-major 2×2 `mat`, with [`IMat::mul_vec`]'s exact
+/// `i128` accumulation and its panic when a component leaves `i64`, but
+/// no allocation.
+fn mul2(mat: &[[i64; 2]; 2], pos: (i64, i64)) -> (i64, i64) {
+    let row = |[a, b]: [i64; 2]| {
+        let acc = i128::from(a) * i128::from(pos.0) + i128::from(b) * i128::from(pos.1);
         i64::try_from(acc).expect("i64 overflow in exact integer matrix arithmetic")
     };
-    (row(0), row(1))
+    (row(mat[0]), row(mat[1]))
 }
 
 /// Whether every evaluation [`for_each_transfer`]'s walk performs is exact
@@ -551,7 +583,16 @@ impl CommPlan {
 /// time.
 pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     assert_eq!(mapping.alignment.m, 2, "plans target 2-D grids");
-    let mut plan = CommPlan::default();
+    // At most one phase per factor plus the shift for a decomposition,
+    // one for any other communicating access.
+    let most = mapping.outcomes.iter().map(|out| match out {
+        CommOutcome::Local => 0,
+        CommOutcome::Decomposed { factors, .. } => factors.len() + 1,
+        _ => 1,
+    });
+    let mut plan = CommPlan {
+        phases: Vec::with_capacity(most.sum()),
+    };
     // Scratch kept across accesses: the access's endpoint pairs, and the
     // moves of one factor sweep. Each phase stores an exact-size copy.
     let mut transfers = Vec::new();
@@ -577,7 +618,8 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
                 // (current position, final destination) pairs.
                 distinct_transfers(nest, mapping, acc, true, &mut transfers);
                 for f in factors.iter().rev() {
-                    let mat = f.to_mat();
+                    let m = f.to_mat();
+                    let mat = [[m[(0, 0)], m[(0, 1)]], [m[(1, 0)], m[(1, 1)]]];
                     moves.clear();
                     for (pos, _) in &mut transfers {
                         let q = mul2(&mat, *pos);
@@ -1393,6 +1435,25 @@ mod tests {
         );
         assert_eq!(seen, 4);
         assert_eq!(case.walk().len(), 9);
+    }
+
+    #[test]
+    fn plan_walk_past_the_stack_axes_matches_the_oracle() {
+        // Eight loops fill the stack table and ten spill to the heap; a
+        // guard skips points, so steps change several axes between two
+        // visits.
+        let ents: Vec<i64> = (0..97).map(|i| (i * 7 % 11) - 5).collect();
+        for d in [WALK_STACK_AXES, WALK_STACK_AXES + 2] {
+            let bounds: Vec<(i64, i64)> = (0..d as i64).map(|k| (k - 4, k - 3)).collect();
+            // Keeps the points with at most `d / 2` coordinates at `hi`.
+            let b = bounds.iter().map(|b| b.0).sum::<i64>() + d as i64 / 2;
+            let dom = Domain::rect(&bounds).with_guard(&vec![1; d], b);
+            let case = WalkCase::new(dom, 3, 2, 2, &ents);
+            assert!(case.exact(), "depth {d}");
+            let walk = case.walk();
+            assert!(!walk.is_empty() && walk.len() < 1 << d, "depth {d}");
+            assert_eq!(walk, case.oracle(), "depth {d}");
+        }
     }
 
     /// The set-based `distinct_transfers` the plan builder used before the

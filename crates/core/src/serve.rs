@@ -1085,6 +1085,14 @@ fn interval_flusher(shared: &Shared, interval: Duration) {
     }
 }
 
+/// Send one response line in a single `write_all`: with `TCP_NODELAY` a
+/// separate write of the `\n` would go out as its own segment and wake
+/// the client's line read twice.
+fn write_line(w: &mut impl Write, mut resp: String) -> std::io::Result<()> {
+    resp.push('\n');
+    w.write_all(resp.as_bytes())
+}
+
 /// Serve one connection: bounded line reads, one response per line.
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     // Request/response lines are tiny; Nagle + delayed ACK would add
@@ -1113,7 +1121,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 1,
                 &format!("request line exceeds {max} bytes"),
             );
-            let _ = writeln!(writer, "{resp}");
+            let _ = write_line(&mut writer, resp);
             return; // the rest of the line is garbage: drop the conn
         }
         let line = String::from_utf8_lossy(&buf);
@@ -1123,7 +1131,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         }
         let shutdown_before = shared.shutdown.load(Ordering::Acquire);
         let resp = handle_line(shared, line);
-        if writeln!(writer, "{resp}").is_err() || writer.flush().is_err() {
+        if write_line(&mut writer, resp).is_err() || writer.flush().is_err() {
             return;
         }
         // A shutdown op was just handled: stop reading so the drain can
@@ -1138,6 +1146,29 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
 mod tests {
     use super::*;
     use std::io::BufRead;
+
+    /// A writer that records each `write` call.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_line_is_one_write() {
+        let mut w = Calls::default();
+        write_line(&mut w, r#"{"ok":true}"#.to_string()).unwrap();
+        write_line(&mut w, String::new()).unwrap();
+        assert_eq!(w.0, [b"{\"ok\":true}\n".to_vec(), b"\n".to_vec()]);
+    }
 
     fn client(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(addr).unwrap();

@@ -14,7 +14,8 @@
 //! * [`Dist2D`] — per-axis composition (Fig. 7's two-dimensional grouped
 //!   partition for `T = L·U`);
 //! * [`msgs`] — turning a virtual communication pattern into an aggregated
-//!   physical message set for the machine simulator.
+//!   physical message set for the machine simulator; its [`Placement`]
+//!   places raw coordinates on one axis without integer division.
 
 #![forbid(unsafe_code)]
 
@@ -24,7 +25,7 @@ pub mod msgs;
 pub use closed::{fold_affine, fold_affine_with, fold_general, FoldPath};
 pub use msgs::{
     affine_pattern, elementary_pattern, fold_pattern, general_pattern, locality_fraction,
-    physical_messages, ExplicitFold, FoldedPattern, Msg, VSend,
+    physical_messages, ExplicitFold, FoldedPattern, Msg, Placement, VSend,
 };
 
 /// A one-dimensional virtual→physical folding scheme.

@@ -5,7 +5,7 @@
 //! physical messages (aggregated source→destination byte counts) and
 //! feeding it to the mesh simulator.
 
-use crate::Dist2D;
+use crate::{Dist1D, Dist2D};
 use rescomm_intlin::IMat;
 
 /// One virtual send: `(source, destination)` virtual processor coords.
@@ -129,27 +129,206 @@ impl FoldedPattern {
     }
 }
 
+/// Unsigned division by a divisor `d ∈ [1, 2³¹]` fixed at set-up, exact
+/// for every dividend below 2³² (Lemire, Kaser & Kurz, "Faster Remainder
+/// by Direct Computation", 2019). With `m = ⌈2⁶³/d⌉ = (2⁶³ + e)/d`,
+/// `0 ≤ e < d`, the quotient `m·n / 2⁶³` exceeds `n/d` by
+/// `e·n / (d·2⁶³) < 1/d` (as `e·n < 2³¹·2³²`): too little to reach the
+/// next multiple of `1/d`, so its floor is `⌊n/d⌋`.
+#[derive(Debug, Clone, Copy)]
+struct Recip {
+    d: u64,
+    m: u64,
+}
+
+/// Largest divisor a [`Recip`] covers.
+const RECIP_MAX_DIVISOR: usize = 1 << 31;
+/// Longest axis whose indices stay below 2³², the dividends a [`Recip`]
+/// is exact for.
+const RECIP_MAX_AXIS: usize = 1 << 32;
+
+impl Recip {
+    /// The reciprocal of `d`, if `d` is a divisor it covers.
+    fn new(d: usize) -> Option<Self> {
+        (1..=RECIP_MAX_DIVISOR).contains(&d).then(|| Recip {
+            d: d as u64,
+            m: (1u64 << 63).div_ceil(d as u64),
+        })
+    }
+
+    /// `⌊n/d⌋` for `n < 2³²`.
+    #[inline]
+    fn div(self, n: u64) -> u64 {
+        ((u128::from(self.m) * u128::from(n)) >> 63) as u64
+    }
+
+    /// `(⌊n/d⌋, n mod d)` for `n < 2³²`.
+    #[inline]
+    fn div_rem(self, n: u64) -> (u64, u64) {
+        let q = self.div(n);
+        (q, n - q * self.d)
+    }
+}
+
+/// [`Dist1D::map`]'s rule for one axis with its divisors as reciprocals.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// `i / ⌈v/p⌉`.
+    Block(Recip),
+    /// `i mod p`.
+    Cyclic(Recip),
+    /// `⌊i/b⌋ mod p`.
+    CyclicBlock(Recip, Recip),
+    /// `π(i) / ⌈v/p⌉` with `π(i) = c·⌊v/k⌋ + min(c, v mod k) + ⌊i/k⌋`
+    /// for the class `c = i mod k` ([`crate::grouped_rank`]).
+    Grouped {
+        k: Recip,
+        class_len: u64,
+        long_classes: u64,
+        block: Recip,
+    },
+}
+
+impl Rule {
+    /// The rule of `dist` on a `v`-long axis over `p` processors, when the
+    /// reciprocals cover it: `v ≤ 2³²` and every divisor in `[1, 2³¹]`.
+    fn new(dist: Dist1D, v: usize, p: usize) -> Option<Self> {
+        if p == 0 || v > RECIP_MAX_AXIS {
+            return None;
+        }
+        let block = || Recip::new(v.div_ceil(p));
+        Some(match dist {
+            Dist1D::Block => Rule::Block(block()?),
+            Dist1D::Cyclic => Rule::Cyclic(Recip::new(p)?),
+            Dist1D::CyclicBlock(b) => Rule::CyclicBlock(Recip::new(b)?, Recip::new(p)?),
+            Dist1D::Grouped(k) => Rule::Grouped {
+                k: Recip::new(k)?,
+                class_len: (v / k) as u64,
+                long_classes: (v % k) as u64,
+                block: block()?,
+            },
+        })
+    }
+
+    /// The processor of index `n < v`.
+    #[inline]
+    fn apply(self, n: u64) -> u64 {
+        match self {
+            Rule::Block(bs) => bs.div(n),
+            Rule::Cyclic(p) => p.div_rem(n).1,
+            Rule::CyclicBlock(b, p) => p.div_rem(b.div(n)).1,
+            Rule::Grouped {
+                k,
+                class_len,
+                long_classes,
+                block,
+            } => {
+                let (q, c) = k.div_rem(n);
+                block.div(c * class_len + c.min(long_classes) + q)
+            }
+        }
+    }
+}
+
+/// One axis of a distribution, set up to place raw virtual coordinates:
+/// toroidal wrap into `[0, v)`, then [`Dist1D::map`], without an integer
+/// division on any axis of up to 2³² virtual processors.
+///
+/// Set-up computes one reciprocal per divisor of the axis' rule, so it
+/// costs the same at every `v`; a placement then takes multiplies and
+/// shifts. A longer axis, a divisor past 2³¹ and the inputs `map`
+/// rejects (`p = 0`, `CYCLIC(0)`, `Grouped(0)`) go through `map` itself,
+/// so every answer and every panic is `map`'s.
+///
+/// ```
+/// use rescomm_distribution::{Dist1D, Placement};
+/// let d = Dist1D::Grouped(3);
+/// let axis = Placement::new(d, 12, 4);
+/// for x in -30..30 {
+///     assert_eq!(axis.place(x), d.map(x.rem_euclid(12), 12, 4));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Placement {
+    dist: Dist1D,
+    v: usize,
+    p: usize,
+    rule: Option<Rule>,
+}
+
+impl Placement {
+    /// The placement of `dist` on a `v`-long virtual axis over `p`
+    /// physical processors. Never panics: an input [`Dist1D::map`]
+    /// rejects panics in [`Placement::place`], as `map` does.
+    pub fn new(dist: Dist1D, v: usize, p: usize) -> Self {
+        Placement {
+            dist,
+            v,
+            p,
+            rule: Rule::new(dist, v, p),
+        }
+    }
+
+    /// The physical processor of raw virtual coordinate `x`: `x` wrapped
+    /// toroidally into `[0, v)`, then mapped as [`Dist1D::map`] maps it.
+    ///
+    /// A coordinate within one period of the grid is wrapped by adding or
+    /// subtracting `v`; one farther out, like every coordinate on an axis
+    /// without a rule, takes the remainder and `map` itself.
+    ///
+    /// # Panics
+    /// Panics where the wrap (`v = 0`) or `map` panics.
+    #[inline]
+    pub fn place(&self, x: i64) -> usize {
+        if let Some(rule) = self.rule {
+            // `x + v` below the grid and `x − v` from its end on, as masks
+            // rather than branches: plan coordinates fall on either side
+            // of the grid's edges without a pattern a branch could learn.
+            // `v ≤ 2³²` under a rule, so neither sum wraps.
+            let n = self.v as i64;
+            let i = x + (n & (x >> 63)) - (n & -i64::from(x >= n));
+            if (i as u64) < self.v as u64 {
+                return rule.apply(i as u64) as usize;
+            }
+        }
+        self.map(x)
+    }
+
+    /// [`Dist1D::map`] on the toroidal wrap of `x`.
+    #[cold]
+    #[inline(never)]
+    fn map(&self, x: i64) -> usize {
+        let i = if (x as u64) < self.v as u64 {
+            x
+        } else {
+            x.rem_euclid(self.v as i64)
+        };
+        self.dist.map(i, self.v, self.p)
+    }
+}
+
 /// The explicit fold: the one routine that lowers an enumerated virtual
 /// pattern to aggregated processor pairs, behind both [`fold_pattern`]
 /// and the plan lowering (`CommPlan::phases_on_mesh` in `rescomm-core`).
 ///
-/// Each endpoint is wrapped toroidally into `vshape` (only a coordinate
-/// outside `[0, v)` pays a `rem_euclid`) and mapped through
-/// [`crate::Dist1D::map`] once. Each non-local send becomes one key that packs
-/// `(src row, src col, dst row, dst col)` into bit fields. Ascending key
-/// order is therefore `(src, dst)` order, and decoding a key takes shifts
-/// and masks, not divisions. The keys are sorted and run-length counted,
-/// so the cost follows the pattern's length, not the `P²` processor
-/// pairs (an explicit phase carries a few dozen sends, the 8×4 mesh
-/// 1,024 pairs). The key buffer is kept from one fold to the next.
+/// Each endpoint is placed once per axis by a [`Placement`] (wrap, then
+/// [`Dist1D::map`], with no division). Each non-local send becomes one
+/// key that packs `(src row, src col, dst row, dst col)` into bit fields.
+/// Ascending key order is therefore `(src, dst)` order, and decoding a
+/// key takes shifts and masks, not divisions. The keys are sorted and
+/// run-length counted, so the cost follows the pattern's length, not the
+/// `P²` processor pairs (an explicit phase carries a few dozen sends, the
+/// 8×4 mesh 1,024 pairs). The key and run buffers are kept from one fold
+/// to the next.
 #[derive(Debug)]
 pub struct ExplicitFold {
-    dist: Dist2D,
-    vshape: (usize, usize),
-    pshape: (usize, usize),
+    rows: Placement,
+    cols: Placement,
     /// Bit widths of a processor row and of a processor column index.
     bits: (u32, u32),
     keys: Vec<u64>,
+    /// The last fold's distinct keys with their send counts, ascending.
+    runs: Vec<(u64, u64)>,
 }
 
 /// Bits that hold every index below `n`.
@@ -157,18 +336,9 @@ fn index_bits(n: usize) -> u32 {
     usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
-/// Toroidal wrap of one coordinate into `[0, v)`.
-fn wrap(x: i64, v: usize) -> i64 {
-    if (x as u64) < v as u64 {
-        x
-    } else {
-        x.rem_euclid(v as i64)
-    }
-}
-
 impl ExplicitFold {
     /// A fold of patterns on a `vshape` virtual grid onto a `pshape`
-    /// physical grid under `dist`.
+    /// physical grid under `dist`. Costs the same at every `vshape`.
     ///
     /// # Panics
     /// Panics if a processor pair does not fit a 64-bit key (a grid of
@@ -180,11 +350,11 @@ impl ExplicitFold {
             "processor grid {pshape:?} too large for pair keys"
         );
         ExplicitFold {
-            dist,
-            vshape,
-            pshape,
+            rows: Placement::new(dist.rows, vshape.0, pshape.0),
+            cols: Placement::new(dist.cols, vshape.1, pshape.1),
             bits,
             keys: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -193,16 +363,12 @@ impl ExplicitFold {
     /// non-local sends are read back with [`ExplicitFold::runs`].
     pub fn fold(&mut self, pattern: &[VSend]) -> u64 {
         let ExplicitFold {
-            dist,
-            vshape: (vr, vc),
-            pshape: (pr, pc),
+            rows,
+            cols,
             bits: (br, bc),
             ..
         } = *self;
-        let place = |(i, j): (i64, i64)| {
-            let row = dist.rows.map(wrap(i, vr), vr, pr) as u64;
-            row << bc | dist.cols.map(wrap(j, vc), vc, pc) as u64
-        };
+        let place = |(i, j): (i64, i64)| (rows.place(i) as u64) << bc | cols.place(j) as u64;
         self.keys.clear();
         for &(src, dst) in pattern {
             let (s, d) = (place(src), place(dst));
@@ -211,22 +377,30 @@ impl ExplicitFold {
             }
         }
         self.keys.sort_unstable();
+        self.runs.clear();
+        self.runs.extend(
+            self.keys
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u64)),
+        );
         (pattern.len() - self.keys.len()) as u64
     }
 
     /// The last fold's non-local sends aggregated per processor pair:
     /// `(src, dst, sends)` in ascending `(src, dst)` order, processors as
-    /// `(row, col)` coordinates.
-    pub fn runs(&self) -> impl Iterator<Item = ((usize, usize), (usize, usize), u64)> + '_ {
+    /// `(row, col)` coordinates. Its length is exact, so collecting it
+    /// allocates once.
+    pub fn runs(
+        &self,
+    ) -> impl ExactSizeIterator<Item = ((usize, usize), (usize, usize), u64)> + '_ {
         let (br, bc) = self.bits;
         let field =
             |key: u64, shift: u32, width: u32| ((key >> shift) & ((1 << width) - 1)) as usize;
-        self.keys.chunk_by(|a, b| a == b).map(move |run| {
-            let k = run[0];
+        self.runs.iter().map(move |&(k, sends)| {
             (
                 (field(k, br + 2 * bc, br), field(k, br + bc, bc)),
                 (field(k, bc, br), field(k, 0, bc)),
-                run.len() as u64,
+                sends,
             )
         })
     }

@@ -5,7 +5,7 @@ use rescomm_decompose::general::{product_general, GenFactor};
 use rescomm_distribution::{
     affine_pattern, elementary_pattern, fold_affine_with, fold_general, fold_pattern,
     general_pattern, grouped_rank, locality_fraction, physical_messages, Dist1D, Dist2D,
-    ExplicitFold, FoldPath, Msg,
+    ExplicitFold, FoldPath, Msg, Placement,
 };
 use rescomm_intlin::IMat;
 
@@ -396,6 +396,92 @@ proptest! {
             prop_assert!(!auto.closed, "{:?} v={:?}: the period tile did not fire", dist, vshape);
         } else if t00 * t11 - t01 * t10 == 1 || t00 * t11 - t01 * t10 == -1 {
             prop_assert!(auto.closed, "unimodular T={:?} {:?} v={:?} left the closed path", t, dist, vshape);
+        }
+    }
+}
+
+/// An axis length, processor count or block size: small, just below, at
+/// and past 2³¹ and 2³² (where `Placement` leaves its reciprocals for
+/// `Dist1D::map`), anywhere between them, or far past them.
+fn axis_size() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1usize..=40,
+        ((1usize << 31) - 1)..=((1 << 31) + 1),
+        (1usize << 31)..=(1 << 33),
+        ((1usize << 32) - 2)..=((1 << 32) + 1),
+        ((1usize << 40) - 1)..=((1 << 40) + 1),
+        Just(1usize << 62),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `Placement::place` is `Dist1D::map` on the toroidal wrap, answer
+    /// and panic alike: every kind, `v` and `p` up to and past 2³²,
+    /// `CYCLIC(b)` and `Grouped(k)` with `b`, `k` anywhere from 0 to past
+    /// `v`, and raw coordinates inside the grid, one period off either
+    /// side, far off and at the ends of `i64`.
+    #[test]
+    fn placement_equals_map_on_the_wrapped_coordinate(
+        kind in 0usize..4,
+        v in axis_size(),
+        p in prop_oneof![0usize..=9, axis_size()],
+        param in prop_oneof![axis_size(), Just(0usize)],
+        param_near_v in any::<bool>(),
+        near in -2i64..=2,
+        at in 0usize..7,
+        raw in any::<i64>(),
+    ) {
+        let param = if param_near_v { (v as i64 + near).max(0) as usize } else { param };
+        let dist = [
+            Dist1D::Block,
+            Dist1D::Cyclic,
+            Dist1D::CyclicBlock(param),
+            Dist1D::Grouped(param),
+        ][kind];
+        let n = v as i64;
+        let inside = raw.rem_euclid(n);
+        let x = match at {
+            0 => inside,
+            1 => inside - n,
+            2 => inside + n,
+            3 => i64::MAX,
+            4 => -i64::MAX,
+            5 => i64::MIN,
+            _ => raw,
+        };
+        let axis = Placement::new(dist, v, p);
+        let got = std::panic::catch_unwind(|| axis.place(x)).ok();
+        let want = std::panic::catch_unwind(|| dist.map(x.rem_euclid(n), v, p)).ok();
+        prop_assert_eq!(got, want, "{:?} v={} p={} x={}", dist, v, p, x);
+    }
+}
+
+/// An empty pattern folds to nothing without panicking under every kind,
+/// the inputs `Dist1D::map` rejects and axes past 2³² included: a
+/// `Placement` defers every check to the coordinate it places.
+#[test]
+fn an_empty_pattern_folds_under_every_kind() {
+    let kinds = [
+        Dist1D::Block,
+        Dist1D::Cyclic,
+        Dist1D::CyclicBlock(0),
+        Dist1D::CyclicBlock(3),
+        Dist1D::Grouped(0),
+        Dist1D::Grouped(5),
+        Dist1D::Grouped(1 << 33),
+    ];
+    for rows in kinds {
+        for cols in kinds {
+            let dist = Dist2D { rows, cols };
+            for vshape in [(0, 0), (12, 8), (1 << 33, 3)] {
+                for pshape in [(0, 0), (4, 2), (1 << 20, 3)] {
+                    let mut fold = ExplicitFold::new(dist, vshape, pshape);
+                    assert_eq!(fold.fold(&[]), 0, "{dist:?} {vshape:?} {pshape:?}");
+                    assert_eq!(fold.runs().len(), 0, "{dist:?} {vshape:?} {pshape:?}");
+                }
+            }
         }
     }
 }

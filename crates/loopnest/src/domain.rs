@@ -120,13 +120,16 @@ impl Domain {
     /// Visit every point in the same lexicographic order as
     /// [`Domain::points`] (guards applied) without allocating per point:
     /// an in-place odometer over a stack buffer (one heap buffer for the
-    /// whole walk past eight loops). `f` sees each point as a slice and
-    /// may stop the walk with `Break`.
+    /// whole walk past eight loops). `f` sees each point as a slice, with
+    /// the first axis whose coordinate changed since the point it saw
+    /// before (0 at the first point), and may stop the walk with `Break`.
+    /// A caller that evaluates affine maps can thus keep the partial sums
+    /// over the axes before that one.
     ///
     /// [`Domain::points`] stays an independent iterator: it is the oracle
     /// this walk is tested against, and the iterator for callers that
     /// keep the points.
-    pub fn walk(&self, mut f: impl FnMut(&[i64]) -> ControlFlow<()>) -> ControlFlow<()> {
+    pub fn walk(&self, mut f: impl FnMut(&[i64], usize) -> ControlFlow<()>) -> ControlFlow<()> {
         let dim = self.dim();
         let mut stack = [0i64; WALK_STACK_DEPTH];
         let mut heap = Vec::new();
@@ -137,9 +140,11 @@ impl Domain {
             &mut heap
         };
         cur.copy_from_slice(&self.lo);
+        let mut changed = 0;
         loop {
             if self.satisfies_guards(cur) {
-                f(cur)?;
+                f(cur, changed)?;
+                changed = dim;
             }
             // Successor: the odometer of `DomainIter`, from the last loop.
             let mut k = dim;
@@ -151,6 +156,7 @@ impl Domain {
                 if cur[k] < self.hi[k] {
                     cur[k] += 1;
                     cur[k + 1..].copy_from_slice(&self.lo[k + 1..]);
+                    changed = changed.min(k);
                     break;
                 }
             }
@@ -274,9 +280,15 @@ mod tests {
         assert_eq!(d.exact_size(), 2 * 3);
     }
 
+    /// The walk's points, each checked to come with the first axis at
+    /// which it differs from the point before it (0 for the first).
     fn walked(d: &Domain) -> Vec<Vec<i64>> {
-        let mut v = Vec::new();
-        let _ = d.walk(|p| {
+        let mut v: Vec<Vec<i64>> = Vec::new();
+        let _ = d.walk(|p, changed| {
+            let first = v
+                .last()
+                .map_or(0, |q| q.iter().zip(p).take_while(|(a, b)| a == b).count());
+            assert_eq!(changed, first, "{p:?} after {:?}", v.last());
             v.push(p.to_vec());
             ControlFlow::Continue(())
         });
@@ -305,7 +317,7 @@ mod tests {
     fn walk_stops_on_break() {
         let d = Domain::cube(2, 3);
         let mut n = 0;
-        let flow = d.walk(|_| {
+        let flow = d.walk(|_, _| {
             n += 1;
             if n == 2 {
                 ControlFlow::Break(())
