@@ -1170,6 +1170,92 @@ mod tests {
         assert_eq!(w.0, [b"{\"ok\":true}\n".to_vec(), b"\n".to_vec()]);
     }
 
+    /// The motivating example's `map` answers, pinned byte for byte with
+    /// their canonical keys: defaults, then non-default `mesh`, `vshape`
+    /// and `bytes`, both cost models and all three modes. Then the
+    /// nest whose plan subscripts leave `i64`: its panic answers
+    /// `internal`.
+    #[test]
+    fn map_answers_and_keys_are_pinned() {
+        const SRC: &str = include_str!("../../../examples/nests/motivating.nest");
+        let counts = "{\"nest\": \"motivating-example\", \"accesses\": 8, \"local\": 5, \
+                      \"translation\": 0, \"broadcast\": 2, \"scatter\": 0, \"gather\": 0, \
+                      \"reduction\": 0, \"decomposed\": 1, \"factors\": 2, \"general\": 0, \
+                      \"incidents\": 0, \"phases\": 5";
+        let pinned = [
+            (
+                "",
+                "\"mesh\": [8, 4], \"cost\": \"paragon\", \"vshape\": [8, 4], \"bytes\": 1024, \
+                 \"mode\": \"phased\"",
+                "\"mode\": \"phased\", \"makespan\": 8244424",
+            ),
+            (
+                ", \"mesh\": [4, 4]",
+                "\"mesh\": [4, 4], \"cost\": \"paragon\", \"vshape\": [4, 4], \"bytes\": 1024, \
+                 \"mode\": \"phased\"",
+                "\"mode\": \"phased\", \"makespan\": 3129192",
+            ),
+            (
+                ", \"mesh\": [4, 4], \"vshape\": [16, 12], \"bytes\": 64",
+                "\"mesh\": [4, 4], \"cost\": \"paragon\", \"vshape\": [16, 12], \"bytes\": 64, \
+                 \"mode\": \"phased\"",
+                "\"mode\": \"phased\", \"makespan\": 2306928",
+            ),
+            (
+                ", \"cost\": \"cm5\"",
+                "\"mesh\": [8, 4], \"cost\": \"cm5\", \"vshape\": [8, 4], \"bytes\": 1024, \
+                 \"mode\": \"phased\"",
+                "\"mode\": \"phased\", \"makespan\": 57573400",
+            ),
+            (
+                ", \"mesh\": [2, 8], \"vshape\": [24, 24], \"bytes\": 4096, \"cost\": \"cm5\", \
+                 \"mode\": \"overlapped\"",
+                "\"mesh\": [2, 8], \"cost\": \"cm5\", \"vshape\": [24, 24], \"bytes\": 4096, \
+                 \"mode\": \"overlapped\"",
+                "\"mode\": \"overlapped\", \"makespan\": 286410200",
+            ),
+            (
+                ", \"mode\": \"overlapped\"",
+                "\"mesh\": [8, 4], \"cost\": \"paragon\", \"vshape\": [8, 4], \"bytes\": 1024, \
+                 \"mode\": \"overlapped\"",
+                "\"mode\": \"overlapped\", \"makespan\": 7741472",
+            ),
+            (
+                ", \"mode\": \"overlapped-longest\"",
+                "\"mesh\": [8, 4], \"cost\": \"paragon\", \"vshape\": [8, 4], \"bytes\": 1024, \
+                 \"mode\": \"overlapped-longest\"",
+                "\"mode\": \"overlapped-longest\", \"makespan\": 4510400",
+            ),
+            (
+                ", \"vshape\": [32, 32], \"cost\": \"cm5\", \"mode\": \"overlapped-longest\"",
+                "\"mesh\": [8, 4], \"cost\": \"cm5\", \"vshape\": [32, 32], \"bytes\": 1024, \
+                 \"mode\": \"overlapped-longest\"",
+                "\"mode\": \"overlapped-longest\", \"makespan\": 39959400",
+            ),
+        ];
+        let shared = Server::bind(ServerConfig::default()).unwrap().shared;
+        let nest = JsonValue::Str(SRC.to_string()).render();
+        for (id, (spec, key, tail)) in pinned.iter().enumerate() {
+            let req = format!("{{\"id\": {id}, \"op\": \"map\", \"nest\": {nest}{spec}}}");
+            let want = format!(
+                "{{\"id\": {id}, \"ok\": true, \"served\": \"fresh\", \"result\": {counts}, {tail}}}}}"
+            );
+            assert_eq!(handle_line(&shared, &req), want, "{spec}");
+            let p = parse_map_params(&parse(&req).unwrap(), SRC).unwrap();
+            assert_eq!(p.key(), format!("{{\"nest\": {nest}, {key}}}"), "{spec}");
+        }
+        let overflow = SRC.replace(
+            "stmt S1 depth 2 domain 0..7 0..7",
+            "stmt S1 depth 2 domain 0..1 9223372036854775805..9223372036854775806",
+        );
+        assert_ne!(overflow, SRC);
+        let nest = JsonValue::Str(overflow).render();
+        let resp = handle_line(&shared, &format!("{{\"op\": \"map\", \"nest\": {nest}}}"));
+        let err = parse(&resp).unwrap().get("error").cloned().expect("an error");
+        assert_eq!(err.get("code").and_then(JsonValue::as_str), Some("internal"));
+        assert_eq!(err.get("exit_code").and_then(JsonValue::as_i64), Some(1));
+    }
+
     fn client(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(addr).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());

@@ -302,6 +302,39 @@ fn closed_plan_overlapped_schedule_reports_both_makespans() {
     assert!(text.contains("phased makespan:"), "{text}");
 }
 
+/// The full `--closed-plan` stdout of both example nests at a 256²
+/// virtual grid on an 8×8 mesh, pinned byte for byte against
+/// `tests/golden/`: once phased, once overlapped with node 5 dead
+/// (the phased comparison and the degraded makespan lines).
+#[test]
+fn closed_plan_stdout_is_pinned() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let nests = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/nests");
+    for nest in ["motivating", "matmul"] {
+        for (run, flags) in [
+            ("phased", &["--schedule", "phased"][..]),
+            (
+                "overlapped_recover",
+                &["--schedule", "overlapped", "--recover", "5"][..],
+            ),
+        ] {
+            let out = cli()
+                .arg(format!("{nests}/{nest}.nest"))
+                .args(["--closed-plan", "--vgrid", "256x256", "--grid", "8x8"])
+                .args(flags)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{nest} {run}: {out:?}");
+            let want = std::fs::read_to_string(format!("{dir}/closed_plan.{nest}.{run}.stdout"));
+            assert_eq!(
+                String::from_utf8(out.stdout).unwrap(),
+                want.unwrap(),
+                "{nest} {run}"
+            );
+        }
+    }
+}
+
 #[test]
 fn schedule_rejects_unknown_mode() {
     let f = write_nest(NEST);
