@@ -8,12 +8,13 @@
 //! cargo run -p rescomm-bench --bin grouped_general
 //! ```
 
-use rescomm_bench::workload::{paragon_mesh, simulate_dataflow};
+use rescomm_bench::workload::{paragon_mesh, simulate_dataflow_with};
 use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_intlin::IMat;
+use rescomm_machine::PhaseSim;
 
 fn main() {
-    let mesh = paragon_mesh();
+    let mut sim = PhaseSim::new(paragon_mesh());
     let t = IMat::from_rows(&[&[1, 3], &[2, 7]]);
     println!("§5.4 — general affine communication T = [[1,3],[2,7]], NOT decomposed,");
     println!("grouped partition vs CYCLIC, 8×4 mesh:\n");
@@ -23,17 +24,13 @@ fn main() {
     );
     for vshape in [(32usize, 16usize), (48, 16), (64, 32)] {
         for bytes in [128u64, 512, 2048] {
-            let cyc = simulate_dataflow(&t, &mesh, Dist2D::uniform(Dist1D::Cyclic), vshape, bytes);
-            let grp = simulate_dataflow(
-                &t,
-                &mesh,
-                Dist2D {
-                    rows: Dist1D::Grouped(3),
-                    cols: Dist1D::Grouped(2),
-                },
-                vshape,
-                bytes,
-            );
+            let cyclic = Dist2D::uniform(Dist1D::Cyclic);
+            let grouped = Dist2D {
+                rows: Dist1D::Grouped(3),
+                cols: Dist1D::Grouped(2),
+            };
+            let cyc = simulate_dataflow_with(&mut sim, &t, cyclic, vshape, bytes);
+            let grp = simulate_dataflow_with(&mut sim, &t, grouped, vshape, bytes);
             let diff = 100.0 * (grp as f64 - cyc as f64) / cyc as f64;
             println!(
                 "{:>10} {:>8} {:>14} {:>14} {:>+9.1}%",

@@ -14,7 +14,8 @@
 //! * **lowering** — `build_plan` followed by `phases_on_mesh` on the 8×4
 //!   Paragon mesh (32² virtual grid, CYCLIC) for the synthetic nests: the
 //!   explicit plan and fold of the cold CLI path. Its counts and the
-//!   overlapped makespan are pinned by `--check`. The time
+//!   overlapped makespan, read off one `rescomm::compile`, are pinned by
+//!   `--check`. The time
 //!   (`optimized_ns`) is paired with a fixed partner (`oracle_ns`):
 //!   `build_plan`, then each phase's wrapped pattern through the
 //!   `physical_messages` enumeration oracle.
@@ -34,8 +35,8 @@
 //! rotations, allocation matrices), so the numbers can't drift from a
 //! wrong answer going fast.
 
-use rescomm::{build_plan, map_nest, map_nest_reference, map_nest_with, AnalysisCache};
-use rescomm::{CommPlan, Mapping, MappingOptions};
+use rescomm::{build_plan, compile, map_nest, map_nest_reference, map_nest_with, AnalysisCache};
+use rescomm::{CancelToken, CommPlan, CompileOptions, Compiled, Mapping, MappingOptions};
 use rescomm_bench::harness::{paired_ns, Args, Paired};
 use rescomm_bench::workload::{host_cpu, host_threads, paragon_mesh};
 use rescomm_distribution::{physical_messages, Dist1D, Dist2D};
@@ -203,29 +204,37 @@ fn main() {
     }
 
     eprintln!("lowering: build_plan + phases_on_mesh, 8x4 mesh, 32x32 CYCLIC");
-    let mesh = paragon_mesh();
-    let dist = Dist2D::uniform(Dist1D::Cyclic);
+    let target = CompileOptions {
+        mesh: paragon_mesh(),
+        dist: Dist2D::uniform(Dist1D::Cyclic),
+        vshape: VSHAPE,
+        bytes: BYTES,
+        mode: ScheduleMode::overlapped(),
+        closed: false,
+    };
+    let (mesh, dist) = (&target.mesh, target.dist);
     let mut lowering = Vec::new();
     for (family, build) in families {
         for n in sizes {
             let nest = build(n, 8);
             let mapping = map_nest(&nest, &opts).unwrap();
-            let plan = build_plan(&nest, &mapping);
+            let Compiled {
+                plan,
+                phases,
+                makespan: makespan_ns,
+            } = compile(&nest, &mapping, &target, &CancelToken::none()).unwrap();
             plan.verify_availability(&nest, &mapping)
                 .unwrap_or_else(|e| panic!("{family} n={n}: {e}"));
-            let phases = plan.phases_on_mesh(&mesh, dist, VSHAPE, BYTES);
             // Correctness gate before timing.
             assert_eq!(
                 phases,
-                lower_by_oracle(&plan, &mesh, dist),
+                lower_by_oracle(&plan, mesh, dist),
                 "{family} n={n}: lowering differs from the oracle"
             );
-            let makespan_ns =
-                plan.simulate_on_mesh(&mesh, dist, VSHAPE, BYTES, ScheduleMode::overlapped());
             let timing = paired_ns(
                 9,
-                || lower_by_oracle(&build_plan(&nest, &mapping), &mesh, dist),
-                || build_plan(&nest, &mapping).phases_on_mesh(&mesh, dist, VSHAPE, BYTES),
+                || lower_by_oracle(&build_plan(&nest, &mapping), mesh, dist),
+                || build_plan(&nest, &mapping).phases_on_mesh(mesh, dist, VSHAPE, BYTES),
             );
             eprintln!(
                 "  {family:>15} n={n:>4}  oracle {:>10} ns   lowering {:>10} ns   ×{:.1}",

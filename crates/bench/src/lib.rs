@@ -19,7 +19,7 @@
 //! | §2 motivating example end-to-end, with the step-2 ablations | [`motivating`] | `--bin motivating` |
 //! | §3.5 message vectorization                     | [`vectorization`] | `--bin vectorization` |
 //! | decomposition advantage vs message size        | [`table2_crossover`] | `--bin crossover` |
-//! | §5.4 grouped partition on an undecomposed `T`  | [`workload::simulate_dataflow`] | `--bin grouped_general` |
+//! | §5.4 grouped partition on an undecomposed `T`  | [`workload::simulate_dataflow_with`] | `--bin grouped_general` |
 //!
 //! Each `--bin NAME` runs as `cargo run -p rescomm-bench --bin NAME`.
 

@@ -41,18 +41,6 @@ pub fn simulate_dataflow_with(
     sim.simulate_phase(&pms)
 }
 
-/// Fold a dataflow matrix's virtual pattern onto a mesh and simulate it
-/// (one-shot convenience over [`simulate_dataflow_with`]).
-pub fn simulate_dataflow(
-    t: &IMat,
-    mesh: &Mesh2D,
-    dist: Dist2D,
-    vshape: (usize, usize),
-    bytes: u64,
-) -> u64 {
-    simulate_dataflow_with(&mut PhaseSim::new(mesh.clone()), t, dist, vshape, bytes)
-}
-
 /// Number of hardware threads of the benchmarking host (0 when the OS
 /// will not say). Every committed `BENCH_*.json` records this so a
 /// parallel-speedup table can be read against the machine that produced
@@ -379,22 +367,18 @@ mod tests {
 
     #[test]
     fn dataflow_simulation_nonzero_for_nonlocal() {
-        let mesh = paragon_mesh();
+        let mut sim = PhaseSim::new(paragon_mesh());
         let t = IMat::from_rows(&[&[1, 3], &[2, 7]]);
-        let time = simulate_dataflow(&t, &mesh, Dist2D::uniform(Dist1D::Cyclic), (32, 16), 256);
+        let cyclic = Dist2D::uniform(Dist1D::Cyclic);
+        let time = simulate_dataflow_with(&mut sim, &t, cyclic, (32, 16), 256);
         assert!(time > 0);
     }
 
     #[test]
     fn identity_dataflow_is_free() {
-        let mesh = paragon_mesh();
-        let time = simulate_dataflow(
-            &IMat::identity(2),
-            &mesh,
-            Dist2D::uniform(Dist1D::Cyclic),
-            (32, 16),
-            256,
-        );
+        let mut sim = PhaseSim::new(paragon_mesh());
+        let cyclic = Dist2D::uniform(Dist1D::Cyclic);
+        let time = simulate_dataflow_with(&mut sim, &IMat::identity(2), cyclic, (32, 16), 256);
         assert_eq!(time, 0);
     }
 

@@ -50,6 +50,11 @@
 //!   and with `--recover` the closed plan is additionally folded onto
 //!   the survivor set and re-simulated
 //!
+//! Both plan flags price their plan through `rescomm::compile`, lowered
+//! once onto CYCLIC on the `--grid` Paragon mesh at 64 B per element,
+//! from the `--vgrid` virtual grid for `--closed-plan` and from 24x24
+//! for `--replications`; later runs reuse the lowered phases.
+//!
 //! Flags that cannot run exit `1` with a usage message naming the flag:
 //! `--m 0`, a zero `--grid` or `--vgrid` side, a `--grid` over the
 //! simulator's node bound, or `--closed-plan`/`--replications` with an
@@ -68,10 +73,11 @@
 
 use rescomm::baselines::{feautrier_map, platonoff_map};
 use rescomm::substrate::accessgraph::{maximum_branching, to_dot, AccessGraph};
-use rescomm::substrate::machine::MAX_MESH_NODES;
+use rescomm::substrate::distribution::{Dist1D, Dist2D};
+use rescomm::substrate::machine::{CostModel, Mesh2D, MAX_MESH_NODES};
 use rescomm::{
-    guarded, map_nest, remap_for_survivors, verify_execution_on, DegradedGrid, Mapping,
-    MappingOptions, RescommError,
+    compile, guarded, map_nest, remap_for_survivors, verify_execution_on, CancelToken,
+    CompileOptions, DegradedGrid, Mapping, MappingOptions, RescommError, ScheduleMode,
 };
 use rescomm_loopnest::parser::parse_nest;
 use std::process::ExitCode;
@@ -123,6 +129,21 @@ struct Args {
     schedule: rescomm::SchedulePolicy,
 }
 
+/// The integer value of `flag`.
+fn parse_int(flag: &str, v: Option<String>) -> Result<usize, String> {
+    v.and_then(|v| v.parse().ok())
+        .ok_or(format!("{flag} needs an integer"))
+}
+
+/// The `WxH` value of `flag` (`example` shows the form when it is
+/// missing its `x`).
+fn parse_wxh(flag: &str, spec: Option<String>, example: &str) -> Result<(usize, usize), String> {
+    let spec = spec.ok_or(format!("{flag} needs WxH"))?;
+    let (w, h) = (spec.split_once('x')).ok_or(format!("{flag} needs WxH, e.g. {example}"))?;
+    let side = |s: &str, what| s.parse().map_err(|_| format!("{flag}: bad {what} {s:?}"));
+    Ok((side(w, "width")?, side(h, "height")?))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         file: String::new(),
@@ -144,12 +165,7 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--m" => {
-                args.m = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--m needs an integer")?;
-            }
+            "--m" => args.m = parse_int("--m", it.next())?,
             "--no-macro" => args.no_macro = true,
             "--no-decompose" => args.no_decompose = true,
             "--unit-weights" => args.unit_weights = true,
@@ -166,20 +182,8 @@ fn parse_args() -> Result<Args, String> {
                     );
                 }
             }
-            "--grid" => {
-                let spec = it.next().ok_or("--grid needs WxH")?;
-                let (w, h) = spec.split_once('x').ok_or("--grid needs WxH, e.g. 4x4")?;
-                args.grid = (
-                    w.parse().map_err(|_| format!("--grid: bad width {w:?}"))?,
-                    h.parse().map_err(|_| format!("--grid: bad height {h:?}"))?,
-                );
-            }
-            "--replications" => {
-                args.replications = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--replications needs an integer")?;
-            }
+            "--grid" => args.grid = parse_wxh("--grid", it.next(), "4x4")?,
+            "--replications" => args.replications = parse_int("--replications", it.next())?,
             "--closed-plan" => args.closed_plan = true,
             "--schedule" => {
                 let spec = it.next().ok_or("--schedule needs a mode")?;
@@ -189,17 +193,7 @@ fn parse_args() -> Result<Args, String> {
                      adaptive[:threshold], threshold >= 1)"
                 ))?;
             }
-            "--vgrid" => {
-                let spec = it.next().ok_or("--vgrid needs WxH")?;
-                let (w, h) = spec
-                    .split_once('x')
-                    .ok_or("--vgrid needs WxH, e.g. 4096x4096")?;
-                args.vgrid = (
-                    w.parse().map_err(|_| format!("--vgrid: bad width {w:?}"))?,
-                    h.parse()
-                        .map_err(|_| format!("--vgrid: bad height {h:?}"))?,
-                );
-            }
+            "--vgrid" => args.vgrid = parse_wxh("--vgrid", it.next(), "4096x4096")?,
             "--drop" => {
                 args.drop_prob = it
                     .next()
@@ -288,8 +282,10 @@ fn main() -> ExitCode {
     print_incidents(&mapping);
     println!("{}", mapping.report(&nest));
 
+    let (w, h) = args.grid;
+    // The survivor grid of `--recover`, once its degraded run verified.
+    let mut degraded = None;
     if !args.recover.is_empty() {
-        let (w, h) = args.grid;
         println!(
             "--- recovery: remapping around dead node(s) {:?} on a {w}x{h} grid ---",
             args.recover
@@ -324,18 +320,36 @@ fn main() -> ExitCode {
                 return fail(&args.file, e);
             }
         }
+        degraded = Some(grid);
     }
 
+    // Both plan flags compile onto CYCLIC on the `--grid` Paragon mesh
+    // at 64 B per element, each from its own virtual grid and plan form.
+    // A panic inside (an exact overflow) reports as an error of `stage`.
+    let compile_on = |stage, vshape, mode, closed| {
+        let target = CompileOptions {
+            mesh: Mesh2D::new(w, h, CostModel::paragon()),
+            dist: Dist2D::uniform(Dist1D::Cyclic),
+            vshape,
+            bytes: 64,
+            mode,
+            closed,
+        };
+        let none = CancelToken::none();
+        let compiled = staged(stage, || compile(&nest, &mapping, &target, &none))??;
+        Ok::<_, RescommError>((target, compiled))
+    };
+
     if args.closed_plan {
-        use rescomm::substrate::distribution::{Dist1D, Dist2D};
-        use rescomm::substrate::machine::{CostModel, Mesh2D};
-        use rescomm::{build_plan_closed, PhasePattern};
-        let (w, h) = args.grid;
+        use rescomm::substrate::machine::PhaseSim;
+        use rescomm::PhasePattern;
         let (vw, vh) = args.vgrid;
-        let plan = match staged("build_plan_closed", || build_plan_closed(&nest, &mapping)) {
-            Ok(plan) => plan,
+        let mode = args.schedule.healthy_mode();
+        let (target, compiled) = match compile_on("build_plan_closed", args.vgrid, mode, true) {
+            Ok(c) => c,
             Err(e) => return fail(&args.file, e),
         };
+        let plan = &compiled.plan;
         println!(
             "--- closed plan: {} phases ({} affine) on a {w}x{h} mesh, \
              virtual grid {vw}x{vh} ---",
@@ -373,17 +387,14 @@ fn main() -> ExitCode {
             }
             Err(e) => return fail(&args.file, e),
         }
-        let mesh = Mesh2D::new(w, h, CostModel::paragon());
-        let dist = Dist2D::uniform(Dist1D::Cyclic);
-        let mode = args.schedule.healthy_mode();
-        let t = plan.simulate_on_mesh(&mesh, dist, (vw, vh), 64, mode);
+        let t = compiled.makespan;
         println!(
             "closed-plan makespan at {vw}x{vh} ({}): {t} ns",
             mode.label()
         );
-        if mode != rescomm::ScheduleMode::Phased {
-            let phased =
-                plan.simulate_on_mesh(&mesh, dist, (vw, vh), 64, rescomm::ScheduleMode::Phased);
+        let mut sim = PhaseSim::new(target.mesh.clone());
+        if mode != ScheduleMode::Phased {
+            let phased = sim.simulate_phases_mode(&compiled.phases, ScheduleMode::Phased);
             let pct = if phased > 0 {
                 100.0 * (phased.saturating_sub(t)) as f64 / phased as f64
             } else {
@@ -391,48 +402,31 @@ fn main() -> ExitCode {
             };
             println!("phased makespan:  {phased} ns (overlap saves {pct:.1}%)");
         }
-        if !args.recover.is_empty() {
+        if let Some(grid) = &degraded {
             // Compose with --recover: fold the lowered phases onto the
             // survivor set (the compiler-side twin of the simulator's
             // post-death folding) and re-simulate under the same mode.
-            use rescomm::substrate::machine::PhaseSim;
-            match DegradedGrid::new(w, h, &args.recover) {
-                Ok(grid) => {
-                    let (folded, redirected) =
-                        grid.fold_phases(&plan.phases_on_mesh(&mesh, dist, (vw, vh), 64));
-                    let td = PhaseSim::new(mesh.clone()).simulate_phases_mode(&folded, mode);
-                    println!(
-                        "degraded makespan on {} survivors ({}): {td} ns \
-                         ({redirected} endpoints folded)",
-                        grid.survivors(),
-                        mode.label()
-                    );
-                }
-                Err(e) => {
-                    eprintln!("{}: {e}", args.file);
-                    return ExitCode::FAILURE;
-                }
-            }
+            let (folded, redirected) = grid.fold_phases(&compiled.phases);
+            let td = sim.simulate_phases_mode(&folded, mode);
+            println!(
+                "degraded makespan on {} survivors ({}): {td} ns \
+                 ({redirected} endpoints folded)",
+                grid.survivors(),
+                mode.label()
+            );
         }
     }
 
     if args.replications > 0 {
-        use rescomm::build_plan;
-        use rescomm::substrate::distribution::{Dist1D, Dist2D};
-        use rescomm::substrate::machine::{
-            replication_seed, CostModel, FaultPlan, Mesh2D, OnlineStats,
-        };
-        let (w, h) = args.grid;
-        let mesh = Mesh2D::new(w, h, CostModel::paragon());
-        let dist = Dist2D::uniform(Dist1D::Cyclic);
-        let plan = match staged("build_plan", || build_plan(&nest, &mapping)) {
-            Ok(plan) => plan,
-            Err(e) => return fail(&args.file, e),
-        };
+        use rescomm::substrate::machine::{replication_seed, FaultPlan, FaultSim, OnlineStats};
         // The healthy reference for inflation runs under the same
         // policy's fault-free mode as the replications themselves.
-        let healthy =
-            plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, args.schedule.healthy_mode());
+        let healthy_mode = args.schedule.healthy_mode();
+        let (target, compiled) = match compile_on("build_plan", (24, 24), healthy_mode, false) {
+            Ok(c) => c,
+            Err(e) => return fail(&args.file, e),
+        };
+        let healthy = compiled.makespan;
         let fplan = FaultPlan {
             seed: 42,
             drop_prob: args.drop_prob,
@@ -441,8 +435,7 @@ fn main() -> ExitCode {
         let seeds: Vec<u64> = (0..args.replications as u64)
             .map(|r| replication_seed(fplan.seed, r))
             .collect();
-        let reports = plan
-            .fault_engine(&mesh, dist, (24, 24), 64, &fplan)
+        let reports = FaultSim::new(&target.mesh, &compiled.phases, &fplan)
             .replay_faulty(&seeds, args.schedule);
         let mut makespan = OnlineStats::default();
         let mut delivered = OnlineStats::default();

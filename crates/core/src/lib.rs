@@ -51,11 +51,12 @@ pub use pipeline::{
     dataflow_matrix, dataflow_matrix_cached, map_nest, map_nest_batch, map_nest_cancellable,
     map_nest_reference, map_nest_with, AnalysisCache, CommOutcome, Mapping, MappingOptions,
 };
-pub use plan::{build_plan, build_plan_closed, CommPhase, CommPlan, PhaseKind, PhasePattern};
+pub use plan::{build_plan, build_plan_closed, compile, CompileOptions, Compiled};
+pub use plan::{CommPhase, CommPlan, PhaseKind, PhasePattern};
 pub use recover::{remap_for_survivors, DegradedGrid};
 pub use report::MappingReport;
-// The schedule-mode knob of `CommPlan::simulate_on_mesh`, re-exported so
-// plan consumers don't need a direct `rescomm_machine` dependency.
+// The schedule-mode knob of `CompileOptions`, re-exported so plan
+// consumers don't need a direct `rescomm_machine` dependency.
 pub use rescomm_machine::{OverlapOrder, ScheduleMode, SchedulePolicy};
 
 /// Re-exports of the substrate crates.

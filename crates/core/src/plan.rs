@@ -10,18 +10,20 @@
 //!
 //! Patterns are generated **exactly** from the iteration domain and the
 //! allocation functions and carry *raw* virtual coordinates;
-//! [`CommPlan::simulate_on_mesh`] folds them toroidally onto a physical
-//! machine. [`CommPlan::verify_availability`] proves the plan correct:
-//! chaining the phases of each access delivers every element to exactly
-//! the processor that computes with it.
+//! [`CommPlan::phases_on_mesh`] folds them toroidally onto a physical
+//! machine; [`compile`] is the one path from a mapping to a makespan
+//! (build, lower once, simulate). [`CommPlan::verify_availability`]
+//! proves the plan correct: chaining the phases of each access delivers
+//! every element to exactly the processor that computes with it.
 
+use crate::error::{CancelToken, RescommError};
 use crate::pipeline::{dataflow_matrix, CommOutcome, Mapping};
 use rescomm_alignment::{Alignment, Alloc};
 use rescomm_decompose::{product, Elementary};
 use rescomm_distribution::{fold_affine, Dist2D, ExplicitFold};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::{Access, AccessId, Domain, LoopNest};
-use rescomm_machine::{FaultPlan, FaultSim, Mesh2D, PMsg, PhaseSim, ScheduleMode};
+use rescomm_machine::{Mesh2D, PMsg, PhaseSim, ScheduleMode};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 
@@ -401,9 +403,9 @@ impl CommPlan {
 
     /// Fold every phase onto physical mesh coordinates: toroidal wrap
     /// into `vshape`, distribution fold, node-id flattening. This is the
-    /// single lowering step shared by all the mesh simulation entry
-    /// points below — the phases it returns feed [`PhaseSim`] and
-    /// [`FaultSim`] directly.
+    /// single lowering step: [`compile`] runs it once per target, and the
+    /// phases it returns feed [`PhaseSim`] and
+    /// [`FaultSim`](rescomm_machine::FaultSim) directly.
     ///
     /// An explicit phase goes through the single explicit fold,
     /// [`ExplicitFold`] (the routine behind
@@ -466,52 +468,6 @@ impl CommPlan {
             out.push(lowered);
         }
         out
-    }
-
-    /// Fold onto a mesh with a distribution (toroidal wrap into `vshape`)
-    /// and simulate the phases under `mode`; returns total time.
-    /// [`ScheduleMode::Phased`] runs phases as strict barriers (the
-    /// historical behaviour); [`ScheduleMode::Overlapped`] releases each
-    /// phase-(k+1) message as soon as its source node has received all of
-    /// its phase-k inflows. Both pattern forms go through the same
-    /// lowering ([`CommPlan::phases_on_mesh`]): an affine phase folds to
-    /// at most `P²` physical messages regardless of virtual-grid size,
-    /// so the overlapped engine's per-node readiness tracking works on
-    /// the compact folded set without ever materializing the
-    /// virtual-processor message list.
-    pub fn simulate_on_mesh(
-        &self,
-        mesh: &Mesh2D,
-        dist: Dist2D,
-        vshape: (usize, usize),
-        bytes: u64,
-        mode: ScheduleMode,
-    ) -> u64 {
-        // One reused scratch engine for the whole plan — the pattern
-        // never touches a tree map or a per-phase link table.
-        let mut sim = PhaseSim::new(mesh.clone());
-        sim.simulate_phases_mode(&self.phases_on_mesh(mesh, dist, vshape, bytes), mode)
-    }
-
-    /// Compile the plan into a reusable multi-seed fault replay engine:
-    /// the folded phases and the fault plan are compiled once, then
-    /// [`FaultSim::run_faulty`] / [`FaultSim::run_recovering`] run one
-    /// seed and [`FaultSim::replay_faulty`] /
-    /// [`FaultSim::replay_recovering`] replay any number of seeds at
-    /// cached-phase speed. Monte Carlo replication `r` runs under
-    /// [`rescomm_machine::replication_seed`]`(plan.seed, r)`; replication
-    /// 0 is the plan's own seed. On a zero-fault plan the makespan
-    /// equals [`CommPlan::simulate_on_mesh`] under the schedule policy's
-    /// healthy mode exactly.
-    pub fn fault_engine(
-        &self,
-        mesh: &Mesh2D,
-        dist: Dist2D,
-        vshape: (usize, usize),
-        bytes: u64,
-        plan: &FaultPlan,
-    ) -> FaultSim {
-        FaultSim::new(mesh, &self.phases_on_mesh(mesh, dist, vshape, bytes), plan)
     }
 
     /// Verify the plan delivers data correctly: for every non-local access
@@ -773,6 +729,62 @@ pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     plan
 }
 
+/// The target [`compile`] prices a plan on: mesh, distribution, the
+/// virtual grid raw coordinates wrap into, bytes per element, schedule
+/// mode, and [`build_plan_closed`] (`closed`) or [`build_plan`].
+#[derive(Debug, Clone)]
+pub struct CompileOptions {
+    pub mesh: Mesh2D,
+    pub dist: Dist2D,
+    pub vshape: (usize, usize),
+    pub bytes: u64,
+    pub mode: ScheduleMode,
+    pub closed: bool,
+}
+
+/// A plan lowered onto one target, with its makespan.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    pub plan: CommPlan,
+    /// The plan lowered onto the target ([`CommPlan::phases_on_mesh`]);
+    /// any further run there (another mode, a fault replay, a degraded
+    /// fold) starts from these.
+    pub phases: Vec<Vec<PMsg>>,
+    /// The lowered phases simulated under the target's mode.
+    pub makespan: u64,
+}
+
+/// Build the plan of a mapping, lower it once onto `opts`' target and
+/// simulate it. A zero-fault [`FaultSim`](rescomm_machine::FaultSim)
+/// over [`Compiled::phases`] gives [`Compiled::makespan`] exactly under
+/// the schedule policy's healthy mode.
+///
+/// `cancel` is checked before the build (stage `"build_plan"`) and the
+/// lowering (stage `"simulate"`). Panics are not caught: callers that
+/// must survive a plan whose subscripts leave `i64` wrap this in
+/// [`crate::guarded`].
+pub fn compile(
+    nest: &LoopNest,
+    mapping: &Mapping,
+    opts: &CompileOptions,
+    cancel: &CancelToken,
+) -> Result<Compiled, RescommError> {
+    cancel.check("build_plan")?;
+    let plan = if opts.closed {
+        build_plan_closed(nest, mapping)
+    } else {
+        build_plan(nest, mapping)
+    };
+    cancel.check("simulate")?;
+    let phases = plan.phases_on_mesh(&opts.mesh, opts.dist, opts.vshape, opts.bytes);
+    let makespan = PhaseSim::new(opts.mesh.clone()).simulate_phases_mode(&phases, opts.mode);
+    Ok(Compiled {
+        plan,
+        phases,
+        makespan,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,8 +792,32 @@ mod tests {
     use rescomm_distribution::{physical_messages, Dist1D};
     use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
     use rescomm_machine::{
-        replication_seed, CachedPhase, CheckpointPolicy, CostModel, SchedulePolicy,
+        replication_seed, CachedPhase, CheckpointPolicy, CostModel, FaultPlan, FaultSim,
+        OverlapOrder, SchedulePolicy,
     };
+
+    /// `mesh` under CYCLIC from a `vshape` virtual grid at 64 B, the
+    /// target most tests price plans on.
+    fn cyclic(
+        mesh: &Mesh2D,
+        vshape: (usize, usize),
+        mode: ScheduleMode,
+        closed: bool,
+    ) -> CompileOptions {
+        CompileOptions {
+            mesh: mesh.clone(),
+            dist: Dist2D::uniform(Dist1D::Cyclic),
+            vshape,
+            bytes: 64,
+            mode,
+            closed,
+        }
+    }
+
+    /// [`compile`] without a deadline.
+    fn compiled(nest: &LoopNest, mapping: &Mapping, opts: &CompileOptions) -> Compiled {
+        compile(nest, mapping, opts, &CancelToken::none()).unwrap()
+    }
 
     #[test]
     fn local_accesses_produce_no_phase() {
@@ -850,21 +886,24 @@ mod tests {
     fn plan_simulation_runs() {
         let (nest, _) = examples::motivating_example(6, 2);
         let mesh = Mesh2D::new(4, 4, CostModel::paragon());
-        let dist = Dist2D::uniform(Dist1D::Cyclic);
         let full = map_nest(&nest, &MappingOptions::new(2)).unwrap();
-        let plan = build_plan(&nest, &full);
-        let t = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, ScheduleMode::Phased);
+        let phased = compiled(
+            &nest,
+            &full,
+            &cyclic(&mesh, (24, 24), ScheduleMode::Phased, false),
+        );
+        let t = phased.makespan;
         assert!(t > 0);
         // Relaxing the phase barriers can only help, and the compiled
         // replay reproduces both modes exactly.
-        let cached: Vec<CachedPhase> = plan
-            .phases_on_mesh(&mesh, dist, (24, 24), 64)
+        let cached: Vec<CachedPhase> = phased
+            .phases
             .iter()
             .map(|p| CachedPhase::new(&mesh, p))
             .collect();
         let mut sim = PhaseSim::new(mesh.clone());
         for mode in [ScheduleMode::Phased, ScheduleMode::overlapped()] {
-            let direct = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, mode);
+            let direct = compiled(&nest, &full, &cyclic(&mesh, (24, 24), mode, false)).makespan;
             assert!(direct <= t);
             assert_eq!(sim.run_cached_phases(&cached, mode, 1), direct);
         }
@@ -874,19 +913,23 @@ mod tests {
     fn recovering_plan_simulation_matches_plain_without_deaths() {
         let (nest, _) = examples::motivating_example(6, 2);
         let mesh = Mesh2D::new(4, 4, CostModel::paragon());
-        let dist = Dist2D::uniform(Dist1D::Cyclic);
         let full = map_nest(&nest, &MappingOptions::new(2)).unwrap();
-        let plan = build_plan(&nest, &full);
-        let t = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, ScheduleMode::Phased);
+        let phased = compiled(
+            &nest,
+            &full,
+            &cyclic(&mesh, (24, 24), ScheduleMode::Phased, false),
+        );
+        let t = phased.makespan;
         let none = FaultPlan::none();
-        let mut engine = plan.fault_engine(&mesh, dist, (24, 24), 64, &none);
+        let mut engine = FaultSim::new(&mesh, &phased.phases, &none);
         let policy = CheckpointPolicy::default();
         let rep = engine.run_recovering(&policy, none.seed, SchedulePolicy::default());
         assert_eq!(rep.makespan, t, "zero-death recovery is bit-identical");
         assert_eq!(rep.recovery.rollbacks, 0);
         // Under an overlapped policy the zero-fault recovery matches the
         // fault-free overlapped schedule instead.
-        let over = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, ScheduleMode::overlapped());
+        let over_target = cyclic(&mesh, (24, 24), ScheduleMode::overlapped(), false);
+        let over = compiled(&nest, &full, &over_target).makespan;
         let rep = engine.run_recovering(
             &policy,
             none.seed,
@@ -923,9 +966,13 @@ mod tests {
     fn replicated_faulty_rep0_matches_classic_run() {
         let (nest, _) = examples::motivating_example(6, 2);
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let dist = Dist2D::uniform(Dist1D::Cyclic);
         let full = map_nest(&nest, &MappingOptions::new(2)).unwrap();
-        let plan = build_plan(&nest, &full);
+        let phases = compiled(
+            &nest,
+            &full,
+            &cyclic(&mesh, (24, 24), ScheduleMode::Phased, false),
+        )
+        .phases;
         let fplan = FaultPlan {
             seed: 42,
             drop_prob: 0.2,
@@ -933,13 +980,12 @@ mod tests {
             ..FaultPlan::none()
         };
         let seeds: Vec<u64> = (0..5).map(|r| replication_seed(fplan.seed, r)).collect();
-        let mut engine = plan.fault_engine(&mesh, dist, (24, 24), 64, &fplan);
+        let mut engine = FaultSim::new(&mesh, &phases, &fplan);
         let reps = engine.replay_faulty(&seeds, SchedulePolicy::default());
         assert_eq!(reps.len(), 5);
 
         // Replication 0 is the classic single-seed run, bit-identical to
         // the fault oracle over the same folded phases.
-        let phases = plan.phases_on_mesh(&mesh, dist, (24, 24), 64);
         let oracle = rescomm_machine::reference::simulate(
             &mesh,
             &phases,
@@ -958,8 +1004,7 @@ mod tests {
         let over = engine.replay_faulty(&seeds[..3], sched);
         assert_eq!(
             over[0],
-            plan.fault_engine(&mesh, dist, (24, 24), 64, &fplan)
-                .run_faulty(fplan.seed, sched)
+            FaultSim::new(&mesh, &phases, &fplan).run_faulty(fplan.seed, sched)
         );
     }
 
@@ -967,10 +1012,16 @@ mod tests {
     fn replicated_recovering_rep0_matches_single_run() {
         let (nest, _) = examples::motivating_example(6, 2);
         let mesh = Mesh2D::new(4, 4, CostModel::paragon());
-        let dist = Dist2D::uniform(Dist1D::Cyclic);
         let full = map_nest(&nest, &MappingOptions::new(2)).unwrap();
-        let plan = build_plan(&nest, &full);
-        let healthy = plan.simulate_on_mesh(&mesh, dist, (24, 24), 64, ScheduleMode::Phased);
+        let Compiled {
+            phases,
+            makespan: healthy,
+            ..
+        } = compiled(
+            &nest,
+            &full,
+            &cyclic(&mesh, (24, 24), ScheduleMode::Phased, false),
+        );
         let fplan = FaultPlan {
             seed: 7,
             drop_prob: 0.1,
@@ -983,13 +1034,17 @@ mod tests {
         };
         let policy = CheckpointPolicy::default();
         let seeds: Vec<u64> = (0..3).map(|r| replication_seed(fplan.seed, r)).collect();
-        let reps = plan
-            .fault_engine(&mesh, dist, (24, 24), 64, &fplan)
-            .replay_recovering(&policy, &seeds, SchedulePolicy::default());
+        let reps = FaultSim::new(&mesh, &phases, &fplan).replay_recovering(
+            &policy,
+            &seeds,
+            SchedulePolicy::default(),
+        );
         assert_eq!(reps.len(), 3);
-        let single = plan
-            .fault_engine(&mesh, dist, (24, 24), 64, &fplan)
-            .run_recovering(&policy, fplan.seed, SchedulePolicy::default());
+        let single = FaultSim::new(&mesh, &phases, &fplan).run_recovering(
+            &policy,
+            fplan.seed,
+            SchedulePolicy::default(),
+        );
         assert_eq!(reps[0], single, "replication 0 is the classic run");
         for r in &reps {
             assert!(r.recovery.all_recovered(), "{:?}", r.recovery);
@@ -1072,14 +1127,13 @@ mod tests {
         // milliseconds and still produces a positive makespan.
         let (nest, _) = examples::motivating_example(6, 2);
         let mesh = Mesh2D::new(8, 8, CostModel::paragon());
-        let dist = Dist2D::uniform(Dist1D::Cyclic);
         let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
-        let plan = build_plan_closed(&nest, &mapping);
-        let t = plan.simulate_on_mesh(&mesh, dist, (4096, 4096), 64, ScheduleMode::Phased);
+        let at = |mode| compiled(&nest, &mapping, &cyclic(&mesh, (4096, 4096), mode, true));
+        let t = at(ScheduleMode::Phased).makespan;
         assert!(t > 0);
         // Affine phases go through the same mode plumbing: overlapping
         // a closed (million-VP) plan never makes it slower.
-        let over = plan.simulate_on_mesh(&mesh, dist, (4096, 4096), 64, ScheduleMode::overlapped());
+        let over = at(ScheduleMode::overlapped()).makespan;
         assert!(over <= t);
     }
 
@@ -1494,6 +1548,90 @@ mod tests {
             examples::gauss_triangular(n),
             examples::adi_sweep(n),
         ]
+    }
+
+    /// `compile` is the layered chain — `build_plan` or
+    /// `build_plan_closed`, then `phases_on_mesh`, then
+    /// `PhaseSim::simulate_phases_mode` — for both plan forms and every
+    /// schedule mode, and a zero-fault `FaultSim` over its phases gives
+    /// its makespan under each policy's healthy mode.
+    #[test]
+    fn compile_is_the_layered_chain() {
+        let mut nests = kernel_zoo(6);
+        nests.extend([3, 8, 17].map(|n| chained_stencil_nest(n, 4)));
+        nests.extend([3, 8, 17].map(|n| pipeline_nest(n, 3)));
+        let modes = [
+            ScheduleMode::Phased,
+            ScheduleMode::Overlapped(OverlapOrder::Sorted),
+            ScheduleMode::Overlapped(OverlapOrder::LongestFirst),
+        ];
+        let policies = [
+            SchedulePolicy::default(),
+            SchedulePolicy::Fixed(modes[1]),
+            SchedulePolicy::Fixed(modes[2]),
+            SchedulePolicy::adaptive(),
+        ];
+        let mesh = Mesh2D::new(8, 4, CostModel::paragon());
+        let targets = [
+            (Dist2D::uniform(Dist1D::Cyclic), (24, 24)),
+            (Dist2D::uniform(Dist1D::Block), (12, 8)),
+        ];
+        let none = FaultPlan::none();
+        for nest in &nests {
+            let mapping = map_nest(nest, &MappingOptions::new(2)).unwrap();
+            for closed in [false, true] {
+                let plan = if closed {
+                    build_plan_closed(nest, &mapping)
+                } else {
+                    build_plan(nest, &mapping)
+                };
+                for (dist, vshape) in targets {
+                    let opts = |mode| CompileOptions {
+                        mesh: mesh.clone(),
+                        dist,
+                        vshape,
+                        bytes: 64,
+                        mode,
+                        closed,
+                    };
+                    let tag = format!("{} closed={closed} {dist:?} {vshape:?}", nest.name);
+                    let phases = plan.phases_on_mesh(&mesh, dist, vshape, 64);
+                    let mut sim = PhaseSim::new(mesh.clone());
+                    for mode in modes {
+                        let c = compiled(nest, &mapping, &opts(mode));
+                        assert_eq!(format!("{:?}", c.plan), format!("{plan:?}"), "{tag}");
+                        assert_eq!(c.phases, phases, "{tag}");
+                        let want = sim.simulate_phases_mode(&phases, mode);
+                        assert_eq!(c.makespan, want, "{tag} {mode:?}");
+                    }
+                    let mut engine = FaultSim::new(&mesh, &phases, &none);
+                    for policy in policies {
+                        let c = compiled(nest, &mapping, &opts(policy.healthy_mode()));
+                        let rep = engine.run_faulty(none.seed, policy);
+                        assert_eq!(rep.makespan, c.makespan, "{tag} {policy:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compile_checks_its_token_before_building() {
+        let (nest, _) = examples::motivating_example(6, 2);
+        let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
+        let mesh = Mesh2D::new(4, 4, CostModel::paragon());
+        let opts = cyclic(&mesh, (24, 24), ScheduleMode::Phased, false);
+        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let err = compile(&nest, &mapping, &opts, &expired).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RescommError::Cancelled {
+                    stage: "build_plan"
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A std-only, long-lived JSON-lines-over-TCP server around the mapping
 //! pipeline: clients send affine nest sources plus machine/schedule
 //! specs, the server maps them ([`map_nest_cancellable`]) with warm
-//! [`AnalysisCache`]s, builds the communication plan, simulates it, and
-//! answers with the mapping report counts and the simulated makespan.
+//! [`AnalysisCache`]s, prices the mapping through [`compile`] (plan,
+//! lowering, simulation under BLOCK), and answers with the mapping
+//! report counts and the simulated makespan.
 //! See `DESIGN.md` §15 for the full wire protocol and state machine; the
 //! short version:
 //!
@@ -60,13 +61,12 @@
 //!   dropped and recomputed on demand.
 
 use crate::error::{CancelToken, RescommError};
+use crate::guarded;
 use crate::pipeline::{map_nest_cancellable, AnalysisCache, MappingOptions};
-use crate::plan::CommPlan;
-use crate::{build_plan, guarded};
+use crate::plan::{compile, CompileOptions};
 use rescomm_distribution::{Dist1D, Dist2D};
 use rescomm_json::{parse, JsonValue};
 use rescomm_loopnest::parser::parse_nest;
-use rescomm_loopnest::LoopNest;
 use rescomm_machine::{pool, CostModel, Mesh2D, ScheduleMode, MAX_MESH_NODES};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -337,14 +337,13 @@ fn ok_response(id: &JsonValue, served: &str, result_json: &str) -> String {
     )
 }
 
-/// Everything a `map` request pins down, in canonical form.
+/// Everything a `map` request pins down, in canonical form: the nest
+/// source and the target it is compiled for (always an explicit plan
+/// under BLOCK).
 struct MapParams {
     src: String,
-    mesh: Mesh2D,
     cost_label: &'static str,
-    vshape: (usize, usize),
-    bytes: u64,
-    mode: ScheduleMode,
+    target: CompileOptions,
 }
 
 impl MapParams {
@@ -354,17 +353,18 @@ impl MapParams {
     fn key(&self) -> String {
         // Rendered directly, in `JsonValue::render`'s canonical layout:
         // the labels need no escaping and the integers fit `i64`.
+        let t = &self.target;
         format!(
             "{{\"nest\": {}, \"mesh\": [{}, {}], \"cost\": \"{}\", \"vshape\": [{}, {}], \
              \"bytes\": {}, \"mode\": \"{}\"}}",
             JsonValue::Str(self.src.clone()).render(),
-            self.mesh.px,
-            self.mesh.py,
+            t.mesh.px,
+            t.mesh.py,
             self.cost_label,
-            self.vshape.0,
-            self.vshape.1,
-            self.bytes,
-            self.mode.label()
+            t.vshape.0,
+            t.vshape.1,
+            t.bytes,
+            t.mode.label()
         )
     }
 }
@@ -400,15 +400,10 @@ fn parse_map_params(req: &JsonValue, src: &str) -> Result<MapParams, String> {
     if px * py > MAX_MESH_NODES {
         return Err(format!("mesh {px}x{py} exceeds {MAX_MESH_NODES} nodes"));
     }
-    let cost_label = match req.get("cost").and_then(JsonValue::as_str) {
-        None | Some("paragon") => "paragon",
-        Some("cm5") => "cm5",
+    let (cost_label, cost) = match req.get("cost").and_then(JsonValue::as_str) {
+        None | Some("paragon") => ("paragon", CostModel::paragon()),
+        Some("cm5") => ("cm5", CostModel::cm5()),
         Some(other) => return Err(format!("unknown cost model {other:?} (paragon|cm5)")),
-    };
-    let cost = if cost_label == "cm5" {
-        CostModel::cm5()
-    } else {
-        CostModel::paragon()
     };
     let vshape = get_pair(req, "vshape", (px, py))?;
     let bytes = match req.get("bytes") {
@@ -422,42 +417,16 @@ fn parse_map_params(req: &JsonValue, src: &str) -> Result<MapParams, String> {
     };
     Ok(MapParams {
         src: src.to_string(),
-        mesh: Mesh2D::new(px, py, cost),
         cost_label,
-        vshape,
-        bytes,
-        mode,
+        target: CompileOptions {
+            mesh: Mesh2D::new(px, py, cost),
+            dist: Dist2D::uniform(Dist1D::Block),
+            vshape,
+            bytes,
+            mode,
+            closed: false,
+        },
     })
-}
-
-/// Build the stable `result` object for one mapped nest.
-fn render_result(
-    nest: &LoopNest,
-    mapping: &crate::Mapping,
-    plan: &CommPlan,
-    p: &MapParams,
-    makespan: u64,
-) -> String {
-    let r = mapping.report(nest);
-    let n = |x: usize| JsonValue::exact_u64(x as u64);
-    JsonValue::object([
-        ("nest", JsonValue::Str(r.nest.clone())),
-        ("accesses", n(nest.accesses.len())),
-        ("local", n(r.n_local)),
-        ("translation", n(r.n_translation)),
-        ("broadcast", n(r.n_broadcast)),
-        ("scatter", n(r.n_scatter)),
-        ("gather", n(r.n_gather)),
-        ("reduction", n(r.n_reduction)),
-        ("decomposed", n(r.n_decomposed)),
-        ("factors", n(r.n_factors)),
-        ("general", n(r.n_general)),
-        ("incidents", n(r.n_incidents)),
-        ("phases", n(plan.phases.len())),
-        ("mode", JsonValue::Str(p.mode.label().to_string())),
-        ("makespan", JsonValue::exact_u64(makespan)),
-    ])
-    .render()
 }
 
 /// Grant a slot — its warm cache, to hand back through [`release`] — or
@@ -509,7 +478,7 @@ fn release(shared: &Shared, mut cache: AnalysisCache) {
     shared.adm_cv.notify_all();
 }
 
-/// Parse + map + plan + simulate one nest under a token with the slot's
+/// Parse + map + [`compile`] one nest under a token with the slot's
 /// analysis cache. Returns the entry to cache under `key`. Runs inside
 /// a `guarded` wrapper upstream.
 fn compute_entry(
@@ -520,12 +489,28 @@ fn compute_entry(
 ) -> Result<PlanEntry, RescommError> {
     let nest = parse_nest(&p.src)?;
     let mapping = map_nest_cancellable(&nest, &MappingOptions::new(2), cache, cancel)?;
-    cancel.check("build_plan")?;
-    let plan = build_plan(&nest, &mapping);
-    cancel.check("simulate")?;
-    let dist = Dist2D::uniform(Dist1D::Block);
-    let makespan = plan.simulate_on_mesh(&p.mesh, dist, p.vshape, p.bytes, p.mode);
-    let result_json = render_result(&nest, &mapping, &plan, p, makespan);
+    let compiled = compile(&nest, &mapping, &p.target, cancel)?;
+    // The stable `result` object: report counts, phases and makespan.
+    let r = mapping.report(&nest);
+    let n = |x: usize| JsonValue::exact_u64(x as u64);
+    let result_json = JsonValue::object([
+        ("nest", JsonValue::Str(r.nest.clone())),
+        ("accesses", n(nest.accesses.len())),
+        ("local", n(r.n_local)),
+        ("translation", n(r.n_translation)),
+        ("broadcast", n(r.n_broadcast)),
+        ("scatter", n(r.n_scatter)),
+        ("gather", n(r.n_gather)),
+        ("reduction", n(r.n_reduction)),
+        ("decomposed", n(r.n_decomposed)),
+        ("factors", n(r.n_factors)),
+        ("general", n(r.n_general)),
+        ("incidents", n(r.n_incidents)),
+        ("phases", n(compiled.plan.phases.len())),
+        ("mode", JsonValue::Str(p.target.mode.label().to_string())),
+        ("makespan", JsonValue::exact_u64(compiled.makespan)),
+    ])
+    .render();
     Ok(PlanEntry {
         digest: entry_digest(key, &result_json),
         result_json,
@@ -1251,8 +1236,15 @@ mod tests {
         assert_ne!(overflow, SRC);
         let nest = JsonValue::Str(overflow).render();
         let resp = handle_line(&shared, &format!("{{\"op\": \"map\", \"nest\": {nest}}}"));
-        let err = parse(&resp).unwrap().get("error").cloned().expect("an error");
-        assert_eq!(err.get("code").and_then(JsonValue::as_str), Some("internal"));
+        let err = parse(&resp)
+            .unwrap()
+            .get("error")
+            .cloned()
+            .expect("an error");
+        assert_eq!(
+            err.get("code").and_then(JsonValue::as_str),
+            Some("internal")
+        );
         assert_eq!(err.get("exit_code").and_then(JsonValue::as_i64), Some(1));
     }
 

@@ -8,8 +8,9 @@
 //! ```
 
 use rescomm::substrate::distribution::{Dist1D, Dist2D};
-use rescomm::substrate::machine::{CostModel, Mesh2D};
-use rescomm::{build_plan, map_nest, verify_execution, MappingOptions, PhaseKind, ScheduleMode};
+use rescomm::substrate::machine::{CostModel, Mesh2D, PhaseSim};
+use rescomm::{compile, map_nest, verify_execution, CancelToken, CompileOptions};
+use rescomm::{MappingOptions, PhaseKind, ScheduleMode};
 use rescomm_loopnest::examples::motivating_example;
 
 fn main() {
@@ -17,8 +18,19 @@ fn main() {
     let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
     println!("{}", mapping.report(&nest));
 
-    // The plan: ordered message phases a runtime would execute.
-    let plan = build_plan(&nest, &mapping);
+    // The plan: ordered message phases a runtime would execute, compiled
+    // for the 8×4 Paragon mesh (CYCLIC over a 24×24 virtual grid, 128 B
+    // per element) and priced there under strict phase barriers.
+    let target = CompileOptions {
+        mesh: Mesh2D::new(8, 4, CostModel::paragon()),
+        dist: Dist2D::uniform(Dist1D::Cyclic),
+        vshape: (24, 24),
+        bytes: 128,
+        mode: ScheduleMode::Phased,
+        closed: false,
+    };
+    let compiled = compile(&nest, &mapping, &target, &CancelToken::none()).unwrap();
+    let plan = &compiled.plan;
     println!(
         "communication plan: {} phases, {} virtual messages",
         plan.phases.len(),
@@ -54,11 +66,10 @@ fn main() {
         stats.remote_reads
     );
 
-    // Price the plan on the 8×4 mesh, under both schedule modes.
-    let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-    let dist = Dist2D::uniform(Dist1D::Cyclic);
-    let t = plan.simulate_on_mesh(&mesh, dist, (24, 24), 128, ScheduleMode::Phased);
+    // The price, then the same lowered phases under the overlapped mode.
+    let t = compiled.makespan;
     println!("simulated plan time on 8×4 Paragon mesh: {t} ns (phased)");
-    let over = plan.simulate_on_mesh(&mesh, dist, (24, 24), 128, ScheduleMode::overlapped());
+    let over = PhaseSim::new(target.mesh.clone())
+        .simulate_phases_mode(&compiled.phases, ScheduleMode::overlapped());
     println!("with overlapped phase scheduling:        {over} ns");
 }
