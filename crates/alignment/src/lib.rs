@@ -35,13 +35,10 @@ pub struct Alloc {
 }
 
 impl Alloc {
-    /// Virtual processor owning point/index `i`.
+    /// Virtual processor owning point/index `i`; panics where an entry
+    /// leaves `i64` ([`IMat::mul_vec_add`]).
     pub fn apply(&self, i: &[i64]) -> Vec<i64> {
-        let mut v = self.mat.mul_vec(i);
-        for (x, &o) in v.iter_mut().zip(&self.rho) {
-            *x += o;
-        }
-        v
+        self.mat.mul_vec_add(i, &self.rho)
     }
 }
 
@@ -96,24 +93,13 @@ impl Alignment {
         s.iter().zip(&x).map(|(&a, &b)| a - b).collect()
     }
 
-    /// The owner map of `access` composed into one affine map of the
-    /// iteration point: element `x[F·I + c]` lives on
-    /// `(M_x·F)·I + (M_x·c + ρ_x)`. The composition goes through the
-    /// checked [`IMat`] product, so it panics where that product leaves
-    /// `i64`.
-    pub fn owner_map(&self, access: &Access) -> Alloc {
-        Alloc {
-            mat: self.owner_linear(access),
-            rho: self.owner_offset(access),
-        }
-    }
-
-    /// The linear part `M_x·F` of [`Alignment::owner_map`].
+    /// The linear part `M_x·F` of the owner map of `access`: element
+    /// `x[F·I + c]` lives on `(M_x·F)·I + (M_x·c + ρ_x)`.
     fn owner_linear(&self, access: &Access) -> IMat {
         &self.array_alloc[access.array.0].mat * &access.f
     }
 
-    /// The constant term `M_x·c + ρ_x` of [`Alignment::owner_map`].
+    /// The constant term `M_x·c + ρ_x` of the owner map of `access`.
     fn owner_offset(&self, access: &Access) -> Vec<i64> {
         self.array_alloc[access.array.0].apply(&access.c)
     }

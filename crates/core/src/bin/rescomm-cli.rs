@@ -88,18 +88,23 @@ fn fail(file: &str, e: RescommError) -> ExitCode {
     ExitCode::from(e.exit_code())
 }
 
-/// Run one stage past the mapping, turning a panic inside it (an exact
+/// Run one `--recover` stage, turning a panic inside it (an exact
 /// integer overflow the stage does not catch) into an analysis error.
 /// The default panic message is silenced for the stage: the error is
 /// reported once, through [`fail`].
-fn staged<T>(stage: &'static str, f: impl FnOnce() -> T) -> Result<T, RescommError> {
+fn staged<T>(
+    stage: &'static str,
+    f: impl FnOnce() -> Result<T, RescommError>,
+) -> Result<T, RescommError> {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let out = guarded(stage, f);
     std::panic::set_hook(hook);
-    out.map_err(|incident| RescommError::Analysis {
-        stage: incident.stage,
-        detail: incident.detail,
+    out.unwrap_or_else(|incident| {
+        Err(RescommError::Analysis {
+            stage: incident.stage,
+            detail: incident.detail,
+        })
     })
 }
 
@@ -290,7 +295,8 @@ fn main() -> ExitCode {
             "--- recovery: remapping around dead node(s) {:?} on a {w}x{h} grid ---",
             args.recover
         );
-        let remapped = match remap_for_survivors(&nest, &mapping, &opts, &args.recover, args.grid) {
+        let remap = || remap_for_survivors(&nest, &mapping, &opts, &args.recover, args.grid);
+        let remapped = match staged("remap_for_survivors", remap) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("{}: recovery failed", args.file);
@@ -306,7 +312,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match verify_execution_on(&nest, &remapped, Some(&grid)) {
+        let verify = || verify_execution_on(&nest, &remapped, Some(&grid));
+        match staged("verify_execution", verify) {
             Ok(stats) => println!(
                 "degraded run verified: {} instances on {} survivors, \
                  {} displaced, read locality {:.3}",
@@ -325,8 +332,7 @@ fn main() -> ExitCode {
 
     // Both plan flags compile onto CYCLIC on the `--grid` Paragon mesh
     // at 64 B per element, each from its own virtual grid and plan form.
-    // A panic inside (an exact overflow) reports as an error of `stage`.
-    let compile_on = |stage, vshape, mode, closed| {
+    let compile_on = |vshape, mode, closed| {
         let target = CompileOptions {
             mesh: Mesh2D::new(w, h, CostModel::paragon()),
             dist: Dist2D::uniform(Dist1D::Cyclic),
@@ -335,8 +341,7 @@ fn main() -> ExitCode {
             mode,
             closed,
         };
-        let none = CancelToken::none();
-        let compiled = staged(stage, || compile(&nest, &mapping, &target, &none))??;
+        let compiled = compile(&nest, &mapping, &target, &CancelToken::none())?;
         Ok::<_, RescommError>((target, compiled))
     };
 
@@ -345,7 +350,7 @@ fn main() -> ExitCode {
         use rescomm::PhasePattern;
         let (vw, vh) = args.vgrid;
         let mode = args.schedule.healthy_mode();
-        let (target, compiled) = match compile_on("build_plan_closed", args.vgrid, mode, true) {
+        let (target, compiled) = match compile_on(args.vgrid, mode, true) {
             Ok(c) => c,
             Err(e) => return fail(&args.file, e),
         };
@@ -377,15 +382,9 @@ fn main() -> ExitCode {
                 ),
             }
         }
-        match staged("verify_availability", || {
-            plan.verify_availability(&nest, &mapping)
-        }) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                eprintln!("{}: closed plan availability failed: {e}", args.file);
-                return ExitCode::FAILURE;
-            }
-            Err(e) => return fail(&args.file, e),
+        if let Err(e) = plan.verify_availability(&nest, &mapping) {
+            eprintln!("{}: closed plan availability failed: {e}", args.file);
+            return ExitCode::FAILURE;
         }
         let t = compiled.makespan;
         println!(
@@ -422,7 +421,7 @@ fn main() -> ExitCode {
         // The healthy reference for inflation runs under the same
         // policy's fault-free mode as the replications themselves.
         let healthy_mode = args.schedule.healthy_mode();
-        let (target, compiled) = match compile_on("build_plan", (24, 24), healthy_mode, false) {
+        let (target, compiled) = match compile_on((24, 24), healthy_mode, false) {
             Ok(c) => c,
             Err(e) => return fail(&args.file, e),
         };

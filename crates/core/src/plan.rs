@@ -19,7 +19,7 @@
 use crate::error::{CancelToken, RescommError};
 use crate::pipeline::{dataflow_matrix, CommOutcome, Mapping};
 use rescomm_alignment::{Alignment, Alloc};
-use rescomm_decompose::{product, Elementary};
+use rescomm_decompose::Elementary;
 use rescomm_distribution::{fold_affine, Dist2D, ExplicitFold};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::{Access, AccessId, Domain, LoopNest};
@@ -141,92 +141,132 @@ fn coord2(v: &[i64]) -> (i64, i64) {
     )
 }
 
-/// One virtual endpoint pair per iteration point: `f(src, dst)` for every
-/// point of `acc`'s statement domain `dom`, in [`Domain::points`] order,
-/// until `f` breaks. `src` owns the element the point touches and
-/// `dst` computes at the point, both padded to 2-D by `coord2`.
-///
-/// `owner` is [`exact_owner`]'s answer for this access. With the composed
-/// owner map, the four rows of the two 2-row maps are evaluated inline
-/// over an allocation-free domain walk, as prefix sums over the loop axes:
-/// a step of the walk recomputes only the sums from the first axis it
-/// changed, one column at an innermost step. Without it (a bound that
-/// could leave `i64`), the walk takes the staged evaluation (`subscript`,
-/// then two `Alloc::apply`), which panics where an entry leaves `i64`.
-fn for_each_transfer(
-    dom: &Domain,
-    alignment: &Alignment,
-    acc: &Access,
-    owner: Option<&Alloc>,
-    mut f: impl FnMut((i64, i64), (i64, i64)) -> ControlFlow<()>,
-) {
-    let stmt = &alignment.stmt_alloc[acc.stmt.0];
-    let Some(owner) = owner else {
+/// Why a plan cannot price `acc`: `what` leaves `i64` over its domain box.
+fn unpriceable(acc: &Access, what: &str) -> String {
+    format!("access {:?}: {what} leaves i64 over its domain box", acc.id)
+}
+
+/// The owner's rows `(M_x·F)·I + (M_x·c + ρ_x)` and the computer's rows
+/// `M_S·I + ρ_S` of one access (a missing row is zero, as `coord2` pads),
+/// composed once for the exactness rule, `is_injective` and the walk.
+#[derive(Debug, Default)]
+struct AccessRows {
+    /// For loop depth `d`: axis `j`'s coefficient in each row (`j < d`),
+    /// each row's constant (`d`), then `d` prefix sums of the walk.
+    table: Vec<[i64; 4]>,
+    /// The `[min, max]` of each source coordinate over the domain box.
+    range: [[i128; 2]; 2],
+}
+
+impl AccessRows {
+    /// Compose `acc`'s rows over `dom`, or say that the walk could leave
+    /// `i64` ([`walk_is_exact`], which bounds every sum below).
+    fn set_up(&mut self, dom: &Domain, alignment: &Alignment, acc: &Access) -> Result<(), String> {
         let array = &alignment.array_alloc[acc.array.0];
-        for p in dom.points() {
-            let e = acc.subscript(&p);
-            if f(coord2(&array.apply(&e)), coord2(&stmt.apply(&p))).is_break() {
-                return;
+        let stmt = &alignment.stmt_alloc[acc.stmt.0];
+        if !walk_is_exact(dom, acc, array, stmt) {
+            return Err(unpriceable(acc, "its subscript or an allocation"));
+        }
+        let d = dom.dim();
+        self.table.clear();
+        self.table.resize(2 * d + 1, [0; 4]);
+        // `[F | c]`'s column `j`: axis `j`'s coefficients, then the constant.
+        let fc = |k: usize, j: usize| if j < d { acc.f[(k, j)] } else { acc.c[k] };
+        for (i, &rho) in array.rho.iter().enumerate() {
+            let mx = array.mat.row(i);
+            for j in 0..=d {
+                self.table[j][i] = (0..mx.len()).map(|k| mx[k] * fc(k, j)).sum();
+            }
+            self.table[d][i] += rho;
+        }
+        for i in 0..stmt.mat.rows() {
+            for (col, &a) in self.table.iter_mut().zip(stmt.mat.row(i)) {
+                col[2 + i] = a;
+            }
+            self.table[d][2 + i] = stmt.rho[i];
+        }
+        let axis = |j: usize| [i128::from(dom.lo(j)), i128::from(dom.hi(j))];
+        self.range = [0, 1].map(|i| {
+            let o = i128::from(self.table[d][i]);
+            (0..d).fold([o, o], |r, j| add(r, span(self.table[j][i], axis(j))))
+        });
+        Ok(())
+    }
+
+    /// Whether sweeping every source through `mats` in turn stays in
+    /// `i64` (else `what` is unpriceable), by interval arithmetic from the
+    /// sources' ranges: every term and sum of each `T·pos` is bounded.
+    fn sweeps_fit(
+        &self,
+        acc: &Access,
+        what: &str,
+        mats: impl IntoIterator<Item = [[i64; 2]; 2]>,
+    ) -> Result<(), String> {
+        let fits = |[lo, hi]: [i128; 2]| lo >= i64::MIN.into() && hi <= i64::MAX.into();
+        let mut range = self.range;
+        let fit = mats.into_iter().all(|m| {
+            let terms = m.map(|[a, b]| [span(a, range[0]), span(b, range[1])]);
+            range = terms.map(|[x, y]| add(x, y));
+            terms.iter().flatten().chain(&range).all(|&r| fits(r))
+        });
+        fit.then_some(()).ok_or_else(|| unpriceable(acc, what))
+    }
+
+    /// `f(src, dst)` (owner, computer) over the set-up's `dom` in points
+    /// order until `f` breaks; a step of the allocation-free walk redoes
+    /// the rows' prefix sums from the first axis it changed.
+    fn for_each_transfer(
+        &mut self,
+        dom: &Domain,
+        mut f: impl FnMut((i64, i64), (i64, i64)) -> ControlFlow<()>,
+    ) {
+        let d = self.table.len() / 2;
+        let (cols, sums) = self.table.split_at_mut(d);
+        let _ = dom.walk(|p, changed| {
+            for j in changed..d {
+                let (a, x) = (cols[j], p[j]);
+                let prev = sums[j];
+                sums[j + 1] = std::array::from_fn(|r| prev[r] + a[r] * x);
+            }
+            let [o0, o1, s0, s1] = sums[d];
+            f((o0, o1), (s0, s1))
+        });
+    }
+
+    /// Whether `I ↦ (src, dst)` is injective: the rows' linear parts have
+    /// rank `d ≤ 4`, by fraction-free elimination (`false` on overflow).
+    fn is_injective(&self) -> bool {
+        let d = self.table.len() / 2;
+        if d > 4 {
+            return false;
+        }
+        let mut a: [[i64; 4]; 4] = std::array::from_fn(|r| {
+            std::array::from_fn(|j| self.table[..d].get(j).map_or(0, |c| c[r]))
+        });
+        for col in 0..d {
+            // A column without a pivot depends on the ones before it.
+            let Some(p) = (col..4).find(|&i| a[i][col] != 0) else {
+                return false;
+            };
+            a.swap(col, p);
+            let pivot = a[col];
+            for row in &mut a[col + 1..] {
+                let f = row[col];
+                if f == 0 {
+                    continue;
+                }
+                for j in col..d {
+                    match row[j]
+                        .checked_mul(pivot[col])
+                        .and_then(|x| x.checked_sub(pivot[j].checked_mul(f)?))
+                    {
+                        Some(v) => row[j] = v,
+                        None => return false,
+                    }
+                }
             }
         }
-        return;
-    };
-    let rows = [
-        row_of(owner, 0),
-        row_of(owner, 1),
-        row_of(stmt, 0),
-        row_of(stmt, 1),
-    ];
-    // `cols[j]` holds axis `j`'s coefficient in each row; `sums[j]` each
-    // row's offset plus its terms over the axes before `j`. Every such
-    // sum is a partial evaluation `walk_is_exact` bounds, so none
-    // overflows.
-    let d = dom.dim();
-    let mut stack = [[0i64; 4]; 2 * WALK_STACK_AXES + 1];
-    let mut heap = Vec::new();
-    let buf: &mut [[i64; 4]] = if d <= WALK_STACK_AXES {
-        &mut stack[..2 * d + 1]
-    } else {
-        heap.resize(2 * d + 1, [0; 4]);
-        &mut heap
-    };
-    let (cols, sums) = buf.split_at_mut(d);
-    for (j, col) in cols.iter_mut().enumerate() {
-        *col = rows.map(|(r, _)| r.get(j).copied().unwrap_or(0));
-    }
-    sums[0] = rows.map(|(_, o)| o);
-    let _ = dom.walk(|p, changed| {
-        for j in changed..d {
-            let (a, x) = (cols[j], p[j]);
-            let prev = sums[j];
-            sums[j + 1] = std::array::from_fn(|r| prev[r] + a[r] * x);
-        }
-        let [o0, o1, s0, s1] = sums[d];
-        f((o0, o1), (s0, s1))
-    });
-}
-
-/// Loop depth up to which [`for_each_transfer`] keeps its sums on the
-/// stack.
-const WALK_STACK_AXES: usize = 8;
-
-/// The owner map of `acc` composed once ([`Alignment::owner_map`]), when
-/// [`walk_is_exact`] proves the inline walk exact; `None` sends the walk
-/// down the staged loop, which fails exactly as the staged evaluation
-/// does.
-fn exact_owner(dom: &Domain, alignment: &Alignment, acc: &Access) -> Option<Alloc> {
-    let array = &alignment.array_alloc[acc.array.0];
-    let stmt = &alignment.stmt_alloc[acc.stmt.0];
-    walk_is_exact(dom, acc, array, stmt).then(|| alignment.owner_map(acc))
-}
-
-/// Row `i` of an allocation and its offset; a missing row is the zero
-/// map, as `coord2` pads a missing coordinate with 0.
-fn row_of(a: &Alloc, i: usize) -> (&[i64], i64) {
-    if i < a.mat.rows() {
-        (a.mat.row(i), a.rho[i])
-    } else {
-        (&[], 0)
+        true
     }
 }
 
@@ -244,75 +284,21 @@ fn box_points(dom: &Domain) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// Whether `I ↦ (src, dst)` is injective on ℤ^d: the owner map's and the
-/// statement allocation's linear parts, stacked, have full column rank
-/// `d`. Under an exact walk each has at most the two rows `coord2` keeps,
-/// so the stack has at most four rows and `d ≤ 4` columns when it can
-/// succeed. Fraction-free elimination runs in `i64` without divisions; an
-/// entry that leaves `i64` answers `false`, which only costs the set.
-fn is_injective(owner: &Alloc, stmt: &Alloc, d: usize) -> bool {
-    let rows = owner.mat.rows() + stmt.mat.rows();
-    if d > rows || rows > 4 {
-        return false;
-    }
-    let mut a = [[0i64; 4]; 4];
-    let stacked = (0..owner.mat.rows())
-        .map(|i| owner.mat.row(i))
-        .chain((0..stmt.mat.rows()).map(|i| stmt.mat.row(i)));
-    for (dst, row) in a.iter_mut().zip(stacked) {
-        dst[..d].copy_from_slice(row);
-    }
-    for col in 0..d {
-        // A column without a pivot depends on the ones before it.
-        let Some(p) = (col..rows).find(|&i| a[i][col] != 0) else {
-            return false;
-        };
-        a.swap(col, p);
-        let pivot = a[col];
-        for row in &mut a[col + 1..rows] {
-            let f = row[col];
-            if f == 0 {
-                continue;
-            }
-            for j in col..d {
-                match row[j]
-                    .checked_mul(pivot[col])
-                    .and_then(|x| x.checked_sub(pivot[j].checked_mul(f)?))
-                {
-                    Some(v) => row[j] = v,
-                    None => return false,
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Fill `out` with the distinct `(src, dst)` pairs of `acc` in first-seen
-/// order (the order an explicit phase stores, pinned by `plan_bytes.rs`),
-/// the local ones (`src == dst`) only when `keep_local`.
-///
-/// When [`is_injective`] holds, distinct points give distinct pairs, so
-/// the walk order already is first-seen order and no set is built. Any
-/// other access drops repeats through a set.
+/// Fill `out` with the distinct `(src, dst)` pairs of the access set up
+/// in `rows`, in first-seen order (pinned by `plan_bytes.rs`), the local
+/// ones only when `keep_local`. An injective access needs no set: its
+/// walk order already is first-seen order.
 fn distinct_transfers(
-    nest: &LoopNest,
-    mapping: &Mapping,
-    acc: &Access,
+    rows: &mut AccessRows,
+    dom: &Domain,
     keep_local: bool,
     out: &mut Vec<Endpoints>,
 ) {
-    let dom = &nest.statement(acc.stmt).domain;
-    let alignment = &mapping.alignment;
-    let owner = exact_owner(dom, alignment, acc);
-    let stmt = &alignment.stmt_alloc[acc.stmt.0];
     out.clear();
     out.reserve(box_points(dom).min(RESERVE_CAP));
-    let injective = owner
-        .as_ref()
-        .is_some_and(|o| is_injective(o, stmt, dom.dim()));
+    let injective = rows.is_injective();
     let mut seen = BTreeSet::new();
-    for_each_transfer(dom, alignment, acc, owner.as_ref(), |src, dst| {
+    rows.for_each_transfer(dom, |src, dst| {
         if (keep_local || src != dst) && (injective || seen.insert((src, dst))) {
             out.push((src, dst));
         }
@@ -320,25 +306,37 @@ fn distinct_transfers(
     });
 }
 
-/// `mat · pos` for a row-major 2×2 `mat`, with [`IMat::mul_vec`]'s exact
-/// `i128` accumulation and its panic when a component leaves `i64`, but
-/// no allocation.
+/// A 2×2 [`IMat`], row-major.
+fn mat2(t: &IMat) -> [[i64; 2]; 2] {
+    [[t[(0, 0)], t[(0, 1)]], [t[(1, 0)], t[(1, 1)]]]
+}
+
+/// `dst − src`, or `None` where a component leaves `i64`.
+fn offset(src: (i64, i64), dst: (i64, i64)) -> Option<(i64, i64)> {
+    Some((dst.0.checked_sub(src.0)?, dst.1.checked_sub(src.1)?))
+}
+
+/// The range of `a·x` for `x` in `[lo, hi]`.
+fn span(a: i64, [lo, hi]: [i128; 2]) -> [i128; 2] {
+    let (p, q) = (i128::from(a) * lo, i128::from(a) * hi);
+    [p.min(q), p.max(q)]
+}
+
+/// The range of a sum.
+fn add(x: [i128; 2], y: [i128; 2]) -> [i128; 2] {
+    [x[0] + y[0], x[1] + y[1]]
+}
+
+/// `mat · pos`, on positions [`AccessRows::sweeps_fit`] proved.
 fn mul2(mat: &[[i64; 2]; 2], pos: (i64, i64)) -> (i64, i64) {
-    let row = |[a, b]: [i64; 2]| {
-        let acc = i128::from(a) * i128::from(pos.0) + i128::from(b) * i128::from(pos.1);
-        i64::try_from(acc).expect("i64 overflow in exact integer matrix arithmetic")
-    };
+    let row = |[a, b]: [i64; 2]| a * pos.0 + b * pos.1;
     (row(mat[0]), row(mat[1]))
 }
 
-/// Whether every evaluation [`for_each_transfer`]'s walk performs is exact
-/// in `i64`: the shapes fit the 2-row inline maps, and the bounds
-/// `Σ_j |a_ij|·r_j + |o_i|` over the domain box (`r_j = max(|lo_j|,
-/// |hi_j|, 1)`) of the subscript, of the owner allocation on the
-/// subscript's bound, and of the computer allocation stay within `i64`.
-/// The owner bound also covers each entry and the offset of the composed
-/// map and every partial sum of its evaluation, so under these bounds
-/// the composed and the staged evaluation neither overflow nor differ.
+/// Whether every evaluation of [`AccessRows`] is exact: the shapes fit
+/// the 2-row maps, and `Σ_j |a_ij|·r_j + |o_i|` over the domain box (`r_j
+/// = max(|lo_j|, |hi_j|, 1)`) fits `i64` for the subscript, the owner on
+/// the subscript's bound (which covers the composed rows) and the computer.
 fn walk_is_exact(dom: &Domain, acc: &Access, array: &Alloc, stmt: &Alloc) -> bool {
     let d = dom.dim();
     let shapes_fit = acc.f.cols() == d
@@ -441,7 +439,7 @@ impl CommPlan {
                         .map(|(src, dst, sends)| PMsg {
                             src: node(src),
                             dst: node(dst),
-                            bytes: sends * bytes,
+                            bytes: sends.saturating_mul(bytes),
                         })
                         .collect()
                 }
@@ -536,8 +534,13 @@ impl CommPlan {
 
 /// Build the communication plan of a mapping (2-D mappings only — the
 /// simulators are 2-D). Coordinates are raw; wrapping happens at fold
-/// time.
+/// time. Panics where [`compile`] reports an access it cannot price.
 pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
+    explicit_plan(nest, mapping).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`build_plan`], or the reason an access cannot be priced.
+fn explicit_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String> {
     assert_eq!(mapping.alignment.m, 2, "plans target 2-D grids");
     // At most one phase per factor plus the shift for a decomposition,
     // one for any other communicating access.
@@ -549,11 +552,17 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     let mut plan = CommPlan {
         phases: Vec::with_capacity(most.sum()),
     };
-    // Scratch kept across accesses: the access's endpoint pairs, and the
-    // moves of one factor sweep. Each phase stores an exact-size copy.
+    // Scratch kept across accesses (each phase stores an exact-size copy):
+    // the composed rows, the endpoint pairs, the moves of one sweep.
+    let mut rows = AccessRows::default();
     let mut transfers = Vec::new();
     let mut moves = Vec::new();
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
+        if matches!(out, CommOutcome::Local) {
+            continue;
+        }
+        let dom = &nest.statement(acc.stmt).domain;
+        rows.set_up(dom, &mapping.alignment, acc)?;
         let mut push = |kind, pattern: &[Endpoints]| {
             plan.phases.push(CommPhase {
                 access: acc.id,
@@ -562,7 +571,7 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
             })
         };
         let kind = match out {
-            CommOutcome::Local => continue,
+            CommOutcome::Local => unreachable!(),
             CommOutcome::Translation => PhaseKind::Translation,
             CommOutcome::Macro { .. } => PhaseKind::CollectiveRound,
             CommOutcome::DecomposedGeneral { .. } => PhaseKind::UnirowFactor,
@@ -571,11 +580,12 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
                 // precv = F₁·…·F_n·psend + t₀: one phase per factor (right
                 // to left), then the constant shift t₀ (§4.2: the dataflow
                 // equality holds "up to a translation").
+                let sweeps = factors.iter().rev().map(|f| mat2(&f.to_mat()));
+                rows.sweeps_fit(acc, "a factor sweep", sweeps)?;
                 // (current position, final destination) pairs.
-                distinct_transfers(nest, mapping, acc, true, &mut transfers);
-                for f in factors.iter().rev() {
-                    let m = f.to_mat();
-                    let mat = [[m[(0, 0)], m[(0, 1)]], [m[(1, 0)], m[(1, 1)]]];
+                distinct_transfers(&mut rows, dom, true, &mut transfers);
+                for &f in factors.iter().rev() {
+                    let mat = mat2(&f.to_mat());
                     moves.clear();
                     for (pos, _) in &mut transfers {
                         let q = mul2(&mat, *pos);
@@ -586,7 +596,7 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
                     }
                     moves.sort_unstable();
                     moves.dedup();
-                    push(PhaseKind::Elementary(*f), &moves);
+                    push(PhaseKind::Elementary(f), &moves);
                 }
                 // Final constant shift to the true destination.
                 moves.clear();
@@ -595,9 +605,10 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
                 moves.dedup();
                 if let Some(&(s0, d0)) = moves.first() {
                     // All moves share one offset (affine constant term).
-                    let off = (d0.0 - s0.0, d0.1 - s0.1);
+                    let off = offset(s0, d0)
+                        .ok_or_else(|| unpriceable(acc, "the decomposition shift"))?;
                     debug_assert!(
-                        moves.iter().all(|&(s, d)| (d.0 - s.0, d.1 - s.1) == off),
+                        moves.iter().all(|&(s, d)| offset(s, d) == Some(off)),
                         "decomposition residue is not a constant shift"
                     );
                     push(PhaseKind::DecompositionShift, &moves);
@@ -605,10 +616,10 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
                 continue;
             }
         };
-        distinct_transfers(nest, mapping, acc, false, &mut transfers);
+        distinct_transfers(&mut rows, dom, false, &mut transfers);
         push(kind, &transfers);
     }
-    plan
+    Ok(plan)
 }
 
 /// Build the plan of a mapping in **closed (affine) form**: every phase
@@ -624,82 +635,84 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
 /// this is the entry point for simulating plans on huge grids (4096²,
 /// 8192²) where [`build_plan`]'s per-point enumeration is intractable.
 ///
-/// Collectives ([`CommOutcome::Macro`]) stay explicit — their placement
-/// phase is data-dependent, not a grid-wide map — as does any access
-/// whose dataflow matrix the alignment cannot express (rank-deficient
-/// replication); [`CommPlan::verify_availability`] treats both forms
-/// exactly, so `build_plan_closed` is proved against the same oracle as
-/// [`build_plan`].
+/// Collectives ([`CommOutcome::Macro`]) stay explicit (a data-dependent
+/// placement), as does an access whose dataflow matrix the alignment
+/// cannot express; [`CommPlan::verify_availability`] proves both forms
+/// against the same oracle. Panics as [`build_plan`] does.
 pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
+    closed_plan(nest, mapping).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`build_plan_closed`], or the reason an access cannot be priced.
+fn closed_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String> {
     assert_eq!(mapping.alignment.m, 2, "plans target 2-D grids");
     let mut plan = CommPlan::default();
+    let mut rows = AccessRows::default();
     let mut transfers = Vec::new();
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
         if matches!(out, CommOutcome::Local) {
             continue;
         }
-        // One sample pins the affine constant term.
         let dom = &nest.statement(acc.stmt).domain;
-        let owner = exact_owner(dom, &mapping.alignment, acc);
+        rows.set_up(dom, &mapping.alignment, acc)?;
+        // One sample pins the affine constant term.
         let mut sample = None;
-        for_each_transfer(dom, &mapping.alignment, acc, owner.as_ref(), |src, dst| {
+        rows.for_each_transfer(dom, |src, dst| {
             sample = Some((src, dst));
             ControlFlow::Break(())
         });
         let Some((src0, dst0)) = sample else {
             continue;
         };
+        let shift_of = |moved| offset(moved, dst0).ok_or_else(|| unpriceable(acc, "a shift"));
         let mut endpoints = || {
-            distinct_transfers(nest, mapping, acc, false, &mut transfers);
+            distinct_transfers(&mut rows, dom, false, &mut transfers);
             transfers.to_vec()
         };
-        match out {
+        let (kind, pattern) = match out {
             CommOutcome::Local => unreachable!(),
-            CommOutcome::Translation => {
-                let d0 = (dst0.0 - src0.0, dst0.1 - src0.1);
-                plan.phases.push(CommPhase {
-                    access: acc.id,
-                    kind: PhaseKind::Translation,
-                    pattern: PhasePattern::Affine {
-                        t: IMat::identity(2),
-                        shift: d0,
-                    },
-                });
-            }
+            CommOutcome::Translation => (
+                PhaseKind::Translation,
+                PhasePattern::Affine {
+                    t: IMat::identity(2),
+                    shift: shift_of(src0)?,
+                },
+            ),
             // The collective's placement phase is data-dependent (a
             // fan-out/fan-in set, not a position map): keep it explicit.
-            CommOutcome::Macro { .. } => plan.phases.push(CommPhase {
-                access: acc.id,
-                kind: PhaseKind::CollectiveRound,
-                pattern: PhasePattern::Explicit(endpoints()),
-            }),
+            CommOutcome::Macro { .. } => (
+                PhaseKind::CollectiveRound,
+                PhasePattern::Explicit(endpoints()),
+            ),
             CommOutcome::Decomposed { factors, .. } => {
                 // precv = F₁·…·F_n·psend + t₀: factors apply right to
                 // left, each one a grid-wide linear sweep, then the
                 // constant shift t₀ = dst₀ − (F₁·…·F_n)·src₀.
-                for f in factors.iter().rev() {
+                let sweeps = factors.iter().rev().map(|f| mat2(&f.to_mat()));
+                rows.sweeps_fit(acc, "a factor sweep", sweeps)?;
+                let mut moved = src0;
+                for &f in factors.iter().rev() {
+                    moved = mul2(&mat2(&f.to_mat()), moved);
                     plan.phases.push(CommPhase {
                         access: acc.id,
-                        kind: PhaseKind::Elementary(*f),
+                        kind: PhaseKind::Elementary(f),
                         pattern: PhasePattern::Affine {
                             t: f.to_mat(),
                             shift: (0, 0),
                         },
                     });
                 }
-                let prod = product(factors);
-                let moved = prod.mul_vec(&[src0.0, src0.1]);
-                let t0 = (dst0.0 - moved[0], dst0.1 - moved[1]);
-                if t0 != (0, 0) {
-                    plan.phases.push(CommPhase {
-                        access: acc.id,
-                        kind: PhaseKind::DecompositionShift,
-                        pattern: PhasePattern::Affine {
-                            t: IMat::identity(2),
-                            shift: t0,
-                        },
-                    });
+                let t0 = shift_of(moved)?;
+                if t0 == (0, 0) {
+                    continue;
                 }
+                (
+                    PhaseKind::DecompositionShift,
+                    PhasePattern::Affine {
+                        t: IMat::identity(2),
+                        shift: t0,
+                    },
+                )
             }
             CommOutcome::DecomposedGeneral { .. } | CommOutcome::General => {
                 let kind = if matches!(out, CommOutcome::General) {
@@ -709,24 +722,24 @@ pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
                 };
                 let pattern = match dataflow_matrix(&mapping.alignment, nest, acc.id) {
                     Some(t) => {
-                        let moved = t.mul_vec(&[src0.0, src0.1]);
-                        PhasePattern::Affine {
-                            t,
-                            shift: (dst0.0 - moved[0], dst0.1 - moved[1]),
-                        }
+                        let mat = mat2(&t);
+                        rows.sweeps_fit(acc, "its dataflow map", [mat])?;
+                        let shift = shift_of(mul2(&mat, src0))?;
+                        PhasePattern::Affine { t, shift }
                     }
                     // Rank-deficient alignment: no grid-wide map exists.
                     None => PhasePattern::Explicit(endpoints()),
                 };
-                plan.phases.push(CommPhase {
-                    access: acc.id,
-                    kind,
-                    pattern,
-                });
+                (kind, pattern)
             }
-        }
+        };
+        plan.phases.push(CommPhase {
+            access: acc.id,
+            kind,
+            pattern,
+        });
     }
-    plan
+    Ok(plan)
 }
 
 /// The target [`compile`] prices a plan on: mesh, distribution, the
@@ -760,9 +773,11 @@ pub struct Compiled {
 /// the schedule policy's healthy mode.
 ///
 /// `cancel` is checked before the build (stage `"build_plan"`) and the
-/// lowering (stage `"simulate"`). Panics are not caught: callers that
-/// must survive a plan whose subscripts leave `i64` wrap this in
-/// [`crate::guarded`].
+/// lowering (stage `"simulate"`). An access is priced only when every
+/// value the plan stages derive from it over its domain box stays in
+/// `i64` (rows, factor sweeps and dataflow maps bounded, constant shifts
+/// checked); any other nest is a [`RescommError::Analysis`] at stage
+/// `"build_plan"`, and nothing panics.
 pub fn compile(
     nest: &LoopNest,
     mapping: &Mapping,
@@ -770,11 +785,11 @@ pub fn compile(
     cancel: &CancelToken,
 ) -> Result<Compiled, RescommError> {
     cancel.check("build_plan")?;
-    let plan = if opts.closed {
-        build_plan_closed(nest, mapping)
-    } else {
-        build_plan(nest, mapping)
-    };
+    let build = [explicit_plan, closed_plan][usize::from(opts.closed)];
+    let plan = build(nest, mapping).map_err(|detail| RescommError::Analysis {
+        stage: "build_plan",
+        detail,
+    })?;
     cancel.check("simulate")?;
     let phases = plan.phases_on_mesh(&opts.mesh, opts.dist, opts.vshape, opts.bytes);
     let makespan = PhaseSim::new(opts.mesh.clone()).simulate_phases_mode(&phases, opts.mode);
@@ -786,7 +801,7 @@ pub fn compile(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pipeline::{map_nest, MappingOptions};
     use rescomm_distribution::{physical_messages, Dist1D};
@@ -1343,20 +1358,16 @@ mod tests {
                 .collect()
         }
 
-        fn walk(&self) -> Vec<Endpoints> {
+        /// The composed walk, or `None` when the set-up rejects the access.
+        fn walk(&self) -> Option<Vec<Endpoints>> {
+            let mut rows = AccessRows::default();
+            rows.set_up(&self.dom, &self.alignment, &self.acc).ok()?;
             let mut v = Vec::new();
-            let owner = exact_owner(&self.dom, &self.alignment, &self.acc);
-            for_each_transfer(
-                &self.dom,
-                &self.alignment,
-                &self.acc,
-                owner.as_ref(),
-                |src, dst| {
-                    v.push((src, dst));
-                    ControlFlow::Continue(())
-                },
-            );
-            v
+            rows.for_each_transfer(&self.dom, |src, dst| {
+                v.push((src, dst));
+                ControlFlow::Continue(())
+            });
+            Some(v)
         }
 
         fn exact(&self) -> bool {
@@ -1416,17 +1427,20 @@ mod tests {
         ) {
             let dom = guarded_box(&los[..d], &lens[..d], &guards, n_guards, tri);
             let case = WalkCase::new(dom, q, rows_x, rows_s, &ents);
-            // Small inputs never need the staged fallback unless the owner
-            // map is taller than the 2-row inline form.
+            // Small inputs are always priceable unless the owner map is
+            // taller than the 2-row plan form.
             proptest::prop_assert_eq!(case.exact(), rows_x <= 2);
-            proptest::prop_assert_eq!(case.walk(), case.oracle());
+            match case.walk() {
+                Some(walk) => proptest::prop_assert_eq!(walk, case.oracle()),
+                None => proptest::prop_assert!(rows_x > 2),
+            }
         }
 
         /// Near `i64::MAX`/`MIN`, whenever the staged evaluation panics
-        /// the walk has taken the staged fallback and panics too; when it
-        /// does not, both give the same sequence.
+        /// the set-up rejects the access; whenever it accepts, the walk
+        /// gives the staged sequence.
         #[test]
-        fn plan_walk_overflows_exactly_as_the_oracle(
+        fn plan_walk_rejects_every_access_the_oracle_overflows_on(
             d in 1usize..=2,
             edge in proptest::prop_oneof![
                 proptest::strategy::Just(i64::MAX),
@@ -1451,13 +1465,12 @@ mod tests {
             let ents: Vec<i64> = ents.iter().map(|&e| e * big).collect();
             let case = WalkCase::new(dom, q, 2, 2, &ents);
             let oracle = std::panic::catch_unwind(|| case.oracle());
-            let walk = std::panic::catch_unwind(|| case.walk());
-            proptest::prop_assert_eq!(oracle.is_err(), walk.is_err());
-            if oracle.is_err() {
-                proptest::prop_assert!(!case.exact(), "a panicking access took the walk");
-            }
-            if let (Ok(o), Ok(w)) = (oracle, walk) {
-                proptest::prop_assert_eq!(w, o);
+            let walk = case.walk();
+            proptest::prop_assert_eq!(walk.is_some(), case.exact());
+            match (oracle, walk) {
+                (Ok(o), Some(w)) => proptest::prop_assert_eq!(w, o),
+                (Err(_), walk) => proptest::prop_assert!(walk.is_none()),
+                (Ok(_), None) => {}
             }
         }
     }
@@ -1472,39 +1485,33 @@ mod tests {
             &[1, 0, 0, 1, 1, 0, 2, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0],
         );
         let mut seen = 0;
-        let owner = exact_owner(&case.dom, &case.alignment, &case.acc);
-        for_each_transfer(
-            &case.dom,
-            &case.alignment,
-            &case.acc,
-            owner.as_ref(),
-            |_, _| {
-                seen += 1;
-                if seen == 4 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        );
+        let mut rows = AccessRows::default();
+        rows.set_up(&case.dom, &case.alignment, &case.acc).unwrap();
+        rows.for_each_transfer(&case.dom, |_, _| {
+            seen += 1;
+            if seen == 4 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
         assert_eq!(seen, 4);
-        assert_eq!(case.walk().len(), 9);
+        assert_eq!(case.walk().unwrap().len(), 9);
     }
 
     #[test]
-    fn plan_walk_past_the_stack_axes_matches_the_oracle() {
-        // Eight loops fill the stack table and ten spill to the heap; a
-        // guard skips points, so steps change several axes between two
-        // visits.
+    fn deep_plan_walks_match_the_oracle() {
+        // Eight and ten loops; a guard skips points, so steps change
+        // several axes between two visits.
         let ents: Vec<i64> = (0..97).map(|i| (i * 7 % 11) - 5).collect();
-        for d in [WALK_STACK_AXES, WALK_STACK_AXES + 2] {
+        for d in [8, 10] {
             let bounds: Vec<(i64, i64)> = (0..d as i64).map(|k| (k - 4, k - 3)).collect();
             // Keeps the points with at most `d / 2` coordinates at `hi`.
             let b = bounds.iter().map(|b| b.0).sum::<i64>() + d as i64 / 2;
             let dom = Domain::rect(&bounds).with_guard(&vec![1; d], b);
             let case = WalkCase::new(dom, 3, 2, 2, &ents);
             assert!(case.exact(), "depth {d}");
-            let walk = case.walk();
+            let walk = case.walk().unwrap();
             assert!(!walk.is_empty() && walk.len() < 1 << d, "depth {d}");
             assert_eq!(walk, case.oracle(), "depth {d}");
         }
@@ -1513,16 +1520,13 @@ mod tests {
     /// The set-based `distinct_transfers` the plan builder used before the
     /// injectivity skip: every pair goes through a first-seen set.
     fn distinct_transfers_by_set(
-        nest: &LoopNest,
-        mapping: &Mapping,
-        acc: &Access,
+        rows: &mut AccessRows,
+        dom: &Domain,
         keep_local: bool,
     ) -> Vec<Endpoints> {
-        let dom = &nest.statement(acc.stmt).domain;
-        let owner = exact_owner(dom, &mapping.alignment, acc);
         let mut seen = BTreeSet::new();
         let mut v = Vec::new();
-        for_each_transfer(dom, &mapping.alignment, acc, owner.as_ref(), |src, dst| {
+        rows.for_each_transfer(dom, |src, dst| {
             if (keep_local || src != dst) && seen.insert((src, dst)) {
                 v.push((src, dst));
             }
@@ -1647,21 +1651,18 @@ mod tests {
             let mapping = map_nest(nest, &MappingOptions::new(2)).unwrap();
             for acc in &nest.accesses {
                 let dom = &nest.statement(acc.stmt).domain;
-                let owner = exact_owner(dom, &mapping.alignment, acc);
-                let stmt = &mapping.alignment.stmt_alloc[acc.stmt.0];
-                if owner
-                    .as_ref()
-                    .is_some_and(|o| is_injective(o, stmt, dom.dim()))
-                {
+                let mut rows = AccessRows::default();
+                rows.set_up(dom, &mapping.alignment, acc).unwrap();
+                if rows.is_injective() {
                     skipped += 1;
                 } else {
                     deduped += 1;
                 }
                 for keep_local in [false, true] {
-                    distinct_transfers(nest, &mapping, acc, keep_local, &mut buf);
+                    distinct_transfers(&mut rows, dom, keep_local, &mut buf);
                     assert_eq!(
                         buf,
-                        distinct_transfers_by_set(nest, &mapping, acc, keep_local),
+                        distinct_transfers_by_set(&mut rows, dom, keep_local),
                         "{} access {:?}, keep_local {keep_local}",
                         nest.name,
                         acc.id
@@ -1802,7 +1803,7 @@ mod tests {
 
     /// Entries and bounds at the `i64` edges: `i64::MIN`, `±2⁶²` and
     /// neighbours, plus small values.
-    fn edge_value() -> impl proptest::strategy::Strategy<Value = i64> {
+    pub(crate) fn edge_value() -> impl proptest::strategy::Strategy<Value = i64> {
         use proptest::strategy::Just;
         proptest::prop_oneof![
             Just(i64::MIN),
@@ -1817,13 +1818,91 @@ mod tests {
     }
 
     #[test]
-    fn an_access_past_the_bound_takes_the_staged_loop_and_fails_there() {
+    fn an_access_past_the_bound_is_unpriceable() {
         // `x[2⁶²·i]` on `[1, 2]`: the subscript leaves `i64` at `i = 2`.
         let case = WalkCase::new(Domain::rect(&[(1, 2)]), 1, 1, 1, &[1 << 62, 0, 1, 0, 1, 0]);
         assert!(!case.exact() && !case.exact_buffered());
-        let walk = std::panic::catch_unwind(|| case.walk());
-        let oracle = std::panic::catch_unwind(|| case.oracle());
-        assert!(walk.is_err() && oracle.is_err());
+        assert_eq!(case.walk(), None);
+        assert!(std::panic::catch_unwind(|| case.oracle()).is_err());
+    }
+
+    /// The motivating example with `S1`'s domain replaced by `dom`.
+    fn motivating_at(dom: &str) -> LoopNest {
+        let src = include_str!("../../../examples/nests/motivating.nest").replace(
+            "stmt S1 depth 2 domain 0..7 0..7",
+            &format!("stmt S1 depth 2 domain {dom}"),
+        );
+        rescomm_loopnest::parser::parse_nest(&src).unwrap()
+    }
+
+    /// A read offset that leaves `i64` only once added to the subscript.
+    pub(crate) const WRAP_NEST: &str = "nest wrap\narray b 2\n\
+        stmt S1 depth 2 domain 0..1 9223372036854775800..9223372036854775802\n  \
+        write b [1 0; 0 1] + [0 0]\n  read  b [1 0; 0 1] + [0 7]\n";
+
+    #[test]
+    fn unpriceable_nests_are_analysis_errors_and_build_panics_alike() {
+        let wrap = rescomm_loopnest::parser::parse_nest(WRAP_NEST).unwrap();
+        let edge = motivating_at("0..1 9223372036854775805..9223372036854775806");
+        let mesh = Mesh2D::new(4, 4, CostModel::paragon());
+        for nest in [wrap, edge] {
+            let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
+            for closed in [false, true] {
+                let opts = cyclic(&mesh, (24, 24), ScheduleMode::Phased, closed);
+                let err = compile(&nest, &mapping, &opts, &CancelToken::none()).unwrap_err();
+                let RescommError::Analysis {
+                    stage: "build_plan",
+                    detail,
+                } = err
+                else {
+                    panic!("{}: {err:?}", nest.name);
+                };
+                assert!(detail.contains("leaves i64"), "{detail}");
+                let build = [build_plan, build_plan_closed][usize::from(closed)];
+                let payload = std::panic::catch_unwind(|| build(&nest, &mapping)).unwrap_err();
+                assert_eq!(payload.downcast_ref::<String>(), Some(&detail));
+            }
+        }
+    }
+
+    #[test]
+    fn factor_sweeps_are_bounded_by_their_ranges() {
+        // Near `i64::MAX / 3` a bound on absolute values would refuse the
+        // decomposed access; its ranges do not, and both forms still
+        // deliver every element.
+        let nest = motivating_at("0..1 3074457345618258602..3074457345618258603");
+        let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
+        for plan in [
+            build_plan(&nest, &mapping),
+            build_plan_closed(&nest, &mapping),
+        ] {
+            plan.verify_availability(&nest, &mapping).unwrap();
+        }
+        // `(x, y)` at `2⁶²`: `L(1)` moves `y` to `x + y = 2⁶³`, `L(-1)`
+        // to 0; a factor term alone can leave `i64` too.
+        let case = WalkCase::new(
+            Domain::rect(&[(1 << 62, 1 << 62)]),
+            1,
+            2,
+            2,
+            &[1, 0, 1, 1, 0, 0, 1, 0],
+        );
+        let mut rows = AccessRows::default();
+        rows.set_up(&case.dom, &case.alignment, &case.acc).unwrap();
+        assert_eq!(rows.range, [[1 << 62; 2]; 2]);
+        let acc = &case.acc;
+        assert!(rows.sweeps_fit(acc, "L(1)", [[[1, 0], [1, 1]]]).is_err());
+        assert!(rows.sweeps_fit(acc, "L(-1)", [[[1, 0], [-1, 1]]]).is_ok());
+        assert!(rows
+            .sweeps_fit(
+                acc,
+                "L(-1) then L(1)",
+                [[[1, 0], [-1, 1]], [[1, 0], [1, 1]]]
+            )
+            .is_ok());
+        assert!(rows
+            .sweeps_fit(acc, "U(2) after a term", [[[-1, 2], [0, 1]]])
+            .is_err());
     }
 
     proptest::proptest! {
@@ -1859,6 +1938,54 @@ mod tests {
                 plan.phases_on_mesh(&mesh, dist, vshape, bytes),
                 lower_each_phase(&plan, &mesh, dist, vshape, bytes)
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Whenever the range rule accepts a chain of 2×2 maps, sweeping
+        /// every source of the walk through it keeps every term and sum
+        /// in `i64`, evaluated exactly in `i128`.
+        #[test]
+        fn accepted_sweeps_never_leave_i64(
+            lo in proptest::prop_oneof![edge_value(), -8i64..=8, proptest::strategy::Just(1i64 << 61)],
+            len in 0i64..=2,
+            ents in proptest::collection::vec(-2i64..=2, 12),
+            big in proptest::prop_oneof![
+                proptest::strategy::Just(1i64),
+                proptest::strategy::Just(1i64 << 31),
+                proptest::strategy::Just(i64::MAX / 3),
+            ],
+            mats in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 4), 1..4),
+        ) {
+            let lo = lo.min(i64::MAX - len);
+            let ents: Vec<i64> = ents.iter().map(|&e| e * big).collect();
+            let case = WalkCase::new(Domain::rect(&[(lo, lo + len); 2]), 2, 2, 2, &ents);
+            let mut rows = AccessRows::default();
+            if rows.set_up(&case.dom, &case.alignment, &case.acc).is_err() {
+                return Ok(());
+            }
+            let mats: Vec<[[i64; 2]; 2]> =
+                mats.iter().map(|m| [[m[0], m[1]], [m[2], m[3]]]).collect();
+            if rows.sweeps_fit(&case.acc, "sweep", mats.iter().copied()).is_err() {
+                return Ok(());
+            }
+            let fits = |v: i128| i64::try_from(v).is_ok();
+            let mut srcs = Vec::new();
+            rows.for_each_transfer(&case.dom, |src, _| {
+                srcs.push(src);
+                ControlFlow::Continue(())
+            });
+            for mut pos in srcs {
+                for m in &mats {
+                    let terms = m.map(|[a, b]| [i128::from(a) * i128::from(pos.0), i128::from(b) * i128::from(pos.1)]);
+                    proptest::prop_assert!(terms.iter().flatten().all(|&t| fits(t)));
+                    let [x, y] = terms.map(|[p, q]| p + q);
+                    proptest::prop_assert!(fits(x) && fits(y));
+                    pos = (x as i64, y as i64);
+                }
+            }
         }
     }
 

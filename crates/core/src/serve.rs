@@ -1229,23 +1229,48 @@ mod tests {
             let p = parse_map_params(&parse(&req).unwrap(), SRC).unwrap();
             assert_eq!(p.key(), format!("{{\"nest\": {nest}, {key}}}"), "{spec}");
         }
+        // Nests a plan cannot price answer `analysis`, as the CLI's exit 4.
         let overflow = SRC.replace(
             "stmt S1 depth 2 domain 0..7 0..7",
             "stmt S1 depth 2 domain 0..1 9223372036854775805..9223372036854775806",
         );
         assert_ne!(overflow, SRC);
-        let nest = JsonValue::Str(overflow).render();
-        let resp = handle_line(&shared, &format!("{{\"op\": \"map\", \"nest\": {nest}}}"));
-        let err = parse(&resp)
-            .unwrap()
-            .get("error")
-            .cloned()
-            .expect("an error");
-        assert_eq!(
-            err.get("code").and_then(JsonValue::as_str),
-            Some("internal")
-        );
-        assert_eq!(err.get("exit_code").and_then(JsonValue::as_i64), Some(1));
+        for src in [overflow.as_str(), crate::plan::tests::WRAP_NEST] {
+            let nest = JsonValue::Str(src.to_string()).render();
+            let resp = handle_line(&shared, &format!("{{\"op\": \"map\", \"nest\": {nest}}}"));
+            let err = parse(&resp)
+                .unwrap()
+                .get("error")
+                .cloned()
+                .expect("an error");
+            assert_eq!(
+                err.get("code").and_then(JsonValue::as_str),
+                Some("analysis")
+            );
+            assert_eq!(err.get("exit_code").and_then(JsonValue::as_i64), Some(4));
+        }
+        assert_eq!(shared.stats.panics_absorbed.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn served_makespan_never_decreases_with_the_element_size() {
+        const SRC: &str = include_str!("../../../examples/nests/motivating.nest");
+        let shared = Server::bind(ServerConfig::default()).unwrap().shared;
+        let nest = JsonValue::Str(SRC.to_string()).render();
+        let mut last = 0;
+        for bytes in [1024, 1 << 40, 1 << 58, 1 << 61, 1 << 62, i64::MAX as u64] {
+            let req = format!("{{\"op\": \"map\", \"nest\": {nest}, \"bytes\": {bytes}}}");
+            let resp = parse(&handle_line(&shared, &req)).unwrap();
+            let makespan = resp.get("result").and_then(|r| r.get("makespan")).unwrap();
+            // Past `i64::MAX` the answer carries the exact value as a string.
+            let t = makespan
+                .as_u64()
+                .or_else(|| makespan.as_str()?.parse().ok())
+                .unwrap_or_else(|| panic!("{bytes}: {makespan:?}"));
+            assert!(t >= last, "bytes {bytes}: makespan {t} < {last}");
+            last = t;
+        }
+        assert_eq!(last, u64::MAX, "the clock saturates");
     }
 
     fn client(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
@@ -1944,6 +1969,92 @@ mod tests {
                     prop_assert!(kept.iter().any(|(k, _)| k == key), "lost {key}");
                 }
             }
+        }
+    }
+
+    /// A 2×2 access matrix from a small menu that reaches every outcome
+    /// kind: identity, transpose, shear, a projection and a scaling.
+    fn access_matrix() -> impl Strategy<Value = &'static str> {
+        proptest::prop_oneof![
+            Just("1 0; 0 1"),
+            Just("0 1; 1 0"),
+            Just("1 1; 0 1"),
+            Just("1 0; 0 0"),
+            Just("2 0; 0 1"),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Hostile-edge net: small nests whose domain bounds and
+        /// subscript offsets sit at the `i64` edges. Both plan forms
+        /// either price the nest, with a plan that delivers its data, or
+        /// answer `Analysis`, never panicking; the server answers each
+        /// `ok` or `analysis` and absorbs no panic.
+        #[test]
+        fn hostile_edge_nests_are_priced_or_unpriceable(
+            small in proptest::collection::vec(-4i64..=4, 8),
+            edges in proptest::collection::vec((0usize..8, crate::plan::tests::edge_value()), 0..3),
+            lens in proptest::collection::vec(0i64..=2, 2),
+            mats in proptest::collection::vec(access_matrix(), 3),
+        ) {
+            // Two loop bounds, then six subscript offsets; up to two of
+            // them moved to the edges.
+            let mut vals = small;
+            for (at, e) in edges {
+                vals[at] = e;
+            }
+            let (los, offs) = vals.split_at(2);
+            let bounds: Vec<String> = los
+                .iter()
+                .zip(&lens)
+                .map(|(&lo, &len)| {
+                    let lo = lo.min(i64::MAX - len);
+                    format!("{lo}..{}", lo + len)
+                })
+                .collect();
+            let src = format!(
+                "nest edge\narray a 2\narray b 2\nstmt S depth 2 domain {}\n  \
+                 write a [{}] + [{} {}]\n  read b [{}] + [{} {}]\n  read a [{}] + [{} {}]\n",
+                bounds.join(" "),
+                mats[0], offs[0], offs[1], mats[1], offs[2], offs[3], mats[2], offs[4], offs[5],
+            );
+            let nest = parse_nest(&src).map_err(|e| format!("{src}: {e}"))?;
+            let opts = MappingOptions::new(2);
+            if let Ok(mapping) = crate::pipeline::map_nest(&nest, &opts) {
+                let mesh = Mesh2D::new(4, 4, CostModel::paragon());
+                for closed in [false, true] {
+                    let target = CompileOptions {
+                        mesh: mesh.clone(),
+                        dist: Dist2D::uniform(Dist1D::Cyclic),
+                        vshape: (8, 8),
+                        bytes: 64,
+                        mode: ScheduleMode::Phased,
+                        closed,
+                    };
+                    let none = CancelToken::none();
+                    let run = std::panic::catch_unwind(|| {
+                        compile(&nest, &mapping, &target, &none)
+                            .map(|c| c.plan.verify_availability(&nest, &mapping))
+                    });
+                    match run {
+                        Ok(Ok(verified)) => prop_assert!(verified.is_ok(), "{src}: {verified:?}"),
+                        Ok(Err(RescommError::Analysis { .. })) => {}
+                        Ok(Err(e)) => prop_assert!(false, "{src} closed={closed}: {e}"),
+                        Err(_) => prop_assert!(false, "{src} closed={closed}: panicked"),
+                    }
+                }
+            }
+            let shared = Server::bind(ServerConfig::default()).unwrap().shared;
+            let req = format!(
+                "{{\"op\": \"map\", \"nest\": {}}}",
+                JsonValue::Str(src.clone()).render()
+            );
+            let resp = parse(&handle_line(&shared, &req)).unwrap();
+            let code = resp.get("error").and_then(|e| e.get("code")).and_then(JsonValue::as_str);
+            prop_assert!(matches!(code, None | Some("analysis")), "{src}: {code:?}");
+            prop_assert_eq!(shared.stats.panics_absorbed.load(Ordering::Relaxed), 0);
         }
     }
 }

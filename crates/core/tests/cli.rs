@@ -394,9 +394,11 @@ fn unrunnable_flag_combinations_are_usage_errors_not_panics() {
 
 /// The motivating example with `S1`'s second loop moved next to
 /// `i64::MAX`: mapping succeeds, but the plan stages' exact subscript
-/// arithmetic overflows. Both plan flags must report that as an
-/// analysis error (exit 4) through the CLI's error path, never as a
-/// panic (exit 101).
+/// arithmetic overflows; and a nest whose read offset leaves `i64` only
+/// once added to the subscript. Both plan flags and `--recover` must
+/// report that as an analysis error (exit 4) through the CLI's error
+/// path, never as a panic (exit 101) or a priced plan, in debug and
+/// release builds alike.
 #[test]
 fn plan_stages_report_overflow_as_analysis_errors() {
     let src = std::fs::read_to_string(concat!(
@@ -409,12 +411,33 @@ fn plan_stages_report_overflow_as_analysis_errors() {
         "stmt S1 depth 2 domain 0..1 9223372036854775805..9223372036854775806",
     );
     assert!(src.contains("9223372036854775805"));
-    let f = write_nest(&src);
-    for args in [&["--closed-plan"][..], &["--replications", "2"][..]] {
-        let out = cli().arg(f.as_str()).args(args).output().unwrap();
-        let err = String::from_utf8(out.stderr).unwrap();
-        assert_eq!(out.status.code(), Some(4), "{args:?}: {err}");
-        assert!(!err.contains("panicked"), "{args:?}: {err}");
-        assert!(err.contains("analysis error"), "{args:?}: {err}");
+    let wrap = "nest wrap\narray b 2\n\
+                stmt S1 depth 2 domain 0..1 9223372036854775800..9223372036854775802\n  \
+                write b [1 0; 0 1] + [0 0]\n  read  b [1 0; 0 1] + [0 7]\n";
+    let motivating: &[&[&str]] = &[
+        &["--closed-plan"],
+        &["--replications", "2"],
+        &["--recover", "5"],
+        &["--closed-plan", "--recover", "5"],
+    ];
+    let cases: [(&str, &[&[&str]]); 2] = [
+        (&src, motivating),
+        (wrap, &[&["--closed-plan"], &["--replications", "2"]]),
+    ];
+    for (src, runs) in cases {
+        let f = write_nest(src);
+        for args in runs {
+            let out = cli().arg(f.as_str()).args(*args).output().unwrap();
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(4), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+            assert!(err.contains("analysis error"), "{args:?}: {err}");
+            if !args.contains(&"--recover") {
+                assert!(
+                    err.contains("analysis error in build_plan"),
+                    "{args:?}: {err}"
+                );
+            }
+        }
     }
 }

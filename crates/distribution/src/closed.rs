@@ -518,20 +518,16 @@ fn fold_dense(
     let np = pr * pc;
     let (t00, t01, t10, t11) = (t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]);
     let (vri, vci) = (vr as i64, vc as i64);
+    // `a·i + s mod v` in `i128`, exact for every `a`, `s` and grid side.
+    let wrap = |a: i64, i: i64, s: i64, v: i64| {
+        (i128::from(a) * i128::from(i) + i128::from(s)).rem_euclid(i128::from(v)) as usize
+    };
     let rmap: Vec<usize> = (0..vr).map(|i| dist.rows.map(i as i64, vr, pr)).collect();
     let cmap: Vec<usize> = (0..vc).map(|j| dist.cols.map(j as i64, vc, pc)).collect();
-    let row_i: Vec<usize> = (0..vri)
-        .map(|i| (t00 * i + shift.0).rem_euclid(vri) as usize)
-        .collect();
-    let row_j: Vec<usize> = (0..vci)
-        .map(|j| (t01 * j).rem_euclid(vri) as usize)
-        .collect();
-    let col_i: Vec<usize> = (0..vri)
-        .map(|i| (t10 * i + shift.1).rem_euclid(vci) as usize)
-        .collect();
-    let col_j: Vec<usize> = (0..vci)
-        .map(|j| (t11 * j).rem_euclid(vci) as usize)
-        .collect();
+    let row_i: Vec<usize> = (0..vri).map(|i| wrap(t00, i, shift.0, vri)).collect();
+    let row_j: Vec<usize> = (0..vci).map(|j| wrap(t01, j, 0, vri)).collect();
+    let col_i: Vec<usize> = (0..vri).map(|i| wrap(t10, i, shift.1, vci)).collect();
+    let col_j: Vec<usize> = (0..vci).map(|j| wrap(t11, j, 0, vci)).collect();
     let mut counts = vec![0u64; np * np];
     for i in 0..vr {
         let (ri, ci) = (row_i[i], col_i[i]);
@@ -566,7 +562,7 @@ fn msgs_from_counts(counts: &[u64], (pr, pc): (usize, usize), elem_bytes: u64) -
                 msgs.push(Msg {
                     src: (sp / pc, sp % pc),
                     dst: (dp / pc, dp % pc),
-                    bytes: n * elem_bytes,
+                    bytes: n.saturating_mul(elem_bytes),
                 });
             }
         }

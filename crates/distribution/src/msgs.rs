@@ -79,7 +79,8 @@ pub fn physical_messages(
         if s == d {
             continue;
         }
-        *agg.entry((s, d)).or_insert(0) += elem_bytes;
+        let bytes = agg.entry((s, d)).or_insert(0);
+        *bytes = bytes.saturating_add(elem_bytes);
     }
     agg.into_iter()
         .map(|((src, dst), bytes)| Msg { src, dst, bytes })
@@ -442,7 +443,7 @@ pub fn fold_pattern(
             .map(|(src, dst, sends)| Msg {
                 src,
                 dst,
-                bytes: sends * elem_bytes,
+                bytes: sends.saturating_mul(elem_bytes),
             })
             .collect(),
         local_sends,

@@ -261,6 +261,24 @@ impl IMat {
             .expect("i64 overflow in exact integer matrix arithmetic")
     }
 
+    /// The affine map `self · v + off`, each component accumulated in
+    /// `i128` with its constant and narrowed once: [`IMat::mul_vec`] plus
+    /// a constant term (a missing entry of `off` is 0, extra ones are
+    /// ignored).
+    ///
+    /// # Panics
+    /// Panics if `v.len() != self.cols()` or a component leaves `i64`.
+    pub fn mul_vec_add(&self, v: &[i64], off: &[i64]) -> Vec<i64> {
+        assert_eq!(v.len(), self.cols, "mul_vec: dimension mismatch");
+        (0..self.rows)
+            .map(|i| {
+                let dot = self.row(i).iter().zip(v);
+                let acc = dot.fold(0i128, |acc, (&a, &x)| acc + a as i128 * x as i128);
+                narrow(acc + off.get(i).map_or(0, |&o| o as i128))
+            })
+            .collect()
+    }
+
     /// Fallible matrix–vector product: [`LinError::Overflow`] instead of a
     /// panic when a component leaves `i64` (products are accumulated in
     /// `i128`, so only the final narrowing can fail).
@@ -1009,6 +1027,21 @@ mod tests {
         // i64 panics with a clear message instead.
         let big = IMat::from_rows(&[&[i64::MAX / 2, i64::MAX / 2], &[1, 1]]);
         let _ = &big * &big;
+    }
+
+    #[test]
+    fn mul_vec_add_adds_the_constant_inside_the_exact_sum() {
+        let m = IMat::from_rows(&[&[1, 0], &[0, 2]]);
+        assert_eq!(m.mul_vec_add(&[3, 4], &[1, -1]), vec![4, 7]);
+        // `2·2⁶²` alone leaves `i64`; the constant brings it back.
+        assert_eq!(m.mul_vec_add(&[0, 1 << 62], &[0, -1]), vec![0, i64::MAX]);
+    }
+
+    #[test]
+    #[should_panic(expected = "i64 overflow in exact integer matrix arithmetic")]
+    fn mul_vec_add_overflow_panics_instead_of_wrapping() {
+        let m = IMat::identity(1);
+        let _ = m.mul_vec_add(&[i64::MAX], &[1]);
     }
 
     #[test]

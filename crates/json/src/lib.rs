@@ -5,9 +5,9 @@
 //! * [`JsonDoc`] — the field-order-stable emitter behind every committed
 //!   `BENCH_*.json` artifact (top-level scalars first, then named row
 //!   arrays of flat objects, fields in insertion order, floats at fixed
-//!   precision). It used to live in `rescomm-bench`; it moved down here
-//!   so the service snapshots (`rescomm::serve`) and the machine-layer
-//!   plan serialization share the exact same renderer.
+//!   precision). The bench bins write every artifact through it; the
+//!   mapping service (`rescomm::serve`) does not use it: it renders
+//!   answers as [`JsonValue`]s and splices them into its snapshots.
 //! * [`parse`] — the matching strict parser. It accepts exactly the
 //!   JSON the emitter produces (plus standard escapes, exponents and
 //!   nested values), reports malformed input with a 1-based line and

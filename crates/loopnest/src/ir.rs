@@ -58,11 +58,7 @@ pub struct Access {
 impl Access {
     /// The array subscript for iteration point `i`: `F·i + c`.
     pub fn subscript(&self, i: &[i64]) -> Vec<i64> {
-        let mut v = self.f.mul_vec(i);
-        for (x, &o) in v.iter_mut().zip(&self.c) {
-            *x += o;
-        }
-        v
+        self.f.mul_vec_add(i, &self.c)
     }
 }
 

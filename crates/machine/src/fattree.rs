@@ -86,7 +86,7 @@ impl FatTree {
                 .map(|e| free.get(e).copied().unwrap_or(0))
                 .max()
                 .unwrap_or(0);
-            let end = start + dur;
+            let end = start.saturating_add(dur);
             for e in edges {
                 free.insert(e, end);
             }

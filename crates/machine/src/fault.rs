@@ -587,7 +587,7 @@ impl RecoveryReport {
         self.detected += other.detected;
         self.rollbacks += other.rollbacks;
         self.replayed_phases += other.replayed_phases;
-        self.lost_work_ns += other.lost_work_ns;
+        self.lost_work_ns = self.lost_work_ns.saturating_add(other.lost_work_ns);
         self.checkpoints += other.checkpoints;
         self.checkpoint_overhead_ns += other.checkpoint_overhead_ns;
         self.folded_nodes += other.folded_nodes;
@@ -648,13 +648,15 @@ impl FaultReport {
     /// it: undone work and checkpoint writes. This is what a wall clock
     /// would measure across the whole run, rollbacks included.
     pub fn wall_clock_ns(&self) -> u64 {
-        self.makespan + self.recovery.lost_work_ns + self.recovery.checkpoint_overhead_ns
+        let recovery = &self.recovery;
+        (self.makespan.saturating_add(recovery.lost_work_ns))
+            .saturating_add(recovery.checkpoint_overhead_ns)
     }
 
     /// Fold another phase's report into this one (makespans add —
     /// dependent phases run back to back).
     pub fn absorb(&mut self, other: &FaultReport) {
-        self.makespan += other.makespan;
+        self.makespan = self.makespan.saturating_add(other.makespan);
         self.messages += other.messages;
         self.delivered += other.delivered;
         self.lost += other.lost;

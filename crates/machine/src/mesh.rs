@@ -259,7 +259,7 @@ impl Mesh2D {
             let route = self.route(m.src, m.dst);
             let dur = self.cost.p2p(route.len(), m.bytes);
             let start = route.iter().map(|l| link_free[l.0]).max().unwrap_or(0);
-            let end = start + dur;
+            let end = start.saturating_add(dur);
             for l in &route {
                 link_free[l.0] = end;
             }
@@ -271,7 +271,8 @@ impl Mesh2D {
     /// Simulate a sequence of dependent phases (each starts after the
     /// previous completes) and return the total time.
     pub fn simulate_phases(&self, phases: &[Vec<PMsg>]) -> u64 {
-        phases.iter().map(|p| self.simulate_phase(p)).sum()
+        let sum = |t: u64, p: &Vec<PMsg>| t.saturating_add(self.simulate_phase(p));
+        phases.iter().fold(0, sum)
     }
 }
 

@@ -60,9 +60,12 @@ impl CostModel {
         }
     }
 
-    /// Duration of one point-to-point transfer over `hops` links.
+    /// Duration of one point-to-point transfer over `hops` links,
+    /// saturating at `u64::MAX` (the simulated clock never wraps).
     pub fn p2p(&self, hops: usize, bytes: u64) -> u64 {
-        self.startup + self.per_hop * hops as u64 + self.per_byte * bytes
+        let hops = self.per_hop.saturating_mul(hops as u64);
+        let wire = self.per_byte.saturating_mul(bytes);
+        self.startup.saturating_add(hops).saturating_add(wire)
     }
 
     /// Duration of a control-network collective over `p` participants.

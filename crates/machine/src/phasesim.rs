@@ -435,7 +435,8 @@ impl PhaseSim {
                 let pos = ring.iter().rposition(|c| c.now <= d.t).unwrap_or(0);
                 ring.truncate(pos + 1);
                 let c = ring.back().expect("phase 0 is always checkpointed");
-                total.recovery.lost_work_ns += phase_end - c.now;
+                let lost = &mut total.recovery.lost_work_ns;
+                *lost = lost.saturating_add(phase_end - c.now);
                 let recovery = total.recovery;
                 total = c.report;
                 total.recovery = recovery;
@@ -527,7 +528,7 @@ impl PhaseSim {
             let msg = phase.msgs[j];
             let (src, dst) = (msg.src, msg.dst);
             let xy = phase.xy(j);
-            let dur = cost.p2p(xy.len(), msg.bytes * run.byte_scale);
+            let dur = cost.p2p(xy.len(), msg.bytes.saturating_mul(run.byte_scale));
             let ready = match release {
                 Release::PerPhase => 0,
                 _ => self.node_ready[src],
@@ -539,7 +540,8 @@ impl PhaseSim {
                     let alive = f
                         .node_alive_after_mode(src, next_send, with_deaths)
                         .max(f.node_alive_after_mode(dst, next_send, with_deaths));
-                    if alive == u64::MAX {
+                    // `u64::MAX` is death unless the clock saturated there.
+                    if alive == u64::MAX && next_send < u64::MAX {
                         rep.lost += 1;
                         rep.black_holes += 1;
                         break;
@@ -873,7 +875,7 @@ fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
 #[inline]
 fn phase_end(release: Release, now: u64, makespan: u64) -> u64 {
     match release {
-        Release::PerPhase => now + makespan,
+        Release::PerPhase => now.saturating_add(makespan),
         _ => now.max(makespan),
     }
 }
@@ -1308,6 +1310,41 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn saturating_clocks_still_match_the_oracles() {
+        // Sizes whose transfer time alone passes `u64::MAX`: every clock
+        // saturates instead of wrapping, the engine still equals both
+        // oracles, and the makespan only grows with the size.
+        let m = mesh(4, 4);
+        let mut last = 0;
+        for bytes in [1 << 20, u64::MAX / 6, u64::MAX / 2, u64::MAX] {
+            let phases: Vec<Vec<PMsg>> = (0..3)
+                .map(|k| {
+                    let mut p = mixed_phase(&m, 12, k);
+                    p.iter_mut().for_each(|msg| msg.bytes = bytes);
+                    p
+                })
+                .collect();
+            let healthy =
+                PhaseSim::new(m.clone()).simulate_phases_mode(&phases, ScheduleMode::Phased);
+            assert_eq!(healthy, m.simulate_phases(&phases), "{bytes}");
+            assert!(healthy >= last, "{bytes}: {healthy} < {last}");
+            last = healthy;
+            let plan = FaultPlan {
+                seed: 5,
+                drop_prob: 0.3,
+                dup_prob: 0.1,
+                ..FaultPlan::none()
+            };
+            let rep = faulty_run(&m, &phases, &plan);
+            let seeds = [plan.seed, 9, 11];
+            let lanes =
+                FaultSim::new(&m, &phases, &plan).replay_faulty(&seeds, SchedulePolicy::default());
+            assert_eq!(lanes[0], rep, "{bytes}");
+        }
+        assert_eq!(last, u64::MAX);
     }
 
     #[test]

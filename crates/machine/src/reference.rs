@@ -148,7 +148,7 @@ fn run(
             let seed = plan.seed.wrapping_add(i as u64);
             let mut rep = transmit_phase(mesh, &mut s, &msgs, &transport, seed, mode);
             phase_end = match mode {
-                ScheduleMode::Phased => s.now + rep.makespan,
+                ScheduleMode::Phased => s.now.saturating_add(rep.makespan),
                 ScheduleMode::Overlapped(_) => s.now.max(rep.makespan),
             };
             rep.makespan = phase_end - s.now;
@@ -180,7 +180,8 @@ fn run(
             let pos = ring.iter().rposition(|c| c.now <= d.t).unwrap_or(0);
             ring.truncate(pos + 1);
             let c = ring.last().expect("phase 0 is always checkpointed");
-            recovery.lost_work_ns += phase_end - c.now;
+            let lost = &mut recovery.lost_work_ns;
+            *lost = lost.saturating_add(phase_end - c.now);
             recovery.rollbacks += 1;
             s = c.clone();
             continue;
@@ -249,7 +250,8 @@ fn transmit_phase(
             let alive = plan
                 .node_alive_after(m.src, t)
                 .max(plan.node_alive_after(m.dst, t));
-            if alive == u64::MAX {
+            // `u64::MAX` is death unless the clock saturated there.
+            if alive == u64::MAX && t < u64::MAX {
                 rep.lost += 1;
                 rep.black_holes += 1;
                 break;
