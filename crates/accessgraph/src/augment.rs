@@ -20,7 +20,7 @@
 
 use crate::graph::{AccessGraph, EdgeId, Vertex};
 use crate::paths::Components;
-use rescomm_intlin::{solve_xf_eq_s_particular, IMat};
+use rescomm_intlin::{solve_xf_eq_s_particular, IMat, MatId, MatTable};
 
 /// Outcome of examining one non-branching edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,13 +133,16 @@ impl RootConstraints {
 ///
 /// `branching_edges` are the already-local edges; `components` the
 /// structure from [`crate::paths::component_structure`]; `m` the target
-/// grid dimension.
+/// grid dimension; `mats` the table both were built in. The freeness test
+/// `R_u·W = R_v` is a memoized id product and an id comparison.
 pub fn augment(
     graph: &AccessGraph,
     branching_edges: &[EdgeId],
     components: &Components,
     m: usize,
+    mats: &mut MatTable,
 ) -> Augmented {
+    graph.check_table(mats);
     let in_branching: Vec<bool> = {
         let mut v = vec![false; graph.edges.len()];
         for e in branching_edges {
@@ -196,16 +199,16 @@ pub fn augment(
             residual_access[e.access.0] = true;
             continue;
         }
-        let rv = &components.rel[vi];
-        let lhs = &components.rel[ui] * &e.weight;
-        if lhs == *rv {
+        let rv = components.rel[vi];
+        let lhs = mats.mul(components.rel[ui], graph.weight_id(e));
+        if lhs == rv {
             outcomes.push((e.id, AugmentOutcome::Free));
             local_edges.push(e.id);
             mark_access(&mut local_access, graph, e.id);
             continue;
         }
         // Constraint K = R_u·W − R_v; accumulate with existing ones.
-        let k = &lhs - rv;
+        let k = &mats[lhs] - &mats[rv];
         let root = components.list[cu as usize].root;
         let ri = graph.vertex_index(root);
         let accumulated = match root_constraints.get(ri) {
@@ -268,7 +271,9 @@ pub fn merge_cross_components(
     components: &mut Components,
     aug: &mut Augmented,
     _m: usize,
+    mats: &mut MatTable,
 ) {
+    graph.check_table(mats);
     // Dense vertex → initial component index; merges are tracked by the
     // union-find on component indices instead of rewriting the map.
     let comp_of = component_index(graph, components);
@@ -296,30 +301,23 @@ pub fn merge_cross_components(
         if constrained(cu) || constrained(cv) {
             continue;
         }
-        let target = &components.rel[ui] * &e.weight; // R_u·W
-
-        // Full row rank of every rebased relation keeps the Lemma-1
-        // guarantee alive.
-        let keeps_rank = |z: &IMat, c: usize| {
-            components.list[c]
-                .members
-                .iter()
-                .all(|&w| (z * &components.rel[graph.vertex_index(w)]).rank() == z.rows())
-        };
+        let target = mats.mul(components.rel[ui], graph.weight_id(e)); // R_u·W
+        let rv = components.rel[vi];
 
         // Direction (a): rebase cv onto cu's root; else (b): cu onto cv's.
-        let rebase = solve_xf_eq_s_particular(&target, &components.rel[vi])
-            .ok()
-            .filter(|z| keeps_rank(z, cv))
-            .map(|z| (cv, cu, z))
-            .or_else(|| {
-                solve_xf_eq_s_particular(&components.rel[vi], &target)
-                    .ok()
-                    .filter(|z| keeps_rank(z, cu))
-                    .map(|z| (cu, cv, z))
-            });
+        let mut rebase = None;
+        for (x, s, absorbed, grown) in [(target, rv, cv, cu), (rv, target, cu, cv)] {
+            let Ok(z) = solve_xf_eq_s_particular(&mats[x], &mats[s]) else {
+                continue;
+            };
+            let z = mats.intern_owned(z);
+            if keeps_rank(graph, components, mats, z, absorbed) {
+                rebase = Some((absorbed, grown, z));
+                break;
+            }
+        }
         if let Some((absorbed, grown, z)) = rebase {
-            apply_merge(graph, components, absorbed, grown, &z, eid);
+            apply_merge(graph, components, mats, absorbed, grown, z, eid);
             uf.absorb(absorbed, grown);
             mark_merged(aug, eid, &mut merged_edge);
         }
@@ -361,12 +359,29 @@ impl UnionFind {
     }
 }
 
+/// Full row rank of every relation of component `c` rebased by `z` keeps
+/// the Lemma-1 guarantee alive.
+fn keeps_rank(
+    graph: &AccessGraph,
+    components: &Components,
+    mats: &mut MatTable,
+    z: MatId,
+    c: usize,
+) -> bool {
+    let rows = mats[z].rows();
+    components.list[c].members.iter().all(|&w| {
+        let p = mats.mul(z, components.rel[graph.vertex_index(w)]);
+        mats[p].rank() == rows
+    })
+}
+
 fn apply_merge(
     graph: &AccessGraph,
     components: &mut Components,
+    mats: &mut MatTable,
     absorbed: usize,
     grown: usize,
-    z: &IMat,
+    z: MatId,
     eid: EdgeId,
 ) {
     let Components { list, rel } = components;
@@ -374,7 +389,7 @@ fn apply_merge(
     let moved_edges = std::mem::take(&mut list[absorbed].edges);
     for &w in &moved_members {
         let wi = graph.vertex_index(w);
-        rel[wi] = z * &rel[wi];
+        rel[wi] = mats.mul(z, rel[wi]);
     }
     list[grown].members.extend(moved_members);
     list[grown].edges.extend(moved_edges);
@@ -395,7 +410,7 @@ mod tests {
     use crate::branching::maximum_branching;
     use crate::graph::AccessGraph;
     use crate::paths::component_structure;
-    use rescomm_intlin::IMat;
+    use rescomm_intlin::{IMat, MatTable};
     use rescomm_loopnest::{examples, Domain, NestBuilder};
 
     mod rescomm_accessgraph_test_helpers {
@@ -405,10 +420,11 @@ mod tests {
     }
 
     fn run(nest: &rescomm_loopnest::LoopNest, m: usize) -> (AccessGraph, Augmented) {
-        let g = AccessGraph::build(nest, m);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(nest, m, true, &mut mats);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, nest);
-        let a = augment(&g, &b.edges, &comps, m);
+        let comps = component_structure(&g, &b, nest, &mut mats);
+        let a = augment(&g, &b.edges, &comps, m, &mut mats);
         (g, a)
     }
 
@@ -531,12 +547,13 @@ mod tests {
         bld.read(s, a, IMat::from_rows(&[&[1, 0, 0], &[0, 1, 0]]), &[0, 0]);
         bld.read(s, b, IMat::from_rows(&[&[0, 1, 0], &[1, 0, 0]]), &[0, 0]);
         let nest = bld.build().unwrap();
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let br = maximum_branching(&g);
-        let mut comps = component_structure(&g, &br, &nest);
-        let mut aug = augment(&g, &br.edges, &comps, 2);
+        let mut comps = component_structure(&g, &br, &nest, &mut mats);
+        let mut aug = augment(&g, &br.edges, &comps, 2, &mut mats);
         let before = aug.residual_edges.len();
-        merge_cross_components(&g, &mut comps, &mut aug, 2);
+        merge_cross_components(&g, &mut comps, &mut aug, 2, &mut mats);
         assert!(
             aug.residual_edges.len() < before,
             "merging must absorb at least one residual: {:?}",
@@ -551,10 +568,10 @@ mod tests {
         assert_eq!(list.iter().filter(|c| !c.members.is_empty()).count(), 1);
         assert_eq!(list[0].members.len(), 4);
         // Merged relations still satisfy every component edge.
-        let rel = |v| &comps.rel[g.vertex_index(v)];
+        let rel = |v| &mats[comps.rel[g.vertex_index(v)]];
         for &eid in &list[0].edges {
             let e = &g.edges[eid.0];
-            assert_eq!(*rel(e.to), rel(e.from) * &e.weight);
+            assert_eq!(*rel(e.to), rel(e.from) * g.weight(e));
         }
     }
 
@@ -563,12 +580,13 @@ mod tests {
         // matmul's cross edges are genuinely incompatible (at most one
         // operand aligns at full rank): merging must not change anything.
         let nest = examples::matmul(4);
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let br = maximum_branching(&g);
-        let mut comps = component_structure(&g, &br, &nest);
-        let mut aug = augment(&g, &br.edges, &comps, 2);
+        let mut comps = component_structure(&g, &br, &nest, &mut mats);
+        let mut aug = augment(&g, &br.edges, &comps, 2, &mut mats);
         let before = aug.residual_edges.clone();
-        merge_cross_components(&g, &mut comps, &mut aug, 2);
+        merge_cross_components(&g, &mut comps, &mut aug, 2, &mut mats);
         assert_eq!(aug.residual_edges, before);
     }
 

@@ -18,9 +18,8 @@
 //! (they are dealt with later: a rank-deficient access can still turn into
 //! a broadcast, cf. the motivating example's `F8`).
 
-use rescomm_intlin::{small_left_inverse, IMat};
+use rescomm_intlin::{small_left_inverse, FxMap, IMat, MatId, MatTable};
 use rescomm_loopnest::{AccessId, ArrayId, LoopNest, StmtId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A vertex of the access graph.
@@ -38,7 +37,7 @@ pub struct EdgeId(pub usize);
 
 /// A directed edge of the access graph: choosing it makes the underlying
 /// communication local by setting `M_to = M_from · weight`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Edge {
     /// Edge identifier (index into [`AccessGraph::edges`]).
     pub id: EdgeId,
@@ -48,8 +47,11 @@ pub struct Edge {
     pub from: Vertex,
     /// Destination vertex.
     pub to: Vertex,
-    /// Weight matrix `W`: local iff `M_to = M_from · W`.
-    pub weight: IMat,
+    /// Weight matrix `W` (local iff `M_to = M_from · W`), as an index
+    /// into the graph's distinct weights: read it with
+    /// [`AccessGraph::weight`], or its [`MatId`] with
+    /// [`AccessGraph::weight_id`].
+    pub weight: u32,
     /// Integer weight for the branching: `rank F`, a consistent estimate of
     /// the communication volume (§2.2.3).
     pub int_weight: i64,
@@ -59,7 +61,7 @@ pub struct Edge {
 }
 
 /// Why an access did not produce a graph edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exclusion {
     /// `F` is rank-deficient.
     RankDeficient,
@@ -91,104 +93,110 @@ pub struct AccessGraph {
     /// one access are pushed contiguously; excluded accesses get an empty
     /// range). This is the access → edges adjacency used by `augment`.
     access_edge_span: Vec<(u32, u32)>,
+    /// The distinct weight matrices, indexed by [`Edge::weight`].
+    weights: Vec<IMat>,
+    /// The id of each of `weights` in the table the graph was built in.
+    weight_ids: Vec<MatId>,
+    /// The id of each access's `F` in that table, by access id.
+    f_ids: Vec<MatId>,
+    /// [`MatTable::tag`] of that table.
+    table_tag: u64,
 }
 
 /// What one access contributes to the graph, as a pure function of
-/// `(F, m)` — classification (excluded or not, and why), edge directions,
-/// and weight matrices. Everything position-dependent (which statement,
-/// which array, edge ids) is applied at materialization time.
-#[derive(Debug, Clone)]
-enum CachedAccess {
+/// `(F, m)`: excluded (and why), or its edges with their by-rank weight.
+/// Everything position-dependent (which statement, which array, edge ids)
+/// is applied when the edges are pushed.
+#[derive(Debug, Clone, Copy)]
+enum Class {
     /// The access produces no edge.
     Excluded(Exclusion),
-    /// The access produces these directed edges.
+    /// The access produces one or two directed edges.
     Edges {
         /// `min(q, d)` = `rank F` (full by construction): the by-rank
         /// integer weight.
         full: i64,
         /// `true` iff the access is square (its edges are twins).
         square: bool,
-        /// `(array_to_stmt, weight matrix)` per directed edge.
-        dirs: Vec<(bool, IMat)>,
+        /// `(array_to_stmt, index into the graph's weights)` per directed
+        /// edge; the second is used only when `n == 2`.
+        dirs: [(bool, u32); 2],
+        /// Number of directed edges (1 or 2).
+        n: u8,
     },
 }
 
-/// Classify one access matrix: exclusion or edge set. The expensive parts
-/// (rank, the integer left-inverse search, unimodular inversion) all live
-/// here, and depend only on `(f, m)`.
-fn classify_access(f: &IMat, m: usize) -> CachedAccess {
+/// Classify the access matrix `f` (id `fid`): exclusion or edge set. The
+/// expensive parts (rank, the integer left-inverse search, unimodular
+/// inversion) all live here and depend only on `(f, m)`; new weights are
+/// appended to `weights`/`weight_ids`.
+fn classify_access(
+    f: &IMat,
+    fid: MatId,
+    m: usize,
+    mats: &mut MatTable,
+    weights: &mut Vec<IMat>,
+    weight_ids: &mut Vec<MatId>,
+) -> Class {
     let (q, d) = f.shape();
     let full = q.min(d);
     if f.rank() < full {
-        return CachedAccess::Excluded(Exclusion::RankDeficient);
+        return Class::Excluded(Exclusion::RankDeficient);
     }
     if full < m {
-        return CachedAccess::Excluded(Exclusion::RankBelowTarget);
+        return Class::Excluded(Exclusion::RankBelowTarget);
     }
+    let mut push = |w: IMat, id: MatId| {
+        weights.push(w);
+        weight_ids.push(id);
+        (weights.len() - 1) as u32
+    };
+    let full = full as i64;
     if q < d {
         // Flat: array → statement with weight F.
-        CachedAccess::Edges {
-            full: full as i64,
+        let w = push(f.clone(), fid);
+        Class::Edges {
+            full,
             square: false,
-            dirs: vec![(true, f.clone())],
+            dirs: [(true, w); 2],
+            n: 1,
         }
     } else if q > d {
         // Narrow: statement → array with an integer G, G·F = Id.
         match small_left_inverse(f, 2) {
-            Ok(g) => CachedAccess::Edges {
-                full: full as i64,
-                square: false,
-                dirs: vec![(false, g)],
-            },
-            Err(_) => CachedAccess::Excluded(Exclusion::NoIntegerInverse),
+            Ok(g) => {
+                let gid = mats.intern(&g);
+                let w = push(g, gid);
+                Class::Edges {
+                    full,
+                    square: false,
+                    dirs: [(false, w); 2],
+                    n: 1,
+                }
+            }
+            Err(_) => Class::Excluded(Exclusion::NoIntegerInverse),
         }
     } else {
         // Square: x → S always; S → x only if F is unimodular.
-        let mut dirs = vec![(true, f.clone())];
+        let w = push(f.clone(), fid);
         if matches!(f.det(), 1 | -1) {
             let inv = f.inverse_unimodular().expect("unimodular inverse");
-            dirs.push((false, inv));
+            let iid = mats.intern(&inv);
+            let wi = push(inv, iid);
+            Class::Edges {
+                full,
+                square: true,
+                dirs: [(true, w), (false, wi)],
+                n: 2,
+            }
+        } else {
+            Class::Edges {
+                full,
+                square: true,
+                dirs: [(true, w); 2],
+                n: 1,
+            }
         }
-        CachedAccess::Edges {
-            full: full as i64,
-            square: true,
-            dirs,
-        }
-    }
-}
-
-/// Memo for the per-access work of [`AccessGraph::build_weighted`].
-///
-/// Exclusion checks and edge-weight matrices are pure functions of the
-/// access matrix `F` and the target dimension `m` — in particular the
-/// integer left-inverse search for narrow accesses, which dominates build
-/// time on nests with store accesses. Repeated builds (batch serving,
-/// parameter sweeps, `map_nest_with` under a warm `AnalysisCache`)
-/// replay them from here via [`AccessGraph::build_weighted_cached`].
-#[derive(Debug, Default, Clone)]
-pub struct GraphBuildCache {
-    map: HashMap<(IMat, usize), CachedAccess>,
-}
-
-impl GraphBuildCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of memoized `(F, m)` classifications.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drop all memoized classifications.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -201,87 +209,120 @@ impl AccessGraph {
 
     /// Build with a choice of weighting: `by_rank = true` gives the
     /// paper's volume-prioritized weights, `false` gives unit weights
-    /// (the ablation: a plain maximum-cardinality branching).
+    /// (the ablation: a plain maximum-cardinality branching). The matrix
+    /// ids live in a private table; passes that read ids need
+    /// [`AccessGraph::build_in`].
     pub fn build_weighted(nest: &LoopNest, m: usize, by_rank: bool) -> Self {
-        Self::build_impl(nest, m, by_rank, None)
+        Self::build_in(nest, m, by_rank, &mut MatTable::new())
     }
 
-    /// [`AccessGraph::build_weighted`] with per-access memoization: the
-    /// classification and weight matrices of each distinct `(F, m)` pair
-    /// are computed once and replayed from `cache` thereafter.
-    pub fn build_weighted_cached(
-        nest: &LoopNest,
-        m: usize,
-        by_rank: bool,
-        cache: &mut GraphBuildCache,
-    ) -> Self {
-        Self::build_impl(nest, m, by_rank, Some(cache))
-    }
-
-    fn build_impl(
-        nest: &LoopNest,
-        m: usize,
-        by_rank: bool,
-        mut cache: Option<&mut GraphBuildCache>,
-    ) -> Self {
+    /// [`AccessGraph::build_weighted`] with every access matrix and edge
+    /// weight interned in `mats`: each distinct `F` is classified once
+    /// (by id), and the passes that follow read the ids
+    /// ([`AccessGraph::weight_id`], [`AccessGraph::f_ids`]) in the same
+    /// table.
+    pub fn build_in(nest: &LoopNest, m: usize, by_rank: bool, mats: &mut MatTable) -> Self {
         assert!(m >= 1, "target dimension must be at least 1");
-        let mut vertices = Vec::new();
-        for i in 0..nest.arrays.len() {
-            vertices.push(Vertex::Array(ArrayId(i)));
-        }
-        for i in 0..nest.statements.len() {
-            vertices.push(Vertex::Stmt(StmtId(i)));
-        }
+        let n_arrays = nest.arrays.len();
+        let mut vertices = Vec::with_capacity(n_arrays + nest.statements.len());
+        vertices.extend((0..n_arrays).map(|i| Vertex::Array(ArrayId(i))));
+        vertices.extend((0..nest.statements.len()).map(|i| Vertex::Stmt(StmtId(i))));
 
-        let mut edges: Vec<Edge> = Vec::new();
+        let mut edges: Vec<Edge> = Vec::with_capacity(nest.accesses.len() * 2);
         let mut excluded = Vec::new();
         let mut access_edge_span = Vec::with_capacity(nest.accesses.len());
+        let mut f_ids = Vec::with_capacity(nest.accesses.len());
+        let mut weights = Vec::new();
+        let mut weight_ids = Vec::new();
+        // Each distinct F is classified once per build.
+        let mut classes: FxMap<MatId, Class> = FxMap::default();
+        let mut last: Option<(MatId, Class)> = None;
         for acc in &nest.accesses {
-            let start = edges.len() as u32;
-            access_edge_span.push((start, start));
-            let fresh;
-            let class: &CachedAccess = match cache.as_deref_mut() {
-                Some(c) => c
-                    .map
-                    .entry((acc.f.clone(), m))
-                    .or_insert_with(|| classify_access(&acc.f, m)),
-                None => {
-                    fresh = classify_access(&acc.f, m);
-                    &fresh
+            let fid = mats.intern(&acc.f);
+            f_ids.push(fid);
+            let class = match last {
+                Some((id, c)) if id == fid => c,
+                _ => {
+                    let c = *classes.entry(fid).or_insert_with(|| {
+                        classify_access(&acc.f, fid, m, mats, &mut weights, &mut weight_ids)
+                    });
+                    last = Some((fid, c));
+                    c
                 }
             };
+            let start = edges.len() as u32;
             match class {
-                CachedAccess::Excluded(why) => excluded.push((acc.id, why.clone())),
-                CachedAccess::Edges { full, square, dirs } => {
+                Class::Excluded(why) => excluded.push((acc.id, why)),
+                Class::Edges {
+                    full,
+                    square,
+                    dirs,
+                    n,
+                } => {
                     let x = Vertex::Array(acc.array);
                     let s = Vertex::Stmt(acc.stmt);
-                    let w = if by_rank { *full } else { 1 };
-                    for (array_to_stmt, weight) in dirs {
-                        let (from, to) = if *array_to_stmt { (x, s) } else { (s, x) };
-                        let id = EdgeId(edges.len());
+                    let w = if by_rank { full } else { 1 };
+                    for &(array_to_stmt, weight) in &dirs[..n as usize] {
+                        let (from, to) = if array_to_stmt { (x, s) } else { (s, x) };
                         edges.push(Edge {
-                            id,
+                            id: EdgeId(edges.len()),
                             access: acc.id,
                             from,
                             to,
-                            weight: weight.clone(),
+                            weight,
                             int_weight: w,
-                            twin_of_square: *square,
+                            twin_of_square: square,
                         });
                     }
                 }
             }
-            access_edge_span.last_mut().unwrap().1 = edges.len() as u32;
+            access_edge_span.push((start, edges.len() as u32));
         }
         AccessGraph {
             m,
             vertices,
             edges,
             excluded,
-            n_arrays: nest.arrays.len(),
+            n_arrays,
             n_accesses: nest.accesses.len(),
             access_edge_span,
+            weights,
+            weight_ids,
+            f_ids,
+            table_tag: mats.tag(),
         }
+    }
+
+    /// The weight matrix `W` of edge `e`.
+    #[inline]
+    pub fn weight(&self, e: &Edge) -> &IMat {
+        &self.weights[e.weight as usize]
+    }
+
+    /// The id of `e`'s weight in the table the graph was built in.
+    #[inline]
+    pub fn weight_id(&self, e: &Edge) -> MatId {
+        self.weight_ids[e.weight as usize]
+    }
+
+    /// The id of every access's matrix `F` (by access id) in the table
+    /// the graph was built in.
+    #[inline]
+    pub fn f_ids(&self) -> &[MatId] {
+        &self.f_ids
+    }
+
+    /// Assert that `mats` is the table (and the same generation of it)
+    /// the graph was built in, so its ids mean what the graph says.
+    ///
+    /// # Panics
+    /// Panics on any other table, or after `mats` was cleared.
+    pub fn check_table(&self, mats: &MatTable) {
+        assert_eq!(
+            self.table_tag,
+            mats.tag(),
+            "matrix ids from another table: build the graph with AccessGraph::build_in"
+        );
     }
 
     /// Index of a vertex in [`AccessGraph::vertices`].
@@ -375,12 +416,12 @@ mod tests {
         assert_eq!(e1.to, Vertex::Array(ids.b));
         // Its weight satisfies G·F1 = Id.
         let f1 = &nest.access(ids.f1).f;
-        assert!((&e1.weight * f1).is_identity());
+        assert!((g.weight(e1) * f1).is_identity());
         // F6 flat (2×3): edge a → S2 with weight F6 itself.
         let e6 = g.edges.iter().find(|e| e.access == ids.f6).unwrap();
         assert_eq!(e6.from, Vertex::Array(ids.a));
         assert_eq!(e6.to, Vertex::Stmt(ids.s2));
-        assert_eq!(e6.weight, nest.access(ids.f6).f);
+        assert_eq!(*g.weight(e6), nest.access(ids.f6).f);
         // F5 square identity: double arrow (two edges).
         let e5: Vec<_> = g.edges.iter().filter(|e| e.access == ids.f5).collect();
         assert_eq!(e5.len(), 2);

@@ -11,7 +11,7 @@
 
 use crate::branching::Branching;
 use crate::graph::{AccessGraph, EdgeId, Vertex};
-use rescomm_intlin::IMat;
+use rescomm_intlin::{IMat, MatId, MatTable};
 use rescomm_loopnest::LoopNest;
 
 /// One connected component of the branching forest.
@@ -36,13 +36,15 @@ pub struct Components {
     /// The components, ordered by root vertex index; merging drops the
     /// absorbed ones.
     pub list: Vec<Component>,
-    /// `R_v` per vertex index: `M_v = M_root · R_v` for the root of `v`'s
-    /// component (`R_root = Id`).
-    pub rel: Vec<IMat>,
+    /// `R_v` per vertex index, as its id in the table the components were
+    /// built in: `M_v = M_root · R_v` for the root of `v`'s component
+    /// (`R_root = Id`).
+    pub rel: Vec<MatId>,
 }
 
 /// Split the branching into its connected components and compute the
-/// relative matrices along the tree paths.
+/// relative matrices along the tree paths, in `mats` (the table `graph`
+/// was built in): each `R_v = R_u·W` is a memoized id product.
 ///
 /// The children of every vertex sit in one CSR table (an offsets array
 /// over the branching edges, in edge order), and the traversal reuses one
@@ -52,7 +54,9 @@ pub fn component_structure(
     graph: &AccessGraph,
     branching: &Branching,
     nest: &LoopNest,
+    mats: &mut MatTable,
 ) -> Components {
+    graph.check_table(mats);
     let n = graph.vertices.len();
     let mut has_parent = vec![false; n];
     // `child_start[v]..child_start[v + 1]` indexes `child_edge` for the
@@ -82,15 +86,16 @@ pub fn component_structure(
     for e in &graph.edges {
         let fi = graph.vertex_index(e.from);
         if dim_hint[fi].is_none() {
-            dim_hint[fi] = Some(e.weight.rows());
+            dim_hint[fi] = Some(graph.weight(e).rows());
         }
         let ti = graph.vertex_index(e.to);
         if dim_hint[ti].is_none() {
-            dim_hint[ti] = Some(e.weight.cols());
+            dim_hint[ti] = Some(graph.weight(e).cols());
         }
     }
 
-    let mut rel = vec![IMat::zeros(0, 0); n];
+    let unset = mats.intern(&IMat::zeros(0, 0));
+    let mut rel = vec![unset; n];
     let mut list = Vec::new();
     let mut members: Vec<Vertex> = Vec::new();
     let mut edges: Vec<EdgeId> = Vec::new();
@@ -103,7 +108,7 @@ pub fn component_structure(
         // incident weight matrix; fall back to the vertex dimension for
         // isolated vertices.
         let root_dim = dim_hint[ri].unwrap_or_else(|| graph.vertex_dim(nest, root));
-        rel[ri] = IMat::identity(root_dim);
+        rel[ri] = mats.intern(&IMat::identity(root_dim));
         members.clear();
         edges.clear();
         members.push(root);
@@ -113,7 +118,7 @@ pub fn component_structure(
             for &eid in &child_edge[a..b] {
                 let e = &graph.edges[eid.0];
                 let ci = graph.vertex_index(e.to);
-                rel[ci] = &rel[ui] * &e.weight;
+                rel[ci] = mats.mul(rel[ui], graph.weight_id(e));
                 members.push(e.to);
                 edges.push(eid);
                 stack.push(ci);
@@ -133,33 +138,36 @@ mod tests {
     use super::*;
     use crate::branching::maximum_branching;
     use crate::graph::AccessGraph;
+    use rescomm_intlin::MatTable;
     use rescomm_loopnest::examples;
 
     #[test]
     fn motivating_example_single_component() {
         let (nest, _) = examples::motivating_example(8, 4);
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let cs = component_structure(&g, &b, &nest);
+        let cs = component_structure(&g, &b, &nest, &mut mats);
         assert_eq!(cs.list.len(), 1, "all six vertices align into one tree");
         let c = &cs.list[0];
         assert_eq!(c.members.len(), 6);
         assert_eq!(c.edges.len(), 5);
         // Root relative matrix is the identity.
-        assert!(cs.rel[g.vertex_index(c.root)].is_identity());
+        assert!(mats[cs.rel[g.vertex_index(c.root)]].is_identity());
     }
 
     #[test]
     fn relative_matrices_compose_edge_weights() {
         let (nest, _) = examples::motivating_example(8, 4);
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let cs = component_structure(&g, &b, &nest);
-        let rel = |v| &cs.rel[g.vertex_index(v)];
+        let cs = component_structure(&g, &b, &nest, &mut mats);
+        let rel = |v| &mats[cs.rel[g.vertex_index(v)]];
         // Every branching edge u→v must satisfy R_v = R_u · W.
         for &eid in &cs.list[0].edges {
             let e = &g.edges[eid.0];
-            assert_eq!(*rel(e.to), rel(e.from) * &e.weight);
+            assert_eq!(*rel(e.to), rel(e.from) * g.weight(e));
         }
     }
 
@@ -168,13 +176,14 @@ mod tests {
         // Lemma 1 chain: all R_v keep rank = root_dim, so any full-rank
         // seed M_root yields full-rank allocations.
         let (nest, _) = examples::motivating_example(8, 4);
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let cs = component_structure(&g, &b, &nest);
+        let cs = component_structure(&g, &b, &nest, &mut mats);
         let c = &cs.list[0];
-        let root_dim = cs.rel[g.vertex_index(c.root)].rows();
+        let root_dim = mats[cs.rel[g.vertex_index(c.root)]].rows();
         for &v in &c.members {
-            let r = &cs.rel[g.vertex_index(v)];
+            let r = &mats[cs.rel[g.vertex_index(v)]];
             assert_eq!(r.rank(), root_dim, "R for {v:?} lost rank: {r:?}");
         }
     }
@@ -187,9 +196,10 @@ mod tests {
         let _y = bld.array("y", 2);
         let _s = bld.statement("S", 2, Domain::cube(2, 4));
         let nest = bld.build().unwrap();
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let cs = component_structure(&g, &b, &nest);
+        let cs = component_structure(&g, &b, &nest, &mut mats);
         assert_eq!(cs.list.len(), 3);
         assert!(cs.list.iter().all(|c| c.members.len() == 1));
     }
@@ -197,9 +207,10 @@ mod tests {
     #[test]
     fn matmul_components() {
         let nest = examples::matmul(4);
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let cs = component_structure(&g, &b, &nest);
+        let cs = component_structure(&g, &b, &nest, &mut mats);
         // One edge chosen: one 2-vertex component + two singletons.
         assert_eq!(cs.list.len(), 3);
         let sizes: Vec<usize> = {

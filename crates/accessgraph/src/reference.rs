@@ -7,7 +7,8 @@
 //! a union-find. These functions preserve the original algorithms verbatim
 //! (up to the `Augmented` index bookkeeping, which did not exist then, and
 //! the vertex-indexed relative-matrix and root-constraint tables, which
-//! are data layout) so differential property tests and the
+//! are data layout; the relative matrices are ids read through a
+//! [`MatTable`] and edge weights are read with [`AccessGraph::weight`]) so differential property tests and the
 //! `pipeline_baseline` bin can check — and time — old versus new on the
 //! same inputs. Feasibility stays the seed's kernel-basis test and merging
 //! the seed's full solution family, the oracles of the rank test and the
@@ -17,7 +18,7 @@ use crate::branching::Branching;
 use crate::graph::{AccessGraph, EdgeId, Vertex};
 use crate::paths::Components;
 use crate::{AugmentOutcome, Augmented, RootConstraints};
-use rescomm_intlin::{left_kernel_basis, solve_xf_eq_s, IMat};
+use rescomm_intlin::{left_kernel_basis, solve_xf_eq_s, IMat, MatTable};
 use std::collections::HashMap;
 
 /// Seed maximum branching: positional `vertices.iter().position(..)`
@@ -188,6 +189,7 @@ pub fn augment_reference(
     branching_edges: &[EdgeId],
     components: &Components,
     m: usize,
+    mats: &MatTable,
 ) -> Augmented {
     let in_branching: Vec<bool> = {
         let mut v = vec![false; graph.edges.len()];
@@ -202,7 +204,7 @@ pub fn augment_reference(
             comp_of.insert(v, ci);
         }
     }
-    let rel = |v: Vertex| &components.rel[graph.vertex_index(v)];
+    let rel = |v: Vertex| &mats[components.rel[graph.vertex_index(v)]];
 
     let mut outcomes = Vec::new();
     let mut local_edges: Vec<EdgeId> = branching_edges.to_vec();
@@ -249,7 +251,7 @@ pub fn augment_reference(
         let comp = &components.list[cu];
         let ru = rel(e.from);
         let rv = rel(e.to);
-        let lhs = ru * &e.weight;
+        let lhs = ru * graph.weight(e);
         if lhs == *rv {
             outcomes.push((e.id, AugmentOutcome::Free));
             local_edges.push(e.id);
@@ -295,6 +297,7 @@ pub fn merge_cross_components_reference(
     components: &mut Components,
     aug: &mut Augmented,
     _m: usize,
+    mats: &mut MatTable,
 ) {
     let mut comp_of: HashMap<Vertex, usize> = HashMap::new();
     for (ci, c) in components.list.iter().enumerate() {
@@ -320,8 +323,8 @@ pub fn merge_cross_components_reference(
         {
             continue;
         }
-        let rel = |v: Vertex| &components.rel[graph.vertex_index(v)];
-        let target = rel(e.from) * &e.weight;
+        let rel = |v: Vertex| &mats[components.rel[graph.vertex_index(v)]];
+        let target = rel(e.from) * graph.weight(e);
 
         let try_a = solve_xf_eq_s(&target, rel(e.to))
             .ok()
@@ -333,7 +336,7 @@ pub fn merge_cross_components_reference(
                     .all(|&w| (z * rel(w)).rank() == z.rows())
             });
         if let Some(z) = try_a {
-            apply_merge_ref(graph, components, &mut comp_of, cv, cu, &z, eid);
+            apply_merge_ref(graph, components, mats, &mut comp_of, cv, cu, &z, eid);
             mark_merged_ref(aug, eid);
             continue;
         }
@@ -347,16 +350,18 @@ pub fn merge_cross_components_reference(
                     .all(|&w| (z * rel(w)).rank() == z.rows())
             });
         if let Some(z) = try_b {
-            apply_merge_ref(graph, components, &mut comp_of, cu, cv, &z, eid);
+            apply_merge_ref(graph, components, mats, &mut comp_of, cu, cv, &z, eid);
             mark_merged_ref(aug, eid);
         }
     }
     components.list.retain(|c| !c.members.is_empty());
 }
 
+#[allow(clippy::too_many_arguments)]
 fn apply_merge_ref(
     graph: &AccessGraph,
     components: &mut Components,
+    mats: &mut MatTable,
     comp_of: &mut HashMap<Vertex, usize>,
     absorbed: usize,
     grown: usize,
@@ -368,7 +373,7 @@ fn apply_merge_ref(
     let moved_edges: Vec<EdgeId> = list[absorbed].edges.clone();
     for w in moved_members {
         let wi = graph.vertex_index(w);
-        rel[wi] = z * &rel[wi];
+        rel[wi] = mats.intern_owned(z * &mats[rel[wi]]);
         list[grown].members.push(w);
         comp_of.insert(w, grown);
     }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rescomm_accessgraph::branching::is_valid_branching;
 use rescomm_accessgraph::{augment, component_structure, maximum_branching, AccessGraph, Vertex};
-use rescomm_intlin::IMat;
+use rescomm_intlin::{IMat, MatTable};
 use rescomm_loopnest::{Domain, LoopNest, NestBuilder};
 
 fn random_nest() -> impl Strategy<Value = LoopNest> {
@@ -65,11 +65,11 @@ proptest! {
             match (q.cmp(&d), e.from) {
                 (std::cmp::Ordering::Less, Vertex::Array(_)) => {
                     // Flat: array → statement, weight = F.
-                    prop_assert_eq!(&e.weight, &acc.f);
+                    prop_assert_eq!(g.weight(e), &acc.f);
                 }
                 (std::cmp::Ordering::Greater, Vertex::Stmt(_)) => {
                     // Narrow: statement → array, weight·F = Id.
-                    prop_assert!((&e.weight * &acc.f).is_identity());
+                    prop_assert!((g.weight(e) * &acc.f).is_identity());
                 }
                 (std::cmp::Ordering::Equal, _) => {
                     prop_assert!(e.twin_of_square);
@@ -110,10 +110,11 @@ proptest! {
     /// matrices satisfy every branching edge.
     #[test]
     fn components_consistent(nest in random_nest()) {
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, &nest);
-        let rel = |v| &comps.rel[g.vertex_index(v)];
+        let comps = component_structure(&g, &b, &nest, &mut mats);
+        let rel = |v| &mats[comps.rel[g.vertex_index(v)]];
         prop_assert_eq!(comps.rel.len(), g.vertices.len());
         let mut seen = std::collections::HashSet::new();
         for c in &comps.list {
@@ -123,7 +124,7 @@ proptest! {
             }
             for &eid in &c.edges {
                 let e = &g.edges[eid.0];
-                prop_assert_eq!(rel(e.to).clone(), rel(e.from) * &e.weight);
+                prop_assert_eq!(rel(e.to).clone(), rel(e.from) * g.weight(e));
             }
         }
         prop_assert_eq!(seen.len(), g.vertices.len());
@@ -134,10 +135,11 @@ proptest! {
     /// dimension ≥ m.
     #[test]
     fn augmentation_certificates(nest in random_nest()) {
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, &nest);
-        let aug = augment(&g, &b.edges, &comps, 2);
+        let comps = component_structure(&g, &b, &nest, &mut mats);
+        let aug = augment(&g, &b.edges, &comps, 2, &mut mats);
         for (_, k) in aug.root_constraints.iter() {
             let basis = rescomm_intlin::left_kernel_basis(k)
                 .expect("accepted constraint must have kernel");
@@ -166,18 +168,19 @@ proptest! {
     #[test]
     fn augment_and_merge_match_reference(nest in random_nest(), m in 1usize..=2) {
         use rescomm_accessgraph::reference;
-        let g = AccessGraph::build(&nest, 2);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let b = maximum_branching(&g);
-        let mut comps_new = component_structure(&g, &b, &nest);
+        let mut comps_new = component_structure(&g, &b, &nest, &mut mats);
         let mut comps_old = comps_new.clone();
-        let mut aug_new = augment(&g, &b.edges, &comps_new, m);
-        let mut aug_old = reference::augment_reference(&g, &b.edges, &comps_old, m);
+        let mut aug_new = augment(&g, &b.edges, &comps_new, m, &mut mats);
+        let mut aug_old = reference::augment_reference(&g, &b.edges, &comps_old, m, &mats);
         prop_assert_eq!(&aug_new.outcomes, &aug_old.outcomes);
         prop_assert_eq!(&aug_new.local_edges, &aug_old.local_edges);
         prop_assert_eq!(&aug_new.residual_edges, &aug_old.residual_edges);
         prop_assert_eq!(&aug_new.root_constraints, &aug_old.root_constraints);
-        rescomm_accessgraph::merge_cross_components(&g, &mut comps_new, &mut aug_new, m);
-        reference::merge_cross_components_reference(&g, &mut comps_old, &mut aug_old, m);
+        rescomm_accessgraph::merge_cross_components(&g, &mut comps_new, &mut aug_new, m, &mut mats);
+        reference::merge_cross_components_reference(&g, &mut comps_old, &mut aug_old, m, &mut mats);
         prop_assert_eq!(&aug_new.outcomes, &aug_old.outcomes);
         prop_assert_eq!(&aug_new.local_edges, &aug_old.local_edges);
         prop_assert_eq!(&aug_new.residual_edges, &aug_old.residual_edges);

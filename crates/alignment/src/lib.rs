@@ -20,7 +20,7 @@
 #![forbid(unsafe_code)]
 
 use rescomm_accessgraph::{AccessGraph, Augmented, Components, Vertex};
-use rescomm_intlin::{left_kernel_basis, IMat};
+use rescomm_intlin::{left_kernel_basis, IMat, MatId, MatTable};
 use rescomm_loopnest::{Access, AccessId, ArrayId, LoopNest, StmtId};
 
 pub mod reference;
@@ -99,11 +99,6 @@ impl Alignment {
         &self.array_alloc[access.array.0].mat * &access.f
     }
 
-    /// The constant term `M_x·c + ρ_x` of the owner map of `access`.
-    fn owner_offset(&self, access: &Access) -> Vec<i64> {
-        self.array_alloc[access.array.0].apply(&access.c)
-    }
-
     /// Exact locality test of an access: the owner map equals the
     /// statement's allocation, `M_S = M_x·F` and `ρ_S = M_x·c + ρ_x`.
     /// The linear parts are compared first, and a mismatch there never
@@ -115,8 +110,21 @@ impl Alignment {
     /// Locality of only the *constant* part (`ρ_S = M_x·c + ρ_x`). An
     /// access whose linear part is local is local when this holds and a
     /// translation otherwise.
+    ///
+    /// Compared in place, one component of `M_x·c + ρ_x` at a time; every
+    /// component is formed, so one that leaves `i64` panics as
+    /// [`Alloc::apply`] does.
     pub fn is_offset_local(&self, access: &Access) -> bool {
-        self.stmt_alloc[access.stmt.0].rho == self.owner_offset(access)
+        let x = &self.array_alloc[access.array.0];
+        let rho_s = &self.stmt_alloc[access.stmt.0].rho;
+        let mut equal = rho_s.len() == x.mat.rows();
+        for r in 0..x.mat.rows() {
+            let owner = x
+                .mat
+                .row_affine(r, &access.c, x.rho.get(r).map_or(0, |&o| o));
+            equal &= rho_s.get(r) == Some(&owner);
+        }
+        equal
     }
 
     /// Locality of only the *linear* part (`M_S = M_x·F`): the paper's
@@ -130,26 +138,42 @@ impl Alignment {
     /// matrix `v` (matrices *and* offsets). Preserves every local
     /// communication inside the component.
     pub fn rotate_component(&mut self, ci: usize, v: &IMat) {
+        self.rotate_with(ci, v, |_, mat| v * mat);
+    }
+
+    /// The loop of [`Alignment::rotate_component`], with `product(w, M)`
+    /// forming `v·M` for the allocation `M` of vertex `w`; offsets are
+    /// rotated in place.
+    fn rotate_with(&mut self, ci: usize, v: &IMat, mut product: impl FnMut(Vertex, &IMat) -> IMat) {
         assert!(
             rescomm_intlin::is_unimodular(v),
             "rotation must be unimodular"
         );
         assert_eq!(v.rows(), self.m);
-        let rotate = |alloc: &mut Alloc| {
+        let mut rotate = |w: Vertex, alloc: &mut Alloc| {
             if alloc.mat.rows() != v.cols() {
                 return; // degenerate (dim < m) vertex: cannot rotate
             }
-            alloc.mat = v * &alloc.mat;
-            alloc.rho = v.mul_vec(&alloc.rho);
+            alloc.mat = product(w, &alloc.mat);
+            let mut buf = [0i64; IMat::INLINE_CAP];
+            match buf.get_mut(..v.rows()) {
+                Some(out) => {
+                    v.mul_vec_into(&alloc.rho, out);
+                    alloc.rho.clear();
+                    alloc.rho.extend_from_slice(out);
+                }
+                None => alloc.rho = v.mul_vec(&alloc.rho),
+            }
         };
-        for (alloc, &c) in self.stmt_alloc.iter_mut().zip(&self.comp_of_stmt) {
-            if c == Some(ci as u32) {
-                rotate(alloc);
+        let c = Some(ci as u32);
+        for (s, alloc) in self.stmt_alloc.iter_mut().enumerate() {
+            if self.comp_of_stmt[s] == c {
+                rotate(Vertex::Stmt(StmtId(s)), alloc);
             }
         }
-        for (alloc, &c) in self.array_alloc.iter_mut().zip(&self.comp_of_array) {
-            if c == Some(ci as u32) {
-                rotate(alloc);
+        for (x, alloc) in self.array_alloc.iter_mut().enumerate() {
+            if self.comp_of_array[x] == c {
+                rotate(Vertex::Array(ArrayId(x)), alloc);
             }
         }
     }
@@ -168,13 +192,24 @@ impl Alignment {
 /// component's edges — the seed's `HashMap<Vertex, _>` bookkeeping (kept
 /// in [`reference`](mod@reference)) re-hashed every vertex on every sweep
 /// and recomputed `M_x·c` per edge *per sweep*.
+///
+/// `mats` is the table `graph` and `components` were built in: each
+/// `M_w = seed·R_w` is a memoized id product, and the ids of every
+/// allocation come back beside the alignment.
+///
+/// # Panics
+/// Panics with [`OFFSET_OVERFLOW`] when an offset leaves `i64`.
 pub fn compute_alignment(
     nest: &LoopNest,
     graph: &AccessGraph,
     components: &Components,
     augmented: &Augmented,
-) -> Alignment {
+    mats: &mut MatTable,
+) -> (Alignment, AllocIds) {
+    graph.check_table(mats);
     let m = graph.m;
+    let mut stmt_ids: Vec<Option<MatId>> = vec![None; nest.statements.len()];
+    let mut array_ids: Vec<Option<MatId>> = vec![None; nest.arrays.len()];
     let mut stmt_alloc: Vec<Option<Alloc>> = vec![None; nest.statements.len()];
     let mut array_alloc: Vec<Option<Alloc>> = vec![None; nest.arrays.len()];
     let mut comp_of_stmt: Vec<Option<u32>> = vec![None; nest.statements.len()];
@@ -208,21 +243,25 @@ pub fn compute_alignment(
         };
         // Every offset of the component has the seed's row count.
         let rows = seed.rows();
+        let seed = mats.intern_owned(seed);
         // Matrices come straight from the relative matrices (valid for
         // plain branching trees AND merged components): M_w = seed·R_w.
         for &v in &comp.members {
+            let id = mats.mul(seed, components.rel[graph.vertex_index(v)]);
             let alloc = Alloc {
-                mat: &seed * &components.rel[graph.vertex_index(v)],
+                mat: mats[id].clone(),
                 rho: Vec::new(), // filled below
             };
             match v {
                 Vertex::Stmt(s) => {
                     comp_of_stmt[s.0] = Some(ci as u32);
                     stmt_alloc[s.0] = Some(alloc);
+                    stmt_ids[s.0] = Some(id);
                 }
                 Vertex::Array(x) => {
                     comp_of_array[x.0] = Some(ci as u32);
                     array_alloc[x.0] = Some(alloc);
+                    array_ids[x.0] = Some(id);
                 }
             }
         }
@@ -263,13 +302,15 @@ pub fn compute_alignment(
                 match (known[xi], known[si]) {
                     (true, false) => {
                         for (r, &c) in mc.iter().enumerate() {
-                            rho[si * m + r] = c + rho[xi * m + r];
+                            rho[si * m + r] =
+                                c.checked_add(rho[xi * m + r]).expect(OFFSET_OVERFLOW);
                         }
                         known[si] = true;
                     }
                     (false, true) => {
                         for (r, &c) in mc.iter().enumerate() {
-                            rho[xi * m + r] = rho[si * m + r] - c;
+                            rho[xi * m + r] =
+                                rho[si * m + r].checked_sub(c).expect(OFFSET_OVERFLOW);
                         }
                         known[xi] = true;
                     }
@@ -301,14 +342,90 @@ pub fn compute_alignment(
         .enumerate()
         .map(|(i, a)| a.unwrap_or_else(|| canonical(m, nest.arrays[i].dim)))
         .collect();
+    let mut fill = |ids: Vec<Option<MatId>>, allocs: &[Alloc]| -> Vec<MatId> {
+        ids.into_iter()
+            .zip(allocs)
+            .map(|(id, a)| id.unwrap_or_else(|| mats.intern(&a.mat)))
+            .collect()
+    };
+    let ids = AllocIds {
+        stmt: fill(stmt_ids, &stmt_alloc),
+        array: fill(array_ids, &array_alloc),
+        tag: mats.tag(),
+    };
 
-    Alignment {
-        m,
-        stmt_alloc,
-        array_alloc,
-        comp_of_stmt,
-        comp_of_array,
-        n_components: components.list.len(),
+    (
+        Alignment {
+            m,
+            stmt_alloc,
+            array_alloc,
+            comp_of_stmt,
+            comp_of_array,
+            n_components: components.list.len(),
+        },
+        ids,
+    )
+}
+
+/// The panic message of an allocation offset that leaves `i64`, in
+/// [`compute_alignment`] and its reference alike.
+pub const OFFSET_OVERFLOW: &str = "i64 overflow in the alignment offset chase";
+
+/// The id of every allocation matrix of one [`Alignment`] in one
+/// [`MatTable`], so the residual test, the detection memo and the
+/// dataflow memo compare and hash ids. Kept beside the alignment, not in
+/// it: a rotation goes through [`AllocIds::rotate`], which re-interns only
+/// the rotated component.
+#[derive(Debug, Clone)]
+pub struct AllocIds {
+    /// Per statement (indexed by `StmtId`).
+    pub stmt: Vec<MatId>,
+    /// Per array (indexed by `ArrayId`).
+    pub array: Vec<MatId>,
+    /// [`MatTable::tag`] of the table the ids are in.
+    tag: u64,
+}
+
+impl AllocIds {
+    /// Intern every allocation matrix of `alignment` in `mats`.
+    pub fn intern(alignment: &Alignment, mats: &mut MatTable) -> Self {
+        AllocIds {
+            stmt: alignment
+                .stmt_alloc
+                .iter()
+                .map(|a| mats.intern(&a.mat))
+                .collect(),
+            array: alignment
+                .array_alloc
+                .iter()
+                .map(|a| mats.intern(&a.mat))
+                .collect(),
+            tag: mats.tag(),
+        }
+    }
+
+    /// Assert that `mats` is the table (and generation) the ids are in.
+    ///
+    /// # Panics
+    /// Panics on any other table, or after `mats` was cleared.
+    pub fn check_table(&self, mats: &MatTable) {
+        assert_eq!(self.tag, mats.tag(), "allocation ids from another table");
+    }
+
+    /// [`Alignment::rotate_component`] through the table: each rotated
+    /// allocation's matrix is the memoized product `v·M` of its id, so a
+    /// component's few distinct allocations are multiplied once each.
+    pub fn rotate(&mut self, alignment: &mut Alignment, ci: usize, v: &IMat, mats: &mut MatTable) {
+        self.check_table(mats);
+        let vid = mats.intern(v);
+        alignment.rotate_with(ci, v, |w, _| {
+            let id = match w {
+                Vertex::Stmt(s) => &mut self.stmt[s.0],
+                Vertex::Array(x) => &mut self.array[x.0],
+            };
+            *id = mats.mul(vid, *id);
+            mats[*id].clone()
+        });
     }
 }
 
@@ -346,11 +463,12 @@ mod tests {
     use rescomm_loopnest::examples;
 
     fn full(nest: &LoopNest, m: usize) -> (AccessGraph, Alignment) {
-        let g = AccessGraph::build(nest, m);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(nest, m, true, &mut mats);
         let b = maximum_branching(&g);
-        let comps = component_structure(&g, &b, nest);
-        let aug = augment(&g, &b.edges, &comps, m);
-        let al = compute_alignment(nest, &g, &comps, &aug);
+        let comps = component_structure(&g, &b, nest, &mut mats);
+        let aug = augment(&g, &b.edges, &comps, m, &mut mats);
+        let (al, _) = compute_alignment(nest, &g, &comps, &aug, &mut mats);
         (g, al)
     }
 

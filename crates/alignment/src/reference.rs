@@ -7,14 +7,16 @@
 //! `StmtId`/`ArrayId`-indexed tables and hoisted the per-edge `M_x·c`
 //! product out of the offset fixpoint sweeps. This function preserves the
 //! original algorithm verbatim (up to materializing the same dense
-//! [`Alignment`] struct at the end, which did not exist then, and reading
-//! the relative matrices from the vertex-indexed [`Components::rel`]) so
+//! [`Alignment`] struct at the end, which did not exist then, reading
+//! the relative matrices from the vertex-indexed [`Components::rel`]
+//! through a [`MatTable`], and checking the offset chase as the fast path
+//! does) so
 //! differential tests and `pipeline_baseline` can check — and time — old
 //! versus new on the same inputs.
 
-use crate::{canonical, Alignment, Alloc};
+use crate::{canonical, Alignment, Alloc, OFFSET_OVERFLOW};
 use rescomm_accessgraph::{AccessGraph, Augmented, Components, Vertex};
-use rescomm_intlin::{left_kernel_basis, IMat};
+use rescomm_intlin::{left_kernel_basis, IMat, MatTable};
 use rescomm_loopnest::{ArrayId, LoopNest, StmtId};
 use std::collections::HashMap;
 
@@ -26,6 +28,7 @@ pub fn compute_alignment_reference(
     graph: &AccessGraph,
     components: &Components,
     augmented: &Augmented,
+    mats: &MatTable,
 ) -> Alignment {
     let m = graph.m;
     let mut allocs: HashMap<Vertex, Alloc> = HashMap::new();
@@ -56,7 +59,7 @@ pub fn compute_alignment_reference(
             allocs.insert(
                 w,
                 Alloc {
-                    mat: &seed * &components.rel[graph.vertex_index(w)],
+                    mat: &seed * &mats[components.rel[graph.vertex_index(w)]],
                     rho: Vec::new(), // filled below
                 },
             );
@@ -79,13 +82,21 @@ pub fn compute_alignment_reference(
                 match (rho.contains_key(&xv), rho.contains_key(&sv)) {
                     (true, false) => {
                         let rx = &rho[&xv];
-                        let rs: Vec<i64> = mc.iter().zip(rx).map(|(&a, &b)| a + b).collect();
+                        let rs: Vec<i64> = mc
+                            .iter()
+                            .zip(rx)
+                            .map(|(&a, &b)| a.checked_add(b).expect(OFFSET_OVERFLOW))
+                            .collect();
                         rho.insert(sv, rs);
                         progress = true;
                     }
                     (false, true) => {
                         let rs = &rho[&sv];
-                        let rx: Vec<i64> = rs.iter().zip(&mc).map(|(&a, &b)| a - b).collect();
+                        let rx: Vec<i64> = rs
+                            .iter()
+                            .zip(&mc)
+                            .map(|(&a, &b)| a.checked_sub(b).expect(OFFSET_OVERFLOW))
+                            .collect();
                         rho.insert(xv, rx);
                         progress = true;
                     }

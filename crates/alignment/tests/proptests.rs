@@ -8,8 +8,8 @@ use rescomm_accessgraph::{
     AugmentOutcome,
 };
 use rescomm_alignment::reference::compute_alignment_reference;
-use rescomm_alignment::{compute_alignment, Alignment};
-use rescomm_intlin::IMat;
+use rescomm_alignment::{compute_alignment, Alignment, AllocIds};
+use rescomm_intlin::{IMat, MatTable};
 use rescomm_loopnest::{Domain, LoopNest, NestBuilder};
 
 /// Nests of 1–3 arrays and 1–3 statements with up to 8 accesses whose
@@ -77,17 +77,22 @@ proptest! {
     /// fully (offsets included), free and constrained ones linearly.
     #[test]
     fn alignment_matches_reference_and_keeps_locals(nest in random_nest(), m in 1usize..=2) {
-        let g = AccessGraph::build(&nest, m);
+        let mut mats = MatTable::new();
+        let g = AccessGraph::build_in(&nest, m, true, &mut mats);
         let b = maximum_branching(&g);
-        let mut comps = component_structure(&g, &b, &nest);
-        let mut aug = augment(&g, &b.edges, &comps, m);
+        let mut comps = component_structure(&g, &b, &nest, &mut mats);
+        let mut aug = augment(&g, &b.edges, &comps, m, &mut mats);
         assert_same(
-            &compute_alignment(&nest, &g, &comps, &aug),
-            &compute_alignment_reference(&nest, &g, &comps, &aug),
+            &compute_alignment(&nest, &g, &comps, &aug, &mut mats).0,
+            &compute_alignment_reference(&nest, &g, &comps, &aug, &mats),
         )?;
-        merge_cross_components(&g, &mut comps, &mut aug, m);
-        let al = compute_alignment(&nest, &g, &comps, &aug);
-        assert_same(&al, &compute_alignment_reference(&nest, &g, &comps, &aug))?;
+        merge_cross_components(&g, &mut comps, &mut aug, m, &mut mats);
+        let (al, ids) = compute_alignment(&nest, &g, &comps, &aug, &mut mats);
+        assert_same(&al, &compute_alignment_reference(&nest, &g, &comps, &aug, &mats))?;
+        // The ids that come back are the allocations' own.
+        let interned = AllocIds::intern(&al, &mut mats);
+        prop_assert_eq!(&ids.stmt, &interned.stmt);
+        prop_assert_eq!(&ids.array, &interned.array);
 
         for c in &comps.list {
             for &eid in &c.edges {

@@ -13,22 +13,23 @@
 use crate::error::{guarded, CancelToken, Cancelled, Incident, RescommError};
 use rescomm_accessgraph::{
     augment, component_structure, maximum_branching, merge_cross_components, reference,
-    AccessGraph, GraphBuildCache, Vertex,
+    AccessGraph, Vertex,
 };
-use rescomm_alignment::{compute_alignment, residual_communications, Alignment};
+use rescomm_alignment::{compute_alignment, residual_communications, Alignment, AllocIds};
 use rescomm_decompose::{
     decompose_direct, decompose_general, search_similarity, shear_decompose, Elementary, GenFactor,
+    SimilarDecomposition,
 };
-use rescomm_intlin::{solve_xf_eq_s_particular, IMat};
-use rescomm_loopnest::{AccessId, AccessKind, LoopNest};
+use rescomm_intlin::{solve_xf_eq_s_particular, FxMap, IMat, MatId, MatTable};
+use rescomm_loopnest::{Access, AccessId, AccessKind, LoopNest};
 use rescomm_machine::pool;
 use rescomm_machine::SweepReport;
 use rescomm_macrocomm::{
     axis_alignment_rotation, detect, Extent, MacroComm, MacroInput, MacroKind,
 };
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Options controlling the pipeline (the `false` settings are the
 /// ablations benchmarked in `rescomm-bench`).
@@ -129,60 +130,41 @@ impl Mapping {
     }
 }
 
-/// Multiply-rotate hashing (the rustc "Fx" hash) for the memo keys, which
-/// are tiny integer matrices: a memo lives inside one process and holds
-/// only keys the pipeline made, so it needs no flood-resistant hash.
-#[derive(Default)]
-struct FxHasher(u64);
+/// Memo key for [`detect`]: the ids of `(θ, F, M_S, M_x)`, the access kind
+/// and whether the statement is a reduction.
+type DetectKey = (MatId, MatId, MatId, MatId, AccessKind, bool);
 
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// Memo key for [`detect`]: `(θ, F, M_S, M_x, access kind, reduction?)`.
-type DetectKey = (IMat, IMat, IMat, IMat, AccessKind, bool);
-
-/// Memo for the kernel-heavy computations of the pipeline: the per-access
-/// graph-build classification ([`GraphBuildCache`] — the integer
-/// left-inverse search dominates build time on nests with store
-/// accesses), [`detect`](fn@detect)'s collective classification, the
-/// dataflow-matrix solve and the unirow decomposition of a dataflow
-/// matrix ([`decompose_general`], a Smith form), keyed by the exact
-/// matrices involved. Chained
-/// stencil families repeat the same `(θ, F, M_S, M_x)` combinations
-/// across hundreds of statements, so one cache entry replaces many
-/// Hermite/kernel/adjugate computations.
+/// Memo for the kernel-heavy computations of the pipeline, over one
+/// [`MatTable`] that interns every matrix the pipeline reads or makes.
+///
+/// * The table gives each distinct matrix one [`MatId`] and memoizes
+///   products by id pair: the graph build classifies each distinct `F`
+///   once, `R_v = R_u·W`, `M_w = seed·R_w` and the residual test
+///   `M_x·F = M_S` are id products and id comparisons.
+/// * [`detect`](fn@detect)'s collective classification is keyed on the
+///   ids of `(θ, F, M_S, M_x)`, the dataflow solve on those of
+///   `(M_S, M_x·F)`, and each dataflow matrix `T` keeps its determinant,
+///   direct factors, similarity and unirow counts by id.
+///
+/// Chained stencil families repeat the same few matrices across hundreds
+/// of statements, so one entry replaces many Hermite/kernel/adjugate
+/// computations.
 ///
 /// The cache is **outcome-transparent**: every memoized function is pure,
-/// so a cached run classifies exactly like an uncached one. Reuse a cache
-/// across nests mapped with the same options ([`map_nest_batch`] gives
-/// each worker thread its own), or keep one per call as [`map_nest`] does.
+/// so a cached run classifies exactly like an uncached one, and a
+/// computation that panics stores nothing. Reuse a cache across nests
+/// (mixed `m` included; [`map_nest_batch`] gives each worker thread its
+/// own, and the server one per slot), or keep one per call as
+/// [`map_nest`] does. [`AnalysisCache::len`] counts the table too, so a
+/// caller bounds the whole cache by clearing it past a size.
 pub struct AnalysisCache {
     enabled: bool,
-    detect: FxMap<DetectKey, Option<MacroComm>>,
-    dataflow: FxMap<(IMat, IMat, IMat, usize), Option<IMat>>,
-    unirow: FxMap<IMat, Option<UnirowCounts>>,
-    graph: GraphBuildCache,
+    mats: MatTable,
+    detect: FxMap<DetectKey, u32>,
+    /// The detections, indexed by the values of `detect`.
+    detected: Vec<Option<MacroComm>>,
+    dataflow: FxMap<(MatId, MatId, u32), Option<MatId>>,
+    facts: FxMap<MatId, TFacts>,
 }
 
 impl AnalysisCache {
@@ -190,44 +172,44 @@ impl AnalysisCache {
     pub fn new() -> Self {
         AnalysisCache {
             enabled: true,
+            mats: MatTable::new(),
             detect: FxMap::default(),
+            detected: Vec::new(),
             dataflow: FxMap::default(),
-            unirow: FxMap::default(),
-            graph: GraphBuildCache::new(),
+            facts: FxMap::default(),
         }
     }
 
-    /// A cache that never stores or returns anything — the reference path
-    /// uses it to time the seed behaviour honestly.
+    /// A cache that keeps nothing from one mapping to the next and
+    /// memoizes no detection, solve or decomposition — the reference path
+    /// uses it to time the seed behaviour honestly. (Its matrix table,
+    /// which the passes need for ids, is emptied at the start of every
+    /// mapping.)
     pub fn disabled() -> Self {
         AnalysisCache {
             enabled: false,
-            detect: FxMap::default(),
-            dataflow: FxMap::default(),
-            unirow: FxMap::default(),
-            graph: GraphBuildCache::new(),
+            ..AnalysisCache::new()
         }
     }
 
-    /// Drop all memoized entries (the `enabled` flag is kept).
+    /// Drop all memoized entries and interned matrices (the `enabled`
+    /// flag is kept).
     pub fn clear(&mut self) {
+        self.mats.clear();
         self.detect.clear();
+        self.detected.clear();
         self.dataflow.clear();
-        self.unirow.clear();
-        self.graph.clear();
+        self.facts.clear();
     }
 
-    /// Number of memoized entries across all tables.
+    /// Number of entries across all tables, the matrix table included.
     pub fn len(&self) -> usize {
-        self.detect.len() + self.dataflow.len() + self.unirow.len() + self.graph.len()
+        self.mats.len() + self.detected.len() + self.dataflow.len() + self.facts.len()
     }
 
     /// `true` when nothing is memoized.
     pub fn is_empty(&self) -> bool {
-        self.detect.is_empty()
-            && self.dataflow.is_empty()
-            && self.unirow.is_empty()
-            && self.graph.is_empty()
+        self.len() == 0
     }
 }
 
@@ -237,25 +219,51 @@ impl Default for AnalysisCache {
     }
 }
 
-/// [`detect`] through the memo (pure, so cache hits are exact replays).
-fn detect_cached(cache: &mut AnalysisCache, input: MacroInput<'_>) -> Option<MacroComm> {
+/// [`detect`] of one access under the allocations `ids`, through the memo
+/// (pure, so cache hits are exact replays): the index of the detection in
+/// `cache.detected`.
+fn detect_cached(
+    cache: &mut AnalysisCache,
+    nest: &LoopNest,
+    acc: &Access,
+    f: MatId,
+    ids: &AllocIds,
+    reduces: &[bool],
+) -> u32 {
+    let theta = nest.statement(acc.stmt).schedule.theta();
+    let (m_s, m_x) = (ids.stmt[acc.stmt.0], ids.array[acc.array.0]);
+    let run = |mats: &MatTable| {
+        detect(MacroInput {
+            theta,
+            f: &acc.f,
+            m_s: &mats[m_s],
+            m_x: &mats[m_x],
+            kind: acc.kind,
+            stmt_is_reduction: reduces[acc.stmt.0],
+        })
+    };
+    let push = |cache: &mut AnalysisCache| {
+        let out = run(&cache.mats);
+        cache.detected.push(out);
+        (cache.detected.len() - 1) as u32
+    };
     if !cache.enabled {
-        return detect(input);
+        return push(cache);
     }
     let key = (
-        input.theta.clone(),
-        input.f.clone(),
-        input.m_s.clone(),
-        input.m_x.clone(),
-        input.kind,
-        input.stmt_is_reduction,
+        cache.mats.intern(theta),
+        f,
+        m_s,
+        m_x,
+        acc.kind,
+        reduces[acc.stmt.0],
     );
-    if let Some(hit) = cache.detect.get(&key) {
-        return hit.clone();
+    if let Some(&hit) = cache.detect.get(&key) {
+        return hit;
     }
-    let out = detect(input);
-    cache.detect.insert(key, out.clone());
-    out
+    let i = push(cache);
+    cache.detect.insert(key, i);
+    i
 }
 
 /// Run the complete heuristic on a nest.
@@ -399,76 +407,96 @@ fn map_nest_impl(
     cancel: &CancelToken,
 ) -> Result<Mapping, Cancelled> {
     let m = opts.m;
+    if !cache.enabled {
+        cache.mats.clear();
+        cache.detected.clear();
+    }
     cancel.check("graph_build")?;
     // ---- Step 1: zero out what we can. ----
-    let graph = if cache.enabled {
-        AccessGraph::build_weighted_cached(nest, m, opts.weight_by_rank, &mut cache.graph)
-    } else {
-        AccessGraph::build_weighted(nest, m, opts.weight_by_rank)
-    };
+    let graph = AccessGraph::build_in(nest, m, opts.weight_by_rank, &mut cache.mats);
     cancel.check("branching")?;
     let branching = if use_reference {
         reference::maximum_branching_reference(&graph)
     } else {
         maximum_branching(&graph)
     };
-    let mut comps = component_structure(&graph, &branching, nest);
+    let mut comps = component_structure(&graph, &branching, nest, &mut cache.mats);
     cancel.check("augment")?;
     let mut aug = if use_reference {
-        reference::augment_reference(&graph, &branching.edges, &comps, m)
+        reference::augment_reference(&graph, &branching.edges, &comps, m, &cache.mats)
     } else {
-        augment(&graph, &branching.edges, &comps, m)
+        augment(&graph, &branching.edges, &comps, m, &mut cache.mats)
     };
     // Step 1(c) extension: merge compatible cross-component edges so
     // their communications become local too.
     cancel.check("merge")?;
     if use_reference {
-        reference::merge_cross_components_reference(&graph, &mut comps, &mut aug, m);
+        reference::merge_cross_components_reference(
+            &graph,
+            &mut comps,
+            &mut aug,
+            m,
+            &mut cache.mats,
+        );
     } else {
-        merge_cross_components(&graph, &mut comps, &mut aug, m);
+        merge_cross_components(&graph, &mut comps, &mut aug, m, &mut cache.mats);
     }
     cancel.check("alignment")?;
-    let mut alignment = if use_reference {
-        rescomm_alignment::reference::compute_alignment_reference(nest, &graph, &comps, &aug)
-    } else {
-        compute_alignment(nest, &graph, &comps, &aug)
-    };
     let mut rotations: HashMap<usize, IMat> = HashMap::new();
+    if use_reference {
+        let mut alignment = rescomm_alignment::reference::compute_alignment_reference(
+            nest,
+            &graph,
+            &comps,
+            &aug,
+            &cache.mats,
+        );
+        if opts.enable_macro {
+            cancel.check("macro_scan")?;
+            macro_scan_reference(nest, &mut alignment, &mut rotations);
+        }
+        cancel.check("classify")?;
+        let outcomes = classify_outcomes_reference(nest, &mut alignment, &mut rotations, opts);
+        return Ok(Mapping {
+            alignment,
+            outcomes,
+            rotations,
+            incidents: Vec::new(),
+        });
+    }
+    let (mut alignment, mut ids) = compute_alignment(nest, &graph, &comps, &aug, &mut cache.mats);
 
     // ---- Step 2(a): macro-communications, rotating components. ----
     let reduces = nest.reduction_stmts();
+    let f_ids = graph.f_ids();
     let mut scanned = None;
     if opts.enable_macro {
         cancel.check("macro_scan")?;
-        if use_reference {
-            macro_scan_reference(nest, &mut alignment, &mut rotations, cache);
-        } else {
-            scanned = Some(macro_scan(
-                nest,
-                &mut alignment,
-                &mut rotations,
-                &reduces,
-                cache,
-            ));
-        }
+        scanned = Some(macro_scan(
+            nest,
+            f_ids,
+            &mut alignment,
+            &mut ids,
+            &mut rotations,
+            &reduces,
+            cache,
+        ));
     }
 
     // ---- Classify every access under the (possibly rotated) alignment,
     //      decomposing leftover general communications. ----
     cancel.check("classify")?;
-    let outcomes = if use_reference {
-        classify_outcomes_reference(nest, &mut alignment, &mut rotations, opts, cache)
-    } else {
-        classify_outcomes(
-            nest,
-            &mut alignment,
-            &mut rotations,
-            opts,
-            cache,
-            &reduces,
-            scanned.as_deref(),
-        )
-    };
+    let outcomes = classify_outcomes(
+        nest,
+        f_ids,
+        &mut alignment,
+        &mut ids,
+        &mut rotations,
+        opts,
+        cache,
+        &reduces,
+        scanned.as_deref(),
+    );
 
     Ok(Mapping {
         alignment,
@@ -481,93 +509,97 @@ fn map_nest_impl(
 /// What [`macro_scan`] learned about one access, under the allocations it
 /// saw. Those hold until a component on either side of the access is
 /// rotated, so classify reuses the entry while neither is.
-#[derive(Clone)]
-pub(crate) enum Scanned {
+#[derive(Clone, Copy)]
+enum Scanned {
     /// `M_S = M_x·F`: only the offsets separate Local from Translation.
     LinearLocal,
-    /// A residual communication, with what [`detect`](fn@detect) made of it.
-    Residual(Option<MacroComm>),
+    /// A residual communication, with what [`detect`](fn@detect) made of
+    /// it (an index into the cache's detections).
+    Residual(u32),
 }
 
 /// Step 2(a): detect the macro-communication of every residual, and rotate
 /// each component at most once, driven by the first partial collective
-/// that is not axis-parallel. The residual test runs on the alignment
-/// before any rotation. `reduces` is [`LoopNest::reduction_stmts`].
+/// that is not axis-parallel. The residual test (`M_x·F = M_S`, an id
+/// product and an id comparison) runs on the alignment before any
+/// rotation; `f_ids` holds each access's `F` id and `reduces` is
+/// [`LoopNest::reduction_stmts`].
 fn macro_scan(
     nest: &LoopNest,
+    f_ids: &[MatId],
     alignment: &mut Alignment,
+    ids: &mut AllocIds,
     rotations: &mut HashMap<usize, IMat>,
     reduces: &[bool],
     cache: &mut AnalysisCache,
 ) -> Vec<Scanned> {
+    ids.check_table(&cache.mats);
     let mut scanned = vec![Scanned::LinearLocal; nest.accesses.len()];
-    for r in residual_communications(nest, alignment) {
-        let acc = nest.access(r.access);
-        let mc = detect_cached(
-            cache,
-            MacroInput {
-                theta: nest.statement(r.stmt).schedule.theta(),
-                f: &acc.f,
-                m_s: &alignment.stmt_alloc[r.stmt.0].mat,
-                m_x: &alignment.array_alloc[r.array.0].mat,
-                kind: acc.kind,
-                stmt_is_reduction: reduces[r.stmt.0],
-            },
-        );
-        if let Some(mc) = &mc {
-            if matches!(mc.extent, Extent::Partial { .. }) && !mc.axis_parallel && r.same_component
-            {
-                let ci = alignment
-                    .component_of(Vertex::Stmt(r.stmt))
-                    .expect("same-component residual has a component");
-                if let Entry::Vacant(slot) = rotations.entry(ci) {
-                    let d = mc.directions.as_ref().expect("partial has directions");
-                    let (qinv, _) = axis_alignment_rotation(d);
-                    alignment.rotate_component(ci, &qinv);
-                    slot.insert(qinv);
-                }
+    let mut residuals = Vec::new();
+    for acc in &nest.accesses {
+        let owner = cache.mats.mul(ids.array[acc.array.0], f_ids[acc.id.0]);
+        if owner != ids.stmt[acc.stmt.0] {
+            residuals.push(acc);
+        }
+    }
+    for acc in residuals {
+        let i = detect_cached(cache, nest, acc, f_ids[acc.id.0], ids, reduces);
+        scanned[acc.id.0] = Scanned::Residual(i);
+        let Some(mc) = &cache.detected[i as usize] else {
+            continue;
+        };
+        let cs = alignment.comp_of_stmt[acc.stmt.0];
+        let same_component = cs.is_some() && cs == alignment.comp_of_array[acc.array.0];
+        if matches!(mc.extent, Extent::Partial { .. }) && !mc.axis_parallel && same_component {
+            let ci = cs.expect("same-component residual has a component") as usize;
+            if let Entry::Vacant(slot) = rotations.entry(ci) {
+                let d = mc.directions.as_ref().expect("partial has directions");
+                let (qinv, _) = axis_alignment_rotation(d);
+                ids.rotate(alignment, ci, &qinv, &mut cache.mats);
+                slot.insert(qinv);
             }
         }
-        scanned[r.access.0] = Scanned::Residual(mc);
     }
     scanned
 }
 
-/// Classify every access under `alignment`, decomposing leftover general
-/// communications (and possibly applying similarity rotations). Shared
-/// between [`map_nest`] and the degraded-grid remapper
-/// ([`crate::recover::remap_for_survivors`]), which re-derives outcomes
-/// after a node-loss fold rotation and has no scan to pass.
+/// Classify every access under `alignment` (whose allocation ids are
+/// `ids`), decomposing leftover general communications (and possibly
+/// applying similarity rotations). `f_ids` holds each access's `F` id in
+/// the cache's table and `reduces` is [`LoopNest::reduction_stmts`].
 ///
-/// Each access's owner linear part `M_x·F` is formed at most once, and
-/// its offset compared only when the linear parts match. Where `scanned`
-/// (from [`macro_scan`] on this alignment) has an entry and neither the
+/// The linear-locality test is `M_x·F = M_S` on ids, and the offset is
+/// compared only when the linear parts match. Where `scanned` (from
+/// [`macro_scan`] on this alignment) has an entry and neither the
 /// statement's nor the array's component is in `rotations`, the entry
-/// stands in for the residual test and the detection. `reduces` is
-/// [`LoopNest::reduction_stmts`].
-pub(crate) fn classify_outcomes(
+/// stands in for the residual test and the detection.
+#[allow(clippy::too_many_arguments)]
+fn classify_outcomes(
     nest: &LoopNest,
+    f_ids: &[MatId],
     alignment: &mut Alignment,
+    ids: &mut AllocIds,
     rotations: &mut HashMap<usize, IMat>,
     opts: &MappingOptions,
     cache: &mut AnalysisCache,
     reduces: &[bool],
     scanned: Option<&[Scanned]>,
 ) -> Vec<CommOutcome> {
+    ids.check_table(&cache.mats);
     let mut outcomes: Vec<CommOutcome> = Vec::with_capacity(nest.accesses.len());
     for acc in &nest.accesses {
-        let unrotated = |v: Vertex| {
-            alignment
-                .component_of(v)
-                .is_none_or(|c| !rotations.contains_key(&c))
-        };
+        let unrotated = |c: Option<u32>| c.is_none_or(|c| !rotations.contains_key(&(c as usize)));
         let seen = scanned
-            .filter(|_| unrotated(Vertex::Stmt(acc.stmt)) && unrotated(Vertex::Array(acc.array)))
+            .filter(|_| {
+                unrotated(alignment.comp_of_stmt[acc.stmt.0])
+                    && unrotated(alignment.comp_of_array[acc.array.0])
+            })
             .map(|s| &s[acc.id.0]);
+        let f = f_ids[acc.id.0];
         let linear_local = match seen {
             Some(Scanned::LinearLocal) => true,
             Some(Scanned::Residual(_)) => false,
-            None => alignment.is_linear_local(nest, acc),
+            None => cache.mats.mul(ids.array[acc.array.0], f) == ids.stmt[acc.stmt.0],
         };
         if linear_local {
             outcomes.push(if alignment.is_offset_local(acc) {
@@ -579,50 +611,19 @@ pub(crate) fn classify_outcomes(
         }
         // Macro-communication?
         if opts.enable_macro {
-            let fresh;
-            let mc = match seen {
-                Some(Scanned::Residual(mc)) => mc.as_ref(),
-                _ => {
-                    fresh = detect_cached(
-                        cache,
-                        MacroInput {
-                            theta: nest.statement(acc.stmt).schedule.theta(),
-                            f: &acc.f,
-                            m_s: &alignment.stmt_alloc[acc.stmt.0].mat,
-                            m_x: &alignment.array_alloc[acc.array.0].mat,
-                            kind: acc.kind,
-                            stmt_is_reduction: reduces[acc.stmt.0],
-                        },
-                    );
-                    fresh.as_ref()
-                }
+            let i = match seen {
+                Some(&Scanned::Residual(i)) => i,
+                _ => detect_cached(cache, nest, acc, f, ids, reduces),
             };
-            if let Some(mc) = mc {
-                match mc.extent {
-                    Extent::Total => {
-                        outcomes.push(CommOutcome::Macro {
-                            kind: mc.kind,
-                            total: true,
-                            rotated: false,
-                        });
-                        continue;
-                    }
-                    Extent::Partial { .. } if mc.axis_parallel => {
-                        let ci = alignment.component_of(Vertex::Stmt(acc.stmt));
-                        outcomes.push(CommOutcome::Macro {
-                            kind: mc.kind,
-                            total: false,
-                            rotated: ci.is_some_and(|c| rotations.contains_key(&c)),
-                        });
-                        continue;
-                    }
-                    _ => { /* hidden or misaligned: fall through */ }
-                }
+            let mc = cache.detected[i as usize].as_ref();
+            if let Some(outcome) = mc.and_then(|mc| macro_outcome(mc, alignment, rotations, acc)) {
+                outcomes.push(outcome);
+                continue;
             }
         }
         // Decomposition?
         if opts.enable_decompose {
-            if let Some(outcome) = try_decompose(nest, alignment, rotations, acc, cache) {
+            if let Some(outcome) = try_decompose(f, alignment, ids, rotations, acc, cache) {
                 outcomes.push(outcome);
                 continue;
             }
@@ -632,37 +633,99 @@ pub(crate) fn classify_outcomes(
     outcomes
 }
 
+/// The outcome of a detected collective: total, or partial and
+/// axis-parallel. `None` for a hidden or misaligned one, which falls
+/// through to decomposition.
+fn macro_outcome(
+    mc: &MacroComm,
+    alignment: &Alignment,
+    rotations: &HashMap<usize, IMat>,
+    acc: &Access,
+) -> Option<CommOutcome> {
+    match mc.extent {
+        Extent::Total => Some(CommOutcome::Macro {
+            kind: mc.kind,
+            total: true,
+            rotated: false,
+        }),
+        Extent::Partial { .. } if mc.axis_parallel => {
+            let ci = alignment.component_of(Vertex::Stmt(acc.stmt));
+            Some(CommOutcome::Macro {
+                kind: mc.kind,
+                total: false,
+                rotated: ci.is_some_and(|c| rotations.contains_key(&c)),
+            })
+        }
+        _ => None,
+    }
+}
+
+/// Re-derive every outcome of a mapping under its (possibly re-rotated)
+/// alignment, through the same classification [`map_nest`] runs, for the
+/// degraded-grid remapper ([`crate::recover::remap_for_survivors`]),
+/// which has no scan to pass.
+pub(crate) fn reclassify(
+    nest: &LoopNest,
+    alignment: &mut Alignment,
+    rotations: &mut HashMap<usize, IMat>,
+    opts: &MappingOptions,
+) -> Vec<CommOutcome> {
+    let mut cache = AnalysisCache::new();
+    let f_ids: Vec<MatId> = nest
+        .accesses
+        .iter()
+        .map(|a| cache.mats.intern(&a.f))
+        .collect();
+    let mut ids = AllocIds::intern(alignment, &mut cache.mats);
+    classify_outcomes(
+        nest,
+        &f_ids,
+        alignment,
+        &mut ids,
+        rotations,
+        opts,
+        &mut cache,
+        &nest.reduction_stmts(),
+        None,
+    )
+}
+
 fn stmt_is_reduction(nest: &LoopNest, s: rescomm_loopnest::StmtId) -> bool {
     nest.accesses
         .iter()
         .any(|a| a.stmt == s && a.kind == AccessKind::Reduce)
 }
 
-/// The seed's step 2(a), kept as the oracle for [`macro_scan`]: the
-/// reduction test rescans every access per residual.
+/// The seed's [`detect`] input of one access under `alignment`: the
+/// reduction test rescans every access.
+fn macro_input_reference<'a>(
+    nest: &'a LoopNest,
+    alignment: &'a Alignment,
+    acc: &'a Access,
+) -> MacroInput<'a> {
+    MacroInput {
+        theta: nest.statement(acc.stmt).schedule.theta(),
+        f: &acc.f,
+        m_s: &alignment.stmt_alloc[acc.stmt.0].mat,
+        m_x: &alignment.array_alloc[acc.array.0].mat,
+        kind: acc.kind,
+        stmt_is_reduction: stmt_is_reduction(nest, acc.stmt),
+    }
+}
+
+/// The seed's step 2(a), kept as the oracle for [`macro_scan`]: matrices
+/// throughout, no memo.
 fn macro_scan_reference(
     nest: &LoopNest,
     alignment: &mut Alignment,
     rotations: &mut HashMap<usize, IMat>,
-    cache: &mut AnalysisCache,
 ) {
     // Process residuals; rotate each component at most once, driven by
     // the first partial collective that needs it.
     let residuals = residual_communications(nest, alignment);
     for r in &residuals {
         let acc = nest.access(r.access);
-        let st = nest.statement(r.stmt);
-        let mc = detect_cached(
-            cache,
-            MacroInput {
-                theta: st.schedule.theta(),
-                f: &acc.f,
-                m_s: &alignment.stmt_alloc[r.stmt.0].mat,
-                m_x: &alignment.array_alloc[r.array.0].mat,
-                kind: acc.kind,
-                stmt_is_reduction: stmt_is_reduction(nest, r.stmt),
-            },
-        );
+        let mc = detect(macro_input_reference(nest, alignment, acc));
         let Some(mc) = mc else { continue };
         if let Extent::Partial { .. } = mc.extent {
             if !mc.axis_parallel && r.same_component {
@@ -683,17 +746,16 @@ fn macro_scan_reference(
 
 /// The seed's classify, kept as the oracle for [`classify_outcomes`]:
 /// every access is tested with [`Alignment::is_local`] and then
-/// [`Alignment::is_linear_local`], and detected afresh.
+/// [`Alignment::is_linear_local`], detected afresh and decomposed with
+/// nothing memoized.
 fn classify_outcomes_reference(
     nest: &LoopNest,
     alignment: &mut Alignment,
     rotations: &mut HashMap<usize, IMat>,
     opts: &MappingOptions,
-    cache: &mut AnalysisCache,
 ) -> Vec<CommOutcome> {
     let mut outcomes: Vec<CommOutcome> = Vec::with_capacity(nest.accesses.len());
     for acc in &nest.accesses {
-        let st = nest.statement(acc.stmt);
         if alignment.is_local(nest, acc) {
             outcomes.push(CommOutcome::Local);
             continue;
@@ -704,43 +766,24 @@ fn classify_outcomes_reference(
         }
         // Macro-communication?
         if opts.enable_macro {
-            let mc = detect_cached(
-                cache,
-                MacroInput {
-                    theta: st.schedule.theta(),
-                    f: &acc.f,
-                    m_s: &alignment.stmt_alloc[acc.stmt.0].mat,
-                    m_x: &alignment.array_alloc[acc.array.0].mat,
-                    kind: acc.kind,
-                    stmt_is_reduction: stmt_is_reduction(nest, acc.stmt),
-                },
-            );
-            if let Some(mc) = mc {
-                match mc.extent {
-                    Extent::Total => {
-                        outcomes.push(CommOutcome::Macro {
-                            kind: mc.kind,
-                            total: true,
-                            rotated: false,
-                        });
-                        continue;
-                    }
-                    Extent::Partial { .. } if mc.axis_parallel => {
-                        let ci = alignment.component_of(Vertex::Stmt(acc.stmt));
-                        outcomes.push(CommOutcome::Macro {
-                            kind: mc.kind,
-                            total: false,
-                            rotated: ci.is_some_and(|c| rotations.contains_key(&c)),
-                        });
-                        continue;
-                    }
-                    _ => { /* hidden or misaligned: fall through */ }
-                }
+            let mc = detect(macro_input_reference(nest, alignment, acc));
+            if let Some(outcome) = mc.and_then(|mc| macro_outcome(&mc, alignment, rotations, acc)) {
+                outcomes.push(outcome);
+                continue;
             }
         }
         // Decomposition?
         if opts.enable_decompose {
-            if let Some(outcome) = try_decompose(nest, alignment, rotations, acc, cache) {
+            let decomposed = dataflow_matrix(alignment, nest, acc.id).and_then(|t| {
+                let ci = rotatable_component(alignment, rotations, acc);
+                let (outcome, rotation) = decompose(&t, &mut TFacts::default(), ci.is_some())?;
+                if let (Some(ci), Some(v)) = (ci, rotation) {
+                    alignment.rotate_component(ci, &v);
+                    rotations.insert(ci, v);
+                }
+                Some(outcome)
+            });
+            if let Some(outcome) = decomposed {
                 outcomes.push(outcome);
                 continue;
             }
@@ -753,100 +796,183 @@ fn classify_outcomes_reference(
 /// Dataflow matrix of a residual communication: the `T` with
 /// `T·(M_x·F) = M_S`, when it exists.
 pub fn dataflow_matrix(alignment: &Alignment, nest: &LoopNest, access: AccessId) -> Option<IMat> {
-    dataflow_matrix_cached(&mut AnalysisCache::disabled(), alignment, nest, access)
+    let acc = nest.access(access);
+    let m_s = &alignment.stmt_alloc[acc.stmt.0].mat;
+    let mxf = &alignment.array_alloc[acc.array.0].mat * &acc.f;
+    dataflow_solve(m_s, &mxf, alignment.m)
 }
 
-/// [`dataflow_matrix`] through the memo, keyed on the exact
-/// `(M_S, M_x, F, m)` — the rank check and the linear solve both depend
-/// only on those, so hits are exact replays.
+/// [`dataflow_matrix`] through the memo: the solve is keyed on the ids of
+/// `(M_S, M_x·F)` and `m`, on which the rank check and the linear solve
+/// alone depend, so hits are exact replays.
 pub fn dataflow_matrix_cached(
     cache: &mut AnalysisCache,
     alignment: &Alignment,
     nest: &LoopNest,
     access: AccessId,
 ) -> Option<IMat> {
-    let acc = nest.access(access);
-    let m_s = &alignment.stmt_alloc[acc.stmt.0].mat;
-    let m_x = &alignment.array_alloc[acc.array.0].mat;
-    if cache.enabled {
-        let key = (m_s.clone(), m_x.clone(), acc.f.clone(), alignment.m);
-        if let Some(hit) = cache.dataflow.get(&key) {
-            return hit.clone();
-        }
-        let out = dataflow_solve(m_s, m_x, &acc.f, alignment.m);
-        cache.dataflow.insert(key, out.clone());
-        out
-    } else {
-        dataflow_solve(m_s, m_x, &acc.f, alignment.m)
+    if !cache.enabled {
+        return dataflow_matrix(alignment, nest, access);
     }
+    let acc = nest.access(access);
+    let m_s = cache.mats.intern(&alignment.stmt_alloc[acc.stmt.0].mat);
+    let m_x = cache.mats.intern(&alignment.array_alloc[acc.array.0].mat);
+    let f = cache.mats.intern(&acc.f);
+    dataflow_id(cache, m_s, m_x, f, alignment.m).map(|t| cache.mats[t].clone())
 }
 
-fn dataflow_solve(m_s: &IMat, m_x: &IMat, f: &IMat, m: usize) -> Option<IMat> {
-    let mxf = m_x * f;
+/// The id of the dataflow matrix `T` with `T·(M_x·F) = M_S`, when it
+/// exists, memoized on `(M_S, M_x·F, m)` ids (`M_x·F` is the table's
+/// memoized product).
+fn dataflow_id(
+    cache: &mut AnalysisCache,
+    m_s: MatId,
+    m_x: MatId,
+    f: MatId,
+    m: usize,
+) -> Option<MatId> {
+    let mxf = cache.mats.mul(m_x, f);
+    let key = (m_s, mxf, m as u32);
+    if cache.enabled {
+        if let Some(&hit) = cache.dataflow.get(&key) {
+            return hit;
+        }
+    }
+    let out =
+        dataflow_solve(&cache.mats[m_s], &cache.mats[mxf], m).map(|t| cache.mats.intern_owned(t));
+    if cache.enabled {
+        cache.dataflow.insert(key, out);
+    }
+    out
+}
+
+fn dataflow_solve(m_s: &IMat, mxf: &IMat, m: usize) -> Option<IMat> {
     if mxf.rank() < m.min(mxf.rows()) {
         return None;
     }
-    solve_xf_eq_s_particular(m_s, &mxf).ok()
+    solve_xf_eq_s_particular(m_s, mxf).ok()
+}
+
+/// The component a similarity rotation for `acc` may rotate: the
+/// statement's, when the array shares it and it is not rotated yet.
+fn rotatable_component(
+    alignment: &Alignment,
+    rotations: &HashMap<usize, IMat>,
+    acc: &Access,
+) -> Option<usize> {
+    alignment
+        .component_of(Vertex::Stmt(acc.stmt))
+        .filter(|&ci| {
+            alignment.component_of(Vertex::Array(acc.array)) == Some(ci)
+                && !rotations.contains_key(&ci)
+        })
 }
 
 fn try_decompose(
-    nest: &LoopNest,
+    f: MatId,
     alignment: &mut Alignment,
+    ids: &mut AllocIds,
     rotations: &mut HashMap<usize, IMat>,
-    acc: &rescomm_loopnest::Access,
+    acc: &Access,
     cache: &mut AnalysisCache,
 ) -> Option<CommOutcome> {
-    let t = dataflow_matrix_cached(cache, alignment, nest, acc.id)?;
+    let t = dataflow_id(
+        cache,
+        ids.stmt[acc.stmt.0],
+        ids.array[acc.array.0],
+        f,
+        alignment.m,
+    )?;
+    let ci = rotatable_component(alignment, rotations, acc);
+    let (outcome, rotation) = if cache.enabled {
+        let facts = cache.facts.entry(t).or_default();
+        decompose(&cache.mats[t], facts, ci.is_some())?
+    } else {
+        decompose(&cache.mats[t], &mut TFacts::default(), ci.is_some())?
+    };
+    if let (Some(ci), Some(v)) = (ci, rotation) {
+        ids.rotate(alignment, ci, &v, &mut cache.mats);
+        rotations.insert(ci, v);
+    }
+    Some(outcome)
+}
+
+/// What decomposition makes of a dataflow matrix, each part a pure
+/// function of `T` computed on first need and kept by `T`'s id.
+#[derive(Default)]
+struct TFacts {
+    /// `T`'s determinant; `None` when even `i128` overflows.
+    det: OnceCell<Option<i64>>,
+    /// [`decompose_direct`] (2-D, `det = 1`).
+    direct: OnceCell<Option<Vec<Elementary>>>,
+    /// [`search_similarity`] (2-D, `det = 1`, long direct chains).
+    similar: OnceCell<Option<SimilarDecomposition>>,
+    /// Factor count of [`shear_decompose`] (n-D, `det = 1`).
+    shears: OnceCell<Option<usize>>,
+    /// Factor counts of [`decompose_general`] (`det ≠ 0`).
+    unirow: OnceCell<Option<UnirowCounts>>,
+}
+
+/// Decompose the dataflow matrix `t` (its facts so far in `facts`): the
+/// outcome, and the similarity rotation it needs when `rotatable` (the
+/// access's statement and array share an unrotated component).
+fn decompose(t: &IMat, facts: &mut TFacts, rotatable: bool) -> Option<(CommOutcome, Option<IMat>)> {
     if !t.is_square() {
         return None;
     }
     // A dataflow matrix whose determinant overflows even i128-checked
     // arithmetic is not decomposable by any strategy here: report the
     // access as general instead of panicking.
-    let det = t.try_det().ok()?;
+    let det = (*facts.det.get_or_init(|| t.try_det().ok()))?;
+    let unirow = |facts: &TFacts| {
+        *facts.unirow.get_or_init(|| {
+            decompose_general(t).ok().map(|f| UnirowCounts {
+                all: f.len(),
+                moving: f
+                    .iter()
+                    .filter(|g| {
+                        let GenFactor::Unirow { coeffs, row } = g;
+                        coeffs
+                            .iter()
+                            .enumerate()
+                            .any(|(j, &c)| c != i64::from(j == *row))
+                    })
+                    .count(),
+            })
+        })
+    };
     if t.rows() == 2 {
-        if matches!(det, 1 | -1) {
-            // det −1 is handled through the general (unirow) path below.
-            if det == 1 {
-                if let Some(factors) = decompose_direct(&t) {
-                    if factors.len() <= 4 {
-                        return Some(CommOutcome::Decomposed {
-                            factors,
-                            rotated: false,
-                        });
-                    }
-                    // Long chain: try a similarity rotation first — only
-                    // when statement and array share an unrotated
-                    // component.
-                    if let Some(ci) = alignment
-                        .component_of(Vertex::Stmt(acc.stmt))
-                        .filter(|&ci| {
-                            alignment.component_of(Vertex::Array(acc.array)) == Some(ci)
-                                && !rotations.contains_key(&ci)
-                        })
-                    {
-                        if let Some(sim) = search_similarity(&t, 200) {
-                            alignment.rotate_component(ci, &sim.m);
-                            rotations.insert(ci, sim.m.clone());
-                            return Some(CommOutcome::Decomposed {
-                                factors: sim.factors,
-                                rotated: true,
-                            });
-                        }
-                    }
-                    return Some(CommOutcome::Decomposed {
-                        factors,
-                        rotated: false,
-                    });
+        // det −1 is handled through the general (unirow) path below.
+        if det == 1 {
+            if let Some(factors) = facts.direct.get_or_init(|| decompose_direct(t)) {
+                let plain = || CommOutcome::Decomposed {
+                    factors: factors.clone(),
+                    rotated: false,
+                };
+                if factors.len() <= 4 {
+                    return Some((plain(), None));
                 }
+                // Long chain: try a similarity rotation first — only when
+                // statement and array share an unrotated component.
+                if rotatable {
+                    if let Some(sim) = facts.similar.get_or_init(|| search_similarity(t, 200)) {
+                        let outcome = CommOutcome::Decomposed {
+                            factors: sim.factors.clone(),
+                            rotated: true,
+                        };
+                        return Some((outcome, Some(sim.m.clone())));
+                    }
+                }
+                return Some((plain(), None));
             }
         }
         // det ≠ 1: unirow decomposition.
         if det != 0 {
-            if let Some(counts) = unirow_counts(cache, &t) {
-                return Some(CommOutcome::DecomposedGeneral {
+            if let Some(counts) = unirow(facts) {
+                let outcome = CommOutcome::DecomposedGeneral {
                     n_factors: counts.all,
-                });
+                };
+                return Some((outcome, None));
             }
         }
         return None;
@@ -854,15 +980,19 @@ fn try_decompose(
     // Higher-dimensional grids: elementary shears for det = 1 (§4.1's
     // n-dimensional extension), unirow factors otherwise.
     if det == 1 {
-        if let Some(f) = shear_decompose(&t) {
-            return Some(CommOutcome::DecomposedGeneral { n_factors: f.len() });
+        if let Some(n_factors) = *facts
+            .shears
+            .get_or_init(|| shear_decompose(t).map(|f| f.len()))
+        {
+            return Some((CommOutcome::DecomposedGeneral { n_factors }, None));
         }
     }
     if det != 0 {
-        if let Some(counts) = unirow_counts(cache, &t) {
-            return Some(CommOutcome::DecomposedGeneral {
+        if let Some(counts) = unirow(facts) {
+            let outcome = CommOutcome::DecomposedGeneral {
                 n_factors: counts.moving,
-            });
+            };
+            return Some((outcome, None));
         }
     }
     None
@@ -875,36 +1005,6 @@ struct UnirowCounts {
     all: usize,
     /// The factors that are not the identity (identity rows are free).
     moving: usize,
-}
-
-/// [`decompose_general`] of a dataflow matrix through the memo, keyed on
-/// `T` alone (the decomposition depends on nothing else), so hits are
-/// exact replays. `None` when `T` has no unirow decomposition.
-fn unirow_counts(cache: &mut AnalysisCache, t: &IMat) -> Option<UnirowCounts> {
-    let compute = || {
-        decompose_general(t).ok().map(|f| UnirowCounts {
-            all: f.len(),
-            moving: f
-                .iter()
-                .filter(|g| {
-                    let GenFactor::Unirow { coeffs, row } = g;
-                    coeffs
-                        .iter()
-                        .enumerate()
-                        .any(|(j, &c)| c != i64::from(j == *row))
-                })
-                .count(),
-        })
-    };
-    if !cache.enabled {
-        return compute();
-    }
-    if let Some(hit) = cache.unirow.get(t) {
-        return *hit;
-    }
-    let out = compute();
-    cache.unirow.insert(t.clone(), out);
-    out
 }
 
 #[cfg(test)]
@@ -1076,12 +1176,13 @@ mod tests {
 
         // Merging is the difference: the same stages without the merge
         // pass leave fewer edges local.
-        let graph = AccessGraph::build_weighted(&nest, 2, true);
+        let mut mats = MatTable::new();
+        let graph = AccessGraph::build_in(&nest, 2, true, &mut mats);
         let branching = maximum_branching(&graph);
-        let mut comps = component_structure(&graph, &branching, &nest);
-        let mut aug = augment(&graph, &branching.edges, &comps, 2);
+        let mut comps = component_structure(&graph, &branching, &nest, &mut mats);
+        let mut aug = augment(&graph, &branching.edges, &comps, 2, &mut mats);
         let before = aug.local_edges.len();
-        merge_cross_components(&graph, &mut comps, &mut aug, 2);
+        merge_cross_components(&graph, &mut comps, &mut aug, 2, &mut mats);
         assert!(
             before < aug.local_edges.len(),
             "merging must be the difference: {before} local edges before, {:?} after",
@@ -1231,6 +1332,35 @@ mod tests {
                 }
             }
             Err(e) => assert!(!format!("{e}").is_empty()),
+        }
+    }
+
+    #[test]
+    fn offset_chase_overflow_is_an_analysis_error() {
+        use rescomm_loopnest::{Domain, NestBuilder};
+        // a[I + (MIN, 0)] → S → b[I + (1, 0)] are all local, so the
+        // offset chase forms MIN − 1 (or 0 − MIN, whichever vertex is the
+        // root): both paths must refuse it, in release as in debug.
+        let mut b = NestBuilder::new("offset-edge");
+        let a = b.array("a", 2);
+        let out = b.array("b", 2);
+        let s = b.statement("S", 2, Domain::cube(2, 2));
+        b.read(s, a, IMat::identity(2), &[i64::MIN, 0]);
+        b.write(s, out, IMat::identity(2), &[1, 0]);
+        let nest = b.build().unwrap();
+        match map_nest(&nest, &MappingOptions::new(2)) {
+            Err(RescommError::Analysis { stage, detail }) => {
+                assert_eq!(stage, "map_nest");
+                assert_eq!(
+                    detail,
+                    format!(
+                        "fast path: {}; reference fallback: {}",
+                        rescomm_alignment::OFFSET_OVERFLOW,
+                        rescomm_alignment::OFFSET_OVERFLOW
+                    )
+                );
+            }
+            other => panic!("expected an analysis error, got {other:?}"),
         }
     }
 

@@ -30,7 +30,7 @@
 
 use crate::error::{Incident, IncidentKind, RescommError};
 use crate::exec::verify_execution_on;
-use crate::pipeline::{classify_outcomes, AnalysisCache, Mapping, MappingOptions};
+use crate::pipeline::{reclassify, Mapping, MappingOptions};
 use rescomm_accessgraph::Vertex;
 use rescomm_alignment::Alignment;
 use rescomm_intlin::{is_unimodular, IMat};
@@ -338,16 +338,7 @@ pub fn remap_for_survivors(
     }
     // Re-derive the residual-communication outcomes for the degraded
     // alignment with the same classification pass map_nest runs.
-    let mut cache = AnalysisCache::new();
-    out.outcomes = classify_outcomes(
-        nest,
-        &mut out.alignment,
-        &mut out.rotations,
-        opts,
-        &mut cache,
-        &nest.reduction_stmts(),
-        None,
-    );
+    out.outcomes = reclassify(nest, &mut out.alignment, &mut out.rotations, opts);
     out.incidents.push(Incident::node_loss(grid.dead()));
     debug_assert!(out
         .incidents

@@ -42,6 +42,7 @@ pub mod pseudo;
 pub mod rat;
 pub mod smith;
 pub mod solve;
+pub mod table;
 pub mod unimodular;
 
 pub use hermite::{left_hermite, right_hermite, HermiteForm};
@@ -53,6 +54,7 @@ pub use smith::{smith_normal_form, SmithForm};
 pub use solve::{
     solve_axb_int, solve_xf_eq_s, solve_xf_eq_s_fullrank, solve_xf_eq_s_particular, SolutionFamily,
 };
+pub use table::{FxHasher, FxMap, MatId, MatTable};
 pub use unimodular::{is_unimodular, random_unimodular};
 
 /// Greatest common divisor of two integers (always non-negative;

@@ -271,12 +271,21 @@ impl IMat {
     pub fn mul_vec_add(&self, v: &[i64], off: &[i64]) -> Vec<i64> {
         assert_eq!(v.len(), self.cols, "mul_vec: dimension mismatch");
         (0..self.rows)
-            .map(|i| {
-                let dot = self.row(i).iter().zip(v);
-                let acc = dot.fold(0i128, |acc, (&a, &x)| acc + a as i128 * x as i128);
-                narrow(acc + off.get(i).map_or(0, |&o| o as i128))
-            })
+            .map(|i| self.row_affine(i, v, off.get(i).map_or(0, |&o| o)))
             .collect()
+    }
+
+    /// Component `i` of [`IMat::mul_vec_add`]: `row(i)·v + off`,
+    /// accumulated in `i128` and narrowed once.
+    ///
+    /// # Panics
+    /// Panics if `v.len() != self.cols()` or the value leaves `i64`.
+    #[inline]
+    pub fn row_affine(&self, i: usize, v: &[i64], off: i64) -> i64 {
+        assert_eq!(v.len(), self.cols, "mul_vec: dimension mismatch");
+        let dot = self.row(i).iter().zip(v);
+        let acc = dot.fold(0i128, |acc, (&a, &x)| acc + a as i128 * x as i128);
+        narrow(acc + off as i128)
     }
 
     /// Fallible matrix–vector product: [`LinError::Overflow`] instead of a

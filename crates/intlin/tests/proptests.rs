@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rescomm_intlin::{
     gcd, kernel_basis, kernel_subset, left_inverse_int, left_kernel_basis, pseudo_inverse,
     right_hermite, right_inverse_int, smith_normal_form, solve_xf_eq_s, solve_xf_eq_s_particular,
-    IMat, LinError, RMat,
+    IMat, LinError, MatId, MatTable, RMat,
 };
 use std::panic::catch_unwind;
 
@@ -324,6 +324,41 @@ proptest! {
             prop_assert_eq!(b % g, 0);
         } else {
             prop_assert_eq!((a, b), (0, 0));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Interning: two matrices of a sequence get one id exactly when they
+    /// are equal (shape included; entries in {−1, 0, 1} so repeats are
+    /// common), each id reads back its matrix, a heap-stored copy finds
+    /// the inline one's id, and `mul` is the product.
+    #[test]
+    fn mat_table_ids_match_equality(
+        shapes in proptest::collection::vec((0usize..=3, 0usize..=3), 2..=12),
+        entries in proptest::collection::vec(-1i64..=1, 9),
+    ) {
+        let mats: Vec<IMat> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, &(r, c))| IMat::from_fn(r, c, |i, j| entries[(k + i * c + j) % 9]))
+            .collect();
+        let mut table = MatTable::new();
+        let ids: Vec<MatId> = mats.iter().map(|m| table.intern(m)).collect();
+        for (i, a) in mats.iter().enumerate() {
+            prop_assert_eq!(table.get(ids[i]), a);
+            let mut heap = a.clone();
+            heap.force_heap();
+            prop_assert_eq!(table.intern(&heap), ids[i]);
+            for (j, b) in mats.iter().enumerate() {
+                prop_assert_eq!(ids[i] == ids[j], a == b);
+                if a.cols() == b.rows() {
+                    let p = table.mul(ids[i], ids[j]);
+                    prop_assert_eq!(table.get(p), &(a * b));
+                }
+            }
         }
     }
 }

@@ -144,6 +144,75 @@ proptest! {
     }
 }
 
+/// A nest whose mapping panics part-way (the alignment's offset chase
+/// leaves `i64` after the graph, the components and augment have filled
+/// the matrix table), so the fast path falls back and the reference
+/// fails too.
+fn offset_overflow_nest() -> LoopNest {
+    let mut b = NestBuilder::new("offset-edge");
+    let a = b.array("a", 2);
+    let out = b.array("b", 2);
+    let s = b.statement("S", 2, Domain::cube(2, 2));
+    b.read(s, a, IMat::identity(2), &[i64::MIN, 0]);
+    b.write(s, out, IMat::identity(2), &[1, 0]);
+    b.build().expect("offset nest validates")
+}
+
+/// `map_nest_with` through `cache`, with an error as its message, so an
+/// analysis error compares like a mapping.
+fn map_through(
+    nest: &LoopNest,
+    opts: &MappingOptions,
+    cache: &mut AnalysisCache,
+) -> Result<Mapping, String> {
+    map_nest_with(nest, opts, cache).map_err(|e| e.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One cache shared across a sequence of different nests, mixing
+    /// `m = 2` and `m = 3`, cleared once midway and fed one nest whose
+    /// fast path panics and falls back: every mapping (or error) equals
+    /// the nest's mapping through a fresh cache, so nothing one nest
+    /// leaves in the matrix table or the memos leaks into the next.
+    #[test]
+    fn shared_cache_across_distinct_nests_matches_fresh(
+        nests in proptest::collection::vec(small_nest(), 3..=8),
+        ms in proptest::collection::vec(2usize..=3, 8),
+        clear_at in 0usize..8,
+        panic_at in 0usize..8,
+    ) {
+        let mut shared = AnalysisCache::new();
+        let mut fell_back = false;
+        for (i, nest) in nests.iter().enumerate() {
+            if i == clear_at % nests.len() {
+                shared.clear();
+                prop_assert!(shared.is_empty());
+            }
+            if i == panic_at % nests.len() {
+                let hostile = offset_overflow_nest();
+                let opts = MappingOptions::new(2);
+                let got = map_through(&hostile, &opts, &mut shared);
+                prop_assert!(got.is_err(), "the offset nest must fail");
+                prop_assert_eq!(got.err(), map_through(&hostile, &opts, &mut AnalysisCache::new()).err());
+                fell_back = true;
+            }
+            let opts = MappingOptions::new(ms[i]);
+            let got = map_through(nest, &opts, &mut shared);
+            let fresh = map_through(nest, &opts, &mut AnalysisCache::new());
+            match (&got, &fresh) {
+                (Ok(g), Ok(f)) => {
+                    assert_identical(&format!("nest {i}, m = {}", ms[i]), g, f);
+                    prop_assert_eq!(&g.incidents, &f.incidents);
+                }
+                _ => prop_assert_eq!(got.err(), fresh.err()),
+            }
+        }
+        prop_assert!(fell_back);
+    }
+}
+
 /// Golden test: the 200-statement chained-stencil nest — the headline
 /// `BENCH_pipeline.json` size — maps identically through both paths, and
 /// the heuristic zeroes out the expected fraction of its accesses.

@@ -5,6 +5,7 @@ use rescomm::substrate::accessgraph::{
     augment, component_structure, maximum_branching, AccessGraph,
 };
 use rescomm::substrate::alignment::{compute_alignment, residual_communications};
+use rescomm::substrate::intlin::MatTable;
 use rescomm::{map_nest, CommOutcome, MappingOptions};
 use rescomm_bench::workload::{mapping_cost_on_mesh, paragon_mesh};
 use rescomm_loopnest::deps::is_doall;
@@ -63,9 +64,10 @@ fn figure3_maximum_branching() {
 #[test]
 fn single_connected_component() {
     let (nest, _) = motivating_example(8, 4);
-    let g = AccessGraph::build(&nest, 2);
+    let mut mats = MatTable::new();
+    let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
     let b = maximum_branching(&g);
-    let comps = component_structure(&g, &b, &nest);
+    let comps = component_structure(&g, &b, &nest, &mut mats);
     assert_eq!(comps.list.len(), 1);
     assert_eq!(comps.list[0].members.len(), 6);
 }
@@ -73,11 +75,12 @@ fn single_connected_component() {
 #[test]
 fn residuals_before_step2() {
     let (nest, ids) = motivating_example(8, 4);
-    let g = AccessGraph::build(&nest, 2);
+    let mut mats = MatTable::new();
+    let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
     let b = maximum_branching(&g);
-    let comps = component_structure(&g, &b, &nest);
-    let aug = augment(&g, &b.edges, &comps, 2);
-    let al = compute_alignment(&nest, &g, &comps, &aug);
+    let comps = component_structure(&g, &b, &nest, &mut mats);
+    let aug = augment(&g, &b.edges, &comps, 2, &mut mats);
+    let (al, _) = compute_alignment(&nest, &g, &comps, &aug, &mut mats);
     let res = residual_communications(&nest, &al);
     let accs: Vec<_> = res.iter().map(|r| r.access).collect();
     assert_eq!(accs.len(), 3);
