@@ -587,8 +587,21 @@ fn classify_outcomes(
 ) -> Vec<CommOutcome> {
     ids.check_table(&cache.mats);
     let mut outcomes: Vec<CommOutcome> = Vec::with_capacity(nest.accesses.len());
+    // `rotations` as a dense per-component table, for the two lookups
+    // every access makes.
+    let mut rotated = vec![false; alignment.n_components];
+    let mark = |rotated: &mut Vec<bool>, rotations: &HashMap<usize, IMat>| {
+        for &c in rotations.keys() {
+            if c >= rotated.len() {
+                rotated.resize(c + 1, false);
+            }
+            rotated[c] = true;
+        }
+    };
+    mark(&mut rotated, rotations);
     for acc in &nest.accesses {
-        let unrotated = |c: Option<u32>| c.is_none_or(|c| !rotations.contains_key(&(c as usize)));
+        let unrotated =
+            |c: Option<u32>| c.is_none_or(|c| !rotated.get(c as usize).is_some_and(|&r| r));
         let seen = scanned
             .filter(|_| {
                 unrotated(alignment.comp_of_stmt[acc.stmt.0])
@@ -623,7 +636,11 @@ fn classify_outcomes(
         }
         // Decomposition?
         if opts.enable_decompose {
+            let before = rotations.len();
             if let Some(outcome) = try_decompose(f, alignment, ids, rotations, acc, cache) {
+                if rotations.len() != before {
+                    mark(&mut rotated, rotations);
+                }
                 outcomes.push(outcome);
                 continue;
             }

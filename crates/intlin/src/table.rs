@@ -12,9 +12,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Multiply-rotate hashing (the rustc "Fx" hash) for memo keys that are
-/// tiny integer matrices or id tuples: a memo lives inside one process and
-/// holds only keys the pipeline made, so it needs no flood-resistant hash.
+/// Multiply-rotate hashing (the rustc "Fx" hash) for memo keys made of
+/// [`MatId`]s: the table hands out ids densely, so no input can make
+/// them collide. Matrices themselves, which come from outside the
+/// program, are looked up under the default (keyed) hasher.
 #[derive(Default, Clone, Copy)]
 pub struct FxHasher(u64);
 
@@ -80,7 +81,7 @@ static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug)]
 pub struct MatTable {
     mats: Vec<IMat>,
-    index: FxMap<IMat, MatId>,
+    index: HashMap<IMat, MatId>,
     products: FxMap<(MatId, MatId), MatId>,
     last: Option<MatId>,
     tag: u64,
@@ -97,7 +98,7 @@ impl MatTable {
     pub fn new() -> Self {
         MatTable {
             mats: Vec::new(),
-            index: FxMap::default(),
+            index: HashMap::new(),
             products: FxMap::default(),
             last: None,
             tag: NEXT_TAG.fetch_add(1, Ordering::Relaxed),
