@@ -408,7 +408,7 @@ fn mark_merged(aug: &mut Augmented, eid: EdgeId, merged_edge: &mut [bool]) {
 mod tests {
     use super::*;
     use crate::branching::maximum_branching;
-    use crate::graph::AccessGraph;
+    use crate::graph::{AccessGraph, EdgeClasses};
     use crate::paths::component_structure;
     use rescomm_intlin::{IMat, MatTable};
     use rescomm_loopnest::{examples, Domain, NestBuilder};
@@ -421,7 +421,7 @@ mod tests {
 
     fn run(nest: &rescomm_loopnest::LoopNest, m: usize) -> (AccessGraph, Augmented) {
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(nest, m, true, &mut mats);
+        let g = AccessGraph::build_in(nest, m, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let comps = component_structure(&g, &b, nest, &mut mats);
         let a = augment(&g, &b.edges, &comps, m, &mut mats);
@@ -548,7 +548,7 @@ mod tests {
         bld.read(s, b, IMat::from_rows(&[&[0, 1, 0], &[1, 0, 0]]), &[0, 0]);
         let nest = bld.build().unwrap();
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let br = maximum_branching(&g);
         let mut comps = component_structure(&g, &br, &nest, &mut mats);
         let mut aug = augment(&g, &br.edges, &comps, 2, &mut mats);
@@ -581,7 +581,7 @@ mod tests {
         // operand aligns at full rank): merging must not change anything.
         let nest = examples::matmul(4);
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let br = maximum_branching(&g);
         let mut comps = component_structure(&g, &br, &nest, &mut mats);
         let mut aug = augment(&g, &br.edges, &comps, 2, &mut mats);

@@ -106,9 +106,10 @@ pub struct AccessGraph {
 /// What one access contributes to the graph, as a pure function of
 /// `(F, m)`: excluded (and why), or its edges with their by-rank weight.
 /// Everything position-dependent (which statement, which array, edge ids)
-/// is applied when the edges are pushed.
+/// is applied when the edges are pushed. `W` names a weight: a [`MatId`]
+/// in [`EdgeClasses`], an index into the graph's weights in a build.
 #[derive(Debug, Clone, Copy)]
-enum Class {
+enum Class<W> {
     /// The access produces no edge.
     Excluded(Exclusion),
     /// The access produces one or two directed edges.
@@ -118,26 +119,19 @@ enum Class {
         full: i64,
         /// `true` iff the access is square (its edges are twins).
         square: bool,
-        /// `(array_to_stmt, index into the graph's weights)` per directed
-        /// edge; the second is used only when `n == 2`.
-        dirs: [(bool, u32); 2],
+        /// `(array_to_stmt, weight)` per directed edge; the second is
+        /// used only when `n == 2`.
+        dirs: [(bool, W); 2],
         /// Number of directed edges (1 or 2).
         n: u8,
     },
 }
 
-/// Classify the access matrix `f` (id `fid`): exclusion or edge set. The
-/// expensive parts (rank, the integer left-inverse search, unimodular
-/// inversion) all live here and depend only on `(f, m)`; new weights are
-/// appended to `weights`/`weight_ids`.
-fn classify_access(
-    f: &IMat,
-    fid: MatId,
-    m: usize,
-    mats: &mut MatTable,
-    weights: &mut Vec<IMat>,
-    weight_ids: &mut Vec<MatId>,
-) -> Class {
+/// Classify the access matrix `f` (id `fid` in `mats`): exclusion or edge
+/// set, its weights interned in `mats`. The expensive parts (rank, the
+/// integer left-inverse search, unimodular inversion) all live here and
+/// depend only on `(f, m)`.
+fn classify_access(f: &IMat, fid: MatId, m: usize, mats: &mut MatTable) -> Class<MatId> {
     let (q, d) = f.shape();
     let full = q.min(d);
     if f.rank() < full {
@@ -146,57 +140,62 @@ fn classify_access(
     if full < m {
         return Class::Excluded(Exclusion::RankBelowTarget);
     }
-    let mut push = |w: IMat, id: MatId| {
-        weights.push(w);
-        weight_ids.push(id);
-        (weights.len() - 1) as u32
-    };
     let full = full as i64;
+    let edges = |square, dirs, n| Class::Edges {
+        full,
+        square,
+        dirs,
+        n,
+    };
     if q < d {
         // Flat: array → statement with weight F.
-        let w = push(f.clone(), fid);
-        Class::Edges {
-            full,
-            square: false,
-            dirs: [(true, w); 2],
-            n: 1,
-        }
+        edges(false, [(true, fid); 2], 1)
     } else if q > d {
         // Narrow: statement → array with an integer G, G·F = Id.
         match small_left_inverse(f, 2) {
-            Ok(g) => {
-                let gid = mats.intern(&g);
-                let w = push(g, gid);
-                Class::Edges {
-                    full,
-                    square: false,
-                    dirs: [(false, w); 2],
-                    n: 1,
-                }
-            }
+            Ok(g) => edges(false, [(false, mats.intern_owned(g)); 2], 1),
             Err(_) => Class::Excluded(Exclusion::NoIntegerInverse),
         }
-    } else {
+    } else if matches!(f.det(), 1 | -1) {
         // Square: x → S always; S → x only if F is unimodular.
-        let w = push(f.clone(), fid);
-        if matches!(f.det(), 1 | -1) {
-            let inv = f.inverse_unimodular().expect("unimodular inverse");
-            let iid = mats.intern(&inv);
-            let wi = push(inv, iid);
-            Class::Edges {
-                full,
-                square: true,
-                dirs: [(true, w), (false, wi)],
-                n: 2,
-            }
-        } else {
-            Class::Edges {
-                full,
-                square: true,
-                dirs: [(true, w); 2],
-                n: 1,
-            }
-        }
+        let inv = f.inverse_unimodular().expect("unimodular inverse");
+        edges(true, [(true, fid), (false, mats.intern_owned(inv))], 2)
+    } else {
+        edges(true, [(true, fid); 2], 1)
+    }
+}
+
+/// The classification of each distinct access matrix, by its id and `m`,
+/// kept across the graph builds in one [`MatTable`]: a nest repeats its
+/// few matrices hundreds of times, and a stream of small nests repeats
+/// them across nests. Its entries hold ids of the table they were made
+/// in and are dropped when [`AccessGraph::build_in`] is given another
+/// table (or the same one after [`MatTable::clear`]).
+#[derive(Debug, Default)]
+pub struct EdgeClasses {
+    map: FxMap<(MatId, usize), Class<MatId>>,
+    tag: u64,
+}
+
+impl EdgeClasses {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of classified `(F, m)` pairs.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// `true` when nothing is classified.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Drop every classification.
+    pub fn clear(&mut self) {
+        self.map.clear();
     }
 }
 
@@ -213,16 +212,32 @@ impl AccessGraph {
     /// ids live in a private table; passes that read ids need
     /// [`AccessGraph::build_in`].
     pub fn build_weighted(nest: &LoopNest, m: usize, by_rank: bool) -> Self {
-        Self::build_in(nest, m, by_rank, &mut MatTable::new())
+        Self::build_in(
+            nest,
+            m,
+            by_rank,
+            &mut MatTable::new(),
+            &mut EdgeClasses::new(),
+        )
     }
 
     /// [`AccessGraph::build_weighted`] with every access matrix and edge
-    /// weight interned in `mats`: each distinct `F` is classified once
-    /// (by id), and the passes that follow read the ids
+    /// weight interned in `mats`, and each distinct `F` classified once
+    /// per `classes` (by id). The passes that follow read the ids
     /// ([`AccessGraph::weight_id`], [`AccessGraph::f_ids`]) in the same
     /// table.
-    pub fn build_in(nest: &LoopNest, m: usize, by_rank: bool, mats: &mut MatTable) -> Self {
+    pub fn build_in(
+        nest: &LoopNest,
+        m: usize,
+        by_rank: bool,
+        mats: &mut MatTable,
+        classes: &mut EdgeClasses,
+    ) -> Self {
         assert!(m >= 1, "target dimension must be at least 1");
+        if classes.tag != mats.tag() {
+            classes.map.clear();
+            classes.tag = mats.tag();
+        }
         let n_arrays = nest.arrays.len();
         let mut vertices = Vec::with_capacity(n_arrays + nest.statements.len());
         vertices.extend((0..n_arrays).map(|i| Vertex::Array(ArrayId(i))));
@@ -234,17 +249,44 @@ impl AccessGraph {
         let mut f_ids = Vec::with_capacity(nest.accesses.len());
         let mut weights = Vec::new();
         let mut weight_ids = Vec::new();
-        // Each distinct F is classified once per build.
-        let mut classes: FxMap<MatId, Class> = FxMap::default();
-        let mut last: Option<(MatId, Class)> = None;
+        // Each distinct F of this build, with its weights as indices into
+        // `weights`.
+        let mut local: FxMap<MatId, Class<u32>> = FxMap::default();
+        let mut last: Option<(MatId, Class<u32>)> = None;
         for acc in &nest.accesses {
             let fid = mats.intern(&acc.f);
             f_ids.push(fid);
             let class = match last {
                 Some((id, c)) if id == fid => c,
                 _ => {
-                    let c = *classes.entry(fid).or_insert_with(|| {
-                        classify_access(&acc.f, fid, m, mats, &mut weights, &mut weight_ids)
+                    let c = *local.entry(fid).or_insert_with(|| {
+                        let class = *classes
+                            .map
+                            .entry((fid, m))
+                            .or_insert_with(|| classify_access(&acc.f, fid, m, mats));
+                        match class {
+                            Class::Excluded(why) => Class::Excluded(why),
+                            Class::Edges {
+                                full,
+                                square,
+                                dirs,
+                                n,
+                            } => {
+                                let mut index = |(to_stmt, id): (bool, MatId)| {
+                                    weights.push(mats[id].clone());
+                                    weight_ids.push(id);
+                                    (to_stmt, (weights.len() - 1) as u32)
+                                };
+                                let first = index(dirs[0]);
+                                let second = if n == 2 { index(dirs[1]) } else { first };
+                                Class::Edges {
+                                    full,
+                                    square,
+                                    dirs: [first, second],
+                                    n,
+                                }
+                            }
+                        }
                     });
                     last = Some((fid, c));
                     c
@@ -499,6 +541,40 @@ mod tests {
         assert_eq!(g.excluded.len(), 1);
         assert_eq!(g.excluded[0].1, Exclusion::RankDeficient);
         assert_eq!(g.edges.len(), 4);
+    }
+
+    #[test]
+    fn edge_classes_persist_per_table_and_m() {
+        let (nest, _) = examples::motivating_example(8, 4);
+        let mut mats = MatTable::new();
+        let mut classes = EdgeClasses::new();
+        let fresh = AccessGraph::build(&nest, 2);
+        let first = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut classes);
+        let n = classes.len();
+        let distinct: std::collections::HashSet<&IMat> =
+            nest.accesses.iter().map(|a| &a.f).collect();
+        assert_eq!(n, distinct.len(), "one entry per distinct F");
+        let again = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut classes);
+        assert_eq!(classes.len(), n, "a second build classifies nothing new");
+        for g in [&first, &again] {
+            assert_eq!(g.excluded, fresh.excluded);
+            assert_eq!(g.edges.len(), fresh.edges.len());
+            for (e, f) in g.edges.iter().zip(&fresh.edges) {
+                assert_eq!(
+                    (e.access, e.from, e.to, e.int_weight),
+                    (f.access, f.from, f.to, f.int_weight)
+                );
+                assert_eq!(g.weight(e), fresh.weight(f));
+                assert_eq!(mats[g.weight_id(e)], *g.weight(e));
+            }
+        }
+        // Another m classifies afresh beside the first.
+        AccessGraph::build_in(&nest, 3, true, &mut mats, &mut classes);
+        assert!(classes.len() > n);
+        // Another table's ids would mean other matrices: the memo starts over.
+        let mut other = MatTable::new();
+        AccessGraph::build_in(&nest, 2, true, &mut other, &mut classes);
+        assert_eq!(classes.len(), n);
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod reference;
 pub use augment::{augment, merge_cross_components, AugmentOutcome, Augmented, RootConstraints};
 pub use branching::{maximum_branching, Branching};
 pub use dot::to_dot;
-pub use graph::{AccessGraph, Edge, EdgeId, Exclusion, Vertex};
+pub use graph::{AccessGraph, Edge, EdgeClasses, EdgeId, Exclusion, Vertex};
 pub use paths::{component_structure, Component, Components};

@@ -137,7 +137,7 @@ pub fn component_structure(
 mod tests {
     use super::*;
     use crate::branching::maximum_branching;
-    use crate::graph::AccessGraph;
+    use crate::graph::{AccessGraph, EdgeClasses};
     use rescomm_intlin::MatTable;
     use rescomm_loopnest::examples;
 
@@ -145,7 +145,7 @@ mod tests {
     fn motivating_example_single_component() {
         let (nest, _) = examples::motivating_example(8, 4);
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let cs = component_structure(&g, &b, &nest, &mut mats);
         assert_eq!(cs.list.len(), 1, "all six vertices align into one tree");
@@ -160,7 +160,7 @@ mod tests {
     fn relative_matrices_compose_edge_weights() {
         let (nest, _) = examples::motivating_example(8, 4);
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let cs = component_structure(&g, &b, &nest, &mut mats);
         let rel = |v| &mats[cs.rel[g.vertex_index(v)]];
@@ -177,7 +177,7 @@ mod tests {
         // seed M_root yields full-rank allocations.
         let (nest, _) = examples::motivating_example(8, 4);
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let cs = component_structure(&g, &b, &nest, &mut mats);
         let c = &cs.list[0];
@@ -197,7 +197,7 @@ mod tests {
         let _s = bld.statement("S", 2, Domain::cube(2, 4));
         let nest = bld.build().unwrap();
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let cs = component_structure(&g, &b, &nest, &mut mats);
         assert_eq!(cs.list.len(), 3);
@@ -208,7 +208,7 @@ mod tests {
     fn matmul_components() {
         let nest = examples::matmul(4);
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let cs = component_structure(&g, &b, &nest, &mut mats);
         // One edge chosen: one 2-vertex component + two singletons.

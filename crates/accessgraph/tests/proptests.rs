@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use rescomm_accessgraph::branching::is_valid_branching;
-use rescomm_accessgraph::{augment, component_structure, maximum_branching, AccessGraph, Vertex};
+use rescomm_accessgraph::{
+    augment, component_structure, maximum_branching, AccessGraph, EdgeClasses, Vertex,
+};
 use rescomm_intlin::{IMat, MatTable};
 use rescomm_loopnest::{Domain, LoopNest, NestBuilder};
 
@@ -111,7 +113,7 @@ proptest! {
     #[test]
     fn components_consistent(nest in random_nest()) {
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let comps = component_structure(&g, &b, &nest, &mut mats);
         let rel = |v| &mats[comps.rel[g.vertex_index(v)]];
@@ -136,7 +138,7 @@ proptest! {
     #[test]
     fn augmentation_certificates(nest in random_nest()) {
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let comps = component_structure(&g, &b, &nest, &mut mats);
         let aug = augment(&g, &b.edges, &comps, 2, &mut mats);
@@ -169,7 +171,7 @@ proptest! {
     fn augment_and_merge_match_reference(nest in random_nest(), m in 1usize..=2) {
         use rescomm_accessgraph::reference;
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let mut comps_new = component_structure(&g, &b, &nest, &mut mats);
         let mut comps_old = comps_new.clone();

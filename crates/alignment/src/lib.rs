@@ -459,12 +459,12 @@ pub fn residual_communications(nest: &LoopNest, alignment: &Alignment) -> Vec<Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescomm_accessgraph::{augment, component_structure, maximum_branching};
+    use rescomm_accessgraph::{augment, component_structure, maximum_branching, EdgeClasses};
     use rescomm_loopnest::examples;
 
     fn full(nest: &LoopNest, m: usize) -> (AccessGraph, Alignment) {
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(nest, m, true, &mut mats);
+        let g = AccessGraph::build_in(nest, m, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let comps = component_structure(&g, &b, nest, &mut mats);
         let aug = augment(&g, &b.edges, &comps, m, &mut mats);

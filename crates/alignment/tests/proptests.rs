@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rescomm_accessgraph::{
     augment, component_structure, maximum_branching, merge_cross_components, AccessGraph,
-    AugmentOutcome,
+    AugmentOutcome, EdgeClasses,
 };
 use rescomm_alignment::reference::compute_alignment_reference;
 use rescomm_alignment::{compute_alignment, Alignment, AllocIds};
@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn alignment_matches_reference_and_keeps_locals(nest in random_nest(), m in 1usize..=2) {
         let mut mats = MatTable::new();
-        let g = AccessGraph::build_in(&nest, m, true, &mut mats);
+        let g = AccessGraph::build_in(&nest, m, true, &mut mats, &mut EdgeClasses::new());
         let b = maximum_branching(&g);
         let mut comps = component_structure(&g, &b, &nest, &mut mats);
         let mut aug = augment(&g, &b.edges, &comps, m, &mut mats);

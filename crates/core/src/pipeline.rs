@@ -13,7 +13,7 @@
 use crate::error::{guarded, CancelToken, Cancelled, Incident, RescommError};
 use rescomm_accessgraph::{
     augment, component_structure, maximum_branching, merge_cross_components, reference,
-    AccessGraph, Vertex,
+    AccessGraph, EdgeClasses, Vertex,
 };
 use rescomm_alignment::{compute_alignment, residual_communications, Alignment, AllocIds};
 use rescomm_decompose::{
@@ -160,6 +160,7 @@ type DetectKey = (MatId, MatId, MatId, MatId, AccessKind, bool);
 pub struct AnalysisCache {
     enabled: bool,
     mats: MatTable,
+    classes: EdgeClasses,
     detect: FxMap<DetectKey, u32>,
     /// The detections, indexed by the values of `detect`.
     detected: Vec<Option<MacroComm>>,
@@ -173,6 +174,7 @@ impl AnalysisCache {
         AnalysisCache {
             enabled: true,
             mats: MatTable::new(),
+            classes: EdgeClasses::new(),
             detect: FxMap::default(),
             detected: Vec::new(),
             dataflow: FxMap::default(),
@@ -196,6 +198,7 @@ impl AnalysisCache {
     /// flag is kept).
     pub fn clear(&mut self) {
         self.mats.clear();
+        self.classes.clear();
         self.detect.clear();
         self.detected.clear();
         self.dataflow.clear();
@@ -204,7 +207,11 @@ impl AnalysisCache {
 
     /// Number of entries across all tables, the matrix table included.
     pub fn len(&self) -> usize {
-        self.mats.len() + self.detected.len() + self.dataflow.len() + self.facts.len()
+        self.mats.len()
+            + self.classes.len()
+            + self.detected.len()
+            + self.dataflow.len()
+            + self.facts.len()
     }
 
     /// `true` when nothing is memoized.
@@ -413,7 +420,13 @@ fn map_nest_impl(
     }
     cancel.check("graph_build")?;
     // ---- Step 1: zero out what we can. ----
-    let graph = AccessGraph::build_in(nest, m, opts.weight_by_rank, &mut cache.mats);
+    let graph = AccessGraph::build_in(
+        nest,
+        m,
+        opts.weight_by_rank,
+        &mut cache.mats,
+        &mut cache.classes,
+    );
     cancel.check("branching")?;
     let branching = if use_reference {
         reference::maximum_branching_reference(&graph)
@@ -1194,7 +1207,7 @@ mod tests {
         // Merging is the difference: the same stages without the merge
         // pass leave fewer edges local.
         let mut mats = MatTable::new();
-        let graph = AccessGraph::build_in(&nest, 2, true, &mut mats);
+        let graph = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
         let branching = maximum_branching(&graph);
         let mut comps = component_structure(&graph, &branching, &nest, &mut mats);
         let mut aug = augment(&graph, &branching.edges, &comps, 2, &mut mats);

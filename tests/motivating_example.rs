@@ -2,7 +2,7 @@
 //! claim of the paper's worked narrative, across all crates.
 
 use rescomm::substrate::accessgraph::{
-    augment, component_structure, maximum_branching, AccessGraph,
+    augment, component_structure, maximum_branching, AccessGraph, EdgeClasses,
 };
 use rescomm::substrate::alignment::{compute_alignment, residual_communications};
 use rescomm::substrate::intlin::MatTable;
@@ -65,7 +65,7 @@ fn figure3_maximum_branching() {
 fn single_connected_component() {
     let (nest, _) = motivating_example(8, 4);
     let mut mats = MatTable::new();
-    let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+    let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
     let b = maximum_branching(&g);
     let comps = component_structure(&g, &b, &nest, &mut mats);
     assert_eq!(comps.list.len(), 1);
@@ -76,7 +76,7 @@ fn single_connected_component() {
 fn residuals_before_step2() {
     let (nest, ids) = motivating_example(8, 4);
     let mut mats = MatTable::new();
-    let g = AccessGraph::build_in(&nest, 2, true, &mut mats);
+    let g = AccessGraph::build_in(&nest, 2, true, &mut mats, &mut EdgeClasses::new());
     let b = maximum_branching(&g);
     let comps = component_structure(&g, &b, &nest, &mut mats);
     let aug = augment(&g, &b.edges, &comps, 2, &mut mats);
