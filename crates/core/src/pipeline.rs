@@ -138,9 +138,10 @@ type DetectKey = (MatId, MatId, MatId, MatId, AccessKind, bool);
 /// [`MatTable`] that interns every matrix the pipeline reads or makes.
 ///
 /// * The table gives each distinct matrix one [`MatId`] and memoizes
-///   products by id pair: the graph build classifies each distinct `F`
-///   once, `R_v = R_u·W`, `M_w = seed·R_w` and the residual test
-///   `M_x·F = M_S` are id products and id comparisons.
+///   products by id pair: `R_v = R_u·W`, `M_w = seed·R_w` and the
+///   residual test `M_x·F = M_S` are id products and id comparisons.
+/// * [`EdgeClasses`] keeps the graph build's classification of each
+///   distinct `(F, m)` by `F`'s id.
 /// * [`detect`](fn@detect)'s collective classification is keyed on the
 ///   ids of `(θ, F, M_S, M_x)`, the dataflow solve on those of
 ///   `(M_S, M_x·F)`, and each dataflow matrix `T` keeps its determinant,
