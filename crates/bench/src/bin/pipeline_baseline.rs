@@ -13,9 +13,10 @@
 //!   `map_nest_batch` exists for).
 //! * **lowering** — `build_plan` followed by `phases_on_mesh` on the 8×4
 //!   Paragon mesh (32² virtual grid, CYCLIC) for the synthetic nests: the
-//!   explicit plan and fold of the cold CLI path. Its counts and the
-//!   overlapped makespan, read off one `rescomm::compile`, are pinned by
-//!   `--check`. The time
+//!   explicit plan and fold of the cold CLI path. Its counts (phases,
+//!   the distinct endpoint slices among them, virtual and physical
+//!   messages) and the overlapped makespan, read off one
+//!   `rescomm::compile`, are pinned by `--check`. The time
 //!   (`optimized_ns`) is paired with a fixed partner (`oracle_ns`):
 //!   `build_plan`, then each phase's wrapped pattern through the
 //!   `physical_messages` enumeration oracle.
@@ -36,7 +37,9 @@
 //! wrong answer going fast.
 
 use rescomm::{build_plan, compile, map_nest, map_nest_reference, map_nest_with, AnalysisCache};
-use rescomm::{CancelToken, CommPlan, CompileOptions, Compiled, Mapping, MappingOptions};
+use rescomm::{
+    CancelToken, CommPlan, CompileOptions, Compiled, Mapping, MappingOptions, PhasePattern,
+};
 use rescomm_bench::harness::{paired_ns, Args, Paired};
 use rescomm_bench::workload::{host_cpu, host_threads, paragon_mesh};
 use rescomm_distribution::{physical_messages, Dist1D, Dist2D};
@@ -44,7 +47,9 @@ use rescomm_json::{fixed, JsonDoc, Val};
 use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
 use rescomm_loopnest::LoopNest;
 use rescomm_machine::{Mesh2D, PMsg, ScheduleMode};
+use std::collections::HashSet;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// The virtual grid the lowering section's explicit patterns wrap into.
 const VSHAPE: (usize, usize) = (32, 32);
@@ -98,6 +103,17 @@ fn lower_by_oracle(plan: &CommPlan, mesh: &Mesh2D, dist: Dist2D) -> Vec<Vec<PMsg
         .collect()
 }
 
+/// The number of distinct explicit endpoint slices of a plan: the
+/// phases `build_plan` built and `phases_on_mesh` folded, the rest being
+/// shared repeats.
+fn distinct_slices(plan: &CommPlan) -> usize {
+    let slices = plan.phases.iter().filter_map(|p| match &p.pattern {
+        PhasePattern::Explicit(v) => Some(Arc::as_ptr(v)),
+        PhasePattern::Affine { .. } => None,
+    });
+    slices.collect::<HashSet<_>>().len()
+}
+
 /// A synthetic nest family: name + generator `(n_stmts, size)`.
 type Family = (&'static str, fn(usize, i64) -> LoopNest);
 
@@ -120,6 +136,7 @@ struct LoweringRow {
     family: &'static str,
     n_stmts: usize,
     phases: usize,
+    distinct_phases: usize,
     virtual_msgs: usize,
     physical_msgs: usize,
     makespan_ns: u64,
@@ -244,6 +261,7 @@ fn main() {
                 family,
                 n_stmts: n,
                 phases: plan.phases.len(),
+                distinct_phases: distinct_slices(&plan),
                 virtual_msgs: plan.message_count(),
                 physical_msgs: phases.iter().map(Vec::len).sum(),
                 makespan_ns,
@@ -281,6 +299,7 @@ fn main() {
             ("family", Val::from(r.family)),
             ("statements", Val::from(r.n_stmts)),
             ("phases", Val::from(r.phases)),
+            ("distinct_phases", Val::from(r.distinct_phases)),
             ("virtual_msgs", Val::from(r.virtual_msgs)),
             ("physical_msgs", Val::from(r.physical_msgs)),
             ("makespan_ns", Val::from(r.makespan_ns)),

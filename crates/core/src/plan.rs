@@ -18,14 +18,17 @@
 
 use crate::error::{CancelToken, RescommError};
 use crate::pipeline::{dataflow_matrix, CommOutcome, Mapping};
-use rescomm_alignment::{Alignment, Alloc};
+use rescomm_alignment::Alignment;
 use rescomm_decompose::Elementary;
 use rescomm_distribution::{fold_affine, Dist2D, ExplicitFold};
 use rescomm_intlin::IMat;
 use rescomm_loopnest::{Access, AccessId, Domain, LoopNest};
 use rescomm_machine::{Mesh2D, PMsg, PhaseSim, ScheduleMode};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap};
-use std::ops::ControlFlow;
+use std::hash::BuildHasher;
+use std::ops::{ControlFlow, Range};
+use std::sync::Arc;
 
 /// What a phase implements (for reporting; the pattern is authoritative).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +55,10 @@ pub type Endpoints = ((i64, i64), (i64, i64));
 /// How a phase's virtual message pattern is represented.
 ///
 /// Explicit patterns are exact endpoint lists read off the iteration
-/// domain — `O(domain)` to build and to fold. Affine patterns are
+/// domain — `O(domain)` to build and to fold, once per distinct list:
+/// [`build_plan`] hands every access whose transfers are fixed alike the
+/// same shared slice, and [`CommPlan::phases_on_mesh`] folds each slice
+/// once. Affine patterns are
 /// *grid-wide* closed forms `v → T·v + shift`: `O(1)` to build and
 /// folded through the residue-class segment algebra
 /// ([`rescomm_distribution::fold_affine`]) at a cost flat in the
@@ -64,7 +70,10 @@ pub type Endpoints = ((i64, i64), (i64, i64));
 #[derive(Debug, Clone)]
 pub enum PhasePattern {
     /// Exact `(source, destination)` endpoint pairs, raw coordinates.
-    Explicit(Vec<Endpoints>),
+    /// Shared: [`build_plan`] gives every access with the same composed
+    /// rows, domain and phase recipe clones of one `Arc`, so a repeated
+    /// phase costs a pointer.
+    Explicit(Arc<[Endpoints]>),
     /// Every virtual processor `v` sends to `T·v + shift` (wrapped into
     /// `vshape` at fold time).
     Affine {
@@ -102,7 +111,7 @@ impl PhasePattern {
     /// The explicit endpoint list, when there is one.
     pub fn explicit(&self) -> Option<&[Endpoints]> {
         match self {
-            PhasePattern::Explicit(v) => Some(v),
+            PhasePattern::Explicit(v) => Some(&v[..]),
             PhasePattern::Affine { .. } => None,
         }
     }
@@ -128,9 +137,15 @@ pub struct CommPlan {
     pub phases: Vec<CommPhase>,
 }
 
-/// The fold memo key of an affine phase: the 2×2 linear part, row-major,
-/// and the shift.
-type AffineKey = ([i64; 4], (i64, i64));
+/// The fold memo key of a phase: an affine phase's 2×2 linear part,
+/// row-major, and shift; an explicit phase's shared slice, by address
+/// (the plan owns every slice for the whole call, so one address is one
+/// endpoint list).
+#[derive(PartialEq, Eq, Hash)]
+enum FoldKey {
+    Affine([i64; 4], (i64, i64)),
+    Explicit(*const [Endpoints]),
+}
 
 /// Pad a (possibly degenerate, e.g. 1-D array owner) virtual coordinate
 /// to the 2-D grid: missing dimensions live at coordinate 0.
@@ -148,68 +163,158 @@ fn unpriceable(acc: &Access, what: &str) -> String {
 
 /// The owner's rows `(M_x·F)·I + (M_x·c + ρ_x)` and the computer's rows
 /// `M_S·I + ρ_S` of one access (a missing row is zero, as `coord2` pads),
-/// composed once for the exactness rule, `is_injective` and the walk.
+/// composed once for the exactness rule, `is_injective`, the walk and the
+/// phase memo's key.
 #[derive(Debug, Default)]
 struct AccessRows {
     /// For loop depth `d`: axis `j`'s coefficient in each row (`j < d`),
     /// each row's constant (`d`), then `d` prefix sums of the walk.
     table: Vec<[i64; 4]>,
     /// The `[min, max]` of each source coordinate over the domain box.
-    range: [[i128; 2]; 2],
+    range: [[i64; 2]; 2],
+    /// [`AccessRows::sweeps_fit`]'s sweeping position, kept across calls.
+    pos: Vec<[i64; 2]>,
 }
 
 impl AccessRows {
-    /// Compose `acc`'s rows over `dom`, or say that the walk could leave
-    /// `i64` ([`walk_is_exact`], which bounds every sum below).
+    /// Compose `acc`'s rows over `dom` and bound them ([`AccessRows::compose`],
+    /// then [`AccessRows::bound`]).
     fn set_up(&mut self, dom: &Domain, alignment: &Alignment, acc: &Access) -> Result<(), String> {
+        self.compose(dom, alignment, acc)?;
+        self.bound(dom, acc)
+    }
+
+    /// Compose `acc`'s rows over `dom`, or say that a value the plan
+    /// stages derive from the access itself could leave `i64`: the shapes
+    /// must fit the 2-row maps, each composed entry is summed in checked
+    /// `i128` and must fit, and [`row_range`] bounds every term and prefix
+    /// sum of the subscript `F·I + c` (which the staged evaluation of
+    /// [`CommPlan::verify_availability`] computes) over the domain box.
+    /// The composed rows are walked only once [`AccessRows::bound`] passed.
+    fn compose(&mut self, dom: &Domain, alignment: &Alignment, acc: &Access) -> Result<(), String> {
         let array = &alignment.array_alloc[acc.array.0];
         let stmt = &alignment.stmt_alloc[acc.stmt.0];
-        if !walk_is_exact(dom, acc, array, stmt) {
-            return Err(unpriceable(acc, "its subscript or an allocation"));
-        }
+        let refuse = || unpriceable(acc, "its subscript or an allocation");
         let d = dom.dim();
+        let shapes_fit = acc.f.cols() == d
+            && acc.c.len() == acc.f.rows()
+            && array.mat.cols() == acc.f.rows()
+            && stmt.mat.cols() == d
+            && array.mat.rows() <= 2
+            && stmt.mat.rows() <= 2
+            && array.rho.len() == array.mat.rows()
+            && stmt.rho.len() == stmt.mat.rows();
+        if !shapes_fit {
+            return Err(refuse());
+        }
+        let axis = |j: usize| [dom.lo(j), dom.hi(j)];
+        // Row-major entries: `F` is `q×d`, `M_x` is `rows×q`, `M_S` `rows×d`.
+        let (f, c) = (acc.f.as_slice(), &acc.c[..]);
+        let q = c.len();
+        for (k, &ck) in c.iter().enumerate() {
+            row_range(ck, f[k * d..(k + 1) * d].iter().copied(), axis).ok_or_else(refuse)?;
+        }
         self.table.clear();
         self.table.resize(2 * d + 1, [0; 4]);
-        // `[F | c]`'s column `j`: axis `j`'s coefficients, then the constant.
-        let fc = |k: usize, j: usize| if j < d { acc.f[(k, j)] } else { acc.c[k] };
+        let mx = array.mat.as_slice();
         for (i, &rho) in array.rho.iter().enumerate() {
-            let mx = array.mat.row(i);
+            let mrow = &mx[i * q..(i + 1) * q];
             for j in 0..=d {
-                self.table[j][i] = (0..mx.len()).map(|k| mx[k] * fc(k, j)).sum();
+                // `[F | c]`'s column `j`: axis `j`'s coefficients, then the
+                // constant.
+                let mut entry = i128::from(if j < d { 0 } else { rho });
+                for (k, &m) in mrow.iter().enumerate() {
+                    let x = if j < d { f[k * d + j] } else { c[k] };
+                    entry = entry
+                        .checked_add(i128::from(m) * i128::from(x))
+                        .ok_or_else(refuse)?;
+                }
+                self.table[j][i] = i64::try_from(entry).map_err(|_| refuse())?;
             }
-            self.table[d][i] += rho;
         }
-        for i in 0..stmt.mat.rows() {
-            for (col, &a) in self.table.iter_mut().zip(stmt.mat.row(i)) {
+        let ms = stmt.mat.as_slice();
+        for (i, &rho) in stmt.rho.iter().enumerate() {
+            for (col, &a) in self.table.iter_mut().zip(&ms[i * d..(i + 1) * d]) {
                 col[2 + i] = a;
             }
-            self.table[d][2 + i] = stmt.rho[i];
+            self.table[d][2 + i] = rho;
         }
-        let axis = |j: usize| [i128::from(dom.lo(j)), i128::from(dom.hi(j))];
-        self.range = [0, 1].map(|i| {
-            let o = i128::from(self.table[d][i]);
-            (0..d).fold([o, o], |r, j| add(r, span(self.table[j][i], axis(j))))
-        });
+        Ok(())
+    }
+
+    /// Bound every term and prefix sum of the walk, the four composed rows
+    /// over `dom`'s box ([`row_range`]), and keep the sources' range, or
+    /// say that `acc` cannot be priced. It reads only the composed table
+    /// and the box.
+    fn bound(&mut self, dom: &Domain, acc: &Access) -> Result<(), String> {
+        let d = dom.dim();
+        let axis = |j: usize| [dom.lo(j), dom.hi(j)];
+        let mut ranges = [[0; 2]; 4];
+        for (i, r) in ranges.iter_mut().enumerate() {
+            let row = (0..d).map(|j| self.table[j][i]);
+            *r = row_range(self.table[d][i], row, axis)
+                .ok_or_else(|| unpriceable(acc, "its subscript or an allocation"))?;
+        }
+        self.range = [ranges[0], ranges[1]];
         Ok(())
     }
 
     /// Whether sweeping every source through `mats` in turn stays in
-    /// `i64` (else `what` is unpriceable), by interval arithmetic from the
-    /// sources' ranges: every term and sum of each `T·pos` is bounded.
+    /// `i64` (else `what` is unpriceable). The sweeping position stays an
+    /// affine map of `I`, its coefficients composed checked in `i64`, so
+    /// each coordinate's range over `dom`'s box is exact: each product
+    /// `a·pos` of a `T·pos` spans the range of `pos`, and each sum is the
+    /// [`row_range`] of its composed map. Ranges of the two coordinates
+    /// taken apart would refuse sums whose terms cancel.
     fn sweeps_fit(
-        &self,
+        &mut self,
+        dom: &Domain,
         acc: &Access,
         what: &str,
         mats: impl IntoIterator<Item = [[i64; 2]; 2]>,
     ) -> Result<(), String> {
-        let fits = |[lo, hi]: [i128; 2]| lo >= i64::MIN.into() && hi <= i64::MAX.into();
+        let refuse = || unpriceable(acc, what);
+        let axis = |j: usize| [dom.lo(j), dom.hi(j)];
+        let d = dom.dim();
+        // Column `j < d`: both coordinates' coefficients of axis `j`;
+        // column `d`: their constants. It starts as the owner rows.
+        let pos = &mut self.pos;
+        pos.clear();
+        pos.extend(self.table[..=d].iter().map(|c| [c[0], c[1]]));
         let mut range = self.range;
-        let fit = mats.into_iter().all(|m| {
-            let terms = m.map(|[a, b]| [span(a, range[0]), span(b, range[1])]);
-            range = terms.map(|[x, y]| add(x, y));
-            terms.iter().flatten().chain(&range).all(|&r| fits(r))
-        });
-        fit.then_some(()).ok_or_else(|| unpriceable(acc, what))
+        for m in mats {
+            let mut terms = m
+                .iter()
+                .flat_map(|&[a, b]| [span(a, range[0]), span(b, range[1])]);
+            if !terms.all(|t| narrow(t).is_some()) {
+                return Err(refuse());
+            }
+            for col in pos.iter_mut() {
+                let [x, y] = *col;
+                let row = |[a, b]: [i64; 2]| a.checked_mul(x)?.checked_add(b.checked_mul(y)?);
+                *col = [row(m[0]).ok_or_else(refuse)?, row(m[1]).ok_or_else(refuse)?];
+            }
+            let row = |r: usize| {
+                row_range(pos[d][r], pos[..d].iter().map(|c| c[r]), axis).ok_or_else(refuse)
+            };
+            range = [row(0)?, row(1)?];
+        }
+        Ok(())
+    }
+
+    /// Append to `key` what fixes the transfers of the access set up over
+    /// `dom`: the depth, the composed columns `0..=d` and the domain's
+    /// bounds and guards (the walk reads nothing else).
+    fn push_key(&self, dom: &Domain, key: &mut Vec<i64>) {
+        let d = dom.dim();
+        key.push(d as i64);
+        key.extend_from_slice(self.table[..=d].as_flattened());
+        key.extend((0..d).flat_map(|j| [dom.lo(j), dom.hi(j)]));
+        key.push(dom.guards().len() as i64);
+        for (g, b) in dom.guards() {
+            key.extend(g);
+            key.push(*b);
+        }
     }
 
     /// `f(src, dst)` (owner, computer) over the set-up's `dom` in points
@@ -316,68 +421,46 @@ fn offset(src: (i64, i64), dst: (i64, i64)) -> Option<(i64, i64)> {
     Some((dst.0.checked_sub(src.0)?, dst.1.checked_sub(src.1)?))
 }
 
-/// The range of `a·x` for `x` in `[lo, hi]`.
-fn span(a: i64, [lo, hi]: [i128; 2]) -> [i128; 2] {
-    let (p, q) = (i128::from(a) * lo, i128::from(a) * hi);
-    [p.min(q), p.max(q)]
+/// The range of `a·x` for `x` in `[lo, hi]`, exact in `i128`.
+fn span(a: i64, [lo, hi]: [i64; 2]) -> [i128; 2] {
+    let (p, q) = (
+        i128::from(a) * i128::from(lo),
+        i128::from(a) * i128::from(hi),
+    );
+    if a < 0 {
+        [q, p]
+    } else {
+        [p, q]
+    }
 }
 
-/// The range of a sum.
-fn add(x: [i128; 2], y: [i128; 2]) -> [i128; 2] {
-    [x[0] + y[0], x[1] + y[1]]
+/// A range narrowed to `i64`, or `None` where it leaves `i64`.
+fn narrow([lo, hi]: [i128; 2]) -> Option<[i64; 2]> {
+    Some([i64::try_from(lo).ok()?, i64::try_from(hi).ok()?])
+}
+
+/// The range of `o + Σ_j a_j·x_j` over the box `x_j ∈ axis(j)`, summed in
+/// that order as the walk and the sweeps do, or `None` where a term or a
+/// partial sum can leave `i64`. Each prefix gets its own interval: a
+/// partial sum can leave `i64` where the whole row does not. The one
+/// interval evaluator of the plan stages: rows, sweeps and dataflow maps.
+fn row_range(
+    o: i64,
+    a: impl IntoIterator<Item = i64>,
+    axis: impl Fn(usize) -> [i64; 2],
+) -> Option<[i64; 2]> {
+    a.into_iter()
+        .enumerate()
+        .try_fold([o; 2], |[lo, hi], (j, a)| {
+            let [a_lo, a_hi] = narrow(span(a, axis(j)))?;
+            Some([lo.checked_add(a_lo)?, hi.checked_add(a_hi)?])
+        })
 }
 
 /// `mat · pos`, on positions [`AccessRows::sweeps_fit`] proved.
 fn mul2(mat: &[[i64; 2]; 2], pos: (i64, i64)) -> (i64, i64) {
     let row = |[a, b]: [i64; 2]| a * pos.0 + b * pos.1;
     (row(mat[0]), row(mat[1]))
-}
-
-/// Whether every evaluation of [`AccessRows`] is exact: the shapes fit
-/// the 2-row maps, and `Σ_j |a_ij|·r_j + |o_i|` over the domain box (`r_j
-/// = max(|lo_j|, |hi_j|, 1)`) fits `i64` for the subscript, the owner on
-/// the subscript's bound (which covers the composed rows) and the computer.
-fn walk_is_exact(dom: &Domain, acc: &Access, array: &Alloc, stmt: &Alloc) -> bool {
-    let d = dom.dim();
-    let shapes_fit = acc.f.cols() == d
-        && acc.c.len() == acc.f.rows()
-        && array.mat.cols() == acc.f.rows()
-        && stmt.mat.cols() == d
-        && array.mat.rows() <= 2
-        && stmt.mat.rows() <= 2
-        && array.rho.len() == array.mat.rows()
-        && stmt.rho.len() == stmt.mat.rows();
-    if !shapes_fit {
-        return false;
-    }
-    let reach = |k: usize| {
-        dom.lo(k)
-            .unsigned_abs()
-            .max(dom.hi(k).unsigned_abs())
-            .max(1)
-    };
-    let subscript = |i: usize| {
-        // Read only once every subscript row is known to fit `i64`.
-        u64::try_from(bound(acc.f.row(i), acc.c[i], reach)).unwrap_or(u64::MAX)
-    };
-    rows_fit(&acc.f, &acc.c, reach)
-        && rows_fit(&array.mat, &array.rho, subscript)
-        && rows_fit(&stmt.mat, &stmt.rho, reach)
-}
-
-/// `Σ_j |a_j|·r(j) + |o|` for one row of a map, exact: a product of two
-/// `u64` stays below 2¹²⁸, and the sum saturates.
-fn bound(row: &[i64], off: i64, r: impl Fn(usize) -> u64) -> u128 {
-    row.iter()
-        .enumerate()
-        .fold(u128::from(off.unsigned_abs()), |acc, (j, &a)| {
-            acc.saturating_add(u128::from(a.unsigned_abs()) * u128::from(r(j)))
-        })
-}
-
-/// Whether every row's [`bound`] stays within `i64`.
-fn rows_fit(mat: &IMat, off: &[i64], r: impl Fn(usize) -> u64 + Copy) -> bool {
-    (0..mat.rows()).all(|i| bound(mat.row(i), off[i], r) <= i64::MAX as u128)
 }
 
 impl CommPlan {
@@ -413,11 +496,12 @@ impl CommPlan {
     /// result equals `fold_pattern` on the wrapped pattern, mapped through
     /// [`Mesh2D::node_id`], in the same order.
     ///
-    /// Each distinct affine pattern is folded once per call: a factor
-    /// chain reuses a handful of `L(k)`/`U(k)` matrices, so a repeated
-    /// `(T, shift)` clones the phase lowered first under that key.
-    /// Explicit phases are always folded (hashing an endpoint list costs
-    /// as much as folding it).
+    /// Each distinct pattern is folded once per call, through one memo: a
+    /// repeated affine `(T, shift)` (a factor chain reuses a handful of
+    /// `L(k)`/`U(k)` matrices) or a repeated explicit slice (the same
+    /// `Arc`, which [`build_plan`] shares among accesses whose transfers
+    /// are fixed alike) clones the phase lowered first under that key. A
+    /// slice no other reference shares is folded without a memo entry.
     pub fn phases_on_mesh(
         &self,
         mesh: &Mesh2D,
@@ -427,39 +511,50 @@ impl CommPlan {
     ) -> Vec<Vec<PMsg>> {
         let pshape = (mesh.px, mesh.py);
         let mut explicit = ExplicitFold::new(dist, vshape, pshape);
-        let mut first: HashMap<AffineKey, usize> = HashMap::new();
+        let mut first: HashMap<FoldKey, usize> = HashMap::new();
         let mut out: Vec<Vec<PMsg>> = Vec::with_capacity(self.phases.len());
         let node = |(p, q): (usize, usize)| mesh.node_id(p, q);
         for phase in &self.phases {
-            let lowered = match &phase.pattern {
-                PhasePattern::Explicit(pattern) => {
-                    explicit.fold(pattern);
-                    explicit
-                        .runs()
-                        .map(|(src, dst, sends)| PMsg {
-                            src: node(src),
-                            dst: node(dst),
-                            bytes: sends.saturating_mul(bytes),
-                        })
-                        .collect()
-                }
-                // The closed path: no virtual-grid enumeration, cost
-                // flat in the grid area.
-                PhasePattern::Affine { t, shift } => {
-                    let key = ([t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]], *shift);
-                    if let Some(&i) = first.get(&key) {
-                        out[i].clone()
-                    } else {
-                        first.insert(key, out.len());
-                        fold_affine(t, *shift, dist, vshape, pshape, bytes)
-                            .msgs
-                            .iter()
-                            .map(|m| PMsg {
-                                src: node(m.src),
-                                dst: node(m.dst),
-                                bytes: m.bytes,
-                            })
-                            .collect()
+            let key = match &phase.pattern {
+                // A slice no other phase holds cannot repeat: no entry.
+                PhasePattern::Explicit(pattern) if Arc::strong_count(pattern) == 1 => None,
+                PhasePattern::Explicit(pattern) => Some(FoldKey::Explicit(Arc::as_ptr(pattern))),
+                PhasePattern::Affine { t, shift } => Some(FoldKey::Affine(
+                    [t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]],
+                    *shift,
+                )),
+            };
+            let lowered = match key.map(|key| first.entry(key)) {
+                Some(Entry::Occupied(seen)) => out[*seen.get()].clone(),
+                slot => {
+                    if let Some(Entry::Vacant(slot)) = slot {
+                        slot.insert(out.len());
+                    }
+                    match &phase.pattern {
+                        PhasePattern::Explicit(pattern) => {
+                            explicit.fold(pattern);
+                            explicit
+                                .runs()
+                                .map(|(src, dst, sends)| PMsg {
+                                    src: node(src),
+                                    dst: node(dst),
+                                    bytes: sends.saturating_mul(bytes),
+                                })
+                                .collect()
+                        }
+                        // The closed path: no virtual-grid enumeration,
+                        // cost flat in the grid area.
+                        PhasePattern::Affine { t, shift } => {
+                            fold_affine(t, *shift, dist, vshape, pshape, bytes)
+                                .msgs
+                                .iter()
+                                .map(|m| PMsg {
+                                    src: node(m.src),
+                                    dst: node(m.dst),
+                                    bytes: m.bytes,
+                                })
+                                .collect()
+                        }
                     }
                 }
             };
@@ -535,8 +630,215 @@ impl CommPlan {
 /// Build the communication plan of a mapping (2-D mappings only — the
 /// simulators are 2-D). Coordinates are raw; wrapping happens at fold
 /// time. Panics where [`compile`] reports an access it cannot price.
+///
+/// Accesses whose transfers are fixed alike (the same composed owner and
+/// computer rows, domain, outcome kind and factor chain) share their
+/// phases' endpoint slices: each distinct explicit phase is built once
+/// per call.
 pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     explicit_plan(nest, mapping).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The explicit phases already built in one plan, keyed on what fixes an
+/// access's transfers: its phase recipe ([`push_recipe`]), then its
+/// composed rows and domain ([`AccessRows::push_key`]). The keys sit back
+/// to back in one buffer with the key at hand at its end, so a hit
+/// allocates nothing. A plan with at most [`SCAN_KEYS`] distinct keys (a
+/// kernel-zoo nest has a handful, none repeated) compares them in turn;
+/// past that they are indexed by hash, with the keyed default hasher
+/// since they come from nest text.
+struct PhaseMemo {
+    keys: Vec<i64>,
+    /// Each kept key's span in `keys` and the phases the first access
+    /// with that key pushed onto the plan.
+    kept: Vec<(Range<usize>, Range<usize>)>,
+    hasher: RandomState,
+    /// A kept key's hash → its index in `kept`, once there are more than
+    /// [`SCAN_KEYS`] (a hash collision keeps the first key's slot).
+    index: HashMap<u64, usize>,
+}
+
+/// Up to this many distinct keys, [`PhaseMemo`] compares keys instead of
+/// hashing them.
+const SCAN_KEYS: usize = 8;
+
+impl Default for PhaseMemo {
+    /// Room for the keys of a small nest, so they never regrow.
+    fn default() -> Self {
+        PhaseMemo {
+            keys: Vec::with_capacity(64),
+            kept: Vec::with_capacity(SCAN_KEYS),
+            hasher: RandomState::new(),
+            index: HashMap::new(),
+        }
+    }
+}
+
+impl PhaseMemo {
+    /// Push `acc`'s phases for `out` (its rows composed over `dom`):
+    /// copies of those of the first access with the same key, sharing
+    /// their slices, or else the ones `build` pushes, which the key then
+    /// keeps. A hit hides no error: the rows' bound, the factor sweeps'
+    /// bound and the shift check read only what the key holds, so they
+    /// passed for the first access.
+    fn push(
+        &mut self,
+        phases: &mut Vec<CommPhase>,
+        acc: &Access,
+        out: &CommOutcome,
+        dom: &Domain,
+        rows: &mut AccessRows,
+        build: impl FnOnce(&mut AccessRows, &mut Vec<CommPhase>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let at = self.keys.len();
+        push_recipe(out, &mut self.keys);
+        rows.push_key(dom, &mut self.keys);
+        let (keys, key) = self.keys.split_at(at);
+        let same = |kept: &(Range<usize>, Range<usize>)| keys[kept.0.clone()] == *key;
+        let mut hash = None;
+        let seen = if self.kept.len() <= SCAN_KEYS {
+            self.kept.iter().position(same)
+        } else {
+            if self.index.is_empty() {
+                for (i, (kept, _)) in self.kept.iter().enumerate() {
+                    let h = self.hasher.hash_one(&keys[kept.clone()]);
+                    self.index.entry(h).or_insert(i);
+                }
+            }
+            let h = self.hasher.hash_one(key);
+            hash = Some(h);
+            self.index.get(&h).copied().filter(|&i| same(&self.kept[i]))
+        };
+        if let Some(i) = seen {
+            self.keys.truncate(at);
+            for p in self.kept[i].1.clone() {
+                let (kind, pattern) = (phases[p].kind.clone(), phases[p].pattern.clone());
+                phases.push(CommPhase {
+                    access: acc.id,
+                    kind,
+                    pattern,
+                });
+            }
+            return Ok(());
+        }
+        let start = phases.len();
+        build(rows, phases)?;
+        if let Some(h) = hash {
+            self.index.entry(h).or_insert(self.kept.len());
+        }
+        self.kept.push((at..self.keys.len(), start..phases.len()));
+        Ok(())
+    }
+}
+
+/// Append `out`'s phase recipe to `key`: the outcome kind, and for a
+/// decomposition its factor chain.
+fn push_recipe(out: &CommOutcome, key: &mut Vec<i64>) {
+    match out {
+        CommOutcome::Local => unreachable!("local accesses have no phases"),
+        CommOutcome::Translation => key.push(1),
+        CommOutcome::Macro { .. } => key.push(2),
+        CommOutcome::DecomposedGeneral { .. } => key.push(3),
+        CommOutcome::General => key.push(4),
+        CommOutcome::Decomposed { factors, .. } => {
+            key.extend([5, factors.len() as i64]);
+            for f in factors {
+                key.extend(match *f {
+                    Elementary::L(l) => [0, l],
+                    Elementary::U(k) => [1, k],
+                });
+            }
+        }
+    }
+}
+
+/// The state kept across the accesses of one plan build: the composed
+/// rows, the endpoint pairs, the moves of one sweep and the phase memo.
+#[derive(Default)]
+struct PlanBuilder {
+    rows: AccessRows,
+    transfers: Vec<Endpoints>,
+    moves: Vec<Endpoints>,
+    memo: PhaseMemo,
+}
+
+impl PlanBuilder {
+    /// Push the explicit phases of the non-local `acc` with outcome `out`,
+    /// its rows composed over `dom`, through the memo; the rows are
+    /// bounded only where the memo misses.
+    fn explicit_phases(
+        &mut self,
+        phases: &mut Vec<CommPhase>,
+        acc: &Access,
+        out: &CommOutcome,
+        dom: &Domain,
+    ) -> Result<(), String> {
+        let PlanBuilder {
+            rows,
+            transfers,
+            moves,
+            memo,
+        } = self;
+        memo.push(phases, acc, out, dom, rows, |rows, phases| {
+            rows.bound(dom, acc)?;
+            let mut push = |kind, pattern: &[Endpoints]| {
+                phases.push(CommPhase {
+                    access: acc.id,
+                    kind,
+                    pattern: PhasePattern::Explicit(pattern.into()),
+                })
+            };
+            let kind = match out {
+                CommOutcome::Local => unreachable!(),
+                CommOutcome::Translation => PhaseKind::Translation,
+                CommOutcome::Macro { .. } => PhaseKind::CollectiveRound,
+                CommOutcome::DecomposedGeneral { .. } => PhaseKind::UnirowFactor,
+                CommOutcome::General => PhaseKind::GeneralAffine,
+                CommOutcome::Decomposed { factors, .. } => {
+                    // precv = F₁·…·F_n·psend + t₀: one phase per factor
+                    // (right to left), then the constant shift t₀ (§4.2:
+                    // the dataflow equality holds "up to a translation").
+                    let sweeps = factors.iter().rev().map(|f| mat2(&f.to_mat()));
+                    rows.sweeps_fit(dom, acc, "a factor sweep", sweeps)?;
+                    // (current position, final destination) pairs.
+                    distinct_transfers(rows, dom, true, transfers);
+                    for &f in factors.iter().rev() {
+                        let mat = mat2(&f.to_mat());
+                        moves.clear();
+                        for (pos, _) in transfers.iter_mut() {
+                            let q = mul2(&mat, *pos);
+                            if q != *pos {
+                                moves.push((*pos, q));
+                            }
+                            *pos = q;
+                        }
+                        moves.sort_unstable();
+                        moves.dedup();
+                        push(PhaseKind::Elementary(f), moves);
+                    }
+                    // Final constant shift to the true destination.
+                    moves.clear();
+                    moves.extend(transfers.iter().filter(|(pos, dst)| pos != dst));
+                    moves.sort_unstable();
+                    moves.dedup();
+                    if let Some(&(s0, d0)) = moves.first() {
+                        // All moves share one offset (affine constant term).
+                        let off = offset(s0, d0)
+                            .ok_or_else(|| unpriceable(acc, "the decomposition shift"))?;
+                        debug_assert!(
+                            moves.iter().all(|&(s, d)| offset(s, d) == Some(off)),
+                            "decomposition residue is not a constant shift"
+                        );
+                        push(PhaseKind::DecompositionShift, moves);
+                    }
+                    return Ok(());
+                }
+            };
+            distinct_transfers(rows, dom, false, transfers);
+            push(kind, transfers);
+            Ok(())
+        })
+    }
 }
 
 /// [`build_plan`], or the reason an access cannot be priced.
@@ -552,72 +854,14 @@ fn explicit_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String>
     let mut plan = CommPlan {
         phases: Vec::with_capacity(most.sum()),
     };
-    // Scratch kept across accesses (each phase stores an exact-size copy):
-    // the composed rows, the endpoint pairs, the moves of one sweep.
-    let mut rows = AccessRows::default();
-    let mut transfers = Vec::new();
-    let mut moves = Vec::new();
+    let mut builder = PlanBuilder::default();
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
         if matches!(out, CommOutcome::Local) {
             continue;
         }
         let dom = &nest.statement(acc.stmt).domain;
-        rows.set_up(dom, &mapping.alignment, acc)?;
-        let mut push = |kind, pattern: &[Endpoints]| {
-            plan.phases.push(CommPhase {
-                access: acc.id,
-                kind,
-                pattern: PhasePattern::Explicit(pattern.to_vec()),
-            })
-        };
-        let kind = match out {
-            CommOutcome::Local => unreachable!(),
-            CommOutcome::Translation => PhaseKind::Translation,
-            CommOutcome::Macro { .. } => PhaseKind::CollectiveRound,
-            CommOutcome::DecomposedGeneral { .. } => PhaseKind::UnirowFactor,
-            CommOutcome::General => PhaseKind::GeneralAffine,
-            CommOutcome::Decomposed { factors, .. } => {
-                // precv = F₁·…·F_n·psend + t₀: one phase per factor (right
-                // to left), then the constant shift t₀ (§4.2: the dataflow
-                // equality holds "up to a translation").
-                let sweeps = factors.iter().rev().map(|f| mat2(&f.to_mat()));
-                rows.sweeps_fit(acc, "a factor sweep", sweeps)?;
-                // (current position, final destination) pairs.
-                distinct_transfers(&mut rows, dom, true, &mut transfers);
-                for &f in factors.iter().rev() {
-                    let mat = mat2(&f.to_mat());
-                    moves.clear();
-                    for (pos, _) in &mut transfers {
-                        let q = mul2(&mat, *pos);
-                        if q != *pos {
-                            moves.push((*pos, q));
-                        }
-                        *pos = q;
-                    }
-                    moves.sort_unstable();
-                    moves.dedup();
-                    push(PhaseKind::Elementary(f), &moves);
-                }
-                // Final constant shift to the true destination.
-                moves.clear();
-                moves.extend(transfers.iter().filter(|(pos, dst)| pos != dst));
-                moves.sort_unstable();
-                moves.dedup();
-                if let Some(&(s0, d0)) = moves.first() {
-                    // All moves share one offset (affine constant term).
-                    let off = offset(s0, d0)
-                        .ok_or_else(|| unpriceable(acc, "the decomposition shift"))?;
-                    debug_assert!(
-                        moves.iter().all(|&(s, d)| offset(s, d) == Some(off)),
-                        "decomposition residue is not a constant shift"
-                    );
-                    push(PhaseKind::DecompositionShift, &moves);
-                }
-                continue;
-            }
-        };
-        distinct_transfers(&mut rows, dom, false, &mut transfers);
-        push(kind, &transfers);
+        builder.rows.compose(dom, &mapping.alignment, acc)?;
+        builder.explicit_phases(&mut plan.phases, acc, out, dom)?;
     }
     Ok(plan)
 }
@@ -637,8 +881,9 @@ fn explicit_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String>
 ///
 /// Collectives ([`CommOutcome::Macro`]) stay explicit (a data-dependent
 /// placement), as does an access whose dataflow matrix the alignment
-/// cannot express; [`CommPlan::verify_availability`] proves both forms
-/// against the same oracle. Panics as [`build_plan`] does.
+/// cannot express; both go through [`build_plan`]'s phase memo, and
+/// [`CommPlan::verify_availability`] proves both forms against the same
+/// oracle. Panics as [`build_plan`] does.
 pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
     closed_plan(nest, mapping).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -647,13 +892,13 @@ pub fn build_plan_closed(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
 fn closed_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String> {
     assert_eq!(mapping.alignment.m, 2, "plans target 2-D grids");
     let mut plan = CommPlan::default();
-    let mut rows = AccessRows::default();
-    let mut transfers = Vec::new();
+    let mut builder = PlanBuilder::default();
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
         if matches!(out, CommOutcome::Local) {
             continue;
         }
         let dom = &nest.statement(acc.stmt).domain;
+        let rows = &mut builder.rows;
         rows.set_up(dom, &mapping.alignment, acc)?;
         // One sample pins the affine constant term.
         let mut sample = None;
@@ -665,10 +910,6 @@ fn closed_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String> {
             continue;
         };
         let shift_of = |moved| offset(moved, dst0).ok_or_else(|| unpriceable(acc, "a shift"));
-        let mut endpoints = || {
-            distinct_transfers(&mut rows, dom, false, &mut transfers);
-            transfers.to_vec()
-        };
         let (kind, pattern) = match out {
             CommOutcome::Local => unreachable!(),
             CommOutcome::Translation => (
@@ -680,16 +921,16 @@ fn closed_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String> {
             ),
             // The collective's placement phase is data-dependent (a
             // fan-out/fan-in set, not a position map): keep it explicit.
-            CommOutcome::Macro { .. } => (
-                PhaseKind::CollectiveRound,
-                PhasePattern::Explicit(endpoints()),
-            ),
+            CommOutcome::Macro { .. } => {
+                builder.explicit_phases(&mut plan.phases, acc, out, dom)?;
+                continue;
+            }
             CommOutcome::Decomposed { factors, .. } => {
                 // precv = F₁·…·F_n·psend + t₀: factors apply right to
                 // left, each one a grid-wide linear sweep, then the
                 // constant shift t₀ = dst₀ − (F₁·…·F_n)·src₀.
                 let sweeps = factors.iter().rev().map(|f| mat2(&f.to_mat()));
-                rows.sweeps_fit(acc, "a factor sweep", sweeps)?;
+                rows.sweeps_fit(dom, acc, "a factor sweep", sweeps)?;
                 let mut moved = src0;
                 for &f in factors.iter().rev() {
                     moved = mul2(&mat2(&f.to_mat()), moved);
@@ -720,17 +961,15 @@ fn closed_plan(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String> {
                 } else {
                     PhaseKind::UnirowFactor
                 };
-                let pattern = match dataflow_matrix(&mapping.alignment, nest, acc.id) {
-                    Some(t) => {
-                        let mat = mat2(&t);
-                        rows.sweeps_fit(acc, "its dataflow map", [mat])?;
-                        let shift = shift_of(mul2(&mat, src0))?;
-                        PhasePattern::Affine { t, shift }
-                    }
+                let Some(t) = dataflow_matrix(&mapping.alignment, nest, acc.id) else {
                     // Rank-deficient alignment: no grid-wide map exists.
-                    None => PhasePattern::Explicit(endpoints()),
+                    builder.explicit_phases(&mut plan.phases, acc, out, dom)?;
+                    continue;
                 };
-                (kind, pattern)
+                let mat = mat2(&t);
+                rows.sweeps_fit(dom, acc, "its dataflow map", [mat])?;
+                let shift = shift_of(mul2(&mat, src0))?;
+                (kind, PhasePattern::Affine { t, shift })
             }
         };
         plan.phases.push(CommPhase {
@@ -804,6 +1043,7 @@ pub fn compile(
 pub(crate) mod tests {
     use super::*;
     use crate::pipeline::{map_nest, MappingOptions};
+    use rescomm_alignment::Alloc;
     use rescomm_distribution::{physical_messages, Dist1D};
     use rescomm_loopnest::examples::{self, chained_stencil_nest, pipeline_nest};
     use rescomm_machine::{
@@ -1209,31 +1449,48 @@ pub(crate) mod tests {
             examples::adi_sweep(6),
         ];
         nests.extend([5, 9, 16].map(|n| chained_stencil_nest(n, 4)));
+        nests.extend([5, 9, 16].map(|n| pipeline_nest(n, 3)));
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let mut repeats = 0;
+        let (mut affine_repeats, mut shared_slices) = (0, 0);
         for nest in &nests {
             let mapping = map_nest(nest, &MappingOptions::new(2)).unwrap();
-            let plan = build_plan_closed(nest, &mapping);
-            assert!(!plan.phases.is_empty(), "{} communicates", nest.name);
+            let closed = build_plan_closed(nest, &mapping);
+            assert!(!closed.phases.is_empty(), "{} communicates", nest.name);
             let mut keys = std::collections::HashSet::new();
-            for p in &plan.phases {
+            for p in &closed.phases {
                 if let PhasePattern::Affine { t, shift } = &p.pattern {
-                    repeats += usize::from(!keys.insert((t.clone(), *shift)));
+                    affine_repeats += usize::from(!keys.insert((t.clone(), *shift)));
                 }
             }
-            for vshape in [(4096, 4096), (1021, 67)] {
-                for d in [Dist1D::Cyclic, Dist1D::Block] {
-                    let dist = Dist2D::uniform(d);
-                    assert_eq!(
-                        plan.phases_on_mesh(&mesh, dist, vshape, 64),
-                        lower_each_phase(&plan, &mesh, dist, vshape, 64),
-                        "{} at {vshape:?} under {d:?}",
-                        nest.name
-                    );
+            // The explicit plan's shared slices, folded once each.
+            let explicit = build_plan(nest, &mapping);
+            shared_slices += explicit.phases.len() - distinct_slices(&explicit);
+            // A clone holds a second reference to every slice, so each of
+            // its explicit phases takes a memo entry.
+            let held = explicit.clone();
+            for (plan, vshapes) in [
+                (&closed, [(4096, 4096), (1021, 67)]),
+                (&explicit, [(32, 32), (7, 5)]),
+                (&held, [(32, 32), (7, 5)]),
+            ] {
+                for vshape in vshapes {
+                    for d in [Dist1D::Cyclic, Dist1D::Block] {
+                        let dist = Dist2D::uniform(d);
+                        assert_eq!(
+                            plan.phases_on_mesh(&mesh, dist, vshape, 64),
+                            lower_each_phase(plan, &mesh, dist, vshape, 64),
+                            "{} at {vshape:?} under {d:?}",
+                            nest.name
+                        );
+                    }
                 }
             }
         }
-        assert!(repeats > 0, "the corpus must exercise the memo");
+        assert!(
+            affine_repeats > 0,
+            "the corpus must exercise the affine memo"
+        );
+        assert!(shared_slices > 0, "the corpus must share explicit slices");
     }
 
     #[test]
@@ -1250,7 +1507,7 @@ pub(crate) mod tests {
         let explicit = |pairs: Vec<Endpoints>| CommPhase {
             access: AccessId(0),
             kind: PhaseKind::Translation,
-            pattern: PhasePattern::Explicit(pairs),
+            pattern: PhasePattern::Explicit(pairs.into()),
         };
         let u1: &[&[i64]] = &[&[1, 1], &[0, 1]];
         let mut phases = vec![
@@ -1369,14 +1626,6 @@ pub(crate) mod tests {
             });
             Some(v)
         }
-
-        fn exact(&self) -> bool {
-            let (x, s) = (
-                &self.alignment.array_alloc[0],
-                &self.alignment.stmt_alloc[0],
-            );
-            walk_is_exact(&self.dom, &self.acc, x, s)
-        }
     }
 
     /// A box of depth 1..=4 at small coordinates, cut by random guards
@@ -1429,9 +1678,11 @@ pub(crate) mod tests {
             let case = WalkCase::new(dom, q, rows_x, rows_s, &ents);
             // Small inputs are always priceable unless the owner map is
             // taller than the 2-row plan form.
-            proptest::prop_assert_eq!(case.exact(), rows_x <= 2);
             match case.walk() {
-                Some(walk) => proptest::prop_assert_eq!(walk, case.oracle()),
+                Some(walk) => {
+                    proptest::prop_assert!(rows_x <= 2);
+                    proptest::prop_assert_eq!(walk, case.oracle());
+                }
                 None => proptest::prop_assert!(rows_x > 2),
             }
         }
@@ -1465,9 +1716,7 @@ pub(crate) mod tests {
             let ents: Vec<i64> = ents.iter().map(|&e| e * big).collect();
             let case = WalkCase::new(dom, q, 2, 2, &ents);
             let oracle = std::panic::catch_unwind(|| case.oracle());
-            let walk = case.walk();
-            proptest::prop_assert_eq!(walk.is_some(), case.exact());
-            match (oracle, walk) {
+            match (oracle, case.walk()) {
                 (Ok(o), Some(w)) => proptest::prop_assert_eq!(w, o),
                 (Err(_), walk) => proptest::prop_assert!(walk.is_none()),
                 (Ok(_), None) => {}
@@ -1510,7 +1759,6 @@ pub(crate) mod tests {
             let b = bounds.iter().map(|b| b.0).sum::<i64>() + d as i64 / 2;
             let dom = Domain::rect(&bounds).with_guard(&vec![1; d], b);
             let case = WalkCase::new(dom, 3, 2, 2, &ents);
-            assert!(case.exact(), "depth {d}");
             let walk = case.walk().unwrap();
             assert!(!walk.is_empty() && walk.len() < 1 << d, "depth {d}");
             assert_eq!(walk, case.oracle(), "depth {d}");
@@ -1683,7 +1931,7 @@ pub(crate) mod tests {
                 .map(|pattern| CommPhase {
                     access: AccessId(0),
                     kind: PhaseKind::GeneralAffine,
-                    pattern: PhasePattern::Explicit(pattern.clone()),
+                    pattern: PhasePattern::Explicit(pattern[..].into()),
                 })
                 .collect(),
         }
@@ -1719,50 +1967,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The buffer-free exactness bound as it stood with heap buffers: one
-    /// `Vec` of reaches and one of bounds per map.
-    fn walk_is_exact_buffered(dom: &Domain, acc: &Access, array: &Alloc, stmt: &Alloc) -> bool {
-        let d = dom.dim();
-        let shapes_fit = acc.f.cols() == d
-            && acc.c.len() == acc.f.rows()
-            && array.mat.cols() == acc.f.rows()
-            && stmt.mat.cols() == d
-            && array.mat.rows() <= 2
-            && stmt.mat.rows() <= 2
-            && array.rho.len() == array.mat.rows()
-            && stmt.rho.len() == stmt.mat.rows();
-        if !shapes_fit {
-            return false;
-        }
-        let reach: Vec<i128> = (0..d)
-            .map(|k| {
-                i128::from(
-                    dom.lo(k)
-                        .unsigned_abs()
-                        .max(dom.hi(k).unsigned_abs())
-                        .max(1),
-                )
-            })
-            .collect();
-        let bound = |mat: &IMat, off: &[i64], reach: &[i128]| -> Vec<i128> {
-            (0..mat.rows())
-                .map(|i| {
-                    mat.row(i).iter().zip(reach).fold(
-                        i128::from(off[i].unsigned_abs()),
-                        |acc, (&a, &r)| {
-                            acc.saturating_add(i128::from(a.unsigned_abs()).saturating_mul(r))
-                        },
-                    )
-                })
-                .collect()
-        };
-        let fits = |b: &[i128]| b.iter().all(|&x| x <= i128::from(i64::MAX));
-        let subscript = bound(&acc.f, &acc.c, &reach);
-        fits(&subscript)
-            && fits(&bound(&array.mat, &array.rho, &subscript))
-            && fits(&bound(&stmt.mat, &stmt.rho, &reach))
-    }
-
     impl WalkCase {
         /// Break the shapes one way (`how` in 1..=4): `c` one short, an
         /// extra `ρ_x` entry, `M_S` one column too wide, or `F` one column
@@ -1791,14 +1995,62 @@ pub(crate) mod tests {
             }
             self
         }
+    }
 
-        fn exact_buffered(&self) -> bool {
-            let (x, s) = (
-                &self.alignment.array_alloc[0],
-                &self.alignment.stmt_alloc[0],
-            );
-            walk_is_exact_buffered(&self.dom, &self.acc, x, s)
-        }
+    /// A 2×2 access matrix from a small menu that reaches every outcome
+    /// kind: identity, transpose, shear, a projection and a scaling.
+    fn access_matrix() -> impl proptest::strategy::Strategy<Value = &'static str> {
+        use proptest::strategy::Just;
+        proptest::prop_oneof![
+            Just("1 0; 0 1"),
+            Just("0 1; 1 0"),
+            Just("1 1; 0 1"),
+            Just("1 0; 0 0"),
+            Just("2 0; 0 1"),
+        ]
+    }
+
+    /// The text of a hostile-edge nest: one depth-2 statement writing `a`
+    /// and reading `b` and `a` through [`access_matrix`]es, its two loop
+    /// bounds and six subscript offsets small, with up to two of them
+    /// moved to the `i64` edges ([`edge_value`]).
+    pub(crate) fn edge_nest_source() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::Strategy;
+        (
+            proptest::collection::vec(-4i64..=4, 8),
+            proptest::collection::vec((0usize..8, edge_value()), 0..3),
+            proptest::collection::vec(0i64..=2, 2),
+            proptest::collection::vec(access_matrix(), 3),
+        )
+            .prop_map(|(small, edges, lens, mats)| {
+                let mut vals = small;
+                for (at, e) in edges {
+                    vals[at] = e;
+                }
+                let (los, offs) = vals.split_at(2);
+                let bounds: Vec<String> = los
+                    .iter()
+                    .zip(&lens)
+                    .map(|(&lo, &len)| {
+                        let lo = lo.min(i64::MAX - len);
+                        format!("{lo}..{}", lo + len)
+                    })
+                    .collect();
+                format!(
+                    "nest edge\narray a 2\narray b 2\nstmt S depth 2 domain {}\n  \
+                     write a [{}] + [{} {}]\n  read b [{}] + [{} {}]\n  read a [{}] + [{} {}]\n",
+                    bounds.join(" "),
+                    mats[0],
+                    offs[0],
+                    offs[1],
+                    mats[1],
+                    offs[2],
+                    offs[3],
+                    mats[2],
+                    offs[4],
+                    offs[5],
+                )
+            })
     }
 
     /// Entries and bounds at the `i64` edges: `i64::MIN`, `±2⁶²` and
@@ -1821,7 +2073,6 @@ pub(crate) mod tests {
     fn an_access_past_the_bound_is_unpriceable() {
         // `x[2⁶²·i]` on `[1, 2]`: the subscript leaves `i64` at `i = 2`.
         let case = WalkCase::new(Domain::rect(&[(1, 2)]), 1, 1, 1, &[1 << 62, 0, 1, 0, 1, 0]);
-        assert!(!case.exact() && !case.exact_buffered());
         assert_eq!(case.walk(), None);
         assert!(std::panic::catch_unwind(|| case.oracle()).is_err());
     }
@@ -1890,18 +2141,23 @@ pub(crate) mod tests {
         let mut rows = AccessRows::default();
         rows.set_up(&case.dom, &case.alignment, &case.acc).unwrap();
         assert_eq!(rows.range, [[1 << 62; 2]; 2]);
-        let acc = &case.acc;
-        assert!(rows.sweeps_fit(acc, "L(1)", [[[1, 0], [1, 1]]]).is_err());
-        assert!(rows.sweeps_fit(acc, "L(-1)", [[[1, 0], [-1, 1]]]).is_ok());
+        let (dom, acc) = (&case.dom, &case.acc);
+        assert!(rows
+            .sweeps_fit(dom, acc, "L(1)", [[[1, 0], [1, 1]]])
+            .is_err());
+        assert!(rows
+            .sweeps_fit(dom, acc, "L(-1)", [[[1, 0], [-1, 1]]])
+            .is_ok());
         assert!(rows
             .sweeps_fit(
+                dom,
                 acc,
                 "L(-1) then L(1)",
                 [[[1, 0], [-1, 1]], [[1, 0], [1, 1]]]
             )
             .is_ok());
         assert!(rows
-            .sweeps_fit(acc, "U(2) after a term", [[[-1, 2], [0, 1]]])
+            .sweeps_fit(dom, acc, "U(2) after a term", [[[-1, 2], [0, 1]]])
             .is_err());
     }
 
@@ -1968,7 +2224,7 @@ pub(crate) mod tests {
             }
             let mats: Vec<[[i64; 2]; 2]> =
                 mats.iter().map(|m| [[m[0], m[1]], [m[2], m[3]]]).collect();
-            if rows.sweeps_fit(&case.acc, "sweep", mats.iter().copied()).is_err() {
+            if rows.sweeps_fit(&case.dom, &case.acc, "sweep", mats.iter().copied()).is_err() {
                 return Ok(());
             }
             let fits = |v: i128| i64::try_from(v).is_ok();
@@ -1992,11 +2248,17 @@ pub(crate) mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(1024))]
 
-        /// The buffer-free bound accepts and rejects exactly where the
-        /// buffered one does: entries, offsets and domain bounds at the
-        /// `i64` edges, loop depths up to 10 and broken shapes.
+        /// Whenever the set-up accepts an access, every entry of its
+        /// composed rows, and every term and prefix sum of those rows (in
+        /// walk order: constant first) and of its subscript rows, stays in
+        /// `i64` at every corner of the domain box, evaluated exactly in
+        /// `i128` from `F`, `c`, `M` and `ρ`; each is affine in the point,
+        /// so its extremes over the box sit at corners. The sources' range
+        /// is the exact `[min, max]` over the box. Entries, offsets and
+        /// domain bounds at the `i64` edges, loop depths up to 10 and
+        /// broken shapes.
         #[test]
-        fn walk_bound_matches_the_buffered_bound(
+        fn accepted_walks_never_leave_i64(
             d in 0usize..=10,
             lo in proptest::prop_oneof![edge_value(), -4i64..=4],
             len in 0i64..=2,
@@ -2014,7 +2276,244 @@ pub(crate) mod tests {
                 ents[at] = e;
             }
             let case = WalkCase::new(dom, q, rows_x, rows_s, &ents).mismatch(how);
-            proptest::prop_assert_eq!(case.exact(), case.exact_buffered());
+            let mut rows = AccessRows::default();
+            if rows.set_up(&case.dom, &case.alignment, &case.acc).is_err() {
+                return Ok(());
+            }
+            let (f, c) = (&case.acc.f, &case.acc.c);
+            let (x, st) = (&case.alignment.array_alloc[0], &case.alignment.stmt_alloc[0]);
+            let wide = |v: i64| i128::from(v);
+            // `[F | c]`, then the owner and computer rows, zero-padded to
+            // four, each as `d` coefficients and the constant.
+            let mut exact: Vec<Vec<Option<i128>>> = (0..f.rows())
+                .map(|k| (0..=d).map(|j| Some(wide(if j < d { f[(k, j)] } else { c[k] }))).collect())
+                .collect();
+            for i in 0..2 {
+                exact.push((0..=d).map(|j| {
+                    if i >= x.mat.rows() {
+                        return Some(0);
+                    }
+                    let rho = if j < d { 0 } else { wide(x.rho[i]) };
+                    (0..f.rows()).try_fold(rho, |sum, k| {
+                        sum.checked_add(wide(x.mat[(i, k)]) * wide(if j < d { f[(k, j)] } else { c[k] }))
+                    })
+                }).collect());
+            }
+            for i in 0..2 {
+                exact.push((0..=d).map(|j| Some(match (i < st.mat.rows(), j < d) {
+                    (false, _) => 0,
+                    (true, true) => wide(st.mat[(i, j)]),
+                    (true, false) => wide(st.rho[i]),
+                })).collect());
+            }
+            let fits = |v: i128| i64::try_from(v).is_ok();
+            let mut range = [[i128::MAX, i128::MIN]; 2];
+            for corner in 0..1usize << d {
+                let p = |j: usize| wide(if corner >> j & 1 == 1 { lo + len } else { lo });
+                for (r, row) in exact.iter().enumerate() {
+                    proptest::prop_assert!(row.iter().all(|e| e.is_some_and(fits)), "row {r}: {row:?}");
+                    let mut sum = row[d].unwrap();
+                    for (j, a) in row[..d].iter().enumerate() {
+                        let term = a.unwrap() * p(j);
+                        proptest::prop_assert!(fits(term), "row {r}, axis {j}");
+                        sum += term;
+                        proptest::prop_assert!(fits(sum), "row {r}, prefix {j}");
+                    }
+                    if let Some(i) = r.checked_sub(f.rows()).filter(|&i| i < 2) {
+                        range[i] = [range[i][0].min(sum), range[i][1].max(sum)];
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(rows.range.map(|r| r.map(i128::from)), range);
+        }
+    }
+
+    /// `build_plan` without sharing: every access built by a fresh
+    /// [`PlanBuilder`], so each phase gets its own slice.
+    fn plan_per_access(nest: &LoopNest, mapping: &Mapping) -> Result<CommPlan, String> {
+        let mut plan = CommPlan::default();
+        for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
+            if matches!(out, CommOutcome::Local) {
+                continue;
+            }
+            let dom = &nest.statement(acc.stmt).domain;
+            let mut builder = PlanBuilder::default();
+            builder.rows.set_up(dom, &mapping.alignment, acc)?;
+            builder.explicit_phases(&mut plan.phases, acc, out, dom)?;
+        }
+        Ok(plan)
+    }
+
+    /// A plan's phases as (access, kind, endpoint list).
+    fn phase_list(plan: &CommPlan) -> Vec<(AccessId, PhaseKind, Vec<Endpoints>)> {
+        plan.phases
+            .iter()
+            .map(|p| {
+                (
+                    p.access,
+                    p.kind.clone(),
+                    p.pattern.explicit().unwrap().to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    /// The number of distinct explicit slices of a plan, by address.
+    fn distinct_slices(plan: &CommPlan) -> usize {
+        let slices = plan.phases.iter().filter_map(|p| match &p.pattern {
+            PhasePattern::Explicit(v) => Some(Arc::as_ptr(v)),
+            PhasePattern::Affine { .. } => None,
+        });
+        slices.collect::<std::collections::HashSet<_>>().len()
+    }
+
+    /// Whether some phase of `a` and some phase of `b` share a slice.
+    fn share(plan: &CommPlan, a: AccessId, b: AccessId) -> bool {
+        let slices = |id| {
+            plan.phases
+                .iter()
+                .filter(move |p| p.access == id)
+                .filter_map(|p| match &p.pattern {
+                    PhasePattern::Explicit(v) => Some(v),
+                    PhasePattern::Affine { .. } => None,
+                })
+        };
+        slices(a).any(|x| slices(b).any(|y| Arc::ptr_eq(x, y)))
+    }
+
+    #[test]
+    fn memoized_plan_matches_per_access_build() {
+        let mut nests: Vec<LoopNest> = (3..=9).flat_map(kernel_zoo).collect();
+        for n in 1..=50 {
+            nests.push(chained_stencil_nest(n, 4));
+            nests.push(pipeline_nest(n, 3));
+        }
+        let (mut phases, mut distinct) = (0, 0);
+        for nest in &nests {
+            let mapping = map_nest(nest, &MappingOptions::new(2)).unwrap();
+            let plan = build_plan(nest, &mapping);
+            let fresh = plan_per_access(nest, &mapping).unwrap();
+            assert_eq!(phase_list(&plan), phase_list(&fresh), "{}", nest.name);
+            assert_eq!(distinct_slices(&fresh), fresh.phases.len(), "{}", nest.name);
+            phases += plan.phases.len();
+            distinct += distinct_slices(&plan);
+        }
+        // The synthetic families repeat most phases.
+        assert!(2 * distinct < phases, "{distinct} distinct of {phases}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        /// On the hostile-edge nests both builders, and the closed one,
+        /// price the same accesses with the same phases, or refuse the
+        /// same access for the same reason.
+        #[test]
+        fn memoized_plan_matches_per_access_build_at_the_edges(src in edge_nest_source()) {
+            let nest = rescomm_loopnest::parser::parse_nest(&src).unwrap();
+            let Ok(mapping) = map_nest(&nest, &MappingOptions::new(2)) else {
+                return Ok(());
+            };
+            let memo = super::explicit_plan(&nest, &mapping);
+            let fresh = plan_per_access(&nest, &mapping);
+            match (memo, fresh) {
+                (Ok(memo), Ok(fresh)) => {
+                    proptest::prop_assert_eq!(phase_list(&memo), phase_list(&fresh), "{}", src);
+                }
+                (memo, fresh) => {
+                    proptest::prop_assert_eq!(memo.err(), fresh.err(), "{}", src);
+                }
+            }
+        }
+    }
+
+    /// Repeats share their slices (`Arc::ptr_eq`), for a decomposed and
+    /// a one-phase access alike; a copy of the later access's statement
+    /// with a wider domain or a guard that keeps every point, or of the
+    /// mapping with another outcome kind or another factor chain of the
+    /// same product and length, separates it from the first again, and the
+    /// plan still equals the per-access build.
+    #[test]
+    fn accesses_fixed_differently_never_share_a_slice() {
+        let nest = chained_stencil_nest(12, 4);
+        let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
+        let plan = build_plan(&nest, &mapping);
+        // Per outcome seen, a first access and a later one that shares its
+        // slices from another statement.
+        let mut pairs: Vec<(AccessId, AccessId)> = Vec::new();
+        for a in &nest.accesses {
+            for b in &nest.accesses[a.id.0 + 1..] {
+                let out = &mapping.outcomes[a.id.0];
+                let seen = pairs.iter().any(|(x, _)| mapping.outcomes[x.0] == *out);
+                if !seen && a.stmt != b.stmt && share(&plan, a.id, b.id) {
+                    pairs.push((a.id, b.id));
+                }
+            }
+        }
+        let decomposed =
+            |id: &AccessId| matches!(mapping.outcomes[id.0], CommOutcome::Decomposed { .. });
+        let (Some(dec), Some(one)) = (
+            pairs.iter().find(|(a, _)| decomposed(a)),
+            pairs.iter().find(|(a, _)| !decomposed(a)),
+        ) else {
+            panic!("the corpus must repeat a decomposed and a one-phase access: {pairs:?}");
+        };
+        let split =
+            |nest: &LoopNest, mapping: &Mapping, (a, b): (AccessId, AccessId), what: &str| {
+                let plan = build_plan(nest, mapping);
+                assert!(!share(&plan, a, b), "{what}");
+                assert_eq!(
+                    phase_list(&plan),
+                    phase_list(&plan_per_access(nest, mapping).unwrap()),
+                    "{what}"
+                );
+            };
+        for &(a, b) in [dec, one] {
+            let stmt = nest.access(b).stmt.0;
+            let mut wider = nest.clone();
+            let dom = &wider.statements[stmt].domain;
+            let bounds: Vec<(i64, i64)> = (0..dom.dim())
+                .map(|k| (dom.lo(k), dom.hi(k) + usize::from(k == 0) as i64))
+                .collect();
+            wider.statements[stmt].domain = Domain::rect(&bounds);
+            split(&wider, &mapping, (a, b), "a domain bound");
+            // A guard that keeps every point still separates the keys.
+            let mut guarded = nest.clone();
+            let dom = &mut guarded.statements[stmt].domain;
+            *dom = dom.clone().with_guard(&vec![1; dom.dim()], 1 << 20);
+            split(&guarded, &mapping, (a, b), "a guard");
+        }
+        // A one-phase access read as another outcome kind: same endpoints.
+        let mut other = mapping.clone();
+        other.outcomes[one.1 .0] = match other.outcomes[one.1 .0] {
+            CommOutcome::General => CommOutcome::Translation,
+            _ => CommOutcome::General,
+        };
+        split(&nest, &other, *one, "an outcome kind");
+        // Chains that end in `U(k)·U(-k)`, `k = 1` for the first access
+        // and 2 for the repeat: the same product and length.
+        let mut longer = mapping.clone();
+        for (id, k) in [(dec.0, 1), (dec.1, 2)] {
+            let CommOutcome::Decomposed { factors, .. } = &mut longer.outcomes[id.0] else {
+                unreachable!()
+            };
+            factors.extend([Elementary::U(k), Elementary::U(-k)]);
+        }
+        split(&nest, &longer, *dec, "a factor chain");
+    }
+
+    #[test]
+    fn a_nest_whose_values_all_fit_is_priced() {
+        // `S1`'s subscript `3i + j + 1` near `-2⁶³`: a bound on the rows'
+        // absolute values refused it, though every value fits.
+        let nest = motivating_at("0..1 -9223372036854775807..-9223372036854775806");
+        let mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
+        let mesh = Mesh2D::new(4, 4, CostModel::paragon());
+        for closed in [false, true] {
+            let opts = cyclic(&mesh, (24, 24), ScheduleMode::Phased, closed);
+            let c = compile(&nest, &mapping, &opts, &CancelToken::none()).unwrap();
+            c.plan.verify_availability(&nest, &mapping).unwrap();
+            assert!(c.makespan > 0, "closed={closed}");
         }
     }
 }

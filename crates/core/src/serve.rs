@@ -1972,18 +1972,6 @@ mod tests {
         }
     }
 
-    /// A 2×2 access matrix from a small menu that reaches every outcome
-    /// kind: identity, transpose, shear, a projection and a scaling.
-    fn access_matrix() -> impl Strategy<Value = &'static str> {
-        proptest::prop_oneof![
-            Just("1 0; 0 1"),
-            Just("0 1; 1 0"),
-            Just("1 1; 0 1"),
-            Just("1 0; 0 0"),
-            Just("2 0; 0 1"),
-        ]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1994,32 +1982,8 @@ mod tests {
         /// `ok` or `analysis` and absorbs no panic.
         #[test]
         fn hostile_edge_nests_are_priced_or_unpriceable(
-            small in proptest::collection::vec(-4i64..=4, 8),
-            edges in proptest::collection::vec((0usize..8, crate::plan::tests::edge_value()), 0..3),
-            lens in proptest::collection::vec(0i64..=2, 2),
-            mats in proptest::collection::vec(access_matrix(), 3),
+            src in crate::plan::tests::edge_nest_source(),
         ) {
-            // Two loop bounds, then six subscript offsets; up to two of
-            // them moved to the edges.
-            let mut vals = small;
-            for (at, e) in edges {
-                vals[at] = e;
-            }
-            let (los, offs) = vals.split_at(2);
-            let bounds: Vec<String> = los
-                .iter()
-                .zip(&lens)
-                .map(|(&lo, &len)| {
-                    let lo = lo.min(i64::MAX - len);
-                    format!("{lo}..{}", lo + len)
-                })
-                .collect();
-            let src = format!(
-                "nest edge\narray a 2\narray b 2\nstmt S depth 2 domain {}\n  \
-                 write a [{}] + [{} {}]\n  read b [{}] + [{} {}]\n  read a [{}] + [{} {}]\n",
-                bounds.join(" "),
-                mats[0], offs[0], offs[1], mats[1], offs[2], offs[3], mats[2], offs[4], offs[5],
-            );
             let nest = parse_nest(&src).map_err(|e| format!("{src}: {e}"))?;
             let opts = MappingOptions::new(2);
             if let Ok(mapping) = crate::pipeline::map_nest(&nest, &opts) {

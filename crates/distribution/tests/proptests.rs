@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rescomm_decompose::general::{product_general, GenFactor};
 use rescomm_distribution::{
     affine_pattern, elementary_pattern, fold_affine_with, fold_general, fold_pattern,
-    general_pattern, grouped_rank, locality_fraction, physical_messages, Dist1D, Dist2D,
-    ExplicitFold, FoldPath, Msg, Placement,
+    general_pattern, grouped_rank, locality_fraction, physical_messages, scheme_for_factors,
+    Dist1D, Dist2D, ExplicitFold, FoldPath, Msg, Placement,
 };
 use rescomm_intlin::IMat;
 
@@ -132,6 +132,41 @@ proptest! {
         for ((i, _), (i2, _)) in pat {
             prop_assert_eq!(i.rem_euclid(k), i2.rem_euclid(k));
         }
+    }
+
+    /// The paper's §5 claim on its own patterns: on `U(k)` (`L(k)`), with
+    /// `k` dividing the virtual rows (columns) so the classes `i mod k`
+    /// never mix under the toroidal wrap, the grouped partition
+    /// `scheme_for_factors` picks folds to no more non-local bytes than
+    /// BLOCK, on every mesh shape. Where `k` does not divide the axis it
+    /// can send more (EXPERIMENTS.md, Figure 8).
+    #[test]
+    fn grouped_never_sends_more_than_block_on_elementary_patterns(
+        k in 1i64..=8,
+        negative in any::<bool>(),
+        lower in any::<bool>(),
+        mult in 1usize..=12,
+        other in 1usize..=12,
+        pr in 1usize..=8,
+        pc in 1usize..=8,
+        bytes in 1u64..=64,
+    ) {
+        let k = if negative { -k } else { k };
+        let along = k.unsigned_abs() as usize * mult;
+        let (t, vshape) = if lower {
+            (IMat::from_rows(&[&[1, 0], &[k, 1]]), (other, along))
+        } else {
+            (IMat::from_rows(&[&[1, k], &[0, 1]]), (along, other))
+        };
+        let pattern = general_pattern(&t, vshape);
+        let non_local = |dist| -> u64 {
+            fold_pattern(&pattern, dist, vshape, (pr, pc), bytes).msgs.iter().map(|m| m.bytes).sum()
+        };
+        let grouped = scheme_for_factors(std::slice::from_ref(&t));
+        prop_assert!(
+            non_local(grouped) <= non_local(Dist2D::uniform(Dist1D::Block)),
+            "{t:?} on {vshape:?} over {pr}x{pc}"
+        );
     }
 
     /// physical_messages drops exactly the local sends and conserves
@@ -456,6 +491,29 @@ proptest! {
         let want = std::panic::catch_unwind(|| dist.map(x.rem_euclid(n), v, p)).ok();
         prop_assert_eq!(got, want, "{:?} v={} p={} x={}", dist, v, p, x);
     }
+}
+
+/// Where `k` does not divide the moved axis the wrap mixes the classes,
+/// and the grouped partition can lose to BLOCK: `U(2)` on a 5×4 virtual
+/// grid over 2 processor rows sends 10 elements off-processor grouped and
+/// 8 under BLOCK (EXPERIMENTS.md, Figure 8).
+#[test]
+fn grouped_can_send_more_than_block_when_k_does_not_divide_the_axis() {
+    let u2 = IMat::from_rows(&[&[1, 2], &[0, 1]]);
+    let pattern = general_pattern(&u2, (5, 4));
+    let non_local = |dist| -> u64 {
+        let msgs = fold_pattern(&pattern, dist, (5, 4), (2, 1), 1).msgs;
+        msgs.iter().map(|m| m.bytes).sum()
+    };
+    let grouped = scheme_for_factors(std::slice::from_ref(&u2));
+    assert_eq!(grouped.rows, Dist1D::Grouped(2));
+    assert_eq!(
+        (
+            non_local(grouped),
+            non_local(Dist2D::uniform(Dist1D::Block))
+        ),
+        (10, 8)
+    );
 }
 
 /// An empty pattern folds to nothing without panicking under every kind,
