@@ -65,9 +65,9 @@
 //! tells scripts *which* stage failed: `0` success, `1` usage or I/O,
 //! then one distinct code per [`rescomm::RescommError`] variant —
 //! `2` parse, `3` linear algebra, `4` analysis, `5` execution,
-//! `6` cancelled (see `RescommError::exit_code`). Incidents absorbed
-//! during mapping (oracle fallbacks, failed self-checks, node-loss
-//! remaps) are printed to stderr, one `incident:` line each.
+//! `6` cancelled (see `RescommError::exit_code`). Incidents recorded
+//! on a mapping (`--self-check` disagreements or oracle failures,
+//! node-loss remaps) are printed to stderr, one `incident:` line each.
 //!
 //! The nest format is documented in `rescomm_loopnest::parser`.
 
@@ -88,10 +88,12 @@ fn fail(file: &str, e: RescommError) -> ExitCode {
     ExitCode::from(e.exit_code())
 }
 
-/// Run one `--recover` stage, turning a panic inside it (an exact
-/// integer overflow the stage does not catch) into an analysis error.
-/// The default panic message is silenced for the stage: the error is
-/// reported once, through [`fail`].
+/// Run one pipeline stage (the access graph of `--dot`, the map, the
+/// `--recover` stages), turning a
+/// panic inside it (an exact integer overflow the stage does not catch)
+/// into an analysis error. The default panic message is silenced for
+/// the stage, also where the stage catches the panic itself: the error
+/// is reported once, through [`fail`].
 fn staged<T>(
     stage: &'static str,
     f: impl FnOnce() -> Result<T, RescommError>,
@@ -267,10 +269,18 @@ fn main() -> ExitCode {
     };
 
     if args.dot {
-        let g = AccessGraph::build_weighted(&nest, args.m, !args.unit_weights);
-        let b = maximum_branching(&g);
-        print!("{}", to_dot(&g, &nest, Some(&b)));
-        return ExitCode::SUCCESS;
+        let dot = || {
+            let g = AccessGraph::build_weighted(&nest, args.m, !args.unit_weights);
+            let b = maximum_branching(&g);
+            Ok(to_dot(&g, &nest, Some(&b)))
+        };
+        return match staged("access_graph", dot) {
+            Ok(text) => {
+                print!("{text}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => fail(&args.file, e),
+        };
     }
 
     let mut opts = MappingOptions::new(args.m);
@@ -280,7 +290,7 @@ fn main() -> ExitCode {
     opts.self_check = args.self_check;
 
     println!("{nest}");
-    let mapping = match map_nest(&nest, &opts) {
+    let mapping = match staged("map_nest", || map_nest(&nest, &opts)) {
         Ok(m) => m,
         Err(e) => return fail(&args.file, e),
     };

@@ -5,11 +5,11 @@
 //! integer arithmetic overflows `i64`, analysis stages that hit an
 //! internal inconsistency. Instead of panicking, the public entry points
 //! ([`crate::map_nest`], [`rescomm_loopnest::parse_nest`]) surface a
-//! [`RescommError`], and the fast path is additionally *guarded*: an
-//! internal panic is caught, the mapping transparently falls back to the
-//! reference oracle ([`crate::map_nest_reference`]), and the event is
-//! recorded as an [`Incident`] in the mapping (surfaced by the run
-//! report).
+//! [`RescommError`], and the map is additionally *guarded*: an internal
+//! panic is caught and returned as [`RescommError::Analysis`]. Events a
+//! mapping survives (a self-check disagreement with the reference oracle
+//! [`crate::map_nest_reference`], a node-loss remap) are recorded as an
+//! [`Incident`] in the mapping (surfaced by the run report).
 
 use rescomm_intlin::LinError;
 use rescomm_loopnest::ParseError;
@@ -24,8 +24,10 @@ pub enum RescommError {
     Parse(ParseError),
     /// Exact integer linear algebra failed (overflow, singularity, …).
     Lin(LinError),
-    /// An analysis stage failed internally — raised only when both the
-    /// fast path *and* the reference fallback died on the instance.
+    /// An analysis stage failed internally: a guarded stage such as the
+    /// map panicked (an exact integer overflow, a violated invariant; the
+    /// panic message is the detail), or a plan stage found a value that
+    /// leaves `i64`.
     Analysis {
         /// The pipeline stage that failed.
         stage: &'static str,
@@ -163,8 +165,8 @@ impl From<LinError> for RescommError {
 /// What kind of recoverable event an [`Incident`] records.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IncidentKind {
-    /// A guarded fast-path stage failed and the reference oracle took
-    /// over (or a self-check replay disagreed).
+    /// A self-check replay through the reference oracle disagreed with
+    /// the fast path (the oracle's mapping was kept) or failed.
     #[default]
     Fallback,
     /// A permanent node loss forced a degraded-grid remap of the mapping
@@ -172,16 +174,16 @@ pub enum IncidentKind {
     NodeLoss,
 }
 
-/// A recoverable event on a mapping: a guarded fast-path failure the
-/// pipeline absorbed by falling back to the reference oracle, or a node
-/// loss the recovery path survived by remapping. Incidents ride along on
+/// A recoverable event on a mapping: a self-check replay through the
+/// reference oracle that disagreed or failed, or a node loss the
+/// recovery path survived by remapping. Incidents ride along on
 /// the [`crate::Mapping`] and are counted by the run report, so silent
 /// degradation is impossible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Incident {
     /// What happened, categorically.
     pub kind: IncidentKind,
-    /// The stage that failed (e.g. `"map_nest_fast"`).
+    /// The stage that failed (e.g. `"self_check"`).
     pub stage: &'static str,
     /// The captured panic message, disagreement description, or the list
     /// of lost nodes.

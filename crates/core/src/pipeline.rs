@@ -117,9 +117,10 @@ pub struct Mapping {
     pub outcomes: Vec<CommOutcome>,
     /// Unimodular rotations applied per component (composed).
     pub rotations: HashMap<usize, IMat>,
-    /// Recoverable fast-path failures: each entry records one guarded
-    /// stage that died (or disagreed under self-check) and was replaced
-    /// by the reference oracle. Empty on a clean run.
+    /// Recoverable events: a [`MappingOptions::self_check`] replay that
+    /// disagreed with the fast path (the oracle's mapping then stands) or
+    /// failed, and the node-loss remaps of
+    /// [`crate::recover::remap_for_survivors`]. Empty on a clean run.
     pub incidents: Vec<Incident>,
 }
 
@@ -152,14 +153,13 @@ type DetectKey = (MatId, MatId, MatId, MatId, AccessKind, bool);
 /// computations.
 ///
 /// The cache is **outcome-transparent**: every memoized function is pure,
-/// so a cached run classifies exactly like an uncached one, and a
+/// so a warm cache classifies exactly like a fresh one, and a
 /// computation that panics stores nothing. Reuse a cache across nests
 /// (mixed `m` included; [`map_nest_batch`] gives each worker thread its
 /// own, and the server one per slot), or keep one per call as
 /// [`map_nest`] does. [`AnalysisCache::len`] counts the table too, so a
 /// caller bounds the whole cache by clearing it past a size.
 pub struct AnalysisCache {
-    enabled: bool,
     mats: MatTable,
     classes: EdgeClasses,
     detect: FxMap<DetectKey, u32>,
@@ -170,10 +170,9 @@ pub struct AnalysisCache {
 }
 
 impl AnalysisCache {
-    /// An empty, active cache.
+    /// An empty cache.
     pub fn new() -> Self {
         AnalysisCache {
-            enabled: true,
             mats: MatTable::new(),
             classes: EdgeClasses::new(),
             detect: FxMap::default(),
@@ -183,20 +182,7 @@ impl AnalysisCache {
         }
     }
 
-    /// A cache that keeps nothing from one mapping to the next and
-    /// memoizes no detection, solve or decomposition — the reference path
-    /// uses it to time the seed behaviour honestly. (Its matrix table,
-    /// which the passes need for ids, is emptied at the start of every
-    /// mapping.)
-    pub fn disabled() -> Self {
-        AnalysisCache {
-            enabled: false,
-            ..AnalysisCache::new()
-        }
-    }
-
-    /// Drop all memoized entries and interned matrices (the `enabled`
-    /// flag is kept).
+    /// Drop all memoized entries and interned matrices.
     pub fn clear(&mut self) {
         self.mats.clear();
         self.classes.clear();
@@ -240,24 +226,6 @@ fn detect_cached(
 ) -> u32 {
     let theta = nest.statement(acc.stmt).schedule.theta();
     let (m_s, m_x) = (ids.stmt[acc.stmt.0], ids.array[acc.array.0]);
-    let run = |mats: &MatTable| {
-        detect(MacroInput {
-            theta,
-            f: &acc.f,
-            m_s: &mats[m_s],
-            m_x: &mats[m_x],
-            kind: acc.kind,
-            stmt_is_reduction: reduces[acc.stmt.0],
-        })
-    };
-    let push = |cache: &mut AnalysisCache| {
-        let out = run(&cache.mats);
-        cache.detected.push(out);
-        (cache.detected.len() - 1) as u32
-    };
-    if !cache.enabled {
-        return push(cache);
-    }
     let key = (
         cache.mats.intern(theta),
         f,
@@ -269,18 +237,26 @@ fn detect_cached(
     if let Some(&hit) = cache.detect.get(&key) {
         return hit;
     }
-    let i = push(cache);
+    let out = detect(MacroInput {
+        theta,
+        f: &acc.f,
+        m_s: &cache.mats[m_s],
+        m_x: &cache.mats[m_x],
+        kind: acc.kind,
+        stmt_is_reduction: reduces[acc.stmt.0],
+    });
+    let i = cache.detected.len() as u32;
+    cache.detected.push(out);
     cache.detect.insert(key, i);
     i
 }
 
 /// Run the complete heuristic on a nest.
 ///
-/// The fast path is *guarded*: an internal panic (overflow in exact
-/// arithmetic, a violated invariant) is caught, the nest is replayed
-/// through the reference oracle, and the event is recorded as an
-/// [`Incident`] on the returned mapping. `Err` is returned only when the
-/// reference path fails on the instance too.
+/// The pipeline is *guarded*: an internal panic (an overflow in exact
+/// arithmetic, a violated invariant) is caught and returned as
+/// [`RescommError::Analysis`] at stage `"map_nest"`, with the panic
+/// message as its detail.
 pub fn map_nest(nest: &LoopNest, opts: &MappingOptions) -> Result<Mapping, RescommError> {
     map_nest_with(nest, opts, &mut AnalysisCache::new())
 }
@@ -299,94 +275,90 @@ pub fn map_nest_with(
 /// [`map_nest_with`] under a [`CancelToken`]: the pipeline checks the
 /// token between passes and returns [`RescommError::Cancelled`] from the
 /// first checkpoint past the deadline — cooperative cancellation for
-/// servers enforcing per-request deadlines. A fired token also suppresses
-/// the reference-oracle fallback (falling back to a *slower* path after
-/// the deadline would invert the point of having one). With the inert
-/// token this is exactly [`map_nest_with`].
+/// servers enforcing per-request deadlines. With the inert token this is
+/// exactly [`map_nest_with`].
+///
+/// Under [`MappingOptions::self_check`] a successful mapping is replayed
+/// through [`map_nest_reference`], guarded and after one more checkpoint:
+/// where the outcomes differ the oracle's mapping is returned, and a
+/// disagreement or an oracle panic is recorded as an [`Incident`].
 pub fn map_nest_cancellable(
     nest: &LoopNest,
     opts: &MappingOptions,
     cache: &mut AnalysisCache,
     cancel: &CancelToken,
 ) -> Result<Mapping, RescommError> {
-    match guarded("map_nest_fast", || {
-        map_nest_impl(nest, opts, cache, false, cancel)
-    }) {
-        Ok(Err(c)) => Err(c.into()),
-        Ok(Ok(mut mapping)) => {
-            if opts.self_check {
-                match guarded("map_nest_reference", || {
-                    map_nest_impl(nest, opts, &mut AnalysisCache::disabled(), true, cancel)
-                }) {
-                    Ok(Err(c)) => Err(c.into()),
-                    Ok(Ok(reference)) if reference.outcomes != mapping.outcomes => {
-                        // The oracle wins; keep the evidence.
-                        let mut m = reference;
-                        m.incidents.push(Incident::fallback(
-                            "self_check",
-                            format!(
-                                "fast path disagreed with the reference oracle on {}: \
-                                 fell back to the reference mapping",
-                                nest.name
-                            ),
-                        ));
-                        Ok(m)
-                    }
-                    Ok(Ok(_)) => Ok(mapping),
-                    Err(inc) => {
-                        // The fast result stands, but the failed check is
-                        // on the record.
-                        mapping.incidents.push(Incident::fallback(
-                            "self_check",
-                            format!("reference oracle failed: {}", inc.detail),
-                        ));
-                        Ok(mapping)
-                    }
-                }
-            } else {
-                Ok(mapping)
-            }
+    let mut mapping = guarded("map_nest", || map_nest_impl(nest, opts, cache, cancel)).map_err(
+        |incident| RescommError::Analysis {
+            stage: "map_nest",
+            detail: incident.detail,
+        },
+    )??;
+    if !opts.self_check {
+        return Ok(mapping);
+    }
+    cancel.check("self_check")?;
+    match guarded("map_nest_reference", || map_nest_reference(nest, opts)) {
+        Ok(mut reference) if reference.outcomes != mapping.outcomes => {
+            // The oracle wins; keep the evidence.
+            reference.incidents.push(Incident::fallback(
+                "self_check",
+                format!(
+                    "fast path disagreed with the reference oracle on {}: \
+                     fell back to the reference mapping",
+                    nest.name
+                ),
+            ));
+            Ok(reference)
         }
-        Err(incident) => {
-            // Past the deadline the fallback is pointless work; report
-            // the cancellation, not the panic that raced with it.
-            if let Err(c) = cancel.check("fallback") {
-                return Err(c.into());
-            }
-            match guarded("map_nest_reference", || {
-                map_nest_impl(nest, opts, &mut AnalysisCache::disabled(), true, cancel)
-            }) {
-                Ok(Err(c)) => Err(c.into()),
-                Ok(Ok(mut m)) => {
-                    m.incidents.push(incident);
-                    Ok(m)
-                }
-                Err(ref_inc) => Err(RescommError::Analysis {
-                    stage: "map_nest",
-                    detail: format!(
-                        "fast path: {}; reference fallback: {}",
-                        incident.detail, ref_inc.detail
-                    ),
-                }),
-            }
+        Ok(_) => Ok(mapping),
+        Err(inc) => {
+            // The fast result stands, but the failed check is on the
+            // record.
+            mapping.incidents.push(Incident::fallback(
+                "self_check",
+                format!("reference oracle failed: {}", inc.detail),
+            ));
+            Ok(mapping)
         }
     }
 }
 
-/// The seed implementation end to end: reference branching / augment /
-/// merge (see [`rescomm_accessgraph::reference`]) and no memoization.
-/// Kept as the proof-of-equivalence oracle, the fallback target of the
-/// guarded [`map_nest`], and the `pipeline_baseline` "old" timing path.
-/// Unlike [`map_nest`] it is unguarded — it panics where the seed did.
+/// The seed implementation end to end: reference branching, augment and
+/// merge (see [`rescomm_accessgraph::reference`]), then the reference
+/// alignment, macro scan and classify, over a matrix table of its own
+/// and with nothing memoized. Kept as the oracle of the differential
+/// nets and of [`MappingOptions::self_check`], and as the
+/// `pipeline_baseline` "old" timing path. Unlike [`map_nest`] it is
+/// unguarded — it panics where the seed did.
 pub fn map_nest_reference(nest: &LoopNest, opts: &MappingOptions) -> Mapping {
-    map_nest_impl(
+    let m = opts.m;
+    let mut mats = MatTable::new();
+    let graph = AccessGraph::build_in(
         nest,
-        opts,
-        &mut AnalysisCache::disabled(),
-        true,
-        &CancelToken::none(),
-    )
-    .expect("the inert token never cancels")
+        m,
+        opts.weight_by_rank,
+        &mut mats,
+        &mut EdgeClasses::new(),
+    );
+    let branching = reference::maximum_branching_reference(&graph);
+    let mut comps = component_structure(&graph, &branching, nest, &mut mats);
+    let mut aug = reference::augment_reference(&graph, &branching.edges, &comps, m, &mats);
+    reference::merge_cross_components_reference(&graph, &mut comps, &mut aug, m, &mut mats);
+    let mut alignment = rescomm_alignment::reference::compute_alignment_reference(
+        nest, &graph, &comps, &aug, &mats,
+    );
+    let mut rotations: HashMap<usize, IMat> = HashMap::new();
+    if opts.enable_macro {
+        macro_scan_reference(nest, &mut alignment, &mut rotations);
+    }
+    let outcomes = classify_outcomes_reference(nest, &mut alignment, &mut rotations, opts);
+    Mapping {
+        alignment,
+        outcomes,
+        rotations,
+        incidents: Vec::new(),
+    }
 }
 
 /// Map every nest, fanning out over `threads` workers on
@@ -411,14 +383,9 @@ fn map_nest_impl(
     nest: &LoopNest,
     opts: &MappingOptions,
     cache: &mut AnalysisCache,
-    use_reference: bool,
     cancel: &CancelToken,
 ) -> Result<Mapping, Cancelled> {
     let m = opts.m;
-    if !cache.enabled {
-        cache.mats.clear();
-        cache.detected.clear();
-    }
     cancel.check("graph_build")?;
     // ---- Step 1: zero out what we can. ----
     let graph = AccessGraph::build_in(
@@ -429,55 +396,16 @@ fn map_nest_impl(
         &mut cache.classes,
     );
     cancel.check("branching")?;
-    let branching = if use_reference {
-        reference::maximum_branching_reference(&graph)
-    } else {
-        maximum_branching(&graph)
-    };
+    let branching = maximum_branching(&graph);
     let mut comps = component_structure(&graph, &branching, nest, &mut cache.mats);
     cancel.check("augment")?;
-    let mut aug = if use_reference {
-        reference::augment_reference(&graph, &branching.edges, &comps, m, &cache.mats)
-    } else {
-        augment(&graph, &branching.edges, &comps, m, &mut cache.mats)
-    };
+    let mut aug = augment(&graph, &branching.edges, &comps, m, &mut cache.mats);
     // Step 1(c) extension: merge compatible cross-component edges so
     // their communications become local too.
     cancel.check("merge")?;
-    if use_reference {
-        reference::merge_cross_components_reference(
-            &graph,
-            &mut comps,
-            &mut aug,
-            m,
-            &mut cache.mats,
-        );
-    } else {
-        merge_cross_components(&graph, &mut comps, &mut aug, m, &mut cache.mats);
-    }
+    merge_cross_components(&graph, &mut comps, &mut aug, m, &mut cache.mats);
     cancel.check("alignment")?;
     let mut rotations: HashMap<usize, IMat> = HashMap::new();
-    if use_reference {
-        let mut alignment = rescomm_alignment::reference::compute_alignment_reference(
-            nest,
-            &graph,
-            &comps,
-            &aug,
-            &cache.mats,
-        );
-        if opts.enable_macro {
-            cancel.check("macro_scan")?;
-            macro_scan_reference(nest, &mut alignment, &mut rotations);
-        }
-        cancel.check("classify")?;
-        let outcomes = classify_outcomes_reference(nest, &mut alignment, &mut rotations, opts);
-        return Ok(Mapping {
-            alignment,
-            outcomes,
-            rotations,
-            incidents: Vec::new(),
-        });
-    }
     let (mut alignment, mut ids) = compute_alignment(nest, &graph, &comps, &aug, &mut cache.mats);
 
     // ---- Step 2(a): macro-communications, rotating components. ----
@@ -842,9 +770,6 @@ pub fn dataflow_matrix_cached(
     nest: &LoopNest,
     access: AccessId,
 ) -> Option<IMat> {
-    if !cache.enabled {
-        return dataflow_matrix(alignment, nest, access);
-    }
     let acc = nest.access(access);
     let m_s = cache.mats.intern(&alignment.stmt_alloc[acc.stmt.0].mat);
     let m_x = cache.mats.intern(&alignment.array_alloc[acc.array.0].mat);
@@ -864,16 +789,12 @@ fn dataflow_id(
 ) -> Option<MatId> {
     let mxf = cache.mats.mul(m_x, f);
     let key = (m_s, mxf, m as u32);
-    if cache.enabled {
-        if let Some(&hit) = cache.dataflow.get(&key) {
-            return hit;
-        }
+    if let Some(&hit) = cache.dataflow.get(&key) {
+        return hit;
     }
     let out =
         dataflow_solve(&cache.mats[m_s], &cache.mats[mxf], m).map(|t| cache.mats.intern_owned(t));
-    if cache.enabled {
-        cache.dataflow.insert(key, out);
-    }
+    cache.dataflow.insert(key, out);
     out
 }
 
@@ -915,12 +836,8 @@ fn try_decompose(
         alignment.m,
     )?;
     let ci = rotatable_component(alignment, rotations, acc);
-    let (outcome, rotation) = if cache.enabled {
-        let facts = cache.facts.entry(t).or_default();
-        decompose(&cache.mats[t], facts, ci.is_some())?
-    } else {
-        decompose(&cache.mats[t], &mut TFacts::default(), ci.is_some())?
-    };
+    let facts = cache.facts.entry(t).or_default();
+    let (outcome, rotation) = decompose(&cache.mats[t], facts, ci.is_some())?;
     if let (Some(ci), Some(v)) = (ci, rotation) {
         ids.rotate(alignment, ci, &v, &mut cache.mats);
         rotations.insert(ci, v);
@@ -1341,58 +1258,111 @@ mod tests {
         assert!(checked.incidents.is_empty());
     }
 
-    #[test]
-    fn huge_coefficients_error_instead_of_panicking() {
+    /// Access coefficients near `i64::MAX`, which force the exact
+    /// arithmetic into its overflow paths (the graph build's determinant).
+    fn huge_coefficient_nest() -> LoopNest {
         use rescomm_loopnest::{Domain, NestBuilder};
-        // Access coefficients near i64::MAX force the exact arithmetic
-        // into its overflow paths. The guarded pipeline must return — a
-        // mapping (possibly via the oracle fallback, with the incident on
-        // record) or a typed error — never unwind.
         let big = i64::MAX / 2;
         let mut b = NestBuilder::new("huge");
         let x = b.array("x", 2);
         let s = b.statement("S", 2, Domain::cube(2, 4));
         b.write(s, x, IMat::identity(2), &[0, 0]);
         b.read(s, x, IMat::from_rows(&[&[big, big], &[1, big]]), &[0, 0]);
-        let nest = b.build().unwrap();
-        match map_nest(&nest, &MappingOptions::new(2)) {
-            Ok(m) => {
-                assert_eq!(m.outcomes.len(), 2);
-                for inc in &m.incidents {
-                    assert!(!inc.stage.is_empty());
-                }
-            }
-            Err(e) => assert!(!format!("{e}").is_empty()),
-        }
+        b.build().unwrap()
     }
 
-    #[test]
-    fn offset_chase_overflow_is_an_analysis_error() {
+    /// `a[I + (MIN, 0)] → S → b[I + (1, 0)]` are all local, so the
+    /// alignment's offset chase forms `MIN − 1` (or `0 − MIN`, whichever
+    /// vertex is the root).
+    fn offset_edge_nest() -> LoopNest {
         use rescomm_loopnest::{Domain, NestBuilder};
-        // a[I + (MIN, 0)] → S → b[I + (1, 0)] are all local, so the
-        // offset chase forms MIN − 1 (or 0 − MIN, whichever vertex is the
-        // root): both paths must refuse it, in release as in debug.
         let mut b = NestBuilder::new("offset-edge");
         let a = b.array("a", 2);
         let out = b.array("b", 2);
         let s = b.statement("S", 2, Domain::cube(2, 2));
         b.read(s, a, IMat::identity(2), &[i64::MIN, 0]);
         b.write(s, out, IMat::identity(2), &[1, 0]);
-        let nest = b.build().unwrap();
-        match map_nest(&nest, &MappingOptions::new(2)) {
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn huge_coefficients_error_instead_of_panicking() {
+        // The guarded pipeline must return the overflow as an analysis
+        // error, never unwind. The reference oracle fails on this nest
+        // with the same panic.
+        let nest = huge_coefficient_nest();
+        let opts = MappingOptions::new(2);
+        match map_nest(&nest, &opts) {
             Err(RescommError::Analysis { stage, detail }) => {
                 assert_eq!(stage, "map_nest");
-                assert_eq!(
-                    detail,
-                    format!(
-                        "fast path: {}; reference fallback: {}",
-                        rescomm_alignment::OFFSET_OVERFLOW,
-                        rescomm_alignment::OFFSET_OVERFLOW
-                    )
-                );
+                assert!(detail.starts_with("det: integer overflow"), "{detail}");
+                let reference = guarded("reference", || map_nest_reference(&nest, &opts));
+                assert_eq!(reference.unwrap_err().detail, detail);
             }
             other => panic!("expected an analysis error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn offset_chase_overflow_is_an_analysis_error() {
+        // The map must refuse the offset chase's overflow, in release as
+        // in debug.
+        let nest = offset_edge_nest();
+        match map_nest(&nest, &MappingOptions::new(2)) {
+            Err(RescommError::Analysis { stage, detail }) => {
+                assert_eq!(stage, "map_nest");
+                assert_eq!(detail, rescomm_alignment::OFFSET_OVERFLOW);
+            }
+            other => panic!("expected an analysis error, got {other:?}"),
+        }
+    }
+
+    /// `map_nest` maps `nest` exactly when the unguarded reference does,
+    /// and where both map, to the same outcomes and alignment.
+    fn assert_maps_iff_reference(nest: &LoopNest) {
+        let opts = MappingOptions::new(2);
+        let fast = map_nest(nest, &opts);
+        let reference = guarded("reference", || map_nest_reference(nest, &opts));
+        match (fast, reference) {
+            (Ok(fast), Ok(reference)) => {
+                let (a, b) = (&fast.alignment, &reference.alignment);
+                assert_eq!(fast.outcomes, reference.outcomes, "{}", nest.name);
+                assert_eq!(fast.rotations, reference.rotations, "{}", nest.name);
+                assert_eq!(a.stmt_alloc, b.stmt_alloc, "{}", nest.name);
+                assert_eq!(a.array_alloc, b.array_alloc, "{}", nest.name);
+                assert_eq!(a.comp_of_stmt, b.comp_of_stmt, "{}", nest.name);
+                assert_eq!(a.comp_of_array, b.comp_of_array, "{}", nest.name);
+            }
+            (Err(RescommError::Analysis { .. }), Err(_)) => {}
+            (fast, reference) => panic!(
+                "{}: map_nest {:?}, reference {:?}",
+                nest.name,
+                fast.map(|m| m.outcomes),
+                reference.map(|m| m.outcomes)
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        /// Edge differential net over the hostile-edge nests (bounds and
+        /// offsets at the `i64` edges): the fast path fails exactly where
+        /// the reference oracle does, so no replay through the oracle
+        /// could rescue a nest.
+        #[test]
+        fn edge_nests_map_iff_the_reference_does(
+            src in crate::plan::tests::edge_nest_source(),
+        ) {
+            let nest = rescomm_loopnest::parse_nest(&src).map_err(|e| format!("{src}: {e}"))?;
+            assert_maps_iff_reference(&nest);
+        }
+    }
+
+    #[test]
+    fn overflowing_nests_fail_on_both_paths() {
+        assert_maps_iff_reference(&offset_edge_nest());
+        assert_maps_iff_reference(&huge_coefficient_nest());
     }
 
     #[test]

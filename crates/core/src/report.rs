@@ -29,7 +29,8 @@ pub struct MappingReport {
     /// Residual general communications.
     pub n_general: usize,
     /// Recoverable events on the mapping (see [`crate::error::Incident`]):
-    /// guarded fast-path failures plus node-loss remaps; 0 on a clean run.
+    /// self-check disagreements or oracle failures plus node-loss remaps;
+    /// 0 on a clean run.
     pub n_incidents: usize,
     /// How many of the incidents are node-loss remaps.
     pub n_node_loss: usize,
@@ -174,7 +175,7 @@ impl fmt::Display for MappingReport {
             if self.n_incidents > self.n_node_loss {
                 writeln!(
                     f,
-                    "  {} fast-path incident(s), recovered via the reference oracle:",
+                    "  {} self-check incident(s) against the reference oracle:",
                     self.n_incidents - self.n_node_loss
                 )?;
             }
@@ -214,14 +215,14 @@ mod tests {
         let mut mapping = map_nest(&nest, &MappingOptions::new(2)).unwrap();
         assert_eq!(mapping.report(&nest).n_incidents, 0);
         mapping.incidents.push(crate::error::Incident::fallback(
-            "map_nest_fast",
-            "synthetic overflow for the report test".into(),
+            "self_check",
+            "synthetic disagreement for the report test".into(),
         ));
         let r = mapping.report(&nest);
         assert_eq!(r.n_incidents, 1);
         let text = format!("{r}");
-        assert!(text.contains("1 fast-path incident"));
-        assert!(text.contains("[map_nest_fast]"));
+        assert!(text.contains("1 self-check incident"));
+        assert!(text.contains("[self_check]"));
     }
 
     #[test]

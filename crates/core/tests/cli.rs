@@ -335,6 +335,24 @@ fn closed_plan_stdout_is_pinned() {
     }
 }
 
+/// `--self-check` replays each example nest through the reference
+/// oracle: it agrees, so stdout is byte-identical to the plain run and no
+/// incident is printed.
+#[test]
+fn self_check_agrees_on_the_example_nests() {
+    let nests = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/nests");
+    for nest in ["motivating", "matmul"] {
+        let path = format!("{nests}/{nest}.nest");
+        let plain = cli().arg(&path).output().unwrap();
+        let checked = cli().arg(&path).arg("--self-check").output().unwrap();
+        assert_eq!(plain.status.code(), Some(0), "{nest}: {plain:?}");
+        assert_eq!(checked.status.code(), Some(0), "{nest}: {checked:?}");
+        assert_eq!(checked.stdout, plain.stdout, "{nest}");
+        let err = String::from_utf8(checked.stderr).unwrap();
+        assert!(!err.contains("incident:"), "{nest}: {err}");
+    }
+}
+
 #[test]
 fn schedule_rejects_unknown_mode() {
     let f = write_nest(NEST);
@@ -398,7 +416,10 @@ fn unrunnable_flag_combinations_are_usage_errors_not_panics() {
 /// once added to the subscript. Both plan flags and `--recover` must
 /// report that as an analysis error (exit 4) through the CLI's error
 /// path, never as a panic (exit 101) or a priced plan, in debug and
-/// release builds alike.
+/// release builds alike. A nest whose alignment offset chase leaves
+/// `i64`, and one whose access matrix has a determinant past `i64`, fail
+/// the map itself (the latter also `--dot`'s access graph), with one
+/// error line and no panic output.
 #[test]
 fn plan_stages_report_overflow_as_analysis_errors() {
     let src = std::fs::read_to_string(concat!(
@@ -420,23 +441,52 @@ fn plan_stages_report_overflow_as_analysis_errors() {
         &["--recover", "5"],
         &["--closed-plan", "--recover", "5"],
     ];
-    let cases: [(&str, &[&[&str]]); 2] = [
-        (&src, motivating),
-        (wrap, &[&["--closed-plan"], &["--replications", "2"]]),
+    let offset = "nest offset\narray a 2\narray b 2\n\
+                  stmt S depth 2 domain 0..1 0..1\n  \
+                  read  a [1 0; 0 1] + [-9223372036854775808 0]\n  \
+                  write b [1 0; 0 1] + [1 0]\n";
+    let huge = "nest huge\narray x 2\nstmt S depth 2 domain 0..3 0..3\n  \
+                write x [1 0; 0 1] + [0 0]\n  \
+                read  x [4611686018427387903 4611686018427387903; 1 4611686018427387903] + [0 0]\n";
+    let plan_error = "analysis error in build_plan";
+    let cases: [(&str, &[&[&str]], &str); 5] = [
+        (&src, motivating, plan_error),
+        (
+            wrap,
+            &[&["--closed-plan"], &["--replications", "2"]],
+            plan_error,
+        ),
+        (
+            offset,
+            &[&[]],
+            "analysis error in map_nest: i64 overflow in the alignment offset chase",
+        ),
+        (
+            huge,
+            &[&[]],
+            "analysis error in map_nest: det: integer overflow",
+        ),
+        (
+            huge,
+            &[&["--dot"]],
+            "analysis error in access_graph: det: integer overflow",
+        ),
     ];
-    for (src, runs) in cases {
+    for (src, runs, want) in cases {
         let f = write_nest(src);
         for args in runs {
-            let out = cli().arg(f.as_str()).args(*args).output().unwrap();
+            let out = cli()
+                .arg(f.as_str())
+                .args(*args)
+                .env("RUST_BACKTRACE", "1")
+                .output()
+                .unwrap();
             let err = String::from_utf8(out.stderr).unwrap();
             assert_eq!(out.status.code(), Some(4), "{args:?}: {err}");
             assert!(!err.contains("panicked"), "{args:?}: {err}");
             assert!(err.contains("analysis error"), "{args:?}: {err}");
             if !args.contains(&"--recover") {
-                assert!(
-                    err.contains("analysis error in build_plan"),
-                    "{args:?}: {err}"
-                );
+                assert!(err.contains(want), "{args:?}: {err}");
             }
         }
     }

@@ -146,8 +146,7 @@ proptest! {
 
 /// A nest whose mapping panics part-way (the alignment's offset chase
 /// leaves `i64` after the graph, the components and augment have filled
-/// the matrix table), so the fast path falls back and the reference
-/// fails too.
+/// the matrix table), so the map fails with an analysis error.
 fn offset_overflow_nest() -> LoopNest {
     let mut b = NestBuilder::new("offset-edge");
     let a = b.array("a", 2);
@@ -173,7 +172,7 @@ proptest! {
 
     /// One cache shared across a sequence of different nests, mixing
     /// `m = 2` and `m = 3`, cleared once midway and fed one nest whose
-    /// fast path panics and falls back: every mapping (or error) equals
+    /// map panics part-way and fails: every mapping (or error) equals
     /// the nest's mapping through a fresh cache, so nothing one nest
     /// leaves in the matrix table or the memos leaks into the next.
     #[test]
@@ -184,7 +183,7 @@ proptest! {
         panic_at in 0usize..8,
     ) {
         let mut shared = AnalysisCache::new();
-        let mut fell_back = false;
+        let mut failed = false;
         for (i, nest) in nests.iter().enumerate() {
             if i == clear_at % nests.len() {
                 shared.clear();
@@ -196,7 +195,7 @@ proptest! {
                 let got = map_through(&hostile, &opts, &mut shared);
                 prop_assert!(got.is_err(), "the offset nest must fail");
                 prop_assert_eq!(got.err(), map_through(&hostile, &opts, &mut AnalysisCache::new()).err());
-                fell_back = true;
+                failed = true;
             }
             let opts = MappingOptions::new(ms[i]);
             let got = map_through(nest, &opts, &mut shared);
@@ -209,7 +208,7 @@ proptest! {
                 _ => prop_assert_eq!(got.err(), fresh.err()),
             }
         }
-        prop_assert!(fell_back);
+        prop_assert!(failed);
     }
 }
 
@@ -401,8 +400,8 @@ fn dataflow_nest(name: &str, t: &IMat) -> LoopNest {
 /// The unirow-decomposition memo is outcome-transparent: the Fig. 8
 /// shears `U(k)`, the kernel-zoo dataflow matrices (plus reflections that
 /// take the `det ≠ 1` unirow path on 2-D and 3-D grids) and the kernel-zoo
-/// nests map identically through one warm [`AnalysisCache`], twice over,
-/// and through a disabled one that computes every decomposition afresh.
+/// nests map through one warm [`AnalysisCache`], twice over, exactly as
+/// `map_nest_reference` maps them, computing every decomposition afresh.
 #[test]
 fn warm_decomposition_memo_is_outcome_transparent() {
     let mut nests: Vec<(LoopNest, usize)> = (1..=8)
@@ -432,7 +431,7 @@ fn warm_decomposition_memo_is_outcome_transparent() {
     for pass in 0..2 {
         for (nest, m) in &nests {
             let opts = MappingOptions::new(*m);
-            let fresh = map_nest_with(nest, &opts, &mut AnalysisCache::disabled()).unwrap();
+            let fresh = map_nest_reference(nest, &opts);
             let cached = map_nest_with(nest, &opts, &mut warm).unwrap();
             assert_identical(&format!("{} pass {pass}", nest.name), &cached, &fresh);
             unirow += cached
