@@ -265,11 +265,8 @@ pub fn mapping_cost_on_mesh(
     bytes: u64,
 ) -> u64 {
     let dist = Dist2D::uniform(Dist1D::Cyclic);
-    // One scratch engine for every simulated outcome of the mapping, and
-    // one memo so repeated general residuals solve their dataflow matrix
-    // once instead of per access.
+    // One scratch engine for every simulated outcome of the mapping.
     let mut sim = PhaseSim::new(mesh.clone());
-    let mut cache = rescomm::AnalysisCache::new();
     let mut total = 0u64;
     for (acc, out) in nest.accesses.iter().zip(&mapping.outcomes) {
         total += match out {
@@ -292,14 +289,9 @@ pub fn mapping_cost_on_mesh(
                 one * *n_factors as u64
             }
             CommOutcome::General => {
-                let t = rescomm::pipeline::dataflow_matrix_cached(
-                    &mut cache,
-                    &mapping.alignment,
-                    nest,
-                    acc.id,
-                )
-                .filter(|t| t.shape() == (2, 2))
-                .unwrap_or_else(|| IMat::from_rows(&[&[1, 3], &[2, 7]]));
+                let t = rescomm::dataflow_matrix(&mapping.alignment, nest, acc.id)
+                    .filter(|t| t.shape() == (2, 2))
+                    .unwrap_or_else(|| IMat::from_rows(&[&[1, 3], &[2, 7]]));
                 simulate_dataflow_with(&mut sim, &t, dist, vshape, bytes)
             }
         };

@@ -48,8 +48,8 @@ pub use exec::{
     run_distributed, run_distributed_on, verify_execution, verify_execution_on, ExecStats,
 };
 pub use pipeline::{
-    dataflow_matrix, dataflow_matrix_cached, map_nest, map_nest_batch, map_nest_cancellable,
-    map_nest_reference, map_nest_with, AnalysisCache, CommOutcome, Mapping, MappingOptions,
+    dataflow_matrix, map_nest, map_nest_batch, map_nest_cancellable, map_nest_reference,
+    map_nest_with, AnalysisCache, CommOutcome, Mapping, MappingOptions,
 };
 pub use plan::{build_plan, build_plan_closed, compile, CompileOptions, Compiled};
 pub use plan::{CommPhase, CommPlan, PhaseKind, PhasePattern};

@@ -18,7 +18,6 @@ use rescomm_accessgraph::{
 use rescomm_alignment::{compute_alignment, residual_communications, Alignment, AllocIds};
 use rescomm_decompose::{
     decompose_direct, decompose_general, search_similarity, shear_decompose, Elementary, GenFactor,
-    SimilarDecomposition,
 };
 use rescomm_intlin::{solve_xf_eq_s_particular, FxMap, IMat, MatId, MatTable};
 use rescomm_loopnest::{Access, AccessId, AccessKind, LoopNest};
@@ -27,7 +26,6 @@ use rescomm_machine::SweepReport;
 use rescomm_macrocomm::{
     axis_alignment_rotation, detect, Extent, MacroComm, MacroInput, MacroKind,
 };
-use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -145,8 +143,13 @@ type DetectKey = (MatId, MatId, MatId, MatId, AccessKind, bool);
 ///   distinct `(F, m)` by `F`'s id.
 /// * [`detect`](fn@detect)'s collective classification is keyed on the
 ///   ids of `(θ, F, M_S, M_x)`, the dataflow solve on those of
-///   `(M_S, M_x·F)`, and each dataflow matrix `T` keeps its determinant,
-///   direct factors, similarity and unirow counts by id.
+///   `(M_S, M_x·F)`, and the decomposition of a dataflow matrix `T` on
+///   `(T, rotatable)`: `rotatable` (the access's statement and array share
+///   an unrotated component) decides only whether a long direct chain may
+///   take a similarity rotation instead.
+///
+/// Step 2 reads these memos and keeps no table of its own: the macro scan
+/// and classify each test an access afresh, and a repeated test is a hit.
 ///
 /// Chained stencil families repeat the same few matrices across hundreds
 /// of statements, so one entry replaces many Hermite/kernel/adjugate
@@ -157,8 +160,9 @@ type DetectKey = (MatId, MatId, MatId, MatId, AccessKind, bool);
 /// computation that panics stores nothing. Reuse a cache across nests
 /// (mixed `m` included; [`map_nest_batch`] gives each worker thread its
 /// own, and the server one per slot), or keep one per call as
-/// [`map_nest`] does. [`AnalysisCache::len`] counts the table too, so a
-/// caller bounds the whole cache by clearing it past a size.
+/// [`map_nest`] does. [`AnalysisCache::len`] counts the table too (and
+/// one entry per decomposed `(T, rotatable)`), so a caller bounds the
+/// whole cache by clearing it past a size.
 pub struct AnalysisCache {
     mats: MatTable,
     classes: EdgeClasses,
@@ -166,7 +170,7 @@ pub struct AnalysisCache {
     /// The detections, indexed by the values of `detect`.
     detected: Vec<Option<MacroComm>>,
     dataflow: FxMap<(MatId, MatId, u32), Option<MatId>>,
-    facts: FxMap<MatId, TFacts>,
+    decomposed: FxMap<(MatId, bool), Decomposition>,
 }
 
 impl AnalysisCache {
@@ -178,7 +182,7 @@ impl AnalysisCache {
             detect: FxMap::default(),
             detected: Vec::new(),
             dataflow: FxMap::default(),
-            facts: FxMap::default(),
+            decomposed: FxMap::default(),
         }
     }
 
@@ -189,7 +193,7 @@ impl AnalysisCache {
         self.detect.clear();
         self.detected.clear();
         self.dataflow.clear();
-        self.facts.clear();
+        self.decomposed.clear();
     }
 
     /// Number of entries across all tables, the matrix table included.
@@ -198,7 +202,7 @@ impl AnalysisCache {
             + self.classes.len()
             + self.detected.len()
             + self.dataflow.len()
-            + self.facts.len()
+            + self.decomposed.len()
     }
 
     /// `true` when nothing is memoized.
@@ -411,10 +415,9 @@ fn map_nest_impl(
     // ---- Step 2(a): macro-communications, rotating components. ----
     let reduces = nest.reduction_stmts();
     let f_ids = graph.f_ids();
-    let mut scanned = None;
     if opts.enable_macro {
         cancel.check("macro_scan")?;
-        scanned = Some(macro_scan(
+        macro_scan(
             nest,
             f_ids,
             &mut alignment,
@@ -422,7 +425,7 @@ fn map_nest_impl(
             &mut rotations,
             &reduces,
             cache,
-        ));
+        );
     }
 
     // ---- Classify every access under the (possibly rotated) alignment,
@@ -437,7 +440,6 @@ fn map_nest_impl(
         opts,
         cache,
         &reduces,
-        scanned.as_deref(),
     );
 
     Ok(Mapping {
@@ -446,18 +448,6 @@ fn map_nest_impl(
         rotations,
         incidents: Vec::new(),
     })
-}
-
-/// What [`macro_scan`] learned about one access, under the allocations it
-/// saw. Those hold until a component on either side of the access is
-/// rotated, so classify reuses the entry while neither is.
-#[derive(Clone, Copy)]
-enum Scanned {
-    /// `M_S = M_x·F`: only the offsets separate Local from Translation.
-    LinearLocal,
-    /// A residual communication, with what [`detect`](fn@detect) made of
-    /// it (an index into the cache's detections).
-    Residual(u32),
 }
 
 /// Step 2(a): detect the macro-communication of every residual, and rotate
@@ -474,19 +464,15 @@ fn macro_scan(
     rotations: &mut HashMap<usize, IMat>,
     reduces: &[bool],
     cache: &mut AnalysisCache,
-) -> Vec<Scanned> {
+) {
     ids.check_table(&cache.mats);
-    let mut scanned = vec![Scanned::LinearLocal; nest.accesses.len()];
-    let mut residuals = Vec::new();
-    for acc in &nest.accesses {
-        let owner = cache.mats.mul(ids.array[acc.array.0], f_ids[acc.id.0]);
-        if owner != ids.stmt[acc.stmt.0] {
-            residuals.push(acc);
-        }
-    }
+    let residuals: Vec<&Access> = nest
+        .accesses
+        .iter()
+        .filter(|acc| !linear_local(cache, f_ids, ids, acc))
+        .collect();
     for acc in residuals {
         let i = detect_cached(cache, nest, acc, f_ids[acc.id.0], ids, reduces);
-        scanned[acc.id.0] = Scanned::Residual(i);
         let Some(mc) = &cache.detected[i as usize] else {
             continue;
         };
@@ -502,7 +488,12 @@ fn macro_scan(
             }
         }
     }
-    scanned
+}
+
+/// `M_x·F = M_S` for `acc` under the allocations `ids`: an id product and
+/// an id comparison.
+fn linear_local(cache: &mut AnalysisCache, f_ids: &[MatId], ids: &AllocIds, acc: &Access) -> bool {
+    cache.mats.mul(ids.array[acc.array.0], f_ids[acc.id.0]) == ids.stmt[acc.stmt.0]
 }
 
 /// Classify every access under `alignment` (whose allocation ids are
@@ -510,11 +501,11 @@ fn macro_scan(
 /// applying similarity rotations). `f_ids` holds each access's `F` id in
 /// the cache's table and `reduces` is [`LoopNest::reduction_stmts`].
 ///
-/// The linear-locality test is `M_x·F = M_S` on ids, and the offset is
-/// compared only when the linear parts match. Where `scanned` (from
-/// [`macro_scan`] on this alignment) has an entry and neither the
-/// statement's nor the array's component is in `rotations`, the entry
-/// stands in for the residual test and the detection.
+/// Each access is tested afresh through the cache's memos: the linear
+/// locality test `M_x·F = M_S` on ids (the offset is compared only when
+/// the linear parts match), then [`detect`](fn@detect), then the
+/// decomposition. An access [`macro_scan`] already tested under the same
+/// allocations is a memo hit on each.
 #[allow(clippy::too_many_arguments)]
 fn classify_outcomes(
     nest: &LoopNest,
@@ -525,38 +516,11 @@ fn classify_outcomes(
     opts: &MappingOptions,
     cache: &mut AnalysisCache,
     reduces: &[bool],
-    scanned: Option<&[Scanned]>,
 ) -> Vec<CommOutcome> {
     ids.check_table(&cache.mats);
     let mut outcomes: Vec<CommOutcome> = Vec::with_capacity(nest.accesses.len());
-    // `rotations` as a dense per-component table, for the two lookups
-    // every access makes.
-    let mut rotated = vec![false; alignment.n_components];
-    let mark = |rotated: &mut Vec<bool>, rotations: &HashMap<usize, IMat>| {
-        for &c in rotations.keys() {
-            if c >= rotated.len() {
-                rotated.resize(c + 1, false);
-            }
-            rotated[c] = true;
-        }
-    };
-    mark(&mut rotated, rotations);
     for acc in &nest.accesses {
-        let unrotated =
-            |c: Option<u32>| c.is_none_or(|c| !rotated.get(c as usize).is_some_and(|&r| r));
-        let seen = scanned
-            .filter(|_| {
-                unrotated(alignment.comp_of_stmt[acc.stmt.0])
-                    && unrotated(alignment.comp_of_array[acc.array.0])
-            })
-            .map(|s| &s[acc.id.0]);
-        let f = f_ids[acc.id.0];
-        let linear_local = match seen {
-            Some(Scanned::LinearLocal) => true,
-            Some(Scanned::Residual(_)) => false,
-            None => cache.mats.mul(ids.array[acc.array.0], f) == ids.stmt[acc.stmt.0],
-        };
-        if linear_local {
+        if linear_local(cache, f_ids, ids, acc) {
             outcomes.push(if alignment.is_offset_local(acc) {
                 CommOutcome::Local
             } else {
@@ -564,12 +528,10 @@ fn classify_outcomes(
             });
             continue;
         }
+        let f = f_ids[acc.id.0];
         // Macro-communication?
         if opts.enable_macro {
-            let i = match seen {
-                Some(&Scanned::Residual(i)) => i,
-                _ => detect_cached(cache, nest, acc, f, ids, reduces),
-            };
+            let i = detect_cached(cache, nest, acc, f, ids, reduces);
             let mc = cache.detected[i as usize].as_ref();
             if let Some(outcome) = mc.and_then(|mc| macro_outcome(mc, alignment, rotations, acc)) {
                 outcomes.push(outcome);
@@ -578,11 +540,7 @@ fn classify_outcomes(
         }
         // Decomposition?
         if opts.enable_decompose {
-            let before = rotations.len();
             if let Some(outcome) = try_decompose(f, alignment, ids, rotations, acc, cache) {
-                if rotations.len() != before {
-                    mark(&mut rotated, rotations);
-                }
                 outcomes.push(outcome);
                 continue;
             }
@@ -621,8 +579,7 @@ fn macro_outcome(
 
 /// Re-derive every outcome of a mapping under its (possibly re-rotated)
 /// alignment, through the same classification [`map_nest`] runs, for the
-/// degraded-grid remapper ([`crate::recover::remap_for_survivors`]),
-/// which has no scan to pass.
+/// degraded-grid remapper ([`crate::recover::remap_for_survivors`]).
 pub(crate) fn reclassify(
     nest: &LoopNest,
     alignment: &mut Alignment,
@@ -645,7 +602,6 @@ pub(crate) fn reclassify(
         opts,
         &mut cache,
         &nest.reduction_stmts(),
-        None,
     )
 }
 
@@ -735,7 +691,7 @@ fn classify_outcomes_reference(
         if opts.enable_decompose {
             let decomposed = dataflow_matrix(alignment, nest, acc.id).and_then(|t| {
                 let ci = rotatable_component(alignment, rotations, acc);
-                let (outcome, rotation) = decompose(&t, &mut TFacts::default(), ci.is_some())?;
+                let (outcome, rotation) = decompose(&t, ci.is_some())?;
                 if let (Some(ci), Some(v)) = (ci, rotation) {
                     alignment.rotate_component(ci, &v);
                     rotations.insert(ci, v);
@@ -759,22 +715,6 @@ pub fn dataflow_matrix(alignment: &Alignment, nest: &LoopNest, access: AccessId)
     let m_s = &alignment.stmt_alloc[acc.stmt.0].mat;
     let mxf = &alignment.array_alloc[acc.array.0].mat * &acc.f;
     dataflow_solve(m_s, &mxf, alignment.m)
-}
-
-/// [`dataflow_matrix`] through the memo: the solve is keyed on the ids of
-/// `(M_S, M_x·F)` and `m`, on which the rank check and the linear solve
-/// alone depend, so hits are exact replays.
-pub fn dataflow_matrix_cached(
-    cache: &mut AnalysisCache,
-    alignment: &Alignment,
-    nest: &LoopNest,
-    access: AccessId,
-) -> Option<IMat> {
-    let acc = nest.access(access);
-    let m_s = cache.mats.intern(&alignment.stmt_alloc[acc.stmt.0].mat);
-    let m_x = cache.mats.intern(&alignment.array_alloc[acc.array.0].mat);
-    let f = cache.mats.intern(&acc.f);
-    dataflow_id(cache, m_s, m_x, f, alignment.m).map(|t| cache.mats[t].clone())
 }
 
 /// The id of the dataflow matrix `T` with `T·(M_x·F) = M_S`, when it
@@ -836,8 +776,11 @@ fn try_decompose(
         alignment.m,
     )?;
     let ci = rotatable_component(alignment, rotations, acc);
-    let facts = cache.facts.entry(t).or_default();
-    let (outcome, rotation) = decompose(&cache.mats[t], facts, ci.is_some())?;
+    let (outcome, rotation) = cache
+        .decomposed
+        .entry((t, ci.is_some()))
+        .or_insert_with(|| decompose(&cache.mats[t], ci.is_some()))
+        .clone()?;
     if let (Some(ci), Some(v)) = (ci, rotation) {
         ids.rotate(alignment, ci, &v, &mut cache.mats);
         rotations.insert(ci, v);
@@ -845,114 +788,76 @@ fn try_decompose(
     Some(outcome)
 }
 
-/// What decomposition makes of a dataflow matrix, each part a pure
-/// function of `T` computed on first need and kept by `T`'s id.
-#[derive(Default)]
-struct TFacts {
-    /// `T`'s determinant; `None` when even `i128` overflows.
-    det: OnceCell<Option<i64>>,
-    /// [`decompose_direct`] (2-D, `det = 1`).
-    direct: OnceCell<Option<Vec<Elementary>>>,
-    /// [`search_similarity`] (2-D, `det = 1`, long direct chains).
-    similar: OnceCell<Option<SimilarDecomposition>>,
-    /// Factor count of [`shear_decompose`] (n-D, `det = 1`).
-    shears: OnceCell<Option<usize>>,
-    /// Factor counts of [`decompose_general`] (`det ≠ 0`).
-    unirow: OnceCell<Option<UnirowCounts>>,
-}
+/// What [`decompose`] makes of a dataflow matrix: the outcome and the
+/// similarity rotation it needs, or `None` when `T` does not decompose.
+type Decomposition = Option<(CommOutcome, Option<IMat>)>;
 
-/// Decompose the dataflow matrix `t` (its facts so far in `facts`): the
-/// outcome, and the similarity rotation it needs when `rotatable` (the
-/// access's statement and array share an unrotated component).
-fn decompose(t: &IMat, facts: &mut TFacts, rotatable: bool) -> Option<(CommOutcome, Option<IMat>)> {
+/// Decompose the dataflow matrix `t`: the outcome, and the similarity
+/// rotation it needs when `rotatable` (the access's statement and array
+/// share an unrotated component).
+fn decompose(t: &IMat, rotatable: bool) -> Decomposition {
     if !t.is_square() {
         return None;
     }
     // A dataflow matrix whose determinant overflows even i128-checked
     // arithmetic is not decomposable by any strategy here: report the
     // access as general instead of panicking.
-    let det = (*facts.det.get_or_init(|| t.try_det().ok()))?;
-    let unirow = |facts: &TFacts| {
-        *facts.unirow.get_or_init(|| {
-            decompose_general(t).ok().map(|f| UnirowCounts {
-                all: f.len(),
-                moving: f
-                    .iter()
-                    .filter(|g| {
-                        let GenFactor::Unirow { coeffs, row } = g;
-                        coeffs
-                            .iter()
-                            .enumerate()
-                            .any(|(j, &c)| c != i64::from(j == *row))
-                    })
-                    .count(),
-            })
-        })
-    };
+    let det = t.try_det().ok()?;
     if t.rows() == 2 {
         // det −1 is handled through the general (unirow) path below.
         if det == 1 {
-            if let Some(factors) = facts.direct.get_or_init(|| decompose_direct(t)) {
-                let plain = || CommOutcome::Decomposed {
-                    factors: factors.clone(),
-                    rotated: false,
-                };
-                if factors.len() <= 4 {
-                    return Some((plain(), None));
-                }
+            if let Some(factors) = decompose_direct(t) {
                 // Long chain: try a similarity rotation first — only when
                 // statement and array share an unrotated component.
-                if rotatable {
-                    if let Some(sim) = facts.similar.get_or_init(|| search_similarity(t, 200)) {
+                if factors.len() > 4 && rotatable {
+                    if let Some(sim) = search_similarity(t, 200) {
                         let outcome = CommOutcome::Decomposed {
-                            factors: sim.factors.clone(),
+                            factors: sim.factors,
                             rotated: true,
                         };
-                        return Some((outcome, Some(sim.m.clone())));
+                        return Some((outcome, Some(sim.m)));
                     }
                 }
-                return Some((plain(), None));
-            }
-        }
-        // det ≠ 1: unirow decomposition.
-        if det != 0 {
-            if let Some(counts) = unirow(facts) {
-                let outcome = CommOutcome::DecomposedGeneral {
-                    n_factors: counts.all,
+                let outcome = CommOutcome::Decomposed {
+                    factors,
+                    rotated: false,
                 };
                 return Some((outcome, None));
             }
         }
-        return None;
+        // det ≠ 1: unirow decomposition.
+        if det == 0 {
+            return None;
+        }
+        let n_factors = decompose_general(t).ok()?.len();
+        return Some((CommOutcome::DecomposedGeneral { n_factors }, None));
     }
     // Higher-dimensional grids: elementary shears for det = 1 (§4.1's
     // n-dimensional extension), unirow factors otherwise.
     if det == 1 {
-        if let Some(n_factors) = *facts
-            .shears
-            .get_or_init(|| shear_decompose(t).map(|f| f.len()))
-        {
-            return Some((CommOutcome::DecomposedGeneral { n_factors }, None));
-        }
-    }
-    if det != 0 {
-        if let Some(counts) = unirow(facts) {
+        if let Some(factors) = shear_decompose(t) {
             let outcome = CommOutcome::DecomposedGeneral {
-                n_factors: counts.moving,
+                n_factors: factors.len(),
             };
             return Some((outcome, None));
         }
     }
-    None
-}
-
-/// Factor counts of [`decompose_general`]'s unirow decomposition.
-#[derive(Debug, Clone, Copy)]
-struct UnirowCounts {
-    /// Every factor.
-    all: usize,
-    /// The factors that are not the identity (identity rows are free).
-    moving: usize,
+    if det == 0 {
+        return None;
+    }
+    // Identity rows are free: count only the factors that move data.
+    let n_factors = decompose_general(t)
+        .ok()?
+        .iter()
+        .filter(|g| {
+            let GenFactor::Unirow { coeffs, row } = g;
+            coeffs
+                .iter()
+                .enumerate()
+                .any(|(j, &c)| c != i64::from(j == *row))
+        })
+        .count();
+    Some((CommOutcome::DecomposedGeneral { n_factors }, None))
 }
 
 #[cfg(test)]

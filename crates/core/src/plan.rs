@@ -500,8 +500,7 @@ impl CommPlan {
     /// repeated affine `(T, shift)` (a factor chain reuses a handful of
     /// `L(k)`/`U(k)` matrices) or a repeated explicit slice (the same
     /// `Arc`, which [`build_plan`] shares among accesses whose transfers
-    /// are fixed alike) clones the phase lowered first under that key. A
-    /// slice no other reference shares is folded without a memo entry.
+    /// are fixed alike) clones the phase lowered first under that key.
     pub fn phases_on_mesh(
         &self,
         mesh: &Mesh2D,
@@ -516,20 +515,15 @@ impl CommPlan {
         let node = |(p, q): (usize, usize)| mesh.node_id(p, q);
         for phase in &self.phases {
             let key = match &phase.pattern {
-                // A slice no other phase holds cannot repeat: no entry.
-                PhasePattern::Explicit(pattern) if Arc::strong_count(pattern) == 1 => None,
-                PhasePattern::Explicit(pattern) => Some(FoldKey::Explicit(Arc::as_ptr(pattern))),
-                PhasePattern::Affine { t, shift } => Some(FoldKey::Affine(
-                    [t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]],
-                    *shift,
-                )),
+                PhasePattern::Explicit(pattern) => FoldKey::Explicit(Arc::as_ptr(pattern)),
+                PhasePattern::Affine { t, shift } => {
+                    FoldKey::Affine([t[(0, 0)], t[(0, 1)], t[(1, 0)], t[(1, 1)]], *shift)
+                }
             };
-            let lowered = match key.map(|key| first.entry(key)) {
-                Some(Entry::Occupied(seen)) => out[*seen.get()].clone(),
-                slot => {
-                    if let Some(Entry::Vacant(slot)) = slot {
-                        slot.insert(out.len());
-                    }
+            let lowered = match first.entry(key) {
+                Entry::Occupied(seen) => out[*seen.get()].clone(),
+                Entry::Vacant(slot) => {
+                    slot.insert(out.len());
                     match &phase.pattern {
                         PhasePattern::Explicit(pattern) => {
                             explicit.fold(pattern);
@@ -643,35 +637,18 @@ pub fn build_plan(nest: &LoopNest, mapping: &Mapping) -> CommPlan {
 /// access's transfers: its phase recipe ([`push_recipe`]), then its
 /// composed rows and domain ([`AccessRows::push_key`]). The keys sit back
 /// to back in one buffer with the key at hand at its end, so a hit
-/// allocates nothing. A plan with at most [`SCAN_KEYS`] distinct keys (a
-/// kernel-zoo nest has a handful, none repeated) compares them in turn;
-/// past that they are indexed by hash, with the keyed default hasher
-/// since they come from nest text.
+/// allocates nothing. Each key is indexed by its hash, with the keyed
+/// default hasher since keys come from nest text.
+#[derive(Default)]
 struct PhaseMemo {
     keys: Vec<i64>,
     /// Each kept key's span in `keys` and the phases the first access
     /// with that key pushed onto the plan.
     kept: Vec<(Range<usize>, Range<usize>)>,
     hasher: RandomState,
-    /// A kept key's hash → its index in `kept`, once there are more than
-    /// [`SCAN_KEYS`] (a hash collision keeps the first key's slot).
+    /// A kept key's hash → its index in `kept` (a hash collision keeps
+    /// the first key's slot).
     index: HashMap<u64, usize>,
-}
-
-/// Up to this many distinct keys, [`PhaseMemo`] compares keys instead of
-/// hashing them.
-const SCAN_KEYS: usize = 8;
-
-impl Default for PhaseMemo {
-    /// Room for the keys of a small nest, so they never regrow.
-    fn default() -> Self {
-        PhaseMemo {
-            keys: Vec::with_capacity(64),
-            kept: Vec::with_capacity(SCAN_KEYS),
-            hasher: RandomState::new(),
-            index: HashMap::new(),
-        }
-    }
 }
 
 impl PhaseMemo {
@@ -694,22 +671,9 @@ impl PhaseMemo {
         push_recipe(out, &mut self.keys);
         rows.push_key(dom, &mut self.keys);
         let (keys, key) = self.keys.split_at(at);
-        let same = |kept: &(Range<usize>, Range<usize>)| keys[kept.0.clone()] == *key;
-        let mut hash = None;
-        let seen = if self.kept.len() <= SCAN_KEYS {
-            self.kept.iter().position(same)
-        } else {
-            if self.index.is_empty() {
-                for (i, (kept, _)) in self.kept.iter().enumerate() {
-                    let h = self.hasher.hash_one(&keys[kept.clone()]);
-                    self.index.entry(h).or_insert(i);
-                }
-            }
-            let h = self.hasher.hash_one(key);
-            hash = Some(h);
-            self.index.get(&h).copied().filter(|&i| same(&self.kept[i]))
-        };
-        if let Some(i) = seen {
+        let hash = self.hasher.hash_one(key);
+        let seen = self.index.get(&hash).copied();
+        if let Some(i) = seen.filter(|&i| keys[self.kept[i].0.clone()] == *key) {
             self.keys.truncate(at);
             for p in self.kept[i].1.clone() {
                 let (kind, pattern) = (phases[p].kind.clone(), phases[p].pattern.clone());
@@ -723,9 +687,7 @@ impl PhaseMemo {
         }
         let start = phases.len();
         build(rows, phases)?;
-        if let Some(h) = hash {
-            self.index.entry(h).or_insert(self.kept.len());
-        }
+        self.index.entry(hash).or_insert(self.kept.len());
         self.kept.push((at..self.keys.len(), start..phases.len()));
         Ok(())
     }

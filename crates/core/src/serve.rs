@@ -465,7 +465,8 @@ fn admit(shared: &Shared, deadline: Option<Instant>) -> Result<AnalysisCache, Fa
 /// Memoized analyses a slot's cache may hold when the slot goes back;
 /// past this [`release`] clears it. The cache is keyed by the matrices
 /// clients send, so unbounded it would grow with every distinct one.
-/// Kernel-zoo traffic (every zoo kernel at sizes 4–9) peaks at 42.
+/// Kernel-zoo traffic (every zoo kernel at sizes 4–9 through one cache)
+/// peaks at 119: interned matrices, products and memo entries together.
 const SLOT_CACHE_MAX: usize = 1024;
 
 /// Hand a slot back to admission with its cache, cleared once it holds
@@ -1911,6 +1912,163 @@ mod tests {
     }
 
     use proptest::prelude::*;
+
+    /// A JSON literal as written, with the value [`parse`] must read from
+    /// it, or `None` where RFC 8259 or the parser's checks refuse it.
+    type Literal = (String, Option<JsonValue>);
+
+    /// The value of a number literal that follows RFC 8259's grammar:
+    /// `Int` for an integer literal in `i64` range (decided in `i128`),
+    /// else the finite `Float`, else nothing.
+    fn number_value(text: &str) -> Option<JsonValue> {
+        if !text.contains(['.', 'e', 'E']) {
+            let wide: i128 = text.parse().expect("at most 25 digits");
+            if let Ok(i) = i64::try_from(wide) {
+                return Some(JsonValue::Int(i));
+            }
+        }
+        let x: f64 = text.parse().expect("a grammatical number");
+        x.is_finite().then_some(JsonValue::Float(x))
+    }
+
+    /// Integers of 19–25 digits (`i64` has 19), numbers with exponents up
+    /// to 999, and forms the grammar forbids.
+    fn hostile_number() -> impl Strategy<Value = Literal> {
+        let valid = |t: String| {
+            let v = number_value(&t);
+            (t, v)
+        };
+        prop_oneof![
+            "-?[1-9][0-9]{18,24}".prop_map(valid),
+            "-?(0|[1-9][0-9]{0,2})(\\.[0-9]{1,3})?[eE][+-]?[0-9]{1,3}".prop_map(valid),
+            prop_oneof![
+                Just("007"),
+                Just("00"),
+                Just("01.5"),
+                Just("1."),
+                Just("-.5"),
+                Just("1e+"),
+                Just("+1"),
+            ]
+            .prop_map(|t| (t.to_string(), None)),
+        ]
+    }
+
+    /// A string of plain, escaped and surrogate pieces: valid pairs, lone
+    /// high and low halves, a reversed pair, a high half before a non-low
+    /// escape, or a high half just before the closing quote. No two pieces
+    /// can join into a valid pair.
+    fn hostile_string() -> impl Strategy<Value = Literal> {
+        let piece = prop_oneof![
+            "[a-z ]{0,3}".prop_map(|s| (s.clone(), Some(s))),
+            Just(("\\u00e9".to_string(), Some("é".to_string()))),
+            Just(("\\ud83d\\ude00".to_string(), Some("😀".to_string()))),
+            Just(("\\ud800x".to_string(), None)),
+            Just(("\\udc00".to_string(), None)),
+            Just(("\\udc00\\ud800".to_string(), None)),
+            Just(("\\uDBFF\\u0041".to_string(), None)),
+        ];
+        (proptest::collection::vec(piece, 1..4), any::<bool>()).prop_map(|(pieces, high_last)| {
+            let mut text = String::from('"');
+            let mut value = Some(String::new());
+            for (t, v) in pieces {
+                text.push_str(&t);
+                value = value.zip(v).map(|(s, v)| s + &v);
+            }
+            if high_last {
+                text.push_str("\\ud800");
+                value = None;
+            }
+            text.push('"');
+            (text, value.map(JsonValue::Str))
+        })
+    }
+
+    /// One hostile JSON line: a few literals in an array, nested in arrays
+    /// and object fields to around [`rescomm_json::MAX_DEPTH`], with the
+    /// value `parse` must read from it (`None` past the depth cap or with
+    /// any literal refused), and a byte to cut it at, if any.
+    fn hostile_line() -> impl Strategy<Value = (String, Option<JsonValue>, Option<usize>)> {
+        use rescomm_json::MAX_DEPTH;
+        let nesting = prop_oneof![0usize..4, MAX_DEPTH - 2..MAX_DEPTH + 3]
+            .prop_flat_map(|depth| proptest::collection::vec(any::<bool>(), depth));
+        let literal = prop_oneof![
+            hostile_number(),
+            hostile_string(),
+            Just(("null".to_string(), Some(JsonValue::Null))),
+            Just(("tru".to_string(), None)),
+        ];
+        let literals = proptest::collection::vec(literal, 0..4);
+        let cut = prop_oneof![Just(None), any::<u64>().prop_map(Some)];
+        (nesting, literals, cut).prop_map(|(arrays, literals, cut)| {
+            // The literals sit inside the innermost array, one level deeper.
+            let depth = arrays.len() + usize::from(!literals.is_empty());
+            let (texts, values): (Vec<String>, Vec<Option<JsonValue>>) =
+                literals.into_iter().unzip();
+            let mut value = values
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
+                .filter(|_| depth <= MAX_DEPTH)
+                .map(JsonValue::Array);
+            let mut text = format!("[{}]", texts.join(", "));
+            for &array in arrays.iter().rev() {
+                if array {
+                    text = format!("[{text}]");
+                    value = value.map(|v| JsonValue::Array(vec![v]));
+                } else {
+                    text = format!("{{\"k\": {text}}}");
+                    value = value.map(|v| JsonValue::object([("k", v)]));
+                }
+            }
+            let cut = cut.map(|at| (at % (text.len() as u64 + 1)) as usize);
+            (text, value, cut)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile JSON lines: nesting around the depth cap, integers of
+        /// 19–25 digits, exponents, forbidden number forms, lone and
+        /// reversed surrogate escapes, each line possibly cut at any byte
+        /// (read lossily, as the server reads a line). `parse` never
+        /// panics, reads a whole line exactly as RFC 8259 does (`Int` only
+        /// for an integer literal in `i64` range, an error past the cap),
+        /// and every value it reads re-renders and re-parses to itself.
+        /// The server answers each line, bare or as a request's `id`, with
+        /// exactly one structured response line and absorbs no panic.
+        #[test]
+        fn hostile_json_lines_parse_strictly_and_answer_once(
+            case in hostile_line(),
+            op in prop_oneof![Just("ping"), Just("stats"), Just("map"), Just("bogus")],
+        ) {
+            let (line, want, cut) = case;
+            prop_assert_eq!(parse(&line).ok(), want, "{}", line);
+            let cut = cut.map(|at| String::from_utf8_lossy(&line.as_bytes()[..at]).into_owned());
+            let request = format!("{{\"op\": \"{op}\", \"id\": {line}, \"nest\": {line}}}");
+            let shared = Server::bind(ServerConfig::default()).unwrap().shared;
+            for text in [Some(&line), cut.as_ref(), Some(&request)].into_iter().flatten() {
+                let parsed = parse(text);
+                if let Ok(v) = &parsed {
+                    prop_assert_eq!(&parse(&v.render()), &parsed, "{}", text);
+                }
+                let resp = handle_line(&shared, text);
+                prop_assert!(!resp.contains('\n'), "{}: {}", text, resp);
+                let resp = parse(&resp).map_err(|e| format!("{text}: {resp}: {e}"))?;
+                let id = parsed.ok().and_then(|v| v.get("id").cloned());
+                prop_assert_eq!(resp.get("id"), Some(id.as_ref().unwrap_or(&JsonValue::Null)));
+                match resp.get("ok") {
+                    Some(JsonValue::Bool(true)) => prop_assert!(resp.get("result").is_some()),
+                    Some(JsonValue::Bool(false)) => {
+                        let code = resp.get("error").and_then(|e| e.get("code"));
+                        prop_assert!(code.and_then(JsonValue::as_str).is_some(), "{:?}", resp);
+                    }
+                    other => prop_assert!(false, "{text}: no ok flag: {other:?}"),
+                }
+            }
+            prop_assert_eq!(shared.stats.panics_absorbed.load(Ordering::Relaxed), 0);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]

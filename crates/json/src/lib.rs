@@ -383,8 +383,9 @@ impl JsonValue {
 }
 
 /// Nesting depth cap: hostile inputs must exhaust the parser's patience,
-/// not the thread's stack.
-const MAX_DEPTH: usize = 128;
+/// not the thread's stack. [`parse`] refuses a value inside more than
+/// this many arrays and objects.
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     /// Remaining input.
@@ -521,23 +522,48 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// One number by RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: an `Int` when it
+    /// has no fraction or exponent and fits `i64`, else a finite `Float`.
     fn number(&mut self, first: char) -> Result<JsonValue, JsonError> {
-        let mut text = String::new();
-        text.push(first);
+        let mut text = String::from(first);
+        let lead = match first {
+            '-' => match self.bump() {
+                Some(c @ '0'..='9') => {
+                    text.push(c);
+                    c
+                }
+                _ => return self.err("invalid number: no digit after '-'"),
+            },
+            c => c,
+        };
+        if lead != '0' {
+            self.digits(&mut text);
+        }
         let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                '0'..='9' => {
-                    text.push(c);
-                    self.bump();
-                }
-                '.' | 'e' | 'E' | '+' | '-' => {
-                    is_float = true;
-                    text.push(c);
-                    self.bump();
-                }
-                _ => break,
+        if self.peek() == Some('.') {
+            self.bump();
+            text.push('.');
+            if self.digits(&mut text) == 0 {
+                return self.err(format!("invalid number {text:?}: no digit after '.'"));
             }
+            is_float = true;
+        }
+        if let Some(e @ ('e' | 'E')) = self.peek() {
+            self.bump();
+            text.push(e);
+            if let Some(sign @ ('+' | '-')) = self.peek() {
+                self.bump();
+                text.push(sign);
+            }
+            if self.digits(&mut text) == 0 {
+                return self.err(format!("invalid number {text:?}: no exponent digit"));
+            }
+            is_float = true;
+        }
+        // A leading zero, a second fraction or exponent, a stray sign.
+        if let Some(c @ ('0'..='9' | '.' | 'e' | 'E' | '+' | '-')) = self.peek() {
+            return self.err(format!("invalid number: {c:?} after {text:?}"));
         }
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
@@ -548,6 +574,17 @@ impl<'a> Parser<'a> {
             Ok(f) if f.is_finite() => Ok(JsonValue::Float(f)),
             _ => self.err(format!("invalid number {text:?}")),
         }
+    }
+
+    /// Consume a run of ASCII digits onto `text`: how many there were.
+    fn digits(&mut self, text: &mut String) -> usize {
+        let mut n = 0;
+        while let Some(c @ '0'..='9') = self.peek() {
+            self.bump();
+            text.push(c);
+            n += 1;
+        }
+        n
     }
 
     fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
@@ -750,7 +787,8 @@ mod tests {
             ("tru", "invalid literal"),
             ("trua", "invalid literal"),
             ("{\"a\": 1,}", "expected object key"),
-            ("01x", "trailing garbage"),
+            ("01x", "invalid number"),
+            ("0x", "trailing garbage"),
             ("-", "invalid number"),
             ("1.2.3", "invalid number"),
             ("\"\\q\"", "unknown escape"),
@@ -784,6 +822,13 @@ mod tests {
         ));
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+        assert_eq!(parse("0").unwrap(), JsonValue::Int(0));
+        assert_eq!(parse("-0.5e-1").unwrap(), JsonValue::Float(-0.05));
+        // RFC 8259: no leading zeros, and a digit on each side of `.`.
+        for bad in ["007", "00", "01.5", "1.", "-.5", "-", "1e", "1e+", "-01"] {
+            let e = parse(bad).unwrap_err();
+            assert!(e.msg.contains("number"), "{bad:?}: {e:?}");
+        }
     }
 
     #[test]

@@ -387,21 +387,33 @@ fn printers_match_the_per_statement_scan() {
 /// inverse, whichever side the branching zeroes): the statement writes
 /// `x[I]` and reads `x[t⁻¹·I]`.
 fn dataflow_nest(name: &str, t: &IMat) -> LoopNest {
-    let n = t.rows();
+    dataflow_reads_nest(name, &[t])
+}
+
+/// [`dataflow_nest`] with one read `x[t⁻¹·I]` per `t`, in order.
+fn dataflow_reads_nest(name: &str, ts: &[&IMat]) -> LoopNest {
+    let n = ts[0].rows();
     let mut b = NestBuilder::new(name);
     let x = b.array("x", n);
     let s = b.statement("S", n, Domain::cube(n, 6));
     b.write(s, x, IMat::identity(n), &vec![0; n]);
-    let tinv = t.inverse_unimodular().expect("unimodular dataflow matrix");
-    b.read(s, x, tinv, &vec![0; n]);
+    for t in ts {
+        let tinv = t.inverse_unimodular().expect("unimodular dataflow matrix");
+        b.read(s, x, tinv, &vec![0; n]);
+    }
     b.build().expect("dataflow nest valid")
 }
 
-/// The unirow-decomposition memo is outcome-transparent: the Fig. 8
-/// shears `U(k)`, the kernel-zoo dataflow matrices (plus reflections that
-/// take the `det ≠ 1` unirow path on 2-D and 3-D grids) and the kernel-zoo
+/// The decomposition memo is outcome-transparent: the Fig. 8 shears
+/// `U(k)`, the kernel-zoo dataflow matrices (plus reflections that take
+/// the `det ≠ 1` unirow path on 2-D and 3-D grids) and the kernel-zoo
 /// nests map through one warm [`AnalysisCache`], twice over, exactly as
 /// `map_nest_reference` maps them, computing every decomposition afresh.
+///
+/// The memo's key holds whether the access may rotate its component: one
+/// `T` with a direct chain longer than 4 is decomposed in a warm cache
+/// both where a similarity rotation is open to it and where its component
+/// is already rotated, in both orders.
 #[test]
 fn warm_decomposition_memo_is_outcome_transparent() {
     let mut nests: Vec<(LoopNest, usize)> = (1..=8)
@@ -442,4 +454,52 @@ fn warm_decomposition_memo_is_outcome_transparent() {
         }
     }
     assert!(unirow >= 4, "the unirow path must be exercised: {unirow}");
+
+    // `T` takes a similarity rotation where its statement and array share
+    // an unrotated component (`open`). In `closed`, the first read rotates
+    // the component by `V` (the rotation of `T₁`'s long chain) and the
+    // second read, `V⁻¹·T·V` before that rotation, then has dataflow
+    // matrix `T` with no rotation left to it.
+    let t = IMat::from_rows(&[&[19, 12], &[-27, -17]]);
+    let t1 = IMat::from_rows(&[&[19, -12], &[27, -17]]);
+    let v = rescomm_decompose::search_similarity(&t1, 200).expect("T₁ is similar to a shear");
+    let vinv = v.m.inverse_unimodular().unwrap();
+    let open = dataflow_nest("long chain, rotatable", &t);
+    let closed = dataflow_reads_nest(
+        "long chain, component rotated",
+        &[&t1, &(&(&vinv * &t) * &v.m)],
+    );
+    let opts = MappingOptions::new(2);
+    let long = rescomm_decompose::decompose_direct(&t).expect("T decomposes directly");
+    assert!(long.len() > 4, "T's direct chain must be long: {long:?}");
+    let fresh = map_nest_reference(&closed, &opts);
+    let last = closed.accesses.last().unwrap().id;
+    assert_eq!(
+        rescomm::dataflow_matrix(&fresh.alignment, &closed, last),
+        Some(t.clone())
+    );
+    assert_eq!(
+        fresh.outcomes[last.0],
+        CommOutcome::Decomposed {
+            factors: long,
+            rotated: false
+        }
+    );
+    let fresh = map_nest_reference(&open, &opts);
+    assert!(matches!(
+        fresh.outcomes[1],
+        CommOutcome::Decomposed { rotated: true, .. }
+    ));
+    for order in [[&open, &closed], [&closed, &open]] {
+        let mut warm = AnalysisCache::new();
+        for nest in order {
+            let cached = map_nest_with(nest, &opts, &mut warm).unwrap();
+            let fresh = map_nest_reference(nest, &opts);
+            assert_identical(
+                &format!("{}, {} first", nest.name, order[0].name),
+                &cached,
+                &fresh,
+            );
+        }
+    }
 }
