@@ -21,8 +21,9 @@
 //!   between samples lands on both sides.
 //! * **lanes** — the same paper plan under drops alone
 //!   (`FaultPlan::with_drop(42, 0.05)`) and the overlapped schedule, at
-//!   64 replications: a per-seed [`FaultSim::run_faulty`] loop vs
-//!   [`FaultSim::replay_faulty`], which advances up to
+//!   64 replications: a loop of one-seed [`FaultSim::replay_faulty`]
+//!   calls (each a lone seed, so the scalar step) vs one 64-seed
+//!   [`FaultSim::replay_faulty`] call, which advances up to
 //!   [`rescomm_machine::LANES`] seeds through one pass when the plan has
 //!   no outages or deaths. Both sides are first gated against the
 //!   oracle; no speedup floor.
@@ -188,7 +189,7 @@ fn main() {
     let per_seed = |engine: &mut FaultSim| -> Vec<FaultReport> {
         lane_seeds
             .iter()
-            .map(|&s| engine.run_faulty(s, lane_sched))
+            .map(|&s| engine.replay_faulty(&[s], lane_sched)[0])
             .collect()
     };
     let want = oracle(&lane_plan, &lane_seeds, lane_sched, None);

@@ -126,7 +126,7 @@ fn run(side: usize, replications: usize) -> Vec<Row> {
                 seed: fault.seed,
                 ..FaultPlan::none()
             };
-            let z = FaultSim::new(&mesh, &w.phases, &zero).run_faulty(zero.seed, sched);
+            let z = FaultSim::new(&mesh, &w.phases, &zero).replay_faulty(&[zero.seed], sched)[0];
             assert_eq!(
                 z.makespan,
                 healthy,

@@ -111,7 +111,7 @@ fn main() {
         // (replication 0's seed is the plan's own seed).
         engine.set_plan(plan);
         assert_eq!(
-            engine.run_faulty(plan.seed, sched),
+            engine.replay_faulty(&[plan.seed], sched)[0],
             rep,
             "compiled engine diverged from the oracle at drop={drop_pct}% retry={retry}"
         );
@@ -161,7 +161,7 @@ fn main() {
 
     // Zero-fault gate: no faults → bit-identical to the unfaulted engine.
     engine.set_plan(&FaultPlan::none());
-    let zero = engine.run_faulty(FaultPlan::none().seed, sched);
+    let zero = engine.replay_faulty(&[FaultPlan::none().seed], sched)[0];
     assert_eq!(zero.makespan, healthy, "zero-fault plan must be identical");
     assert_eq!(zero.delivered, zero.messages);
     eprintln!("zero-fault gate: makespan {} ns == healthy", zero.makespan);

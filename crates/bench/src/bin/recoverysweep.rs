@@ -86,7 +86,8 @@ fn study(
     // Zero-death gate first: the recovering driver on a death-free plan
     // must match the unfaulted scheduler bit for bit.
     let none = FaultPlan::none();
-    let zero = FaultSim::new(&mesh, &phases, &none).run_recovering(&policy, none.seed, sched);
+    let zero =
+        FaultSim::new(&mesh, &phases, &none).replay_recovering(&policy, &[none.seed], sched)[0];
     assert_eq!(zero.makespan, healthy, "zero-death run must be identical");
     assert_eq!(zero.delivered, zero.messages);
     assert_eq!(zero.recovery.rollbacks, 0);
@@ -130,7 +131,7 @@ fn study(
         // (replication 0's seed is the plan's own seed).
         engine.set_plan(plan);
         assert_eq!(
-            engine.run_recovering(&policy, plan.seed, sched),
+            engine.replay_recovering(&policy, &[plan.seed], sched)[0],
             rep,
             "compiled engine diverged from the oracle at mttf={mttf_pct}%"
         );
@@ -190,7 +191,7 @@ fn study(
             ring: 32,
             ..CheckpointPolicy::default()
         };
-        let rep = interval_engine.run_recovering(&p, fixed_plan.seed, sched);
+        let rep = interval_engine.replay_recovering(&p, &[fixed_plan.seed], sched)[0];
         assert!(rep.recovery.all_recovered(), "interval={interval}");
         assert_eq!(rep.delivered, rep.messages);
         eprintln!(

@@ -2,7 +2,7 @@
 
 use crate::workload::{mapping_cost_on_mesh, msgs_to_phase, paragon_mesh, simulate_dataflow_with};
 use rescomm::baselines::{feautrier_map, platonoff_map};
-use rescomm::{map_nest, CommOutcome, MappingOptions};
+use rescomm::{compile, map_nest, CancelToken, CommOutcome, CompileOptions, MappingOptions};
 use rescomm_decompose::Elementary;
 use rescomm_distribution::{fold_general, Dist1D, Dist2D};
 use rescomm_intlin::IMat;
@@ -358,16 +358,31 @@ pub struct MotivatingRow {
     pub counts: [usize; 4],
     /// Estimated communication time on the 8×4 mesh.
     pub est_time: u64,
+    /// Makespan of the mapping's compiled plan ([`rescomm::compile`]) on
+    /// the estimate's own target: CYCLIC over the same virtual grid and
+    /// payload, phased.
+    pub compiled_time: u64,
 }
 
 /// Run the motivating example under the full heuristic, the step-1-only
 /// baseline, Platonoff's strategy and the two step-2 ablations
 /// (macro-communications without decomposition, decomposition without
-/// macro-communications), with simulated mesh costs.
+/// macro-communications), with simulated mesh costs: the per-outcome
+/// estimate ([`mapping_cost_on_mesh`]) and the compiled plan's makespan.
+/// The two price a macro-communication differently: the estimate as a
+/// binomial tree, the plan as one round of point-to-point transfers.
 pub fn motivating(bytes: u64) -> Vec<MotivatingRow> {
     let (nest, _) = examples::motivating_example(8, 4);
     let mesh = paragon_mesh();
     let vshape = (32, 16);
+    let target = CompileOptions {
+        mesh: mesh.clone(),
+        dist: Dist2D::uniform(Dist1D::Cyclic),
+        vshape,
+        bytes,
+        mode: ScheduleMode::Phased,
+        closed: false,
+    };
     let mut rows = Vec::new();
     let mut push = |name: &'static str, mapping: rescomm::Mapping| {
         let mut counts = [0usize; 4];
@@ -382,10 +397,12 @@ pub fn motivating(bytes: u64) -> Vec<MotivatingRow> {
             }
         }
         let est_time = mapping_cost_on_mesh(&nest, &mapping, &mesh, vshape, bytes);
+        let compiled = compile(&nest, &mapping, &target, &CancelToken::none());
         rows.push(MotivatingRow {
             strategy: name,
             counts,
             est_time,
+            compiled_time: compiled.expect("motivating example compiles").makespan,
         });
     };
     push(

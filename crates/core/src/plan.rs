@@ -1140,18 +1140,18 @@ pub(crate) mod tests {
         let none = FaultPlan::none();
         let mut engine = FaultSim::new(&mesh, &phased.phases, &none);
         let policy = CheckpointPolicy::default();
-        let rep = engine.run_recovering(&policy, none.seed, SchedulePolicy::default());
+        let rep = engine.replay_recovering(&policy, &[none.seed], SchedulePolicy::default())[0];
         assert_eq!(rep.makespan, t, "zero-death recovery is bit-identical");
         assert_eq!(rep.recovery.rollbacks, 0);
         // Under an overlapped policy the zero-fault recovery matches the
         // fault-free overlapped schedule instead.
         let over_target = cyclic(&mesh, (24, 24), ScheduleMode::overlapped(), false);
         let over = compiled(&nest, &full, &over_target).makespan;
-        let rep = engine.run_recovering(
+        let rep = engine.replay_recovering(
             &policy,
-            none.seed,
+            &[none.seed],
             SchedulePolicy::Fixed(ScheduleMode::overlapped()),
-        );
+        )[0];
         assert_eq!(rep.makespan, over, "zero-death overlapped recovery");
         assert_eq!(rep.downgrades, 0);
 
@@ -1168,7 +1168,7 @@ pub(crate) mod tests {
                 inflation_threshold: 1.2,
             },
         ] {
-            let rep = engine.run_recovering(&policy, faulty.seed, sched);
+            let rep = engine.replay_recovering(&policy, &[faulty.seed], sched)[0];
             assert!(
                 rep.recovery.all_recovered(),
                 "{sched:?}: {:?}",
@@ -1216,12 +1216,12 @@ pub(crate) mod tests {
             .iter()
             .any(|r| r.retries != reps[0].retries || r != &reps[0]));
         // The overlapped policy threads through to the batch engine and
-        // agrees with the per-call policy oracle on replication 0.
+        // agrees with a fresh engine's one-seed run on replication 0.
         let sched = SchedulePolicy::Fixed(ScheduleMode::overlapped());
         let over = engine.replay_faulty(&seeds[..3], sched);
         assert_eq!(
             over[0],
-            FaultSim::new(&mesh, &phases, &fplan).run_faulty(fplan.seed, sched)
+            FaultSim::new(&mesh, &phases, &fplan).replay_faulty(&[fplan.seed], sched)[0]
         );
     }
 
@@ -1257,11 +1257,11 @@ pub(crate) mod tests {
             SchedulePolicy::default(),
         );
         assert_eq!(reps.len(), 3);
-        let single = FaultSim::new(&mesh, &phases, &fplan).run_recovering(
+        let single = FaultSim::new(&mesh, &phases, &fplan).replay_recovering(
             &policy,
-            fplan.seed,
+            &[fplan.seed],
             SchedulePolicy::default(),
-        );
+        )[0];
         assert_eq!(reps[0], single, "replication 0 is the classic run");
         for r in &reps {
             assert!(r.recovery.all_recovered(), "{:?}", r.recovery);
@@ -1821,7 +1821,7 @@ pub(crate) mod tests {
                     let mut engine = FaultSim::new(&mesh, &phases, &none);
                     for policy in policies {
                         let c = compiled(nest, &mapping, &opts(policy.healthy_mode()));
-                        let rep = engine.run_faulty(none.seed, policy);
+                        let rep = engine.replay_faulty(&[none.seed], policy)[0];
                         assert_eq!(rep.makespan, c.makespan, "{tag} {policy:?}");
                     }
                 }

@@ -18,8 +18,10 @@
 //!    fold direction — `rescomm_macrocomm::axis_alignment_rotation` over
 //!    `rescomm_intlin`'s Hermite machinery) is scored by remote traffic
 //!    and load imbalance on the degraded grid, **rejecting any candidate
-//!    that breaks an access the branching zeroed out** (identity always
-//!    survives, so the search cannot fail);
+//!    that breaks an access the branching zeroed out** and any whose
+//!    rotated allocations or sampled placements leave `i64` (identity
+//!    breaks nothing, so the search fails only when the mapping's own
+//!    sampled placements leave `i64`);
 //! 3. residual communications are re-derived for the rotated alignment
 //!    (the same classification pass [`crate::map_nest`] runs), a
 //!    [`IncidentKind::NodeLoss`] incident is recorded on the mapping, and
@@ -32,9 +34,9 @@ use crate::error::{Incident, IncidentKind, RescommError};
 use crate::exec::verify_execution_on;
 use crate::pipeline::{reclassify, Mapping, MappingOptions};
 use rescomm_accessgraph::Vertex;
-use rescomm_alignment::Alignment;
+use rescomm_alignment::{Alignment, Alloc};
 use rescomm_intlin::{is_unimodular, IMat};
-use rescomm_loopnest::{LoopNest, StmtId};
+use rescomm_loopnest::{ArrayId, LoopNest, StmtId};
 use rescomm_machine::{fold_target, PMsg};
 use rescomm_macrocomm::axis_alignment_rotation;
 
@@ -259,26 +261,68 @@ fn candidates(m: usize, grid: &DegradedGrid) -> Vec<IMat> {
     out
 }
 
+/// `mat·x + off` (a missing entry of `off` is 0), or `None` when a
+/// component leaves `i64`.
+fn checked_affine(mat: &IMat, x: &[i64], off: &[i64]) -> Option<Vec<i64>> {
+    (0..mat.rows())
+        .map(|r| {
+            let start = i128::from(off.get(r).copied().unwrap_or(0));
+            let acc = mat.row(r).iter().zip(x).try_fold(start, |acc, (&a, &v)| {
+                acc.checked_add(i128::from(a) * i128::from(v))
+            })?;
+            i64::try_from(acc).ok()
+        })
+        .collect()
+}
+
+/// `alignment` with component `ci` rotated by `v`
+/// ([`Alignment::rotate_component`]), or `None` when an entry of a
+/// rotated allocation matrix or offset leaves `i64`.
+fn rotated(alignment: &Alignment, ci: usize, v: &IMat) -> Option<Alignment> {
+    let stmts = alignment.stmt_alloc.iter().enumerate();
+    let arrays = alignment.array_alloc.iter().enumerate();
+    let fits = stmts
+        .map(|(s, a)| (Vertex::Stmt(StmtId(s)), a))
+        .chain(arrays.map(|(x, a)| (Vertex::Array(ArrayId(x)), a)))
+        .filter(|&(w, a)| alignment.component_of(w) == Some(ci) && a.mat.rows() == v.cols())
+        .all(|(_, a)| {
+            checked_affine(v, &a.rho, &[]).is_some()
+                && (0..a.mat.cols()).all(|j| checked_affine(v, &a.mat.col(j), &[]).is_some())
+        });
+    fits.then(|| {
+        let mut trial = alignment.clone();
+        trial.rotate_component(ci, v);
+        trial
+    })
+}
+
 /// Score a trial alignment on the degraded grid over sampled instances:
 /// `(remote access pairs, heaviest survivor load)` — lexicographic, lower
-/// is better.
-fn degraded_score(nest: &LoopNest, trial: &Alignment, grid: &DegradedGrid) -> (usize, usize) {
+/// is better. `None` when a sampled placement leaves `i64`.
+fn degraded_score(
+    nest: &LoopNest,
+    trial: &Alignment,
+    grid: &DegradedGrid,
+) -> Option<(usize, usize)> {
+    let place = |alloc: &Alloc, x: &[i64]| {
+        checked_affine(&alloc.mat, x, &alloc.rho).map(|v| grid.place(&v))
+    };
     let mut remote = 0usize;
     let mut load = vec![0usize; grid.px * grid.py];
     let by_stmt = nest.by_stmt();
     for si in 0..nest.statements.len() {
         for p in sample(nest, si) {
-            let here = grid.place(&trial.stmt_alloc[si].apply(&p));
+            let here = place(&trial.stmt_alloc[si], &p)?;
             load[here] += 1;
             for acc in by_stmt.of(StmtId(si)) {
                 let e = acc.subscript(&p);
-                if grid.place(&trial.array_alloc[acc.array.0].apply(&e)) != here {
+                if place(&trial.array_alloc[acc.array.0], &e)? != here {
                     remote += 1;
                 }
             }
         }
     }
-    (remote, load.into_iter().max().unwrap_or(0))
+    Some((remote, load.into_iter().max().unwrap_or(0)))
 }
 
 /// `true` when every access local under `before` is still local under
@@ -295,8 +339,11 @@ fn preserves_locality(nest: &LoopNest, before: &Alignment, after: &Alignment) ->
 ///
 /// Every connected component whose placements touch a dead node is
 /// left-multiplied by the best unimodular fold from `candidates`
-/// (identity when nothing better exists), residual communications are
-/// re-derived for the rotated alignment, an [`IncidentKind::NodeLoss`]
+/// (identity when nothing better exists; a candidate whose rotated
+/// allocations or sampled placements leave `i64` is skipped, and when
+/// none is left the remap is an [`RescommError::Analysis`] error),
+/// residual communications are re-derived for the rotated alignment,
+/// an [`IncidentKind::NodeLoss`]
 /// incident is recorded, and the result is validated through
 /// [`verify_execution_on`] — the distributed execution must reproduce the
 /// sequential state with the dead nodes excluded from every placement.
@@ -316,17 +363,28 @@ pub fn remap_for_survivors(
     for ci in affected_components(nest, &out.alignment, &grid) {
         let mut best: Option<((usize, usize), IMat)> = None;
         for cand in candidates(m, &grid) {
-            let mut trial = out.alignment.clone();
-            trial.rotate_component(ci, &cand);
+            // A candidate whose rotation or sampled placements leave
+            // `i64` is skipped, as one that breaks locality is.
+            let Some(trial) = rotated(&out.alignment, ci, &cand) else {
+                continue;
+            };
             if !preserves_locality(nest, &out.alignment, &trial) {
                 continue;
             }
-            let score = degraded_score(nest, &trial, &grid);
+            let Some(score) = degraded_score(nest, &trial, &grid) else {
+                continue;
+            };
             if best.as_ref().is_none_or(|(b, _)| score < *b) {
                 best = Some((score, cand));
             }
         }
-        let (_, fold) = best.expect("identity preserves locality, so a candidate survives");
+        let Some((_, fold)) = best else {
+            return Err(RescommError::Analysis {
+                stage: "remap_for_survivors",
+                detail: "i64 overflow in the sampled placements of every candidate rotation"
+                    .to_string(),
+            });
+        };
         if fold != IMat::identity(m) {
             out.alignment.rotate_component(ci, &fold);
             let composed = match out.rotations.remove(&ci) {
@@ -495,6 +553,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn remap_skips_candidates_that_leave_i64() {
+        // S1's second loop next to `i64::MIN`: the shear `[[1, 1], [0, 1]]`
+        // moves a sampled placement past `i64`, so the search skips it
+        // (identity and the swap still score) and the remap verifies.
+        let src = include_str!("../../../examples/nests/motivating.nest").replace(
+            "stmt S1 depth 2 domain 0..7 0..7",
+            "stmt S1 depth 2 domain 0..1 -9223372036854775807..-9223372036854775806",
+        );
+        let nest = rescomm_loopnest::parse_nest(&src).unwrap();
+        let opts = MappingOptions::new(2);
+        let mapping = map_nest(&nest, &opts).unwrap();
+        let grid = DegradedGrid::new(4, 4, &[5]).unwrap();
+        let mut shear = IMat::identity(2);
+        shear[(0, 1)] = 1;
+        let affected = affected_components(&nest, &mapping.alignment, &grid);
+        let skipped = affected.iter().any(|&ci| {
+            rotated(&mapping.alignment, ci, &shear)
+                .is_none_or(|trial| degraded_score(&nest, &trial, &grid).is_none())
+        });
+        assert!(skipped, "the shear must leave i64 on an affected component");
+        for &ci in &affected {
+            let identity = rotated(&mapping.alignment, ci, &IMat::identity(2)).unwrap();
+            assert!(degraded_score(&nest, &identity, &grid).is_some());
+        }
+        let remapped = remap_for_survivors(&nest, &mapping, &opts, &[5], (4, 4)).unwrap();
+        let (_, stats) = run_distributed_on(&nest, &remapped, Some(&grid));
+        assert_eq!(stats.instances, 1540);
     }
 
     #[test]

@@ -411,6 +411,42 @@ fn unrunnable_flag_combinations_are_usage_errors_not_panics() {
 }
 
 /// The motivating example with `S1`'s second loop moved next to
+/// `i64::MIN`: every value fits, so both plan flags price it, and the
+/// recovery remap skips the candidate rotations whose sampled placements
+/// would leave `i64` instead of failing on them.
+#[test]
+fn mirror_edge_nest_prices_under_plan_and_recover_flags() {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/nests/motivating.nest"
+    ))
+    .unwrap()
+    .replace(
+        "stmt S1 depth 2 domain 0..7 0..7",
+        "stmt S1 depth 2 domain 0..1 -9223372036854775807..-9223372036854775806",
+    );
+    assert!(src.contains("-9223372036854775807"));
+    let f = write_nest(&src);
+    for args in [
+        &["--closed-plan"][..],
+        &["--replications", "2"],
+        &["--recover", "5"],
+    ] {
+        let out = cli().arg(f.as_str()).args(args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        if args.contains(&"--recover") {
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(
+                stdout.contains("degraded run verified: 1540 instances on 15 survivors"),
+                "{stdout}"
+            );
+        }
+    }
+}
+
+/// The motivating example with `S1`'s second loop moved next to
 /// `i64::MAX`: mapping succeeds, but the plan stages' exact subscript
 /// arithmetic overflows; and a nest whose read offset leaves `i64` only
 /// once added to the subscript. Both plan flags and `--recover` must

@@ -20,7 +20,7 @@
 //!   an absolute time; a failure detector with configurable
 //!   [`FaultPlan::detection_latency`] notices the death and triggers the
 //!   checkpoint/rollback recovery path
-//!   ([`crate::FaultSim::run_recovering`]);
+//!   ([`crate::FaultSim::replay_recovering`]);
 //! * a **retry policy** — timeout plus exponential backoff, with a hard
 //!   attempt cap after which the transport escalates to a reliable
 //!   channel (the attempt is forced through), so delivery is guaranteed
@@ -61,7 +61,7 @@ pub struct NodeOutage {
 /// A permanent node failure: from time `t` on, the node never sends or
 /// receives again. Unlike a [`NodeOutage`] window, a death is only
 /// survivable by rolling back to a checkpoint and folding the dead
-/// node's work onto survivors ([`crate::FaultSim::run_recovering`]).
+/// node's work onto survivors ([`crate::FaultSim::replay_recovering`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeDeath {
     /// Flattened node id.
@@ -548,7 +548,7 @@ fn fold_table(px: usize, py: usize, dead: &[usize]) -> Vec<u32> {
 }
 
 /// Accounting of the checkpoint/rollback recovery path
-/// ([`crate::FaultSim::run_recovering`]). Absorbed into
+/// ([`crate::FaultSim::replay_recovering`]). Absorbed into
 /// [`FaultReport`] so one report covers both transport-level faults and
 /// node-loss recovery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -52,7 +52,7 @@
 //!   probabilities, control-network outage) with a resilient transport
 //!   (retry + exponential backoff, XY→YX rerouting, software-collective
 //!   degraded mode), checkpoint/rollback recovery from permanent node
-//!   loss ([`FaultSim::run_recovering`]), full degradation
+//!   loss ([`FaultSim::replay_recovering`]), full degradation
 //!   accounting ([`FaultReport`], [`RecoveryReport`]), and the
 //!   plan-compilation pass behind the fast paths ([`CompiledFaultPlan`]).
 //!

@@ -1,6 +1,6 @@
 //! Dependency-aware overlapped execution of multi-phase plans.
 //!
-//! [`PhaseSim::simulate_phases`] runs phases as strict barriers: every
+//! [`ScheduleMode::Phased`] runs phases as strict barriers: every
 //! message of phase k+1 waits for the globally slowest message of phase
 //! k. The overlapped scheduler in this module relaxes the barrier to the
 //! true dataflow dependence: a phase-k+1 message becomes *ready* once its
@@ -40,7 +40,7 @@ use crate::PMsg;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScheduleMode {
     /// Strict barriers between phases (the historical behaviour);
-    /// bit-identical to [`PhaseSim::simulate_phases`].
+    /// bit-identical to the oracle [`Mesh2D::simulate_phases`].
     #[default]
     Phased,
     /// Software-pipelined: messages release as soon as their source
@@ -172,7 +172,8 @@ impl SchedulePolicy {
     }
 }
 
-/// One scheduled transmission, as reported by the traced overlapped run.
+/// One scheduled transmission, as the engine's step reports it to an
+/// event sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverlapEvent {
     /// Index of the phase the message belongs to.
@@ -228,11 +229,10 @@ mod tests {
             vec![pm(0, 3, 64), pm(4, 7, 32), pm(2, 2, 9999)],
             vec![pm(3, 0, 128), pm(7, 4, 8)],
         ];
-        let mut a = PhaseSim::new(mesh());
-        let mut b = PhaseSim::new(mesh());
+        let mut sim = PhaseSim::new(mesh());
         assert_eq!(
-            a.simulate_phases_mode(&phases, ScheduleMode::Phased),
-            b.simulate_phases(&phases)
+            sim.simulate_phases_mode(&phases, ScheduleMode::Phased),
+            mesh().simulate_phases(&phases)
         );
     }
 
@@ -244,8 +244,9 @@ mod tests {
         let m = mesh();
         let phases = vec![vec![pm(0, 3, 4096), pm(4, 5, 64)], vec![pm(5, 4, 64)]];
         let mut sim = PhaseSim::new(m.clone());
-        let phased = sim.simulate_phases(&phases);
-        let (over, events) = sim.simulate_phases_overlapped_traced(&phases, OverlapOrder::Sorted);
+        let phased = sim.simulate_phases_mode(&phases, ScheduleMode::Phased);
+        let mut events: Vec<OverlapEvent> = Vec::new();
+        let over = sim.simulate_traced(&phases, ScheduleMode::overlapped(), &mut events);
         assert!(over < phased, "expected overlap win: {over} vs {phased}");
         let long = m.cost.p2p(3, 4096);
         let short = m.cost.p2p(1, 64);
@@ -273,7 +274,8 @@ mod tests {
             let a = sim.simulate_phases_mode(&with_self, ScheduleMode::Overlapped(order));
             let b = sim.simulate_phases_mode(&without, ScheduleMode::Overlapped(order));
             assert_eq!(a, b);
-            let (_, events) = sim.simulate_phases_overlapped_traced(&with_self, order);
+            let mut events: Vec<OverlapEvent> = Vec::new();
+            sim.simulate_traced(&with_self, ScheduleMode::Overlapped(order), &mut events);
             assert!(events.iter().all(|e| e.msg.src != e.msg.dst));
             assert_eq!(events.len(), 2);
         }

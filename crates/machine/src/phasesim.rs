@@ -22,12 +22,13 @@
 //!   Its checkpoint parameter is `None` for a run that black-holes
 //!   traffic to permanently dead nodes, or `Some(&CheckpointPolicy)` for
 //!   checkpoint/rollback recovery with survivor folding.
-//! * **The lane path** of [`FaultSim::replay_faulty`] runs up to
+//! * **The lane path** of [`FaultSim::replay_faulty`] runs two to
 //!   [`LANES`] seeds of a drop/dup-only run in one pass over lane-major
-//!   clocks and RNG states. A message's first attempt and its drop and
-//!   duplicate draws are straight-line code over the lanes; a lane whose
-//!   first attempt dropped settles the rest through the step's own fault
-//!   rule (`fate`), so there is no second copy of the fault semantics.
+//!   clocks and RNG states (a lone seed is faster through the step). A
+//!   message's first attempt and its drop and duplicate draws are
+//!   straight-line code over the lanes; a lane whose first attempt
+//!   dropped settles the rest through the step's own fault rule
+//!   (`fate`), so there is no second copy of the fault semantics.
 //!   The lane code is compiled twice, portable and for AVX-512, and the
 //!   CPU picks the build at run time.
 //!
@@ -243,28 +244,12 @@ impl PhaseSim {
         rep.makespan
     }
 
-    /// Simulate dependent phases back to back (each starts after the
-    /// previous completes); returns the total time.
-    pub fn simulate_phases(&mut self, phases: &[Vec<PMsg>]) -> u64 {
-        self.simulate_phases_mode(phases, ScheduleMode::Phased)
-    }
-
-    /// Simulate `phases` under `mode` (see [`crate::overlap`] for the
-    /// overlapped readiness rule and its ≤-phased guarantee).
+    /// Simulate `phases` under `mode`; returns the total time. Phased,
+    /// each phase starts after the previous completes (the sum of
+    /// [`Mesh2D::simulate_phases`]); see [`crate::overlap`] for the
+    /// overlapped readiness rule and its ≤-phased guarantee.
     pub fn simulate_phases_mode(&mut self, phases: &[Vec<PMsg>], mode: ScheduleMode) -> u64 {
         self.simulate_traced(phases, mode, &mut ())
-    }
-
-    /// Overlapped makespan of `phases` plus every scheduled transmission
-    /// in processing order.
-    pub fn simulate_phases_overlapped_traced(
-        &mut self,
-        phases: &[Vec<PMsg>],
-        order: OverlapOrder,
-    ) -> (u64, Vec<OverlapEvent>) {
-        let mut events = Vec::new();
-        let makespan = self.simulate_traced(phases, ScheduleMode::Overlapped(order), &mut events);
-        (makespan, events)
     }
 
     /// A healthy per-call run reporting to `sink`.
@@ -1125,16 +1110,6 @@ impl FaultSim {
         }
     }
 
-    /// The simulated machine.
-    pub fn mesh(&self) -> &Mesh2D {
-        self.sim.mesh()
-    }
-
-    /// The current fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        self.plan.plan()
-    }
-
     /// Swap the fault plan, keeping the compiled phases — the sweep fast
     /// path for evaluating one workload under many plans. The first plan
     /// with link outages on an engine compiled without YX detours
@@ -1150,34 +1125,34 @@ impl FaultSim {
         }
     }
 
-    /// Replay the whole run once with `seed` substituted for the plan's;
-    /// traffic to or from a permanently dead node is black-holed.
-    pub fn run_faulty(&mut self, seed: u64, sched: SchedulePolicy) -> FaultReport {
-        self.run(seed, sched, None)
-    }
-
-    /// Replay one faulty run per seed under `sched` — the Monte Carlo
-    /// batch API. The compile cost is paid once, before the first seed.
+    /// Replay one faulty run per seed under `sched`, each with its seed
+    /// substituted for the plan's; traffic to or from a permanently dead
+    /// node is black-holed. The compile cost is paid once, before the
+    /// first seed; a single run is a one-seed slice.
     ///
     /// When every seed would visit the same messages in the same order,
     /// up to [`LANES`] seeds advance together through one pass (the lane
     /// path): the plan has no link or node outages and no deaths, and
     /// `sched` is [`SchedulePolicy::Fixed`] with [`ScheduleMode::Phased`]
-    /// or [`OverlapOrder::Sorted`]. Otherwise each seed runs alone, as
-    /// in [`FaultSim::run_faulty`]. Either way report `k` equals
-    /// `run_faulty(seeds[k], sched)` bit for bit: each lane draws from
-    /// its own seed's RNG streams through the same fault rule.
+    /// or [`OverlapOrder::Sorted`]. A group of one seed (a lone seed, or
+    /// the last of a batch one past a multiple of [`LANES`]) takes the
+    /// scalar step instead, which is faster for one seed, as does every
+    /// seed of a plan or schedule the lanes cannot take. Either way
+    /// report `k` equals [`crate::reference::simulate`] at `seeds[k]` bit
+    /// for bit: each lane draws from its own seed's RNG streams through
+    /// the same fault rule.
     pub fn replay_faulty(&mut self, seeds: &[u64], sched: SchedulePolicy) -> Vec<FaultReport> {
-        match self.lane_mode(sched) {
-            Some(mode) => seeds
-                .chunks(LANES)
-                .flat_map(|group| {
+        let lanes = self.lane_mode(sched);
+        seeds
+            .chunks(LANES)
+            .flat_map(|group| match lanes {
+                Some(mode) if group.len() > 1 => {
                     self.sim
                         .drive_lanes(&self.cached, self.plan.plan(), group, mode)
-                })
-                .collect(),
-            None => seeds.iter().map(|&s| self.run_faulty(s, sched)).collect(),
-        }
+                }
+                _ => group.iter().map(|&s| self.run(s, sched, None)).collect(),
+            })
+            .collect()
     }
 
     /// The mode of the lane path of [`FaultSim::replay_faulty`], when
@@ -1192,24 +1167,14 @@ impl FaultSim {
         }
     }
 
-    /// Replay the checkpoint/rollback run once with `seed` substituted
-    /// for the plan's: a death detected at `t + detection_latency` rolls
-    /// back to the newest checkpoint at or before it, folds the dead
-    /// node's traffic onto its nearest survivor ([`crate::fold_target`])
-    /// and replays. The report describes the committed run; undone work
-    /// and checkpoint costs land in [`crate::RecoveryReport`].
-    pub fn run_recovering(
-        &mut self,
-        policy: &CheckpointPolicy,
-        seed: u64,
-        sched: SchedulePolicy,
-    ) -> FaultReport {
-        self.run(seed, sched, Some(policy))
-    }
-
-    /// Replay one recovering run per seed under `sched`. Folded phases
-    /// are compiled on the first seed that needs them and reused by the
-    /// rest.
+    /// Replay one checkpoint/rollback run per seed under `sched`, each
+    /// with its seed substituted for the plan's: a death detected at
+    /// `t + detection_latency` rolls back to the newest checkpoint at or
+    /// before it, folds the dead node's traffic onto its nearest survivor
+    /// ([`crate::fold_target`]) and replays. A report describes the
+    /// committed run; undone work and checkpoint costs land in
+    /// [`crate::RecoveryReport`]. Folded phases are compiled on the first
+    /// seed that needs them and reused by the rest.
     pub fn replay_recovering(
         &mut self,
         policy: &CheckpointPolicy,
@@ -1218,7 +1183,7 @@ impl FaultSim {
     ) -> Vec<FaultReport> {
         seeds
             .iter()
-            .map(|&s| self.run_recovering(policy, s, sched))
+            .map(|&s| self.run(s, sched, Some(policy)))
             .collect()
     }
 
@@ -1265,7 +1230,7 @@ mod tests {
     /// A phased faulty run on the engine, checked against the oracle.
     fn faulty_run(m: &Mesh2D, phases: &[Vec<PMsg>], plan: &FaultPlan) -> FaultReport {
         let sched = SchedulePolicy::default();
-        let rep = FaultSim::new(m, phases, plan).run_faulty(plan.seed, sched);
+        let rep = FaultSim::new(m, phases, plan).replay_faulty(&[plan.seed], sched)[0];
         assert_eq!(rep, reference::simulate(m, phases, plan, sched, None));
         rep
     }
@@ -1283,7 +1248,7 @@ mod tests {
         policy: &CheckpointPolicy,
     ) -> FaultReport {
         let sched = SchedulePolicy::default();
-        let rep = FaultSim::new(m, phases, plan).run_recovering(policy, plan.seed, sched);
+        let rep = FaultSim::new(m, phases, plan).replay_recovering(policy, &[plan.seed], sched)[0];
         assert_eq!(
             rep,
             reference::simulate(m, phases, plan, sched, Some(policy))
@@ -1382,7 +1347,10 @@ mod tests {
         let m = mesh(4, 2);
         let phases: Vec<Vec<PMsg>> = (0..5).map(|s| mixed_phase(&m, 6, s)).collect();
         let mut sim = PhaseSim::new(m.clone());
-        assert_eq!(sim.simulate_phases(&phases), m.simulate_phases(&phases));
+        assert_eq!(
+            sim.simulate_phases_mode(&phases, ScheduleMode::Phased),
+            m.simulate_phases(&phases)
+        );
     }
 
     #[test]
@@ -1828,7 +1796,7 @@ mod tests {
                 ..plan.clone()
             };
             assert_eq!(
-                engine.run_faulty(seed, SchedulePolicy::default()),
+                engine.replay_faulty(&[seed], SchedulePolicy::default())[0],
                 reference::simulate(&m, &phases, &seeded, SchedulePolicy::default(), None),
                 "seed {seed}"
             );
@@ -1842,11 +1810,11 @@ mod tests {
         for (i, p) in phases.iter().enumerate() {
             let mut one = FaultSim::new(&m, std::slice::from_ref(p), &plan);
             let seed = plan.seed.wrapping_add(i as u64);
-            summed.absorb(&one.run_faulty(seed, SchedulePolicy::default()));
+            summed.absorb(&one.replay_faulty(&[seed], SchedulePolicy::default())[0]);
         }
         assert_eq!(
             summed,
-            engine.run_faulty(plan.seed, SchedulePolicy::default())
+            engine.replay_faulty(&[plan.seed], SchedulePolicy::default())[0]
         );
     }
 
@@ -1877,7 +1845,7 @@ mod tests {
                 ..plan.clone()
             };
             assert_eq!(
-                engine.run_recovering(&policy, seed, SchedulePolicy::default()),
+                engine.replay_recovering(&policy, &[seed], SchedulePolicy::default())[0],
                 reference::simulate(
                     &m,
                     &phases,
@@ -1896,8 +1864,11 @@ mod tests {
         // Swapping the plan recompiles: a death-free plan through the
         // same engine matches the unfaulted scheduler.
         engine.set_plan(&crate::FaultPlan::none());
-        let zero =
-            engine.run_recovering(&CheckpointPolicy::default(), 0, SchedulePolicy::default());
+        let zero = engine.replay_recovering(
+            &CheckpointPolicy::default(),
+            &[0],
+            SchedulePolicy::default(),
+        )[0];
         assert_eq!(zero.makespan, healthy);
         assert_eq!(zero.recovery.rollbacks, 0);
     }
@@ -1929,7 +1900,7 @@ mod tests {
                         ..plan.clone()
                     };
                     assert_eq!(
-                        engine.run_faulty(seed, sched),
+                        engine.replay_faulty(&[seed], sched)[0],
                         reference::simulate(&m, &phases, &seeded, sched, None),
                         "seed {seed} under {sched:?}"
                     );
@@ -1937,7 +1908,7 @@ mod tests {
             }
         }
         assert!(engine.detours);
-        let rerouted = engine.run_faulty(0, SchedulePolicy::default());
+        let rerouted = engine.replay_faulty(&[0], SchedulePolicy::default())[0];
         assert!(rerouted.reroutes + rerouted.deferrals > 0, "{rerouted:?}");
     }
 
@@ -1963,10 +1934,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
         /// Both builds of the lane path (on a host without AVX-512 both
-        /// calls run the portable one) equal `run_faulty` seed by seed,
-        /// at every batch size from 1 to two lane groups plus one.
+        /// calls run the portable one) equal the reference oracle seed by
+        /// seed, at every batch size from 1 to two lane groups plus one,
+        /// so groups of 1, 2, 16 and 17 seeds and three groups (33) are
+        /// all covered; one-seed groups are driven through the lanes here
+        /// although `replay_faulty` sends them to the scalar step.
         #[test]
-        fn lane_builds_match_run_faulty(
+        fn lane_builds_match_the_oracle(
             sizes in (0usize..33, 0usize..33, 0usize..33),
             base in 0u64..1_000_000,
             drop_raw in 0u32..121,
@@ -2005,8 +1979,13 @@ mod tests {
             for mode in [ScheduleMode::Phased, ScheduleMode::overlapped()] {
                 let sched = SchedulePolicy::Fixed(mode);
                 proptest::prop_assert_eq!(engine.lane_mode(sched), Some(mode));
-                let want: Vec<FaultReport> =
-                    seeds.iter().map(|&s| engine.run_faulty(s, sched)).collect();
+                let want: Vec<FaultReport> = seeds
+                    .iter()
+                    .map(|&seed| {
+                        let seeded = crate::FaultPlan { seed, ..plan.clone() };
+                        reference::simulate(&m, &phases, &seeded, sched, None)
+                    })
+                    .collect();
                 for n in 1..=seeds.len() {
                     for portable in [true, false] {
                         proptest::prop_assert_eq!(
@@ -2031,7 +2010,66 @@ mod tests {
         let back = [pm(3, 0, 8)];
         assert_eq!(sim.simulate_phase(&back), m.simulate_phase(&back));
         let phases = vec![back.to_vec()];
-        assert_eq!(sim.simulate_phases(&phases), m.simulate_phases(&phases));
+        assert_eq!(
+            sim.simulate_phases_mode(&phases, ScheduleMode::Phased),
+            m.simulate_phases(&phases)
+        );
+    }
+
+    #[test]
+    fn a_lone_seed_takes_the_scalar_step() {
+        // One seed of a drop-only plan is a lane-path plan, but the scalar
+        // step runs it: the lane scratch stays unsized. Two seeds size it.
+        let m = mesh(8, 4);
+        let phases: Vec<Vec<PMsg>> = (0..3).map(|s| mixed_phase(&m, 20, s)).collect();
+        let plan = crate::FaultPlan::with_drop(11, 0.3);
+        let sched = SchedulePolicy::default();
+        let mut engine = FaultSim::new(&m, &phases, &plan);
+        assert_eq!(engine.lane_mode(sched), Some(ScheduleMode::Phased));
+        let one = engine.replay_faulty(&[plan.seed], sched);
+        assert!(engine.sim.lanes.free.is_empty());
+        assert_eq!(one, [reference::simulate(&m, &phases, &plan, sched, None)]);
+        let two = engine.replay_faulty(&[plan.seed, plan.seed], sched);
+        assert!(!engine.sim.lanes.free.is_empty());
+        assert_eq!(two, [one[0], one[0]]);
+    }
+
+    fn msgs(nodes: usize) -> impl proptest::strategy::Strategy<Value = Vec<PMsg>> {
+        use proptest::strategy::Strategy;
+        proptest::collection::vec((0..nodes, 0..nodes, 1u64..512), 0..24)
+            .prop_map(|v| v.into_iter().map(|(s, d, b)| pm(s, d, b)).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        /// Dependency safety, both orders: no message starts before every
+        /// inflow of its source node from all earlier phases has arrived,
+        /// and the reported makespan is exactly the last arrival.
+        #[test]
+        fn overlapped_dependency_safety(
+            a in msgs(32), b in msgs(32), c in msgs(32), longest in 0u32..2,
+        ) {
+            let m = mesh(8, 4);
+            let order = if longest == 1 { OverlapOrder::LongestFirst } else { OverlapOrder::Sorted };
+            let mut sim = PhaseSim::new(m);
+            let mut events: Vec<OverlapEvent> = Vec::new();
+            let phases = vec![a, b, c];
+            let makespan = sim.simulate_traced(&phases, ScheduleMode::Overlapped(order), &mut events);
+            proptest::prop_assert_eq!(makespan, events.iter().map(|e| e.end).max().unwrap_or(0));
+            for e in &events {
+                // Inflows of the source node across *all* earlier phases —
+                // readiness accumulates, it is not reset per phase.
+                let inflow = events
+                    .iter()
+                    .filter(|p| p.phase < e.phase && p.msg.dst == e.msg.src)
+                    .map(|p| p.end)
+                    .max()
+                    .unwrap_or(0);
+                proptest::prop_assert!(e.ready >= inflow, "released at {} before inflow {}", e.ready, inflow);
+                proptest::prop_assert!(e.start >= e.ready);
+                proptest::prop_assert!(e.end > e.start);
+            }
+        }
     }
 
     #[test]

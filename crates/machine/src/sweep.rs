@@ -171,9 +171,9 @@ impl FaultSweepStats {
 /// set under `replications` derived seeds ([`replication_seed`]) on the
 /// compiled engine ([`FaultSim`]) and fold the reports into
 /// [`FaultSweepStats`]. With `ckpt = None` every replication is a faulty
-/// run ([`FaultSim::run_faulty`]: deaths black-hole their traffic); with
-/// `Some(policy)` it goes through checkpoint/rollback recovery
-/// ([`FaultSim::run_recovering`]). Either way it is scheduled per
+/// run ([`FaultSim::replay_faulty`]: deaths black-hole their traffic);
+/// with `Some(policy)` it goes through checkpoint/rollback recovery
+/// ([`FaultSim::replay_recovering`]). Either way it is scheduled per
 /// `sched`.
 ///
 /// Work units are sharded at **plan×seed** granularity over the
@@ -185,8 +185,8 @@ impl FaultSweepStats {
 /// result is **bit-identical** whatever `threads` is. The sweep's
 /// [`SweepReport`] comes back alongside.
 ///
-/// Each task is one seed, so the sweep never takes the lane path of
-/// [`FaultSim::replay_faulty`]: lanes do not apply here yet.
+/// Each task replays a one-seed slice, which takes the scalar step: a
+/// lone seed never enters the lane path of [`FaultSim::replay_faulty`].
 pub fn par_fault_sweep(
     mesh: &Mesh2D,
     phases: &[Vec<PMsg>],
@@ -218,11 +218,12 @@ pub fn par_fault_sweep(
                 engine.set_plan(plan);
                 *current = plan_idx;
             }
-            let seed = replication_seed(plan.seed, rep as u64);
-            match ckpt {
-                None => engine.run_faulty(seed, sched),
-                Some(policy) => engine.run_recovering(policy, seed, sched),
-            }
+            let seed = [replication_seed(plan.seed, rep as u64)];
+            let reports = match ckpt {
+                None => engine.replay_faulty(&seed, sched),
+                Some(policy) => engine.replay_recovering(policy, &seed, sched),
+            };
+            reports[0]
         },
     );
     let mut stats = vec![FaultSweepStats::default(); plans.len()];

@@ -34,9 +34,10 @@ fn engine_run(
     ckpt: Option<&CheckpointPolicy>,
 ) -> FaultReport {
     let mut engine = FaultSim::new(mesh, phases, plan);
+    let seed = [plan.seed];
     match ckpt {
-        None => engine.run_faulty(plan.seed, sched),
-        Some(c) => engine.run_recovering(c, plan.seed, sched),
+        None => engine.replay_faulty(&seed, sched)[0],
+        Some(c) => engine.replay_recovering(c, &seed, sched)[0],
     }
 }
 
@@ -424,9 +425,9 @@ proptest! {
 
     /// The lane path of `replay_faulty` (a drop/dup-only plan under
     /// `Phased` or `Overlapped(Sorted)`) reproduces the reference oracle
-    /// and the per-seed `run_faulty`, seed for seed, at every batch size
-    /// from 1 to two lane groups plus one, so partial groups are
-    /// covered. Drop rates include 0 % and 100 %; retries run with the
+    /// and the one-seed replay (the scalar step), seed for seed, at
+    /// every batch size from 1 to two lane groups plus one, so partial
+    /// groups and a lone last seed are covered. Drop rates include 0 % and 100 %; retries run with the
     /// drawn policy, disabled, or capped at one attempt.
     #[test]
     fn lane_replay_bit_identical(
@@ -463,7 +464,7 @@ proptest! {
                 .map(|&seed| {
                     let seeded = FaultPlan { seed, ..plan.clone() };
                     let rep = reference::simulate(&mesh, &phases, &seeded, sched, None);
-                    assert_eq!(engine.run_faulty(seed, sched), rep, "run_faulty seed {seed}");
+                    assert_eq!(engine.replay_faulty(&[seed], sched), [rep], "lone seed {seed}");
                     rep
                 })
                 .collect();
@@ -530,7 +531,7 @@ proptest! {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let single = |i: usize, phase: &Vec<PMsg>| {
             let seed = plan.seed.wrapping_add(i as u64);
-            FaultSim::new(&mesh, std::slice::from_ref(phase), &plan).run_faulty(seed, PHASED)
+            FaultSim::new(&mesh, std::slice::from_ref(phase), &plan).replay_faulty(&[seed], PHASED)[0]
         };
         let absorbed = |reps: &[FaultReport]| {
             let mut total = FaultReport::default();
@@ -630,14 +631,13 @@ proptest! {
     /// The overlapped scheduler (default order) never exceeds the phased
     /// makespan, never beats the slowest standalone phase, is
     /// deterministic across engine reuse, and `Phased` mode stays
-    /// bit-identical to `simulate_phases`.
+    /// bit-identical to `Mesh2D::simulate_phases`.
     #[test]
     fn overlapped_bounded_by_phased(a in msgs(32), b in msgs(32), c in msgs(32)) {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let mut sim = PhaseSim::new(mesh.clone());
         let phases = vec![a, b, c];
-        let phased = sim.simulate_phases(&phases);
-        prop_assert_eq!(sim.simulate_phases_mode(&phases, ScheduleMode::Phased), phased);
+        let phased = sim.simulate_phases_mode(&phases, ScheduleMode::Phased);
         prop_assert_eq!(phased, mesh.simulate_phases(&phases));
         let over = sim.simulate_phases_mode(&phases, ScheduleMode::overlapped());
         prop_assert!(over <= phased, "overlapped {over} beats phased {phased} the wrong way");
@@ -648,32 +648,6 @@ proptest! {
         prop_assert_eq!(over, sim.simulate_phases_mode(&phases, ScheduleMode::overlapped()));
     }
 
-    /// Dependency safety, both orders: no message starts before every
-    /// inflow of its source node from all earlier phases has arrived,
-    /// and the reported makespan is exactly the last arrival.
-    #[test]
-    fn overlapped_dependency_safety(a in msgs(32), b in msgs(32), c in msgs(32), longest in 0u32..2) {
-        let mesh = Mesh2D::new(8, 4, CostModel::paragon());
-        let order = if longest == 1 { OverlapOrder::LongestFirst } else { OverlapOrder::Sorted };
-        let mut sim = PhaseSim::new(mesh.clone());
-        let phases = vec![a, b, c];
-        let (makespan, events) = sim.simulate_phases_overlapped_traced(&phases, order);
-        prop_assert_eq!(makespan, events.iter().map(|e| e.end).max().unwrap_or(0));
-        for e in &events {
-            // Inflows of the source node across *all* earlier phases —
-            // readiness accumulates, it is not reset per phase.
-            let inflow = events
-                .iter()
-                .filter(|p| p.phase < e.phase && p.msg.dst == e.msg.src)
-                .map(|p| p.end)
-                .max()
-                .unwrap_or(0);
-            prop_assert!(e.ready >= inflow, "released at {} before inflow {}", e.ready, inflow);
-            prop_assert!(e.start >= e.ready);
-            prop_assert!(e.end > e.start);
-        }
-    }
-
     /// A single-phase plan schedules bit-identically under phased and
     /// (default) overlapped modes — with no previous phase, every node is
     /// ready at t=0 and the greedy order coincides.
@@ -682,7 +656,7 @@ proptest! {
         let mesh = Mesh2D::new(8, 4, CostModel::paragon());
         let mut sim = PhaseSim::new(mesh.clone());
         let phases = vec![ms];
-        let phased = sim.simulate_phases(&phases);
+        let phased = sim.simulate_phases_mode(&phases, ScheduleMode::Phased);
         prop_assert_eq!(sim.simulate_phases_mode(&phases, ScheduleMode::overlapped()), phased);
     }
 
@@ -820,7 +794,7 @@ proptest! {
         );
         // And the sweep's replication 0 is the engine's own run.
         let mut engine = FaultSim::new(&mesh, &phases, &plans[0]);
-        let one = engine.run_faulty(replication_seed(plans[0].seed, 0), sched);
+        let one = engine.replay_faulty(&[replication_seed(plans[0].seed, 0)], sched)[0];
         prop_assert_eq!(serial[0].total.makespan >= one.makespan, true);
     }
 }

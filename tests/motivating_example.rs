@@ -147,20 +147,41 @@ fn two_step_beats_step1_on_simulated_mesh() {
 #[test]
 fn strategy_and_ablation_rows_match_experiments_md() {
     // EXPERIMENTS.md's motivating-example and ablation tables: counts are
-    // (local, macro, decomposed, general), times are estimated ns on the
-    // 8×4 mesh at 256 B.
+    // (local, macro, decomposed, general), times are estimated ns and the
+    // compiled plan's phased makespan in ns, both on the 8×4 mesh with
+    // CYCLIC over 32×16 at 256 B.
     let got: Vec<_> = rescomm_bench::motivating(256)
         .into_iter()
-        .map(|r| (r.strategy, r.counts, r.est_time))
+        .map(|r| (r.strategy, r.counts, r.est_time, r.compiled_time))
         .collect();
     assert_eq!(
         got,
         [
-            ("two-step heuristic", [5, 2, 1, 0], 798_352),
-            ("step 1 only (greedy zeroing)", [5, 0, 0, 3], 2_098_960),
-            ("Platonoff (macro-first)", [4, 1, 0, 3], 2_150_256),
-            ("macro-only (no decomposition)", [5, 2, 0, 1], 879_552),
-            ("decompose-only (no macro)", [5, 0, 1, 2], 2_510_512),
+            ("two-step heuristic", [5, 2, 1, 0], 798_352, 6_189_256),
+            (
+                "step 1 only (greedy zeroing)",
+                [5, 0, 0, 3],
+                2_098_960,
+                6_061_424
+            ),
+            (
+                "Platonoff (macro-first)",
+                [4, 1, 0, 3],
+                2_150_256,
+                10_637_032
+            ),
+            (
+                "macro-only (no decomposition)",
+                [5, 2, 0, 1],
+                879_552,
+                6_351_952
+            ),
+            (
+                "decompose-only (no macro)",
+                [5, 0, 1, 2],
+                2_510_512,
+                6_409_312
+            ),
         ]
     );
 }

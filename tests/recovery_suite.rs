@@ -55,7 +55,8 @@ fn recovering(
     plan: &FaultPlan,
     policy: &CheckpointPolicy,
 ) -> FaultReport {
-    FaultSim::new(mesh, phases, plan).run_recovering(policy, plan.seed, SchedulePolicy::default())
+    let seed = [plan.seed];
+    FaultSim::new(mesh, phases, plan).replay_recovering(policy, &seed, SchedulePolicy::default())[0]
 }
 
 #[test]
